@@ -2,8 +2,6 @@
 //
 //  A. spill-run serialization format — compact varint framing vs fixed32
 //     (the paper's §VII "more efficient on-disk data representations");
-//  B. reduce-side grouping — required sort vs hash grouping (the §VII
-//     "different post-map() grouping procedures");
 //  C. frequent-key table budget — sensitivity of FreqOpt to the fraction
 //     of the spill buffer devoted to the table (the paper fixes 30%);
 //  D. sampling fraction s — fixed paper values vs the §III-C auto-tuner.
@@ -44,18 +42,6 @@ int main() {
   }
 
   {
-    std::printf("\nB. reduce grouping: sorted merge vs hash table\n");
-    for (const auto grouping : {mr::Grouping::kSorted, mr::Grouping::kHash}) {
-      TempDir dir("textmr-ablation");
-      auto spec = bench::make_bench_job(app, bench::kBaseline, dir.path());
-      spec.grouping = grouping;
-      std::printf("   %-16s %s\n",
-                  grouping == mr::Grouping::kSorted ? "sorted" : "hash",
-                  bench::secs(run_seconds(std::move(spec))).c_str());
-    }
-  }
-
-  {
     std::printf("\nC. frequent-key table budget (fraction of spill buffer)\n");
     for (const double fraction : {0.1, 0.3, 0.5, 0.7}) {
       TempDir dir("textmr-ablation");
@@ -63,28 +49,6 @@ int main() {
       spec.freqbuf.table_budget_fraction = fraction;
       std::printf("   %-16.1f %s\n", fraction,
                   bench::secs(run_seconds(std::move(spec))).c_str());
-    }
-  }
-
-  {
-    std::printf("\nE. support threads per map task (consume-bound app:\n"
-                "   InvertedIndex; extra threads overlap several spills)\n");
-    const auto index_app = apps::inverted_index_app();
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      TempDir dir("textmr-ablation");
-      auto spec = bench::make_bench_job(index_app, bench::kBaseline,
-                                        dir.path());
-      spec.support_threads = threads;
-      mr::LocalEngine engine;
-      const auto result = engine.run(spec);
-      std::printf("   %u thread(s):     work %-9s support idle %.2fs\n",
-                  threads,
-                  bench::secs(static_cast<double>(
-                                  result.metrics.work.total_ns()) *
-                              1e-9)
-                      .c_str(),
-                  static_cast<double>(result.metrics.support_thread_idle_ns) *
-                      1e-9);
     }
   }
 

@@ -20,8 +20,8 @@
 //              [--liveness-timeout-ms MS]
 //   textmr_cli worker APP INPUT... --out DIR --connect HOST:PORT
 //              [same job flags as run]
-//   APP = wordcount | invertedindex | wordpostag | accesslogsum |
-//         accesslogjoin | pagerank
+//   APP = any name in apps::kNamedApps (src/apps/app_suite.hpp); running
+//         textmr_cli with no arguments lists them
 //
 // Multi-node quickstart (two terminals, DESIGN.md §14): terminal 1 runs
 // the coordinator with --transport tcp --listen 127.0.0.1:7070
@@ -86,6 +86,17 @@ struct Args {
 };
 
 int usage() {
+  std::string app_line = "  APP:";
+  std::size_t width = app_line.size();
+  for (const apps::NamedApp& app : apps::kNamedApps) {
+    if (width + 1 + app.name.size() > 72) {
+      app_line += "\n      ";
+      width = 6;
+    }
+    app_line += ' ';
+    app_line += app.name;
+    width += 1 + app.name.size();
+  }
   std::fprintf(stderr,
                "usage:\n"
                "  textmr_cli gen corpus OUT [--words N] [--vocab V] "
@@ -107,8 +118,8 @@ int usage() {
                "             [--liveness-timeout-ms MS]\n"
                "  textmr_cli worker APP INPUT... --out DIR --connect H:P\n"
                "             [--idle-timeout-ms MS] [same job flags as run]\n"
-               "  APP: wordcount invertedindex wordpostag accesslogsum\n"
-               "       accesslogjoin pagerank\n");
+               "%s\n",
+               app_line.c_str());
   return 2;
 }
 
@@ -127,16 +138,6 @@ std::optional<cluster::Endpoint> parse_endpoint(const std::string& text,
   ep.host = text.substr(0, colon);
   ep.port = static_cast<std::uint16_t>(port);
   return ep;
-}
-
-std::optional<apps::AppBundle> bundle_for(const std::string& name) {
-  if (name == "wordcount") return apps::wordcount_app();
-  if (name == "invertedindex") return apps::inverted_index_app();
-  if (name == "wordpostag") return apps::word_pos_tag_app();
-  if (name == "accesslogsum") return apps::access_log_sum_app();
-  if (name == "accesslogjoin") return apps::access_log_join_app();
-  if (name == "pagerank") return apps::pagerank_app();
-  return std::nullopt;
 }
 
 int cmd_gen(const Args& args) {
@@ -189,7 +190,7 @@ int cmd_gen(const Args& args) {
 // over the wire, so both sides derive them from the same APP name and
 // flags. Returns nullopt on bad arguments (caller prints usage).
 std::optional<mr::JobSpec> build_job_spec(const Args& args) {
-  const auto bundle = bundle_for(args.positional[1]);
+  const auto bundle = apps::app_by_name(args.positional[1]);
   if (!bundle.has_value()) return std::nullopt;
   auto out_it = args.options.find("out");
   if (out_it == args.options.end() || args.positional.size() < 3) {

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/access_log.hpp"
@@ -183,6 +185,34 @@ inline AppBundle syntext_app(SynTextParams params) {
       3000,
       0.01,
   };
+}
+
+/// One app a single job can run, under its command-line name.
+struct NamedApp {
+  std::string_view name;
+  AppBundle (*make)();
+};
+
+/// The app registry: every single-job app, by command-line name. The CLI
+/// resolves APP through it and prints its usage line from it. TF-IDF is
+/// absent because it is a two-job pipeline, not one JobSpec.
+inline constexpr NamedApp kNamedApps[] = {
+    {"wordcount", [] { return wordcount_app(); }},
+    {"invertedindex", [] { return inverted_index_app(); }},
+    {"wordpostag", [] { return word_pos_tag_app(); }},
+    {"accesslogsum", [] { return access_log_sum_app(); }},
+    {"accesslogjoin", [] { return access_log_join_app(); }},
+    {"accesslogjoinsorted", [] { return access_log_join_sorted_app(); }},
+    {"sessionize", [] { return sessionize_app(); }},
+    {"pagerank", [] { return pagerank_app(); }},
+};
+
+/// The registry's bundle for `name`; nullopt when no app has that name.
+inline std::optional<AppBundle> app_by_name(std::string_view name) {
+  for (const NamedApp& app : kNamedApps) {
+    if (app.name == name) return app.make();
+  }
+  return std::nullopt;
 }
 
 /// All six paper applications in the paper's presentation order.

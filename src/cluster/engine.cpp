@@ -196,7 +196,6 @@ void Coordinator::spawn_workers() {
       ctx.fd = channel.child_fd;
       ctx.worker_id = w;
       ctx.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-      ctx.frame_format = transport_->frame_format();
       ctx.shuffle_enabled = network_shuffle_;
       ctx.io_timeout_ms = config_.io_timeout_ms;
       ctx.idle_timeout_ms = config_.worker_idle_timeout_ms;
@@ -210,7 +209,6 @@ void Coordinator::spawn_workers() {
     handle.id = w;
     handle.conn = std::move(channel.coordinator);
     handle.pid = pid;
-    handle.decoder = FrameDecoder(transport_->frame_format());
     workers_.push_back(std::move(handle));
     liveness_.note_activity(w);
     if (config_.on_worker_spawn) config_.on_worker_spawn(w, pid);
@@ -229,7 +227,6 @@ void Coordinator::accept_external_workers() {
     handle.id = w;
     handle.external = true;
     handle.pid = -1;
-    handle.decoder = FrameDecoder(FrameFormat::kChecksummed);
     try {
       handle.conn = tcp_->accept_worker(config_.accept_timeout_ms);
     } catch (const IoError& e) {

@@ -762,12 +762,8 @@ std::uint32_t crc32(std::string_view data) {
 
 namespace {
 
-constexpr std::size_t kFrameHeaderBytes = 4;  // u32 length prefix
-
-std::size_t frame_preamble_bytes(FrameFormat format) {
-  return format == FrameFormat::kChecksummed ? kFrameHeaderBytes + 4
-                                             : kFrameHeaderBytes;
-}
+constexpr std::size_t kFrameLengthBytes = 4;  // u32 length prefix
+constexpr std::size_t kFramePreambleBytes = kFrameLengthBytes + 4;  // + crc
 
 void put_u32_le(char* dest, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -886,8 +882,8 @@ bool recv_exact(int fd, char* dest, std::size_t n, std::uint64_t deadline_ns,
   return true;
 }
 
-/// kCorrupt flips one payload byte (the checksummed format detects it on
-/// the receiving side); kShortWrite tears the frame after the preamble
+/// kCorrupt flips one payload byte (the frame checksum detects it on the
+/// receiving side); kShortWrite tears the frame after the preamble
 /// plus half the payload and reports the peer gone. Both model a
 /// desynchronizing network fault, so callers must treat the channel as
 /// dead afterwards — exactly what returning false makes them do.
@@ -916,20 +912,17 @@ bool apply_send_fault(const failpoint::Action& action, int fd,
 
 }  // namespace
 
-bool send_frame(int fd, std::string_view payload, FrameFormat format,
-                std::int32_t timeout_ms) {
+bool send_frame(int fd, std::string_view payload, std::int32_t timeout_ms) {
   const std::uint64_t deadline_ns = deadline_from(timeout_ms);
-  const std::size_t preamble = frame_preamble_bytes(format);
   std::string wire;
-  wire.resize(preamble);
+  wire.resize(kFramePreambleBytes);
   put_u32_le(wire.data(), static_cast<std::uint32_t>(payload.size()));
-  if (format == FrameFormat::kChecksummed) {
-    put_u32_le(wire.data() + kFrameHeaderBytes, crc32(payload));
-  }
+  put_u32_le(wire.data() + kFrameLengthBytes, crc32(payload));
   wire.append(payload);
   if (failpoint::enabled()) {
     if (const auto action = failpoint::consume("net.send")) {
-      if (!apply_send_fault(*action, fd, wire, preamble, deadline_ns)) {
+      if (!apply_send_fault(*action, fd, wire, kFramePreambleBytes,
+                            deadline_ns)) {
         return false;
       }
     }
@@ -937,8 +930,7 @@ bool send_frame(int fd, std::string_view payload, FrameFormat format,
   return send_all(fd, wire.data(), wire.size(), deadline_ns);
 }
 
-std::optional<std::string> recv_frame(int fd, FrameFormat format,
-                                      std::int32_t timeout_ms) {
+std::optional<std::string> recv_frame(int fd, std::int32_t timeout_ms) {
   if (failpoint::enabled()) {
     if (const auto action = failpoint::consume("net.recv")) {
       if (action->kind == failpoint::ActionKind::kDelay) {
@@ -949,32 +941,27 @@ std::optional<std::string> recv_frame(int fd, FrameFormat format,
     }
   }
   const std::uint64_t deadline_ns = deadline_from(timeout_ms);
-  const std::size_t preamble = frame_preamble_bytes(format);
-  char header[kFrameHeaderBytes + 4];
-  if (!recv_exact(fd, header, preamble, deadline_ns, /*eof_ok=*/true)) {
+  char header[kFramePreambleBytes];
+  if (!recv_exact(fd, header, kFramePreambleBytes, deadline_ns,
+                  /*eof_ok=*/true)) {
     return std::nullopt;
   }
   const std::uint32_t len = get_u32_le(header);
   check_frame_length(len);
   std::string payload(len, '\0');
   recv_exact(fd, payload.data(), len, deadline_ns, /*eof_ok=*/false);
-  if (format == FrameFormat::kChecksummed) {
-    check_frame_crc(get_u32_le(header + kFrameHeaderBytes), payload);
-  }
+  check_frame_crc(get_u32_le(header + kFrameLengthBytes), payload);
   return payload;
 }
 
 std::optional<std::string> FrameDecoder::next() {
-  const std::size_t preamble = frame_preamble_bytes(format_);
-  if (buf_.size() < preamble) return std::nullopt;
+  if (buf_.size() < kFramePreambleBytes) return std::nullopt;
   const std::uint32_t len = get_u32_le(buf_.data());
   check_frame_length(len);
-  if (buf_.size() < preamble + len) return std::nullopt;
-  std::string frame = buf_.substr(preamble, len);
-  if (format_ == FrameFormat::kChecksummed) {
-    check_frame_crc(get_u32_le(buf_.data() + kFrameHeaderBytes), frame);
-  }
-  buf_.erase(0, preamble + len);
+  if (buf_.size() < kFramePreambleBytes + len) return std::nullopt;
+  std::string frame = buf_.substr(kFramePreambleBytes, len);
+  check_frame_crc(get_u32_le(buf_.data() + kFrameLengthBytes), frame);
+  buf_.erase(0, kFramePreambleBytes + len);
   return frame;
 }
 

@@ -34,11 +34,10 @@ std::optional<std::string> fetch_once(const Endpoint& source,
     ShuffleFetchMsg fetch;
     fetch.run_path = run.path;
     fetch.partition = partition;
-    if (!send_frame(fd, encode_shuffle_fetch(fetch),
-                    FrameFormat::kChecksummed, timeout_ms)) {
+    if (!send_frame(fd, encode_shuffle_fetch(fetch), timeout_ms)) {
       throw IoError("shuffle server closed the connection");
     }
-    const auto frame = recv_frame(fd, FrameFormat::kChecksummed, timeout_ms);
+    const auto frame = recv_frame(fd, timeout_ms);
     if (!frame.has_value()) {
       throw IoError("shuffle server closed before replying");
     }

@@ -8,19 +8,18 @@
 ///
 ///   - SocketpairTransport: the original one-host shape. A
 ///     socketpair(AF_UNIX) is created before fork(); the child inherits
-///     one end. Frames use FrameFormat::kLegacy (no checksum — the
-///     kernel moves the bytes, nothing can corrupt them).
+///     one end.
 ///   - TcpTransport: real sockets on a loopback/LAN listener. The
 ///     coordinator pairs each forked worker deterministically by
 ///     connecting to its own listener immediately before the fork, so
 ///     the child inherits an established, identified TCP connection.
 ///     External workers (started with `textmr_cli worker --connect`)
-///     dial in and are adopted via accept_worker(). Frames use
-///     FrameFormat::kChecksummed ([len][crc32][payload]).
+///     dial in and are adopted via accept_worker().
 ///
-/// Connections never own protocol state beyond the frame format and a
-/// default I/O timeout; message semantics stay in protocol.hpp and the
-/// engine/worker loops.
+/// Both carry the same checksummed frames ([len][crc32][payload]), so a
+/// flipped byte is caught on either. Connections never own protocol
+/// state beyond a default I/O timeout; message semantics stay in
+/// protocol.hpp and the engine/worker loops.
 
 #include <cstdint>
 #include <memory>
@@ -38,14 +37,14 @@ const char* transport_kind_name(TransportKind kind);
 TransportKind parse_transport_kind(const std::string& name);
 
 /// One framed channel between coordinator and worker. Thin RAII wrapper
-/// over an fd + frame format + default timeout; all I/O goes through the
+/// over an fd + default timeout; all I/O goes through the
 /// protocol.hpp frame functions (and therefore through the net.send /
 /// net.recv failpoints).
 class Connection {
  public:
   Connection() = default;
-  Connection(int fd, FrameFormat format, std::int32_t io_timeout_ms = -1)
-      : fd_(fd), format_(format), io_timeout_ms_(io_timeout_ms) {}
+  explicit Connection(int fd, std::int32_t io_timeout_ms = -1)
+      : fd_(fd), io_timeout_ms_(io_timeout_ms) {}
   ~Connection() { close(); }
 
   Connection(Connection&& other) noexcept { *this = std::move(other); }
@@ -55,25 +54,24 @@ class Connection {
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
-  FrameFormat format() const { return format_; }
   std::int32_t io_timeout_ms() const { return io_timeout_ms_; }
 
   /// Sends one frame; false when the peer is gone. Uses the default
   /// timeout unless `timeout_ms` overrides it (-1 = wait forever).
   bool send(std::string_view payload) const {
-    return send_frame(fd_, payload, format_, io_timeout_ms_);
+    return send_frame(fd_, payload, io_timeout_ms_);
   }
   bool send(std::string_view payload, std::int32_t timeout_ms) const {
-    return send_frame(fd_, payload, format_, timeout_ms);
+    return send_frame(fd_, payload, timeout_ms);
   }
 
   /// Receives one frame; nullopt on clean EOF. Throws IoError on
   /// timeout, truncation, or checksum mismatch.
   std::optional<std::string> recv() const {
-    return recv_frame(fd_, format_, io_timeout_ms_);
+    return recv_frame(fd_, io_timeout_ms_);
   }
   std::optional<std::string> recv(std::int32_t timeout_ms) const {
-    return recv_frame(fd_, format_, timeout_ms);
+    return recv_frame(fd_, timeout_ms);
   }
 
   /// Non-blocking drain into `decoder` for the coordinator poll loop.
@@ -88,7 +86,6 @@ class Connection {
 
  private:
   int fd_ = -1;
-  FrameFormat format_ = FrameFormat::kLegacy;
   std::int32_t io_timeout_ms_ = -1;
 };
 
@@ -101,7 +98,6 @@ class Transport {
 
   virtual TransportKind kind() const = 0;
   const char* name() const { return transport_kind_name(kind()); }
-  virtual FrameFormat frame_format() const = 0;
 
   struct WorkerChannel {
     Connection coordinator;  // coordinator-side end
@@ -146,9 +142,6 @@ class TcpTransport final : public Transport {
   ~TcpTransport() override;
 
   TransportKind kind() const override { return TransportKind::kTcp; }
-  FrameFormat frame_format() const override {
-    return FrameFormat::kChecksummed;
-  }
 
   WorkerChannel make_worker_channel() override;
   void on_child_fork(int keep_fd) override;

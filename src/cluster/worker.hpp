@@ -19,9 +19,6 @@ struct WorkerContext {
   int fd = -1;
   std::uint32_t worker_id = 0;
   std::uint32_t heartbeat_interval_ms = 25;
-  /// Wire format of the control channel (transport-determined: legacy
-  /// frames over socketpair, checksummed frames over TCP).
-  FrameFormat frame_format = FrameFormat::kLegacy;
   /// When true the worker starts a ShuffleServer over its scratch dir
   /// and advertises the endpoint with kHello; reducers then pull map
   /// output over the network (DESIGN.md §14).

@@ -48,17 +48,11 @@ struct JobSpec {
   /// Enable the spill-matcher adaptive threshold (paper §IV).
   bool use_spill_matcher = false;
 
-  /// Support (sort/combine/spill) threads per map task — the paper's
-  /// "one or more support threads" (§IV-A). Default 1 matches Hadoop's
-  /// 1-map/1-support structure and the §IV-C analysis; more threads let
-  /// consume-bound apps overlap several spills.
-  std::uint32_t support_threads = 1;
-
   /// Map-side combine strategy (DESIGN.md §15). kHash replaces the
   /// ring/sort/spill pipeline with per-task shard hash tables that
-  /// combine on insert and radix-sort at flush time; support_threads,
-  /// spill_threshold and use_spill_matcher are then inert (there is no
-  /// ring to seal). Output stays byte-identical to kSort.
+  /// combine on insert and radix-sort at flush time; spill_threshold and
+  /// use_spill_matcher are then inert (there is no ring to seal). Output
+  /// stays byte-identical to kSort.
   CombineMode combine_mode = CombineMode::kSort;
   std::uint32_t hash_combine_shards = 8;
   /// Per-shard resident-byte watermark; 0 derives it from
@@ -71,15 +65,13 @@ struct JobSpec {
   /// Frequency-buffering configuration (paper §III).
   freqbuf::FreqBufConfig freqbuf;
 
-  Grouping grouping = Grouping::kSorted;
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
   /// Skew-aware partitioning (DESIGN.md §12): a driver-side sampling
   /// pre-pass finds heavy reduce keys, places them on dedicated
   /// reducers, splits ultra-heavy keys across several, and a finalize
   /// merge restores the canonical part-file layout — outputs stay
-  /// byte-identical to a plain hash-partitioner run. Requires
-  /// Grouping::kSorted.
+  /// byte-identical to a plain hash-partitioner run.
   SkewConfig skew;
 
   /// Concurrent map tasks / reduce tasks. Each concurrent map worker

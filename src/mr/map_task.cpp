@@ -1,6 +1,5 @@
 #include "mr/map_task.hpp"
 
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -17,59 +16,42 @@
 namespace textmr::mr {
 namespace {
 
-/// Sink that serializes records into the spill buffer — the tail of the
-/// standard dataflow. Used directly by the frequency table's overflow /
-/// flush path and by the user-facing router below.
-class DirectSpillSink final : public EmitSink {
+/// The tail of the map-side dataflow: partitions each record and adds it
+/// to the task's store — the spill ring in sort mode, the shard hash
+/// tables in hash mode. Used directly by the frequency table's overflow /
+/// flush path and by the user-facing router below. Both modes consult the
+/// partitioner here, per record: a skew plan's split-key round-robin
+/// cursor must advance identically in both for byte-identical output.
+template <typename Store, void (Store::*kAdd)(std::uint32_t, std::string_view,
+                                              std::string_view)>
+class DirectSink final : public EmitSink {
  public:
-  DirectSpillSink(SpillBuffer& buffer, SkewAwarePartitioner& partitioner,
-                  TaskMetrics& metrics)
-      : buffer_(buffer), partitioner_(partitioner), metrics_(metrics) {}
+  DirectSink(Store& store, SkewAwarePartitioner& partitioner,
+             TaskMetrics& metrics)
+      : store_(store), partitioner_(partitioner), metrics_(metrics) {}
 
   void emit(std::string_view key, std::string_view value) override {
     ScopedTimer timer(metrics_, Op::kEmit);
     metrics_.spill_input_records += 1;
     metrics_.spill_input_bytes += key.size() + value.size();
-    buffer_.put(partitioner_(key), key, value);
+    (store_.*kAdd)(partitioner_(key), key, value);
   }
 
  private:
-  SpillBuffer& buffer_;
+  Store& store_;
   // Non-const: the split-key round-robin cursor advances per record.
   // With a null plan this is exactly the old HashPartitioner path.
   SkewAwarePartitioner& partitioner_;
   TaskMetrics& metrics_;
 };
 
-/// Sink that combines records on insert into the per-task shard hash
-/// tables — the hash-combine analogue of DirectSpillSink. All work
-/// happens on the map thread; flush time is self-accounted by the table
-/// and subtracted from kEmit afterwards.
-class DirectHashSink final : public EmitSink {
- public:
-  DirectHashSink(HashCombineShards& table, SkewAwarePartitioner& partitioner,
-                 TaskMetrics& metrics)
-      : table_(table), partitioner_(partitioner), metrics_(metrics) {}
-
-  void emit(std::string_view key, std::string_view value) override {
-    ScopedTimer timer(metrics_, Op::kEmit);
-    metrics_.spill_input_records += 1;
-    metrics_.spill_input_bytes += key.size() + value.size();
-    // The partitioner is consulted here, per record, exactly like the
-    // sort path's sink — a skew plan's split-key round-robin cursor must
-    // advance identically in both modes for byte-identical output.
-    table_.insert(partitioner_(key), key, value);
-  }
-
- private:
-  HashCombineShards& table_;
-  SkewAwarePartitioner& partitioner_;
-  TaskMetrics& metrics_;
-};
+using DirectSpillSink = DirectSink<SpillBuffer, &SpillBuffer::put>;
+using DirectHashSink =
+    DirectSink<HashCombineShards, &HashCombineShards::insert>;
 
 /// The sink handed to user map() code: counts output volume, routes
 /// through frequency-buffering when active, and otherwise forwards to the
-/// spill path (ring or hash table).
+/// direct sink (ring or hash table).
 class EmitRouter final : public EmitSink {
  public:
   EmitRouter(EmitSink& spill_sink, freqbuf::FreqBufferController* freq,
@@ -97,247 +79,155 @@ class EmitRouter final : public EmitSink {
   std::uint64_t inside_emit_ns_ = 0;
 };
 
-/// Adopts (single run) or merges (several) the task's sorted runs into
-/// its final output. Shared by both combine modes — a hash-combine run
-/// and a sort-spill run are byte-compatible by construction.
-void finish_map_output(const MapTaskConfig& config,
-                       std::vector<io::SpillRunInfo>& runs, Reducer* combiner,
-                       obs::TraceBuffer* map_trace, MapTaskResult& result) {
-  const std::string out_path =
-      (config.scratch_dir /
-       (map_attempt_prefix(config.task_id, config.attempt) + "output.run"))
-          .string();
-  if (runs.empty()) {
-    // No output at all: write an empty run so downstream cursors work.
-    io::SpillRunWriter writer(out_path, config.num_partitions,
-                              config.spill_format);
-    result.output = writer.finish();
-  } else if (runs.size() == 1) {
-    // Single run: it is already sorted and combined; adopt it (Hadoop
-    // does the same rename). The hash path's no-pressure case lands here
-    // every time — its finish() emits one globally sorted run.
-    std::filesystem::rename(runs.front().path, out_path);
-    result.output = runs.front();
-    result.output.path = out_path;
-    result.map_thread.merged_records += result.output.records;
-    result.map_thread.merged_bytes += result.output.bytes;
-  } else {
-    obs::SpanTimer merge_span(map_trace, "task", "map_merge");
-    merge_span.arg("runs", static_cast<double>(runs.size()));
-    result.output =
-        merge_runs(runs, combiner, out_path, config.num_partitions,
-                   config.spill_format, result.map_thread);
-    merge_span.arg("records", static_cast<double>(result.output.records));
-    if (!config.keep_spill_runs) {
-      for (const auto& run : runs) {
-        std::error_code ec;
-        std::filesystem::remove(run.path, ec);
-      }
+/// One map task. Both combine modes share the map thread's driver
+/// (map_split) and the final merge; they differ only in the direct sink
+/// they build and in how they collect their sorted runs.
+class MapTask {
+ public:
+  explicit MapTask(const MapTaskConfig& config)
+      : config_(config),
+        task_start_(monotonic_ns()),
+        partitioner_(config.skew_plan != nullptr
+                         ? config.skew_plan->num_canonical
+                         : config.num_partitions,
+                     config.skew_plan, config.task_id) {
+    TEXTMR_CHECK(partitioner_.num_partitions() == config.num_partitions,
+                 "map task num_partitions disagrees with the skew plan");
+    if (config.trace != nullptr) {
+      map_trace_ = config.trace->make_buffer(
+          trace_pid(), obs::kMapThreadTid, "map",
+          "map_task_" + std::to_string(config.task_id));
     }
-  }
-}
-
-/// The hash-combine variant of run_map_task (DESIGN.md §15): no ring, no
-/// support threads — the map thread drives the mapper and combines every
-/// emitted record straight into the shard tables. Sorting happens at
-/// flush time (radix over the key prefix), so the task's serialized work
-/// drops the per-record comparison sort entirely.
-MapTaskResult run_map_task_hash(const MapTaskConfig& config) {
-  MapTaskResult result;
-  const std::uint64_t task_start = monotonic_ns();
-
-  const std::uint32_t trace_pid = obs::map_task_pid(config.task_id);
-  obs::TraceBuffer* map_trace = nullptr;
-  if (config.trace != nullptr) {
-    const std::string process = "map_task_" + std::to_string(config.task_id);
-    map_trace = config.trace->make_buffer(trace_pid, obs::kMapThreadTid,
-                                          "map", process);
-  }
-  obs::SpanTimer task_span(map_trace, "task", "map_task");
-  task_span.arg("split_bytes", static_cast<double>(config.split.length));
-  task_span.arg("hash_combine", 1.0);
-
-  SkewAwarePartitioner partitioner(
-      config.skew_plan != nullptr ? config.skew_plan->num_canonical
-                                  : config.num_partitions,
-      config.skew_plan, config.task_id);
-  TEXTMR_CHECK(partitioner.num_partitions() == config.num_partitions,
-               "map task num_partitions disagrees with the skew plan");
-
-  Counters map_counters;
-  std::unique_ptr<Reducer> map_combiner =
-      config.combiner ? config.combiner() : nullptr;
-  if (map_combiner != nullptr) {
-    map_combiner->begin_task(TaskInfo{config.task_id, &map_counters});
-  }
-
-  HashCombineConfig hash_config;
-  hash_config.num_shards = config.hash_combine_shards;
-  hash_config.watermark_bytes = config.hash_combine_watermark_bytes;
-  hash_config.demote_after_flushes = config.hash_combine_demote_flushes;
-  hash_config.memory_budget_bytes = config.spill_buffer_bytes;
-  hash_config.num_partitions = config.num_partitions;
-  hash_config.format = config.spill_format;
-  HashCombineShards table(
-      hash_config, map_combiner.get(),
-      [&config](std::uint64_t sequence) {
-        return (config.scratch_dir /
-                (map_attempt_prefix(config.task_id, config.attempt) +
-                 "hspill" + std::to_string(sequence) + ".run"))
-            .string();
-      },
-      result.map_thread, map_trace);
-
-  DirectHashSink hash_sink(table, partitioner, result.map_thread);
-  std::unique_ptr<freqbuf::FreqBufferController> freq;
-  if (config.freqbuf.enabled) {
-    freq = std::make_unique<freqbuf::FreqBufferController>(
-        config.freqbuf, config.freq_table_budget_bytes, map_combiner.get(),
-        hash_sink, result.map_thread, config.node_cache, map_trace);
-  }
-  EmitRouter router(hash_sink, freq.get(), result.map_thread);
-
-  std::unique_ptr<Mapper> mapper = config.mapper();
-  mapper->begin_task(TaskInfo{config.task_id, &map_counters});
-  io::LineReader reader(config.split);
-  std::uint64_t offset = 0;
-  while (true) {
-    std::optional<std::string_view> line;
-    {
-      ScopedTimer read_timer(result.map_thread, Op::kMapRead);
-      line = reader.next_line();
-    }
-    if (!line.has_value()) break;
-    result.map_thread.input_records += 1;
-    result.map_thread.input_bytes += line->size() + 1;
-    if (freq != nullptr) {
-      freq->set_progress(reader.fraction_consumed());
-    }
-    if (config.progress != nullptr) {
-      config.progress->store(reader.fraction_consumed(),
-                             std::memory_order_relaxed);
-    }
-    TEXTMR_FAILPOINT("map.user_code");
-    {
-      ScopedTimer map_timer(result.map_thread, Op::kMapUser);
-      mapper->map(offset, *line, router);
-    }
-    ++offset;
-  }
-  if (freq != nullptr) {
-    freq->finish();
-    result.freq_stage_at_end = freq->stage();
-    result.freq_sampling_fraction = freq->effective_sampling_fraction();
-  }
-  // map() wall time included everything emit() did; those ops
-  // self-accounted, so subtract to leave pure user code in kMapUser.
-  std::uint64_t& map_user_ns = result.map_thread.op_ns(Op::kMapUser);
-  map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
-
-  // Watermark flushes ran inside insert(), i.e. inside the kEmit scope;
-  // their time self-accounted to kSort/kSpillWrite, so subtract it from
-  // kEmit (the finish() flush below runs outside any emit interval).
-  const std::uint64_t flush_in_emit = table.flush_ns();
-  std::vector<io::SpillRunInfo> runs = table.finish();
-  std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
-  emit_ns -= std::min(emit_ns, flush_in_emit);
-
-  result.spills = runs.size();
-  result.pipeline_wall_ns = monotonic_ns() - task_start;
-
-  finish_map_output(config, runs, map_combiner.get(), map_trace, result);
-
-  result.counters += map_counters;
-  result.wall_ns = monotonic_ns() - task_start;
-  return result;
-}
-
-}  // namespace
-
-std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt) {
-  return "map" + std::to_string(task_id) + "_a" + std::to_string(attempt) +
-         "_";
-}
-
-MapTaskResult run_map_task(const MapTaskConfig& config) {
-  TEXTMR_CHECK(static_cast<bool>(config.mapper), "map task needs a mapper");
-  TEXTMR_CHECK(config.num_partitions >= 1, "map task needs >= 1 partition");
-  std::filesystem::create_directories(config.scratch_dir);
-  if (config.combine_mode == CombineMode::kHash) {
-    return run_map_task_hash(config);
-  }
-
-  MapTaskResult result;
-  const std::uint64_t task_start = monotonic_ns();
-
-  // Trace rings (all null when tracing is off): one for the map thread,
-  // one per support thread, one for the spill buffer's internal events.
-  const std::uint32_t trace_pid = obs::map_task_pid(config.task_id);
-  obs::TraceBuffer* map_trace = nullptr;
-  obs::TraceBuffer* buffer_trace = nullptr;
-  if (config.trace != nullptr) {
-    const std::string process = "map_task_" + std::to_string(config.task_id);
-    map_trace = config.trace->make_buffer(trace_pid, obs::kMapThreadTid,
-                                          "map", process);
-    buffer_trace = config.trace->make_buffer(
-        trace_pid, obs::kSpillBufferTid, "spill-buffer");
-  }
-  obs::SpanTimer task_span(map_trace, "task", "map_task");
-  task_span.arg("split_bytes", static_cast<double>(config.split.length));
-
-  // Spill policy (fixed 0.8 unless the job installed the spill-matcher).
-  std::unique_ptr<spillmatch::SpillPolicy> policy =
-      config.spill_policy ? config.spill_policy()
-                          : std::make_unique<spillmatch::FixedSpillPolicy>();
-
-  const std::uint32_t num_support = std::max<std::uint32_t>(
-      1, config.support_threads);
-  SpillBuffer buffer(config.spill_buffer_bytes, policy->initial_threshold(),
-                     num_support, config.spill_format, buffer_trace);
-  SkewAwarePartitioner partitioner(
-      config.skew_plan != nullptr ? config.skew_plan->num_canonical
-                                  : config.num_partitions,
-      config.skew_plan, config.task_id);
-  TEXTMR_CHECK(partitioner.num_partitions() == config.num_partitions,
-               "map task num_partitions disagrees with the skew plan");
-
-  // ---- support threads ----------------------------------------------------
-  // Each thread gets its own Counters and metrics (no locks on the hot
-  // path); merged after join. The runs list, the spill policy and (with
-  // several threads) run ordering are guarded by `shared.mu`. kMapTask
-  // ranks below kSpillBuffer: a support thread consults the spill policy
-  // (and re-enters the buffer to apply its threshold) while holding it.
-  Counters map_counters;
-  struct SupportShared {
-    textmr::Mutex mu{textmr::LockRank::kMapTask, "mr.map_task.support"};
-    std::map<std::uint64_t, io::SpillRunInfo> runs_by_sequence
-        TEXTMR_GUARDED_BY(mu);
-    std::exception_ptr error TEXTMR_GUARDED_BY(mu);
-  };
-  SupportShared shared;
-
-  struct SupportState {
-    Counters counters;
-    TaskMetrics metrics;
-    std::unique_ptr<Reducer> combiner;
-  };
-  std::vector<SupportState> support_states(num_support);
-  std::vector<std::thread> support_pool;
-  support_pool.reserve(num_support);
-  for (std::uint32_t s = 0; s < num_support; ++s) {
-    SupportState& state = support_states[s];
     if (config.combiner) {
-      state.combiner = config.combiner();
-      state.combiner->begin_task(TaskInfo{config.task_id, &state.counters});
+      map_combiner_ = config.combiner();
+      map_combiner_->begin_task(TaskInfo{config.task_id, &map_counters_});
     }
-    obs::TraceBuffer* support_trace =
-        config.trace != nullptr
-            ? config.trace->make_buffer(trace_pid,
-                                        obs::kSupportThreadTidBase + s,
-                                        "support-" + std::to_string(s))
-            : nullptr;
-    support_pool.emplace_back([&, s, support_trace] {
-      SupportState& local = support_states[s];
+  }
+  // The support thread and the hash tables' path callback hold `this`.
+  MapTask(const MapTask&) = delete;
+  MapTask& operator=(const MapTask&) = delete;
+
+  MapTaskResult run() {
+    obs::SpanTimer task_span(map_trace_, "task", "map_task");
+    task_span.arg("split_bytes", static_cast<double>(config_.split.length));
+    std::vector<io::SpillRunInfo> runs;
+    if (config_.combine_mode == CombineMode::kHash) {
+      task_span.arg("hash_combine", 1.0);
+      runs = run_hash();
+    } else {
+      runs = run_sort();
+    }
+    result_.pipeline_wall_ns = monotonic_ns() - task_start_;
+    finish_output(runs);
+    result_.counters += map_counters_;
+    result_.wall_ns = monotonic_ns() - task_start_;
+    return std::move(result_);
+  }
+
+ private:
+  std::uint32_t trace_pid() const { return obs::map_task_pid(config_.task_id); }
+
+  std::string scratch_path(const std::string& name) const {
+    return (config_.scratch_dir /
+            (map_attempt_prefix(config_.task_id, config_.attempt) + name))
+        .string();
+  }
+
+  /// The map thread's read → map → emit loop over the split. Every
+  /// emitted record goes through frequency-buffering (when enabled) into
+  /// `sink`.
+  void map_split(EmitSink& sink) {
+    TaskMetrics& metrics = result_.map_thread;
+    std::unique_ptr<freqbuf::FreqBufferController> freq;
+    if (config_.freqbuf.enabled) {
+      freq = std::make_unique<freqbuf::FreqBufferController>(
+          config_.freqbuf, config_.freq_table_budget_bytes,
+          map_combiner_.get(), sink, metrics, config_.node_cache, map_trace_);
+    }
+    EmitRouter router(sink, freq.get(), metrics);
+
+    std::unique_ptr<Mapper> mapper = config_.mapper();
+    mapper->begin_task(TaskInfo{config_.task_id, &map_counters_});
+    io::LineReader reader(config_.split);
+    std::uint64_t offset = 0;
+    while (true) {
+      std::optional<std::string_view> line;
+      {
+        ScopedTimer read_timer(metrics, Op::kMapRead);
+        line = reader.next_line();
+      }
+      if (!line.has_value()) break;
+      metrics.input_records += 1;
+      metrics.input_bytes += line->size() + 1;
+      if (freq != nullptr) {
+        freq->set_progress(reader.fraction_consumed());
+      }
+      if (config_.progress != nullptr) {
+        config_.progress->store(reader.fraction_consumed(),
+                                std::memory_order_relaxed);
+      }
+      TEXTMR_FAILPOINT("map.user_code");
+      {
+        ScopedTimer map_timer(metrics, Op::kMapUser);
+        mapper->map(offset, *line, router);
+      }
+      ++offset;
+    }
+    if (freq != nullptr) {
+      freq->finish();
+      result_.freq_stage_at_end = freq->stage();
+      result_.freq_sampling_fraction = freq->effective_sampling_fraction();
+    }
+    // map() wall time included everything emit() did (serialization,
+    // profiling, table work, buffer waits); those self-accounted, so
+    // subtract them to leave pure user code in kMapUser.
+    std::uint64_t& map_user_ns = metrics.op_ns(Op::kMapUser);
+    map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
+  }
+
+  /// Sort mode: the map thread fills the spill ring while one support
+  /// thread sorts, combines and writes each sealed spill — Hadoop's
+  /// 1-map/1-support pipeline that the paper instruments (§II-C2) and
+  /// the spill-matcher tunes (§IV).
+  std::vector<io::SpillRunInfo> run_sort() {
+    obs::TraceBuffer* buffer_trace = nullptr;
+    obs::TraceBuffer* support_trace = nullptr;
+    if (config_.trace != nullptr) {
+      buffer_trace = config_.trace->make_buffer(
+          trace_pid(), obs::kSpillBufferTid, "spill-buffer");
+      support_trace = config_.trace->make_buffer(
+          trace_pid(), obs::kSupportThreadTidBase, "support-0");
+    }
+
+    // Spill policy (fixed 0.8 unless the job installed the spill-matcher).
+    std::unique_ptr<spillmatch::SpillPolicy> policy =
+        config_.spill_policy
+            ? config_.spill_policy()
+            : std::make_unique<spillmatch::FixedSpillPolicy>();
+    SpillBuffer buffer(config_.spill_buffer_bytes, policy->initial_threshold(),
+                       /*max_outstanding=*/1, config_.spill_format,
+                       buffer_trace);
+
+    // The support thread writes result_.support_thread and, through its
+    // own combiner, result_.counters; the map thread reads neither until
+    // after the join. Its runs (in spill order) and error go through
+    // `shared`: the join makes the later reads safe too, but the analysis
+    // cannot see a join. kMapTask ranks below kSpillBuffer: the support
+    // thread consults the spill policy (and re-enters the buffer to apply
+    // its threshold) while holding `shared.mu`.
+    struct SupportShared {
+      textmr::Mutex mu{textmr::LockRank::kMapTask, "mr.map_task.support"};
+      std::vector<io::SpillRunInfo> runs TEXTMR_GUARDED_BY(mu);
+      std::exception_ptr error TEXTMR_GUARDED_BY(mu);
+    };
+    SupportShared shared;
+    std::unique_ptr<Reducer> support_combiner =
+        config_.combiner ? config_.combiner() : nullptr;
+    if (support_combiner != nullptr) {
+      support_combiner->begin_task(
+          TaskInfo{config_.task_id, &result_.counters});
+    }
+    std::thread support([&] {
       try {
         while (auto spill = buffer.take()) {
           obs::SpanTimer spill_span(support_trace, "spill", "spill_consume");
@@ -347,19 +237,15 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
           spill_span.arg("data_bytes",
                          static_cast<double>(spill->data_bytes));
           const std::uint64_t consume_start = monotonic_ns();
-          const std::string run_path =
-              (config.scratch_dir /
-               (map_attempt_prefix(config.task_id, config.attempt) +
-                "spill" + std::to_string(spill->sequence) + ".run"))
-                  .string();
-          auto info = sort_and_spill(*spill, local.combiner.get(), run_path,
-                                     config.num_partitions,
-                                     config.spill_format, local.metrics,
-                                     support_trace);
+          auto info = sort_and_spill(
+              *spill, support_combiner.get(),
+              scratch_path("spill" + std::to_string(spill->sequence) + ".run"),
+              config_.num_partitions, config_.spill_format,
+              result_.support_thread, support_trace);
           const std::uint64_t consume_ns = monotonic_ns() - consume_start;
           buffer.release(*spill, consume_ns);
           textmr::MutexLock lock(shared.mu);
-          shared.runs_by_sequence.emplace(spill->sequence, std::move(info));
+          shared.runs.push_back(std::move(info));
           if (auto timing = buffer.last_timing(); timing.has_value()) {
             const double next = policy->next_threshold(spillmatch::Timing{
                 timing->produce_ns, timing->consume_ns, timing->data_bytes});
@@ -376,7 +262,7 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
       } catch (...) {
         {
           textmr::MutexLock lock(shared.mu);
-          if (!shared.error) shared.error = std::current_exception();
+          shared.error = std::current_exception();
         }
         // Unblock the producer: its puts would otherwise wait forever for
         // releases that will never come. Outside the lock — abort() takes
@@ -384,110 +270,129 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
         buffer.abort();
       }
     });
-  }
 
-  // ---- map thread (this thread) ------------------------------------------
-  DirectSpillSink spill_sink(buffer, partitioner, result.map_thread);
-  std::unique_ptr<Reducer> map_combiner =
-      config.combiner ? config.combiner() : nullptr;
-  if (map_combiner != nullptr) {
-    map_combiner->begin_task(TaskInfo{config.task_id, &map_counters});
-  }
-  std::unique_ptr<freqbuf::FreqBufferController> freq;
-  if (config.freqbuf.enabled) {
-    freq = std::make_unique<freqbuf::FreqBufferController>(
-        config.freqbuf, config.freq_table_budget_bytes, map_combiner.get(),
-        spill_sink, result.map_thread, config.node_cache, map_trace);
-  }
-  EmitRouter router(spill_sink, freq.get(), result.map_thread);
-
-  // The joins above/below make these reads safe, but the analysis (rightly)
-  // cannot see a join; taking the lock is cheap and keeps the proof local.
-  auto support_error = [&shared]() -> std::exception_ptr {
-    textmr::MutexLock lock(shared.mu);
-    return shared.error;
-  };
-
-  try {
-    std::unique_ptr<Mapper> mapper = config.mapper();
-    mapper->begin_task(TaskInfo{config.task_id, &map_counters});
-    io::LineReader reader(config.split);
-    std::uint64_t offset = 0;
-    while (true) {
-      std::optional<std::string_view> line;
-      {
-        ScopedTimer read_timer(result.map_thread, Op::kMapRead);
-        line = reader.next_line();
-      }
-      if (!line.has_value()) break;
-      result.map_thread.input_records += 1;
-      result.map_thread.input_bytes += line->size() + 1;
-      if (freq != nullptr) {
-        freq->set_progress(reader.fraction_consumed());
-      }
-      if (config.progress != nullptr) {
-        config.progress->store(reader.fraction_consumed(),
-                               std::memory_order_relaxed);
-      }
-      TEXTMR_FAILPOINT("map.user_code");
-      {
-        ScopedTimer map_timer(result.map_thread, Op::kMapUser);
-        mapper->map(offset, *line, router);
-      }
-      ++offset;
+    auto support_error = [&shared]() -> std::exception_ptr {
+      textmr::MutexLock lock(shared.mu);
+      return shared.error;
+    };
+    DirectSpillSink sink(buffer, partitioner_, result_.map_thread);
+    try {
+      map_split(sink);
+    } catch (...) {
+      // Map-side failure (user code or a support-thread abort surfacing
+      // through put()): shut the pipeline down, join, and report the root
+      // cause — the support thread's error wins if both failed.
+      buffer.abort();
+      support.join();
+      if (auto error = support_error()) std::rethrow_exception(error);
+      throw;
     }
-    if (freq != nullptr) {
-      freq->finish();
-      result.freq_stage_at_end = freq->stage();
-      result.freq_sampling_fraction = freq->effective_sampling_fraction();
-    }
-    // map() wall time included everything emit() did (serialization,
-    // profiling, table work, buffer waits); those self-accounted, so
-    // subtract them to leave pure user code in kMapUser.
-    std::uint64_t& map_user_ns = result.map_thread.op_ns(Op::kMapUser);
-    map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
-  } catch (...) {
-    // Map-side failure (user code or a support-thread abort surfacing
-    // through put()): shut the pipeline down, join, and report the root
-    // cause — a support thread's error wins if both failed.
-    buffer.abort();
-    for (auto& thread : support_pool) thread.join();
+    buffer.close();
+    support.join();
     if (auto error = support_error()) std::rethrow_exception(error);
-    throw;
-  }
-  buffer.close();
-  for (auto& thread : support_pool) thread.join();
-  if (auto error = support_error()) std::rethrow_exception(error);
-  for (auto& state : support_states) {
-    result.support_thread += state.metrics;
-    result.counters += state.counters;
-  }
-  std::vector<io::SpillRunInfo> runs;
-  {
+
+    // Map-thread emit time currently includes buffer-full waits; move them
+    // to the idle bucket (paper Table II's "map thread idle").
+    const std::uint64_t map_wait = buffer.producer_wait_ns();
+    std::uint64_t& emit_ns = result_.map_thread.op_ns(Op::kEmit);
+    emit_ns -= std::min(emit_ns, map_wait);
+    result_.map_thread.op_ns(Op::kMapIdle) += map_wait;
+    result_.support_thread.op_ns(Op::kSupportIdle) += buffer.consumer_wait_ns();
+    result_.spills = buffer.spills_sealed();
+    result_.final_spill_threshold = buffer.threshold();
     textmr::MutexLock lock(shared.mu);
-    runs.reserve(shared.runs_by_sequence.size());
-    for (auto& [sequence, info] : shared.runs_by_sequence) {
-      runs.push_back(std::move(info));
+    return std::move(shared.runs);
+  }
+
+  /// Hash mode (DESIGN.md §15): no ring, no support thread — the map
+  /// thread combines every emitted record straight into the shard tables.
+  /// Sorting happens at flush time (radix over the key prefix), so the
+  /// task's serialized work drops the per-record comparison sort.
+  std::vector<io::SpillRunInfo> run_hash() {
+    HashCombineConfig hash_config;
+    hash_config.num_shards = config_.hash_combine_shards;
+    hash_config.watermark_bytes = config_.hash_combine_watermark_bytes;
+    hash_config.demote_after_flushes = config_.hash_combine_demote_flushes;
+    hash_config.memory_budget_bytes = config_.spill_buffer_bytes;
+    hash_config.num_partitions = config_.num_partitions;
+    hash_config.format = config_.spill_format;
+    HashCombineShards table(
+        hash_config, map_combiner_.get(),
+        [this](std::uint64_t sequence) {
+          return scratch_path("hspill" + std::to_string(sequence) + ".run");
+        },
+        result_.map_thread, map_trace_);
+    DirectHashSink sink(table, partitioner_, result_.map_thread);
+    map_split(sink);
+
+    // Watermark flushes ran inside insert(), i.e. inside the kEmit scope;
+    // their time self-accounted to kSort/kSpillWrite, so subtract it from
+    // kEmit (the finish() flush below runs outside any emit interval).
+    const std::uint64_t flush_in_emit = table.flush_ns();
+    std::vector<io::SpillRunInfo> runs = table.finish();
+    std::uint64_t& emit_ns = result_.map_thread.op_ns(Op::kEmit);
+    emit_ns -= std::min(emit_ns, flush_in_emit);
+    result_.spills = runs.size();
+    return runs;
+  }
+
+  /// Adopts (single run) or merges (several) the task's sorted runs into
+  /// its final output. A hash-combine run and a sort-spill run are
+  /// byte-compatible by construction.
+  void finish_output(std::vector<io::SpillRunInfo>& runs) {
+    const std::string out_path = scratch_path("output.run");
+    if (runs.empty()) {
+      // No output at all: write an empty run so downstream cursors work.
+      io::SpillRunWriter writer(out_path, config_.num_partitions,
+                                config_.spill_format);
+      result_.output = writer.finish();
+    } else if (runs.size() == 1) {
+      // Single run: it is already sorted and combined; adopt it (Hadoop
+      // does the same rename). The hash path's no-pressure case lands here
+      // every time — its finish() emits one globally sorted run.
+      std::filesystem::rename(runs.front().path, out_path);
+      result_.output = runs.front();
+      result_.output.path = out_path;
+      result_.map_thread.merged_records += result_.output.records;
+      result_.map_thread.merged_bytes += result_.output.bytes;
+    } else {
+      obs::SpanTimer merge_span(map_trace_, "task", "map_merge");
+      merge_span.arg("runs", static_cast<double>(runs.size()));
+      result_.output =
+          merge_runs(runs, map_combiner_.get(), out_path,
+                     config_.num_partitions, config_.spill_format,
+                     result_.map_thread);
+      merge_span.arg("records", static_cast<double>(result_.output.records));
+      if (!config_.keep_spill_runs) {
+        for (const auto& run : runs) {
+          std::error_code ec;
+          std::filesystem::remove(run.path, ec);
+        }
+      }
     }
   }
-  result.pipeline_wall_ns = monotonic_ns() - task_start;
 
-  // Map-thread emit time currently includes buffer-full waits; move them
-  // to the idle bucket (paper Table II's "map thread idle").
-  const std::uint64_t map_wait = buffer.producer_wait_ns();
-  std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
-  emit_ns -= std::min(emit_ns, map_wait);
-  result.map_thread.op_ns(Op::kMapIdle) += map_wait;
-  result.support_thread.op_ns(Op::kSupportIdle) += buffer.consumer_wait_ns();
-  result.spills = buffer.spills_sealed();
-  result.final_spill_threshold = buffer.threshold();
+  const MapTaskConfig& config_;
+  const std::uint64_t task_start_;
+  SkewAwarePartitioner partitioner_;
+  obs::TraceBuffer* map_trace_ = nullptr;  // null when tracing is off
+  Counters map_counters_;  // user counters of the mapper and map combiner
+  std::unique_ptr<Reducer> map_combiner_;  // freqbuf flushes + final merge
+  MapTaskResult result_;
+};
 
-  // ---- final merge --------------------------------------------------------
-  finish_map_output(config, runs, map_combiner.get(), map_trace, result);
+}  // namespace
 
-  result.counters += map_counters;
-  result.wall_ns = monotonic_ns() - task_start;
-  return result;
+std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt) {
+  return "map" + std::to_string(task_id) + "_a" + std::to_string(attempt) +
+         "_";
+}
+
+MapTaskResult run_map_task(const MapTaskConfig& config) {
+  TEXTMR_CHECK(static_cast<bool>(config.mapper), "map task needs a mapper");
+  TEXTMR_CHECK(config.num_partitions >= 1, "map task needs >= 1 partition");
+  std::filesystem::create_directories(config.scratch_dir);
+  return MapTask(config).run();
 }
 
 }  // namespace textmr::mr

@@ -44,7 +44,7 @@ struct MapTaskConfig {
   /// Map-side combine strategy (DESIGN.md §15). kSort runs the classic
   /// ring/sort/spill pipeline below; kHash combines on insert into
   /// per-task shard hash tables on the map thread itself (no support
-  /// threads, no ring) and radix-sorts at flush time. The two modes
+  /// thread, no ring) and radix-sorts at flush time. The two modes
   /// produce byte-identical task output.
   CombineMode combine_mode = CombineMode::kSort;
   std::uint32_t hash_combine_shards = 8;
@@ -53,10 +53,6 @@ struct MapTaskConfig {
   std::size_t hash_combine_watermark_bytes = 0;
   /// Watermark breaches before a shard is demoted to the sort-spill path.
   std::uint32_t hash_combine_demote_flushes = 4;
-  /// Number of support (sort/combine/spill) threads — the paper's
-  /// "one or more support threads" (§IV-A). 1 reproduces Hadoop's
-  /// 1-map/1-support pipeline that the spill-matcher analysis assumes.
-  std::uint32_t support_threads = 1;
   std::filesystem::path scratch_dir;
 
   /// Spill threshold policy; if null, Hadoop's fixed 0.8 is used.
@@ -77,7 +73,7 @@ struct MapTaskConfig {
   std::atomic<double>* progress = nullptr;
 
   /// When non-null the task registers per-thread trace rings (map thread,
-  /// each support thread, the spill buffer) and records lifecycle events.
+  /// support thread, spill buffer) and records lifecycle events.
   obs::TraceCollector* trace = nullptr;
 };
 

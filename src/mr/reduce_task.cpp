@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -158,21 +157,6 @@ struct FetchedRun {
   std::vector<RecordRef> refs;
 };
 
-/// Heterogeneous string hashing so the hash-grouping path can probe with
-/// string_views (no temporary std::string per record).
-struct ShHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct ShEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept {
-    return a == b;
-  }
-};
-
 }  // namespace
 
 std::filesystem::path reduce_attempt_tmp_path(
@@ -260,55 +244,28 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   OutputSink& out = *sink;
 
   obs::SpanTimer apply_span(trace, "task", "reduce_apply");
-  if (config.grouping == Grouping::kSorted) {
-    std::vector<std::unique_ptr<RecordCursor>> cursors;
-    cursors.reserve(fetched.size());
-    for (const auto& fetch : fetched) {
-      cursors.push_back(std::make_unique<MemoryRunCursor>(&fetch.refs));
-    }
-    // Merge + group structural time is kReduceMerge; the group iteration
-    // interleaves with reduce() calls, so we accumulate it as
-    // total − (reduce user + output) deltas.
-    const std::uint64_t merge_start = monotonic_ns();
-    std::uint64_t user_and_output_before =
-        metrics.op_ns(Op::kReduceUser) + metrics.op_ns(Op::kOutputWrite);
-    MergeStream stream(std::move(cursors));
-    KeyGroups groups(stream);
-    while (auto key = groups.next_group()) {
-      call_reduce(*reducer, *key, groups.values(), out, metrics);
-    }
-    const std::uint64_t elapsed = monotonic_ns() - merge_start;
-    const std::uint64_t user_and_output =
-        metrics.op_ns(Op::kReduceUser) + metrics.op_ns(Op::kOutputWrite) -
-        user_and_output_before;
-    metrics.op_ns(Op::kReduceMerge) +=
-        elapsed - std::min(elapsed, user_and_output);
-  } else {
-    // Hash grouping (§VII future work): no global order; reduce() is
-    // called per key in hash-iteration order. Values stay as views into
-    // the fetched buffers; only each distinct key is materialized once.
-    const std::uint64_t build_start = monotonic_ns();
-    std::unordered_map<std::string, std::vector<std::string_view>, ShHash,
-                       ShEq>
-        groups;
-    for (const auto& fetch : fetched) {
-      for (const RecordRef& record : fetch.refs) {
-        auto it = groups.find(record.key());
-        if (it == groups.end()) {
-          it = groups.emplace(std::string(record.key()),
-                              std::vector<std::string_view>())
-                   .first;
-        }
-        it->second.push_back(record.value());
-      }
-    }
-    metrics.op_ns(Op::kReduceMerge) += monotonic_ns() - build_start;
-    for (const auto& [key, values] : groups) {
-      VectorValueStream<std::vector<std::string_view>> stream(values);
-      call_reduce(*reducer, key, stream, out, metrics);
-    }
+  std::vector<std::unique_ptr<RecordCursor>> cursors;
+  cursors.reserve(fetched.size());
+  for (const auto& fetch : fetched) {
+    cursors.push_back(std::make_unique<MemoryRunCursor>(&fetch.refs));
   }
-
+  // Merge + group structural time is kReduceMerge; the group iteration
+  // interleaves with reduce() calls, so we accumulate it as
+  // total − (reduce user + output) deltas.
+  const std::uint64_t merge_start = monotonic_ns();
+  const std::uint64_t user_and_output_before =
+      metrics.op_ns(Op::kReduceUser) + metrics.op_ns(Op::kOutputWrite);
+  MergeStream stream(std::move(cursors));
+  KeyGroups groups(stream);
+  while (auto key = groups.next_group()) {
+    call_reduce(*reducer, *key, groups.values(), out, metrics);
+  }
+  const std::uint64_t elapsed = monotonic_ns() - merge_start;
+  const std::uint64_t user_and_output = metrics.op_ns(Op::kReduceUser) +
+                                        metrics.op_ns(Op::kOutputWrite) -
+                                        user_and_output_before;
+  metrics.op_ns(Op::kReduceMerge) +=
+      elapsed - std::min(elapsed, user_and_output);
   apply_span.done();
   {
     obs::SpanTimer close_span(trace, "task", "output_close");

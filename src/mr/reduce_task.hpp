@@ -13,12 +13,6 @@
 
 namespace textmr::mr {
 
-/// How reduce input is grouped. kSorted is the MapReduce model the paper
-/// assumes ("we assume that sorting is a required part of the MapReduce
-/// model", §II-A): reduce sees keys in sorted order. kHash is the §VII
-/// future-work alternative for reducers that only need grouping.
-enum class Grouping : std::uint8_t { kSorted, kHash };
-
 /// What a reduce task writes (DESIGN.md §12). kPartFile is the normal
 /// "key \t value \n" part file. The segment kinds exist for skew mode,
 /// where every physical reduce task writes a scratch segment file the
@@ -57,7 +51,6 @@ struct ReduceTaskConfig {
   /// Optional shuffle source override (see ShuffleFetcher above).
   ShuffleFetcher fetch;
   ReducerFactory reducer;
-  Grouping grouping = Grouping::kSorted;
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
   /// Part file in kPartFile mode, segment file otherwise.
   std::filesystem::path output_path;
@@ -86,8 +79,10 @@ std::filesystem::path reduce_attempt_tmp_path(
     const std::filesystem::path& output_path, std::uint32_t attempt);
 
 /// Runs one reduce task: fetches its partition from every map output
-/// (shuffle), merges/groups, applies reduce(), writes the part file to an
-/// attempt temp name and renames it into place on success.
+/// (shuffle), merges them into sorted key groups — the paper's model,
+/// where reduce sees keys in sorted order (§II-A) — applies reduce(),
+/// writes the part file to an attempt temp name and renames it into place
+/// on success.
 ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config);
 
 }  // namespace textmr::mr

@@ -135,9 +135,9 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
   current_data_bytes_ += key.size() + value.size();
 
   // Threshold-based seal. The paper's model (§IV-C) seals a region only
-  // when a support thread is free: while all consumers are busy the
-  // region keeps growing (with one support thread that is what makes
-  // m_i = max{xM, min{(p/c)·m_{i-1}, M − m_{i-1}}}).
+  // when the support thread is free: while it is busy the region keeps
+  // growing (that is what makes m_i = max{xM, min{(p/c)·m_{i-1},
+  // M − m_{i-1}}}).
   if (outstanding_ < max_outstanding_ &&
       current_ring_bytes_ >= threshold_ * static_cast<double>(capacity_)) {
     seal_locked();
@@ -180,27 +180,23 @@ std::optional<Spill> SpillBuffer::take() {
 void SpillBuffer::release(const Spill& spill, std::uint64_t consume_ns) {
   MutexLock lock(mu_);
   TEXTMR_CHECK(outstanding_ > 0, "release without outstanding spill");
+  // Sequences 0..sequence_-1 were sealed and all but the last
+  // `outstanding_` released, in order; so the oldest outstanding one is
+  // sequence_ - outstanding_.
+  TEXTMR_CHECK(spill.sequence == sequence_ - outstanding_,
+               "spills must be released in seal order");
+  TEXTMR_CHECK(used_ >= spill.ring_bytes, "release exceeds ring usage");
   --outstanding_;
-  // Ring space is reclaimed in seal order; a spill released ahead of an
-  // earlier one parks until the frontier reaches it.
-  released_.emplace(spill.sequence, spill.ring_bytes);
-  while (!released_.empty() &&
-         released_.begin()->first == next_free_sequence_) {
-    const std::uint64_t bytes = released_.begin()->second;
-    TEXTMR_CHECK(used_ >= bytes, "release exceeds ring usage");
-    head_ = (head_ + bytes) % capacity_;
-    used_ -= bytes;
-    released_.erase(released_.begin());
-    ++next_free_sequence_;
-  }
+  head_ = (head_ + spill.ring_bytes) % capacity_;
+  used_ -= spill.ring_bytes;
   last_timing_ = SpillTiming{spill.sequence, spill.produce_ns, consume_ns,
                              spill.data_bytes};
   obs::record_counter(trace_, "spill", "buffer_fill",
                       static_cast<double>(used_) /
                           static_cast<double>(capacity_));
-  // A consumer just became free; if the producer's region already passed
-  // the threshold, seal it now so that consumer does not idle until the
-  // next put().
+  // The consumer just became free; if the producer's region already
+  // passed the threshold, seal it now so the consumer does not idle until
+  // the next put().
   if (!closed_ && outstanding_ < max_outstanding_ &&
       current_ring_bytes_ >= threshold_ * static_cast<double>(capacity_) &&
       !current_records_.empty()) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -59,13 +58,13 @@ struct SpillTiming {
 /// at the ring start. Spills are freed strictly FIFO, which makes the
 /// ring bookkeeping a head/tail pair plus a used-byte count.
 ///
-/// Thread contract: exactly one producer thread; up to `max_outstanding`
-/// consumer ("support") threads, each cycling take() -> release(). With
-/// more than one consumer, spills are sealed as soon as any consumer
-/// could accept one (outstanding < max_outstanding), generalizing the
-/// paper's 1-map/1-support pipeline to its "one or more support threads"
-/// form (§IV-A). Releases may arrive out of order; ring space is
-/// reclaimed in seal order as the release frontier advances.
+/// Thread contract: exactly one producer thread and one consumer
+/// ("support") thread cycling take() -> release() — the paper's
+/// 1-map/1-support pipeline (§IV-A). Spills come back in seal order, so
+/// ring space is reclaimed strictly FIFO. A region is sealed only while
+/// fewer than `max_outstanding` spills are sealed or taken but not yet
+/// released; with the default of 1 the next region keeps growing until
+/// the consumer releases the previous spill (§IV-C).
 class SpillBuffer {
  public:
   /// `trace`, when non-null, receives seal instants and fill-level /
@@ -115,9 +114,10 @@ class SpillBuffer {
   /// nullopt).
   std::optional<Spill> take() TEXTMR_LIFETIME_BOUND;
 
-  /// Frees the ring space of the oldest outstanding spill. `consume_ns`
-  /// is the wall time the support thread spent processing it; the pair
-  /// (produce_ns, consume_ns) becomes the SpillTiming the policy sees.
+  /// Frees the ring space of the oldest outstanding spill, which `spill`
+  /// must be (InternalError otherwise). `consume_ns` is the wall time the
+  /// support thread spent processing it; the pair (produce_ns,
+  /// consume_ns) becomes the SpillTiming the policy sees.
   void release(const Spill& spill, std::uint64_t consume_ns);
 
   // ---- instrumentation -------------------------------------------------
@@ -174,10 +174,6 @@ class SpillBuffer {
   std::uint64_t outstanding_ TEXTMR_GUARDED_BY(mu_) = 0;
   // check:allow(lock-coverage): set once in the constructor, read-only after
   std::uint32_t max_outstanding_ = 1;
-  // Out-of-order release bookkeeping: ring bytes of released spills that
-  // are still blocked behind an unreleased earlier spill.
-  std::map<std::uint64_t, std::uint64_t> released_ TEXTMR_GUARDED_BY(mu_);
-  std::uint64_t next_free_sequence_ TEXTMR_GUARDED_BY(mu_) = 0;
   double threshold_ TEXTMR_GUARDED_BY(mu_);
   bool closed_ TEXTMR_GUARDED_BY(mu_) = false;
   bool aborted_ TEXTMR_GUARDED_BY(mu_) = false;

@@ -17,9 +17,6 @@ void validate_job(const JobSpec& spec) {
   if (spec.map_parallelism == 0 || spec.reduce_parallelism == 0) {
     throw ConfigError("parallelism must be >= 1");
   }
-  if (spec.support_threads == 0 || spec.support_threads > 64) {
-    throw ConfigError("support_threads must be in [1, 64]");
-  }
   if (spec.max_task_attempts == 0) {
     throw ConfigError("max_task_attempts must be >= 1");
   }
@@ -46,11 +43,6 @@ void validate_job(const JobSpec& spec) {
     }
   }
   if (spec.skew.enabled) {
-    if (spec.grouping != Grouping::kSorted) {
-      throw ConfigError(
-          "skew-aware partitioning requires sorted grouping (the finalize "
-          "merge relies on group order)");
-    }
     if (spec.skew.place_threshold <= 0.0 || spec.skew.split_threshold <= 0.0) {
       throw ConfigError("skew thresholds must be > 0");
     }
@@ -115,7 +107,6 @@ MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
   config.combiner = spec.combiner;
   config.spill_buffer_bytes = mem.spill_buffer_bytes;
   config.spill_format = spec.spill_format;
-  config.support_threads = spec.support_threads;
   config.combine_mode = spec.combine_mode;
   config.hash_combine_shards = spec.hash_combine_shards;
   config.hash_combine_watermark_bytes = spec.hash_combine_watermark_bytes;
@@ -150,7 +141,6 @@ ReduceTaskConfig make_reduce_task_config(
   config.map_outputs = std::move(map_outputs);
   config.fetch = std::move(fetch);
   config.reducer = spec.reducer;
-  config.grouping = spec.grouping;
   config.spill_format = spec.spill_format;
   config.output_path = reduce_task_output_path(spec, skew_plan, partition);
   config.trace = trace;

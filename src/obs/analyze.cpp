@@ -223,11 +223,11 @@ TraceAnalysis analyze_trace(const TraceData& trace) {
       continue;
     }
     if (name == "map_task") {
-      map_tasks.push_back({e.pid - 1, e.ts_ns - t0, e.dur_ns});
+      map_tasks.push_back({e.pid - 1, e.ts_ns - t0, e.dur_ns, {}, 0});
       continue;
     }
     if (name == "reduce_task") {
-      reduce_tasks.push_back({e.pid - 100001, e.ts_ns - t0, e.dur_ns});
+      reduce_tasks.push_back({e.pid - 100001, e.ts_ns - t0, e.dur_ns, {}, 0});
       continue;
     }
     if (name == "map_exec" || name == "reduce_exec") {

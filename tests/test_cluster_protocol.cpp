@@ -407,17 +407,25 @@ TEST(ProtocolCodec, TraceChunkSplitsUnderPayloadBudget) {
   }
 }
 
+// Builds the wire bytes of one checksummed frame:
+// [u32 len][u32 crc32(payload)][payload], little-endian.
+std::string checksummed_wire(const std::string& payload) {
+  std::string wire;
+  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = crc32(payload);
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+  }
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  return wire + payload;
+}
+
 TEST(FrameDecoderTest, ReassemblesFramesAcrossArbitrarySplits) {
   const std::string a = encode_run_task(MsgType::kRunMap, RunTaskMsg{1, 0});
   const std::string b = encode_heartbeat(HeartbeatMsg{});
-  std::string stream;
-  for (const std::string* payload : {&a, &b}) {
-    const std::uint32_t len = static_cast<std::uint32_t>(payload->size());
-    for (int i = 0; i < 4; ++i) {
-      stream.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-    }
-    stream += *payload;
-  }
+  const std::string stream = checksummed_wire(a) + checksummed_wire(b);
 
   // Feed one byte at a time: frames must come out whole and in order.
   FrameDecoder decoder;
@@ -434,8 +442,8 @@ TEST(FrameDecoderTest, ReassemblesFramesAcrossArbitrarySplits) {
 
 TEST(FrameDecoderTest, EmptyFrameIsDelivered) {
   FrameDecoder decoder;
-  const char header[4] = {0, 0, 0, 0};
-  decoder.feed(header, 4);
+  const std::string wire = checksummed_wire("");
+  decoder.feed(wire.data(), wire.size());
   const auto frame = decoder.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_TRUE(frame->empty());
@@ -445,34 +453,9 @@ TEST(FrameDecoderTest, OversizedLengthPrefixThrows) {
   // A desynchronized stream whose next 4 bytes decode to ~4 GiB must be
   // rejected as a protocol error, not turned into a giant allocation.
   FrameDecoder decoder;
-  const char header[4] = {'\xff', '\xff', '\xff', '\xff'};
-  decoder.feed(header, 4);
+  const char header[8] = {'\xff', '\xff', '\xff', '\xff', 0, 0, 0, 0};
+  decoder.feed(header, 8);
   EXPECT_THROW(decoder.next(), IoError);
-}
-
-TEST(FrameIo, RecvOversizedLengthPrefixThrows) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  const char header[4] = {'\xff', '\xff', '\xff', '\xff'};
-  ASSERT_EQ(::send(sv[0], header, 4, 0), 4);
-  EXPECT_THROW(recv_frame(sv[1]), IoError);
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-TEST(FrameIo, SendRecvOverSocketpair) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  HeartbeatMsg beat;
-  beat.worker_id = 7;
-  const std::string payload = encode_heartbeat(beat);
-  ASSERT_TRUE(send_frame(sv[0], payload));
-  const auto got = recv_frame(sv[1]);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
-  ::close(sv[0]);
-  EXPECT_FALSE(recv_frame(sv[1]).has_value());  // clean EOF
-  ::close(sv[1]);
 }
 
 // ---- transport/shuffle wire surface (DESIGN.md §14) -----------------------
@@ -610,31 +593,16 @@ TEST(ChecksummedFrames, Crc32KnownVectors) {
   EXPECT_NE(crc32("a"), crc32("b"));
 }
 
-// Builds the wire bytes of one checksummed frame:
-// [u32 len][u32 crc32(payload)][payload], little-endian.
-std::string checksummed_wire(const std::string& payload) {
-  std::string wire;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    wire.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  }
-  for (int i = 0; i < 4; ++i) {
-    wire.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-  return wire + payload;
-}
-
 TEST(ChecksummedFrames, SendRecvRoundTrip) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::string payload = encode_heartbeat(HeartbeatMsg{});
-  ASSERT_TRUE(send_frame(sv[0], payload, FrameFormat::kChecksummed, -1));
-  const auto got = recv_frame(sv[1], FrameFormat::kChecksummed, -1);
+  ASSERT_TRUE(send_frame(sv[0], payload));
+  const auto got = recv_frame(sv[1]);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, payload);
   ::close(sv[0]);
-  EXPECT_FALSE(recv_frame(sv[1], FrameFormat::kChecksummed, -1).has_value());
+  EXPECT_FALSE(recv_frame(sv[1]).has_value());
   ::close(sv[1]);
 }
 
@@ -651,12 +619,10 @@ TEST(ChecksummedFrames, RecvTruncatedAtEveryOffsetNeverSucceeds) {
     ::close(sv[0]);  // peer dies mid-frame
     if (cut == 0) {
       // Nothing sent at all: a clean EOF, not an error.
-      EXPECT_FALSE(recv_frame(sv[1], FrameFormat::kChecksummed, -1)
-                       .has_value());
+      EXPECT_FALSE(recv_frame(sv[1]).has_value());
     } else {
       // A torn frame is always an error — never a short "success".
-      EXPECT_THROW(recv_frame(sv[1], FrameFormat::kChecksummed, -1), IoError)
-          << "cut at byte " << cut;
+      EXPECT_THROW(recv_frame(sv[1]), IoError) << "cut at byte " << cut;
     }
     ::close(sv[1]);
   }
@@ -679,7 +645,7 @@ TEST(ChecksummedFrames, RecvCorruptedAtEveryByteNeverYieldsWrongBytes) {
     // the length prefix may also leave the reader waiting for bytes that
     // never come; the closed peer turns that into a torn-frame IoError.)
     try {
-      const auto got = recv_frame(sv[1], FrameFormat::kChecksummed, -1);
+      const auto got = recv_frame(sv[1]);
       ADD_FAILURE() << "corrupt byte " << i << " slipped through: "
                     << (got.has_value() ? "frame delivered" : "EOF");
     } catch (const IoError&) {
@@ -694,7 +660,7 @@ TEST(ChecksummedFrames, RecvOversizedLengthPrefixThrows) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const char header[8] = {'\xff', '\xff', '\xff', '\xff', 0, 0, 0, 0};
   ASSERT_EQ(::send(sv[0], header, 8, 0), 8);
-  EXPECT_THROW(recv_frame(sv[1], FrameFormat::kChecksummed, -1), IoError);
+  EXPECT_THROW(recv_frame(sv[1]), IoError);
   ::close(sv[0]);
   ::close(sv[1]);
 }
@@ -703,12 +669,12 @@ TEST(ChecksummedFrames, RecvTimesOutOnSilentPeer) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   // No bytes at all: the deadline must fire instead of blocking forever.
-  EXPECT_THROW(recv_frame(sv[1], FrameFormat::kChecksummed, 50), IoError);
+  EXPECT_THROW(recv_frame(sv[1], 50), IoError);
   // A partial preamble then silence must also time out (torn frame that
   // never completes, peer still alive).
   const char partial[3] = {9, 0, 0};
   ASSERT_EQ(::send(sv[0], partial, 3, 0), 3);
-  EXPECT_THROW(recv_frame(sv[1], FrameFormat::kChecksummed, 50), IoError);
+  EXPECT_THROW(recv_frame(sv[1], 50), IoError);
   ::close(sv[0]);
   ::close(sv[1]);
 }
@@ -722,7 +688,7 @@ TEST(ChecksummedFrames, SendTimesOutWhenPeerStopsDraining) {
   ::setsockopt(sv[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
   const std::string big(4u << 20, 'x');
   // The peer never reads: send must hit the deadline, not block forever.
-  EXPECT_THROW(send_frame(sv[0], big, FrameFormat::kChecksummed, 50), IoError);
+  EXPECT_THROW(send_frame(sv[0], big, 50), IoError);
   ::close(sv[0]);
   ::close(sv[1]);
 }
@@ -734,7 +700,7 @@ TEST(ChecksummedFrames, DecoderReassemblesAtEveryBoundaryOffset) {
   // Split the stream at every offset; both frames must always come out
   // whole, in order, bit-exact.
   for (std::size_t split = 0; split <= stream.size(); ++split) {
-    FrameDecoder decoder(FrameFormat::kChecksummed);
+    FrameDecoder decoder;
     decoder.feed(stream.data(), split);
     std::vector<std::string> frames;
     while (auto f = decoder.next()) frames.push_back(*f);
@@ -750,7 +716,7 @@ TEST(ChecksummedFrames, DecoderRejectsCorruptedPayload) {
   const std::string payload = encode_shuffle_fetch(ShuffleFetchMsg{"/r", 0});
   std::string wire = checksummed_wire(payload);
   wire[wire.size() - 1] = static_cast<char>(wire.back() ^ 0x01);
-  FrameDecoder decoder(FrameFormat::kChecksummed);
+  FrameDecoder decoder;
   decoder.feed(wire.data(), wire.size());
   EXPECT_THROW(decoder.next(), IoError);
 }

@@ -207,18 +207,6 @@ TEST(Engine, PageRankConservesRankMass) {
   EXPECT_NEAR(total_rank, expected, expected * 0.01);
 }
 
-TEST(Engine, HashGroupingMatchesSortedGrouping) {
-  Fixture fx(20000);
-  auto sorted_spec = make_job(apps::wordcount_app(), fx.splits,
-                              fx.dir.file("s1"), fx.dir.file("o1"));
-  auto hash_spec = make_job(apps::wordcount_app(), fx.splits,
-                            fx.dir.file("s2"), fx.dir.file("o2"));
-  hash_spec.grouping = mr::Grouping::kHash;
-  mr::LocalEngine engine;
-  EXPECT_EQ(read_outputs(engine.run(sorted_spec).outputs),
-            read_outputs(engine.run(hash_spec).outputs));
-}
-
 TEST(Engine, FixedFormatMatchesVarintFormat) {
   Fixture fx(20000);
   auto varint_spec = make_job(apps::wordcount_app(), fx.splits,

@@ -16,14 +16,6 @@
 namespace textmr {
 namespace {
 
-// Deliberately acquires `mu` twice so the runtime checker aborts; the
-// static analysis would (correctly) reject this at compile time, which is
-// exactly why it needs the escape hatch.
-void double_lock(Mutex& mu) TEXTMR_NO_THREAD_SAFETY_ANALYSIS {
-  mu.lock();
-  mu.lock();
-}
-
 TEST(LockRankTest, EveryRankBandHasAName) {
   const LockRank all[] = {
       LockRank::kEngine,      LockRank::kCluster,   LockRank::kMapTask,
@@ -78,6 +70,14 @@ TEST(LockRankTest, CondVarWaitKeepsHeldStackConsistent) {
 }
 
 #if TEXTMR_LOCK_RANK_CHECKS
+
+// Deliberately acquires `mu` twice so the runtime checker aborts; the
+// static analysis would (correctly) reject this at compile time, which is
+// exactly why it needs the escape hatch.
+void double_lock(Mutex& mu) TEXTMR_NO_THREAD_SAFETY_ANALYSIS {
+  mu.lock();
+  mu.lock();
+}
 
 TEST(LockRankTest, RegistryTracksLiveMutexes) {
   const std::size_t before = lock_rank_registry().size();

@@ -204,6 +204,23 @@ TEST(MapTask, CombinerErrorInSupportThreadPropagates) {
   EXPECT_THROW(run_map_task(config), std::runtime_error);
 }
 
+TEST(MapTask, CombinerErrorUnblocksProducerAndPropagates) {
+  // A 16 KiB ring under 4000 lines keeps the map thread parked on a full
+  // ring; the support thread's combine failure must abort the buffer,
+  // wake the producer and surface as the task's error (not a hang and not
+  // the producer's secondary "aborted" error).
+  TempDir dir;
+  auto config = base_config(dir, write_corpus(dir, "in.txt", 4000));
+  config.spill_buffer_bytes = 16 * 1024;
+  config.combiner = [] {
+    return std::make_unique<LambdaReducer>(
+        [](std::string_view, ValueStream&, EmitSink&) {
+          throw std::runtime_error("boom");
+        });
+  };
+  EXPECT_THROW(run_map_task(config), std::runtime_error);
+}
+
 TEST(MapTask, IdleTimeIsMeasured) {
   TempDir dir;
   auto config = base_config(dir, write_corpus(dir, "in.txt", 3000));

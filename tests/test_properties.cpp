@@ -22,7 +22,6 @@ struct EngineParams {
   std::size_t spill_buffer_kb;
   bool freqbuf;
   bool matcher;
-  mr::Grouping grouping;
   io::SpillFormat format;
   std::string fail_spec;  // empty = no fault injection
 };
@@ -30,9 +29,7 @@ struct EngineParams {
 void PrintTo(const EngineParams& p, std::ostream* os) {
   *os << "seed=" << p.corpus_seed << " alpha=" << p.alpha
       << " reducers=" << p.num_reducers << " buf=" << p.spill_buffer_kb
-      << "KiB freq=" << p.freqbuf << " matcher=" << p.matcher
-      << " grouping=" << (p.grouping == mr::Grouping::kSorted ? "sort" : "hash")
-      << " fmt="
+      << "KiB freq=" << p.freqbuf << " matcher=" << p.matcher << " fmt="
       << (p.format == io::SpillFormat::kCompactVarint ? "varint" : "fixed32")
       << " fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec);
 }
@@ -55,7 +52,6 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
                              dir.file("s"), dir.file("o"), p.num_reducers);
   spec.spill_buffer_bytes = p.spill_buffer_kb * 1024;
   spec.use_spill_matcher = p.matcher;
-  spec.grouping = p.grouping;
   spec.spill_format = p.format;
   if (p.freqbuf) {
     spec.freqbuf.enabled = true;
@@ -83,8 +79,7 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
 }
 
 std::vector<EngineParams> equivalence_matrix() {
-  // Fault axis: sites that every configuration is guaranteed to reach
-  // (support.sort is skipped here — hash grouping never sorts).
+  // Fault axis: sites that every configuration is guaranteed to reach.
   const std::string fail_specs[] = {
       "",
       "spill.write:nth=1",
@@ -101,7 +96,6 @@ std::vector<EngineParams> equivalence_matrix() {
         params.push_back(EngineParams{
             ++seed, alpha, static_cast<std::uint32_t>(1 + seed % 4),
             static_cast<std::size_t>(seed % 2 == 0 ? 32 : 96), freq, matcher,
-            seed % 3 == 0 ? mr::Grouping::kHash : mr::Grouping::kSorted,
             seed % 2 == 0 ? io::SpillFormat::kCompactVarint
                           : io::SpillFormat::kFixed32,
             fail_specs[params.size() % std::size(fail_specs)]});

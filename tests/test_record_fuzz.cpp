@@ -263,7 +263,9 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
       while (auto record = cursor.next()) {
         streamed.emplace(p, std::string(record->key),
                          std::string(record->value));
-        if (!first) ASSERT_LE(previous, record->key);
+        if (!first) {
+          ASSERT_LE(previous, record->key);
+        }
         previous.assign(record->key);
         first = false;
       }
@@ -339,7 +341,9 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
       bool first = true;
       while (auto record = cursor.next()) {
         actual.emplace(p, std::string(record->key), std::string(record->value));
-        if (!first) ASSERT_LE(previous, record->key);
+        if (!first) {
+          ASSERT_LE(previous, record->key);
+        }
         previous.assign(record->key);
         first = false;
       }

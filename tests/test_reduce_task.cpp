@@ -95,24 +95,6 @@ TEST(ReduceTask, OutputIsKeySorted) {
   }
 }
 
-TEST(ReduceTask, HashGroupingProducesSameAggregates) {
-  TempDir dir;
-  std::vector<io::SpillRunInfo> outputs;
-  outputs.push_back(write_map_output(
-      dir.file("m0"), 1, {{0, "x", 1}, {0, "y", 2}, {0, "z", 3}}));
-  outputs.push_back(write_map_output(dir.file("m1"), 1, {{0, "x", 10}}));
-
-  auto sorted_config = base_config(dir, outputs);
-  const auto sorted = run_reduce_task(sorted_config);
-
-  auto hash_config = base_config(dir, outputs);
-  hash_config.grouping = Grouping::kHash;
-  hash_config.output_path = dir.file("part-hash");
-  const auto hashed = run_reduce_task(hash_config);
-
-  EXPECT_EQ(read_part(sorted.output_path), read_part(hashed.output_path));
-}
-
 TEST(ReduceTask, EmptyPartitionYieldsEmptyFile) {
   TempDir dir;
   std::vector<io::SpillRunInfo> outputs;

@@ -283,5 +283,38 @@ TEST(SpillBuffer, StressRandomSizesAllDelivered) {
   EXPECT_EQ(checksum_out, checksum_in);
 }
 
+TEST(SpillBuffer, SingleSlotSealsOnlyOneWithoutRelease) {
+  // With max_outstanding = 1 (Hadoop's structure), the second region
+  // cannot seal until the first spill releases.
+  SpillBuffer buffer(16 * 1024, 0.2, /*max_outstanding=*/1);
+  const std::string value(1000, 'v');
+  for (int i = 0; i < 8; ++i) buffer.put(0, "a", value);
+  EXPECT_EQ(buffer.spills_sealed(), 1u);
+  auto spill = buffer.take();
+  ASSERT_TRUE(spill.has_value());
+  buffer.release(*spill, 1);
+  EXPECT_EQ(buffer.spills_sealed(), 2u);  // sealed on release
+  buffer.close();
+}
+
+TEST(SpillBuffer, OutOfSealOrderReleaseIsAnInternalError) {
+  // Two queued slots let two spills seal back-to-back; the single
+  // consumer must hand them back in seal order, so releasing the second
+  // first is a bug in the caller, not something to park and reorder.
+  SpillBuffer buffer(16 * 1024, 0.2, /*max_outstanding=*/2);
+  const std::string value(1000, 'v');
+  for (int i = 0; i < 8; ++i) buffer.put(0, "a", value);
+  ASSERT_EQ(buffer.spills_sealed(), 2u);
+  auto first = buffer.take();
+  auto second = buffer.take();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_THROW(buffer.release(*second, 10), InternalError);
+  // The in-order release still works and frees the ring.
+  buffer.release(*first, 10);
+  buffer.release(*second, 10);
+  buffer.close();
+}
+
 }  // namespace
 }  // namespace textmr::mr

@@ -52,9 +52,9 @@ TEST(TcpPlumbing, ListenConnectAcceptRoundTrip) {
   const int server_fd = tcp_accept(listen_fd, 2000);
   ASSERT_GE(server_fd, 0);
 
-  // Full frame round-trip in both directions, checksummed format.
-  Connection client(client_fd, FrameFormat::kChecksummed, 2000);
-  Connection server(server_fd, FrameFormat::kChecksummed, 2000);
+  // Full frame round-trip in both directions.
+  Connection client(client_fd, 2000);
+  Connection server(server_fd, 2000);
   ASSERT_TRUE(client.send(encode_shuffle_fetch(ShuffleFetchMsg{"/r", 1})));
   auto got = server.recv();
   ASSERT_TRUE(got.has_value());
@@ -92,7 +92,7 @@ TEST(TcpPlumbing, ConnectionRecvTimesOutOnSilentPeer) {
   const Endpoint bound = local_endpoint(listen_fd);
   const int client_fd = tcp_connect(bound, 2000);
   const int server_fd = tcp_accept(listen_fd, 2000);
-  Connection client(client_fd, FrameFormat::kChecksummed, 50);
+  Connection client(client_fd, 50);
   // The server never sends: the deadline must fire, not block forever —
   // this is the dead-TCP-peer bug class the io_timeout plumbing exists
   // for (a coordinator stuck in recv would hang the whole job).
@@ -105,20 +105,29 @@ TEST(TcpPlumbing, ConnectionRecvTimesOutOnSilentPeer) {
 
 // ---- net.* failpoints ------------------------------------------------------
 
-struct ConnectedTcpPair {
+/// A connected client/server Connection pair over either transport. For
+/// a socketpair the client is the worker end and the server the
+/// coordinator end, exactly as make_worker_channel() hands them out.
+struct ConnectedPair {
   int listen_fd = -1;
   Connection client;
   Connection server;
 
-  explicit ConnectedTcpPair(std::int32_t timeout_ms = 2000) {
+  explicit ConnectedPair(TransportKind kind = TransportKind::kTcp,
+                         std::int32_t timeout_ms = 2000) {
+    if (kind == TransportKind::kSocketpair) {
+      Transport::WorkerChannel channel =
+          make_socketpair_transport(timeout_ms)->make_worker_channel();
+      client = Connection(channel.child_fd, timeout_ms);
+      server = std::move(channel.coordinator);
+      return;
+    }
     listen_fd = tcp_listen(Endpoint{});
     const Endpoint bound = local_endpoint(listen_fd);
-    client = Connection(tcp_connect(bound, timeout_ms),
-                        FrameFormat::kChecksummed, timeout_ms);
-    server = Connection(tcp_accept(listen_fd, timeout_ms),
-                        FrameFormat::kChecksummed, timeout_ms);
+    client = Connection(tcp_connect(bound, timeout_ms), timeout_ms);
+    server = Connection(tcp_accept(listen_fd, timeout_ms), timeout_ms);
   }
-  ~ConnectedTcpPair() {
+  ~ConnectedPair() {
     if (listen_fd >= 0) ::close(listen_fd);
   }
 };
@@ -136,24 +145,29 @@ TEST(NetFailpoints, ConnectThrowInjectsFault) {
 }
 
 TEST(NetFailpoints, SendThrowInjectsFault) {
-  ConnectedTcpPair pair;
+  ConnectedPair pair;
   failpoint::ScopedFailpoints guard("net.send:nth=1");
   EXPECT_THROW(pair.client.send("payload"), failpoint::InjectedFault);
 }
 
 TEST(NetFailpoints, SendCorruptIsCaughtByReceiverChecksum) {
-  ConnectedTcpPair pair;
-  {
-    failpoint::ScopedFailpoints guard("net.send:nth=1:action=corrupt");
-    ASSERT_TRUE(pair.client.send("a corruptible payload"));
+  // Every channel carries the same checksummed frames: the flipped
+  // payload byte must fail the CRC on the receiving side of either
+  // transport.
+  for (const TransportKind kind :
+       {TransportKind::kTcp, TransportKind::kSocketpair}) {
+    SCOPED_TRACE(transport_kind_name(kind));
+    ConnectedPair pair(kind);
+    {
+      failpoint::ScopedFailpoints guard("net.send:nth=1:action=corrupt");
+      ASSERT_TRUE(pair.client.send("a corruptible payload"));
+    }
+    EXPECT_THROW(pair.server.recv(), IoError);
   }
-  // The flipped payload byte must fail the CRC on the receiving side —
-  // this is the whole reason the TCP frames carry one.
-  EXPECT_THROW(pair.server.recv(), IoError);
 }
 
 TEST(NetFailpoints, SendShortWriteTearsTheFrame) {
-  ConnectedTcpPair pair;
+  ConnectedPair pair;
   {
     failpoint::ScopedFailpoints guard("net.send:nth=1:action=shortwrite");
     // The sender learns its peer is gone (false), the receiver sees a
@@ -165,7 +179,7 @@ TEST(NetFailpoints, SendShortWriteTearsTheFrame) {
 }
 
 TEST(NetFailpoints, RecvThrowInjectsFault) {
-  ConnectedTcpPair pair;
+  ConnectedPair pair;
   ASSERT_TRUE(pair.client.send("payload"));
   failpoint::ScopedFailpoints guard("net.recv:nth=1");
   EXPECT_THROW(pair.server.recv(), failpoint::InjectedFault);
@@ -373,8 +387,7 @@ TEST(RemoteWorker, IdleTimeoutExitsWorkerWhenCoordinatorGoesSilent) {
     exit_code.store(run_remote_worker(bound, spec, options));
   });
   const int fd = tcp_accept(listen_fd, 2000);
-  ASSERT_TRUE(send_frame(fd, encode_welcome(WelcomeMsg{0, 1000}),
-                         FrameFormat::kChecksummed, 2000));
+  ASSERT_TRUE(send_frame(fd, encode_welcome(WelcomeMsg{0, 1000}), 2000));
   // Drain and discard whatever the worker sends (kHello, heartbeats) so
   // its socket buffer never fills; send nothing back.
   std::string sink(4096, '\0');
