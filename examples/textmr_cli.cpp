@@ -10,9 +10,8 @@
 //   textmr_cli run APP INPUT... --out DIR [--reducers R] [--freq] [--matcher]
 //              [--topk K] [--sample S] [--buffer MB] [--report]
 //              [--hash-combine] [--hash-shards N]
-//              [--simd-tokenize scalar|swar|simd|auto]
 //              [--skew-partitioner] [--skew-split-threshold X]
-//              [--trace FILE] [--trace-jsonl FILE] [--metrics-json FILE]
+//              [--trace FILE] [--metrics-json FILE]
 //              [--failpoints SPEC] [--max-task-attempts N]
 //              [--cluster-workers N] [--no-speculation]
 //              [--transport socketpair|tcp] [--listen HOST:PORT]
@@ -106,11 +105,9 @@ int usage() {
                "  textmr_cli run APP INPUT... --out DIR [--reducers R]\n"
                "             [--freq] [--matcher] [--topk K] [--sample S]\n"
                "             [--hash-combine] [--hash-shards N]\n"
-               "             [--simd-tokenize scalar|swar|simd|auto]\n"
                "             [--buffer MB] [--report]\n"
                "             [--skew-partitioner] [--skew-split-threshold X]\n"
-               "             [--trace FILE] [--trace-jsonl FILE]\n"
-               "             [--metrics-json FILE]\n"
+               "             [--trace FILE] [--metrics-json FILE]\n"
                "             [--failpoints SPEC] [--max-task-attempts N]\n"
                "             [--cluster-workers N] [--no-speculation]\n"
                "             [--transport socketpair|tcp] [--listen H:P]\n"
@@ -218,15 +215,6 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
     spec.hash_combine_shards = static_cast<std::uint32_t>(
         args.u64("hash-shards", spec.hash_combine_shards));
   }
-  // --simd-tokenize selects the word-tokenizer kernel (scalar|swar|simd|
-  // auto). Process-global; every kernel is oracle-equivalent, so a worker
-  // need not agree with its coordinator.
-  if (const auto tok = args.options.find("simd-tokenize");
-      tok != args.options.end()) {
-    text::TokenizeMode mode;
-    if (!text::parse_tokenize_mode(tok->second, mode)) return std::nullopt;
-    text::set_tokenize_mode(mode);
-  }
   if (args.flag("freq")) {
     spec.freqbuf.enabled = true;
     spec.freqbuf.top_k = args.u64("topk", bundle->freq_top_k);
@@ -262,8 +250,7 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
 
   // Tracing must be decided here (not in cmd_run) because workers also
   // need it on: a worker only ships trace chunks when its spec says so.
-  spec.trace.enabled = args.options.count("trace") > 0 ||
-                       args.options.count("trace-jsonl") > 0;
+  spec.trace.enabled = args.options.count("trace") > 0;
   return spec;
 }
 
@@ -273,10 +260,9 @@ int cmd_run(const Args& args) {
   mr::JobSpec& spec = *spec_opt;
 
   // Observability exports: --trace FILE (Chrome trace JSON for
-  // chrome://tracing / Perfetto), --trace-jsonl FILE (one event per
-  // line), --metrics-json FILE (the structured job report).
+  // chrome://tracing / Perfetto and textmr-analyze), --metrics-json FILE
+  // (the structured job report).
   const auto trace_path = args.options.find("trace");
-  const auto jsonl_path = args.options.find("trace-jsonl");
   const auto metrics_path = args.options.find("metrics-json");
 
   // --cluster-workers N runs the job on the multi-process ClusterEngine
@@ -338,9 +324,6 @@ int cmd_run(const Args& args) {
     std::printf("trace: %s (%zu events, %llu dropped)\n",
                 trace_path->second.c_str(), result.trace.events.size(),
                 static_cast<unsigned long long>(result.trace.dropped_events));
-  }
-  if (jsonl_path != args.options.end()) {
-    obs::write_file(jsonl_path->second, obs::format_trace_jsonl(result.trace));
   }
   if (metrics_path != args.options.end()) {
     obs::write_file(metrics_path->second,

@@ -49,7 +49,7 @@ struct WorkerHandle {
   std::int64_t clock_offset_ns = 0;
   bool clock_synced = false;
   bool got_final_telemetry = false;
-  WorkerMetrics stats;
+  mr::WorkerTelemetry stats;
 };
 
 /// Scheduler state of one task within a phase.
@@ -842,15 +842,8 @@ mr::JobResult Coordinator::run() {
   // did ship plus a telemetry_incomplete flag — partial telemetry is
   // reported, never a job failure.
   for (const auto& worker : workers_) {
-    mr::WorkerTelemetry telemetry;
+    mr::WorkerTelemetry telemetry = worker.stats;
     telemetry.worker_id = worker.id;
-    telemetry.records = worker.stats.records;
-    telemetry.bytes = worker.stats.bytes;
-    telemetry.spills = worker.stats.spills;
-    telemetry.tasks_completed = worker.stats.tasks_completed;
-    telemetry.task_failures = worker.stats.task_failures;
-    telemetry.trace_dropped = worker.stats.trace_dropped;
-    telemetry.task_latency_ns = worker.stats.task_latency_ns;
     telemetry.telemetry_complete = worker.got_final_telemetry;
     if (!worker.got_final_telemetry) {
       result.metrics.telemetry_incomplete = true;

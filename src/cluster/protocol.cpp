@@ -7,6 +7,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -117,162 +118,374 @@ void WireReader::expect_done() const {
   if (!in_.empty()) throw FormatError("cluster frame has trailing bytes");
 }
 
-// ---- field-group helpers --------------------------------------------------
+// ---- field lists ------------------------------------------------------------
+//
+// Every message and field group has exactly one `fields(a, x)` function
+// naming its members in wire order. Encoding runs it with a WireWriter
+// (x is const), decoding with a WireReader (x is filled in), so the two
+// directions cannot drift apart. Decode-side checks sit in the same list
+// through require(), which a writer skips.
 
 namespace {
 
-void put_metrics(WireWriter& w, const mr::TaskMetrics& m) {
-  w.u32(static_cast<std::uint32_t>(mr::kNumOps));
-  for (std::uint64_t ns : m.ns) w.u64(ns);
-  w.u64(m.input_records);
-  w.u64(m.input_bytes);
-  w.u64(m.map_output_records);
-  w.u64(m.map_output_bytes);
-  w.u64(m.freq_hits);
-  w.u64(m.freq_flushes);
-  w.u64(m.spill_input_records);
-  w.u64(m.spill_input_bytes);
-  w.u64(m.spilled_records);
-  w.u64(m.spilled_bytes);
-  w.u64(m.spill_count);
-  w.u64(m.merged_records);
-  w.u64(m.merged_bytes);
-  w.u64(m.shuffled_bytes);
-  w.u64(m.shuffled_wire_bytes);
-  w.u64(m.reduce_input_records);
-  w.u64(m.reduce_groups);
-  w.u64(m.output_records);
-  w.u64(m.output_bytes);
+template <class A>
+constexpr bool kReading = std::is_same_v<A, WireReader>;
+
+/// The member type a field list sees: const when encoding, mutable when
+/// decoding.
+template <class A, class T>
+using Ref = std::conditional_t<kReading<A>, T&, const T&>;
+
+// Largest valid value of each enum that rides the wire as one byte. The
+// bytes may come from an external worker over TCP, so a reader rejects
+// anything above it; an enum without an overload here cannot be encoded.
+constexpr TaskKind wire_max(TaskKind) { return TaskKind::kReduce; }
+constexpr obs::EventKind wire_max(obs::EventKind) {
+  return obs::EventKind::kCounter;
+}
+constexpr mr::SkewPlan::Mode wire_max(mr::SkewPlan::Mode) {
+  return mr::SkewPlan::Mode::kSplit;
+}
+constexpr freqbuf::FreqBufferController::Stage wire_max(
+    freqbuf::FreqBufferController::Stage) {
+  return freqbuf::FreqBufferController::Stage::kOptimize;
 }
 
-mr::TaskMetrics get_metrics(WireReader& r) {
-  mr::TaskMetrics m;
-  const std::uint32_t ops = r.u32();
-  if (ops != mr::kNumOps) {
-    throw FormatError("cluster metrics op-count mismatch");
-  }
-  for (std::size_t i = 0; i < mr::kNumOps; ++i) m.ns[i] = r.u64();
-  m.input_records = r.u64();
-  m.input_bytes = r.u64();
-  m.map_output_records = r.u64();
-  m.map_output_bytes = r.u64();
-  m.freq_hits = r.u64();
-  m.freq_flushes = r.u64();
-  m.spill_input_records = r.u64();
-  m.spill_input_bytes = r.u64();
-  m.spilled_records = r.u64();
-  m.spilled_bytes = r.u64();
-  m.spill_count = r.u64();
-  m.merged_records = r.u64();
-  m.merged_bytes = r.u64();
-  m.shuffled_bytes = r.u64();
-  m.shuffled_wire_bytes = r.u64();
-  m.reduce_input_records = r.u64();
-  m.reduce_groups = r.u64();
-  m.output_records = r.u64();
-  m.output_bytes = r.u64();
-  return m;
-}
-
-void put_counters(WireWriter& w, const mr::Counters& counters) {
-  w.u32(static_cast<std::uint32_t>(counters.all().size()));
-  for (const auto& [name, value] : counters.all()) {
-    w.str(name);
-    w.u64(value);
+// One value in its wire form: bools and enums as u8, 16- and 32-bit
+// integers as u32, 64-bit ones as u64, doubles as f64, strings and paths
+// length-prefixed, latency histograms as their compact serialization.
+template <class T>
+void value(WireWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.u8(v ? 1 : 0);
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint8_t>) {
+    w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, std::uint16_t> ||
+                       std::is_same_v<T, std::uint32_t>) {
+    w.u32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.u64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (std::is_same_v<T, std::filesystem::path>) {
+    w.str(v.string());
+  } else if constexpr (std::is_same_v<T, obs::LatencyHistogram>) {
+    w.str(v.serialize());
+  } else {
+    static_assert(std::is_same_v<T, std::string>);
+    w.str(v);
   }
 }
 
-mr::Counters get_counters(WireReader& r) {
-  mr::Counters counters;
+template <class T>
+void value(WireReader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.u8() != 0;
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::uint8_t byte = r.u8();
+    if (byte > static_cast<std::uint8_t>(wire_max(v))) {
+      throw FormatError("cluster frame has bad enum value " +
+                        std::to_string(byte));
+    }
+    v = static_cast<T>(byte);
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    v = r.u8();
+  } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+    const std::uint32_t wide = r.u32();
+    if (wide > 0xffff) {
+      throw FormatError("cluster frame value " + std::to_string(wide) +
+                        " out of 16-bit range");
+    }
+    v = static_cast<std::uint16_t>(wide);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    v = r.u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = r.u64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.f64();
+  } else if constexpr (std::is_same_v<T, std::filesystem::path>) {
+    v = r.str();
+  } else if constexpr (std::is_same_v<T, obs::LatencyHistogram>) {
+    v = obs::LatencyHistogram::deserialize(r.str());
+  } else {
+    static_assert(std::is_same_v<T, std::string>);
+    v = r.str();
+  }
+}
+
+template <class A, class... T>
+void wire(A& a, T&... v) {
+  (value(a, v), ...);
+}
+
+/// A u32 count, then each element through `each`.
+template <class T, class Fn>
+void seq(WireWriter& w, const std::vector<T>& items, Fn&& each) {
+  w.u32(static_cast<std::uint32_t>(items.size()));
+  for (const T& item : items) each(item);
+}
+
+template <class T, class Fn>
+void seq(WireReader& r, std::vector<T>& items, Fn&& each) {
   const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::string name = r.str();
-    counters.increment(name, r.u64());
+  // Every element takes at least one byte, so a count beyond the bytes
+  // left is a truncated (or hostile) frame, not a giant allocation.
+  if (n > r.remaining()) throw FormatError("cluster frame truncated");
+  for (std::uint32_t i = 0; i < n; ++i) each(items.emplace_back());
+}
+
+void require(WireWriter&, bool, const char*) {}
+void require(WireReader&, bool ok, const char* what) {
+  if (!ok) throw FormatError(what);
+}
+
+/// An unframed tail: the rest of the frame, already length-delimited by
+/// the frame itself.
+void tail(WireWriter& w, const std::string& bytes) { w.raw(bytes); }
+void tail(WireReader& r, std::string& bytes) { bytes = r.rest(); }
+
+// -- field groups
+
+template <class A>
+void fields(A& a, Ref<A, io::PartitionExtent> extent) {
+  wire(a, extent.offset, extent.bytes, extent.records);
+}
+
+template <class A>
+void fields(A& a, Ref<A, io::SpillRunInfo> run) {
+  wire(a, run.path, run.bytes, run.records);
+  seq(a, run.partitions, [&](auto& extent) { fields(a, extent); });
+}
+
+template <class A>
+void fields(A& a, Ref<A, Endpoint> ep) {
+  wire(a, ep.host, ep.port);
+}
+
+template <class A>
+void fields(A& a, Ref<A, mr::WorkerTelemetry> m) {
+  wire(a, m.records, m.bytes, m.spills, m.tasks_completed, m.task_failures,
+       m.trace_dropped, m.task_latency_ns);
+}
+
+template <class A>
+void fields(A& a, Ref<A, mr::TaskMetrics> m) {
+  auto ops = static_cast<std::uint32_t>(mr::kNumOps);
+  wire(a, ops);
+  require(a, ops == mr::kNumOps, "cluster metrics op-count mismatch");
+  for (auto& ns : m.ns) wire(a, ns);
+  for (const mr::VolumeCounter& counter : mr::kVolumeCounters) {
+    wire(a, m.*counter.member);
   }
-  return counters;
 }
 
-void put_run_info(WireWriter& w, const io::SpillRunInfo& run) {
-  w.str(run.path);
-  w.u64(run.bytes);
-  w.u64(run.records);
-  w.u32(static_cast<std::uint32_t>(run.partitions.size()));
-  for (const auto& extent : run.partitions) {
-    w.u64(extent.offset);
-    w.u64(extent.bytes);
-    w.u64(extent.records);
+/// User counters ride as (name, value) pairs in name order.
+template <class A>
+void fields(A& a, Ref<A, mr::Counters> counters) {
+  std::vector<std::pair<std::string, std::uint64_t>> entries;
+  if constexpr (!kReading<A>) {
+    entries.assign(counters.all().begin(), counters.all().end());
+  }
+  seq(a, entries, [&](auto& entry) { wire(a, entry.first, entry.second); });
+  if constexpr (kReading<A>) {
+    for (const auto& [name, count] : entries) counters.increment(name, count);
   }
 }
 
-io::SpillRunInfo get_run_info(WireReader& r) {
-  io::SpillRunInfo run;
-  run.path = r.str();
-  run.bytes = r.u64();
-  run.records = r.u64();
-  const std::uint32_t n = r.u32();
-  run.partitions.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    io::PartitionExtent extent;
-    extent.offset = r.u64();
-    extent.bytes = r.u64();
-    extent.records = r.u64();
-    run.partitions.push_back(extent);
+/// Decoded trace strings are copied into the trace's own pool, deduped:
+/// a worker's events repeat a handful of literal names, so the pool stays
+/// tiny even for large rings.
+class StringInterner {
+ public:
+  explicit StringInterner(obs::TraceData& trace) : trace_(trace) {}
+
+  const char* operator()(std::string s) {
+    auto it = seen_.find(s);
+    if (it != seen_.end()) return it->second;
+    const char* p = trace_.intern(s);
+    seen_.emplace(std::move(s), p);
+    return p;
   }
-  return run;
+
+ private:
+  obs::TraceData& trace_;
+  std::unordered_map<std::string, const char*> seen_;
+};
+
+void text(WireWriter& w, const char* s, StringInterner*) {
+  w.str(s != nullptr ? s : "");
+}
+void text(WireReader& r, const char*& s, StringInterner* intern) {
+  s = (*intern)(r.str());
 }
 
-void put_endpoint(WireWriter& w, const Endpoint& ep) {
-  w.str(ep.host);
-  w.u32(ep.port);
-}
-
-Endpoint get_endpoint(WireReader& r) {
-  Endpoint ep;
-  ep.host = r.str();
-  const std::uint32_t port = r.u32();
-  if (port > 0xffff) {
-    throw FormatError("cluster endpoint port " + std::to_string(port) +
-                      " out of range");
-  }
-  ep.port = static_cast<std::uint16_t>(port);
-  return ep;
-}
-
-void put_worker_metrics(WireWriter& w, const WorkerMetrics& m) {
-  w.u64(m.records);
-  w.u64(m.bytes);
-  w.u64(m.spills);
-  w.u64(m.tasks_completed);
-  w.u64(m.task_failures);
-  w.u64(m.trace_dropped);
-  w.str(m.task_latency_ns.serialize());
-}
-
-WorkerMetrics get_worker_metrics(WireReader& r) {
-  WorkerMetrics m;
-  m.records = r.u64();
-  m.bytes = r.u64();
-  m.spills = r.u64();
-  m.tasks_completed = r.u64();
-  m.task_failures = r.u64();
-  m.trace_dropped = r.u64();
-  m.task_latency_ns = obs::LatencyHistogram::deserialize(r.str());
-  return m;
-}
-
-void put_event(WireWriter& w, const obs::TraceEvent& e) {
-  w.str(e.name != nullptr ? e.name : "");
-  w.str(e.category != nullptr ? e.category : "");
-  w.u64(e.ts_ns);
-  w.u64(e.dur_ns);
-  w.u32(e.pid);
-  w.u32(e.tid);
-  w.u8(static_cast<std::uint8_t>(e.kind));
-  w.u8(e.num_args);
+template <class A>
+void fields(A& a, Ref<A, obs::TraceEvent> e, StringInterner* intern) {
+  text(a, e.name, intern);
+  text(a, e.category, intern);
+  wire(a, e.ts_ns, e.dur_ns, e.pid, e.tid, e.kind, e.num_args);
+  require(a, e.num_args <= 3, "cluster trace event arg overflow");
   for (std::uint8_t i = 0; i < e.num_args; ++i) {
-    w.str(e.arg_names[i] != nullptr ? e.arg_names[i] : "");
-    w.f64(e.args[i]);
+    text(a, e.arg_names[i], intern);
+    wire(a, e.args[i]);
   }
+}
+
+/// Everything in a trace chunk except its events.
+template <class A>
+void chunk_header_fields(A& a, Ref<A, TraceChunkMsg> msg) {
+  wire(a, msg.worker_id, msg.final_chunk);
+  fields(a, msg.stats);
+  auto& trace = msg.trace;
+  wire(a, trace.enabled, trace.job_name, trace.epoch_ns, trace.dropped_events);
+  seq(a, trace.ring_drops,
+      [&](auto& ring) { wire(a, ring.pid, ring.tid, ring.dropped); });
+  seq(a, trace.process_names,
+      [&](auto& process) { wire(a, process.first, process.second); });
+  seq(a, trace.thread_names,
+      [&](auto& thread) { wire(a, thread.pid, thread.tid, thread.name); });
+}
+
+// -- messages
+
+template <class A>
+void fields(A& a, Ref<A, RunTaskMsg> msg) {
+  wire(a, msg.id, msg.attempt);
+}
+
+template <class A>
+void fields(A& a, Ref<A, RunReduceMsg> msg) {
+  wire(a, msg.partition, msg.attempt);
+  seq(a, msg.map_outputs, [&](auto& run) { fields(a, run); });
+  seq(a, msg.sources, [&](auto& source) { fields(a, source); });
+  require(a,
+          msg.sources.empty() || msg.sources.size() == msg.map_outputs.size(),
+          "run_reduce sources count != runs count");
+}
+
+template <class A>
+void fields(A& a, Ref<A, HeartbeatMsg> msg) {
+  wire(a, msg.worker_id, msg.kind, msg.id, msg.attempt, msg.progress);
+  fields(a, msg.stats);
+}
+
+template <class A>
+void fields(A& a, Ref<A, TaskFailedMsg> msg) {
+  wire(a, msg.kind, msg.id, msg.attempt, msg.retryable, msg.message);
+}
+
+template <class A>
+void fields(A& a, Ref<A, std::uint32_t> task, Ref<A, std::uint32_t> attempt,
+            Ref<A, mr::MapTaskResult> result) {
+  wire(a, task, attempt);
+  fields(a, result.output);
+  fields(a, result.map_thread);
+  fields(a, result.support_thread);
+  fields(a, result.counters);
+  wire(a, result.wall_ns, result.pipeline_wall_ns, result.spills,
+       result.final_spill_threshold, result.freq_stage_at_end,
+       result.freq_sampling_fraction);
+}
+
+template <class A>
+void fields(A& a, Ref<A, std::uint32_t> partition,
+            Ref<A, std::uint32_t> attempt,
+            Ref<A, mr::ReduceTaskResult> result) {
+  wire(a, partition, attempt, result.output_path);
+  fields(a, result.metrics);
+  fields(a, result.counters);
+  wire(a, result.wall_ns);
+}
+
+template <class A>
+void fields(A& a, Ref<A, mr::SkewPlan> plan) {
+  wire(a, plan.num_canonical);
+  seq(a, plan.entries, [&](auto& entry) {
+    wire(a, entry.key, entry.mode, entry.first_physical, entry.num_shares);
+  });
+}
+
+template <class A>
+void fields(A& a, Ref<A, ClockProbeMsg> msg) {
+  wire(a, msg.t_send);
+}
+
+template <class A>
+void fields(A& a, Ref<A, ClockSyncMsg> msg) {
+  wire(a, msg.worker_id, msg.t_probe, msg.t_worker);
+}
+
+template <class A>
+void fields(A& a, Ref<A, WelcomeMsg> msg) {
+  wire(a, msg.worker_id, msg.heartbeat_interval_ms);
+}
+
+template <class A>
+void fields(A& a, Ref<A, HelloMsg> msg) {
+  wire(a, msg.worker_id);
+  fields(a, msg.shuffle);
+}
+
+template <class A>
+void fields(A& a, Ref<A, ShuffleFetchMsg> msg) {
+  wire(a, msg.run_path, msg.partition);
+}
+
+/// The partition bytes ride as the frame's tail: skipping the u32-length
+/// str() form keeps a single partition fetchable right up to the
+/// kMaxFramePayload cap.
+template <class A>
+void fields(A& a, Ref<A, ShuffleDataMsg> msg) {
+  wire(a, msg.records);
+  tail(a, msg.bytes);
+}
+
+template <class A>
+void fields(A& a, Ref<A, ShuffleErrorMsg> msg) {
+  wire(a, msg.retryable, msg.message);
+}
+
+// -- encode / decode
+
+template <class... Parts>
+std::string encode(MsgType type, const Parts&... parts) {
+  WireWriter w;
+  value(w, type);
+  fields(w, parts...);
+  return w.take();
+}
+
+template <class... Parts>
+void decode_into(WireReader& r, Parts&... parts) {
+  fields(r, parts...);
+  r.expect_done();
+}
+
+template <class Msg>
+Msg decode(WireReader& r) {
+  Msg msg;
+  decode_into(r, msg);
+  return msg;
+}
+
+/// The header one frame of a chunk batch carries: trace metadata rides
+/// only on the first frame, so frames 2..n stay almost pure event payload,
+/// and the final flag only on the last.
+TraceChunkMsg chunk_header(const TraceChunkMsg& msg, bool first, bool last) {
+  TraceChunkMsg header;
+  header.worker_id = msg.worker_id;
+  header.final_chunk = last && msg.final_chunk;
+  header.stats = msg.stats;
+  header.trace.enabled = msg.trace.enabled;
+  header.trace.epoch_ns = msg.trace.epoch_ns;
+  if (first) {
+    header.trace.job_name = msg.trace.job_name;
+    header.trace.dropped_events = msg.trace.dropped_events;
+    header.trace.ring_drops = msg.trace.ring_drops;
+    header.trace.process_names = msg.trace.process_names;
+    header.trace.thread_names = msg.trace.thread_names;
+  }
+  return header;
 }
 
 }  // namespace
@@ -280,357 +493,100 @@ void put_event(WireWriter& w, const obs::TraceEvent& e) {
 // ---- messages -------------------------------------------------------------
 
 std::string encode_run_task(MsgType type, const RunTaskMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(msg.id);
-  w.u32(msg.attempt);
-  return w.take();
+  return encode(type, msg);
 }
-
-RunTaskMsg decode_run_task(WireReader& r) {
-  RunTaskMsg msg;
-  msg.id = r.u32();
-  msg.attempt = r.u32();
-  r.expect_done();
-  return msg;
-}
+RunTaskMsg decode_run_task(WireReader& r) { return decode<RunTaskMsg>(r); }
 
 std::string encode_run_reduce(const RunReduceMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kRunReduce));
-  w.u32(msg.partition);
-  w.u32(msg.attempt);
-  w.u32(static_cast<std::uint32_t>(msg.map_outputs.size()));
-  for (const auto& run : msg.map_outputs) put_run_info(w, run);
-  w.u32(static_cast<std::uint32_t>(msg.sources.size()));
-  for (const auto& source : msg.sources) put_endpoint(w, source);
-  return w.take();
+  return encode(MsgType::kRunReduce, msg);
 }
-
 RunReduceMsg decode_run_reduce(WireReader& r) {
-  RunReduceMsg msg;
-  msg.partition = r.u32();
-  msg.attempt = r.u32();
-  const std::uint32_t n = r.u32();
-  msg.map_outputs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    msg.map_outputs.push_back(get_run_info(r));
-  }
-  const std::uint32_t num_sources = r.u32();
-  if (num_sources != 0 && num_sources != n) {
-    throw FormatError("run_reduce sources count " +
-                      std::to_string(num_sources) + " != runs count " +
-                      std::to_string(n));
-  }
-  msg.sources.reserve(num_sources);
-  for (std::uint32_t i = 0; i < num_sources; ++i) {
-    msg.sources.push_back(get_endpoint(r));
-  }
-  r.expect_done();
-  return msg;
+  return decode<RunReduceMsg>(r);
 }
 
 std::string encode_heartbeat(const HeartbeatMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kHeartbeat));
-  w.u32(msg.worker_id);
-  w.u8(static_cast<std::uint8_t>(msg.kind));
-  w.u32(msg.id);
-  w.u32(msg.attempt);
-  w.f64(msg.progress);
-  put_worker_metrics(w, msg.stats);
-  return w.take();
+  return encode(MsgType::kHeartbeat, msg);
 }
-
 HeartbeatMsg decode_heartbeat(WireReader& r) {
-  HeartbeatMsg msg;
-  msg.worker_id = r.u32();
-  msg.kind = static_cast<TaskKind>(r.u8());
-  msg.id = r.u32();
-  msg.attempt = r.u32();
-  msg.progress = r.f64();
-  msg.stats = get_worker_metrics(r);
-  r.expect_done();
-  return msg;
+  return decode<HeartbeatMsg>(r);
 }
 
 std::string encode_task_failed(const TaskFailedMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kTaskFailed));
-  w.u8(static_cast<std::uint8_t>(msg.kind));
-  w.u32(msg.id);
-  w.u32(msg.attempt);
-  w.u8(msg.retryable ? 1 : 0);
-  w.str(msg.message);
-  return w.take();
+  return encode(MsgType::kTaskFailed, msg);
 }
-
 TaskFailedMsg decode_task_failed(WireReader& r) {
-  TaskFailedMsg msg;
-  msg.kind = static_cast<TaskKind>(r.u8());
-  msg.id = r.u32();
-  msg.attempt = r.u32();
-  msg.retryable = r.u8() != 0;
-  msg.message = r.str();
-  r.expect_done();
-  return msg;
+  return decode<TaskFailedMsg>(r);
 }
 
 std::string encode_map_done(std::uint32_t task, std::uint32_t attempt,
                             const mr::MapTaskResult& result) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kMapDone));
-  w.u32(task);
-  w.u32(attempt);
-  put_run_info(w, result.output);
-  put_metrics(w, result.map_thread);
-  put_metrics(w, result.support_thread);
-  put_counters(w, result.counters);
-  w.u64(result.wall_ns);
-  w.u64(result.pipeline_wall_ns);
-  w.u64(result.spills);
-  w.f64(result.final_spill_threshold);
-  w.u8(static_cast<std::uint8_t>(result.freq_stage_at_end));
-  w.f64(result.freq_sampling_fraction);
-  return w.take();
+  return encode(MsgType::kMapDone, task, attempt, result);
 }
-
 void decode_map_done(WireReader& r, std::uint32_t& task,
                      std::uint32_t& attempt, mr::MapTaskResult& result) {
-  task = r.u32();
-  attempt = r.u32();
-  result.output = get_run_info(r);
-  result.map_thread = get_metrics(r);
-  result.support_thread = get_metrics(r);
-  result.counters = get_counters(r);
-  result.wall_ns = r.u64();
-  result.pipeline_wall_ns = r.u64();
-  result.spills = r.u64();
-  result.final_spill_threshold = r.f64();
-  result.freq_stage_at_end =
-      static_cast<freqbuf::FreqBufferController::Stage>(r.u8());
-  result.freq_sampling_fraction = r.f64();
-  r.expect_done();
+  decode_into(r, task, attempt, result);
 }
 
 std::string encode_reduce_done(std::uint32_t partition, std::uint32_t attempt,
                                const mr::ReduceTaskResult& result) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kReduceDone));
-  w.u32(partition);
-  w.u32(attempt);
-  w.str(result.output_path.string());
-  put_metrics(w, result.metrics);
-  put_counters(w, result.counters);
-  w.u64(result.wall_ns);
-  return w.take();
+  return encode(MsgType::kReduceDone, partition, attempt, result);
 }
-
 void decode_reduce_done(WireReader& r, std::uint32_t& partition,
                         std::uint32_t& attempt, mr::ReduceTaskResult& result) {
-  partition = r.u32();
-  attempt = r.u32();
-  result.output_path = r.str();
-  result.metrics = get_metrics(r);
-  result.counters = get_counters(r);
-  result.wall_ns = r.u64();
-  r.expect_done();
+  decode_into(r, partition, attempt, result);
 }
 
 std::string encode_skew_plan(const mr::SkewPlan& plan) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kSkewPlan));
-  w.u32(plan.num_canonical);
-  w.u32(static_cast<std::uint32_t>(plan.entries.size()));
-  for (const auto& entry : plan.entries) {
-    w.str(entry.key);
-    w.u8(static_cast<std::uint8_t>(entry.mode));
-    w.u32(entry.first_physical);
-    w.u32(entry.num_shares);
-  }
-  return w.take();
+  return encode(MsgType::kSkewPlan, plan);
 }
-
 mr::SkewPlan decode_skew_plan(WireReader& r) {
-  mr::SkewPlan plan;
-  plan.num_canonical = r.u32();
-  const std::uint32_t n = r.u32();
-  plan.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    mr::SkewPlan::Entry entry;
-    entry.key = r.str();
-    const std::uint8_t mode = r.u8();
-    if (mode > static_cast<std::uint8_t>(mr::SkewPlan::Mode::kSplit)) {
-      throw FormatError("cluster skew plan has bad entry mode " +
-                        std::to_string(mode));
-    }
-    entry.mode = static_cast<mr::SkewPlan::Mode>(mode);
-    entry.first_physical = r.u32();
-    entry.num_shares = r.u32();
-    plan.entries.push_back(std::move(entry));
-  }
-  r.expect_done();
-  return plan;
+  return decode<mr::SkewPlan>(r);
 }
 
 std::string encode_clock_probe(const ClockProbeMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kClockProbe));
-  w.u64(msg.t_send);
-  return w.take();
+  return encode(MsgType::kClockProbe, msg);
 }
-
 ClockProbeMsg decode_clock_probe(WireReader& r) {
-  ClockProbeMsg msg;
-  msg.t_send = r.u64();
-  r.expect_done();
-  return msg;
+  return decode<ClockProbeMsg>(r);
 }
 
 std::string encode_clock_sync(const ClockSyncMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kClockSync));
-  w.u32(msg.worker_id);
-  w.u64(msg.t_probe);
-  w.u64(msg.t_worker);
-  return w.take();
+  return encode(MsgType::kClockSync, msg);
 }
-
 ClockSyncMsg decode_clock_sync(WireReader& r) {
-  ClockSyncMsg msg;
-  msg.worker_id = r.u32();
-  msg.t_probe = r.u64();
-  msg.t_worker = r.u64();
-  r.expect_done();
-  return msg;
+  return decode<ClockSyncMsg>(r);
 }
 
 std::string encode_welcome(const WelcomeMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kWelcome));
-  w.u32(msg.worker_id);
-  w.u32(msg.heartbeat_interval_ms);
-  return w.take();
+  return encode(MsgType::kWelcome, msg);
 }
-
-WelcomeMsg decode_welcome(WireReader& r) {
-  WelcomeMsg msg;
-  msg.worker_id = r.u32();
-  msg.heartbeat_interval_ms = r.u32();
-  r.expect_done();
-  return msg;
-}
+WelcomeMsg decode_welcome(WireReader& r) { return decode<WelcomeMsg>(r); }
 
 std::string encode_hello(const HelloMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kHello));
-  w.u32(msg.worker_id);
-  put_endpoint(w, msg.shuffle);
-  return w.take();
+  return encode(MsgType::kHello, msg);
 }
-
-HelloMsg decode_hello(WireReader& r) {
-  HelloMsg msg;
-  msg.worker_id = r.u32();
-  msg.shuffle = get_endpoint(r);
-  r.expect_done();
-  return msg;
-}
+HelloMsg decode_hello(WireReader& r) { return decode<HelloMsg>(r); }
 
 std::string encode_shuffle_fetch(const ShuffleFetchMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kShuffleFetch));
-  w.str(msg.run_path);
-  w.u32(msg.partition);
-  return w.take();
+  return encode(MsgType::kShuffleFetch, msg);
 }
-
 ShuffleFetchMsg decode_shuffle_fetch(WireReader& r) {
-  ShuffleFetchMsg msg;
-  msg.run_path = r.str();
-  msg.partition = r.u32();
-  r.expect_done();
-  return msg;
+  return decode<ShuffleFetchMsg>(r);
 }
 
 std::string encode_shuffle_data(const ShuffleDataMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kShuffleData));
-  w.u64(msg.records);
-  // The partition bytes ride as the frame's tail, unframed: they are
-  // already length-delimited by the frame itself, and skipping the
-  // u32-length str() form keeps a single partition fetchable right up
-  // to the kMaxFramePayload cap.
-  std::string payload = w.take();
-  payload += msg.bytes;
-  return payload;
+  return encode(MsgType::kShuffleData, msg);
 }
-
 ShuffleDataMsg decode_shuffle_data(WireReader& r) {
-  ShuffleDataMsg msg;
-  msg.records = r.u64();
-  msg.bytes = r.rest();
-  return msg;
+  return decode<ShuffleDataMsg>(r);
 }
 
 std::string encode_shuffle_error(const ShuffleErrorMsg& msg) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kShuffleError));
-  w.u8(msg.retryable ? 1 : 0);
-  w.str(msg.message);
-  return w.take();
+  return encode(MsgType::kShuffleError, msg);
 }
-
 ShuffleErrorMsg decode_shuffle_error(WireReader& r) {
-  ShuffleErrorMsg msg;
-  msg.retryable = r.u8() != 0;
-  msg.message = r.str();
-  r.expect_done();
-  return msg;
+  return decode<ShuffleErrorMsg>(r);
 }
-
-namespace {
-
-constexpr std::uint8_t kChunkFlagFinal = 1;
-
-/// Everything in a chunk except its events; metadata rides only on the
-/// first frame of a batch so frames 2..n stay almost pure event payload.
-std::string encode_chunk_header(const TraceChunkMsg& msg, bool first,
-                                bool last) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kTraceChunk));
-  w.u32(msg.worker_id);
-  w.u8((last && msg.final_chunk) ? kChunkFlagFinal : 0);
-  put_worker_metrics(w, msg.stats);
-  const obs::TraceData& trace = msg.trace;
-  w.u8(trace.enabled ? 1 : 0);
-  w.str(first ? trace.job_name : std::string());
-  w.u64(trace.epoch_ns);
-  w.u64(first ? trace.dropped_events : 0);
-  const std::size_t num_rings = first ? trace.ring_drops.size() : 0;
-  w.u32(static_cast<std::uint32_t>(num_rings));
-  for (std::size_t i = 0; i < num_rings; ++i) {
-    w.u32(trace.ring_drops[i].pid);
-    w.u32(trace.ring_drops[i].tid);
-    w.u64(trace.ring_drops[i].dropped);
-  }
-  const std::size_t num_procs = first ? trace.process_names.size() : 0;
-  w.u32(static_cast<std::uint32_t>(num_procs));
-  for (std::size_t i = 0; i < num_procs; ++i) {
-    w.u32(trace.process_names[i].first);
-    w.str(trace.process_names[i].second);
-  }
-  const std::size_t num_threads = first ? trace.thread_names.size() : 0;
-  w.u32(static_cast<std::uint32_t>(num_threads));
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    w.u32(trace.thread_names[i].pid);
-    w.u32(trace.thread_names[i].tid);
-    w.str(trace.thread_names[i].name);
-  }
-  return w.take();
-}
-
-}  // namespace
 
 std::vector<std::string> encode_trace_chunks(const TraceChunkMsg& msg,
                                              std::size_t max_payload) {
@@ -646,7 +602,7 @@ std::vector<std::string> encode_trace_chunks(const TraceChunkMsg& msg,
   std::size_t frame_bytes = 0;
   for (std::size_t i = 0; i < msg.trace.events.size(); ++i) {
     WireWriter event_writer;
-    put_event(event_writer, msg.trace.events[i]);
+    fields(event_writer, msg.trace.events[i], nullptr);
     std::string bytes = event_writer.take();
     if (i > frame_begin && frame_bytes + bytes.size() > max_payload) {
       frames.emplace_back(frame_begin, i);
@@ -661,80 +617,24 @@ std::vector<std::string> encode_trace_chunks(const TraceChunkMsg& msg,
   std::vector<std::string> payloads;
   payloads.reserve(frames.size());
   for (std::size_t f = 0; f < frames.size(); ++f) {
-    const bool first = f == 0;
-    const bool last = f + 1 == frames.size();
-    std::string payload = encode_chunk_header(msg, first, last);
-    WireWriter count;
-    count.u32(static_cast<std::uint32_t>(frames[f].second - frames[f].first));
-    payload += count.take();
+    WireWriter w;
+    value(w, MsgType::kTraceChunk);
+    chunk_header_fields(w, chunk_header(msg, f == 0, f + 1 == frames.size()));
+    w.u32(static_cast<std::uint32_t>(frames[f].second - frames[f].first));
     for (std::size_t i = frames[f].first; i < frames[f].second; ++i) {
-      payload += encoded_events[i];
+      w.raw(encoded_events[i]);
     }
-    payloads.push_back(std::move(payload));
+    payloads.push_back(w.take());
   }
   return payloads;
 }
 
 TraceChunkMsg decode_trace_chunk(WireReader& r) {
   TraceChunkMsg msg;
-  msg.worker_id = r.u32();
-  msg.final_chunk = (r.u8() & kChunkFlagFinal) != 0;
-  msg.stats = get_worker_metrics(r);
-  obs::TraceData& trace = msg.trace;
-  trace.enabled = r.u8() != 0;
-  trace.job_name = r.str();
-  trace.epoch_ns = r.u64();
-  trace.dropped_events = r.u64();
-  const std::uint32_t num_rings = r.u32();
-  for (std::uint32_t i = 0; i < num_rings; ++i) {
-    obs::TraceData::RingDrops drops;
-    drops.pid = r.u32();
-    drops.tid = r.u32();
-    drops.dropped = r.u64();
-    trace.ring_drops.push_back(drops);
-  }
-  const std::uint32_t num_procs = r.u32();
-  for (std::uint32_t i = 0; i < num_procs; ++i) {
-    const std::uint32_t pid = r.u32();
-    trace.process_names.emplace_back(pid, r.str());
-  }
-  const std::uint32_t num_threads = r.u32();
-  for (std::uint32_t i = 0; i < num_threads; ++i) {
-    obs::TraceData::ThreadName thread;
-    thread.pid = r.u32();
-    thread.tid = r.u32();
-    thread.name = r.str();
-    trace.thread_names.push_back(std::move(thread));
-  }
-  // Dedupe interning: a worker's events repeat a handful of literal
-  // names, so the pool stays tiny even for large rings.
-  std::unordered_map<std::string, const char*> seen;
-  auto intern = [&trace, &seen](std::string s) -> const char* {
-    auto it = seen.find(s);
-    if (it != seen.end()) return it->second;
-    const char* p = trace.intern(s);
-    seen.emplace(std::move(s), p);
-    return p;
-  };
-  const std::uint32_t num_events = r.u32();
-  trace.events.reserve(num_events);
-  for (std::uint32_t i = 0; i < num_events; ++i) {
-    obs::TraceEvent e;
-    e.name = intern(r.str());
-    e.category = intern(r.str());
-    e.ts_ns = r.u64();
-    e.dur_ns = r.u64();
-    e.pid = r.u32();
-    e.tid = r.u32();
-    e.kind = static_cast<obs::EventKind>(r.u8());
-    e.num_args = r.u8();
-    if (e.num_args > 3) throw FormatError("cluster trace event arg overflow");
-    for (std::uint8_t a = 0; a < e.num_args; ++a) {
-      e.arg_names[a] = intern(r.str());
-      e.args[a] = r.f64();
-    }
-    trace.events.push_back(e);
-  }
+  chunk_header_fields(r, msg);
+  StringInterner intern(msg.trace);
+  seq(r, msg.trace.events,
+      [&](obs::TraceEvent& event) { fields(r, event, &intern); });
   r.expect_done();
   return msg;
 }

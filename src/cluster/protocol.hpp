@@ -125,27 +125,13 @@ struct ShuffleErrorMsg {
   std::string message;
 };
 
-/// Live counter snapshot a worker piggybacks on every heartbeat and
-/// trace chunk. Values are cumulative since worker start — not deltas —
-/// so the coordinator's view is always "latest wins" and a dropped or
-/// reordered frame can never desynchronize the aggregate.
-struct WorkerMetrics {
-  std::uint64_t records = 0;  // input records consumed by finished tasks
-  std::uint64_t bytes = 0;    // input/shuffle bytes consumed
-  std::uint64_t spills = 0;
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t task_failures = 0;
-  std::uint64_t trace_dropped = 0;  // ring-overflow drops shipped so far
-  obs::LatencyHistogram task_latency_ns;  // wall time per finished task
-};
-
 struct HeartbeatMsg {
   std::uint32_t worker_id = 0;
   TaskKind kind = TaskKind::kNone;  // kNone: idle worker
   std::uint32_t id = 0;
   std::uint32_t attempt = 0;
   double progress = 0.0;  // input fraction consumed (map tasks)
-  WorkerMetrics stats;
+  mr::WorkerTelemetry stats;  // cumulative since worker start
 };
 
 struct TaskFailedMsg {
@@ -201,7 +187,7 @@ inline std::int64_t estimate_clock_offset(std::uint64_t t_send,
 struct TraceChunkMsg {
   std::uint32_t worker_id = 0;
   bool final_chunk = false;
-  WorkerMetrics stats;   // cumulative snapshot at send time
+  mr::WorkerTelemetry stats;  // cumulative snapshot at send time
   obs::TraceData trace;  // events since the previous chunk
 };
 
@@ -213,7 +199,9 @@ constexpr std::size_t kTraceChunkPayloadTarget = 4u * 1024 * 1024;
 
 // ---- serialization --------------------------------------------------------
 
-/// Append-only little-endian encoder for frame payloads.
+/// Append-only little-endian encoder for frame payloads. Each message's
+/// field list is written once (protocol.cpp) and run by both this and
+/// WireReader.
 class WireWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -221,6 +209,8 @@ class WireWriter {
   void u64(std::uint64_t v);
   void f64(double v);
   void str(std::string_view v);
+  /// Appends bytes that are already in wire form (no length prefix).
+  void raw(std::string_view v) { buf_.append(v); }
 
   std::string take() { return std::move(buf_); }
 
@@ -228,7 +218,9 @@ class WireWriter {
   std::string buf_;
 };
 
-/// Matching decoder; throws FormatError on truncated or trailing bytes.
+/// Matching decoder; throws FormatError on truncated or trailing bytes,
+/// on an enum byte outside its type's range, and on any other field a
+/// message's field list rejects.
 class WireReader {
  public:
   explicit WireReader(std::string_view in) : in_(in) {}
@@ -243,6 +235,7 @@ class WireReader {
   std::string rest();
 
   bool done() const { return in_.empty(); }
+  std::size_t remaining() const { return in_.size(); }
   void expect_done() const;
 
  private:

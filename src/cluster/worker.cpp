@@ -41,7 +41,7 @@ struct Channel {
   std::uint32_t attempt TEXTMR_GUARDED_BY(mu) = 0;
   // Cumulative since worker start; the task loop folds each finished
   // task in, the heartbeat thread snapshots it into every beat.
-  WorkerMetrics stats TEXTMR_GUARDED_BY(mu);
+  mr::WorkerTelemetry stats TEXTMR_GUARDED_BY(mu);
   // Written by the map thread mid-task, read by the heartbeat thread.
   std::atomic<double> progress{0.0};
 
@@ -77,11 +77,6 @@ struct Channel {
   }
 
   void set_idle() { set_task(TaskKind::kNone, 0, 0); }
-
-  WorkerMetrics stats_snapshot() {
-    textmr::MutexLock lock(mu);
-    return stats;
-  }
 };
 
 /// Drains the collector and ships the result as one or more kTraceChunk

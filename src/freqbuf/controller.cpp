@@ -180,11 +180,9 @@ void FreqBufferController::set_progress(double fraction) {
 }
 
 void FreqBufferController::enter_profile_stage() {
-  const std::size_t capacity = config_.sketch_capacity != 0
-                                   ? config_.sketch_capacity
-                                   : config_.top_k * 4;
-  sketch_ = std::make_unique<sketch::SpaceSaving>(
-      std::max<std::size_t>(capacity, config_.top_k));
+  // Space-Saving with 4 * top_k counters: a realistic budget that is below
+  // the algorithm's exactness guarantee, as in §V-B1.
+  sketch_ = std::make_unique<sketch::SpaceSaving>(config_.top_k * 4);
   stage_ = Stage::kProfile;
   obs::record_instant(trace_, "freq", "freq_profile_begin", "sampling_fraction",
                       effective_s_, "alpha",

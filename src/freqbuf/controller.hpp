@@ -46,10 +46,6 @@ struct FreqBufConfig {
   /// Per-key buffered-value limit that triggers an eager combine().
   std::uint64_t per_key_limit_bytes = 4096;
 
-  /// Space-Saving capacity; 0 means 4 * top_k (a realistic budget that is
-  /// below the algorithm's exactness guarantee, as in §V-B1).
-  std::size_t sketch_capacity = 0;
-
   /// Share the frozen key set between map tasks on the same node
   /// (§III-B: "our system finds the top-k frequent-key set just once for
   /// all the tasks that run on a single node").

@@ -97,8 +97,7 @@ struct JobSpec {
 
   /// Structured tracing (see src/obs/trace.hpp). Off by default; when off
   /// every instrumentation hook is a single null-pointer check. When on,
-  /// JobResult::trace carries the merged events for Chrome-trace / JSONL
-  /// export.
+  /// JobResult::trace carries the merged events for Chrome-trace export.
   obs::TraceConfig trace;
 };
 
@@ -132,7 +131,7 @@ struct JobResult {
 
   /// Trace events collected when JobSpec::trace.enabled was set
   /// (trace.enabled is false otherwise). Export with
-  /// obs::format_chrome_trace / obs::format_trace_jsonl.
+  /// obs::format_chrome_trace.
   obs::TraceData trace;
 };
 

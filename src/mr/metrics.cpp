@@ -27,28 +27,9 @@ const char* op_name(Op op) {
 
 TaskMetrics& TaskMetrics::operator+=(const TaskMetrics& other) {
   for (std::size_t i = 0; i < kNumOps; ++i) ns[i] += other.ns[i];
-  input_records += other.input_records;
-  input_bytes += other.input_bytes;
-  map_output_records += other.map_output_records;
-  map_output_bytes += other.map_output_bytes;
-  freq_hits += other.freq_hits;
-  freq_flushes += other.freq_flushes;
-  hash_combine_hits += other.hash_combine_hits;
-  hash_combine_flushes += other.hash_combine_flushes;
-  hash_combine_demotions += other.hash_combine_demotions;
-  spill_input_records += other.spill_input_records;
-  spill_input_bytes += other.spill_input_bytes;
-  spilled_records += other.spilled_records;
-  spilled_bytes += other.spilled_bytes;
-  spill_count += other.spill_count;
-  merged_records += other.merged_records;
-  merged_bytes += other.merged_bytes;
-  shuffled_bytes += other.shuffled_bytes;
-  shuffled_wire_bytes += other.shuffled_wire_bytes;
-  reduce_input_records += other.reduce_input_records;
-  reduce_groups += other.reduce_groups;
-  output_records += other.output_records;
-  output_bytes += other.output_bytes;
+  for (const VolumeCounter& counter : kVolumeCounters) {
+    this->*counter.member += other.*counter.member;
+  }
   return *this;
 }
 

@@ -83,20 +83,62 @@ struct TaskMetrics {
   std::uint64_t abstraction_ns(bool include_idle = false) const;
 };
 
-/// Per-worker telemetry aggregated by the cluster coordinator from
-/// heartbeat stats snapshots (ISSUE 6). Counters are cumulative over the
-/// worker's lifetime; `telemetry_complete` is false when the worker died
-/// (or was killed) before shipping its final trace chunk, so the numbers
-/// are a last-heartbeat lower bound rather than a final accounting.
+/// One volume counter of TaskMetrics: its metrics-JSON key and its member.
+struct VolumeCounter {
+  const char* name;
+  std::uint64_t TaskMetrics::*member;
+};
+
+/// Every volume counter, in declaration order. Summing, the cluster wire
+/// codec and the metrics JSON all loop over this table, so a counter
+/// cannot reach one of them and be forgotten by another.
+inline constexpr VolumeCounter kVolumeCounters[] = {
+    {"input_records", &TaskMetrics::input_records},
+    {"input_bytes", &TaskMetrics::input_bytes},
+    {"map_output_records", &TaskMetrics::map_output_records},
+    {"map_output_bytes", &TaskMetrics::map_output_bytes},
+    {"freq_hits", &TaskMetrics::freq_hits},
+    {"freq_flushes", &TaskMetrics::freq_flushes},
+    {"hash_combine_hits", &TaskMetrics::hash_combine_hits},
+    {"hash_combine_flushes", &TaskMetrics::hash_combine_flushes},
+    {"hash_combine_demotions", &TaskMetrics::hash_combine_demotions},
+    {"spill_input_records", &TaskMetrics::spill_input_records},
+    {"spill_input_bytes", &TaskMetrics::spill_input_bytes},
+    {"spilled_records", &TaskMetrics::spilled_records},
+    {"spilled_bytes", &TaskMetrics::spilled_bytes},
+    {"spill_count", &TaskMetrics::spill_count},
+    {"merged_records", &TaskMetrics::merged_records},
+    {"merged_bytes", &TaskMetrics::merged_bytes},
+    {"shuffled_bytes", &TaskMetrics::shuffled_bytes},
+    {"shuffled_wire_bytes", &TaskMetrics::shuffled_wire_bytes},
+    {"reduce_input_records", &TaskMetrics::reduce_input_records},
+    {"reduce_groups", &TaskMetrics::reduce_groups},
+    {"output_records", &TaskMetrics::output_records},
+    {"output_bytes", &TaskMetrics::output_bytes},
+};
+static_assert(sizeof(TaskMetrics) ==
+                  sizeof(TaskMetrics::ns) +
+                      std::size(kVolumeCounters) * sizeof(std::uint64_t),
+              "kVolumeCounters must list every TaskMetrics volume counter");
+
+/// Per-worker counters. A cluster worker keeps one cumulative copy since
+/// its start and piggybacks it on every heartbeat and trace chunk —
+/// cumulative, not deltas, so "latest wins" and a dropped or reordered
+/// frame can never desynchronize the aggregate. The coordinator fills in
+/// `worker_id` and `telemetry_complete` (neither rides the wire) and
+/// reports one per worker in JobMetrics. `telemetry_complete` is false
+/// when the worker died (or was killed) before shipping its final trace
+/// chunk, so the numbers are a last-heartbeat lower bound rather than a
+/// final accounting.
 struct WorkerTelemetry {
   std::uint32_t worker_id = 0;
-  std::uint64_t records = 0;
-  std::uint64_t bytes = 0;
+  std::uint64_t records = 0;  // input records consumed by finished tasks
+  std::uint64_t bytes = 0;    // input/shuffle bytes consumed
   std::uint64_t spills = 0;
   std::uint64_t tasks_completed = 0;
   std::uint64_t task_failures = 0;
-  std::uint64_t trace_dropped = 0;
-  obs::LatencyHistogram task_latency_ns;
+  std::uint64_t trace_dropped = 0;  // ring-overflow drops shipped so far
+  obs::LatencyHistogram task_latency_ns;  // wall time per finished task
   bool telemetry_complete = true;
 };
 

@@ -183,28 +183,9 @@ void write_task_metrics(obs::JsonWriter& w, const TaskMetrics& m) {
   w.field("user_ns", m.user_ns());
   w.field("abstraction_ns", m.abstraction_ns());
   w.key("volumes").begin_object();
-  w.field("input_records", m.input_records);
-  w.field("input_bytes", m.input_bytes);
-  w.field("map_output_records", m.map_output_records);
-  w.field("map_output_bytes", m.map_output_bytes);
-  w.field("freq_hits", m.freq_hits);
-  w.field("freq_flushes", m.freq_flushes);
-  w.field("hash_combine_hits", m.hash_combine_hits);
-  w.field("hash_combine_flushes", m.hash_combine_flushes);
-  w.field("hash_combine_demotions", m.hash_combine_demotions);
-  w.field("spill_input_records", m.spill_input_records);
-  w.field("spill_input_bytes", m.spill_input_bytes);
-  w.field("spilled_records", m.spilled_records);
-  w.field("spilled_bytes", m.spilled_bytes);
-  w.field("spill_count", m.spill_count);
-  w.field("merged_records", m.merged_records);
-  w.field("merged_bytes", m.merged_bytes);
-  w.field("shuffled_bytes", m.shuffled_bytes);
-  w.field("shuffled_wire_bytes", m.shuffled_wire_bytes);
-  w.field("reduce_input_records", m.reduce_input_records);
-  w.field("reduce_groups", m.reduce_groups);
-  w.field("output_records", m.output_records);
-  w.field("output_bytes", m.output_bytes);
+  for (const VolumeCounter& counter : kVolumeCounters) {
+    w.field(counter.name, m.*counter.member);
+  }
   w.end_object();
   w.end_object();
 }

@@ -673,54 +673,6 @@ void load_chrome_trace(const JsonValue& doc, TraceData& trace,
   }
 }
 
-void load_jsonl_trace(std::string_view contents, TraceData& trace,
-                      Interner& intern) {
-  std::size_t line_no = 0;
-  while (!contents.empty()) {
-    const std::size_t eol = contents.find('\n');
-    const std::string_view line = contents.substr(0, eol);
-    contents.remove_prefix(eol == std::string_view::npos ? contents.size()
-                                                         : eol + 1);
-    ++line_no;
-    if (line.empty()) continue;
-    const auto parsed = JsonValue::parse(line);
-    if (!parsed.has_value() || !parsed->is_object()) {
-      throw FormatError("trace JSONL line " + std::to_string(line_no) +
-                        " is not a JSON object");
-    }
-    const JsonValue& ev = *parsed;
-    TraceEvent e;
-    const JsonValue* kind = ev.get("kind");
-    const std::string& kind_str =
-        kind != nullptr ? kind->string_value() : std::string();
-    if (kind_str == "span") {
-      e.kind = EventKind::kSpan;
-    } else if (kind_str == "counter") {
-      e.kind = EventKind::kCounter;
-    } else {
-      e.kind = EventKind::kInstant;
-    }
-    const JsonValue* name = ev.get("name");
-    e.name = intern(name != nullptr && !name->string_value().empty()
-                        ? name->string_value()
-                        : "?");
-    const JsonValue* cat = ev.get("cat");
-    e.category = intern(cat != nullptr ? cat->string_value() : "textmr");
-    if (const JsonValue* v = ev.get("ts_ns")) e.ts_ns = to_u64(v->number_or(0));
-    if (const JsonValue* v = ev.get("dur_ns")) {
-      e.dur_ns = to_u64(v->number_or(0));
-    }
-    if (const JsonValue* v = ev.get("pid")) {
-      e.pid = static_cast<std::uint32_t>(v->number_or(0));
-    }
-    if (const JsonValue* v = ev.get("tid")) {
-      e.tid = static_cast<std::uint32_t>(v->number_or(0));
-    }
-    read_args(ev, e, intern);
-    trace.events.push_back(e);
-  }
-}
-
 }  // namespace
 
 TraceData load_trace_file(const std::filesystem::path& path) {
@@ -728,31 +680,11 @@ TraceData load_trace_file(const std::filesystem::path& path) {
   TraceData trace;
   trace.enabled = true;
   Interner intern{trace, {}};
-  std::size_t first = 0;
-  while (first < contents.size() &&
-         (contents[first] == ' ' || contents[first] == '\t' ||
-          contents[first] == '\n' || contents[first] == '\r')) {
-    ++first;
+  const auto doc = JsonValue::parse(contents);
+  if (!doc.has_value() || !doc->is_object()) {
+    throw FormatError("trace file " + path.string() + " is not a JSON object");
   }
-  if (first >= contents.size()) {
-    throw FormatError("trace file " + path.string() + " is empty");
-  }
-  // A Chrome trace is one {"traceEvents": ...} document; JSONL lines are
-  // themselves objects, so sniff the first payload key instead of the
-  // first byte.
-  const bool chrome =
-      contents.compare(first, 1, "{") == 0 &&
-      contents.find("\"traceEvents\"", first) != std::string::npos;
-  if (chrome) {
-    const auto doc = JsonValue::parse(contents);
-    if (!doc.has_value() || !doc->is_object()) {
-      throw FormatError("trace file " + path.string() +
-                        " is not valid JSON");
-    }
-    load_chrome_trace(*doc, trace, intern);
-  } else {
-    load_jsonl_trace(contents, trace, intern);
-  }
+  load_chrome_trace(*doc, trace, intern);
   std::stable_sort(trace.events.begin(), trace.events.end(),
                    [](const TraceEvent& x, const TraceEvent& y) {
                      return x.ts_ns < y.ts_ns;

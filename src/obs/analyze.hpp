@@ -105,10 +105,9 @@ std::string format_analysis(const TraceAnalysis& analysis);
 /// Machine-readable variant (textmr-analyze --json).
 std::string format_analysis_json(const TraceAnalysis& analysis);
 
-/// Reads a trace file written by --trace (Chrome trace JSON) or
-/// --trace-jsonl (one event object per line); the format is sniffed from
-/// the first byte. Timestamps come back epoch-relative. Throws IoError
-/// on unreadable files and FormatError on unparseable ones.
+/// Reads a Chrome trace JSON file written by --trace. Timestamps come
+/// back epoch-relative. Throws IoError on unreadable files and
+/// FormatError on unparseable ones.
 TraceData load_trace_file(const std::filesystem::path& path);
 
 /// Every event name the engine records, in sorted order. tools/lint.py

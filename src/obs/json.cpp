@@ -126,160 +126,6 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
   return *this;
 }
 
-// ---- validity checker ------------------------------------------------------
-
-namespace {
-
-struct Checker {
-  std::string_view text;
-  std::size_t pos = 0;
-  int depth = 0;
-
-  static constexpr int kMaxDepth = 256;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool eat(char c) {
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos < text.size()) {
-      const unsigned char c = static_cast<unsigned char>(text[pos]);
-      if (c == '"') {
-        ++pos;
-        return true;
-      }
-      if (c < 0x20) return false;  // raw control character
-      if (c == '\\') {
-        ++pos;
-        if (pos >= text.size()) return false;
-        const char e = text[pos];
-        if (e == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos + i >= text.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text[pos + i]))) {
-              return false;
-            }
-          }
-          pos += 5;
-          continue;
-        }
-        if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-            e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++pos;
-    }
-    return false;  // unterminated
-  }
-
-  bool digits() {
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-    return pos > start;
-  }
-
-  bool number() {
-    eat('-');
-    if (eat('0')) {
-      // leading zero must stand alone
-    } else if (!digits()) {
-      return false;
-    }
-    if (eat('.') && !digits()) return false;
-    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-      ++pos;
-      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool value() {
-    if (++depth > kMaxDepth) return false;
-    skip_ws();
-    bool ok = false;
-    if (pos >= text.size()) {
-      ok = false;
-    } else if (text[pos] == '{') {
-      ++pos;
-      skip_ws();
-      ok = true;
-      if (!eat('}')) {
-        while (true) {
-          skip_ws();
-          if (!string()) { ok = false; break; }
-          skip_ws();
-          if (!eat(':')) { ok = false; break; }
-          if (!value()) { ok = false; break; }
-          skip_ws();
-          if (eat(',')) continue;
-          if (eat('}')) break;
-          ok = false;
-          break;
-        }
-      }
-    } else if (text[pos] == '[') {
-      ++pos;
-      skip_ws();
-      ok = true;
-      if (!eat(']')) {
-        while (true) {
-          if (!value()) { ok = false; break; }
-          skip_ws();
-          if (eat(',')) continue;
-          if (eat(']')) break;
-          ok = false;
-          break;
-        }
-      }
-    } else if (text[pos] == '"') {
-      ok = string();
-    } else if (text[pos] == 't') {
-      ok = literal("true");
-    } else if (text[pos] == 'f') {
-      ok = literal("false");
-    } else if (text[pos] == 'n') {
-      ok = literal("null");
-    } else {
-      ok = number();
-    }
-    --depth;
-    return ok;
-  }
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text) {
-  Checker checker{text};
-  if (!checker.value()) return false;
-  checker.skip_ws();
-  return checker.pos == text.size();
-}
-
 // ---- parser ---------------------------------------------------------------
 
 JsonValue JsonValue::make_bool(bool v) {
@@ -327,7 +173,7 @@ const JsonValue* JsonValue::get(std::string_view key) const {
 
 namespace {
 
-/// Recursive-descent parser sharing the Checker's lexical rules; the
+/// Recursive-descent parser (RFC 8259 grammar, depth capped at 256); the
 /// escape and number handling mirror what JsonWriter emits.
 struct Parser {
   std::string_view text;
@@ -534,6 +380,10 @@ std::optional<JsonValue> JsonValue::parse(std::string_view text) {
   parser.skip_ws();
   if (parser.pos != text.size()) return std::nullopt;
   return value;
+}
+
+bool json_valid(std::string_view text) {
+  return JsonValue::parse(text).has_value();
 }
 
 }  // namespace textmr::obs

@@ -76,13 +76,13 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Minimal full-document JSON validity checker (RFC 8259 grammar, depth
-/// capped at 256). Used by tests and the CI smoke bench to prove that
-/// exported artifacts parse; not a general-purpose parser.
+/// True when `text` is one whole JSON document (JsonValue::parse
+/// succeeds). Used by tests and the CI smoke bench to prove that exported
+/// artifacts parse.
 bool json_valid(std::string_view text);
 
-/// Parsed JSON document node (recursive-descent, same grammar and depth
-/// cap as json_valid). Built for reading back the engine's own exports —
+/// Parsed JSON document node (recursive-descent, RFC 8259 grammar, depth
+/// capped at 256). Built for reading back the engine's own exports —
 /// textmr-analyze loads merged trace files through this — so numbers are
 /// doubles (trace timestamps fit in the 2^53 integer range) and object
 /// member order is preserved as written.

@@ -232,30 +232,6 @@ std::string format_chrome_trace(const TraceData& trace) {
   return w.take();
 }
 
-std::string format_trace_jsonl(const TraceData& trace) {
-  std::string out;
-  for (const auto& e : trace.events) {
-    JsonWriter w;
-    w.begin_object();
-    switch (e.kind) {
-      case EventKind::kSpan: w.field("kind", "span"); break;
-      case EventKind::kInstant: w.field("kind", "instant"); break;
-      case EventKind::kCounter: w.field("kind", "counter"); break;
-    }
-    w.field("name", e.name != nullptr ? e.name : "?");
-    w.field("cat", e.category != nullptr ? e.category : "textmr");
-    w.field("ts_ns", e.ts_ns - std::min(e.ts_ns, trace.epoch_ns));
-    if (e.kind == EventKind::kSpan) w.field("dur_ns", e.dur_ns);
-    w.field("pid", e.pid);
-    w.field("tid", e.tid);
-    write_args(w, e);
-    w.end_object();
-    out += w.take();
-    out += '\n';
-  }
-  return out;
-}
-
 void write_file(const std::filesystem::path& path, std::string_view contents) {
   std::FILE* file = std::fopen(path.string().c_str(), "wb");
   if (file == nullptr) {

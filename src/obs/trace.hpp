@@ -19,7 +19,7 @@ namespace textmr::obs {
 /// spill seal/sort/combine/write, spill-matcher threshold updates with
 /// the measured T_p/T_c, frequency-buffering stage transitions, merge,
 /// shuffle — exportable to Chrome trace JSON (chrome://tracing,
-/// Perfetto) and JSONL. Everything is gated on a nullable TraceBuffer*:
+/// Perfetto). Everything is gated on a nullable TraceBuffer*:
 /// with tracing disabled every hook is a single pointer compare.
 
 enum class EventKind : std::uint8_t {
@@ -362,9 +362,6 @@ class SpanTimer {
 /// Perfetto). Timestamps are microseconds relative to the collector
 /// epoch; pid = task, tid = thread role.
 std::string format_chrome_trace(const TraceData& trace);
-
-/// Renders the trace as JSONL: one self-contained JSON object per line.
-std::string format_trace_jsonl(const TraceData& trace);
 
 /// Writes `contents` to `path`, throwing IoError on failure.
 void write_file(const std::filesystem::path& path, std::string_view contents);

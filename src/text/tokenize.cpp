@@ -1,16 +1,14 @@
 #include "text/tokenize.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#define TEXTMR_TOKENIZE_SSE2 1
+#define TEXTMR_SIMD_SSE2 1
 #elif defined(__ARM_NEON) && defined(__aarch64__)
 #include <arm_neon.h>
-#define TEXTMR_TOKENIZE_NEON 1
+#define TEXTMR_SIMD_NEON 1
 #endif
 
 namespace textmr::text {
@@ -67,7 +65,7 @@ inline std::uint32_t classify8_swar(const char* p, std::size_t n) {
                                     56);
 }
 
-#if defined(TEXTMR_TOKENIZE_SSE2)
+#if defined(TEXTMR_SIMD_SSE2)
 
 /// Full 16-byte SSE2 classifier. Unsigned range checks via the
 /// min_epu8(x - lo, span) == x - lo idiom; bytes >= 0x80 wrap far outside
@@ -85,7 +83,7 @@ inline std::uint32_t classify16_simd(const char* p) {
       _mm_movemask_epi8(_mm_or_si128(is_letter, is_digit)));
 }
 
-#elif defined(TEXTMR_TOKENIZE_NEON)
+#elif defined(TEXTMR_SIMD_NEON)
 
 /// Full 16-byte NEON (AArch64) classifier; same unsigned-range shape as
 /// the SSE2 kernel, movemask via per-lane powers of two + horizontal add.
@@ -152,28 +150,6 @@ struct RunScanner {
   }
 };
 
-// ---- dispatch -------------------------------------------------------------
-
-constexpr int kModeUnresolved = -1;
-std::atomic<int> g_mode{kModeUnresolved};
-
-TokenizeMode mode_from_env() {
-  if (const char* env = std::getenv("TEXTMR_TOKENIZE")) {
-    TokenizeMode mode;
-    if (parse_tokenize_mode(env, mode)) return mode;
-  }
-  return TokenizeMode::kAuto;
-}
-
-int load_mode() {
-  int mode = g_mode.load(std::memory_order_relaxed);
-  if (mode == kModeUnresolved) {
-    mode = static_cast<int>(mode_from_env());
-    g_mode.store(mode, std::memory_order_relaxed);
-  }
-  return mode;
-}
-
 }  // namespace
 
 void tokenize_scalar(std::string_view line, std::string& scratch,
@@ -215,7 +191,7 @@ void tokenize_swar(std::string_view line, std::string& scratch,
 
 void tokenize_simd(std::string_view line, std::string& scratch,
                    EmitToken emit, void* ctx) {
-#if defined(TEXTMR_TOKENIZE_SSE2) || defined(TEXTMR_TOKENIZE_NEON)
+#if defined(TEXTMR_SIMD_SSE2) || defined(TEXTMR_SIMD_NEON)
   if (!kLittleEndian) return tokenize_scalar(line, scratch, emit, ctx);
   scratch.clear();
   RunScanner scanner{scratch, emit, ctx};
@@ -240,52 +216,20 @@ void tokenize_simd(std::string_view line, std::string& scratch,
 
 void tokenize(std::string_view line, std::string& scratch, EmitToken emit,
               void* ctx) {
-  switch (static_cast<TokenizeMode>(load_mode())) {
-    case TokenizeMode::kScalar:
-      return tokenize_scalar(line, scratch, emit, ctx);
-    case TokenizeMode::kSwar:
-      return tokenize_swar(line, scratch, emit, ctx);
-    case TokenizeMode::kAuto:
-    case TokenizeMode::kSimd:
-      return tokenize_simd(line, scratch, emit, ctx);
-  }
-  tokenize_scalar(line, scratch, emit, ctx);
+  tokenize_simd(line, scratch, emit, ctx);
 }
 
 }  // namespace detail
 
-void set_tokenize_mode(TokenizeMode mode) {
-  detail::g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-TokenizeMode tokenize_mode() {
-  return static_cast<TokenizeMode>(detail::load_mode());
-}
-
 const char* resolved_kernel_name() {
   if (!detail::kLittleEndian) return "scalar";
-#if defined(TEXTMR_TOKENIZE_SSE2)
+#if defined(TEXTMR_SIMD_SSE2)
   return "simd-sse2";
-#elif defined(TEXTMR_TOKENIZE_NEON)
+#elif defined(TEXTMR_SIMD_NEON)
   return "simd-neon";
 #else
   return "swar";
 #endif
-}
-
-bool parse_tokenize_mode(std::string_view name, TokenizeMode& mode) {
-  if (name == "auto") {
-    mode = TokenizeMode::kAuto;
-  } else if (name == "scalar") {
-    mode = TokenizeMode::kScalar;
-  } else if (name == "swar") {
-    mode = TokenizeMode::kSwar;
-  } else if (name == "simd") {
-    mode = TokenizeMode::kSimd;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace textmr::text

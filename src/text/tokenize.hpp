@@ -11,11 +11,9 @@
 // oracle token-for-token (tests/test_tokenizer_fuzz.cpp enforces this at
 // every alignment offset and block-straddling length).
 //
-// Dispatch is resolved at runtime: kAuto picks the best kernel compiled
-// for this target, TEXTMR_TOKENIZE=scalar|swar|simd (or
-// set_tokenize_mode / the CLI's --simd-tokenize option) overrides it.
-// Because every kernel is oracle-equivalent, processes in one cluster job
-// may disagree on the mode without breaking byte-identity.
+// The applications always run the best kernel compiled for the target
+// (tokenize_simd, which falls back to SWAR without a 16-byte kernel and
+// to the scalar loop on big-endian hosts).
 
 #include <cstdint>
 #include <memory>
@@ -25,31 +23,15 @@
 
 namespace textmr::text {
 
-enum class TokenizeMode : int {
-  kAuto = 0,    // best kernel compiled for this target (default)
-  kScalar = 1,  // the reference loop (the oracle)
-  kSwar = 2,    // 8-byte SWAR classifier
-  kSimd = 3,    // 16-byte SSE2/NEON classifier (falls back to SWAR)
-};
-
-/// Process-global kernel selection. Reading is a relaxed atomic load on
-/// the per-line path; setting is for tests, the CLI and env resolution.
-void set_tokenize_mode(TokenizeMode mode);
-TokenizeMode tokenize_mode();
-
-/// The mode `kAuto` resolves to on this build/host ("scalar", "swar",
+/// The kernel the applications run on this build/host ("scalar", "swar",
 /// "simd-sse2", "simd-neon").
 const char* resolved_kernel_name();
-
-/// Parses "scalar" / "swar" / "simd" / "auto"; returns false on anything
-/// else. Shared by the CLI flag and the TEXTMR_TOKENIZE env knob.
-bool parse_tokenize_mode(std::string_view name, TokenizeMode& mode);
 
 namespace detail {
 
 using EmitToken = void (*)(void* ctx, std::string_view token);
 
-/// Outlined tokenization core: finds tokens in `line` with the selected
+/// Outlined tokenization core: finds tokens in `line` with the best
 /// kernel, normalizes each into `scratch` and invokes `emit` with a view
 /// into `scratch` (valid only during the call). One outlined call per
 /// line; per-token cost is one indirect call.
@@ -57,7 +39,7 @@ void tokenize(std::string_view line, std::string& scratch, EmitToken emit,
               void* ctx);
 
 /// The scalar reference loop, exposed separately so tests can compare any
-/// kernel against the oracle regardless of the global mode.
+/// kernel against the oracle.
 void tokenize_scalar(std::string_view line, std::string& scratch,
                      EmitToken emit, void* ctx);
 

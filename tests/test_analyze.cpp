@@ -1,6 +1,6 @@
 // Tests for the offline trace analyzer (ISSUE 6): phase partition,
 // critical-path decomposition, straggler attribution, worker lanes, and
-// the Chrome/JSONL file loaders — all on hand-built synthetic traces
+// the Chrome trace file loader — all on hand-built synthetic traces
 // with exactly known timings, so every expected number is derivable by
 // hand from the event list.
 
@@ -356,34 +356,13 @@ TEST_F(AnalyzeFileTest, ChromeTraceRoundTripsThroughLoadTraceFile) {
   EXPECT_TRUE(after.unknown_event_names.empty());
 }
 
-TEST_F(AnalyzeFileTest, JsonlTraceRoundTripsThroughLoadTraceFile) {
-  const obs::TraceData original = synthetic_cluster_trace();
-  const auto path = dir_.file("job.trace.jsonl");
-  obs::write_file(path, obs::format_trace_jsonl(original));
-  const obs::TraceData loaded = obs::load_trace_file(path);
-
-  ASSERT_EQ(loaded.events.size(), original.events.size());
-  for (std::size_t i = 0; i < original.events.size(); ++i) {
-    EXPECT_STREQ(loaded.events[i].name, original.events[i].name) << i;
-    EXPECT_EQ(loaded.events[i].ts_ns, original.events[i].ts_ns) << i;
-    EXPECT_EQ(loaded.events[i].dur_ns, original.events[i].dur_ns) << i;
-    EXPECT_EQ(loaded.events[i].pid, original.events[i].pid) << i;
-    EXPECT_EQ(loaded.events[i].kind, original.events[i].kind) << i;
-  }
-
-  // JSONL carries no process-name metadata, so lanes fall back to pid
-  // labels — but the timings are exact.
-  const obs::TraceAnalysis before = obs::analyze_trace(original);
-  const obs::TraceAnalysis after = obs::analyze_trace(loaded);
-  EXPECT_EQ(after.wall_ns, before.wall_ns);
-  EXPECT_EQ(after.critical_path_ns, before.critical_path_ns);
-  EXPECT_EQ(after.median_map_task_ns, before.median_map_task_ns);
-}
-
 TEST_F(AnalyzeFileTest, LoadRejectsMissingAndMalformedFiles) {
   EXPECT_THROW((void)obs::load_trace_file(dir_.file("absent.json")), IoError);
   const auto bad = dir_.file("bad.json");
   obs::write_file(bad, "{\"traceEvents\": [{\"ph\": ");
+  EXPECT_THROW((void)obs::load_trace_file(bad), FormatError);
+  // One event object per line is not a trace file.
+  obs::write_file(bad, "{\"ph\": \"i\"}\n{\"ph\": \"i\"}\n");
   EXPECT_THROW((void)obs::load_trace_file(bad), FormatError);
 }
 

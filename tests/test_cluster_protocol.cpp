@@ -380,7 +380,7 @@ TEST(ProtocolCodec, TraceChunkSplitsUnderPayloadBudget) {
   ASSERT_GT(frames.size(), 1u);
 
   obs::TraceData merged;
-  WorkerMetrics last_stats;
+  mr::WorkerTelemetry last_stats;
   std::size_t finals = 0;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     auto r = reader_skipping_type(frames[i], MsgType::kTraceChunk);
@@ -405,6 +405,65 @@ TEST(ProtocolCodec, TraceChunkSplitsUnderPayloadBudget) {
   for (std::size_t i = 0; i < merged.events.size(); ++i) {
     EXPECT_EQ(merged.events[i].ts_ns, 1000 + i);
   }
+}
+
+// ---- enum bytes off the wire ----------------------------------------------
+//
+// Frames may come from an external worker over TCP, so an enum byte
+// outside its type's range must be rejected, never cast. Each case
+// encodes the enum's largest value, checks where it sits, and bumps it
+// one past the end.
+
+std::string with_byte(std::string frame, std::size_t offset,
+                      std::uint8_t expected) {
+  EXPECT_EQ(static_cast<std::uint8_t>(frame.at(offset)), expected);
+  frame[offset] = static_cast<char>(expected + 1);
+  return frame;
+}
+
+TEST(ProtocolEnumBytes, HeartbeatRejectsBadTaskKind) {
+  HeartbeatMsg msg;
+  msg.kind = TaskKind::kReduce;
+  // type byte, u32 worker id, then the kind.
+  const std::string bad = with_byte(encode_heartbeat(msg), 5, 2);
+  auto r = reader_skipping_type(bad, MsgType::kHeartbeat);
+  EXPECT_THROW(decode_heartbeat(r), FormatError);
+}
+
+TEST(ProtocolEnumBytes, TaskFailedRejectsBadTaskKind) {
+  TaskFailedMsg msg;
+  msg.kind = TaskKind::kReduce;
+  const std::string bad = with_byte(encode_task_failed(msg), 1, 2);
+  auto r = reader_skipping_type(bad, MsgType::kTaskFailed);
+  EXPECT_THROW(decode_task_failed(r), FormatError);
+}
+
+TEST(ProtocolEnumBytes, MapDoneRejectsBadFreqStage) {
+  mr::MapTaskResult result;
+  result.freq_stage_at_end = freqbuf::FreqBufferController::Stage::kOptimize;
+  const std::string frame = encode_map_done(1, 0, result);
+  // The stage is followed only by the f64 sampling fraction.
+  const std::string bad = with_byte(frame, frame.size() - 9, 2);
+  auto r = reader_skipping_type(bad, MsgType::kMapDone);
+  std::uint32_t task = 0;
+  std::uint32_t attempt = 0;
+  mr::MapTaskResult out;
+  EXPECT_THROW(decode_map_done(r, task, attempt, out), FormatError);
+}
+
+TEST(ProtocolEnumBytes, TraceChunkRejectsBadEventKind) {
+  TraceChunkMsg msg;
+  obs::TraceEvent e;
+  e.name = "spill_write";
+  e.category = "spill";
+  e.kind = obs::EventKind::kCounter;
+  msg.trace.events.push_back(e);
+  const std::vector<std::string> frames = encode_trace_chunks(msg);
+  ASSERT_EQ(frames.size(), 1u);
+  // An argument-free event ends with its kind byte and a zero arg count.
+  const std::string bad = with_byte(frames[0], frames[0].size() - 2, 2);
+  auto r = reader_skipping_type(bad, MsgType::kTraceChunk);
+  EXPECT_THROW(decode_trace_chunk(r), FormatError);
 }
 
 // Builds the wire bytes of one checksummed frame:

@@ -2,7 +2,7 @@
 
 // Differential fuzz battery for the tokenizer kernels (ISSUE 10): the
 // scalar reference loop is the oracle; the SWAR and SIMD kernels (and the
-// runtime dispatcher in every mode) must reproduce it token-for-token on
+// applications' entry point) must reproduce it token-for-token on
 // adversarial input — NULs, multi-byte UTF-8, empty lines, long delimiter
 // runs, tokens straddling the 8/16-byte block edges — at every alignment
 // offset 0..15. Each case also plants alphanumeric canary bytes around
@@ -193,42 +193,6 @@ TEST(TokenizerFuzz, SeededRandomLines) {
   }
 }
 
-/// RAII guard: tests below mutate the process-global kernel mode.
-struct ModeGuard {
-  TokenizeMode saved = tokenize_mode();
-  ~ModeGuard() { set_tokenize_mode(saved); }
-};
-
-TEST(TokenizerDispatch, EveryModeMatchesOracle) {
-  ModeGuard guard;
-  std::string line = "The 39 steps\xc3\xa9 of MapReduce";
-  line.push_back('\0');
-  line += "!";
-  const std::vector<std::string> oracle =
-      run_kernel(detail::tokenize_scalar, line);
-  for (TokenizeMode mode : {TokenizeMode::kAuto, TokenizeMode::kScalar,
-                            TokenizeMode::kSwar, TokenizeMode::kSimd}) {
-    set_tokenize_mode(mode);
-    EXPECT_EQ(tokenize_mode(), mode);
-    EXPECT_EQ(oracle, run_kernel(detail::tokenize, line));
-  }
-}
-
-TEST(TokenizerDispatch, ParseModeNames) {
-  TokenizeMode mode;
-  EXPECT_TRUE(parse_tokenize_mode("auto", mode));
-  EXPECT_EQ(mode, TokenizeMode::kAuto);
-  EXPECT_TRUE(parse_tokenize_mode("scalar", mode));
-  EXPECT_EQ(mode, TokenizeMode::kScalar);
-  EXPECT_TRUE(parse_tokenize_mode("swar", mode));
-  EXPECT_EQ(mode, TokenizeMode::kSwar);
-  EXPECT_TRUE(parse_tokenize_mode("simd", mode));
-  EXPECT_EQ(mode, TokenizeMode::kSimd);
-  EXPECT_FALSE(parse_tokenize_mode("sse2", mode));
-  EXPECT_FALSE(parse_tokenize_mode("", mode));
-  EXPECT_FALSE(parse_tokenize_mode("SIMD", mode));
-}
-
 TEST(TokenizerDispatch, ResolvedKernelNameIsKnown) {
   const std::string name = resolved_kernel_name();
   EXPECT_TRUE(name == "scalar" || name == "swar" || name == "simd-sse2" ||
@@ -240,8 +204,6 @@ TEST(TokenizerDispatch, AppsWrapperDelegates) {
   // The apps-facing template wrapper (used by every text application)
   // yields exactly the oracle's tokens, with views into the caller's
   // scratch buffer.
-  ModeGuard guard;
-  set_tokenize_mode(TokenizeMode::kAuto);
   const std::string line = "Framework ABstraction-Costs, 2014\xc2\xa0redux";
   const std::vector<std::string> oracle =
       run_kernel(detail::tokenize_scalar, line);

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,8 @@
 #include "common/failpoint.hpp"
 #include "common/tempdir.hpp"
 #include "helpers.hpp"
+#include "mr/report.hpp"
+#include "obs/json.hpp"
 
 namespace textmr::cluster {
 namespace {
@@ -405,45 +408,58 @@ TEST(RemoteWorker, IdleTimeoutExitsWorkerWhenCoordinatorGoesSilent) {
 // threads in this process: exercises listen/accept/welcome/hello, the
 // checksummed control channel, and the network shuffle end to end under
 // TSan without a single fork.
-TEST(TcpClusterInProcess, ExternalWorkersProduceByteIdenticalOutput) {
-  TempDir dir;
-  textgen::CorpusSpec corpus_spec;
-  corpus_spec.total_words = 8000;
-  corpus_spec.vocabulary = 300;
-  corpus_spec.seed = 99;
-  const auto corpus = dir.file("corpus.txt");
-  textgen::generate_corpus(corpus_spec, corpus.string());
-  const auto splits = io::make_splits(corpus.string(), 4 * 1024);
-
-  auto local_spec = test::make_job(apps::wordcount_app(), splits,
-                                   dir.file("s-local"), dir.file("o-local"));
-  const auto local = mr::LocalEngine().run(local_spec);
-
-  auto cluster_spec = test::make_job(apps::wordcount_app(), splits,
-                                     dir.file("s-tcp"), dir.file("o-tcp"));
-  ClusterConfig config;
-  config.num_workers = 2;
-  config.external_workers = 2;  // nothing forked: TSan-safe
-  config.transport = TransportKind::kTcp;
-  config.io_timeout_ms = 10000;
-  // No duplicate attempts: makes shuffled_wire_bytes == shuffled_bytes
-  // below exact (a killed loser's partial fetches would perturb it).
-  config.speculation = false;
-  ClusterEngine engine(config);
-  const Endpoint* listen = engine.listen_endpoint();
-  ASSERT_NE(listen, nullptr);
-  ASSERT_NE(listen->port, 0);
-
-  std::vector<std::thread> workers;
-  for (std::uint32_t w = 0; w < 2; ++w) {
-    workers.emplace_back([listen, &cluster_spec] {
-      RemoteWorkerOptions options;
-      options.connect_timeout_ms = 10000;
-      run_remote_worker(*listen, cluster_spec, options);
-    });
+class TcpClusterInProcess : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    textgen::CorpusSpec corpus_spec;
+    corpus_spec.total_words = 8000;
+    corpus_spec.vocabulary = 300;
+    corpus_spec.seed = 99;
+    const auto corpus = dir_.file("corpus.txt");
+    textgen::generate_corpus(corpus_spec, corpus.string());
+    splits_ = io::make_splits(corpus.string(), 4 * 1024);
   }
-  const auto result = engine.run(cluster_spec);
-  for (auto& t : workers) t.join();
+
+  mr::JobSpec wordcount_job(const std::string& name) {
+    return test::make_job(apps::wordcount_app(), splits_,
+                          dir_.file("s-" + name), dir_.file("o-" + name));
+  }
+
+  /// Runs `spec` on two external TCP workers hosted on threads.
+  static mr::JobResult run_cluster(const mr::JobSpec& spec) {
+    ClusterConfig config;
+    config.num_workers = 2;
+    config.external_workers = 2;  // nothing forked: TSan-safe
+    config.transport = TransportKind::kTcp;
+    config.io_timeout_ms = 10000;
+    // No duplicate attempts: keeps every counter exact (a killed loser's
+    // partial fetches would perturb shuffled_wire_bytes).
+    config.speculation = false;
+    // Declared before the engine: should run() throw, the engine closes
+    // its sockets first, then the workers are joined.
+    std::vector<std::jthread> workers;
+    ClusterEngine engine(config);
+    const Endpoint* listen = engine.listen_endpoint();
+    if (listen == nullptr || listen->port == 0) {
+      throw IoError("in-process cluster has no TCP listener");
+    }
+    for (std::uint32_t w = 0; w < 2; ++w) {
+      workers.emplace_back([coordinator = *listen, &spec] {
+        RemoteWorkerOptions options;
+        options.connect_timeout_ms = 10000;
+        run_remote_worker(coordinator, spec, options);
+      });
+    }
+    return engine.run(spec);
+  }
+
+  TempDir dir_;
+  std::vector<io::InputSplit> splits_;
+};
+
+TEST_F(TcpClusterInProcess, ExternalWorkersProduceByteIdenticalOutput) {
+  const auto local = mr::LocalEngine().run(wordcount_job("local"));
+  const auto result = run_cluster(wordcount_job("tcp"));
 
   // Byte-identical, not merely equivalent: same part files, same bytes.
   ASSERT_EQ(result.outputs.size(), local.outputs.size());
@@ -462,7 +478,38 @@ TEST(TcpClusterInProcess, ExternalWorkersProduceByteIdenticalOutput) {
             result.metrics.work.shuffled_bytes);
 }
 
-TEST(TcpClusterInProcess, MixedExternalValidation) {
+// Every volume counter a map or reduce task reports must reach the
+// cluster job's totals exactly as the local engine sums it. Only the wire
+// share of the shuffle differs: the local engine reads every partition
+// from disk.
+TEST_F(TcpClusterInProcess, HashCombineCountersMatchLocalEngine) {
+  // Compared through the metrics JSON, the export scripts read.
+  const auto work_volumes = [](const mr::JobResult& result) {
+    const auto doc =
+        obs::JsonValue::parse(mr::format_job_metrics_json(result, "wc"));
+    std::map<std::string, double> volumes;
+    for (const auto& [key, v] :
+         doc->get("work")->get("volumes")->members()) {
+      volumes[key] = v.number_or(-1);
+    }
+    return volumes;
+  };
+  mr::JobSpec local_spec = wordcount_job("local");
+  local_spec.combine_mode = mr::CombineMode::kHash;
+  mr::JobSpec cluster_spec = wordcount_job("tcp");
+  cluster_spec.combine_mode = mr::CombineMode::kHash;
+  const auto local = work_volumes(mr::LocalEngine().run(local_spec));
+  const auto cluster = work_volumes(run_cluster(cluster_spec));
+
+  ASSERT_GT(local.at("hash_combine_hits"), 0);
+  ASSERT_EQ(cluster.size(), local.size());
+  for (const auto& [key, value] : local) {
+    if (key == "shuffled_wire_bytes") continue;
+    EXPECT_EQ(cluster.at(key), value) << key;
+  }
+}
+
+TEST_F(TcpClusterInProcess, MixedExternalValidation) {
   // external_workers > num_workers and external workers without TCP are
   // config errors, caught before anything binds or forks.
   TempDir dir;
@@ -490,7 +537,7 @@ TEST(TcpClusterInProcess, MixedExternalValidation) {
   }
 }
 
-TEST(TcpClusterInProcess, MissingExternalWorkerTimesOutCleanly) {
+TEST_F(TcpClusterInProcess, MissingExternalWorkerTimesOutCleanly) {
   // One external slot promised, nobody dials in: run() must fail with
   // IoError after accept_timeout_ms — never hang the coordinator.
   TempDir dir;

@@ -2,8 +2,8 @@
 //
 //   textmr-analyze [--json] TRACE_FILE
 //
-// TRACE_FILE is a Chrome trace JSON written by --trace or a JSONL trace
-// written by --trace-jsonl, from either the local or the cluster engine.
+// TRACE_FILE is the Chrome trace JSON written by --trace, from either the
+// local or the cluster engine.
 // The default output is the human-readable breakdown (per-phase wall
 // time, per-worker idle time, straggler attribution, critical path);
 // --json emits the same numbers as one JSON document for scripting.
