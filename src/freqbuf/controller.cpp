@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/stopwatch.hpp"
 #include "io/dfs.hpp"
 
 namespace textmr::freqbuf {
@@ -105,14 +106,16 @@ FreqBufferController::FreqBufferController(const FreqBufConfig& config,
                                            mr::EmitSink& spill_sink,
                                            mr::TaskMetrics& metrics,
                                            NodeKeyCache* node_cache,
-                                           obs::TraceBuffer* trace)
+                                           obs::TraceBuffer* trace,
+                                           mr::OpSampler* sampler)
     : config_(config),
       table_budget_bytes_(table_budget_bytes),
       combiner_(combiner),
       spill_sink_(spill_sink),
       metrics_(metrics),
       node_cache_(node_cache),
-      trace_(trace) {
+      trace_(trace),
+      sampler_(sampler) {
   TEXTMR_CHECK(config.enabled, "controller built with freqbuf disabled");
   TEXTMR_CHECK(config.top_k >= 1, "freqbuf needs top_k >= 1");
 
@@ -215,7 +218,7 @@ void FreqBufferController::start_optimize(std::vector<std::string> keys) {
   options.budget_bytes = table_budget_bytes_;
   options.per_key_limit_bytes = config_.per_key_limit_bytes;
   table_ = std::make_unique<FrequentKeyTable>(
-      std::move(keys), options, combiner_, spill_sink_, metrics_);
+      std::move(keys), options, combiner_, spill_sink_, metrics_, sampler_);
   stage_ = Stage::kOptimize;
 }
 
@@ -223,14 +226,19 @@ bool FreqBufferController::offer(std::string_view key,
                                  std::string_view value) {
   ++records_seen_;
   switch (stage_) {
-    case Stage::kPreProfile: {
-      mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
-      pre_counts_.offer(key);
-      return false;
-    }
+    case Stage::kPreProfile:
     case Stage::kProfile: {
-      mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
-      sketch_->offer(key);
+      const bool timed = mr::timing(sampler_);
+      const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+      if (stage_ == Stage::kPreProfile) {
+        pre_counts_.offer(key);
+      } else {
+        sketch_->offer(key);
+      }
+      if (timed) {
+        mr::add_timed(sampler_, metrics_, mr::Op::kProfile,
+                      monotonic_ns() - t0);
+      }
       return false;
     }
     case Stage::kOptimize:
@@ -244,8 +252,8 @@ bool FreqBufferController::offer(std::string_view key,
             static_cast<double>(metrics_.freq_hits) /
                 static_cast<double>(records_seen_));
       }
-      // No timer here: the table accounts its fast path to kFreqTable and
-      // its combine/evict slow paths to kCombine/kEmit themselves.
+      // No timer here: the table times its fast path to kFreqTable and
+      // its combines to kCombine itself.
       return table_->offer(key, value);
   }
   return false;

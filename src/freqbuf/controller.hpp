@@ -109,13 +109,16 @@ class FreqBufferController {
   /// `spill_sink` is where absorbed records re-enter the standard
   /// dataflow (table overflow + final flush). `combiner` may be null.
   /// `trace` (optional, owned by the map thread) receives stage
-  /// transitions and sampled occupancy / hit-rate counters.
+  /// transitions and sampled occupancy / hit-rate counters. `sampler`
+  /// (optional, the map thread's) limits profile and table timing to its
+  /// timed lines; without one every offer is timed into `metrics`.
   FreqBufferController(const FreqBufConfig& config,
                        std::uint64_t table_budget_bytes,
                        mr::Reducer* combiner, mr::EmitSink& spill_sink,
                        mr::TaskMetrics& metrics,
                        NodeKeyCache* node_cache = nullptr,
-                       obs::TraceBuffer* trace = nullptr);
+                       obs::TraceBuffer* trace = nullptr,
+                       mr::OpSampler* sampler = nullptr);
 
   /// Must be called (cheaply) as input is consumed: fraction in [0,1] of
   /// the task's input processed so far. Drives stage transitions.
@@ -151,6 +154,7 @@ class FreqBufferController {
   mr::TaskMetrics& metrics_;
   NodeKeyCache* node_cache_;
   obs::TraceBuffer* trace_;
+  mr::OpSampler* sampler_;
 
   Stage stage_ = Stage::kPreProfile;
   double progress_ = 0.0;

@@ -51,11 +51,13 @@ class CaptureSink final : public mr::EmitSink {
 FrequentKeyTable::FrequentKeyTable(std::vector<std::string> frequent_keys,
                                    Options options, mr::Reducer* combiner,
                                    mr::EmitSink& spill_sink,
-                                   mr::TaskMetrics& metrics)
+                                   mr::TaskMetrics& metrics,
+                                   mr::OpSampler* sampler)
     : options_(options),
       combiner_(combiner),
       spill_sink_(spill_sink),
-      metrics_(metrics) {
+      metrics_(metrics),
+      sampler_(sampler) {
   table_.reserve(frequent_keys.size());
   for (auto& key : frequent_keys) {
     table_.emplace(std::move(key), Entry{});
@@ -74,16 +76,18 @@ FrequentKeyTable::FrequentKeyTable(std::vector<std::string> frequent_keys,
 }
 
 bool FrequentKeyTable::offer(std::string_view key, std::string_view value) {
-  // The fast path (lookup + append) is accounted to kFreqTable by timing
-  // one offer in 32 and scaling — per-offer clock reads would otherwise
-  // be a significant fraction of the path they measure. The slow paths
-  // below account themselves (kCombine / the spill sink's kEmit), so no
-  // interval is counted twice.
-  const bool timed = (sample_counter_++ & 31u) == 0;
+  // The fast path (lookup + append) is timed to kFreqTable on the map
+  // thread's timed lines only (mr::OpSampler). The slow paths below are
+  // outside that interval: combines time themselves exactly to kCombine
+  // and evictions are emits, so no interval is counted twice.
+  const bool timed = mr::timing(sampler_);
   const std::uint64_t t0 = timed ? monotonic_ns() : 0;
   auto it = table_.find(key);
   if (it == table_.end()) {
-    if (timed) metrics_.op_ns(mr::Op::kFreqTable) += (monotonic_ns() - t0) * 32;
+    if (timed) {
+      mr::add_timed(sampler_, metrics_, mr::Op::kFreqTable,
+                    monotonic_ns() - t0);
+    }
     return false;
   }
 
@@ -93,7 +97,9 @@ bool FrequentKeyTable::offer(std::string_view key, std::string_view value) {
   entry.bytes += value.size();
   buffered_bytes_ += value.size();
   metrics_.freq_hits += 1;
-  if (timed) metrics_.op_ns(mr::Op::kFreqTable) += (monotonic_ns() - t0) * 32;
+  if (timed) {
+    mr::add_timed(sampler_, metrics_, mr::Op::kFreqTable, monotonic_ns() - t0);
+  }
 
   if (entry.bytes > per_key_limit_) {
     if (combiner_ != nullptr) {

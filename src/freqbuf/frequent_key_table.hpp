@@ -35,10 +35,12 @@ class FrequentKeyTable {
 
   /// `combiner` may be null. `spill_sink` receives overflow / flush
   /// records and must route them into the normal spill path. `metrics`
-  /// receives kCombine time and the freq_* counters.
+  /// receives kCombine time and the freq_* counters. `sampler` (optional,
+  /// the map thread's) limits fast-path timing to its timed lines;
+  /// without one every offer is timed into `metrics`.
   FrequentKeyTable(std::vector<std::string> frequent_keys, Options options,
                    mr::Reducer* combiner, mr::EmitSink& spill_sink,
-                   mr::TaskMetrics& metrics);
+                   mr::TaskMetrics& metrics, mr::OpSampler* sampler = nullptr);
 
   /// Offers one tuple; returns true if it was absorbed (key is frequent),
   /// false if the caller must send it down the standard path.
@@ -86,10 +88,10 @@ class FrequentKeyTable {
 
   Options options_;
   std::uint64_t per_key_limit_ = 0;
-  std::uint32_t sample_counter_ = 0;  // fast-path timer sampling
   mr::Reducer* combiner_;
   mr::EmitSink& spill_sink_;
   mr::TaskMetrics& metrics_;
+  mr::OpSampler* sampler_;
   std::unordered_map<std::string, Entry, ShHash, ShEq> table_;
   std::uint64_t buffered_bytes_ = 0;
   // Recycled combiner-output buffer; swapped with the combined entry's

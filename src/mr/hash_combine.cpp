@@ -403,11 +403,9 @@ void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
                             config_.num_partitions, config_.format);
   write_sorted(flush_items_, writer);
   io::SpillRunInfo info = writer.finish();
-  const std::uint64_t done_ns = monotonic_ns();
   span.arg("records", static_cast<double>(info.records));
 
   metrics_.op_ns(Op::kSort) += sorted_ns - t0;
-  metrics_.op_ns(Op::kSpillWrite) += done_ns - sorted_ns;
   metrics_.spilled_records += info.records;
   metrics_.spilled_bytes += info.bytes;
   metrics_.spill_count += 1;
@@ -421,6 +419,7 @@ void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
   shard.keys.clear();
   shard.values.clear();
   std::fill(shard.slots.begin(), shard.slots.end(), 0);
+  metrics_.op_ns(Op::kSpillWrite) += monotonic_ns() - sorted_ns;
 
   if (shard.flush_count >= config_.demote_after_flushes) {
     // Persistent pressure: this keyspace does not fit the watermark, so
@@ -432,13 +431,11 @@ void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
                         static_cast<double>(shard_index), "flushes",
                         static_cast<double>(shard.flush_count));
   }
-  flush_ns_ += monotonic_ns() - t0;
 }
 
 void HashCombineShards::flush_demoted(Shard& shard, std::uint32_t shard_index,
                                       bool final) {
   if (shard.spill.size() == 0) return;
-  const std::uint64_t t0 = monotonic_ns();
   // The demoted path *is* the existing sort path: build a Spill over the
   // arena's refs and reuse sort_and_spill (same sort, same combiner
   // grouping, same frame blits) so pressured shards write byte-identical
@@ -455,7 +452,6 @@ void HashCombineShards::flush_demoted(Shard& shard, std::uint32_t shard_index,
   runs_.push_back(std::move(info));
   shard.spill.clear();
   (void)shard_index;
-  flush_ns_ += monotonic_ns() - t0;
 }
 
 std::vector<io::SpillRunInfo> HashCombineShards::finish() {
@@ -502,7 +498,6 @@ std::vector<io::SpillRunInfo> HashCombineShards::finish() {
     metrics_.spilled_bytes += info.bytes;
     metrics_.spill_count += 1;
     runs_.push_back(std::move(info));
-    flush_ns_ += monotonic_ns() - t0;
   }
 
   metrics_.hash_combine_hits += stats_.hits;

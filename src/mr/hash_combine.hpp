@@ -51,9 +51,9 @@ struct HashCombineStats {
 };
 
 /// The per-task shard set. Single-threaded: lives on the map thread and
-/// is driven from the emit sink; flush work (radix sort + run write) is
-/// self-timed into `flush_ns()` so the caller can subtract it from the
-/// surrounding emit interval (map_task.cpp does).
+/// is driven from the emit sink. Inserts read no clock; each flush (radix
+/// sort + run write) times itself exactly into kSort/kSpillWrite, which
+/// the map task carves out of its sampled emit time (map_task.cpp).
 class HashCombineShards {
  public:
   /// `combiner` may be null (values chain per key instead of combining).
@@ -80,9 +80,6 @@ class HashCombineShards {
   std::vector<io::SpillRunInfo> finish();
 
   const HashCombineStats& stats() const { return stats_; }
-  /// Total time spent inside flushes (sort + combine + write), so the
-  /// caller can keep pure insert cost attributable to emit.
-  std::uint64_t flush_ns() const { return flush_ns_; }
 
  private:
   struct Entry {
@@ -144,7 +141,6 @@ class HashCombineShards {
   std::vector<io::SpillRunInfo> runs_;
   std::uint64_t run_sequence_ = 0;
   HashCombineStats stats_;
-  std::uint64_t flush_ns_ = 0;
   std::string combine_scratch_;  // staging for combiner output (reused)
   std::vector<FlushItem> flush_items_;      // reused across flushes
   std::vector<FlushItem> flush_scratch_;    // radix ping-pong buffer

@@ -116,6 +116,11 @@ struct JobResult {
     std::uint64_t spills = 0;
     double final_spill_threshold = 0.0;
     double freq_sampling_fraction = 0.0;
+    /// Derived, not measured: the task wall less the map thread's ops
+    /// (idle included), and the pipeline wall less the support thread's
+    /// ops (0 without a support thread, as in hash mode).
+    std::uint64_t map_unattributed_ns = 0;
+    std::uint64_t support_unattributed_ns = 0;
   };
   std::vector<MapTaskSummary> map_tasks;
 

@@ -22,6 +22,8 @@ namespace {
 /// flush path and by the user-facing router below. Both modes consult the
 /// partitioner here, per record: a skew plan's split-key round-robin
 /// cursor must advance identically in both for byte-identical output.
+/// It reads no clock: its time is part of the router's sampled emit
+/// interval (map_split).
 template <typename Store, void (Store::*kAdd)(std::uint32_t, std::string_view,
                                               std::string_view)>
 class DirectSink final : public EmitSink {
@@ -31,7 +33,6 @@ class DirectSink final : public EmitSink {
       : store_(store), partitioner_(partitioner), metrics_(metrics) {}
 
   void emit(std::string_view key, std::string_view value) override {
-    ScopedTimer timer(metrics_, Op::kEmit);
     metrics_.spill_input_records += 1;
     metrics_.spill_input_bytes += key.size() + value.size();
     (store_.*kAdd)(partitioner_(key), key, value);
@@ -51,31 +52,40 @@ using DirectHashSink =
 
 /// The sink handed to user map() code: counts output volume, routes
 /// through frequency-buffering when active, and otherwise forwards to the
-/// direct sink (ring or hash table).
+/// direct sink (ring or hash table). On a timed line it also times itself.
 class EmitRouter final : public EmitSink {
  public:
   EmitRouter(EmitSink& spill_sink, freqbuf::FreqBufferController* freq,
-             TaskMetrics& metrics)
-      : spill_sink_(spill_sink), freq_(freq), metrics_(metrics) {}
+             TaskMetrics& metrics, const OpSampler& sampler)
+      : spill_sink_(spill_sink), freq_(freq), metrics_(metrics),
+        sampler_(sampler) {}
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
     metrics_.map_output_records += 1;
     metrics_.map_output_bytes += key.size() + value.size();
-    if (freq_ == nullptr || !freq_->offer(key, value)) {
-      spill_sink_.emit(key, value);
+    if (!sampler_.timing()) {
+      route(key, value);
+      return;
     }
-    // Total time inside emit, used by the task to subtract framework time
-    // from the surrounding kMapUser interval (emit ops self-account).
+    const std::uint64_t t0 = monotonic_ns();
+    route(key, value);
     inside_emit_ns_ += monotonic_ns() - t0;
   }
 
+  /// Time spent inside emit() on timed lines.
   std::uint64_t inside_emit_ns() const { return inside_emit_ns_; }
 
  private:
+  void route(std::string_view key, std::string_view value) {
+    if (freq_ == nullptr || !freq_->offer(key, value)) {
+      spill_sink_.emit(key, value);
+    }
+  }
+
   EmitSink& spill_sink_;
   freqbuf::FreqBufferController* freq_;
   TaskMetrics& metrics_;
+  const OpSampler& sampler_;
   std::uint64_t inside_emit_ns_ = 0;
 };
 
@@ -135,27 +145,43 @@ class MapTask {
 
   /// The map thread's read → map → emit loop over the split. Every
   /// emitted record goes through frequency-buffering (when enabled) into
-  /// `sink`.
-  void map_split(EmitSink& sink) {
+  /// `sink`. `buffer` is sort mode's spill ring (null in hash mode).
+  ///
+  /// Timing (DESIGN.md §5b): counts are exact, the clock is sampled. The
+  /// loop's wall is read once at each end. Its rare events time
+  /// themselves exactly: ring waits, hash-shard flushes and freq-table
+  /// combines. The rest of the wall is split across read, user map,
+  /// emit, profile and freq-table in the shares measured on timed lines,
+  /// so the thread's ops sum to the loop's wall.
+  void map_split(EmitSink& sink, const SpillBuffer* buffer) {
     TaskMetrics& metrics = result_.map_thread;
+    OpSampler sampler;
     std::unique_ptr<freqbuf::FreqBufferController> freq;
     if (config_.freqbuf.enabled) {
       freq = std::make_unique<freqbuf::FreqBufferController>(
           config_.freqbuf, config_.freq_table_budget_bytes,
-          map_combiner_.get(), sink, metrics, config_.node_cache, map_trace_);
+          map_combiner_.get(), sink, metrics, config_.node_cache, map_trace_,
+          &sampler);
     }
-    EmitRouter router(sink, freq.get(), metrics);
+    EmitRouter router(sink, freq.get(), metrics, sampler);
+    // Exactly timed nanoseconds so far: what the rare events added to the
+    // thread's ops, plus the ring waits run_sort books as kMapIdle.
+    auto exact_ns = [&metrics, buffer] {
+      return metrics.total_ns(/*include_idle=*/true) +
+             (buffer != nullptr ? buffer->producer_wait_ns() : 0);
+    };
 
     std::unique_ptr<Mapper> mapper = config_.mapper();
     mapper->begin_task(TaskInfo{config_.task_id, &map_counters_});
     io::LineReader reader(config_.split);
     std::uint64_t offset = 0;
+    const std::uint64_t loop_exact_start = exact_ns();
+    const std::uint64_t loop_start = monotonic_ns();
     while (true) {
-      std::optional<std::string_view> line;
-      {
-        ScopedTimer read_timer(metrics, Op::kMapRead);
-        line = reader.next_line();
-      }
+      const bool timed = sampler.next();
+      const std::uint64_t read_start = timed ? monotonic_ns() : 0;
+      const std::optional<std::string_view> line = reader.next_line();
+      if (timed) sampler.add(Op::kMapRead, monotonic_ns() - read_start);
       if (!line.has_value()) break;
       metrics.input_records += 1;
       metrics.input_bytes += line->size() + 1;
@@ -167,22 +193,46 @@ class MapTask {
                                 std::memory_order_relaxed);
       }
       TEXTMR_FAILPOINT("map.user_code");
-      {
-        ScopedTimer map_timer(metrics, Op::kMapUser);
+      if (!timed) {
         mapper->map(offset, *line, router);
+        ++offset;
+        continue;
       }
+      // A timed line: map()'s wall is user code plus its emits, and the
+      // emits hold profile and freq-table time and the exact events they
+      // set off, all of which are booked elsewhere.
+      const std::uint64_t exact_before = exact_ns();
+      const std::uint64_t emit_before = router.inside_emit_ns();
+      const std::uint64_t nested_before = sampler.sampled_ns(Op::kProfile) +
+                                          sampler.sampled_ns(Op::kFreqTable);
+      const std::uint64_t map_start = monotonic_ns();
+      mapper->map(offset, *line, router);
+      const std::uint64_t map_ns = monotonic_ns() - map_start;
+      const std::uint64_t emit_ns = router.inside_emit_ns() - emit_before;
+      const std::uint64_t nested_ns = sampler.sampled_ns(Op::kProfile) +
+                                      sampler.sampled_ns(Op::kFreqTable) -
+                                      nested_before + exact_ns() -
+                                      exact_before;
+      sampler.add(Op::kMapUser, map_ns - std::min(map_ns, emit_ns));
+      sampler.add(Op::kEmit, emit_ns - std::min(emit_ns, nested_ns));
       ++offset;
     }
+    const std::uint64_t loop_ns = monotonic_ns() - loop_start;
+    const std::uint64_t loop_exact = exact_ns() - loop_exact_start;
+    sampler.split(loop_ns - std::min(loop_ns, loop_exact), metrics);
+
     if (freq != nullptr) {
+      // The end-of-input table flush emits into the store: timed once,
+      // as kEmit less the exact events it sets off.
+      const std::uint64_t exact_before = exact_ns();
+      const std::uint64_t finish_start = monotonic_ns();
       freq->finish();
+      const std::uint64_t finish_ns = monotonic_ns() - finish_start;
+      metrics.op_ns(Op::kEmit) +=
+          finish_ns - std::min(finish_ns, exact_ns() - exact_before);
       result_.freq_stage_at_end = freq->stage();
       result_.freq_sampling_fraction = freq->effective_sampling_fraction();
     }
-    // map() wall time included everything emit() did (serialization,
-    // profiling, table work, buffer waits); those self-accounted, so
-    // subtract them to leave pure user code in kMapUser.
-    std::uint64_t& map_user_ns = metrics.op_ns(Op::kMapUser);
-    map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
   }
 
   /// Sort mode: the map thread fills the spill ring while one support
@@ -277,7 +327,7 @@ class MapTask {
     };
     DirectSpillSink sink(buffer, partitioner_, result_.map_thread);
     try {
-      map_split(sink);
+      map_split(sink, &buffer);
     } catch (...) {
       // Map-side failure (user code or a support-thread abort surfacing
       // through put()): shut the pipeline down, join, and report the root
@@ -288,15 +338,16 @@ class MapTask {
       throw;
     }
     buffer.close();
+    const std::uint64_t drain_start = monotonic_ns();
     support.join();
+    const std::uint64_t drain_ns = monotonic_ns() - drain_start;
     if (auto error = support_error()) std::rethrow_exception(error);
 
-    // Map-thread emit time currently includes buffer-full waits; move them
-    // to the idle bucket (paper Table II's "map thread idle").
-    const std::uint64_t map_wait = buffer.producer_wait_ns();
-    std::uint64_t& emit_ns = result_.map_thread.op_ns(Op::kEmit);
-    emit_ns -= std::min(emit_ns, map_wait);
-    result_.map_thread.op_ns(Op::kMapIdle) += map_wait;
+    // The map thread is idle (paper Table II) while the ring is full —
+    // map_split left those waits out of its ops — and while the support
+    // thread drains the spills still queued at end of input.
+    result_.map_thread.op_ns(Op::kMapIdle) +=
+        buffer.producer_wait_ns() + drain_ns;
     result_.support_thread.op_ns(Op::kSupportIdle) += buffer.consumer_wait_ns();
     result_.spills = buffer.spills_sealed();
     result_.final_spill_threshold = buffer.threshold();
@@ -323,15 +374,8 @@ class MapTask {
         },
         result_.map_thread, map_trace_);
     DirectHashSink sink(table, partitioner_, result_.map_thread);
-    map_split(sink);
-
-    // Watermark flushes ran inside insert(), i.e. inside the kEmit scope;
-    // their time self-accounted to kSort/kSpillWrite, so subtract it from
-    // kEmit (the finish() flush below runs outside any emit interval).
-    const std::uint64_t flush_in_emit = table.flush_ns();
+    map_split(sink, nullptr);
     std::vector<io::SpillRunInfo> runs = table.finish();
-    std::uint64_t& emit_ns = result_.map_thread.op_ns(Op::kEmit);
-    emit_ns -= std::min(emit_ns, flush_in_emit);
     result_.spills = runs.size();
     return runs;
   }

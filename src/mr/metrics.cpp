@@ -45,6 +45,33 @@ std::uint64_t TaskMetrics::total_ns(bool include_idle) const {
   return total;
 }
 
+void OpSampler::split(std::uint64_t ns, TaskMetrics& metrics) const {
+  std::uint64_t total = 0;
+  std::size_t last = kNumOps;
+  for (std::size_t i = 0; i < kNumOps; ++i) {
+    total += sampled_[i];
+    if (sampled_[i] != 0) last = i;
+  }
+  if (total == 0) return;
+  std::uint64_t given = 0;
+  for (std::size_t i = 0; i < last; ++i) {
+    const auto part = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(ns) * sampled_[i] / total);
+    metrics.ns[i] += part;
+    given += part;
+  }
+  metrics.ns[last] += ns - given;
+}
+
+std::uint64_t OpSampler::scale(std::uint64_t sampled_ns,
+                               std::uint64_t sampled_count,
+                               std::uint64_t exact_count) {
+  if (sampled_count == 0) return 0;
+  return static_cast<std::uint64_t>(
+      static_cast<unsigned __int128>(sampled_ns) * exact_count /
+      sampled_count);
+}
+
 std::uint64_t TaskMetrics::user_ns() const {
   return op_ns(Op::kMapUser) + op_ns(Op::kCombine) +
          op_ns(Op::kMergeCombine) + op_ns(Op::kReduceUser);

@@ -28,7 +28,7 @@ enum class Op : std::size_t {
   kReduceMerge,     // reduce-side merge/group of fetched runs
   kReduceUser,      // user reduce() code
   kOutputWrite,     // writing final output
-  kMapIdle,         // map thread blocked on a full spill buffer
+  kMapIdle,         // map thread blocked on a full ring or the final drain
   kSupportIdle,     // support thread blocked waiting for a sealed spill
   kNumOps,
 };
@@ -216,6 +216,68 @@ struct JobMetrics {
     return static_cast<double>(max) / mean;
   }
 };
+
+/// One event in kTimingSamplePeriod on a per-record path reads the clock:
+/// an input line on the map thread, a key group in a reduce task. A clock
+/// read costs about as much as tokenizing a word, so timing every record
+/// made the instrumentation the hot path; 1 in 16 keeps the reads to a
+/// few per cent of one per record while a task of a few thousand lines
+/// still times hundreds of them.
+inline constexpr std::uint64_t kTimingSamplePeriod = 16;
+
+/// The one sampling rule for per-record timing (DESIGN.md §5b). Events are
+/// counted exactly; the first and then one in kTimingSamplePeriod are
+/// timed. Code on the path reads the clock only while timing() holds and
+/// adds what it measured here; the owner then turns the sampled times
+/// into op times with exact figures: split() divides an exactly measured
+/// wall by the sampled shares, scale() extrapolates by an exact count.
+class OpSampler {
+ public:
+  /// Counts the next event; true when it is timed.
+  bool next() {
+    timing_ = events_++ % kTimingSamplePeriod == 0;
+    return timing_;
+  }
+  bool timing() const { return timing_; }
+
+  void add(Op op, std::uint64_t ns) {
+    sampled_[static_cast<std::size_t>(op)] += ns;
+  }
+  std::uint64_t sampled_ns(Op op) const {
+    return sampled_[static_cast<std::size_t>(op)];
+  }
+
+  /// Adds `ns` to `metrics`, split across the sampled ops in proportion to
+  /// their sampled time. The parts sum to `ns` exactly.
+  void split(std::uint64_t ns, TaskMetrics& metrics) const;
+
+  /// Time measured over `sampled_count` units of work, extrapolated to
+  /// `exact_count` units.
+  static std::uint64_t scale(std::uint64_t sampled_ns,
+                             std::uint64_t sampled_count,
+                             std::uint64_t exact_count);
+
+ private:
+  std::uint64_t events_ = 0;
+  bool timing_ = false;
+  std::array<std::uint64_t, kNumOps> sampled_{};
+};
+
+/// For components that run under a thread's OpSampler or on their own (a
+/// unit test driving one directly): with a sampler they time only its
+/// timed events and add to it; without one they time every call straight
+/// into `metrics`.
+inline bool timing(const OpSampler* sampler) {
+  return sampler == nullptr || sampler->timing();
+}
+inline void add_timed(OpSampler* sampler, TaskMetrics& metrics, Op op,
+                      std::uint64_t ns) {
+  if (sampler != nullptr) {
+    sampler->add(op, ns);
+  } else {
+    metrics.op_ns(op) += ns;
+  }
+}
 
 /// RAII timer attributing an interval to one operation of one TaskMetrics.
 class ScopedTimer {

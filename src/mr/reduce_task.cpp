@@ -16,19 +16,42 @@ namespace {
 
 /// Where reduce output goes: a part file in the normal case, a segment
 /// file in skew mode. The group hooks bracket each reduce() call so the
-/// segment writer knows the group key and extent.
+/// segment writer knows the group key and extent. Per-record work is
+/// timed only in the reduce task's timed groups (into `sampler`); buffer
+/// flushes and close() time themselves exactly into `metrics`.
 class OutputSink : public EmitSink {
  public:
+  OutputSink(TaskMetrics& metrics, OpSampler& sampler)
+      : metrics_(metrics), sampler_(sampler) {}
   virtual void begin_group(std::string_view /*key*/) {}
   virtual void end_group() {}
   virtual void close() = 0;
+
+ protected:
+  /// Runs `append` (buffering only, no I/O), timed when the group is.
+  template <typename Append>
+  void sampled(Append&& append) {
+    if (!sampler_.timing()) {
+      append();
+      return;
+    }
+    const std::uint64_t t0 = monotonic_ns();
+    append();
+    sampler_.add(Op::kOutputWrite, monotonic_ns() - t0);
+  }
+
+  TaskMetrics& metrics_;
+
+ private:
+  OpSampler& sampler_;
 };
 
 /// Buffered text output writer for final results: `key \t value \n`.
 class PartFileWriter final : public OutputSink {
  public:
-  PartFileWriter(const std::filesystem::path& path, TaskMetrics& metrics)
-      : metrics_(metrics) {
+  PartFileWriter(const std::filesystem::path& path, TaskMetrics& metrics,
+                 OpSampler& sampler)
+      : OutputSink(metrics, sampler) {
     file_ = std::fopen(path.string().c_str(), "wb");
     if (file_ == nullptr) {
       throw IoError("cannot create output file " + path.string());
@@ -41,26 +64,28 @@ class PartFileWriter final : public OutputSink {
   }
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
-    buffer_.append(key.data(), key.size());
-    buffer_.push_back('\t');
-    buffer_.append(value.data(), value.size());
-    buffer_.push_back('\n');
+    sampled([&] {
+      buffer_.append(key.data(), key.size());
+      buffer_.push_back('\t');
+      buffer_.append(value.data(), value.size());
+      buffer_.push_back('\n');
+    });
     metrics_.output_records += 1;
     metrics_.output_bytes += key.size() + value.size() + 2;
-    if (buffer_.size() >= kFlushBytes) flush();
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
+    if (buffer_.size() >= kFlushBytes) {
+      ScopedTimer timer(metrics_, Op::kOutputWrite);
+      flush();
+    }
   }
 
   void close() override {
-    const std::uint64_t t0 = monotonic_ns();
+    ScopedTimer timer(metrics_, Op::kOutputWrite);
     flush();
     if (std::fclose(file_) != 0) {
       file_ = nullptr;
       throw IoError("close failed for reduce output");
     }
     file_ = nullptr;
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
  private:
@@ -77,7 +102,6 @@ class PartFileWriter final : public OutputSink {
 
   std::FILE* file_;
   std::string buffer_;
-  TaskMetrics& metrics_;
 };
 
 /// Segment-file writer for skew mode (DESIGN.md §12). Buffers one
@@ -88,8 +112,8 @@ class PartFileWriter final : public OutputSink {
 class SegmentSink final : public OutputSink {
  public:
   SegmentSink(const std::filesystem::path& path, SegmentKind kind,
-              TaskMetrics& metrics)
-      : writer_(path.string()), kind_(kind), metrics_(metrics) {}
+              TaskMetrics& metrics, OpSampler& sampler)
+      : OutputSink(metrics, sampler), writer_(path.string()), kind_(kind) {}
 
   void begin_group(std::string_view key) override {
     group_key_.assign(key);
@@ -97,32 +121,33 @@ class SegmentSink final : public OutputSink {
   }
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
     if (kind_ == SegmentKind::kOutput) {
-      blob_.append(key.data(), key.size());
-      blob_.push_back('\t');
-      blob_.append(value.data(), value.size());
-      blob_.push_back('\n');
+      sampled([&] {
+        blob_.append(key.data(), key.size());
+        blob_.push_back('\t');
+        blob_.append(value.data(), value.size());
+        blob_.push_back('\n');
+      });
       metrics_.output_bytes += key.size() + value.size() + 2;
     } else {
-      append_partial_value(blob_, value);
+      sampled([&] { append_partial_value(blob_, value); });
       metrics_.output_bytes += value.size();
     }
     metrics_.output_records += 1;
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
   void end_group() override {
     if (blob_.empty()) return;  // group emitted nothing: no entry at all
-    const std::uint64_t t0 = monotonic_ns();
-    writer_.add(kind_, group_key_, blob_);
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
+    sampled([&] { writer_.add(kind_, group_key_, blob_); });
+    if (writer_.flush_due()) {
+      ScopedTimer timer(metrics_, Op::kOutputWrite);
+      writer_.flush();
+    }
   }
 
   void close() override {
-    const std::uint64_t t0 = monotonic_ns();
+    ScopedTimer timer(metrics_, Op::kOutputWrite);
     writer_.finish();
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
  private:
@@ -130,23 +155,64 @@ class SegmentSink final : public OutputSink {
   SegmentKind kind_;
   std::string group_key_;
   std::string blob_;
-  TaskMetrics& metrics_;
 };
 
-/// Calls reduce() attributing sink time to kOutputWrite (self-accounted)
-/// and the remainder to kReduceUser.
+/// Counts the values a timed group's reduce() pulls, so its time can be
+/// scaled by records (group sizes are Zipf-skewed).
+class CountingValues final : public ValueStream {
+ public:
+  explicit CountingValues(ValueStream& values) : values_(values) {}
+
+  std::optional<std::string_view> next() override {
+    auto value = values_.next();
+    if (value.has_value()) ++count;
+    return value;
+  }
+
+  std::uint64_t count = 0;
+
+ private:
+  ValueStream& values_;
+};
+
+/// Sampled timing of the reduce task's group loop: the key groups the
+/// sampler times, and how many input and output records they held.
+struct ReduceTiming {
+  OpSampler sampler;
+  std::uint64_t input_records = 0;
+  std::uint64_t output_records = 0;
+};
+
+/// Calls reduce() for one group; a timed group also measures its user
+/// time (less its sink time) and its record counts.
 void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
-                 OutputSink& out, TaskMetrics& metrics) {
-  const std::uint64_t before_sink = metrics.op_ns(Op::kOutputWrite);
+                 OutputSink& out, TaskMetrics& metrics, ReduceTiming& timing) {
+  metrics.reduce_groups += 1;
+  if (!timing.sampler.timing()) {
+    out.begin_group(key);
+    reducer.reduce(key, values, out);
+    out.end_group();
+    return;
+  }
+  // The group's wall holds its sink time, sampled and exact (flushes).
+  const std::uint64_t sink_before =
+      timing.sampler.sampled_ns(Op::kOutputWrite) +
+      metrics.op_ns(Op::kOutputWrite);
+  const std::uint64_t output_before = metrics.output_records;
+  CountingValues counted(values);
   const std::uint64_t t0 = monotonic_ns();
   out.begin_group(key);
-  reducer.reduce(key, values, out);
+  reducer.reduce(key, counted, out);
   out.end_group();
   const std::uint64_t elapsed = monotonic_ns() - t0;
-  const std::uint64_t sink_delta =
-      metrics.op_ns(Op::kOutputWrite) - before_sink;
-  metrics.op_ns(Op::kReduceUser) += elapsed - std::min(elapsed, sink_delta);
-  metrics.reduce_groups += 1;
+  const std::uint64_t sink_ns = timing.sampler.sampled_ns(Op::kOutputWrite) +
+                                metrics.op_ns(Op::kOutputWrite) - sink_before;
+  timing.sampler.add(Op::kReduceUser, elapsed - std::min(elapsed, sink_ns));
+  // Values reduce() left unread still belong to the group.
+  while (counted.next().has_value()) {
+  }
+  timing.input_records += counted.count;
+  timing.output_records += metrics.output_records - output_before;
 }
 
 /// One map output's contribution to this reduce partition: the raw framed
@@ -230,16 +296,18 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   // final path untouched (and its temp is removed by the engine).
   const std::filesystem::path tmp_path =
       reduce_attempt_tmp_path(config.output_path, config.attempt);
+  ReduceTiming timing;
   std::unique_ptr<OutputSink> sink;
   if (config.output_kind == ReduceOutputKind::kPartFile) {
-    sink = std::make_unique<PartFileWriter>(tmp_path, metrics);
+    sink = std::make_unique<PartFileWriter>(tmp_path, metrics,
+                                            timing.sampler);
   } else {
     sink = std::make_unique<SegmentSink>(
         tmp_path,
         config.output_kind == ReduceOutputKind::kSegmentText
             ? SegmentKind::kOutput
             : SegmentKind::kPartial,
-        metrics);
+        metrics, timing.sampler);
   }
   OutputSink& out = *sink;
 
@@ -249,23 +317,37 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   for (const auto& fetch : fetched) {
     cursors.push_back(std::make_unique<MemoryRunCursor>(&fetch.refs));
   }
-  // Merge + group structural time is kReduceMerge; the group iteration
-  // interleaves with reduce() calls, so we accumulate it as
-  // total − (reduce user + output) deltas.
-  const std::uint64_t merge_start = monotonic_ns();
-  const std::uint64_t user_and_output_before =
-      metrics.op_ns(Op::kReduceUser) + metrics.op_ns(Op::kOutputWrite);
+  // The loop's wall is read once at each end. Sink flushes time
+  // themselves exactly. The rest is split across grouping (kReduceMerge),
+  // reduce() and per-record sink work in the shares of the timed groups,
+  // each scaled by the exact record count it grows with — group sizes
+  // are Zipf-skewed, so a count of groups would misweigh them.
+  const std::uint64_t loop_start = monotonic_ns();
+  const std::uint64_t flush_before = metrics.op_ns(Op::kOutputWrite);
   MergeStream stream(std::move(cursors));
   KeyGroups groups(stream);
-  while (auto key = groups.next_group()) {
-    call_reduce(*reducer, *key, groups.values(), out, metrics);
+  while (true) {
+    const bool timed = timing.sampler.next();
+    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const std::optional<std::string_view> key = groups.next_group();
+    if (timed) timing.sampler.add(Op::kReduceMerge, monotonic_ns() - t0);
+    if (!key.has_value()) break;
+    call_reduce(*reducer, *key, groups.values(), out, metrics, timing);
   }
-  const std::uint64_t elapsed = monotonic_ns() - merge_start;
-  const std::uint64_t user_and_output = metrics.op_ns(Op::kReduceUser) +
-                                        metrics.op_ns(Op::kOutputWrite) -
-                                        user_and_output_before;
-  metrics.op_ns(Op::kReduceMerge) +=
-      elapsed - std::min(elapsed, user_and_output);
+  const std::uint64_t loop_ns = monotonic_ns() - loop_start;
+  const std::uint64_t flush_ns =
+      metrics.op_ns(Op::kOutputWrite) - flush_before;
+  const OpSampler& sampled = timing.sampler;
+  OpSampler shares;
+  for (const Op op : {Op::kReduceMerge, Op::kReduceUser}) {
+    shares.add(op, OpSampler::scale(sampled.sampled_ns(op),
+                                    timing.input_records,
+                                    metrics.reduce_input_records));
+  }
+  shares.add(Op::kOutputWrite,
+             OpSampler::scale(sampled.sampled_ns(Op::kOutputWrite),
+                              timing.output_records, metrics.output_records));
+  shares.split(loop_ns - std::min(loop_ns, flush_ns), metrics);
   apply_span.done();
   {
     obs::SpanTimer close_span(trace, "task", "output_close");

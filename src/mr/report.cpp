@@ -40,6 +40,28 @@ void appendf(std::string& out, const char* format, ...) {
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
+double ratio(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 0.0
+                    : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+/// Job totals of the per-task unattributed time (MapTaskSummary).
+struct Unattributed {
+  std::uint64_t map_ns = 0;
+  std::uint64_t map_wall_ns = 0;  // sum of task walls
+  std::uint64_t support_ns = 0;
+};
+
+Unattributed unattributed(const JobResult& result) {
+  Unattributed total;
+  for (const auto& task : result.map_tasks) {
+    total.map_ns += task.map_unattributed_ns;
+    total.map_wall_ns += task.wall_ns;
+    total.support_ns += task.support_unattributed_ns;
+  }
+  return total;
+}
+
 }  // namespace
 
 std::string format_job_summary(const JobResult& result) {
@@ -88,6 +110,11 @@ std::string format_job_report(const JobResult& result,
   appendf(out, "intra-map parallelism: map thread idle %.1f%%, "
                "support thread idle %.1f%%\n",
           100.0 * m.map_idle_fraction(), 100.0 * m.support_idle_fraction());
+  const Unattributed lost = unattributed(result);
+  appendf(out, "unattributed: map thread %.1f%% of task wall, "
+               "support thread %.1f%% of pipeline wall\n",
+          100.0 * ratio(lost.map_ns, lost.map_wall_ns),
+          100.0 * ratio(lost.support_ns, m.support_thread_wall_ns));
 
   if (m.tasks_retried > 0) {
     appendf(out, "recovery: %llu tasks retried, %llu attempts for %llu tasks\n",
@@ -226,6 +253,16 @@ std::string format_job_metrics_json(const JobResult& result,
   w.field("support_idle_fraction", m.support_idle_fraction());
   w.end_object();
 
+  // Thread wall that no op accounts for, summed over map tasks.
+  const Unattributed lost = unattributed(result);
+  w.key("unattributed").begin_object();
+  w.field("map_thread_ns", lost.map_ns);
+  w.field("map_thread_fraction", ratio(lost.map_ns, lost.map_wall_ns));
+  w.field("support_thread_ns", lost.support_ns);
+  w.field("support_thread_fraction",
+          ratio(lost.support_ns, m.support_thread_wall_ns));
+  w.end_object();
+
   w.key("partition_skew").begin_object();
   w.field("partition_bytes_max", m.partition_bytes_max);
   w.field("partition_bytes_median", m.partition_bytes_median);
@@ -253,6 +290,8 @@ std::string format_job_metrics_json(const JobResult& result,
     w.field("spills", task.spills);
     w.field("final_spill_threshold", task.final_spill_threshold);
     w.field("freq_sampling_fraction", task.freq_sampling_fraction);
+    w.field("map_unattributed_ns", task.map_unattributed_ns);
+    w.field("support_unattributed_ns", task.support_unattributed_ns);
     w.end_object();
   }
   w.end_array();

@@ -304,27 +304,26 @@ void SegmentWriter::add(SegmentKind kind, std::string_view key,
   buffer_.append(key.data(), key.size());
   put_varint(buffer_, blob.size());
   buffer_.append(blob.data(), blob.size());
-  if (buffer_.size() >= kSegmentFlushBytes) {
-    if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
-        buffer_.size()) {
-      throw IoError("short write to segment " + path_);
-    }
-    bytes_ += buffer_.size();
-    buffer_.clear();
+}
+
+bool SegmentWriter::flush_due() const {
+  return buffer_.size() >= kSegmentFlushBytes;
+}
+
+void SegmentWriter::flush() {
+  if (buffer_.empty()) return;
+  if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
+      buffer_.size()) {
+    throw IoError("short write to segment " + path_);
   }
+  bytes_ += buffer_.size();
+  buffer_.clear();
 }
 
 std::uint64_t SegmentWriter::finish() {
   TEXTMR_CHECK(!finished_, "SegmentWriter::finish called twice");
   finished_ = true;
-  if (!buffer_.empty()) {
-    if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
-        buffer_.size()) {
-      throw IoError("short write to segment " + path_);
-    }
-    bytes_ += buffer_.size();
-    buffer_.clear();
-  }
+  flush();
   const int rc = std::fclose(file_);
   file_ = nullptr;
   if (rc != 0) throw IoError("close failed for segment " + path_);

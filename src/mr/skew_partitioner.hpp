@@ -147,7 +147,11 @@ class SegmentWriter {
   SegmentWriter(const SegmentWriter&) = delete;
   SegmentWriter& operator=(const SegmentWriter&) = delete;
 
+  /// Buffers one entry; no I/O. Call flush() when flush_due().
   void add(SegmentKind kind, std::string_view key, std::string_view blob);
+  bool flush_due() const;
+  /// Writes the buffered entries out.
+  void flush();
 
   /// Flushes and closes; returns total bytes. Must be called exactly once.
   std::uint64_t finish();

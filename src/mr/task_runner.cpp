@@ -188,11 +188,18 @@ void fold_map_result(const MapTaskResult& task_result, JobResult& result) {
       task_result.map_thread.op_ns(Op::kMapIdle);
   result.metrics.support_thread_idle_ns +=
       task_result.support_thread.op_ns(Op::kSupportIdle);
+  const std::uint64_t map_ops = task_result.map_thread.total_ns(true);
+  const std::uint64_t support_ops = task_result.support_thread.total_ns(true);
   result.map_tasks.push_back(JobResult::MapTaskSummary{
       task_result.wall_ns, task_result.pipeline_wall_ns,
       task_result.map_thread.op_ns(Op::kMapIdle),
       task_result.support_thread.op_ns(Op::kSupportIdle), task_result.spills,
-      task_result.final_spill_threshold, task_result.freq_sampling_fraction});
+      task_result.final_spill_threshold, task_result.freq_sampling_fraction,
+      task_result.wall_ns - std::min(task_result.wall_ns, map_ops),
+      support_ops == 0 ? 0
+                       : task_result.pipeline_wall_ns -
+                             std::min(task_result.pipeline_wall_ns,
+                                      support_ops)});
 }
 
 void fold_reduce_result(const ReduceTaskResult& reduce_result,

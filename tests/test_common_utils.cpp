@@ -134,6 +134,47 @@ TEST(ScopedTimer, AddsElapsedToOp) {
   EXPECT_GT(metrics.op_ns(mr::Op::kSort), 500'000u);
 }
 
+TEST(OpSampler, TimesTheFirstEventThenOneInThePeriod) {
+  mr::OpSampler sampler;
+  std::vector<std::uint64_t> timed;
+  for (std::uint64_t event = 0; event < 3 * mr::kTimingSamplePeriod; ++event) {
+    if (sampler.next()) timed.push_back(event);
+    EXPECT_EQ(sampler.timing(), !timed.empty() && timed.back() == event);
+  }
+  EXPECT_EQ(timed, (std::vector<std::uint64_t>{
+                       0, mr::kTimingSamplePeriod,
+                       2 * mr::kTimingSamplePeriod}));
+}
+
+TEST(OpSampler, SplitFollowsSampledSharesAndSumsExactly) {
+  mr::OpSampler sampler;
+  sampler.add(mr::Op::kMapRead, 10);
+  sampler.add(mr::Op::kMapUser, 60);
+  sampler.add(mr::Op::kEmit, 30);
+  mr::TaskMetrics metrics;
+  metrics.op_ns(mr::Op::kSort) = 5;  // exact time already there stays
+  sampler.split(1001, metrics);
+  EXPECT_EQ(metrics.op_ns(mr::Op::kMapRead), 100u);
+  EXPECT_EQ(metrics.op_ns(mr::Op::kMapUser), 600u);
+  EXPECT_EQ(metrics.op_ns(mr::Op::kEmit), 301u);  // takes the rounding
+  EXPECT_EQ(metrics.op_ns(mr::Op::kSort), 5u);
+  EXPECT_EQ(metrics.total_ns(), 1006u);
+
+  mr::TaskMetrics untouched;
+  mr::OpSampler().split(1000, untouched);  // nothing sampled: no shares
+  EXPECT_EQ(untouched.total_ns(), 0u);
+}
+
+TEST(OpSampler, ScaleExtrapolatesByExactCount) {
+  // 40 ns over 4 sampled records, 1000 records in all.
+  EXPECT_EQ(mr::OpSampler::scale(40, 4, 1000), 10000u);
+  EXPECT_EQ(mr::OpSampler::scale(40, 0, 1000), 0u);
+  // No overflow on long tasks: ~1 h sampled over 10^6 of 10^9 records.
+  EXPECT_EQ(mr::OpSampler::scale(3'600'000'000'000, 1'000'000,
+                                 1'000'000'000),
+            3'600'000'000'000'000u);
+}
+
 TEST(HashPartitioner, CoversAllPartitionsDeterministically) {
   mr::HashPartitioner partitioner(5);
   std::vector<int> seen(5, 0);

@@ -2,6 +2,8 @@
 
 #include "helpers.hpp"
 #include "mr/report.hpp"
+#include "mr/task_runner.hpp"
+#include "obs/json.hpp"
 
 namespace textmr {
 namespace {
@@ -202,6 +204,50 @@ TEST(Report, ShowsFreqTableHitsWhenEnabled) {
   const auto result = engine.run(spec);
   const auto report = mr::format_job_report(result);
   EXPECT_NE(report.find("freq-table hits"), std::string::npos);
+}
+
+TEST(Report, UnattributedIsThreadWallLessItsOps) {
+  // A sort-mode task: both threads, idle included in their ops.
+  mr::MapTaskResult sort_task;
+  sort_task.wall_ns = 1000;
+  sort_task.pipeline_wall_ns = 900;
+  sort_task.map_thread.op_ns(mr::Op::kMapUser) = 600;
+  sort_task.map_thread.op_ns(mr::Op::kMapIdle) = 350;
+  sort_task.support_thread.op_ns(mr::Op::kSort) = 500;
+  sort_task.support_thread.op_ns(mr::Op::kSupportIdle) = 300;
+  // A hash-mode task has no support thread, so nothing to leave out.
+  mr::MapTaskResult hash_task;
+  hash_task.wall_ns = 500;
+  hash_task.pipeline_wall_ns = 500;
+  hash_task.map_thread.op_ns(mr::Op::kEmit) = 480;
+  mr::JobResult result;
+  mr::fold_map_result(sort_task, result);
+  mr::fold_map_result(hash_task, result);
+
+  ASSERT_EQ(result.map_tasks.size(), 2u);
+  EXPECT_EQ(result.map_tasks[0].map_unattributed_ns, 50u);
+  EXPECT_EQ(result.map_tasks[0].support_unattributed_ns, 100u);
+  EXPECT_EQ(result.map_tasks[1].map_unattributed_ns, 20u);
+  EXPECT_EQ(result.map_tasks[1].support_unattributed_ns, 0u);
+
+  const auto json = obs::JsonValue::parse(mr::format_job_metrics_json(result));
+  ASSERT_TRUE(json.has_value());
+  const obs::JsonValue* lost = json->get("unattributed");
+  ASSERT_NE(lost, nullptr);
+  EXPECT_EQ(lost->get("map_thread_ns")->number_or(-1), 70.0);
+  EXPECT_NEAR(lost->get("map_thread_fraction")->number_or(-1), 70.0 / 1500.0,
+              1e-9);
+  EXPECT_EQ(lost->get("support_thread_ns")->number_or(-1), 100.0);
+  EXPECT_NEAR(lost->get("support_thread_fraction")->number_or(-1),
+              100.0 / 1400.0, 1e-9);
+  const obs::JsonValue& task = json->get("map_task_details")->array()[0];
+  EXPECT_EQ(task.get("map_unattributed_ns")->number_or(-1), 50.0);
+  EXPECT_EQ(task.get("support_unattributed_ns")->number_or(-1), 100.0);
+
+  EXPECT_NE(mr::format_job_report(result).find(
+                "unattributed: map thread 4.7% of task wall, "
+                "support thread 7.1% of pipeline wall"),
+            std::string::npos);
 }
 
 }  // namespace

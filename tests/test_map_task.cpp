@@ -234,5 +234,64 @@ TEST(MapTask, IdleTimeIsMeasured) {
   EXPECT_GE(result.wall_ns, result.pipeline_wall_ns);
 }
 
+/// Every volume counter of `metrics` against `expected` (absent = 0).
+void expect_volumes(const TaskMetrics& metrics,
+                    const std::map<std::string, std::uint64_t>& expected) {
+  for (const VolumeCounter& counter : kVolumeCounters) {
+    const auto it = expected.find(counter.name);
+    EXPECT_EQ(metrics.*counter.member, it == expected.end() ? 0u : it->second)
+        << counter.name;
+  }
+}
+
+TEST(MapTask, SampledTimingKeepsCountsExactAndOpsWithinWall) {
+  // The map thread reads the clock on one line in kTimingSamplePeriod and
+  // splits the loop's wall by the sampled shares. The counters must not
+  // notice: the expected values are those of per-record timing. One 4 MiB
+  // spill keeps every counter independent of thread scheduling.
+  struct Case {
+    CombineMode mode;
+    std::map<std::string, std::uint64_t> map_thread;
+    std::map<std::string, std::uint64_t> support_thread;
+  };
+  const std::map<std::string, std::uint64_t> produced = {
+      {"input_records", 3000},       {"input_bytes", 145890},
+      {"map_output_records", 24000}, {"map_output_bytes", 145890},
+      {"freq_hits", 19922},          {"freq_flushes", 4},
+      {"spill_input_records", 4082}, {"spill_input_bytes", 32077},
+      {"merged_records", 3004},      {"merged_bytes", 31925},
+  };
+  const std::map<std::string, std::uint64_t> spilled = {
+      {"spilled_records", 3004}, {"spilled_bytes", 31925}, {"spill_count", 1}};
+  auto hash_map_thread = produced;
+  hash_map_thread.insert(spilled.begin(), spilled.end());
+  hash_map_thread["hash_combine_hits"] = 1078;
+  const Case cases[] = {
+      {CombineMode::kSort, produced, spilled},
+      {CombineMode::kHash, hash_map_thread, {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.mode == CombineMode::kSort ? "sort" : "hash");
+    TempDir dir;
+    auto config = base_config(dir, write_corpus(dir, "in.txt", 3000));
+    config.spill_buffer_bytes = 4 << 20;
+    config.combine_mode = c.mode;
+    config.freqbuf.enabled = true;
+    config.freqbuf.top_k = 8;
+    config.freqbuf.sampling_fraction = 0.05;
+    config.freqbuf.share_across_tasks = false;
+    config.freq_table_budget_bytes = 16 * 1024;
+    const auto result = run_map_task(config);
+
+    EXPECT_LE(result.map_thread.total_ns(/*include_idle=*/true),
+              result.wall_ns);
+    EXPECT_GT(result.map_thread.op_ns(Op::kMapUser), 0u);
+    EXPECT_GT(result.map_thread.op_ns(Op::kEmit), 0u);
+    EXPECT_GT(result.map_thread.op_ns(Op::kMapRead), 0u);
+    expect_volumes(result.map_thread, c.map_thread);
+    expect_volumes(result.support_thread, c.support_thread);
+  }
+}
+
 }  // namespace
 }  // namespace textmr::mr

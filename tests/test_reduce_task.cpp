@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 
@@ -116,6 +117,33 @@ TEST(ReduceTask, MetricsCountShuffleAndGroups) {
   EXPECT_EQ(result.metrics.output_records, 3u);
   EXPECT_GT(result.metrics.shuffled_bytes, 0u);
   EXPECT_GT(result.metrics.op_ns(Op::kShuffle), 0u);
+}
+
+TEST(ReduceTask, SampledGroupTimingKeepsOpsWithinWall) {
+  // One key group in kTimingSamplePeriod is timed; reduce() and sink time
+  // are scaled by the exact record counts, the rest of the loop is merge.
+  // Skewed group sizes, so scaling by group count would be visibly off.
+  TempDir dir;
+  std::vector<std::tuple<std::uint32_t, std::string, std::uint64_t>> records;
+  std::uint64_t input_records = 0;
+  for (int k = 0; k < 2000; ++k) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%05d", k);
+    for (int v = 0; v < 1 + 200 / (k + 1); ++v, ++input_records) {
+      records.emplace_back(0, key, 1);
+    }
+  }
+  std::vector<io::SpillRunInfo> outputs;
+  outputs.push_back(write_map_output(dir.file("m0"), 1, records));
+  const auto result = run_reduce_task(base_config(dir, outputs));
+  EXPECT_EQ(result.metrics.reduce_input_records, input_records);
+  EXPECT_EQ(result.metrics.reduce_groups, 2000u);
+  EXPECT_EQ(result.metrics.output_records, 2000u);
+  EXPECT_EQ(read_part(result.output_path).at("k00000"), "201");
+  EXPECT_GT(result.metrics.op_ns(Op::kReduceUser), 0u);
+  EXPECT_GT(result.metrics.op_ns(Op::kOutputWrite), 0u);
+  EXPECT_GT(result.metrics.op_ns(Op::kReduceMerge), 0u);
+  EXPECT_LE(result.metrics.total_ns(), result.wall_ns);
 }
 
 TEST(ReduceTask, ReducerSeesValuesFromAllMapOutputs) {
