@@ -62,30 +62,41 @@ void BM_LruOffer(benchmark::State& state) {
 }
 BENCHMARK(BM_LruOffer)->Arg(1000)->Arg(10000);
 
-void BM_FrequentKeyTableHit(benchmark::State& state) {
-  class NullSink final : public mr::EmitSink {
-    void emit(std::string_view, std::string_view) override {}
-  } sink;
+void BM_AdmissionTableHit(benchmark::State& state) {
+  // FreqOpt's path after the freeze: the controller offers each record to
+  // the combine table, which admits the frozen top-3000 set and combines
+  // WordCount's counters in place. Timed like the map thread drives it:
+  // one offer in kTimingSamplePeriod reads the clock.
+  class NullTarget final : public mr::HashCombineShards::FlushTarget {
+    void put(std::uint32_t, std::string_view, std::string_view) override {}
+    void seal() override {}
+  } target;
   mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
+  mr::HashCombineConfig config;
+  config.memory_budget_bytes = (16u << 20) * 3 / 10;  // the §V-B2 30% share
+  mr::HashCombineShards table(config, &combiner, target, metrics, nullptr);
+  freqbuf::FreqBufConfig freq_config;
+  freq_config.enabled = true;
+  mr::OpSampler sampler;
+  freqbuf::NodeKeyCache cache;
   std::vector<std::string> hot;
   for (int i = 1; i <= 3000; ++i) hot.push_back(textgen::word_for_rank(i));
-  // Timed like the map thread drives it: one offer in
-  // kTimingSamplePeriod reads the clock.
-  mr::OpSampler sampler;
-  freqbuf::FrequentKeyTable table(hot, {}, &combiner, sink, metrics,
-                                  &sampler);
+  cache.put(hot);  // frozen set: the controller starts in kOptimize
+  freqbuf::FreqBufferController controller(freq_config, table, metrics, &cache,
+                                           nullptr, &sampler);
   const auto keys = zipf_keys(1 << 16, 1.0);
   std::string value;
   put_varint(value, 1);
   std::size_t i = 0;
   for (auto _ : state) {
     sampler.next();
-    benchmark::DoNotOptimize(table.offer(keys[i++ & (keys.size() - 1)], value));
+    benchmark::DoNotOptimize(
+        controller.offer(0, keys[i++ & (keys.size() - 1)], value));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FrequentKeyTableHit);
+BENCHMARK(BM_AdmissionTableHit);
 
 void BM_SpillBufferPipeline(benchmark::State& state) {
   // Producer/consumer throughput of the circular buffer at a given spill

@@ -9,7 +9,7 @@
 //   textmr_cli gen graph OUT.txt [--pages N]
 //   textmr_cli run APP INPUT... --out DIR [--reducers R] [--freq] [--matcher]
 //              [--topk K] [--sample S] [--buffer MB] [--report]
-//              [--hash-combine] [--hash-shards N]
+//              [--hash-combine] [--hash-shards N]   (not with --freq)
 //              [--skew-partitioner] [--skew-split-threshold X]
 //              [--trace FILE] [--metrics-json FILE]
 //              [--failpoints SPEC] [--max-task-attempts N]
@@ -104,7 +104,8 @@ int usage() {
                "  textmr_cli gen graph OUT [--pages N]\n"
                "  textmr_cli run APP INPUT... --out DIR [--reducers R]\n"
                "             [--freq] [--matcher] [--topk K] [--sample S]\n"
-               "             [--hash-combine] [--hash-shards N]\n"
+               "             [--hash-combine] [--hash-shards N] "
+               "(not with --freq)\n"
                "             [--buffer MB] [--report]\n"
                "             [--skew-partitioner] [--skew-split-threshold X]\n"
                "             [--trace FILE] [--metrics-json FILE]\n"
@@ -209,7 +210,8 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
       static_cast<std::size_t>(args.u64("buffer", 16)) << 20;
   spec.use_spill_matcher = args.flag("matcher");
   // --hash-combine swaps the map-side sort pipeline for the sharded
-  // hash-combine path (DESIGN.md §15); output is byte-identical.
+  // hash-combine path (DESIGN.md §15); output is byte-identical. Its
+  // table admits every key, so with --freq the job is a config error.
   if (args.flag("hash-combine")) {
     spec.combine_mode = mr::CombineMode::kHash;
     spec.hash_combine_shards = static_cast<std::uint32_t>(

@@ -183,7 +183,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
     // frequent-key set, persisted so a replacement worker for the same
     // node id reuses it (§III-B, DESIGN.md §10).
     freqbuf::NodeKeyCache node_cache;
-    if (spec.freqbuf.enabled && spec.freqbuf.share_across_tasks) {
+    if (spec.freqbuf.enabled) {
       node_cache.attach_file(
           spec.scratch_dir /
           ("node-" + std::to_string(ctx.worker_id) + ".keycache"));

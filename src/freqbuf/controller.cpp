@@ -101,17 +101,13 @@ void NodeKeyCache::attach_file(std::filesystem::path path) {
 }
 
 FreqBufferController::FreqBufferController(const FreqBufConfig& config,
-                                           std::uint64_t table_budget_bytes,
-                                           mr::Reducer* combiner,
-                                           mr::EmitSink& spill_sink,
+                                           mr::HashCombineShards& table,
                                            mr::TaskMetrics& metrics,
                                            NodeKeyCache* node_cache,
                                            obs::TraceBuffer* trace,
                                            mr::OpSampler* sampler)
     : config_(config),
-      table_budget_bytes_(table_budget_bytes),
-      combiner_(combiner),
-      spill_sink_(spill_sink),
+      table_(table),
       metrics_(metrics),
       node_cache_(node_cache),
       trace_(trace),
@@ -119,7 +115,7 @@ FreqBufferController::FreqBufferController(const FreqBufConfig& config,
   TEXTMR_CHECK(config.enabled, "controller built with freqbuf disabled");
   TEXTMR_CHECK(config.top_k >= 1, "freqbuf needs top_k >= 1");
 
-  if (config_.share_across_tasks && node_cache_ != nullptr) {
+  if (node_cache_ != nullptr) {
     if (auto cached = node_cache_->get(); cached.has_value()) {
       // A sibling task on this node already froze the set: skip straight
       // to the optimization stage (paper §III-B).
@@ -141,7 +137,7 @@ void FreqBufferController::set_progress(double fraction) {
   progress_ = std::clamp(fraction, 0.0, 1.0);
   switch (stage_) {
     case Stage::kPreProfile:
-      if (progress_ >= config_.pre_profile_fraction && records_seen_ > 0) {
+      if (progress_ >= kPreProfileFraction && records_seen_ > 0) {
         // Fit alpha from the exact pre-profile counts (paper §III-C).
         auto top = pre_counts_.top(pre_counts_.distinct());
         std::vector<std::uint64_t> freqs;
@@ -163,7 +159,7 @@ void FreqBufferController::set_progress(double fraction) {
             static_cast<std::uint64_t>(std::max(1.0, m_estimate)),
             static_cast<std::uint64_t>(std::max(1.0, n_estimate)));
         // The pre-profiled records count toward the sample.
-        effective_s_ = std::max(effective_s_, config_.pre_profile_fraction);
+        effective_s_ = std::max(effective_s_, kPreProfileFraction);
         enter_profile_stage();
         // Seed the Space-Saving sketch with what the exact counter knows,
         // so the pre-profiled prefix is not wasted.
@@ -200,63 +196,57 @@ void FreqBufferController::freeze_keys() {
   obs::record_instant(trace_, "freq", "freq_freeze", "keys",
                       static_cast<double>(keys.size()), "records_profiled",
                       static_cast<double>(records_seen_));
-  if (config_.share_across_tasks && node_cache_ != nullptr) {
-    node_cache_->put(keys);
-  }
+  if (node_cache_ != nullptr) node_cache_->put(keys);
   sketch_.reset();
   start_optimize(std::move(keys));
 }
 
 void FreqBufferController::start_optimize(std::vector<std::string> keys) {
-  if (combiner_ == nullptr) {
+  if (!table_.has_combiner()) {
     // Without a combiner the table could only delay data, not shrink it
     // (pure overhead); keep the profiling cost honest but absorb nothing,
     // matching the paper's ~100% runtime for AccessLogJoin (Table III).
     keys.clear();
   }
-  FrequentKeyTable::Options options;
-  options.budget_bytes = table_budget_bytes_;
-  options.per_key_limit_bytes = config_.per_key_limit_bytes;
-  table_ = std::make_unique<FrequentKeyTable>(
-      std::move(keys), options, combiner_, spill_sink_, metrics_, sampler_);
+  table_.admit_only(std::move(keys));
   stage_ = Stage::kOptimize;
 }
 
-bool FreqBufferController::offer(std::string_view key,
+bool FreqBufferController::offer(std::uint32_t partition, std::string_view key,
                                  std::string_view value) {
   ++records_seen_;
-  switch (stage_) {
-    case Stage::kPreProfile:
-    case Stage::kProfile: {
-      const bool timed = mr::timing(sampler_);
-      const std::uint64_t t0 = timed ? monotonic_ns() : 0;
-      if (stage_ == Stage::kPreProfile) {
-        pre_counts_.offer(key);
-      } else {
-        sketch_->offer(key);
-      }
-      if (timed) {
-        mr::add_timed(sampler_, metrics_, mr::Op::kProfile,
-                      monotonic_ns() - t0);
-      }
-      return false;
+  const bool timed = mr::timing(sampler_);
+  const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+  if (stage_ != Stage::kOptimize) {
+    if (stage_ == Stage::kPreProfile) {
+      pre_counts_.offer(key);
+    } else {
+      sketch_->offer(key);
     }
-    case Stage::kOptimize:
-      // Sampled time-series of the table's occupancy and hit rate (one
-      // point per 1024 records; a single branch when tracing is off).
-      if (trace_ != nullptr && (records_seen_ & 1023u) == 0) {
-        obs::record_counter(trace_, "freq", "freq_buffered_bytes",
-                            static_cast<double>(table_->buffered_bytes()));
-        obs::record_counter(
-            trace_, "freq", "freq_hit_rate",
-            static_cast<double>(metrics_.freq_hits) /
-                static_cast<double>(records_seen_));
-      }
-      // No timer here: the table times its fast path to kFreqTable and
-      // its combines to kCombine itself.
-      return table_->offer(key, value);
+    if (timed) {
+      mr::add_timed(sampler_, metrics_, mr::Op::kProfile, monotonic_ns() - t0);
+    }
+    return false;
   }
-  return false;
+  // Sampled time-series of the table's occupancy and hit rate (one point
+  // per 1024 records; a single branch when tracing is off).
+  if (trace_ != nullptr && (records_seen_ & 1023u) == 0) {
+    obs::record_counter(trace_, "freq", "freq_buffered_bytes",
+                        static_cast<double>(table_.resident_bytes()));
+    obs::record_counter(trace_, "freq", "freq_hit_rate",
+                        static_cast<double>(metrics_.freq_hits) /
+                            static_cast<double>(records_seen_));
+  }
+  const std::uint64_t flushes = table_.stats().flushes;
+  const bool absorbed = table_.insert(partition, key, value);
+  if (absorbed) metrics_.freq_hits += 1;
+  // The table's time is kFreqTable, except on the rare insert that
+  // flushes: a flush times its own combine and sort, and its ring puts
+  // are emits, so no interval is counted twice.
+  if (timed && table_.stats().flushes == flushes) {
+    mr::add_timed(sampler_, metrics_, mr::Op::kFreqTable, monotonic_ns() - t0);
+  }
+  return absorbed;
 }
 
 void FreqBufferController::finish() {
@@ -272,12 +262,9 @@ void FreqBufferController::finish() {
     }
     freeze_keys();
   }
-  if (table_ != nullptr) {
-    obs::record_instant(trace_, "freq", "freq_flush", "buffered_bytes",
-                        static_cast<double>(table_->buffered_bytes()),
-                        "keys", static_cast<double>(table_->num_keys()));
-    table_->flush();
-  }
+  obs::record_instant(trace_, "freq", "freq_flush", "buffered_bytes",
+                      static_cast<double>(table_.resident_bytes()));
+  table_.finish();
 }
 
 }  // namespace textmr::freqbuf

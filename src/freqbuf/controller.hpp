@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "freqbuf/frequent_key_table.hpp"
+#include "mr/hash_combine.hpp"
 #include "mr/metrics.hpp"
 #include "mr/types.hpp"
 #include "obs/trace.hpp"
@@ -29,28 +29,19 @@ struct FreqBufConfig {
 
   /// Fraction of input records to profile before freezing the key set
   /// (paper's s). 0 enables the §III-C auto-tuner, which pre-profiles
-  /// `pre_profile_fraction` of the records, fits a Zipf alpha and derives
+  /// kPreProfileFraction of the records, fits a Zipf alpha and derives
   /// s from  n*s >= k^alpha * H_{m,alpha}.
   double sampling_fraction = 0.0;
-
-  /// Fraction of records examined by the auto-tuner's pre-profiling step
-  /// ("about 1%", §III-C).
-  double pre_profile_fraction = 0.01;
 
   /// Fraction of the spill buffer's capacity handed to the frequent-key
   /// table ("we devoted 30% of the baseline's spill buffer", §V-B2).
   /// The engine shrinks the spill buffer accordingly, keeping the total
   /// memory fixed.
   double table_budget_fraction = 0.3;
-
-  /// Per-key buffered-value limit that triggers an eager combine().
-  std::uint64_t per_key_limit_bytes = 4096;
-
-  /// Share the frozen key set between map tasks on the same node
-  /// (§III-B: "our system finds the top-k frequent-key set just once for
-  /// all the tasks that run on a single node").
-  bool share_across_tasks = true;
 };
+
+/// Fraction of records the auto-tuner pre-profiles ("about 1%", §III-C).
+inline constexpr double kPreProfileFraction = 0.01;
 
 /// Per-node cache of the frozen frequent-key set. Shared by every map
 /// task a worker ("node") runs, hence the lock: concurrent tasks race to
@@ -94,27 +85,29 @@ class NodeKeyCache {
 /// Map-side frequency-buffering state machine. One instance per map task,
 /// living on the map thread's emit path:
 ///
-///   kPreProfile --(pre_profile_fraction reached)--> kProfile
-///   kProfile    --(sampling fraction s reached)---> kOptimize
+///   kPreProfile --(kPreProfileFraction reached)--> kProfile
+///   kProfile    --(sampling fraction s reached)--> kOptimize
 ///
 /// During the first two stages every record continues down the standard
-/// spill path (offer() returns false) while being counted; in kOptimize
-/// records with frequent keys are absorbed by the FrequentKeyTable.
-/// With a shared NodeKeyCache holding a frozen set, a task starts directly
-/// in kOptimize.
+/// spill path (offer() returns false) while being counted. At the freeze
+/// the controller hands the task's combine table its admission set — the
+/// top-k keys (paper §III-B) — and in kOptimize offers every record to
+/// that table, which absorbs the admitted ones. With a NodeKeyCache
+/// holding a frozen set (sibling tasks on this node, §III-B: "our system
+/// finds the top-k frequent-key set just once for all the tasks that run
+/// on a single node"), a task starts directly in kOptimize.
 class FreqBufferController {
  public:
   enum class Stage { kPreProfile, kProfile, kOptimize };
 
-  /// `spill_sink` is where absorbed records re-enter the standard
-  /// dataflow (table overflow + final flush). `combiner` may be null.
-  /// `trace` (optional, owned by the map thread) receives stage
-  /// transitions and sampled occupancy / hit-rate counters. `sampler`
-  /// (optional, the map thread's) limits profile and table timing to its
-  /// timed lines; without one every offer is timed into `metrics`.
+  /// `table` (not owned) is the combine table the frozen set is admitted
+  /// to; a table without a combiner is admitted nothing. `trace` (optional, owned
+  /// by the map thread) receives stage transitions and sampled occupancy
+  /// / hit-rate counters. `sampler` (optional, the map thread's) limits
+  /// profile and table timing to its timed lines; without one every
+  /// offer is timed into `metrics`.
   FreqBufferController(const FreqBufConfig& config,
-                       std::uint64_t table_budget_bytes,
-                       mr::Reducer* combiner, mr::EmitSink& spill_sink,
+                       mr::HashCombineShards& table,
                        mr::TaskMetrics& metrics,
                        NodeKeyCache* node_cache = nullptr,
                        obs::TraceBuffer* trace = nullptr,
@@ -124,10 +117,13 @@ class FreqBufferController {
   /// the task's input processed so far. Drives stage transitions.
   void set_progress(double fraction);
 
-  /// Routes one map-output tuple. Returns true if absorbed.
-  bool offer(std::string_view key, std::string_view value);
+  /// Routes one partitioned map-output tuple. Returns true if the table
+  /// absorbed it.
+  bool offer(std::uint32_t partition, std::string_view key,
+             std::string_view value);
 
-  /// Flushes the table into the spill sink. Call once at end of input.
+  /// Freezes the set if input ended first, then flushes the table. Call
+  /// once at end of input.
   void finish();
 
   Stage stage() const { return stage_; }
@@ -140,17 +136,13 @@ class FreqBufferController {
   /// before the fit happens).
   std::optional<sketch::ZipfFit> zipf_fit() const { return fit_; }
 
-  const FrequentKeyTable* table() const { return table_.get(); }
-
  private:
   void enter_profile_stage();
   void freeze_keys();
   void start_optimize(std::vector<std::string> keys);
 
   FreqBufConfig config_;
-  std::uint64_t table_budget_bytes_;
-  mr::Reducer* combiner_;
-  mr::EmitSink& spill_sink_;
+  mr::HashCombineShards& table_;
   mr::TaskMetrics& metrics_;
   NodeKeyCache* node_cache_;
   obs::TraceBuffer* trace_;
@@ -164,7 +156,6 @@ class FreqBufferController {
   sketch::ExactCounter pre_counts_;   // pre-profiling (exact over ~1%)
   std::optional<sketch::ZipfFit> fit_;
   std::unique_ptr<sketch::SpaceSaving> sketch_;
-  std::unique_ptr<FrequentKeyTable> table_;
 };
 
 }  // namespace textmr::freqbuf

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -44,6 +45,87 @@ inline std::string_view block_value(const std::vector<char>& heap,
   return {heap.data() + offset + kBlockHeader, size};
 }
 
+/// ValueStream over an entry's chain, then `incoming` when given. Chain
+/// values are copied into a reused scratch before being handed out: a
+/// combiner may emit() between next() calls, and the emit path can grow
+/// or overwrite the very heap these blocks live in — an offset survives
+/// that, a view into the heap does not.
+class ChainValueStream final : public ValueStream {
+ public:
+  ChainValueStream(const std::vector<char>& heap, std::uint32_t head,
+                   const std::string_view* incoming, std::uint32_t nil)
+      : heap_(heap), cursor_(head), incoming_(incoming), nil_(nil) {}
+
+  std::optional<std::string_view> next() override {
+    if (cursor_ != nil_) {
+      scratch_.assign(block_value(heap_, cursor_));
+      cursor_ = load_u32(heap_, cursor_);
+      return std::string_view(scratch_);
+    }
+    if (incoming_ != nullptr) {
+      const std::string_view value = *incoming_;
+      incoming_ = nullptr;
+      return value;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  const std::vector<char>& heap_;
+  std::uint32_t cursor_;
+  const std::string_view* incoming_;
+  std::uint32_t nil_;
+  std::string scratch_;
+};
+
+}  // namespace
+
+/// The default flush target: each flush becomes one sorted run file,
+/// timed from its first record to its footer into kSpillWrite.
+class HashCombineShards::RunTarget final : public FlushTarget {
+ public:
+  explicit RunTarget(HashCombineShards& table) : table_(table) {}
+
+  void put(std::uint32_t partition, std::string_view key,
+           std::string_view value) override {
+    if (writer_ == nullptr) {
+      start_ns_ = monotonic_ns();
+      writer_ = std::make_unique<io::SpillRunWriter>(
+          table_.next_run_path_(table_.run_sequence_++),
+          table_.config_.num_partitions, table_.config_.format);
+    }
+    writer_->append(partition, key, value);
+  }
+
+  void seal() override {
+    if (writer_ == nullptr) return;
+    io::SpillRunInfo info = writer_->finish();
+    writer_.reset();
+    TaskMetrics& metrics = table_.metrics_;
+    metrics.op_ns(Op::kSpillWrite) += monotonic_ns() - start_ns_;
+    metrics.spilled_records += info.records;
+    metrics.spilled_bytes += info.bytes;
+    metrics.spill_count += 1;
+    table_.runs_.push_back(std::move(info));
+  }
+
+ private:
+  HashCombineShards& table_;
+  std::unique_ptr<io::SpillRunWriter> writer_;
+  std::uint64_t start_ns_ = 0;
+};
+
+namespace {
+
+std::size_t derive_watermark(const HashCombineConfig& config) {
+  TEXTMR_CHECK(config.num_shards >= 1 && config.num_shards <= 64,
+               "hash-combine shard count out of range");
+  return config.watermark_bytes != 0
+             ? config.watermark_bytes
+             : std::max<std::size_t>(
+                   32u << 10, config.memory_budget_bytes / config.num_shards);
+}
+
 }  // namespace
 
 HashCombineShards::HashCombineShards(
@@ -51,37 +133,90 @@ HashCombineShards::HashCombineShards(
     std::function<std::string(std::uint64_t)> next_run_path,
     TaskMetrics& metrics, obs::TraceBuffer* trace)
     : config_(config),
+      watermark_(derive_watermark(config)),
       combiner_(combiner),
       next_run_path_(std::move(next_run_path)),
       metrics_(metrics),
-      trace_(trace) {
-  TEXTMR_CHECK(config_.num_shards >= 1 && config_.num_shards <= 64,
-               "hash-combine shard count out of range");
-  watermark_ = config_.watermark_bytes != 0
-                   ? config_.watermark_bytes
-                   : std::max<std::size_t>(
-                         32u << 10,
-                         config_.memory_budget_bytes / config_.num_shards);
-  shards_.resize(config_.num_shards);
+      trace_(trace),
+      run_target_(std::make_unique<RunTarget>(*this)),
+      target_(*run_target_),
+      shards_(config.num_shards) {
   for (Shard& shard : shards_) {
     shard.keys = RecordArena(config_.format);
     shard.spill = RecordArena(config_.format);
   }
 }
 
+HashCombineShards::HashCombineShards(const HashCombineConfig& config,
+                                     Reducer* combiner, FlushTarget& target,
+                                     TaskMetrics& metrics,
+                                     obs::TraceBuffer* trace)
+    : config_(config),
+      watermark_(derive_watermark(config)),
+      combiner_(combiner),
+      metrics_(metrics),
+      trace_(trace),
+      target_(target),
+      shards_(config.num_shards) {
+  // No run path to demote to: a pressured shard keeps flushing into the
+  // target instead.
+  config_.demote_after_flushes = std::numeric_limits<std::uint32_t>::max();
+  for (Shard& shard : shards_) shard.keys = RecordArena(config_.format);
+}
+
 HashCombineShards::~HashCombineShards() = default;
 
-std::size_t HashCombineShards::resident_bytes(const Shard& shard) const {
+void HashCombineShards::admit_only(std::vector<std::string> keys) {
+  Admission admission;
+  admission.keys = std::move(keys);
+  const std::size_t count = admission.keys.size();
+  std::size_t size = 1;
+  while (size < count * 2) size <<= 1;
+  admission.slots.assign(size, 0);
+  admission.hashes.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t hash = hash_key(admission.keys[i]);
+    admission.hashes.push_back(hash);
+    std::uint64_t j = hash & (size - 1);
+    while (admission.slots[j] != 0) j = (j + 1) & (size - 1);
+    admission.slots[j] = static_cast<std::uint32_t>(i + 1);
+  }
+  admission_ = std::move(admission);
+}
+
+bool HashCombineShards::admitted(std::uint64_t hash,
+                                 std::string_view key) const {
+  if (!admission_.has_value()) return true;
+  const Admission& admission = *admission_;
+  const std::uint64_t mask = admission.slots.size() - 1;
+  for (std::uint64_t j = hash & mask;; j = (j + 1) & mask) {
+    const std::uint32_t idx = admission.slots[j];
+    if (idx == 0) return false;
+    if (admission.hashes[idx - 1] == hash && admission.keys[idx - 1] == key) {
+      return true;
+    }
+  }
+}
+
+std::size_t HashCombineShards::shard_bytes(const Shard& shard) const {
   return shard.keys.payload_bytes() + shard.values.size() +
          shard.entries.capacity() * sizeof(Entry) +
          shard.slots.size() * sizeof(std::uint32_t);
 }
 
+std::size_t HashCombineShards::resident_bytes() const {
+  std::size_t bytes = 0;
+  for (const Shard& shard : shards_) bytes += shard_bytes(shard);
+  return bytes;
+}
+
 std::uint32_t HashCombineShards::alloc_block(Shard& shard,
-                                             std::string_view value) {
+                                             std::string_view value,
+                                             bool slack) {
   // Slack so counter-style combined values can grow a few digits without
-  // abandoning the block.
-  const std::size_t cap = value.size() + (value.size() >> 1) + 8;
+  // abandoning the block; chained blocks are never rewritten.
+  const std::size_t cap =
+      slack ? value.size() + (value.size() >> 1) + 8 : value.size();
   const std::size_t offset = shard.values.size();
   TEXTMR_CHECK(offset + kBlockHeader + cap < kNil,
                "hash-combine shard value heap overflow");
@@ -93,6 +228,18 @@ std::uint32_t HashCombineShards::alloc_block(Shard& shard,
   std::memcpy(shard.values.data() + offset + kBlockHeader, value.data(),
               value.size());
   return static_cast<std::uint32_t>(offset);
+}
+
+void HashCombineShards::append_value(Shard& shard, Entry& entry,
+                                     std::uint32_t block) {
+  if (entry.value_head == kNil) {
+    entry.value_head = block;
+    return;
+  }
+  store_u32(shard.values,
+            entry.value_tail == kNil ? entry.value_head : entry.value_tail,
+            block);
+  entry.value_tail = block;
 }
 
 void HashCombineShards::grow_slots(Shard& shard) {
@@ -107,56 +254,21 @@ void HashCombineShards::grow_slots(Shard& shard) {
   }
 }
 
-namespace {
+void HashCombineShards::combine(Shard& shard, Entry& entry,
+                                const std::string_view* incoming) {
+  ChainValueStream values(shard.values, entry.value_head, incoming, kNil);
 
-/// ValueStream over an entry's chain followed by the incoming value.
-/// Chain values are copied into a reused scratch before being handed out:
-/// a combiner may emit() between next() calls, and the emit path can grow
-/// or overwrite the very heap these blocks live in — an offset survives
-/// that, a view into the heap does not.
-class ChainValueStream final : public ValueStream {
- public:
-  ChainValueStream(const std::vector<char>& heap, std::uint32_t head,
-                   std::string_view incoming, std::uint32_t nil)
-      : heap_(heap), cursor_(head), incoming_(incoming), nil_(nil) {}
-
-  std::optional<std::string_view> next() override {
-    if (cursor_ != nil_) {
-      scratch_.assign(block_value(heap_, cursor_));
-      cursor_ = load_u32(heap_, cursor_);
-      return std::string_view(scratch_);
-    }
-    if (!incoming_consumed_) {
-      incoming_consumed_ = true;
-      return incoming_;
-    }
-    return std::nullopt;
-  }
-
- private:
-  const std::vector<char>& heap_;
-  std::uint32_t cursor_;
-  std::string_view incoming_;
-  std::uint32_t nil_;
-  bool incoming_consumed_ = false;
-  std::string scratch_;
-};
-
-}  // namespace
-
-void HashCombineShards::combine_into(Shard& shard, Entry& entry,
-                                     std::string_view value) {
-  ChainValueStream values(shard.values, entry.value_head, value, kNil);
-
-  // Sink replacing the entry's chain with whatever the combiner emits.
-  // Every emitted value is staged through combine_scratch_ first: the
-  // combiner may hand us a view into the chain it just read, and both the
-  // in-place overwrite and a heap-growing block allocation would clobber
-  // or move those bytes mid-copy.
-  class ReplaceSink final : public EmitSink {
+  // Sink replacing the entry's values with whatever the combiner emits:
+  // the first value overwrites the head block when it fits, anything else
+  // goes to fresh blocks and leaves the entry chained. Every emitted
+  // value is staged through combine_scratch_ first: the combiner may hand
+  // us a view into the chain it just read, and both the in-place
+  // overwrite and a heap-growing block allocation would clobber or move
+  // those bytes mid-copy.
+  class ResultSink final : public EmitSink {
    public:
-    ReplaceSink(HashCombineShards& table, Shard& shard, Entry& entry,
-                std::string_view expected_key)
+    ResultSink(HashCombineShards& table, Shard& shard, Entry& entry,
+               std::string_view expected_key)
         : table_(table), shard_(shard), entry_(entry),
           expected_key_(expected_key) {}
 
@@ -165,28 +277,27 @@ void HashCombineShards::combine_into(Shard& shard, Entry& entry,
                    "combiner must be key-preserving (hash-combine path)");
       std::string& scratch = table_.combine_scratch_;
       scratch.assign(value.data(), value.size());
-      if (first_) {
-        first_ = false;
-        const std::uint32_t head = entry_.value_head;
-        if (head != kNil &&
-            load_u32(shard_.values, head + 8) >= scratch.size()) {
-          // Overwrite in place; the old chain tail (if any) becomes heap
-          // garbage until the next flush reclaims the shard.
-          store_u32(shard_.values, head,
-                    kNil);
-          store_u32(shard_.values, head + 4,
-                    static_cast<std::uint32_t>(scratch.size()));
-          std::memcpy(shard_.values.data() + head + kBlockHeader,
-                      scratch.data(), scratch.size());
-          entry_.value_tail = head;
-        } else {
-          entry_.value_head = entry_.value_tail =
-              table_.alloc_block(shard_, scratch);
-        }
+      if (!first_) {
+        table_.append_value(shard_, entry_,
+                            table_.alloc_block(shard_, scratch, false));
+        return;
+      }
+      first_ = false;
+      const std::uint32_t head = entry_.value_head;
+      if (head != kNil &&
+          load_u32(shard_.values, head + 8) >= scratch.size()) {
+        // Overwrite in place; the rest of an old chain becomes heap
+        // garbage until the next flush reclaims the shard.
+        store_u32(shard_.values, head, kNil);
+        store_u32(shard_.values, head + 4,
+                  static_cast<std::uint32_t>(scratch.size()));
+        std::memcpy(shard_.values.data() + head + kBlockHeader,
+                    scratch.data(), scratch.size());
+        entry_.value_tail = kNil;
       } else {
-        const std::uint32_t block = table_.alloc_block(shard_, scratch);
-        store_u32(shard_.values, entry_.value_tail, block);
-        entry_.value_tail = block;
+        // Outgrown: later values chain behind this one until the flush.
+        entry_.value_head = entry_.value_tail =
+            table_.alloc_block(shard_, scratch, false);
       }
     }
 
@@ -200,7 +311,7 @@ void HashCombineShards::combine_into(Shard& shard, Entry& entry,
     bool first_ = true;
   };
 
-  ReplaceSink sink(*this, shard, entry, entry.key_ref.key());
+  ResultSink sink(*this, shard, entry, entry.key_ref.key());
   combiner_->reduce(entry.key_ref.key(), values, sink);
   if (!sink.emitted()) {
     // A combiner may legitimately emit nothing for a key; the entry then
@@ -210,11 +321,10 @@ void HashCombineShards::combine_into(Shard& shard, Entry& entry,
   }
 }
 
-void HashCombineShards::hash_insert(Shard& shard, std::uint32_t shard_index,
+void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
                                     std::uint32_t partition,
                                     std::string_view key,
                                     std::string_view value) {
-  (void)shard_index;
   if (shard.entries.size() + 1 > shard.slots.size() * 7 / 10) {
     grow_slots(shard);
   }
@@ -222,7 +332,7 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t shard_index,
   // keyed by (partition, key) — the skew partitioner round-robins one
   // split key across partitions, and those streams must combine apart.
   const std::uint64_t slot_hash =
-      mix64(hash_key(key) + partition * 0x9e3779b97f4a7c15ULL);
+      mix64(key_hash + partition * 0x9e3779b97f4a7c15ULL);
   const std::uint64_t prefix = key_prefix8(key);
   const std::uint64_t mask = shard.slots.size() - 1;
   std::uint64_t j = slot_hash & mask;
@@ -236,18 +346,12 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t shard_index,
     if (entry.hash == slot_hash && entry.key_ref.partition == partition &&
         entry.key_ref.key_size == key.size() &&
         entry.key_ref.key_prefix == prefix && entry.key_ref.key() == key) {
-      ++shard.hits;
       ++stats_.hits;
-      if (combiner_ != nullptr) {
-        combine_into(shard, entry, value);
+      if (combiner_ != nullptr && entry.value_head != kNil &&
+          entry.value_tail == kNil) {
+        combine(shard, entry, &value);
       } else {
-        const std::uint32_t block = alloc_block(shard, value);
-        if (entry.value_tail == kNil) {
-          entry.value_head = entry.value_tail = block;
-        } else {
-          store_u32(shard.values, entry.value_tail, block);
-          entry.value_tail = block;
-        }
+        append_value(shard, entry, alloc_block(shard, value, false));
       }
       return;
     }
@@ -260,7 +364,7 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t shard_index,
   Entry entry;
   entry.key_ref = shard.keys.append(partition, key, std::string_view(""));
   entry.hash = slot_hash;
-  entry.value_head = entry.value_tail = alloc_block(shard, value);
+  entry.value_head = alloc_block(shard, value, combiner_ != nullptr);
   shard.entries.push_back(entry);
   shard.slots[j] = static_cast<std::uint32_t>(shard.entries.size());
 }
@@ -270,30 +374,41 @@ void HashCombineShards::demoted_insert(Shard& shard, std::uint32_t partition,
                                        std::string_view value) {
   shard.spill.append(partition, key, value);
   if (shard.spill.payload_bytes() >= watermark_) {
-    flush_demoted(shard, static_cast<std::uint32_t>(&shard - shards_.data()),
-                  /*final=*/false);
+    flush_demoted(shard, /*final=*/false);
   }
 }
 
-void HashCombineShards::insert(std::uint32_t partition, std::string_view key,
+bool HashCombineShards::insert(std::uint32_t partition, std::string_view key,
                                std::string_view value) {
-  ++stats_.records;
   const std::uint64_t h = hash_key(key);
+  if (!admitted(h, key)) return false;
+  ++stats_.records;
   // Shard from the high bits, slot index (inside hash_insert) from a
   // remix of the low: using the same bits for both would leave every
   // shard's table clustered in 1/P of its slots.
   const std::uint32_t shard_index =
       static_cast<std::uint32_t>((h >> 32) % config_.num_shards);
   Shard& shard = shards_[shard_index];
-  ++shard.records;
   if (shard.demoted) {
     demoted_insert(shard, partition, key, value);
-    return;
+    return true;
   }
-  hash_insert(shard, shard_index, partition, key, value);
-  if (resident_bytes(shard) > watermark_) {
-    flush_shard(shard, shard_index);
+  hash_insert(shard, h, partition, key, value);
+  if (shard_bytes(shard) <= watermark_) return true;
+
+  flush(shard_index, shard_index + 1);
+  ++stats_.flushes;
+  if (++shard.flush_count >= config_.demote_after_flushes) {
+    // Persistent pressure: this keyspace does not fit the watermark, so
+    // hashing only adds probe cost on top of the same spill volume. Fall
+    // back to the proven sort-spill path for the rest of the task.
+    shard.demoted = true;
+    ++stats_.demotions;
+    obs::record_instant(trace_, "spill", "hash_demote", "shard",
+                        static_cast<double>(shard_index), "flushes",
+                        static_cast<double>(shard.flush_count));
   }
+  return true;
 }
 
 void HashCombineShards::radix_sort(std::vector<FlushItem>& items) {
@@ -367,74 +482,65 @@ void HashCombineShards::radix_sort(std::vector<FlushItem>& items) {
   }
 }
 
-void HashCombineShards::write_sorted(const std::vector<FlushItem>& items,
-                                     io::SpillRunWriter& writer) {
-  for (const FlushItem& item : items) {
-    const Shard& shard = shards_[item.shard];
-    const Entry& entry = shard.entries[item.entry];
-    std::uint32_t cursor = entry.value_head;
-    while (cursor != kNil) {
-      writer.append(item.partition, entry.key_ref.key(),
-                    block_value(shard.values, cursor));
-      cursor = load_u32(shard.values, cursor);
+void HashCombineShards::flush(std::size_t first, std::size_t last) {
+  obs::SpanTimer span(trace_, "spill", "hash_flush");
+  const std::uint64_t t0 = monotonic_ns();
+  flush_items_.clear();
+  for (std::size_t s = first; s < last; ++s) {
+    Shard& shard = shards_[s];
+    for (std::size_t e = 0; e < shard.entries.size(); ++e) {
+      Entry& entry = shard.entries[e];
+      // The one combine a chain gets.
+      if (combiner_ != nullptr && entry.value_tail != kNil) {
+        combine(shard, entry, nullptr);
+      }
+      if (entry.value_head == kNil) continue;
+      flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
+                                       entry.key_ref.partition,
+                                       static_cast<std::uint32_t>(e),
+                                       static_cast<std::uint32_t>(s)});
     }
   }
-}
-
-void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
-  const std::uint64_t t0 = monotonic_ns();
-  obs::SpanTimer span(trace_, "spill", "hash_flush");
-  span.arg("shard", static_cast<double>(shard_index));
-  span.arg("entries", static_cast<double>(shard.entries.size()));
-
-  flush_items_.clear();
-  for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-    const Entry& entry = shard.entries[e];
-    if (entry.value_head == kNil) continue;
-    flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
-                                     entry.key_ref.partition,
-                                     static_cast<std::uint32_t>(e),
-                                     shard_index});
-  }
+  const std::uint64_t combined_ns = monotonic_ns();
   radix_sort(flush_items_);
   const std::uint64_t sorted_ns = monotonic_ns();
+  metrics_.op_ns(Op::kCombine) += combined_ns - t0;
+  metrics_.op_ns(Op::kSort) += sorted_ns - combined_ns;
+  span.arg("entries", static_cast<double>(flush_items_.size()));
 
-  io::SpillRunWriter writer(next_run_path_(run_sequence_++),
-                            config_.num_partitions, config_.format);
-  write_sorted(flush_items_, writer);
-  io::SpillRunInfo info = writer.finish();
-  span.arg("records", static_cast<double>(info.records));
-
-  metrics_.op_ns(Op::kSort) += sorted_ns - t0;
-  metrics_.spilled_records += info.records;
-  metrics_.spilled_bytes += info.bytes;
-  metrics_.spill_count += 1;
-  runs_.push_back(std::move(info));
-  ++stats_.flushes;
-  ++shard.flush_count;
-
-  // Reset the shard but keep every allocation (arena chunks, entry and
-  // slot capacity, the value heap) — refills are allocation-free.
-  shard.entries.clear();
-  shard.keys.clear();
-  shard.values.clear();
-  std::fill(shard.slots.begin(), shard.slots.end(), 0);
-  metrics_.op_ns(Op::kSpillWrite) += monotonic_ns() - sorted_ns;
-
-  if (shard.flush_count >= config_.demote_after_flushes) {
-    // Persistent pressure: this keyspace does not fit the watermark, so
-    // hashing only adds probe cost on top of the same spill volume. Fall
-    // back to the proven sort-spill path for the rest of the task.
-    shard.demoted = true;
-    ++stats_.demotions;
-    obs::record_instant(trace_, "spill", "hash_demote", "shard",
-                        static_cast<double>(shard_index), "flushes",
-                        static_cast<double>(shard.flush_count));
+  std::uint64_t records = 0;
+  for (const FlushItem& item : flush_items_) {
+    const Shard& shard = shards_[item.shard];
+    const Entry& entry = shard.entries[item.entry];
+    for (std::uint32_t cursor = entry.value_head; cursor != kNil;
+         cursor = load_u32(shard.values, cursor)) {
+      target_.put(item.partition, entry.key_ref.key(),
+                  block_value(shard.values, cursor));
+      ++records;
+    }
   }
+  span.arg("records", static_cast<double>(records));
+
+  // Reset the shards but keep every allocation (arena chunks, entry and
+  // slot capacity, the value heap) — refills are allocation-free — unless
+  // the entry and slot capacity alone outgrew half the watermark: kept,
+  // they would leave the shard flushing on almost every insert.
+  for (std::size_t s = first; s < last; ++s) {
+    Shard& shard = shards_[s];
+    shard.entries.clear();
+    shard.keys.clear();
+    shard.values.clear();
+    if (shard_bytes(shard) > watermark_ / 2) {
+      shard.entries = std::vector<Entry>();
+      shard.slots = std::vector<std::uint32_t>();
+    } else {
+      std::fill(shard.slots.begin(), shard.slots.end(), 0);
+    }
+  }
+  target_.seal();
 }
 
-void HashCombineShards::flush_demoted(Shard& shard, std::uint32_t shard_index,
-                                      bool final) {
+void HashCombineShards::flush_demoted(Shard& shard, bool final) {
   if (shard.spill.size() == 0) return;
   // The demoted path *is* the existing sort path: build a Spill over the
   // arena's refs and reuse sort_and_spill (same sort, same combiner
@@ -451,58 +557,18 @@ void HashCombineShards::flush_demoted(Shard& shard, std::uint32_t shard_index,
                      config_.num_partitions, config_.format, metrics_, trace_);
   runs_.push_back(std::move(info));
   shard.spill.clear();
-  (void)shard_index;
 }
 
 std::vector<io::SpillRunInfo> HashCombineShards::finish() {
   TEXTMR_CHECK(!finished_, "hash-combine table finished twice");
   finished_ = true;
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].demoted) {
-      flush_demoted(shards_[s], static_cast<std::uint32_t>(s),
-                    /*final=*/true);
-    }
+  for (Shard& shard : shards_) {
+    if (shard.demoted) flush_demoted(shard, /*final=*/true);
   }
-
-  // Residue fast path: all live shards' entries globally sorted into ONE
-  // run. In the common no-pressure case this is the task's only run, so
-  // the final merge degenerates to a rename.
-  flush_items_.clear();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-      const Entry& entry = shard.entries[e];
-      if (entry.value_head == kNil) continue;
-      flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
-                                       entry.key_ref.partition,
-                                       static_cast<std::uint32_t>(e),
-                                       static_cast<std::uint32_t>(s)});
-    }
-  }
-  if (!flush_items_.empty()) {
-    const std::uint64_t t0 = monotonic_ns();
-    obs::SpanTimer span(trace_, "spill", "hash_flush");
-    span.arg("entries", static_cast<double>(flush_items_.size()));
-    span.arg("final", 1.0);
-    radix_sort(flush_items_);
-    const std::uint64_t sorted_ns = monotonic_ns();
-    io::SpillRunWriter writer(next_run_path_(run_sequence_++),
-                              config_.num_partitions, config_.format);
-    write_sorted(flush_items_, writer);
-    io::SpillRunInfo info = writer.finish();
-    span.arg("records", static_cast<double>(info.records));
-    metrics_.op_ns(Op::kSort) += sorted_ns - t0;
-    metrics_.op_ns(Op::kSpillWrite) += monotonic_ns() - sorted_ns;
-    metrics_.spilled_records += info.records;
-    metrics_.spilled_bytes += info.bytes;
-    metrics_.spill_count += 1;
-    runs_.push_back(std::move(info));
-  }
-
-  metrics_.hash_combine_hits += stats_.hits;
-  metrics_.hash_combine_flushes += stats_.flushes;
-  metrics_.hash_combine_demotions += stats_.demotions;
+  // Residue: every shard's entries globally sorted into ONE flush. In the
+  // common no-pressure case this is the task's only run, so the final
+  // merge degenerates to a rename.
+  flush(0, shards_.size());
   return runs_;
 }
 

@@ -1,22 +1,32 @@
 #pragma once
 
-// Map-side sharded hash-combine (DESIGN.md §15): the Metis-style
-// generalization of frequency-buffering from "top-k keys" to the whole
-// keyspace. Each map task owns P shard hash tables; a record is routed to
-// a shard by key hash and combined *on insert* (open addressing, 8-byte
-// big-endian key-prefix confirm, then full key). Sorting is deferred to
-// flush time: a stable LSD radix pass over (partition, key prefix) with a
-// full-key fallback comparison on prefix ties — exactly record_ref_less
-// order, so the emitted runs are indistinguishable from sort-spill runs.
+// The map side's one combine table (DESIGN.md §5, §15), modelled on
+// Metis' per-core kvstore. Each map task owns P shard hash tables; a
+// record is routed to a shard by key hash (open addressing, 8-byte
+// big-endian key-prefix confirm, then full key). Which keys the table
+// takes is data: by default every key (hash mode); FreqOpt restricts it
+// to the frozen frequent set (paper §III-A) and the rest go to the ring.
 //
-// Memory discipline: every shard has a byte watermark. Breaching it
-// flushes the shard to a sorted combined run and keeps hashing; a shard
-// that keeps breaching (demote_after_flushes) is *demoted* to the
-// existing sort-spill path (RecordArena + sort_and_spill), so behavior
-// under pressure is the proven baseline path, not a new one.
+// Combine rule: a hit combines in place while the result fits the
+// entry's value block, so counters never leave that path. Once a
+// combined value outgrows its block, the entry chains later values
+// instead and the shard combines them once, when it flushes — each value
+// is read a bounded number of times however hot its key is.
+//
+// Flushes sort the entries (a stable LSD radix pass over (partition, key
+// prefix) with a full-key fallback on prefix ties — record_ref_less
+// order) and hand them to a flush target: by default one sorted run file
+// per flush, indistinguishable from a sort-spill run; FreqOpt's target is
+// the spill ring. Every shard has a byte watermark; breaching it flushes
+// the shard. A run-writing shard that keeps breaching
+// (demote_after_flushes) is *demoted* to the sort-spill path
+// (RecordArena + sort_and_spill), so behavior under pressure is the
+// proven baseline path, not a new one.
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,8 +42,10 @@ namespace textmr::mr {
 struct HashCombineConfig {
   std::uint32_t num_shards = 8;
   /// Per-shard resident-byte watermark; 0 derives it from
-  /// `memory_budget_bytes / num_shards` (floored at 32 KiB) — the hash
-  /// tables replace the spill ring, so they inherit its budget.
+  /// `memory_budget_bytes / num_shards` (floored at 32 KiB) — hash mode's
+  /// tables replace the spill ring, so they inherit its budget. FreqOpt's
+  /// table sets it to its share of freq_table_budget_bytes, unfloored.
+  /// resident_bytes() is at most num_shards x watermark between inserts.
   std::size_t watermark_bytes = 0;
   /// A shard that breaches its watermark this many times is demoted to
   /// the sort-spill path for the rest of the task.
@@ -44,33 +56,56 @@ struct HashCombineConfig {
 };
 
 struct HashCombineStats {
-  std::uint64_t records = 0;    // inserts seen
+  std::uint64_t records = 0;    // inserts admitted
   std::uint64_t hits = 0;       // probe hits (combined or chained in place)
   std::uint64_t flushes = 0;    // watermark flushes (hash shards)
   std::uint64_t demotions = 0;  // shards demoted to the sort-spill path
 };
 
 /// The per-task shard set. Single-threaded: lives on the map thread and
-/// is driven from the emit sink. Inserts read no clock; each flush (radix
-/// sort + run write) times itself exactly into kSort/kSpillWrite, which
-/// the map task carves out of its sampled emit time (map_task.cpp).
+/// is driven from the emit sink. Inserts read no clock; each flush times
+/// itself exactly (flush-time combines into kCombine, the radix sort into
+/// kSort, the run write into kSpillWrite), and the map task carves those
+/// out of its sampled emit time (map_task.cpp).
 class HashCombineShards {
  public:
+  /// Where a flush sends the combined entries, in record_ref_less order.
+  class FlushTarget {
+   public:
+    virtual ~FlushTarget() = default;
+    virtual void put(std::uint32_t partition, std::string_view key,
+                     std::string_view value) = 0;
+    /// Ends one flush.
+    virtual void seal() = 0;
+  };
+
+  /// Flushes write sorted runs, each named by `next_run_path`.
   /// `combiner` may be null (values chain per key instead of combining).
-  /// `next_run_path` names each flushed run; `metrics` receives
-  /// kSort/kCombine/kSpillWrite time and spill volume counters.
+  /// `metrics` receives kSort/kCombine/kSpillWrite time and spill volume
+  /// counters.
   HashCombineShards(const HashCombineConfig& config, Reducer* combiner,
                     std::function<std::string(std::uint64_t sequence)>
                         next_run_path,
                     TaskMetrics& metrics, obs::TraceBuffer* trace);
+  /// Flushes go to `target` (not owned) and write no runs of their own,
+  /// so no shard is ever demoted: the target is the way out under
+  /// pressure.
+  HashCombineShards(const HashCombineConfig& config, Reducer* combiner,
+                    FlushTarget& target, TaskMetrics& metrics,
+                    obs::TraceBuffer* trace);
   ~HashCombineShards();
 
   HashCombineShards(const HashCombineShards&) = delete;
   HashCombineShards& operator=(const HashCombineShards&) = delete;
 
-  /// Routes one map-output record: combine-on-insert in its shard's
-  /// table, or arena append when the shard is demoted. May flush.
-  void insert(std::uint32_t partition, std::string_view key,
+  /// Admits only `keys` from now on (FreqOpt's frozen set); without a
+  /// call every key is admitted.
+  void admit_only(std::vector<std::string> keys);
+
+  /// Routes one map-output record: into its shard's table, or arena
+  /// append when the shard is demoted. May flush. Returns false, and
+  /// keeps nothing, when the key is not admitted.
+  bool insert(std::uint32_t partition, std::string_view key,
               std::string_view value);
 
   /// Flushes all residue and returns every run written over the task's
@@ -79,9 +114,18 @@ class HashCombineShards {
   /// into a single file (no merge needed downstream).
   std::vector<io::SpillRunInfo> finish();
 
+  /// Bytes the shards hold now (keys, values, entries and slots).
+  std::size_t resident_bytes() const;
+
   const HashCombineStats& stats() const { return stats_; }
+  bool has_combiner() const { return combiner_ != nullptr; }
 
  private:
+  class RunTarget;
+
+  /// Value state: no values (value_head == kNil); one block at the head
+  /// that hits combine in place (value_tail == kNil); or a chain
+  /// head..tail that waits for the flush-time combine.
   struct Entry {
     RecordRef key_ref;  // frame (empty value) in the shard's key arena
     std::uint64_t hash = 0;
@@ -93,25 +137,36 @@ class HashCombineShards {
     std::vector<std::uint32_t> slots;  // entry index + 1; 0 = empty
     std::vector<Entry> entries;
     RecordArena keys;            // framed keys, stable addresses
-    std::vector<char> values;    // chained value blocks (offset-addressed)
+    std::vector<char> values;    // value blocks (offset-addressed)
     std::uint64_t flush_count = 0;
-    std::uint64_t records = 0;
-    std::uint64_t hits = 0;
     bool demoted = false;
     RecordArena spill;  // demoted mode: framed records for sort_and_spill
   };
 
+  /// The admitted keys: open addressing on hash_key, full-key confirm.
+  struct Admission {
+    std::vector<std::string> keys;
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::uint32_t> slots;  // key index + 1; 0 = empty
+  };
+
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  void hash_insert(Shard& shard, std::uint32_t shard_index,
+  bool admitted(std::uint64_t hash, std::string_view key) const;
+  void hash_insert(Shard& shard, std::uint64_t key_hash,
                    std::uint32_t partition, std::string_view key,
                    std::string_view value);
   void demoted_insert(Shard& shard, std::uint32_t partition,
                       std::string_view key, std::string_view value);
-  void combine_into(Shard& shard, Entry& entry, std::string_view value);
+  /// Runs the combiner over the entry's values (then `incoming`, when
+  /// given) and stores the result by the in-place-or-chain rule.
+  void combine(Shard& shard, Entry& entry,
+               const std::string_view* incoming);
+  void append_value(Shard& shard, Entry& entry, std::uint32_t block);
 
-  std::uint32_t alloc_block(Shard& shard, std::string_view value);
-  std::size_t resident_bytes(const Shard& shard) const;
+  std::uint32_t alloc_block(Shard& shard, std::string_view value,
+                            bool slack);
+  std::size_t shard_bytes(const Shard& shard) const;
   void grow_slots(Shard& shard);
 
   /// Sorts `items` into record_ref_less order: stable LSD radix over the
@@ -124,11 +179,11 @@ class HashCombineShards {
     std::uint32_t shard;
   };
   void radix_sort(std::vector<FlushItem>& items);
-  void write_sorted(const std::vector<FlushItem>& items,
-                    io::SpillRunWriter& writer);
 
-  void flush_shard(Shard& shard, std::uint32_t shard_index);
-  void flush_demoted(Shard& shard, std::uint32_t shard_index, bool final);
+  /// Combines, sorts and hands shards [first, last) to the target, then
+  /// resets them.
+  void flush(std::size_t first, std::size_t last);
+  void flush_demoted(Shard& shard, bool final);
 
   HashCombineConfig config_;
   std::size_t watermark_;
@@ -136,6 +191,9 @@ class HashCombineShards {
   std::function<std::string(std::uint64_t)> next_run_path_;
   TaskMetrics& metrics_;
   obs::TraceBuffer* trace_;
+  std::unique_ptr<RunTarget> run_target_;  // null with an injected target
+  FlushTarget& target_;
+  std::optional<Admission> admission_;  // nullopt = every key
 
   std::vector<Shard> shards_;
   std::vector<io::SpillRunInfo> runs_;

@@ -1,5 +1,7 @@
 #include "mr/map_task.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,49 +18,43 @@
 namespace textmr::mr {
 namespace {
 
-/// The tail of the map-side dataflow: partitions each record and adds it
-/// to the task's store — the spill ring in sort mode, the shard hash
-/// tables in hash mode. Used directly by the frequency table's overflow /
-/// flush path and by the user-facing router below. Both modes consult the
-/// partitioner here, per record: a skew plan's split-key round-robin
-/// cursor must advance identically in both for byte-identical output.
-/// It reads no clock: its time is part of the router's sampled emit
-/// interval (map_split).
-template <typename Store, void (Store::*kAdd)(std::uint32_t, std::string_view,
-                                              std::string_view)>
-class DirectSink final : public EmitSink {
+/// FreqOpt's flush target: the table's combined entries re-enter the
+/// standard dataflow through the ring, so a flush writes no run of its
+/// own and the task's run count is the ring's.
+class RingTarget final : public HashCombineShards::FlushTarget {
  public:
-  DirectSink(Store& store, SkewAwarePartitioner& partitioner,
-             TaskMetrics& metrics)
-      : store_(store), partitioner_(partitioner), metrics_(metrics) {}
+  RingTarget(SpillBuffer& ring, TaskMetrics& metrics)
+      : ring_(ring), metrics_(metrics) {}
 
-  void emit(std::string_view key, std::string_view value) override {
+  void put(std::uint32_t partition, std::string_view key,
+           std::string_view value) override {
+    metrics_.freq_flushes += 1;
     metrics_.spill_input_records += 1;
     metrics_.spill_input_bytes += key.size() + value.size();
-    (store_.*kAdd)(partitioner_(key), key, value);
+    ring_.put(partition, key, value);
   }
+  void seal() override {}
 
  private:
-  Store& store_;
-  // Non-const: the split-key round-robin cursor advances per record.
-  // With a null plan this is exactly the old HashPartitioner path.
-  SkewAwarePartitioner& partitioner_;
+  SpillBuffer& ring_;
   TaskMetrics& metrics_;
 };
 
-using DirectSpillSink = DirectSink<SpillBuffer, &SpillBuffer::put>;
-using DirectHashSink =
-    DirectSink<HashCombineShards, &HashCombineShards::insert>;
-
-/// The sink handed to user map() code: counts output volume, routes
-/// through frequency-buffering when active, and otherwise forwards to the
-/// direct sink (ring or hash table). On a timed line it also times itself.
-class EmitRouter final : public EmitSink {
+/// The sink handed to user map() code, and the map side's one record
+/// path: partition, then the table, then the ring. Hash mode's table
+/// admits every key and there is no ring; in sort mode FreqOpt's table
+/// (when enabled) absorbs the admitted keys and the rest enter the ring.
+/// The partitioner runs exactly once per record, before either store: a
+/// skew plan's split-key round-robin cursor must advance identically in
+/// every mode for byte-identical output. It counts output volume and, on
+/// a timed line, times itself.
+class MapSink final : public EmitSink {
  public:
-  EmitRouter(EmitSink& spill_sink, freqbuf::FreqBufferController* freq,
-             TaskMetrics& metrics, const OpSampler& sampler)
-      : spill_sink_(spill_sink), freq_(freq), metrics_(metrics),
-        sampler_(sampler) {}
+  MapSink(SkewAwarePartitioner& partitioner, HashCombineShards* table,
+          freqbuf::FreqBufferController* freq, SpillBuffer* ring,
+          TaskMetrics& metrics, const OpSampler& sampler)
+      : partitioner_(partitioner), table_(table), freq_(freq), ring_(ring),
+        metrics_(metrics), sampler_(sampler) {}
 
   void emit(std::string_view key, std::string_view value) override {
     metrics_.map_output_records += 1;
@@ -77,13 +73,23 @@ class EmitRouter final : public EmitSink {
 
  private:
   void route(std::string_view key, std::string_view value) {
-    if (freq_ == nullptr || !freq_->offer(key, value)) {
-      spill_sink_.emit(key, value);
+    const std::uint32_t partition = partitioner_(key);
+    if (freq_ != nullptr && freq_->offer(partition, key, value)) return;
+    metrics_.spill_input_records += 1;
+    metrics_.spill_input_bytes += key.size() + value.size();
+    if (ring_ != nullptr) {
+      ring_->put(partition, key, value);
+    } else {
+      table_->insert(partition, key, value);
     }
   }
 
-  EmitSink& spill_sink_;
+  // Non-const: the split-key round-robin cursor advances per record.
+  // With a null plan this is exactly the old HashPartitioner path.
+  SkewAwarePartitioner& partitioner_;
+  HashCombineShards* table_;
   freqbuf::FreqBufferController* freq_;
+  SpillBuffer* ring_;
   TaskMetrics& metrics_;
   const OpSampler& sampler_;
   std::uint64_t inside_emit_ns_ = 0;
@@ -144,31 +150,37 @@ class MapTask {
   }
 
   /// The map thread's read → map → emit loop over the split. Every
-  /// emitted record goes through frequency-buffering (when enabled) into
-  /// `sink`. `buffer` is sort mode's spill ring (null in hash mode).
+  /// emitted record is partitioned, then goes to `table` (hash mode) or,
+  /// past FreqOpt when enabled, to `ring` (sort mode).
   ///
   /// Timing (DESIGN.md §5b): counts are exact, the clock is sampled. The
   /// loop's wall is read once at each end. Its rare events time
-  /// themselves exactly: ring waits, hash-shard flushes and freq-table
-  /// combines. The rest of the wall is split across read, user map,
-  /// emit, profile and freq-table in the shares measured on timed lines,
-  /// so the thread's ops sum to the loop's wall.
-  void map_split(EmitSink& sink, const SpillBuffer* buffer) {
+  /// themselves exactly: ring waits, table flushes and their combines.
+  /// The rest of the wall is split across read, user map, emit, profile
+  /// and freq-table in the shares measured on timed lines, so the
+  /// thread's ops sum to the loop's wall.
+  void map_split(HashCombineShards* table, SpillBuffer* ring) {
     TaskMetrics& metrics = result_.map_thread;
     OpSampler sampler;
+    // FreqOpt: profile, then admit the frozen set to a combine table of
+    // its own budget whose flushes re-enter the ring.
+    std::optional<RingTarget> ring_target;
+    std::optional<HashCombineShards> freq_table;
     std::unique_ptr<freqbuf::FreqBufferController> freq;
     if (config_.freqbuf.enabled) {
+      ring_target.emplace(*ring, metrics);
+      freq_table.emplace(freq_table_config(), map_combiner_.get(),
+                         *ring_target, metrics, map_trace_);
       freq = std::make_unique<freqbuf::FreqBufferController>(
-          config_.freqbuf, config_.freq_table_budget_bytes,
-          map_combiner_.get(), sink, metrics, config_.node_cache, map_trace_,
+          config_.freqbuf, *freq_table, metrics, config_.node_cache, map_trace_,
           &sampler);
     }
-    EmitRouter router(sink, freq.get(), metrics, sampler);
+    MapSink sink(partitioner_, table, freq.get(), ring, metrics, sampler);
     // Exactly timed nanoseconds so far: what the rare events added to the
     // thread's ops, plus the ring waits run_sort books as kMapIdle.
-    auto exact_ns = [&metrics, buffer] {
+    auto exact_ns = [&metrics, ring] {
       return metrics.total_ns(/*include_idle=*/true) +
-             (buffer != nullptr ? buffer->producer_wait_ns() : 0);
+             (ring != nullptr ? ring->producer_wait_ns() : 0);
     };
 
     std::unique_ptr<Mapper> mapper = config_.mapper();
@@ -194,7 +206,7 @@ class MapTask {
       }
       TEXTMR_FAILPOINT("map.user_code");
       if (!timed) {
-        mapper->map(offset, *line, router);
+        mapper->map(offset, *line, sink);
         ++offset;
         continue;
       }
@@ -202,13 +214,13 @@ class MapTask {
       // emits hold profile and freq-table time and the exact events they
       // set off, all of which are booked elsewhere.
       const std::uint64_t exact_before = exact_ns();
-      const std::uint64_t emit_before = router.inside_emit_ns();
+      const std::uint64_t emit_before = sink.inside_emit_ns();
       const std::uint64_t nested_before = sampler.sampled_ns(Op::kProfile) +
                                           sampler.sampled_ns(Op::kFreqTable);
       const std::uint64_t map_start = monotonic_ns();
-      mapper->map(offset, *line, router);
+      mapper->map(offset, *line, sink);
       const std::uint64_t map_ns = monotonic_ns() - map_start;
-      const std::uint64_t emit_ns = router.inside_emit_ns() - emit_before;
+      const std::uint64_t emit_ns = sink.inside_emit_ns() - emit_before;
       const std::uint64_t nested_ns = sampler.sampled_ns(Op::kProfile) +
                                       sampler.sampled_ns(Op::kFreqTable) -
                                       nested_before + exact_ns() -
@@ -222,8 +234,8 @@ class MapTask {
     sampler.split(loop_ns - std::min(loop_ns, loop_exact), metrics);
 
     if (freq != nullptr) {
-      // The end-of-input table flush emits into the store: timed once,
-      // as kEmit less the exact events it sets off.
+      // The end-of-input table flush puts into the ring: timed once, as
+      // kEmit less the exact events it sets off.
       const std::uint64_t exact_before = exact_ns();
       const std::uint64_t finish_start = monotonic_ns();
       freq->finish();
@@ -325,9 +337,8 @@ class MapTask {
       textmr::MutexLock lock(shared.mu);
       return shared.error;
     };
-    DirectSpillSink sink(buffer, partitioner_, result_.map_thread);
     try {
-      map_split(sink, &buffer);
+      map_split(nullptr, &buffer);
     } catch (...) {
       // Map-side failure (user code or a support-thread abort surfacing
       // through put()): shut the pipeline down, join, and report the root
@@ -355,10 +366,23 @@ class MapTask {
     return std::move(shared.runs);
   }
 
+  /// FreqOpt's table: the default shards, splitting exactly the budget
+  /// the engine carved out of the ring. The hash_combine_* settings and
+  /// the watermark floor are hash mode's and do not reshape it.
+  HashCombineConfig freq_table_config() const {
+    HashCombineConfig table;
+    table.watermark_bytes = std::max<std::size_t>(
+        1, config_.freq_table_budget_bytes / table.num_shards);
+    table.num_partitions = config_.num_partitions;
+    table.format = config_.spill_format;
+    return table;
+  }
+
   /// Hash mode (DESIGN.md §15): no ring, no support thread — the map
-  /// thread combines every emitted record straight into the shard tables.
-  /// Sorting happens at flush time (radix over the key prefix), so the
-  /// task's serialized work drops the per-record comparison sort.
+  /// thread combines every emitted record straight into the shard tables,
+  /// which admit every key and inherit the ring's budget. Sorting happens
+  /// at flush time (radix over the key prefix), so the task's serialized
+  /// work drops the per-record comparison sort.
   std::vector<io::SpillRunInfo> run_hash() {
     HashCombineConfig hash_config;
     hash_config.num_shards = config_.hash_combine_shards;
@@ -373,9 +397,12 @@ class MapTask {
           return scratch_path("hspill" + std::to_string(sequence) + ".run");
         },
         result_.map_thread, map_trace_);
-    DirectHashSink sink(table, partitioner_, result_.map_thread);
-    map_split(sink, nullptr);
+    map_split(&table, nullptr);
     std::vector<io::SpillRunInfo> runs = table.finish();
+    TaskMetrics& metrics = result_.map_thread;
+    metrics.hash_combine_hits += table.stats().hits;
+    metrics.hash_combine_flushes += table.stats().flushes;
+    metrics.hash_combine_demotions += table.stats().demotions;
     result_.spills = runs.size();
     return runs;
   }
@@ -421,7 +448,7 @@ class MapTask {
   SkewAwarePartitioner partitioner_;
   obs::TraceBuffer* map_trace_ = nullptr;  // null when tracing is off
   Counters map_counters_;  // user counters of the mapper and map combiner
-  std::unique_ptr<Reducer> map_combiner_;  // freqbuf flushes + final merge
+  std::unique_ptr<Reducer> map_combiner_;  // combine table + final merge
   MapTaskResult result_;
 };
 
@@ -435,6 +462,9 @@ std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt) {
 MapTaskResult run_map_task(const MapTaskConfig& config) {
   TEXTMR_CHECK(static_cast<bool>(config.mapper), "map task needs a mapper");
   TEXTMR_CHECK(config.num_partitions >= 1, "map task needs >= 1 partition");
+  if (config.freqbuf.enabled && config.combine_mode == CombineMode::kHash) {
+    throw ConfigError(kFreqWithHashError);
+  }
   std::filesystem::create_directories(config.scratch_dir);
   return MapTask(config).run();
 }

@@ -45,7 +45,8 @@ struct MapTaskConfig {
   /// ring/sort/spill pipeline below; kHash combines on insert into
   /// per-task shard hash tables on the map thread itself (no support
   /// thread, no ring) and radix-sorts at flush time. The two modes
-  /// produce byte-identical task output.
+  /// produce byte-identical task output. The hash_combine_* knobs shape
+  /// the combine table of either mode: hash mode's, and FreqOpt's.
   CombineMode combine_mode = CombineMode::kSort;
   std::uint32_t hash_combine_shards = 8;
   /// Per-shard resident-byte watermark; 0 derives it from the memory
@@ -58,9 +59,9 @@ struct MapTaskConfig {
   /// Spill threshold policy; if null, Hadoop's fixed 0.8 is used.
   spillmatch::SpillPolicyFactory spill_policy;
 
-  /// Frequency-buffering; `freqbuf.enabled` gates it. When enabled, the
-  /// engine has already carved `table_budget_bytes` out of the memory
-  /// budget (spill_buffer_bytes excludes it).
+  /// Frequency-buffering (sort mode only); `freqbuf.enabled` gates it.
+  /// When enabled, the engine has already carved `freq_table_budget_bytes`
+  /// out of the memory budget (spill_buffer_bytes excludes it).
   freqbuf::FreqBufConfig freqbuf;
   std::uint64_t freq_table_budget_bytes = 0;
   freqbuf::NodeKeyCache* node_cache = nullptr;  // may be null
@@ -92,6 +93,13 @@ struct MapTaskResult {
       freqbuf::FreqBufferController::Stage::kPreProfile;
   double freq_sampling_fraction = 0.0;
 };
+
+/// Why frequency-buffering and hash mode are exclusive: hash mode's table
+/// already admits every key, so a frequent set could only shrink what it
+/// combines. validate_job and run_map_task throw it as a ConfigError.
+inline constexpr char kFreqWithHashError[] =
+    "freqbuf.enabled cannot be combined with combine_mode kHash: "
+    "hash-combine already admits every key to its combine table";
 
 /// Scratch-file name prefix for one (task, attempt) pair — e.g.
 /// "map3_a1_". Shared by the task (file creation) and the engine

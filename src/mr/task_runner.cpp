@@ -33,6 +33,9 @@ void validate_job(const JobSpec& spec) {
     throw ConfigError("hash_combine_demote_flushes must be >= 1");
   }
   if (spec.freqbuf.enabled) {
+    if (spec.combine_mode == CombineMode::kHash) {
+      throw ConfigError(kFreqWithHashError);
+    }
     if (spec.freqbuf.table_budget_fraction <= 0.0 ||
         spec.freqbuf.table_budget_fraction >= 1.0) {
       throw ConfigError("freqbuf table_budget_fraction must be in (0, 1)");

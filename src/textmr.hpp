@@ -49,7 +49,6 @@
 #include "text/tokenize.hpp"
 
 #include "freqbuf/controller.hpp"
-#include "freqbuf/frequent_key_table.hpp"
 
 #include "cluster/engine.hpp"
 #include "cluster/protocol.hpp"

@@ -474,7 +474,6 @@ TEST(ClusterNodeCache, KeyCacheFilePersistedOncePerWorkerAndReused) {
   spec.freqbuf.enabled = true;
   spec.freqbuf.top_k = 50;
   spec.freqbuf.sampling_fraction = 0.05;
-  ASSERT_TRUE(spec.freqbuf.share_across_tasks);
   corpus.check(engine.run(spec));
 
   // Each worker persisted its node-local frozen key set exactly once.

@@ -98,7 +98,9 @@ TEST(FailureInjection, FreqBufCombinerFailurePropagates) {
   spec.freqbuf.enabled = true;
   spec.freqbuf.top_k = 20;
   spec.freqbuf.sampling_fraction = 0.02;
-  spec.freqbuf.per_key_limit_bytes = 8;  // force combine calls in the table
+  // A tiny table budget flushes the table mid-stream, so combines run
+  // at flush time as well as on every hit.
+  spec.freqbuf.table_budget_fraction = 0.01;
   std::atomic<int> calls{0};
   spec.combiner = [&calls] {
     return std::make_unique<mr::LambdaReducer>(

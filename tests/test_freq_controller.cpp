@@ -12,12 +12,32 @@
 namespace textmr::freqbuf {
 namespace {
 
-class RecordingSink final : public mr::EmitSink {
+/// Records what the table's flushes push out (the ring, in a map task).
+class RecordingTarget final : public mr::HashCombineShards::FlushTarget {
  public:
-  void emit(std::string_view key, std::string_view value) override {
+  void put(std::uint32_t, std::string_view key,
+           std::string_view value) override {
     records.emplace_back(std::string(key), std::string(value));
   }
+  void seal() override {}
   std::vector<std::pair<std::string, std::string>> records;
+};
+
+/// The table a controller admits its frozen set to, flushing into a
+/// RecordingTarget.
+struct Table {
+  explicit Table(mr::Reducer* combiner)
+      : table(config(), combiner, target, metrics, nullptr) {}
+
+  static mr::HashCombineConfig config() {
+    mr::HashCombineConfig config;
+    config.memory_budget_bytes = 1 << 16;
+    return config;
+  }
+
+  RecordingTarget target;
+  mr::TaskMetrics metrics;
+  mr::HashCombineShards table;
 };
 
 std::string varint_value(std::uint64_t v) {
@@ -36,7 +56,6 @@ FreqBufConfig basic_config() {
   config.enabled = true;
   config.top_k = 10;
   config.sampling_fraction = 0.1;  // fixed s, no pre-profiling
-  config.share_across_tasks = false;
   return config;
 }
 
@@ -56,7 +75,7 @@ StreamResult stream_keys(FreqBufferController& controller, int n,
   for (int i = 0; i < n; ++i) {
     controller.set_progress(static_cast<double>(i) / n);
     const std::string key = textgen::word_for_rank(zipf(rng));
-    if (controller.offer(key, varint_value(1))) {
+    if (controller.offer(0, key, varint_value(1))) {
       ++result.absorbed;
     } else {
       ++result.passed;
@@ -66,53 +85,46 @@ StreamResult stream_keys(FreqBufferController& controller, int n,
 }
 
 TEST(FreqBufferController, TransitionsThroughStages) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
-  auto config = basic_config();
-  FreqBufferController controller(config, 1 << 16, &combiner, sink, metrics);
+  Table t(&combiner);
+  FreqBufferController controller(basic_config(), t.table, t.metrics);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kProfile);
 
   controller.set_progress(0.05);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kProfile);
-  controller.offer("x", varint_value(1));
+  controller.offer(0, "x", varint_value(1));
   controller.set_progress(0.11);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kOptimize);
 }
 
 TEST(FreqBufferController, FixedSamplingSkipsPreProfile) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  auto config = basic_config();
-  FreqBufferController controller(config, 1 << 16, nullptr, sink, metrics);
+  Table t(nullptr);
+  FreqBufferController controller(basic_config(), t.table, t.metrics);
   EXPECT_EQ(controller.effective_sampling_fraction(), 0.1);
   EXPECT_FALSE(controller.zipf_fit().has_value());
 }
 
 TEST(FreqBufferController, AbsorbsFrequentKeysAfterProfiling) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
-  auto config = basic_config();
-  FreqBufferController controller(config, 1 << 16, &combiner, sink, metrics);
+  Table t(&combiner);
+  FreqBufferController controller(basic_config(), t.table, t.metrics);
   const auto result = stream_keys(controller, 50000, 1.2, 99);
   // With alpha=1.2 the top-10 keys carry a large share of the stream; a
   // large portion of post-profiling records must be absorbed.
   EXPECT_GT(result.absorbed, 10000u);
+  EXPECT_EQ(t.metrics.freq_hits, result.absorbed);
   controller.finish();
-  // Flushed aggregates re-enter the spill path.
-  EXPECT_FALSE(sink.records.empty());
-  EXPECT_LE(sink.records.size(), 10u + 5u);
+  // Flushed aggregates re-enter the spill path, one per frequent key.
+  EXPECT_FALSE(t.target.records.empty());
+  EXPECT_LE(t.target.records.size(), 10u);
 }
 
 TEST(FreqBufferController, ConservationThroughFlush) {
   // Every emitted count appears exactly once downstream: either passed
   // through during profiling/misses, or in a flushed aggregate.
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
-  auto config = basic_config();
-  FreqBufferController controller(config, 1 << 16, &combiner, sink, metrics);
+  Table t(&combiner);
+  FreqBufferController controller(basic_config(), t.table, t.metrics);
 
   std::map<std::string, std::uint64_t> expected;
   Xoshiro256 rng(7);
@@ -123,49 +135,42 @@ TEST(FreqBufferController, ConservationThroughFlush) {
     controller.set_progress(static_cast<double>(i) / kN);
     const std::string key = textgen::word_for_rank(zipf(rng));
     expected[key] += 1;
-    if (!controller.offer(key, varint_value(1))) {
+    if (!controller.offer(0, key, varint_value(1))) {
       passed_through[key] += 1;
     }
   }
   controller.finish();
   std::map<std::string, std::uint64_t> total = passed_through;
-  for (const auto& [key, value] : sink.records) {
+  for (const auto& [key, value] : t.target.records) {
     total[key] += varint_of(value);
   }
   EXPECT_EQ(total, expected);
 }
 
 TEST(FreqBufferController, AutoTunerFitsAlphaAndPicksSamplingFraction) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
+  Table t(&combiner);
   FreqBufConfig config;
   config.enabled = true;
   config.top_k = 20;
   config.sampling_fraction = 0.0;  // auto-tune
-  config.pre_profile_fraction = 0.01;
-  config.share_across_tasks = false;
-  FreqBufferController controller(config, 1 << 16, &combiner, sink, metrics);
+  FreqBufferController controller(config, t.table, t.metrics);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kPreProfile);
 
   stream_keys(controller, 100000, 1.0, 42, /*vocab=*/2000);
   ASSERT_TRUE(controller.zipf_fit().has_value());
   EXPECT_NEAR(controller.zipf_fit()->alpha, 1.0, 0.35);
-  EXPECT_GE(controller.effective_sampling_fraction(),
-            config.pre_profile_fraction);
+  EXPECT_GE(controller.effective_sampling_fraction(), kPreProfileFraction);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kOptimize);
 }
 
 TEST(FreqBufferController, NodeCacheSharesKeySetAcrossTasks) {
   NodeKeyCache cache;
-  RecordingSink sink1;
-  mr::TaskMetrics metrics1;
   apps::WordCountCombiner combiner;
-  auto config = basic_config();
-  config.share_across_tasks = true;
+  const auto config = basic_config();
 
-  FreqBufferController first(config, 1 << 16, &combiner, sink1, metrics1,
-                             &cache);
+  Table t1(&combiner);
+  FreqBufferController first(config, t1.table, t1.metrics, &cache);
   EXPECT_EQ(first.stage(), FreqBufferController::Stage::kProfile);
   stream_keys(first, 20000, 1.2, 1);
   first.finish();
@@ -173,12 +178,10 @@ TEST(FreqBufferController, NodeCacheSharesKeySetAcrossTasks) {
   EXPECT_FALSE(cache.get()->empty());
 
   // Second task on the same node starts directly in kOptimize.
-  RecordingSink sink2;
-  mr::TaskMetrics metrics2;
-  FreqBufferController second(config, 1 << 16, &combiner, sink2, metrics2,
-                              &cache);
+  Table t2(&combiner);
+  FreqBufferController second(config, t2.table, t2.metrics, &cache);
   EXPECT_EQ(second.stage(), FreqBufferController::Stage::kOptimize);
-  EXPECT_TRUE(second.offer(cache.get()->front(), varint_value(1)));
+  EXPECT_TRUE(second.offer(0, cache.get()->front(), varint_value(1)));
 }
 
 TEST(NodeKeyCache, FirstWriterWins) {
@@ -191,32 +194,37 @@ TEST(NodeKeyCache, FirstWriterWins) {
 
 TEST(FreqBufferController, TinyInputEndingDuringPreProfileStillFreezes) {
   NodeKeyCache cache;
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
+  Table t(&combiner);
   FreqBufConfig config;
   config.enabled = true;
   config.top_k = 5;
   config.sampling_fraction = 0.0;
-  config.share_across_tasks = true;
-  FreqBufferController controller(config, 1 << 16, &combiner, sink, metrics,
-                                  &cache);
-  controller.offer("a", varint_value(1));
-  controller.offer("a", varint_value(1));
-  controller.offer("b", varint_value(1));
+  FreqBufferController controller(config, t.table, t.metrics, &cache);
+  controller.offer(0, "a", varint_value(1));
+  controller.offer(0, "a", varint_value(1));
+  controller.offer(0, "b", varint_value(1));
   controller.finish();  // still in kPreProfile; must not crash
   ASSERT_TRUE(cache.get().has_value());
   EXPECT_FALSE(cache.get()->empty());
 }
 
+TEST(FreqBufferController, WithoutCombinerAdmitsNothing) {
+  Table t(nullptr);
+  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  const auto result = stream_keys(controller, 20000, 1.2, 5);
+  EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kOptimize);
+  EXPECT_EQ(result.absorbed, 0u);
+  controller.finish();
+  EXPECT_TRUE(t.target.records.empty());
+}
+
 TEST(FreqBufferController, ProfileTimeIsAccounted) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  auto config = basic_config();
-  FreqBufferController controller(config, 1 << 16, nullptr, sink, metrics);
+  Table t(nullptr);
+  FreqBufferController controller(basic_config(), t.table, t.metrics);
   stream_keys(controller, 20000, 1.0, 3);
-  EXPECT_GT(metrics.op_ns(mr::Op::kProfile), 0u);
-  EXPECT_GT(metrics.op_ns(mr::Op::kFreqTable), 0u);
+  EXPECT_GT(t.metrics.op_ns(mr::Op::kProfile), 0u);
+  EXPECT_GT(t.metrics.op_ns(mr::Op::kFreqTable), 0u);
 }
 
 }  // namespace

@@ -1,22 +1,46 @@
 #include <gtest/gtest.h>
 
+// FreqOpt's frequent-key table: the map side's combine table
+// (mr::HashCombineShards) restricted to an admission set and flushing into
+// an injected target, as FreqBufferController drives it (DESIGN.md §15).
+// Admitted keys are absorbed and combined, others are refused, and every
+// value reaches the target exactly once however the budget forces flushes.
+
+#include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/varint.hpp"
 #include "apps/wordcount.hpp"
-#include "freqbuf/frequent_key_table.hpp"
+#include "common/error.hpp"
+#include "common/varint.hpp"
+#include "mr/hash_combine.hpp"
+#include "mr/types.hpp"
 
-namespace textmr::freqbuf {
+namespace textmr::mr {
 namespace {
 
-/// Captures records routed back to the standard spill path.
-class RecordingSink final : public mr::EmitSink {
+struct FlatRecord {
+  std::uint32_t partition;
+  std::string key;
+  std::string value;
+};
+
+/// Records each flushed record and counts the flushes (the spill ring, in
+/// a map task).
+class RecordingTarget final : public HashCombineShards::FlushTarget {
  public:
-  void emit(std::string_view key, std::string_view value) override {
-    records.emplace_back(std::string(key), std::string(value));
+  void put(std::uint32_t partition, std::string_view key,
+           std::string_view value) override {
+    records.push_back(
+        FlatRecord{partition, std::string(key), std::string(value)});
   }
-  std::vector<std::pair<std::string, std::string>> records;
+  void seal() override { ++seals; }
+
+  std::vector<FlatRecord> records;
+  std::size_t seals = 0;
 };
 
 std::string varint_value(std::uint64_t v) {
@@ -30,139 +54,157 @@ std::uint64_t varint_of(std::string_view bytes) {
   return get_varint(bytes, pos);
 }
 
-TEST(FrequentKeyTable, AbsorbsFrequentRejectsInfrequent) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
+/// A table that flushes into a RecordingTarget, as FreqOpt's does.
+struct AdmissionHarness {
+  explicit AdmissionHarness(Reducer* combiner,
+                            HashCombineConfig config = HashCombineConfig{})
+      : table(config, combiner, target, metrics, nullptr) {}
+
+  RecordingTarget target;
+  TaskMetrics metrics;
+  HashCombineShards table;
+};
+
+TEST(HashCombineAdmission, AbsorbsAdmittedRejectsOthers) {
   apps::WordCountCombiner combiner;
-  FrequentKeyTable table({"hot", "warm"}, {}, &combiner, sink, metrics);
-  EXPECT_TRUE(table.offer("hot", varint_value(1)));
-  EXPECT_TRUE(table.offer("warm", varint_value(1)));
-  EXPECT_FALSE(table.offer("cold", varint_value(1)));
-  EXPECT_EQ(metrics.freq_hits, 2u);
-  EXPECT_TRUE(sink.records.empty());
+  AdmissionHarness h(&combiner);
+  h.table.admit_only({"hot", "warm"});
+  EXPECT_TRUE(h.table.insert(0, "hot", varint_value(1)));
+  EXPECT_TRUE(h.table.insert(1, "warm", varint_value(1)));
+  EXPECT_FALSE(h.table.insert(0, "cold", varint_value(1)));
+  EXPECT_EQ(h.table.stats().records, 2u);
+  EXPECT_TRUE(h.target.records.empty());
 }
 
-TEST(FrequentKeyTable, FlushCombinesAndEmitsOnce) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
+TEST(HashCombineAdmission, FinalFlushCombinesAndDeliversOnce) {
   apps::WordCountCombiner combiner;
-  FrequentKeyTable table({"hot"}, {}, &combiner, sink, metrics);
-  for (int i = 0; i < 100; ++i) table.offer("hot", varint_value(1));
-  table.flush();
-  ASSERT_EQ(sink.records.size(), 1u);
-  EXPECT_EQ(sink.records[0].first, "hot");
-  EXPECT_EQ(varint_of(sink.records[0].second), 100u);
-  EXPECT_EQ(metrics.freq_hits, 100u);
-  EXPECT_EQ(metrics.freq_flushes, 1u);
+  AdmissionHarness h(&combiner);
+  h.table.admit_only({"hot"});
+  for (int i = 0; i < 100; ++i) h.table.insert(0, "hot", varint_value(1));
+  EXPECT_TRUE(h.table.finish().empty()) << "an injected target writes no run";
+  ASSERT_EQ(h.target.records.size(), 1u);
+  EXPECT_EQ(h.target.records[0].key, "hot");
+  EXPECT_EQ(varint_of(h.target.records[0].value), 100u);
+  EXPECT_EQ(h.target.seals, 1u);
+  // A second finish is refused and delivers nothing more.
+  EXPECT_THROW((void)h.table.finish(), InternalError);
+  EXPECT_EQ(h.target.records.size(), 1u);
 }
 
-TEST(FrequentKeyTable, FlushIsIdempotent) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  apps::WordCountCombiner combiner;
-  FrequentKeyTable table({"hot"}, {}, &combiner, sink, metrics);
-  table.offer("hot", varint_value(3));
-  table.flush();
-  table.flush();
-  EXPECT_EQ(sink.records.size(), 1u);
-}
-
-TEST(FrequentKeyTable, PerKeyLimitTriggersEagerCombine) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  apps::WordCountCombiner combiner;
-  FrequentKeyTable::Options options;
-  options.budget_bytes = 1 << 20;
-  options.per_key_limit_bytes = 16;  // combine after ~16 buffered bytes
-  FrequentKeyTable table({"hot"}, options, &combiner, sink, metrics);
-  for (int i = 0; i < 1000; ++i) table.offer("hot", varint_value(1));
-  // Eager combining keeps the buffered footprint tiny at all times.
-  EXPECT_LE(table.buffered_bytes(), options.per_key_limit_bytes + 10);
-  EXPECT_TRUE(sink.records.empty());  // never overflowed to disk
-  table.flush();
-  ASSERT_EQ(sink.records.size(), 1u);
-  EXPECT_EQ(varint_of(sink.records[0].second), 1000u);
-  EXPECT_GT(metrics.op_ns(mr::Op::kCombine), 0u);
-}
-
-TEST(FrequentKeyTable, BudgetOverflowEvictsToSpillPath) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  // No combiner: values cannot shrink, so the budget forces evictions.
-  FrequentKeyTable::Options options;
-  options.budget_bytes = 64;
-  options.per_key_limit_bytes = 1 << 20;
-  FrequentKeyTable table({"a", "b"}, options, nullptr, sink, metrics);
+TEST(HashCombineAdmission, BudgetPressureFlushesIntoTheTarget) {
+  // No combiner: values cannot shrink, so the watermark forces flushes
+  // mid-stream; each value still reaches the target exactly once, and a
+  // flush never demotes (there is no run to demote to).
+  HashCombineConfig config;
+  config.num_shards = 1;
+  config.watermark_bytes = 256;
+  config.demote_after_flushes = 1;
+  AdmissionHarness h(nullptr, config);
+  h.table.admit_only({"a", "b"});
   for (int i = 0; i < 10; ++i) {
-    table.offer("a", std::string(10, 'x'));
-    table.offer("b", std::string(10, 'y'));
+    h.table.insert(0, "a", std::string(10, 'x'));
+    h.table.insert(0, "b", std::string(10, 'y'));
   }
-  EXPECT_FALSE(sink.records.empty());
-  EXPECT_LE(table.buffered_bytes(), 64u + 10u);
-  table.flush();
-  // Every absorbed value eventually reaches the spill path exactly once.
+  EXPECT_FALSE(h.target.records.empty());
+  EXPECT_GT(h.table.stats().flushes, 0u);
+  EXPECT_EQ(h.table.stats().demotions, 0u);
+  const std::size_t mid_stream_seals = h.target.seals;
+  EXPECT_EQ(mid_stream_seals, h.table.stats().flushes);
+  (void)h.table.finish();
+  EXPECT_EQ(h.target.seals, mid_stream_seals + 1);
   std::size_t a_bytes = 0, b_bytes = 0;
-  for (const auto& [key, value] : sink.records) {
-    if (key == "a") a_bytes += value.size();
-    if (key == "b") b_bytes += value.size();
+  for (const auto& r : h.target.records) {
+    if (r.key == "a") a_bytes += r.value.size();
+    if (r.key == "b") b_bytes += r.value.size();
   }
   EXPECT_EQ(a_bytes, 100u);
   EXPECT_EQ(b_bytes, 100u);
 }
 
-TEST(FrequentKeyTable, WithoutCombinerPerKeyLimitEvicts) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  FrequentKeyTable::Options options;
-  options.budget_bytes = 1 << 20;
-  options.per_key_limit_bytes = 32;
-  FrequentKeyTable table({"k"}, options, nullptr, sink, metrics);
-  for (int i = 0; i < 10; ++i) table.offer("k", std::string(8, 'v'));
-  EXPECT_FALSE(sink.records.empty());
-  table.flush();
-  std::size_t total = 0;
-  for (const auto& [key, value] : sink.records) total += value.size();
-  EXPECT_EQ(total, 80u);
+TEST(HashCombineAdmission, WithoutCombinerEveryValueSurvives) {
+  AdmissionHarness h(nullptr);
+  h.table.admit_only({"k"});
+  for (int i = 0; i < 10; ++i) h.table.insert(0, "k", std::string(8, 'v'));
+  (void)h.table.finish();
+  ASSERT_EQ(h.target.records.size(), 10u);
+  for (const auto& r : h.target.records) EXPECT_EQ(r.value, "vvvvvvvv");
 }
 
-TEST(FrequentKeyTable, NoDataLossUnderRandomizedLoad) {
-  // Conservation: sum of counts absorbed == sum of counts flushed, under
-  // tight budgets that force every code path.
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
+TEST(HashCombineAdmission, NoDataLossUnderRandomizedLoad) {
+  // Conservation against a std::map oracle: counts the table absorbed
+  // plus counts it rejected equal the counts offered, under a watermark
+  // tight enough to flush over and over.
   apps::WordCountCombiner combiner;
-  FrequentKeyTable::Options options;
-  options.budget_bytes = 48;
-  options.per_key_limit_bytes = 12;
-  std::vector<std::string> keys;
-  for (int i = 0; i < 8; ++i) keys.push_back("k" + std::to_string(i));
-  FrequentKeyTable table(keys, options, &combiner, sink, metrics);
+  HashCombineConfig config;
+  config.num_shards = 2;
+  config.num_partitions = 2;
+  config.watermark_bytes = 512;
+  AdmissionHarness h(&combiner, config);
+  std::vector<std::string> admitted;
+  for (int i = 0; i < 8; ++i) admitted.push_back("k" + std::to_string(i));
+  h.table.admit_only(admitted);
 
-  std::map<std::string, std::uint64_t> expected;
+  std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> expected;
+  std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> actual;
   std::uint64_t state = 1;
   for (int i = 0; i < 20000; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const std::string key = "k" + std::to_string(state % 8);
+    const std::string key = "k" + std::to_string(state % 12);
+    const auto partition = static_cast<std::uint32_t>((state >> 20) % 2);
     const std::uint64_t count = 1 + (state >> 32) % 7;
-    ASSERT_TRUE(table.offer(key, varint_value(count)));
-    expected[key] += count;
+    expected[{partition, key}] += count;
+    if (!h.table.insert(partition, key, varint_value(count))) {
+      actual[{partition, key}] += count;
+    }
   }
-  table.flush();
-  std::map<std::string, std::uint64_t> actual;
-  for (const auto& [key, value] : sink.records) {
-    actual[key] += varint_of(value);
+  (void)h.table.finish();
+  EXPECT_GT(h.table.stats().flushes, 0u);
+  for (const auto& r : h.target.records) {
+    actual[{r.partition, r.key}] += varint_of(r.value);
   }
   EXPECT_EQ(actual, expected);
 }
 
-TEST(FrequentKeyTable, EmptyKeySetAbsorbsNothing) {
-  RecordingSink sink;
-  mr::TaskMetrics metrics;
-  FrequentKeyTable table({}, {}, nullptr, sink, metrics);
-  EXPECT_FALSE(table.offer("anything", "v"));
-  table.flush();
-  EXPECT_TRUE(sink.records.empty());
+TEST(HashCombineAdmission, ResidentBytesStayWithinTheBudget) {
+  // FreqOpt's table splits its budget across its shards with no floor, so
+  // small budgets are real. Between inserts a shard holds at most its
+  // watermark, and a flush leaves it at most half full: a shard whose
+  // entry and slot capacity alone outgrew the watermark would otherwise
+  // flush on (almost) every insert.
+  apps::WordCountCombiner combiner;
+  std::vector<std::string> admitted;
+  for (int i = 0; i < 300; ++i) admitted.push_back("key" + std::to_string(i));
+  for (std::size_t watermark = 1000; watermark <= 8000; watermark += 250) {
+    SCOPED_TRACE(watermark);
+    HashCombineConfig config;
+    config.num_shards = 1;
+    config.watermark_bytes = watermark;
+    AdmissionHarness h(&combiner, config);
+    h.table.admit_only(admitted);
+    std::uint64_t state = watermark;
+    for (int i = 0; i < 5000; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const std::uint64_t flushes = h.table.stats().flushes;
+      h.table.insert(0, admitted[(state >> 33) % admitted.size()],
+                     varint_value(1));
+      const std::size_t resident = h.table.resident_bytes();
+      ASSERT_LE(resident, watermark) << "insert " << i;
+      if (h.table.stats().flushes != flushes) {
+        ASSERT_LE(resident, watermark / 2) << "insert " << i;
+      }
+    }
+    EXPECT_GT(h.table.stats().flushes, 0u);
+    (void)h.table.finish();
+  }
+}
+
+TEST(HashCombineAdmission, EmptySetAdmitsNothing) {
+  AdmissionHarness h(nullptr);
+  h.table.admit_only({});
+  EXPECT_FALSE(h.table.insert(0, "anything", "v"));
+  (void)h.table.finish();
+  EXPECT_TRUE(h.target.records.empty());
 }
 
 }  // namespace
-}  // namespace textmr::freqbuf
+}  // namespace textmr::mr

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
-// Unit battery for the map-side sharded hash-combine path (ISSUE 10):
+// Unit battery for the map side's one combine table (DESIGN.md §15):
 // combine-equivalence against an exact oracle, adversarial prefix-
 // collision keys (equal 8-byte prefixes, short keys that prefix longer
 // ones, embedded NULs), watermark flushes and mid-stream demotion — all
 // checked for exact record_ref_less run order and byte-identical map-task
-// output against the sort-spill baseline.
+// output against the sort-spill baseline — plus the in-place-or-chain
+// combine rule (FreqOpt's admission set is covered in test_freq_table).
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -83,9 +85,13 @@ struct TableHarness {
   std::unique_ptr<HashCombineShards> table;
   io::SpillFormat format = io::SpillFormat::kCompactVarint;
 
-  explicit TableHarness(HashCombineConfig config, bool with_combiner = true) {
+  explicit TableHarness(HashCombineConfig config, bool with_combiner = true)
+      : TableHarness(config,
+                     with_combiner ? make_summing_combiner() : nullptr) {}
+
+  TableHarness(HashCombineConfig config, std::unique_ptr<Reducer> reducer)
+      : combiner(std::move(reducer)) {
     config.format = format;
-    if (with_combiner) combiner = make_summing_combiner();
     table = std::make_unique<HashCombineShards>(
         config, combiner.get(),
         [this](std::uint64_t sequence) {
@@ -130,7 +136,6 @@ TEST(HashCombine, CombineEquivalenceVsExactOracle) {
   EXPECT_GT(h.table->stats().hits, 0u);
   EXPECT_EQ(h.table->stats().records, 20000u);
   EXPECT_EQ(h.table->stats().demotions, 0u);
-  EXPECT_EQ(h.metrics.hash_combine_hits, h.table->stats().hits);
   EXPECT_EQ(h.metrics.spilled_records, records.size());
 }
 
@@ -227,7 +232,6 @@ TEST(HashCombine, WatermarkFlushesAndDemotes) {
   ASSERT_GT(runs.size(), 1u) << "pressure must produce several runs";
   EXPECT_GT(h.table->stats().flushes, 0u);
   EXPECT_GT(h.table->stats().demotions, 0u);
-  EXPECT_EQ(h.metrics.hash_combine_demotions, h.table->stats().demotions);
 
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> totals;
   for (const auto& run : runs) {
@@ -249,14 +253,55 @@ TEST(HashCombine, FinishedTwiceThrows) {
   EXPECT_THROW((void)h.table->finish(), InternalError);
 }
 
+TEST(HashCombine, HotKeyCombineReadsEachValueBoundedTimes) {
+  // A concatenating combiner's result outgrows its block after a few
+  // hits; from then on values chain and are combined once, at the flush.
+  // Re-combining the whole aggregate on every hit would read ~N^2/2
+  // value bytes instead of O(N).
+  constexpr std::size_t kInserts = 20000;
+  constexpr std::size_t kValueSize = 8;
+  std::uint64_t bytes_read = 0;
+  HashCombineConfig config;
+  config.num_shards = 1;
+  TableHarness h(config,
+                 std::make_unique<LambdaReducer>(
+                     [&bytes_read](std::string_view key, ValueStream& values,
+                                   EmitSink& out) {
+                       std::string joined;
+                       while (auto v = values.next()) {
+                         bytes_read += v->size();
+                         joined.append(*v);
+                       }
+                       out.emit(key, joined);
+                     }));
+
+  std::string expected;
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    char value[kValueSize + 1];
+    std::snprintf(value, sizeof(value), "%08zu", i);
+    h.table->insert(0, "hot", std::string_view(value, kValueSize));
+    expected.append(value, kValueSize);
+  }
+  const auto runs = h.table->finish();
+  ASSERT_EQ(runs.size(), 1u);
+  const auto records = read_run(runs[0], h.format);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].value, expected);
+  EXPECT_LE(bytes_read, 4 * kInserts * kValueSize);
+}
+
 // ---- whole-map-task byte-identity ----------------------------------------
 
-/// Runs one map task over `input` in the given combine mode and returns
-/// the raw bytes of its output run file.
-std::string map_output_bytes(const std::filesystem::path& input,
-                             const std::filesystem::path& scratch,
-                             CombineMode mode, std::size_t watermark_bytes,
-                             std::uint32_t demote_flushes) {
+struct MapOutput {
+  std::string bytes;  // the raw output run file
+  TaskMetrics map_thread;
+};
+
+/// Runs one map task over `input` in the given combine mode.
+MapOutput run_map_output(const std::filesystem::path& input,
+                         const std::filesystem::path& scratch,
+                         CombineMode mode, std::size_t watermark_bytes,
+                         std::uint32_t demote_flushes) {
   MapTaskConfig config;
   config.task_id = 0;
   config.split = io::InputSplit{input.string(), 0,
@@ -287,8 +332,9 @@ std::string map_output_bytes(const std::filesystem::path& input,
   config.hash_combine_demote_flushes = demote_flushes;
   const MapTaskResult result = run_map_task(config);
   std::ifstream in(result.output.path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+  return MapOutput{std::string(std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()),
+                   result.map_thread};
 }
 
 TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
@@ -303,18 +349,28 @@ TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
       }
     }
   }
-  const std::string sorted = map_output_bytes(
+  const MapOutput sorted = run_map_output(
       input, dir.path() / "s", CombineMode::kSort, 0, 4);
-  const std::string hashed = map_output_bytes(
+  const MapOutput hashed = run_map_output(
       input, dir.path() / "h", CombineMode::kHash, 0, 4);
   // Forced pressure: a 2 KiB watermark + demote-after-one-flush pushes
   // every shard through flush AND demotion mid-stream.
-  const std::string demoted = map_output_bytes(
+  const MapOutput demoted = run_map_output(
       input, dir.path() / "d", CombineMode::kHash, 2048, 1);
-  ASSERT_FALSE(sorted.empty());
-  EXPECT_EQ(sorted, hashed) << "hash-combine output differs from sort path";
-  EXPECT_EQ(sorted, demoted)
+  ASSERT_FALSE(sorted.bytes.empty());
+  EXPECT_EQ(sorted.bytes, hashed.bytes)
+      << "hash-combine output differs from sort path";
+  EXPECT_EQ(sorted.bytes, demoted.bytes)
       << "watermark/demotion path output differs from sort path";
+
+  // The table's counters reach the task's metrics.
+  EXPECT_GT(hashed.map_thread.hash_combine_hits, 0u);
+  EXPECT_EQ(hashed.map_thread.hash_combine_flushes, 0u);
+  EXPECT_EQ(hashed.map_thread.hash_combine_demotions, 0u);
+  EXPECT_GT(demoted.map_thread.hash_combine_hits, 0u);
+  EXPECT_GT(demoted.map_thread.hash_combine_flushes, 0u);
+  EXPECT_EQ(demoted.map_thread.hash_combine_demotions, 4u);  // every shard
+  EXPECT_EQ(sorted.map_thread.hash_combine_hits, 0u);
 }
 
 }  // namespace

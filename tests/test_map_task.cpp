@@ -6,8 +6,10 @@
 #include "common/tempdir.hpp"
 #include "common/varint.hpp"
 #include "apps/wordcount.hpp"
+#include "common/error.hpp"
 #include "mr/map_task.hpp"
 #include "mr/partitioner.hpp"
+#include "mr/task_runner.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -138,7 +140,6 @@ TEST(MapTask, FreqBufferingReducesSpilledRecords) {
   freq_config.freqbuf.enabled = true;
   freq_config.freqbuf.top_k = 8;
   freq_config.freqbuf.sampling_fraction = 0.05;
-  freq_config.freqbuf.share_across_tasks = false;
   freq_config.freq_table_budget_bytes = 16 * 1024;
   const auto freq = run_map_task(freq_config);
 
@@ -251,24 +252,31 @@ TEST(MapTask, SampledTimingKeepsCountsExactAndOpsWithinWall) {
   // spill keeps every counter independent of thread scheduling.
   struct Case {
     CombineMode mode;
+    bool freq;
     std::map<std::string, std::uint64_t> map_thread;
     std::map<std::string, std::uint64_t> support_thread;
   };
-  const std::map<std::string, std::uint64_t> produced = {
+  const std::map<std::string, std::uint64_t> sort_map_thread = {
       {"input_records", 3000},       {"input_bytes", 145890},
       {"map_output_records", 24000}, {"map_output_bytes", 145890},
       {"freq_hits", 19922},          {"freq_flushes", 4},
       {"spill_input_records", 4082}, {"spill_input_bytes", 32077},
       {"merged_records", 3004},      {"merged_bytes", 31925},
   };
-  const std::map<std::string, std::uint64_t> spilled = {
+  const std::map<std::string, std::uint64_t> sort_support_thread = {
       {"spilled_records", 3004}, {"spilled_bytes", 31925}, {"spill_count", 1}};
-  auto hash_map_thread = produced;
-  hash_map_thread.insert(spilled.begin(), spilled.end());
-  hash_map_thread["hash_combine_hits"] = 1078;
+  const std::map<std::string, std::uint64_t> hash_map_thread = {
+      {"input_records", 3000},        {"input_bytes", 145890},
+      {"map_output_records", 24000},  {"map_output_bytes", 145890},
+      {"spill_input_records", 24000}, {"spill_input_bytes", 145890},
+      {"merged_records", 3004},       {"merged_bytes", 31925},
+      {"spilled_records", 3004},      {"spilled_bytes", 31925},
+      {"spill_count", 1},             {"hash_combine_hits", 20996},
+      {"hash_combine_flushes", 0},    {"hash_combine_demotions", 0},
+  };
   const Case cases[] = {
-      {CombineMode::kSort, produced, spilled},
-      {CombineMode::kHash, hash_map_thread, {}},
+      {CombineMode::kSort, true, sort_map_thread, sort_support_thread},
+      {CombineMode::kHash, false, hash_map_thread, {}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.mode == CombineMode::kSort ? "sort" : "hash");
@@ -276,11 +284,12 @@ TEST(MapTask, SampledTimingKeepsCountsExactAndOpsWithinWall) {
     auto config = base_config(dir, write_corpus(dir, "in.txt", 3000));
     config.spill_buffer_bytes = 4 << 20;
     config.combine_mode = c.mode;
-    config.freqbuf.enabled = true;
-    config.freqbuf.top_k = 8;
-    config.freqbuf.sampling_fraction = 0.05;
-    config.freqbuf.share_across_tasks = false;
-    config.freq_table_budget_bytes = 16 * 1024;
+    if (c.freq) {
+      config.freqbuf.enabled = true;
+      config.freqbuf.top_k = 8;
+      config.freqbuf.sampling_fraction = 0.05;
+      config.freq_table_budget_bytes = 16 * 1024;
+    }
     const auto result = run_map_task(config);
 
     EXPECT_LE(result.map_thread.total_ns(/*include_idle=*/true),
@@ -291,6 +300,36 @@ TEST(MapTask, SampledTimingKeepsCountsExactAndOpsWithinWall) {
     expect_volumes(result.map_thread, c.map_thread);
     expect_volumes(result.support_thread, c.support_thread);
   }
+}
+
+TEST(Validate, FreqWithHashCombineIsAConfigError) {
+  // Hash mode admits every key to its combine table, so a frequent set
+  // could only shrink what it combines: both the job check and the map
+  // task itself refuse the pair, naming both settings.
+  TempDir dir;
+  auto config = base_config(dir, write_corpus(dir, "in.txt", 10));
+  config.combine_mode = CombineMode::kHash;
+  config.freqbuf.enabled = true;
+  try {
+    run_map_task(config);
+    ADD_FAILURE() << "run_map_task accepted freqbuf with hash-combine";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("freqbuf.enabled"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("kHash"), std::string::npos);
+  }
+
+  JobSpec spec;
+  spec.inputs = {config.split};
+  spec.mapper = config.mapper;
+  spec.reducer = config.combiner;
+  spec.combiner = config.combiner;
+  spec.scratch_dir = dir.file("s");
+  spec.output_dir = dir.file("o");
+  spec.freqbuf.enabled = true;
+  EXPECT_NO_THROW(validate_job(spec));
+  spec.combine_mode = CombineMode::kHash;
+  EXPECT_THROW(validate_job(spec), ConfigError);
 }
 
 }  // namespace

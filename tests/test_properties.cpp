@@ -57,7 +57,6 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
     spec.freqbuf.enabled = true;
     spec.freqbuf.top_k = 40;
     spec.freqbuf.sampling_fraction = 0.0;  // exercise the auto-tuner too
-    spec.freqbuf.pre_profile_fraction = 0.02;
   }
 
   // Fault-injection axis: recovery (re-executed attempts, cleanup,
@@ -69,6 +68,19 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
   const auto result = engine.run(spec);
   if (!p.fail_spec.empty()) {
     EXPECT_GE(result.metrics.tasks_retried, 1u);
+  }
+  if (p.freqbuf && p.fail_spec.empty()) {
+    // The auto-tuner ran: a task whose pre-profile ended fitted alpha and
+    // picked s >= kPreProfileFraction from it (a task that reuses the
+    // node's frozen set, or whose input ended first, reports s = 0 — as
+    // may a retried first task, hence no faults here). Records are only
+    // absorbed in kOptimize.
+    double max_s = 0.0;
+    for (const auto& task : result.map_tasks) {
+      max_s = std::max(max_s, task.freq_sampling_fraction);
+    }
+    EXPECT_GE(max_s, freqbuf::kPreProfileFraction);
+    EXPECT_GT(result.metrics.work.freq_hits, 0u);
   }
   const auto expected = test::reference_wordcount(corpus.string());
   const auto actual = test::read_outputs(result.outputs);
@@ -466,15 +478,22 @@ std::vector<DiffParams> differential_matrix() {
   };
   std::vector<DiffParams> params;
   std::uint64_t seed = 5000;
+  std::size_t cell = 0;
   for (std::size_t round = 0; round < pressure_scale(); ++round) {
     for (const char* app : app_names) {
       for (const bool freq : {false, true}) {
         for (const bool matcher : {false, true}) {
           ++seed;
+          // Combine axis cycles so every app sees sort, hash and the
+          // forced-watermark hash across its four cells.
+          const int combine = static_cast<int>(cell % 3);
           // Skew-aware partitioning alternates across the grid, so every
           // app sees both partitioner modes over its four cells.
           const bool skew = seed % 2 == 0;
-          std::string fail = fail_specs[params.size() % std::size(fail_specs)];
+          std::string fail = fail_specs[cell % std::size(fail_specs)];
+          ++cell;
+          // FreqOpt runs in sort mode only (hash mode admits every key).
+          if (freq && combine != 0) continue;
           // dfs.open:nth=1 would fire once inside the skew sampling
           // pre-pass (which tolerates and consumes it), leaving no fault
           // for a task to retry — swap in a task-side site instead.
@@ -484,10 +503,7 @@ std::vector<DiffParams> differential_matrix() {
               seed % 2 == 0 ? io::SpillFormat::kCompactVarint
                             : io::SpillFormat::kFixed32,
               static_cast<std::size_t>(seed % 3 == 0 ? 24 : 64),
-              std::move(fail), skew,
-              // Combine axis cycles so every app sees sort, hash and the
-              // forced-watermark hash across its four cells.
-              static_cast<int>(params.size() % 3)});
+              std::move(fail), skew, combine});
         }
       }
     }
@@ -622,6 +638,12 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
 std::vector<ClusterDiffParams> cluster_differential_matrix() {
   std::vector<ClusterDiffParams> params;
   std::size_t i = 0;
+  // Every candidate cell advances the cycle; FreqOpt runs in sort mode
+  // only (hash mode admits every key), so freq x hash cells are dropped.
+  const auto add = [&](ClusterDiffParams p) {
+    ++i;
+    if (!(p.freqbuf && p.combine != 0)) params.push_back(std::move(p));
+  };
   for (const char* app :
        {"WordCount", "InvertedIndex", "WordPOSTag", "AccessLogSum",
         "AccessLogJoin", "AccessLogJoinSorted", "Sessionize",
@@ -630,13 +652,12 @@ std::vector<ClusterDiffParams> cluster_differential_matrix() {
       for (const bool skew : {false, true}) {
         // freq / matcher cycle by position so each appears in both skew
         // modes across the grid without squaring its size.
-        params.push_back(ClusterDiffParams{
-            app, workers, i % 2 == 0, i % 3 == 0, skew,
-            cluster::TransportKind::kSocketpair, "",
-            // Combine cycles across the grid so each app runs hash and
-            // forced-watermark hash cells under the cluster engine too.
-            static_cast<int>(i % 3)});
-        ++i;
+        add(ClusterDiffParams{app, workers, i % 2 == 0, i % 3 == 0, skew,
+                              cluster::TransportKind::kSocketpair, "",
+                              // Combine cycles across the grid so each app
+                              // runs hash and forced-watermark hash cells
+                              // under the cluster engine too.
+                              static_cast<int>(i % 3)});
       }
     }
     // Transport axis: every app also runs over loopback TCP with the
@@ -644,16 +665,14 @@ std::vector<ClusterDiffParams> cluster_differential_matrix() {
     // (alternating a worker-side spill fault with a shuffle-fetch fault
     // so both recovery paths appear across the grid).
     for (const bool skew : {false, true}) {
-      params.push_back(ClusterDiffParams{app, 2, i % 2 == 0, i % 3 == 0,
-                                         skew, cluster::TransportKind::kTcp,
-                                         "", static_cast<int>(i % 3)});
-      ++i;
+      add(ClusterDiffParams{app, 2, i % 2 == 0, i % 3 == 0, skew,
+                            cluster::TransportKind::kTcp, "",
+                            static_cast<int>(i % 3)});
     }
-    params.push_back(ClusterDiffParams{
+    add(ClusterDiffParams{
         app, 2, i % 2 == 0, i % 3 == 0, false, cluster::TransportKind::kTcp,
         i % 2 == 0 ? "spill.write:nth=1" : "shuffle.fetch:nth=1",
         static_cast<int>(i % 3)});
-    ++i;
   }
   return params;
 }
