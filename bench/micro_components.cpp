@@ -138,6 +138,7 @@ void BM_SortAndSpill(benchmark::State& state) {
     for (const auto& key : keys) {
       spill.records.push_back(arena.append(0, key, value));
     }
+    spill.frames = arena.frames();
     mr::TaskMetrics metrics;
     const auto path = dir.file("run" + std::to_string(run_id++)).string();
     state.ResumeTiming();

@@ -126,8 +126,10 @@ int main() {
 
     const std::uint64_t t1 = monotonic_ns();
     std::uint64_t payload = 0;
+    const mr::FrameStore frames = arena.frames();
     for (const mr::RecordRef& ref : arena.records()) {
-      payload += ref.key().size() + ref.value().size();
+      const mr::Frame frame = frames.frame(ref);
+      payload += frame.key.size() + frame.value.size();
     }
     const std::uint64_t iterate_ns = monotonic_ns() - t1;
     std::printf("arena: append %.1f ns/record, iterate %.1f ns/record "

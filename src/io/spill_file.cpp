@@ -72,28 +72,6 @@ std::size_t encode_frame_header(char* dest, std::size_t key_size,
   return 8;
 }
 
-FrameHeader decode_frame_header(std::string_view data, SpillFormat format) {
-  FrameHeader header;
-  std::size_t pos = 0;
-  std::uint64_t klen;
-  std::uint64_t vlen;
-  if (format == SpillFormat::kCompactVarint) {
-    klen = textmr::get_varint(data, pos);
-    vlen = textmr::get_varint(data, pos);
-  } else {
-    klen = textmr::get_fixed32(data, pos);
-    vlen = textmr::get_fixed32(data, pos);
-  }
-  // Two comparisons, not klen + vlen (which a corrupt varint could wrap).
-  if (klen > data.size() - pos || vlen > data.size() - pos - klen) {
-    throw FormatError("record frame exceeds available bytes");
-  }
-  header.key_size = static_cast<std::uint32_t>(klen);
-  header.value_size = static_cast<std::uint32_t>(vlen);
-  header.header_size = static_cast<std::uint16_t>(pos);
-  return header;
-}
-
 SpillRunWriter::SpillRunWriter(std::string path, std::uint32_t num_partitions,
                                SpillFormat format)
     : path_(std::move(path)), format_(format) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/varint.hpp"
 #include "io/record.hpp"
 
 namespace textmr::io {
@@ -61,7 +62,27 @@ std::size_t encode_frame_header(char* dest, std::size_t key_size,
 
 /// Decodes the frame header at the start of `data`, validating that the
 /// whole framed record fits inside `data`. Throws FormatError otherwise.
-FrameHeader decode_frame_header(std::string_view data, SpillFormat format);
+/// Inline: the in-memory record path decodes a header per record read.
+inline FrameHeader decode_frame_header(std::string_view data,
+                                       SpillFormat format) {
+  std::size_t pos = 0;
+  std::uint64_t klen;
+  std::uint64_t vlen;
+  if (format == SpillFormat::kCompactVarint) {
+    klen = textmr::get_varint(data, pos);
+    vlen = textmr::get_varint(data, pos);
+  } else {
+    klen = textmr::get_fixed32(data, pos);
+    vlen = textmr::get_fixed32(data, pos);
+  }
+  // Two comparisons, not klen + vlen (which a corrupt varint could wrap).
+  if (klen > data.size() - pos || vlen > data.size() - pos - klen) {
+    throw FormatError("record frame exceeds available bytes");
+  }
+  return FrameHeader{static_cast<std::uint32_t>(klen),
+                     static_cast<std::uint32_t>(vlen),
+                     static_cast<std::uint16_t>(pos)};
+}
 
 /// Sequential writer. `append` must be called with nondecreasing partition
 /// ids; key order within a partition is the caller's responsibility (the

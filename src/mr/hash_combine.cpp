@@ -1,7 +1,6 @@
 #include "mr/hash_combine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <limits>
 
@@ -311,8 +310,10 @@ void HashCombineShards::combine(Shard& shard, Entry& entry,
     bool first_ = true;
   };
 
-  ResultSink sink(*this, shard, entry, entry.key_ref.key());
-  combiner_->reduce(entry.key_ref.key(), values, sink);
+  // The key's view outlives the combine: only the value heap grows here.
+  const std::string_view key = shard.keys.frames().key(entry.key_ref);
+  ResultSink sink(*this, shard, entry, key);
+  combiner_->reduce(key, values, sink);
   if (!sink.emitted()) {
     // A combiner may legitimately emit nothing for a key; the entry then
     // holds no values and the flush skips it (exactly what the sort path
@@ -340,12 +341,12 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
     const std::uint32_t idx = shard.slots[j];
     if (idx == 0) break;
     Entry& entry = shard.entries[idx - 1];
-    // Cheap rejects first (hash, partition, size, 8-byte prefix); the
-    // full-key compare confirms — equal prefixes with differing tails
-    // are a first-class case (tests/test_hash_combine.cpp).
+    // Cheap rejects first (hash, partition, 8-byte prefix); the full-key
+    // compare confirms — equal prefixes with differing tails are a
+    // first-class case (tests/test_hash_combine.cpp).
     if (entry.hash == slot_hash && entry.key_ref.partition == partition &&
-        entry.key_ref.key_size == key.size() &&
-        entry.key_ref.key_prefix == prefix && entry.key_ref.key() == key) {
+        entry.key_ref.key_prefix == prefix &&
+        shard.keys.frames().key(entry.key_ref) == key) {
       ++stats_.hits;
       if (combiner_ != nullptr && entry.value_head != kNil &&
           entry.value_tail == kNil) {
@@ -357,10 +358,9 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
     }
     j = (j + 1) & mask;
   }
-  // New key: the frame lives in the shard's key arena (stable addresses);
-  // the RecordRef is copied out *by value* — records() can reallocate on
-  // the next append, so holding the returned reference is the lifetime
-  // bug the static analyzer hunts (DESIGN.md §15).
+  // New key: the frame lives in the shard's key arena. The entry keeps
+  // its offset, never a view — the next append() may reallocate the arena
+  // (the lifetime bug the static analyzer hunts, DESIGN.md §15).
   Entry entry;
   entry.key_ref = shard.keys.append(partition, key, std::string_view(""));
   entry.hash = slot_hash;
@@ -411,83 +411,21 @@ bool HashCombineShards::insert(std::uint32_t partition, std::string_view key,
   return true;
 }
 
-void HashCombineShards::radix_sort(std::vector<FlushItem>& items) {
-  const std::size_t n = items.size();
-  if (n < 2) return;
-  flush_scratch_.resize(n);
-  FlushItem* a = items.data();
-  FlushItem* b = flush_scratch_.data();
-  std::array<std::uint32_t, 257> count;
-
-  // Stable LSD over the big-endian key prefix: least-significant byte
-  // first, so the final pass (most-significant = first key byte) owns the
-  // order and earlier passes break its ties.
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    count.fill(0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++count[((a[i].prefix >> shift) & 0xff) + 1];
-    }
-    // Short text keys zero-pad the low prefix bytes; skip uniform passes.
-    bool uniform = false;
-    for (std::size_t bucket = 1; bucket <= 256; ++bucket) {
-      if (count[bucket] == n) {
-        uniform = true;
-        break;
-      }
-      if (count[bucket] != 0) break;
-    }
-    if (uniform) continue;
-    for (std::size_t bucket = 1; bucket <= 256; ++bucket) {
-      count[bucket] += count[bucket - 1];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      b[count[(a[i].prefix >> shift) & 0xff]++] = a[i];
-    }
-    std::swap(a, b);
-  }
-
-  // Most-significant pass: the partition (runs group by partition first).
-  part_count_.assign(config_.num_partitions + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++part_count_[a[i].partition + 1];
-  for (std::size_t p = 1; p <= config_.num_partitions; ++p) {
-    part_count_[p] += part_count_[p - 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    b[part_count_[a[i].partition]++] = a[i];
-  }
-  std::swap(a, b);
-  if (a != items.data()) {
-    std::memcpy(items.data(), a, n * sizeof(FlushItem));
-  }
-
-  // Fallback comparison on (partition, prefix) ties: equal prefixes decide
-  // nothing for >8-byte keys or zero-padded short keys (record_arena.hpp),
-  // so those spans fall back to the full-key compare.
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i + 1;
-    while (j < n && items[j].partition == items[i].partition &&
-           items[j].prefix == items[i].prefix) {
-      ++j;
-    }
-    if (j - i > 1) {
-      std::sort(items.begin() + static_cast<std::ptrdiff_t>(i),
-                items.begin() + static_cast<std::ptrdiff_t>(j),
-                [this](const FlushItem& x, const FlushItem& y) {
-                  return shards_[x.shard].entries[x.entry].key_ref.key() <
-                         shards_[y.shard].entries[y.entry].key_ref.key();
-                });
-    }
-    i = j;
-  }
-}
-
 void HashCombineShards::flush(std::size_t first, std::size_t last) {
   obs::SpanTimer span(trace_, "spill", "hash_flush");
   const std::uint64_t t0 = monotonic_ns();
-  flush_items_.clear();
+  // A flush ref's offset names its entry: entry index x width + shard
+  // index counted from `first`.
+  const std::size_t width = last - first;
+  auto entry_of = [&](const RecordRef& ref) -> std::pair<Shard&, Entry&> {
+    Shard& shard = shards_[first + ref.offset % width];
+    return {shard, shard.entries[ref.offset / width]};
+  };
+  flush_refs_.clear();
   for (std::size_t s = first; s < last; ++s) {
     Shard& shard = shards_[s];
+    TEXTMR_CHECK(shard.entries.size() * width <= kNil,
+                 "hash-combine flush outgrew u32 entry ids");
     for (std::size_t e = 0; e < shard.entries.size(); ++e) {
       Entry& entry = shard.entries[e];
       // The one combine a chain gets.
@@ -495,33 +433,35 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
         combine(shard, entry, nullptr);
       }
       if (entry.value_head == kNil) continue;
-      flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
-                                       entry.key_ref.partition,
-                                       static_cast<std::uint32_t>(e),
-                                       static_cast<std::uint32_t>(s)});
+      flush_refs_.push_back(
+          RecordRef{entry.key_ref.key_prefix,
+                    static_cast<std::uint32_t>(e * width + (s - first)),
+                    entry.key_ref.partition});
     }
   }
   const std::uint64_t combined_ns = monotonic_ns();
-  radix_sort(flush_items_);
+  sort_records(flush_refs_, [&](const RecordRef& ref) {
+    const auto [shard, entry] = entry_of(ref);
+    return shard.keys.frames().key(entry.key_ref);
+  });
   const std::uint64_t sorted_ns = monotonic_ns();
   metrics_.op_ns(Op::kCombine) += combined_ns - t0;
   metrics_.op_ns(Op::kSort) += sorted_ns - combined_ns;
-  span.arg("entries", static_cast<double>(flush_items_.size()));
+  span.arg("entries", static_cast<double>(flush_refs_.size()));
 
   std::uint64_t records = 0;
-  for (const FlushItem& item : flush_items_) {
-    const Shard& shard = shards_[item.shard];
-    const Entry& entry = shard.entries[item.entry];
+  for (const RecordRef& ref : flush_refs_) {
+    const auto [shard, entry] = entry_of(ref);
+    const std::string_view key = shard.keys.frames().key(entry.key_ref);
     for (std::uint32_t cursor = entry.value_head; cursor != kNil;
          cursor = load_u32(shard.values, cursor)) {
-      target_.put(item.partition, entry.key_ref.key(),
-                  block_value(shard.values, cursor));
+      target_.put(ref.partition, key, block_value(shard.values, cursor));
       ++records;
     }
   }
   span.arg("records", static_cast<double>(records));
 
-  // Reset the shards but keep every allocation (arena chunks, entry and
+  // Reset the shards but keep every allocation (key arena, entry and
   // slot capacity, the value heap) — refills are allocation-free — unless
   // the entry and slot capacity alone outgrew half the watermark: kept,
   // they would leave the shard flushing on almost every insert.
@@ -548,7 +488,7 @@ void HashCombineShards::flush_demoted(Shard& shard, bool final) {
   // runs to what the ring pipeline would have produced.
   Spill spill;
   spill.records = shard.spill.records();
-  spill.format = config_.format;
+  spill.frames = shard.spill.frames();
   spill.data_bytes = shard.spill.payload_bytes();
   spill.sequence = run_sequence_;
   spill.is_final = final;

@@ -13,11 +13,10 @@
 // instead and the shard combines them once, when it flushes — each value
 // is read a bounded number of times however hot its key is.
 //
-// Flushes sort the entries (a stable LSD radix pass over (partition, key
-// prefix) with a full-key fallback on prefix ties — record_ref_less
-// order) and hand them to a flush target: by default one sorted run file
-// per flush, indistinguishable from a sort-spill run; FreqOpt's target is
-// the spill ring. Every shard has a byte watermark; breaching it flushes
+// Flushes sort the entries with sort_records, the ring spill's own sort,
+// and hand them to a flush target: by default one sorted run file per
+// flush, indistinguishable from a sort-spill run; FreqOpt's target is the
+// spill ring. Every shard has a byte watermark; breaching it flushes
 // the shard. A run-writing shard that keeps breaching
 // (demote_after_flushes) is *demoted* to the sort-spill path
 // (RecordArena + sort_and_spill), so behavior under pressure is the
@@ -64,12 +63,12 @@ struct HashCombineStats {
 
 /// The per-task shard set. Single-threaded: lives on the map thread and
 /// is driven from the emit sink. Inserts read no clock; each flush times
-/// itself exactly (flush-time combines into kCombine, the radix sort into
+/// itself exactly (flush-time combines into kCombine, sort_records into
 /// kSort, the run write into kSpillWrite), and the map task carves those
 /// out of its sampled emit time (map_task.cpp).
 class HashCombineShards {
  public:
-  /// Where a flush sends the combined entries, in record_ref_less order.
+  /// Where a flush sends the combined entries, in (partition, key) order.
   class FlushTarget {
    public:
     virtual ~FlushTarget() = default;
@@ -132,11 +131,12 @@ class HashCombineShards {
     std::uint32_t value_head = kNil;
     std::uint32_t value_tail = kNil;
   };
+  static_assert(sizeof(Entry) == 32);
 
   struct Shard {
     std::vector<std::uint32_t> slots;  // entry index + 1; 0 = empty
     std::vector<Entry> entries;
-    RecordArena keys;            // framed keys, stable addresses
+    RecordArena keys;            // framed keys (offset-addressed)
     std::vector<char> values;    // value blocks (offset-addressed)
     std::uint64_t flush_count = 0;
     bool demoted = false;
@@ -169,17 +169,6 @@ class HashCombineShards {
   std::size_t shard_bytes(const Shard& shard) const;
   void grow_slots(Shard& shard);
 
-  /// Sorts `items` into record_ref_less order: stable LSD radix over the
-  /// 8-byte key prefix, a stable counting pass over the partition, then a
-  /// full-key comparison fallback on equal-(partition, prefix) spans.
-  struct FlushItem {
-    std::uint64_t prefix;
-    std::uint32_t partition;
-    std::uint32_t entry;
-    std::uint32_t shard;
-  };
-  void radix_sort(std::vector<FlushItem>& items);
-
   /// Combines, sorts and hands shards [first, last) to the target, then
   /// resets them.
   void flush(std::size_t first, std::size_t last);
@@ -200,9 +189,7 @@ class HashCombineShards {
   std::uint64_t run_sequence_ = 0;
   HashCombineStats stats_;
   std::string combine_scratch_;  // staging for combiner output (reused)
-  std::vector<FlushItem> flush_items_;      // reused across flushes
-  std::vector<FlushItem> flush_scratch_;    // radix ping-pong buffer
-  std::vector<std::uint32_t> part_count_;   // partition counting-sort buckets
+  std::vector<RecordRef> flush_refs_;  // one per flushed entry (reused)
   bool finished_ = false;
 };
 

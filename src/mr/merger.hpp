@@ -70,16 +70,17 @@ class VectorRunCursor final : public RecordCursor {
 /// reduce-side zero-copy path: no io::Record is ever materialized.
 class MemoryRunCursor final : public RecordCursor {
  public:
-  explicit MemoryRunCursor(const std::vector<RecordRef>* records)
-      : records_(records) {}
+  MemoryRunCursor(FrameStore frames, const std::vector<RecordRef>* records)
+      : frames_(frames), records_(records) {}
   std::optional<io::RecordView> next() override {
     if (index_ >= records_->size()) return std::nullopt;
-    const RecordRef& r = (*records_)[index_++];
-    return io::RecordView{r.key(), r.value()};
+    const Frame frame = frames_.frame((*records_)[index_++]);
+    return io::RecordView{frame.key, frame.value};
   }
   bool stable_views() const override { return true; }
 
  private:
+  FrameStore frames_;
   const std::vector<RecordRef>* records_;
   std::size_t index_ = 0;
 };

@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -17,7 +16,7 @@ namespace textmr::mr {
 /// short key before any longer key it prefixes. When two prefixes are
 /// *equal* nothing is decided (the short-key pad is indistinguishable from
 /// embedded NULs) and the caller must fall back to a full compare — see
-/// record_ref_less.
+/// sort_records.
 inline std::uint64_t key_prefix8(std::string_view key) {
   std::uint64_t prefix = 0;
   const std::size_t n = key.size() < 8 ? key.size() : 8;
@@ -28,98 +27,102 @@ inline std::uint64_t key_prefix8(std::string_view key) {
   return prefix;
 }
 
-/// A reference to one *framed* record — [header][key][value] in a spill
-/// format — living in storage owned by someone else (the spill ring, a
-/// RecordArena, or a bulk-read partition buffer). Valid until that storage
-/// is released. The key prefix and sizes are denormalized here so the sort
-/// comparator touches record bytes only on prefix ties (DESIGN.md §8).
+/// The 16-byte index entry of one *framed* record — [header][key][value]
+/// in a spill format — living in a store owned by someone else: the spill
+/// ring, a RecordArena, or a fetched shuffle partition. `offset` locates
+/// the frame in that store; the key and value sizes are read from the
+/// frame header (FrameStore). The 8-byte key prefix is denormalized so
+/// the sort decides almost every pair without touching the frames
+/// (DESIGN.md §8).
 struct RecordRef {
-  const char* frame;         // start of the framed record
-  std::uint64_t key_prefix;  // key_prefix8(key())
-  std::uint32_t key_size;
-  std::uint32_t value_size;
+  std::uint64_t key_prefix;  // key_prefix8(key)
+  std::uint32_t offset;      // frame start within its store
   std::uint32_t partition;
-  std::uint16_t header_size;  // frame bytes before the key
+};
+static_assert(sizeof(RecordRef) == 16);
 
-  std::string_view key() const { return {frame + header_size, key_size}; }
-  std::string_view value() const {
-    return {frame + header_size + key_size, value_size};
-  }
-  std::size_t frame_bytes() const {
-    return static_cast<std::size_t>(header_size) + key_size + value_size;
-  }
-  std::string_view frame_view() const { return {frame, frame_bytes()}; }
+/// One framed record, decoded.
+struct Frame {
+  std::string_view key;
+  std::string_view value;
+  std::string_view bytes;  // the whole frame, verbatim
 };
 
-/// Spill-path record order: (partition, key). The prefix comparison
-/// resolves almost every pair for text keys without touching the frames.
-inline bool record_ref_less(const RecordRef& a, const RecordRef& b) {
-  if (a.partition != b.partition) return a.partition < b.partition;
-  if (a.key_prefix != b.key_prefix) return a.key_prefix < b.key_prefix;
-  return a.key() < b.key();
-}
+/// The bytes a set of RecordRefs indexes, and their frame format. A view:
+/// valid as long as the owning store's storage.
+struct FrameStore {
+  std::string_view bytes;
+  io::SpillFormat format = io::SpillFormat::kCompactVarint;
 
-/// Key equality for grouping sorted refs. Keys of <= 8 bytes are decided
-/// by (size, prefix) alone.
-inline bool record_key_equal(const RecordRef& a, const RecordRef& b) {
-  if (a.key_size != b.key_size || a.key_prefix != b.key_prefix) return false;
-  if (a.key_size <= 8) return true;
-  return std::memcmp(a.frame + a.header_size + 8, b.frame + b.header_size + 8,
-                     a.key_size - 8) == 0;
-}
+  /// Decodes the frame `ref` names. Throws FormatError (or out_of_range)
+  /// if it does not lie inside the store.
+  Frame frame(const RecordRef& ref) const {
+    const std::string_view rest = bytes.substr(ref.offset);
+    const io::FrameHeader h = io::decode_frame_header(rest, format);
+    const char* key = rest.data() + h.header_size;
+    return {{key, h.key_size},
+            {key + h.key_size, h.value_size},
+            {rest.data(), std::size_t{h.header_size} + h.key_size +
+                              h.value_size}};
+  }
+  std::string_view key(const RecordRef& ref) const { return frame(ref).key; }
+};
 
-/// Append-only arena of framed records with stable addresses: records are
-/// encoded once into chunked storage and referenced through RecordRefs,
-/// so sorting, combining and writing never copy key/value bytes again.
-/// Used by the reduce-side hash path, the test spill builders and the
-/// record-path benchmarks; the map-side ring (SpillBuffer) implements the
-/// same frame layout with bounded circular storage instead.
+/// Sorts `refs` by (partition, key), stably: a least-significant-digit
+/// radix over the partition and the 8-byte key prefix, then, for each
+/// span of equal (partition, prefix), a full-key order that reads each
+/// record's key through `key_of` exactly once. A span whose keys are all
+/// equal — a hot key — is left as it is. Allocates a 16-byte scratch
+/// entry per record while it runs. The one (partition, key) ordering of
+/// the map side: ring spills (sort_and_spill) and hash-combine flushes.
+void sort_records(
+    std::vector<RecordRef>& refs,
+    const std::function<std::string_view(const RecordRef&)>& key_of);
+
+/// Append-only arena of framed records in one offset-addressed buffer,
+/// like the hash shards' value heap: records are encoded once and
+/// referenced through RecordRefs, so sorting, combining and writing never
+/// copy key/value bytes again. The refs are offsets and survive growth;
+/// a view read through frames() (a key, a value) does not — append() may
+/// reallocate the buffer. Used by the hash-combine shards (keys, demoted
+/// spills), the test spill builders and the record-path benchmarks; the
+/// map-side ring (SpillBuffer) uses the same frame layout with bounded
+/// circular storage instead.
 class RecordArena {
  public:
   explicit RecordArena(
-      io::SpillFormat format = io::SpillFormat::kCompactVarint,
-      std::size_t chunk_bytes = 1u << 18)
-      : format_(format), chunk_bytes_(chunk_bytes) {}
+      io::SpillFormat format = io::SpillFormat::kCompactVarint)
+      : format_(format) {}
 
-  const RecordRef& append(std::uint32_t partition, std::string_view key,
-                          std::string_view value) TEXTMR_LIFETIME_BOUND;
+  RecordRef append(std::uint32_t partition, std::string_view key,
+                   std::string_view value);
 
   const std::vector<RecordRef>& records() const TEXTMR_LIFETIME_BOUND {
     return records_;
   }
-  std::vector<RecordRef>& records() TEXTMR_LIFETIME_BOUND {
-    return records_;  // sortable in place
+  /// The store the refs index; invalidated by the next append().
+  FrameStore frames() const TEXTMR_LIFETIME_BOUND {
+    return {{bytes_.data(), bytes_.size()}, format_};
   }
   std::size_t size() const { return records_.size(); }
   std::uint64_t payload_bytes() const { return payload_bytes_; }
-  io::SpillFormat format() const { return format_; }
 
-  /// Forgets all records but keeps the chunk storage for reuse, so a
-  /// cleared arena refills without heap allocations.
+  /// Forgets all records but keeps the storage for reuse, so a cleared
+  /// arena refills without heap allocations.
   void clear();
 
  private:
-  char* allocate(std::size_t bytes);
-
-  struct Chunk {
-    std::unique_ptr<char[]> data;
-    std::size_t size;
-  };
-
   io::SpillFormat format_;
-  std::size_t chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  std::size_t active_chunk_ = 0;  // chunks_[active_chunk_] is being filled
-  std::size_t chunk_used_ = 0;
+  std::vector<char> bytes_;
   std::vector<RecordRef> records_;
   std::uint64_t payload_bytes_ = 0;
 };
 
-/// Decodes a partition's record-stream bytes (as returned by
-/// SpillRunReader::read_partition) into RecordRefs pointing *into* `data`
-/// — the zero-copy half of the shuffle. `data` must stay alive and
-/// unmoved while the refs are used. Throws FormatError on a malformed
-/// stream.
+/// Indexes a partition's record-stream bytes (as returned by
+/// SpillRunReader::read_partition): one RecordRef per frame, its offset
+/// into `data` — the zero-copy half of the shuffle. Read the frames back
+/// through FrameStore{data, format}; `data` must stay alive and unmoved
+/// while they are used. Throws FormatError on a malformed stream.
 std::vector<RecordRef> index_frames(std::string_view data
                                         TEXTMR_LIFETIME_BOUND,
                                     std::uint32_t partition,

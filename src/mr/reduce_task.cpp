@@ -216,8 +216,8 @@ void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
 }
 
 /// One map output's contribution to this reduce partition: the raw framed
-/// bytes from a single bulk read, plus RecordRefs decoded in place. The
-/// records are never copied out of `bytes` (DESIGN.md §8).
+/// bytes from a single bulk read, plus RecordRefs indexing them by
+/// offset. The records are never copied out of `bytes` (DESIGN.md §8).
 struct FetchedRun {
   std::string bytes;
   std::vector<RecordRef> refs;
@@ -253,8 +253,8 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   // local read whose byte volume the simulator later prices as network
   // transfer. Each map output contributes one bulk read, decoded in place
   // into RecordRefs — no per-record copies. Records arrive sorted per map
-  // output. The refs point into FetchedRun::bytes, so runs are built in
-  // place (a string move could relocate a small buffer via SSO).
+  // output. The cursors read FetchedRun::bytes in place, so runs are built
+  // in place (a string move could relocate a small buffer via SSO).
   std::vector<FetchedRun> fetched;
   fetched.reserve(config.map_outputs.size());
   {
@@ -315,7 +315,8 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   std::vector<std::unique_ptr<RecordCursor>> cursors;
   cursors.reserve(fetched.size());
   for (const auto& fetch : fetched) {
-    cursors.push_back(std::make_unique<MemoryRunCursor>(&fetch.refs));
+    cursors.push_back(std::make_unique<MemoryRunCursor>(
+        FrameStore{fetch.bytes, config.spill_format}, &fetch.refs));
   }
   // The loop's wall is read once at each end. Sink flushes time
   // themselves exactly. The rest is split across grouping (kReduceMerge),

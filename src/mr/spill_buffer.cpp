@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/mutex.hpp"
@@ -25,6 +26,8 @@ SpillBuffer::SpillBuffer(std::size_t capacity_bytes, double initial_threshold,
       trace_(trace),
       clock_(clock != nullptr ? clock : &common::system_clock()) {
   TEXTMR_CHECK(capacity_bytes >= 1024, "spill buffer must be >= 1 KiB");
+  TEXTMR_CHECK(capacity_bytes <= std::numeric_limits<std::uint32_t>::max(),
+               "spill buffer must stay addressable by u32 offsets");
   TEXTMR_CHECK(max_outstanding >= 1, "need >= 1 outstanding spill slot");
   threshold_ = std::clamp(initial_threshold, kMinThreshold, kMaxThreshold);
 }
@@ -44,7 +47,7 @@ void SpillBuffer::seal_locked() {
   if (current_records_.empty()) return;
   Spill spill;
   spill.records = std::move(current_records_);
-  spill.format = format_;
+  spill.frames = FrameStore{{ring_.data(), ring_.size()}, format_};
   spill.ring_bytes = current_ring_bytes_;
   spill.data_bytes = current_data_bytes_;
   spill.produce_ns = clock_->now_ns() - current_started_ns_ - current_wait_ns_;
@@ -121,13 +124,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
   std::memcpy(dest + header, key.data(), key.size());
   std::memcpy(dest + header + key.size(), value.data(), value.size());
   current_records_.push_back(RecordRef{
-      dest,
-      key_prefix8(key),
-      static_cast<std::uint32_t>(key.size()),
-      static_cast<std::uint32_t>(value.size()),
-      partition,
-      static_cast<std::uint16_t>(header),
-  });
+      key_prefix8(key), static_cast<std::uint32_t>(tail_), partition});
   tail_ += need;
   if (tail_ == capacity_) tail_ = 0;
   used_ += need;

@@ -14,13 +14,13 @@
 
 namespace textmr::mr {
 
-/// One sealed spill region handed to the support thread. `records` are
-/// RecordRefs into the ring: each points at a framed record, already in
-/// the spill-file format, so the sorter can write uncombined records as a
-/// verbatim frame blit (SpillRunWriter::append_frame).
+/// One sealed spill region handed to the support thread. `records` index
+/// `frames` (the ring, or an arena): each names a framed record, already
+/// in the spill-file format, so the sorter can write uncombined records
+/// as a verbatim frame blit (SpillRunWriter::append_frame).
 struct Spill {
   std::vector<RecordRef> records;
-  io::SpillFormat format = io::SpillFormat::kCompactVarint;
+  FrameStore frames;
   std::uint64_t ring_bytes = 0;   // ring bytes (incl. wrap padding) to free
   std::uint64_t data_bytes = 0;   // payload bytes (keys + values)
   std::uint64_t produce_ns = 0;   // wall time the map thread took to fill it
@@ -43,8 +43,8 @@ struct SpillTiming {
 /// The producer appends records *framed in the spill-file format*
 /// ([header][key][value], see io::encode_frame_header) — the one and only
 /// copy a record's bytes undergo on the map side: every later stage
-/// (sort, combine grouping, spill write, merge) works through RecordRefs
-/// and string_views into this ring (DESIGN.md §8). Once the bytes
+/// (sort, combine grouping, spill write) works through 16-byte RecordRefs
+/// (ring offsets) and string_views into this ring (DESIGN.md §8). Once the bytes
 /// accumulated in the current (unsealed) region reach
 /// `threshold * capacity`, the region is sealed into a `Spill` and queued
 /// for the consumer. The producer
@@ -81,14 +81,11 @@ class SpillBuffer {
                        obs::TraceBuffer* trace = nullptr,
                        const common::Clock* clock = nullptr);
 
-  std::size_t capacity() const { return capacity_; }
-  io::SpillFormat format() const { return format_; }
-
   // ---- producer side -------------------------------------------------
 
   /// Appends a record. Blocks while the ring is full (the wait is added
   /// to `producer_wait_ns`). Throws ConfigError if a single record can
-  /// never fit.
+  /// never fit. The capacity must stay below 4 GiB (u32 ring offsets).
   void put(std::uint32_t partition, std::string_view key,
            std::string_view value);
 

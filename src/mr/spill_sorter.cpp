@@ -13,15 +13,17 @@ namespace {
 /// ValueStream over a run [begin, end) of sorted RecordRefs sharing a key.
 class RefValueStream final : public ValueStream {
  public:
-  RefValueStream(const RecordRef* begin, const RecordRef* end)
-      : it_(begin), end_(end) {}
+  RefValueStream(const FrameStore& frames, const RecordRef* begin,
+                 const RecordRef* end)
+      : frames_(frames), it_(begin), end_(end) {}
 
   std::optional<std::string_view> next() override {
     if (it_ == end_) return std::nullopt;
-    return (it_++)->value();
+    return frames_.frame(*it_++).value;
   }
 
  private:
+  const FrameStore& frames_;
   const RecordRef* it_;
   const RecordRef* end_;
 };
@@ -38,16 +40,12 @@ class CombineToRunSink final : public EmitSink {
     TEXTMR_CHECK(key == expected_key_,
                  "combiner must be key-preserving (spill path)");
     writer_.append(partition_, key, value);
-    ++records_;
   }
-
-  std::uint64_t records() const { return records_; }
 
  private:
   io::SpillRunWriter& writer_;
   std::uint32_t partition_;
   std::string_view expected_key_;
-  std::uint64_t records_ = 0;
 };
 
 }  // namespace
@@ -58,13 +56,13 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
                                 io::SpillFormat format, TaskMetrics& metrics,
                                 obs::TraceBuffer* trace) {
   TEXTMR_FAILPOINT("support.sort");
+  const FrameStore& frames = spill.frames;
   {
     obs::SpanTimer sort_span(trace, "spill", "spill_sort");
     sort_span.arg("records", static_cast<double>(spill.records.size()));
     ScopedTimer sort_timer(metrics, Op::kSort);
-    // record_ref_less decides almost every text-key pair on the
-    // denormalized 8-byte prefix without touching ring memory.
-    std::sort(spill.records.begin(), spill.records.end(), record_ref_less);
+    sort_records(spill.records,
+                 [&frames](const RecordRef& ref) { return frames.key(ref); });
   }
 
   obs::SpanTimer write_span(trace, "spill", "spill_write");
@@ -72,7 +70,7 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
   io::SpillRunWriter writer(std::string(run_path), num_partitions, format);
   // Records are framed in the ring; when the run file speaks the same
   // format, uncombined records are written as verbatim frame blits.
-  const bool blit = spill.format == format;
+  const bool blit = frames.format == format;
   const std::uint64_t pass_start = monotonic_ns();
   std::uint64_t combine_ns = 0;
 
@@ -80,25 +78,25 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
   const std::size_t n = spill.records.size();
   std::size_t i = 0;
   while (i < n) {
+    const Frame first = frames.frame(data[i]);
     std::size_t j = i + 1;
-    while (j < n && data[j].partition == data[i].partition &&
-           record_key_equal(data[j], data[i])) {
-      ++j;
+    if (combiner != nullptr) {
+      while (j < n && data[j].partition == data[i].partition &&
+             data[j].key_prefix == data[i].key_prefix &&
+             frames.key(data[j]) == first.key) {
+        ++j;
+      }
     }
-    if (combiner != nullptr && j - i > 1) {
+    if (j - i > 1) {
       const std::uint64_t c0 = monotonic_ns();
-      RefValueStream values(data + i, data + j);
-      CombineToRunSink sink(writer, data[i].partition, data[i].key());
-      combiner->reduce(data[i].key(), values, sink);
+      RefValueStream values(frames, data + i, data + j);
+      CombineToRunSink sink(writer, data[i].partition, first.key);
+      combiner->reduce(first.key, values, sink);
       combine_ns += monotonic_ns() - c0;
     } else if (blit) {
-      for (std::size_t r = i; r < j; ++r) {
-        writer.append_frame(data[r].partition, data[r].frame_view());
-      }
+      writer.append_frame(data[i].partition, first.bytes);
     } else {
-      for (std::size_t r = i; r < j; ++r) {
-        writer.append(data[r].partition, data[r].key(), data[r].value());
-      }
+      writer.append(data[i].partition, first.key, first.value);
     }
     i = j;
   }

@@ -14,10 +14,12 @@ namespace textmr::mr {
 /// support thread's workload (paper §II-C2 / §IV-A): its cost is what the
 /// spill-matcher balances against map-thread production.
 ///
-/// Records stay in the ring throughout: the sort permutes 32-byte
-/// RecordRefs (comparing denormalized key prefixes), and uncombined
-/// records whose ring framing matches `format` are written as verbatim
-/// frame blits — no per-record serialization (DESIGN.md §8).
+/// Records stay in the ring throughout: sort_records permutes the
+/// spill's 16-byte RecordRefs (a radix over partition and key prefix,
+/// full keys read once only where prefixes tie), each key group's frames
+/// are read back through `spill.frames`, and uncombined records whose
+/// ring framing matches `format` are written as verbatim frame blits — no
+/// per-record serialization (DESIGN.md §8).
 ///
 /// `combiner` may be null. Returns the run info from the writer's
 /// `finish()`. Sort time goes to Op::kSort, user combine time to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/error.hpp"
@@ -24,6 +25,10 @@ void validate_job(const JobSpec& spec) {
   if (spec.output_dir.empty()) throw ConfigError("output_dir is required");
   if (spec.spill_threshold <= 0.0 || spec.spill_threshold >= 1.0) {
     throw ConfigError("spill_threshold must be in (0, 1)");
+  }
+  if (spec.spill_buffer_bytes > std::numeric_limits<std::uint32_t>::max()) {
+    // Records are indexed by u32 offsets into the ring (RecordRef).
+    throw ConfigError("spill_buffer_bytes must be below 4 GiB");
   }
   if (spec.hash_combine_shards == 0 || spec.hash_combine_shards > 64) {
     throw ConfigError("hash_combine_shards must be in [1, 64]");

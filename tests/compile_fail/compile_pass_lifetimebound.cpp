@@ -13,12 +13,12 @@
 
 std::size_t well_scoped_borrows() {
   textmr::mr::RecordArena arena;
-  const textmr::mr::RecordRef& ref = arena.append(0, "key", "value");
+  const textmr::mr::RecordRef ref = arena.append(0, "key", "value");
   const std::vector<textmr::mr::RecordRef>& refs = arena.records();
 
   textmr::io::SpillRunReader reader{"run.spill"};
   const textmr::io::PartitionExtent& extent = reader.extent(0);
 
-  std::string_view key = ref.key();
+  std::string_view key = arena.frames().key(ref);
   return refs.size() + key.size() + static_cast<std::size_t>(extent.records);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "mr/task_runner.hpp"
 
 namespace textmr {
 namespace {
@@ -252,6 +253,16 @@ TEST(Engine, ValidatesSpec) {
                         fx.dir.file("o"));
   spec.mapper = nullptr;
   EXPECT_THROW(engine.run(spec), ConfigError);
+
+  // Records are indexed by u32 offsets into the spill ring, so the ring
+  // must stay below 4 GiB. Checked on the spec alone: a job that accepted
+  // the value would allocate the whole ring.
+  spec = test::make_job(apps::wordcount_app(), fx.splits, fx.dir.file("s"),
+                        fx.dir.file("o"));
+  spec.spill_buffer_bytes = std::size_t{4} << 30;
+  EXPECT_THROW(mr::validate_job(spec), ConfigError);
+  spec.spill_buffer_bytes = (std::size_t{4} << 30) - 1;
+  EXPECT_NO_THROW(mr::validate_job(spec));
 }
 
 TEST(Engine, MetricsVolumesAreConsistent) {

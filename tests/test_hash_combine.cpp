@@ -4,7 +4,7 @@
 // combine-equivalence against an exact oracle, adversarial prefix-
 // collision keys (equal 8-byte prefixes, short keys that prefix longer
 // ones, embedded NULs), watermark flushes and mid-stream demotion — all
-// checked for exact record_ref_less run order and byte-identical map-task
+// checked for exact (partition, key) run order and byte-identical map-task
 // output against the sort-spill baseline — plus the in-place-or-chain
 // combine rule (FreqOpt's admission set is covered in test_freq_table).
 
@@ -66,7 +66,7 @@ std::vector<FlatRecord> read_run(const io::SpillRunInfo& info,
 }
 
 /// Asserts the run respects spill order: within each partition keys are
-/// nondecreasing (record_ref_less order projected onto files).
+/// nondecreasing (sort_records order projected onto files).
 void expect_run_sorted(const std::vector<FlatRecord>& records) {
   for (std::size_t i = 1; i < records.size(); ++i) {
     if (records[i].partition == records[i - 1].partition) {

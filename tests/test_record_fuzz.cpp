@@ -2,7 +2,7 @@
 
 // Seeded fuzz battery for the packed record codec and the zero-copy
 // record path (ISSUE 4): adversarial keys/values — empty, embedded NULs,
-// shared 8-byte prefixes (the prefix-comparator tie path), >64 KiB
+// shared 8-byte prefixes (sort_records' tie path), >64 KiB
 // payloads that straddle the RunCursor read-chunk boundary, ring-wrap
 // straddling records — through frame/unframe, the spill ring, sort +
 // spill write, bulk read + index, and the k-way merge. Every iteration
@@ -10,6 +10,7 @@
 // the failing seed is printed via SCOPED_TRACE. TEXTMR_FUZZ_ITERS
 // multiplies the iteration counts (the `pressure` ctest label sets 10).
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -59,7 +60,7 @@ std::string fuzz_key(Xoshiro256& rng) {
     }
     case 3: {
       // 8-byte common prefix + divergent binary tail: the prefix integer
-      // ties and record_ref_less / record_key_equal must read the tail.
+      // ties and sort_records must read the tail.
       std::string key = "prefix08";
       const std::size_t tail = 1 + rng.next_below(24);
       for (std::size_t i = 0; i < tail; ++i) {
@@ -161,24 +162,77 @@ TEST(RecordFuzz, ArenaRoundTripAdversarialRecords) {
       expected.emplace_back(partition, std::move(key), std::move(value));
     }
     ASSERT_EQ(arena.size(), expected.size());
+    const FrameStore frames = arena.frames();
     for (std::size_t i = 0; i < expected.size(); ++i) {
       const RecordRef& ref = arena.records()[i];
       const auto& [partition, key, value] = expected[i];
+      const Frame frame = frames.frame(ref);
       ASSERT_EQ(ref.partition, partition) << i;
-      ASSERT_EQ(ref.key(), key) << i;
-      ASSERT_EQ(ref.value(), value) << i;
+      ASSERT_EQ(frame.key, key) << i;
+      ASSERT_EQ(frame.value, value) << i;
       ASSERT_EQ(ref.key_prefix, key_prefix8(key)) << i;
     }
-    // The denormalized comparators must agree with the plain tuple order
-    // on random pairs, including prefix ties and embedded NULs.
-    for (int pair = 0; pair < 2000; ++pair) {
-      const auto& a = arena.records()[rng.next_below(expected.size())];
-      const auto& b = arena.records()[rng.next_below(expected.size())];
-      const bool expect_less = std::make_pair(a.partition, a.key()) <
-                               std::make_pair(b.partition, b.key());
-      ASSERT_EQ(record_ref_less(a, b), expect_less);
-      ASSERT_EQ(record_key_equal(a, b), a.key() == b.key());
+  }
+}
+
+/// Keys that stress sort_records' prefix radix and its tie fallback: the
+/// adversarial set above, URL-like keys that all share their first 8
+/// bytes, empty keys, and keys of <= 8 bytes that differ only in length
+/// (a short key's zero pad looks like embedded NULs).
+std::string sort_fuzz_key(Xoshiro256& rng) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return "http://www.site" + std::to_string(rng.next_below(50)) +
+             ".org/p" + std::to_string(rng.next_below(20));
+    case 1:
+      return "";
+    case 2:
+      return "q" + std::string(rng.next_below(8), '\0');
+    default:
+      return fuzz_key(rng);
+  }
+}
+
+TEST(RecordFuzz, SortRecordsMatchesAStableReferenceSort) {
+  for (std::size_t iter = 0; iter < 8 * fuzz_scale(); ++iter) {
+    SCOPED_TRACE("iter=" + std::to_string(iter));
+    Xoshiro256 rng(kBaseSeed + 50 + iter);
+    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
+                                      : io::SpillFormat::kFixed32;
+    const std::uint32_t partitions = iter % 4 < 2 ? 1 : 64;
+    // Every fourth iteration is one hot key spanning the whole spill.
+    const bool hot = iter % 4 == 3;
+    const std::string hot_key = fuzz_key(rng);
+    RecordArena arena(format);
+    std::vector<RecordTuple> expected;
+    for (int i = 0; i < 3000; ++i) {
+      const auto partition =
+          static_cast<std::uint32_t>(rng.next_below(partitions));
+      std::string key = hot ? hot_key : sort_fuzz_key(rng);
+      std::string value = std::to_string(i);  // emit order, for stability
+      arena.append(partition, key, value);
+      expected.emplace_back(partition, std::move(key), std::move(value));
     }
+    std::vector<RecordRef> refs = arena.records();
+    const FrameStore frames = arena.frames();
+    sort_records(refs,
+                 [&frames](const RecordRef& ref) { return frames.key(ref); });
+
+    // The reference: a stable sort of the emitted tuples on (partition,
+    // key). Equality checks the order, the multiset and the stability.
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const RecordTuple& a, const RecordTuple& b) {
+                       return std::tie(std::get<0>(a), std::get<1>(a)) <
+                              std::tie(std::get<0>(b), std::get<1>(b));
+                     });
+    std::vector<RecordTuple> sorted;
+    for (const RecordRef& ref : refs) {
+      const Frame frame = frames.frame(ref);
+      ASSERT_EQ(ref.key_prefix, key_prefix8(frame.key));
+      sorted.emplace_back(ref.partition, std::string(frame.key),
+                          std::string(frame.value));
+    }
+    ASSERT_EQ(sorted, expected);
   }
 }
 
@@ -195,8 +249,9 @@ TEST(RecordFuzz, SpillBufferRingWrapRoundTrip) {
     std::thread consumer([&] {
       while (auto spill = buffer.take()) {
         for (const RecordRef& ref : spill->records) {
-          collected.emplace_back(ref.partition, std::string(ref.key()),
-                                 std::string(ref.value()));
+          const Frame frame = spill->frames.frame(ref);
+          collected.emplace_back(ref.partition, std::string(frame.key),
+                                 std::string(frame.value));
         }
         buffer.release(*spill, 1);
       }
@@ -233,7 +288,6 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
 
     RecordArena arena(arena_format);
     Spill spill;
-    spill.format = arena_format;
     std::multiset<RecordTuple> expected;
     for (int i = 0; i < 250; ++i) {
       const auto partition =
@@ -246,6 +300,7 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
       spill.data_bytes += key.size() + value.size();
       expected.emplace(partition, key, value);
     }
+    spill.frames = arena.frames();
 
     TaskMetrics metrics;
     const auto info =
@@ -280,8 +335,9 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
       const auto refs = index_frames(bytes, p, run_format);
       ASSERT_EQ(refs.size(), reader.extent(p).records);
       for (const RecordRef& ref : refs) {
-        indexed.emplace(p, std::string(ref.key()), std::string(ref.value()));
-        ASSERT_EQ(ref.key_prefix, key_prefix8(ref.key()));
+        const Frame frame = FrameStore{bytes, run_format}.frame(ref);
+        indexed.emplace(p, std::string(frame.key), std::string(frame.value));
+        ASSERT_EQ(ref.key_prefix, key_prefix8(frame.key));
       }
       // A stream cut inside the final frame must be rejected, never
       // silently decoded.
@@ -311,7 +367,6 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
     for (int run = 0; run < 4; ++run) {
       arena.clear();
       Spill spill;
-      spill.format = format;
       for (int i = 0; i < 120; ++i) {
         const auto partition =
             static_cast<std::uint32_t>(rng.next_below(partitions));
@@ -321,6 +376,7 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
         spill.data_bytes += key.size() + value.size();
         expected.emplace(partition, key, value);
       }
+      spill.frames = arena.frames();
       TaskMetrics metrics;
       runs.push_back(sort_and_spill(spill, nullptr,
                                     dir.file("run" + std::to_string(run))

@@ -97,7 +97,7 @@ TEST(RecordPathAllocations, WarmedArenaRefillsWithZeroAllocations) {
                    corpus.values[i]);
     }
   };
-  fill();  // warm-up: chunk storage + RecordRef vector grow here
+  fill();  // warm-up: the frame buffer + RecordRef vector grow here
   arena.clear();
   const std::uint64_t before = allocations();
   fill();
@@ -196,12 +196,14 @@ TEST(RecordPathAllocations, StableViewMergeIteratesWithZeroAllocations) {
     (i % 2 == 0 ? first_run : second_run)
         .push_back(arena.append(0, corpus.keys[i], corpus.values[i]));
   }
-  std::sort(first_run.begin(), first_run.end(), record_ref_less);
-  std::sort(second_run.begin(), second_run.end(), record_ref_less);
+  const FrameStore frames = arena.frames();
+  auto key_of = [&frames](const RecordRef& ref) { return frames.key(ref); };
+  sort_records(first_run, key_of);
+  sort_records(second_run, key_of);
 
   std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.push_back(std::make_unique<MemoryRunCursor>(&first_run));
-  cursors.push_back(std::make_unique<MemoryRunCursor>(&second_run));
+  cursors.push_back(std::make_unique<MemoryRunCursor>(frames, &first_run));
+  cursors.push_back(std::make_unique<MemoryRunCursor>(frames, &second_run));
   MergeStream stream(std::move(cursors));
   ASSERT_TRUE(stream.stable_views());
   KeyGroups groups(stream);

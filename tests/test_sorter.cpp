@@ -23,7 +23,10 @@ class SpillBuilder {
     spill_.data_bytes += key.size() + value.size();
   }
 
-  Spill& spill() { return spill_; }
+  Spill& spill() {
+    spill_.frames = arena_.frames();  // appends may have moved the bytes
+    return spill_;
+  }
 
  private:
   RecordArena arena_;

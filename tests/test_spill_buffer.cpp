@@ -22,8 +22,9 @@ Collected drain(SpillBuffer& buffer, std::uint64_t consume_delay_us = 0) {
   Collected out;
   while (auto spill = buffer.take()) {
     for (const auto& ref : spill->records) {
-      out.records.emplace_back(std::string(ref.key()),
-                               std::string(ref.value()));
+      const Frame frame = spill->frames.frame(ref);
+      out.records.emplace_back(std::string(frame.key),
+                               std::string(frame.value));
     }
     if (consume_delay_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(consume_delay_us));
@@ -78,8 +79,9 @@ TEST(SpillBuffer, SlowConsumerForcesProducerWait) {
       }
       clock.advance_ns(kConsumeNs);
       for (const auto& ref : spill->records) {
-        out.records.emplace_back(std::string(ref.key()),
-                                 std::string(ref.value()));
+        const Frame frame = spill->frames.frame(ref);
+        out.records.emplace_back(std::string(frame.key),
+                                 std::string(frame.value));
       }
       out.spills += 1;
       buffer.release(*spill, kConsumeNs);
@@ -263,7 +265,8 @@ TEST(SpillBuffer, StressRandomSizesAllDelivered) {
   std::thread consumer([&] {
     while (auto spill = buffer.take()) {
       for (const auto& ref : spill->records) {
-        checksum_out += ref.key().size() + 31 * ref.value().size();
+        const Frame frame = spill->frames.frame(ref);
+        checksum_out += frame.key.size() + 31 * frame.value.size();
         ++count_out;
       }
       buffer.release(*spill, 1);

@@ -179,15 +179,19 @@ def _view_escape_fn(fm: FileModel, fn: FunctionModel,
 
 def _refs_across_arena_growth(fm: FileModel,
                               fn: FunctionModel) -> list[Finding]:
-    """RecordRef references held across arena growth (DESIGN.md §15).
+    """Views into an arena held across its growth (DESIGN.md §8, §15).
 
-    `RecordArena::append()` returns a `const RecordRef&` into the
-    arena's ref table — a vector that a *later* append() may
-    reallocate. Binding that result by reference and touching it after
-    another append() on the same arena dangles; the hash-combine shard
-    table copies RecordRefs BY VALUE into its entries for exactly this
-    reason. By-value copies (`RecordRef r = arena.append(...)`) are
-    clean; only `&` bindings are tracked."""
+    `RecordArena` keeps every frame in one offset-addressed buffer that
+    append() may reallocate. RecordRefs are offsets and survive growth;
+    a view read through `owner.frames()` — the FrameStore itself, or a
+    key / value / frame view decoded from it — points into the old
+    buffer. Binding such a view and touching it after another append()
+    on the same arena dangles; the hash-combine shard table keeps the
+    RecordRef and re-reads the key for exactly this reason. A reference
+    bound to `owner.append(...)` is tracked the same way: an arena that
+    returns a reference into its ref table invalidates it on the next
+    append(). By-value RecordRef copies (`RecordRef r = arena.append(..)`)
+    are clean."""
     body = fn.body
     texts = [t.text for t in body]
     n = len(body)
@@ -195,25 +199,29 @@ def _refs_across_arena_growth(fm: FileModel,
     i = 0
     while i < n:
         t = body[i]
-        if not (t.text == "=" and i >= 2 and body[i - 1].kind == IDENT
-                and body[i - 2].text == "&"):
+        if not (t.text == "=" and i >= 1 and body[i - 1].kind == IDENT):
             i += 1
             continue
-        # rhs must be `<owner tokens> . append (` — the owner expression
-        # is everything up to the call paren (no-paren exprs only).
+        # rhs must start `<owner tokens> . append (` (bound by reference)
+        # or `<owner tokens> . frames (` — the owner expression is
+        # everything up to the call paren (no-paren exprs only).
         paren = i + 1
         while paren < n and body[paren].text not in ("(", ";"):
             paren += 1
         if (paren >= n or body[paren].text != "(" or paren < i + 3
-                or texts[paren - 1] != "append" or texts[paren - 2] != "."
-                or body[i + 1].kind != IDENT):
+                or texts[paren - 2] != "." or body[i + 1].kind != IDENT):
+            i += 1
+            continue
+        method = texts[paren - 1]
+        by_ref = i >= 2 and body[i - 2].text == "&"
+        if not (method == "frames" or (method == "append" and by_ref)):
             i += 1
             continue
         name = body[i - 1].text
         owner = texts[i + 1:paren - 2]
         growth = owner + [".", "append", "("]
         # The next textual append() on the same arena invalidates the
-        # reference; any later use of it is a dangle.
+        # binding; any later use of it is a dangle.
         grown_at = -1
         for k in range(paren + 1, n - len(growth) + 1):
             if texts[k:k + len(growth)] == growth:
@@ -227,13 +235,20 @@ def _refs_across_arena_growth(fm: FileModel,
             if (u.kind == IDENT and u.text == name
                     and not (k + 1 < n and texts[k + 1] == "=")
                     and not (k >= 1 and texts[k - 1] in (".", "->"))):
+                if method == "frames":
+                    what = (f"view '{name}' read through "
+                            f"{' '.join(owner)}.frames()")
+                    fix = ("append() may reallocate the frame buffer — "
+                           "keep the RecordRef and re-read the view")
+                else:
+                    what = (f"reference '{name}' bound to "
+                            f"{' '.join(owner)}.append()")
+                    fix = ("append() may reallocate the ref table — copy "
+                           "the RecordRef by value instead")
                 out.append(Finding(
                     "view-escape", fm.path, u.line,
-                    f"reference '{name}' bound to "
-                    f"{' '.join(owner)}.append() is used after the arena "
-                    f"grew again on line {body[grown_at].line}; append() "
-                    "may reallocate the ref table — copy the RecordRef "
-                    "by value instead"))
+                    f"{what} is used after the arena grew again on line "
+                    f"{body[grown_at].line}; {fix}"))
                 break
         i += 1
     return out
@@ -510,7 +525,8 @@ RULES = {
         "a view (string_view / RecordRef / RecordView) bound to "
         "short-lived bytes must not be stored somewhere that outlives "
         "them (member, member container, out-param, return), and a "
-        "RecordRef reference must not be held across arena growth",
+        "view read through an arena's frames() (or a reference to its "
+        "append() result) must not be held across arena growth",
     ),
     "arena-lifetime": (
         check_arena_lifetime,

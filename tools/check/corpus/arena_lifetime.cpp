@@ -6,8 +6,9 @@
 #include <vector>
 
 struct RecordRef {
-  const char* data;
-  std::uint32_t size;
+  std::uint64_t key_prefix;
+  std::uint32_t offset;  // into the arena / ring the ref was taken from
+  std::uint32_t partition;
 };
 
 struct Arena {

@@ -1,11 +1,14 @@
-// textmr-check self-test corpus: the hash-combine shard table's two
-// failure modes (DESIGN.md §15). Case 1: a RecordRef reference held
-// across RecordArena growth — append() returns a reference into the
-// arena's ref table, which the *next* append() may reallocate
-// (view-escape). Case 2: an unguarded load_* read over the shard's
-// offset-addressed vector<char> value heap (decoder-bounds). The real
-// src/mr/hash_combine.cpp copies RecordRefs by value and TEXTMR_CHECKs
-// every heap offset; these snippets are the shapes it must avoid.
+// textmr-check self-test corpus: the hash-combine shard table's failure
+// modes (DESIGN.md §15). Case 1: a view into a RecordArena held across
+// its growth — the arena keeps every frame in one offset-addressed
+// buffer that append() may reallocate, so a key view (or the FrameStore
+// itself) read through frames() dangles after the next append()
+// (view-escape). Case 2: a reference into an arena's ref table held
+// across growth (view-escape). Case 3: an unguarded load_* read over the
+// shard's offset-addressed vector<char> value heap (decoder-bounds). The
+// real src/mr/hash_combine.cpp keeps RecordRefs (offsets), re-reads keys
+// after growth and TEXTMR_CHECKs every heap offset; these snippets are
+// the shapes it must avoid.
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -13,39 +16,70 @@
 
 struct RecordRef {
   std::uint64_t key_prefix;
+  std::uint32_t offset;
+  std::uint32_t partition;
+};
+
+struct FrameStore {
+  std::string_view bytes;
+  std::string_view key(const RecordRef& ref) const;
 };
 
 struct RecordArena {
-  const RecordRef& append(std::uint32_t partition, std::string_view key,
-                          std::string_view value);
+  RecordRef append(std::uint32_t partition, std::string_view key,
+                   std::string_view value);
+  FrameStore frames() const;
 };
 
 void sink(std::uint64_t);
 
-// Case 1: the reference from the first append() dangles once the arena
-// grows again; the use after the second append() reads freed memory.
-void bad_ref_across_growth(RecordArena& arena) {
-  const RecordRef& first = arena.append(0, "alpha", "1");
+// Case 1: the key view points into the buffer the second append() may
+// reallocate.
+void bad_key_view_across_growth(RecordArena& arena) {
+  const RecordRef first = arena.append(0, "alpha", "1");
+  const std::string_view key = arena.frames().key(first);
   arena.append(0, "beta", "1");
+  sink(key.size());  // check:expect(view-escape)
+}
+
+// Case 1, the store itself: a FrameStore is a view of the buffer too.
+void bad_frames_across_growth(RecordArena& arena) {
+  const FrameStore frames = arena.frames();
+  const RecordRef second = arena.append(0, "beta", "1");
+  sink(frames.key(second).size());  // check:expect(view-escape)
+}
+
+// Control: the RecordRef is an offset and survives any number of later
+// appends; the key is re-read after growth (the shard table's Entry
+// stores key_ref this way).
+void good_ref_across_growth(RecordArena& arena) {
+  const RecordRef first = arena.append(0, "alpha", "1");
+  arena.append(0, "beta", "1");
+  sink(arena.frames().key(first).size());
+}
+
+// Control: a key view used before the arena grows again is fine.
+void good_view_before_growth(RecordArena& arena) {
+  const RecordRef first = arena.append(0, "alpha", "1");
+  const std::string_view key = arena.frames().key(first);
+  sink(key.size());
+  arena.append(0, "beta", "1");
+}
+
+// Case 2: an arena that hands out references into its ref table — the
+// next append() may reallocate that table.
+struct RefTable {
+  const RecordRef& append(std::uint32_t partition, std::string_view key,
+                          std::string_view value);
+};
+
+void bad_ref_across_growth(RefTable& table) {
+  const RecordRef& first = table.append(0, "alpha", "1");
+  table.append(0, "beta", "1");
   sink(first.key_prefix);  // check:expect(view-escape)
 }
 
-// Control: copying the RecordRef by value (the shard table's Entry
-// stores it this way) survives any number of later appends.
-void good_copy_across_growth(RecordArena& arena) {
-  const RecordRef first = arena.append(0, "alpha", "1");
-  arena.append(0, "beta", "1");
-  sink(first.key_prefix);
-}
-
-// Control: a reference used before the arena grows again is fine.
-void good_ref_before_growth(RecordArena& arena) {
-  const RecordRef& first = arena.append(0, "alpha", "1");
-  sink(first.key_prefix);
-  arena.append(0, "beta", "1");
-}
-
-// Case 2: a value-heap block reader with no size guard — a corrupted
+// Case 3: a value-heap block reader with no size guard — a corrupted
 // chain offset reads past the heap.
 std::uint32_t load_chain_next(const std::vector<char>& heap,
                               std::size_t offset) {
