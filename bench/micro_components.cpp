@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the framework's hot components:
 // the Space-Saving sketch, the frequent-key table, the spill buffer, the
-// spill sorter+combiner, the tokenizer and the Zipf sampler. These back
-// the per-operation costs that the figure-level harnesses measure.
+// spill sorter+combiner, the tokenizer, the Zipf sampler and the cluster
+// transport (frame checksum, one shuffle fetch over loopback). These
+// back the per-operation costs that the figure-level harnesses measure.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/shuffle_client.hpp"
+#include "cluster/shuffle_server.hpp"
+#include "common/tempdir.hpp"
 #include "textmr.hpp"
 
 using namespace textmr;
@@ -192,6 +196,55 @@ void BM_PosTaggerSentence(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tokens.size());
 }
 BENCHMARK(BM_PosTaggerSentence)->Arg(1)->Arg(16)->Arg(64);
+
+std::string pseudo_random_bytes(std::size_t n) {
+  Xoshiro256 rng(7);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng() & 0xff);
+  return out;
+}
+
+void BM_FrameCrc32(benchmark::State& state) {
+  // The checksum every frame pays on send and again on receive.
+  const std::string data =
+      pseudo_random_bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cluster::crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameCrc32)->Arg(64 << 10)->Arg(4 << 20);
+
+void BM_ShuffleFetchLoopback(benchmark::State& state) {
+  // One reducer pulling one 4 MiB partition from a worker's shuffle
+  // server over loopback TCP: disk read, frame send, receive, checksums.
+  TempDir dir;
+  const std::string run_path = dir.file("map0_a0_final").string();
+  io::SpillRunWriter writer(run_path, 1, io::SpillFormat::kCompactVarint);
+  const std::string value = pseudo_random_bytes(100);
+  std::uint64_t written = 0;
+  for (std::uint64_t i = 0; written < (4u << 20); ++i) {
+    const std::string key = "http://www.site" + std::to_string(i);
+    writer.append(0, key, value);
+    written += key.size() + value.size() + 2;
+  }
+  const io::SpillRunInfo run = writer.finish();
+  cluster::ShuffleServer::Options options;
+  options.root = dir.path().string();
+  cluster::ShuffleServer server(options);
+  const cluster::ShuffleClient client;
+  for (auto _ : state) {
+    const auto bytes = client.fetch(server.endpoint(), run, 0);
+    if (!bytes.has_value()) {
+      state.SkipWithError("shuffle fetch failed");
+      break;
+    }
+    benchmark::DoNotOptimize(bytes->data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(run.partitions[0].bytes));
+}
+BENCHMARK(BM_ShuffleFetchLoopback)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

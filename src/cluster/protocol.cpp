@@ -2,11 +2,13 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <initializer_list>
 #include <type_traits>
 #include <unordered_map>
 
@@ -641,29 +643,27 @@ TraceChunkMsg decode_trace_chunk(WireReader& r) {
 
 // ---- framed socket I/O ----------------------------------------------------
 
-std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 namespace {
 
-constexpr std::size_t kFrameLengthBytes = 4;  // u32 length prefix
-constexpr std::size_t kFramePreambleBytes = kFrameLengthBytes + 4;  // + crc
+/// kCrc32Tables[0] is the byte-wise table; entry k of table j is the CRC
+/// of byte k followed by j zero bytes, so sixteen lookups advance the CRC
+/// over sixteen bytes at once (slicing-by-16).
+constexpr auto kCrc32Tables = [] {
+  std::array<std::array<std::uint32_t, 256>, 16> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t j = 1; j < t.size(); ++j) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}();
 
 void put_u32_le(char* dest, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -680,6 +680,37 @@ std::uint32_t get_u32_le(const char* src) {
   return v;
 }
 
+}  // namespace
+
+std::uint32_t crc32_extend(std::uint32_t crc, std::string_view data) {
+  const auto& t = kCrc32Tables;
+  const char* p = data.data();
+  std::size_t n = data.size();
+  crc = ~crc;
+  for (; n >= 16; n -= 16, p += 16) {
+    const std::uint32_t w0 = get_u32_le(p) ^ crc;
+    const std::uint32_t w1 = get_u32_le(p + 4);
+    const std::uint32_t w2 = get_u32_le(p + 8);
+    const std::uint32_t w3 = get_u32_le(p + 12);
+    crc = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+          t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+          t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+          t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^ t[7][w2 & 0xFFu] ^
+          t[6][(w2 >> 8) & 0xFFu] ^ t[5][(w2 >> 16) & 0xFFu] ^
+          t[4][w2 >> 24] ^ t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+          t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = t[0][(crc ^ static_cast<std::uint8_t>(*p)) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+namespace {
+
+constexpr std::size_t kFrameLengthBytes = 4;  // u32 length prefix
+constexpr std::size_t kFramePreambleBytes = kFrameLengthBytes + 4;  // + crc
+
 void check_frame_length(std::uint32_t len) {
   if (len > kMaxFramePayload) {
     throw IoError("cluster frame length " + std::to_string(len) +
@@ -688,8 +719,7 @@ void check_frame_length(std::uint32_t len) {
   }
 }
 
-void check_frame_crc(std::uint32_t expected, std::string_view payload) {
-  const std::uint32_t actual = crc32(payload);
+void check_frame_crc(std::uint32_t expected, std::uint32_t actual) {
   if (actual != expected) {
     throw IoError("cluster frame checksum mismatch (got " +
                   std::to_string(actual) + ", frame claims " +
@@ -733,18 +763,36 @@ void wait_ready(int fd, short events, std::uint64_t deadline_ns,
   }
 }
 
-/// Writes all of `data`; false if the peer is gone. MSG_DONTWAIT even
+/// Writes every byte of `pieces`, in order, gathered from the callers'
+/// buffers by sendmsg(2); false if the peer is gone. MSG_DONTWAIT even
 /// on blocking fds: a full socket buffer must route through wait_ready
 /// (which honors the deadline), not block inside the kernel's send —
 /// a peer that stops draining would otherwise hang us forever.
-bool send_all(int fd, const char* data, std::size_t n,
+bool send_all(int fd, std::initializer_list<std::string_view> pieces,
               std::uint64_t deadline_ns) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w =
-        ::send(fd, data + off, n - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+  std::array<iovec, 3> iov{};
+  TEXTMR_CHECK(pieces.size() <= iov.size(), "send_all takes <= 3 pieces");
+  std::size_t end = 0;
+  for (const std::string_view piece : pieces) {
+    if (!piece.empty()) {
+      iov[end++] = iovec{const_cast<char*>(piece.data()), piece.size()};
+    }
+  }
+  std::size_t first = 0;
+  while (first < end) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + first;
+    msg.msg_iovlen = end - first;
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (w > 0) {
-      off += static_cast<std::size_t>(w);
+      auto sent = static_cast<std::size_t>(w);
+      while (first < end && sent >= iov[first].iov_len) {
+        sent -= iov[first++].iov_len;
+      }
+      if (sent > 0) {
+        iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+        iov[first].iov_len -= sent;
+      }
       continue;
     }
     if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -760,8 +808,10 @@ bool send_all(int fd, const char* data, std::size_t n,
 
 /// Reads exactly `n` bytes into `dest`. Returns false on EOF before the
 /// first byte when `eof_ok`; throws on mid-read EOF, errors, timeout.
+/// With `crc`, extends it over each chunk as it arrives (while the chunk
+/// is still in cache, and while the sender is still sending).
 bool recv_exact(int fd, char* dest, std::size_t n, std::uint64_t deadline_ns,
-                bool eof_ok) {
+                bool eof_ok, std::uint32_t* crc = nullptr) {
   std::size_t got = 0;
   while (got < n) {
     // Poll first: worker-side fds are blocking, and a recv() on a
@@ -769,6 +819,9 @@ bool recv_exact(int fd, char* dest, std::size_t n, std::uint64_t deadline_ns,
     wait_ready(fd, POLLIN, deadline_ns, "recv");
     const ssize_t r = ::recv(fd, dest + got, n - got, 0);
     if (r > 0) {
+      if (crc != nullptr) {
+        *crc = crc32_extend(*crc, {dest + got, static_cast<std::size_t>(r)});
+      }
       got += static_cast<std::size_t>(r);
       continue;
     }
@@ -803,7 +856,7 @@ bool apply_send_fault(const failpoint::Action& action, int fd,
       return true;
     case failpoint::ActionKind::kShortWrite: {
       const std::size_t torn = preamble + (wire.size() - preamble) / 2;
-      send_all(fd, wire.data(), torn, deadline_ns);
+      send_all(fd, {std::string_view(wire).substr(0, torn)}, deadline_ns);
       return false;
     }
   }
@@ -813,24 +866,40 @@ bool apply_send_fault(const failpoint::Action& action, int fd,
 }  // namespace
 
 bool send_frame(int fd, std::string_view payload, std::int32_t timeout_ms) {
+  return send_frame(fd, payload, {}, timeout_ms);
+}
+
+bool send_frame(int fd, std::string_view head, std::string_view tail,
+                std::int32_t timeout_ms) {
   const std::uint64_t deadline_ns = deadline_from(timeout_ms);
-  std::string wire;
-  wire.resize(kFramePreambleBytes);
-  put_u32_le(wire.data(), static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(wire.data() + kFrameLengthBytes, crc32(payload));
-  wire.append(payload);
+  char preamble[kFramePreambleBytes];
+  put_u32_le(preamble, static_cast<std::uint32_t>(head.size() + tail.size()));
+  put_u32_le(preamble + kFrameLengthBytes, crc32_extend(crc32(head), tail));
+  const std::string_view pre(preamble, sizeof(preamble));
   if (failpoint::enabled()) {
     if (const auto action = failpoint::consume("net.send")) {
+      // Faults rewrite or tear the frame, so only they assemble a copy.
+      std::string wire;
+      wire.reserve(pre.size() + head.size() + tail.size());
+      wire.append(pre).append(head).append(tail);
       if (!apply_send_fault(*action, fd, wire, kFramePreambleBytes,
                             deadline_ns)) {
         return false;
       }
+      return send_all(fd, {wire}, deadline_ns);
     }
   }
-  return send_all(fd, wire.data(), wire.size(), deadline_ns);
+  return send_all(fd, {pre, head, tail}, deadline_ns);
 }
 
 std::optional<std::string> recv_frame(int fd, std::int32_t timeout_ms) {
+  auto frame = recv_frame_pieces(fd, 0, timeout_ms);
+  if (!frame.has_value()) return std::nullopt;
+  return std::move(frame->tail);
+}
+
+std::optional<FramePieces> recv_frame_pieces(int fd, std::size_t head_bytes,
+                                             std::int32_t timeout_ms) {
   if (failpoint::enabled()) {
     if (const auto action = failpoint::consume("net.recv")) {
       if (action->kind == failpoint::ActionKind::kDelay) {
@@ -848,10 +917,16 @@ std::optional<std::string> recv_frame(int fd, std::int32_t timeout_ms) {
   }
   const std::uint32_t len = get_u32_le(header);
   check_frame_length(len);
-  std::string payload(len, '\0');
-  recv_exact(fd, payload.data(), len, deadline_ns, /*eof_ok=*/false);
-  check_frame_crc(get_u32_le(header + kFrameLengthBytes), payload);
-  return payload;
+  FramePieces frame;
+  frame.head.resize(std::min<std::size_t>(head_bytes, len));
+  frame.tail.resize(len - frame.head.size());
+  std::uint32_t crc = 0;
+  recv_exact(fd, frame.head.data(), frame.head.size(), deadline_ns,
+             /*eof_ok=*/false, &crc);
+  recv_exact(fd, frame.tail.data(), frame.tail.size(), deadline_ns,
+             /*eof_ok=*/false, &crc);
+  check_frame_crc(get_u32_le(header + kFrameLengthBytes), crc);
+  return frame;
 }
 
 std::optional<std::string> FrameDecoder::next() {
@@ -860,7 +935,7 @@ std::optional<std::string> FrameDecoder::next() {
   check_frame_length(len);
   if (buf_.size() < kFramePreambleBytes + len) return std::nullopt;
   std::string frame = buf_.substr(kFramePreambleBytes, len);
-  check_frame_crc(get_u32_le(buf_.data() + kFrameLengthBytes), frame);
+  check_frame_crc(get_u32_le(buf_.data() + kFrameLengthBytes), crc32(frame));
   buf_.erase(0, kFramePreambleBytes + len);
   return frame;
 }

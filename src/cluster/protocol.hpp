@@ -117,6 +117,11 @@ struct ShuffleDataMsg {
   std::string bytes;
 };
 
+/// A kShuffleData payload is [u8 type][u64 records] then the partition
+/// bytes as an unframed tail. The header's fixed size lets both ends
+/// move the partition as its own piece (send_frame / recv_frame_pieces).
+constexpr std::size_t kShuffleDataHeaderBytes = 1 + 8;
+
 /// Shuffle server -> reducer on failure. Retryable errors (I/O, a
 /// stalled disk) are worth another fetch attempt; non-retryable ones
 /// (bad request, path outside the scratch root) are not.
@@ -318,8 +323,15 @@ constexpr std::uint32_t kMaxFramePayload = 256u * 1024 * 1024;
 /// checksum mismatch on receive raises IoError; the peer is treated as
 /// gone (control channel) or the fetch is retried (shuffle client).
 
-/// CRC-32 (IEEE 802.3, poly 0xEDB88320) over `data`.
-std::uint32_t crc32(std::string_view data);
+/// CRC-32 (IEEE 802.3, poly 0xEDB88320), extended over `data`: `crc` is
+/// the CRC-32 of the bytes before `data` (0 for none), so
+/// crc32_extend(crc32(a), b) == crc32(a + b) and one frame's checksum
+/// can cover several pieces. Slicing-by-16 tables (DESIGN.md §14).
+std::uint32_t crc32_extend(std::uint32_t crc, std::string_view data);
+
+inline std::uint32_t crc32(std::string_view data) {
+  return crc32_extend(0, data);
+}
 
 /// Sends one length-prefixed frame, blocking until fully written (polls
 /// on EAGAIN so it also works on non-blocking fds). Returns false if the
@@ -330,6 +342,13 @@ std::uint32_t crc32(std::string_view data);
 bool send_frame(int fd, std::string_view payload,
                 std::int32_t timeout_ms = -1);
 
+/// Sends one frame whose payload is `head` followed by `tail`, gathered
+/// straight from both buffers (one checksum over both): the shuffle
+/// server sends a partition this way without copying it behind its
+/// header. On the wire it is the frame send_frame(head + tail) sends.
+bool send_frame(int fd, std::string_view head, std::string_view tail,
+                std::int32_t timeout_ms);
+
 /// Blocking receive of one full frame; nullopt on clean EOF. Throws
 /// IoError on errors, a torn frame, a checksum mismatch, or — with
 /// `timeout_ms` >= 0 — when no full frame arrives before the deadline.
@@ -337,6 +356,18 @@ bool send_frame(int fd, std::string_view payload,
 /// FrameDecoder so one slow worker cannot stall it). The `net.recv`
 /// failpoint acts here.
 std::optional<std::string> recv_frame(int fd, std::int32_t timeout_ms = -1);
+
+/// One received frame payload split at a caller-chosen offset.
+struct FramePieces {
+  std::string head;  // the first min(head_bytes, payload size) bytes
+  std::string tail;  // the rest, received straight into its own buffer
+};
+
+/// recv_frame, but the payload lands in two buffers, so a bulk tail
+/// (a kShuffleData partition) is never copied out of a whole-frame
+/// buffer. Same errors, deadline and failpoint as recv_frame.
+std::optional<FramePieces> recv_frame_pieces(int fd, std::size_t head_bytes,
+                                             std::int32_t timeout_ms);
 
 /// Incremental frame reassembly over a non-blocking fd: feed() raw bytes
 /// as poll() reports them readable, next() yields completed frames

@@ -37,14 +37,19 @@ std::optional<std::string> fetch_once(const Endpoint& source,
     if (!send_frame(fd, encode_shuffle_fetch(fetch), timeout_ms)) {
       throw IoError("shuffle server closed the connection");
     }
-    const auto frame = recv_frame(fd, timeout_ms);
+    // The partition is received straight into the result: only the
+    // fixed header lands in a buffer of its own.
+    auto frame = recv_frame_pieces(fd, kShuffleDataHeaderBytes, timeout_ms);
     if (!frame.has_value()) {
       throw IoError("shuffle server closed before replying");
     }
-    WireReader r(*frame);
+    WireReader r(frame->head);
     const MsgType type = static_cast<MsgType>(r.u8());
     if (type == MsgType::kShuffleError) {
-      const ShuffleErrorMsg error = decode_shuffle_error(r);
+      // Error replies are small: rejoin the pieces and decode them whole.
+      frame->head.append(frame->tail);
+      WireReader er(std::string_view(frame->head).substr(1));
+      const ShuffleErrorMsg error = decode_shuffle_error(er);
       if (!error.retryable) {
         TEXTMR_LOG(kWarn) << "shuffle fetch rejected (not retryable): "
                           << error.message;
@@ -57,14 +62,14 @@ std::optional<std::string> fetch_once(const Endpoint& source,
       throw IoError("unexpected shuffle reply type " +
                     std::string(msg_type_name(type)));
     }
-    ShuffleDataMsg data = decode_shuffle_data(r);
+    decode_shuffle_data(r);  // validates the header; the bytes are the tail
     const std::uint64_t expected = run.partitions[partition].bytes;
-    if (data.bytes.size() != expected) {
+    if (frame->tail.size() != expected) {
       throw IoError("shuffle fetch size mismatch: got " +
-                    std::to_string(data.bytes.size()) + " bytes, run footer "
-                    "says " + std::to_string(expected));
+                    std::to_string(frame->tail.size()) + " bytes, run "
+                    "footer says " + std::to_string(expected));
     }
-    result = std::move(data.bytes);
+    result = std::move(frame->tail);
   } catch (...) {
     ::close(fd);
     throw;

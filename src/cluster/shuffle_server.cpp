@@ -1,6 +1,7 @@
 #include "cluster/shuffle_server.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,34 +18,40 @@ namespace textmr::cluster {
 ShuffleServer::ShuffleServer(Options options) : options_(std::move(options)) {
   listen_fd_ = tcp_listen(options_.listen);
   endpoint_ = local_endpoint(listen_fd_);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    const std::string err = strerror(errno);
+    ::close(listen_fd_);
+    throw IoError("shuffle server eventfd failed: " + err);
+  }
   thread_ = std::thread([this] { accept_loop(); });
 }
 
 ShuffleServer::~ShuffleServer() { stop(); }
 
 void ShuffleServer::stop() {
-  if (!stop_.exchange(true, std::memory_order_acq_rel)) {
-    if (thread_.joinable()) thread_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-  } else if (thread_.joinable()) {
-    thread_.join();
+  if (!thread_.joinable()) return;
+  // The counter stays set, so a stop that lands before the accept
+  // thread's first poll still wakes it.
+  const std::uint64_t one = 1;
+  if (::write(wake_fd_, &one, sizeof(one)) != sizeof(one)) {
+    TEXTMR_LOG(kWarn) << "shuffle server wake failed: " << strerror(errno);
   }
+  thread_.join();
+  ::close(listen_fd_);
+  ::close(wake_fd_);
 }
 
 void ShuffleServer::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    // Short poll so stop() is honored within ~250ms even when idle.
-    const int rc = ::poll(&pfd, 1, 250);
+  while (true) {
+    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    const int rc = ::poll(pfds, 2, -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
       TEXTMR_LOG(kWarn) << "shuffle server poll failed: " << strerror(errno);
       return;
     }
-    if (rc == 0) continue;
+    if (pfds[1].revents != 0) return;  // stop()
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
@@ -100,12 +107,13 @@ void ShuffleServer::serve(int fd) {
       send_frame(fd, encode_shuffle_error(error), options_.io_timeout_ms);
       return;
     }
-    ShuffleDataMsg data;
-    data.records = reader.extent(fetch.partition).records;
-    data.bytes = reader.read_partition(fetch.partition);
-    const std::uint64_t served = data.bytes.size();
-    if (send_frame(fd, encode_shuffle_data(data), options_.io_timeout_ms)) {
-      bytes_served_.fetch_add(served, std::memory_order_relaxed);
+    // One read into one buffer; the frame gathers it behind the header.
+    ShuffleDataMsg header;
+    header.records = reader.extent(fetch.partition).records;
+    const std::string bytes = reader.read_partition(fetch.partition);
+    if (send_frame(fd, encode_shuffle_data(header), bytes,
+                   options_.io_timeout_ms)) {
+      bytes_served_.fetch_add(bytes.size(), std::memory_order_relaxed);
       requests_served_.fetch_add(1, std::memory_order_relaxed);
     }
   } catch (const std::exception& e) {

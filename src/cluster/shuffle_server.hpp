@@ -13,8 +13,16 @@
 /// Thread model: a single accept thread serves requests inline, so
 /// concurrent fetchers are serialized (acceptable at this scale; the
 /// client's timeout + retry covers a server stalled on a slow peer).
-/// All mutable state is atomics — the accept thread and the owner
-/// thread (stop()/counters) never need a lock.
+/// The thread blocks in poll(2) on the listener and an eventfd with no
+/// timeout; stop() writes the eventfd, so an idle server stops at once
+/// and a stop mid-request waits only for that request. The counters are
+/// atomics and stop() belongs to the owner thread, so nothing needs a
+/// lock.
+///
+/// A partition is read from disk into one buffer and sent from it: the
+/// kShuffleData frame gathers [header][partition] in one sendmsg(2), and
+/// the client receives the partition straight into the string it
+/// returns (DESIGN.md §14).
 
 #include <atomic>
 #include <cstdint>
@@ -45,7 +53,8 @@ class ShuffleServer {
   /// Resolved listen address (port filled in after bind).
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Stops accepting and joins the accept thread. Idempotent.
+  /// Wakes and joins the accept thread, then closes the listener.
+  /// Returns as soon as any request in flight is done. Idempotent.
   void stop();
 
   std::uint64_t bytes_served() const {
@@ -64,7 +73,7 @@ class ShuffleServer {
   Options options_;
   Endpoint endpoint_;
   int listen_fd_ = -1;
-  std::atomic<bool> stop_{false};
+  int wake_fd_ = -1;  // eventfd; stop() makes it readable
   std::atomic<std::uint64_t> bytes_served_{0};
   std::atomic<std::uint64_t> requests_served_{0};
   std::thread thread_;

@@ -8,7 +8,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <optional>
+#include <thread>
+
 #include "cluster/liveness.hpp"
+#include "common/failpoint.hpp"
 #include "textmr.hpp"
 
 namespace textmr::cluster {
@@ -589,6 +594,19 @@ TEST(ProtocolCodec, ShuffleFetchRoundTrip) {
   EXPECT_EQ(out.partition, 5u);
 }
 
+/// xorshift64 bytes: deterministic filler that exercises every byte value.
+std::string pseudo_random_bytes(std::size_t n, std::uint64_t state) {
+  std::string out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    out.push_back(static_cast<char>(state & 0xff));
+  }
+  return out;
+}
+
 TEST(ProtocolCodec, ShuffleDataRoundTripUnframedTail) {
   // The partition bytes ride as the frame's unframed tail (no inner
   // length prefix), so they may contain anything — including bytes that
@@ -612,14 +630,7 @@ TEST(ProtocolCodec, ShuffleDataRoundTripUnframedTail) {
   // Large payloads survive (1 MiB of pseudo-random bytes).
   ShuffleDataMsg big;
   big.records = 1u << 16;
-  big.bytes.reserve(1u << 20);
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < (1u << 20); ++i) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    big.bytes.push_back(static_cast<char>(state & 0xff));
-  }
+  big.bytes = pseudo_random_bytes(1u << 20, 0x9e3779b97f4a7c15ull);
   auto b_frame = encode_shuffle_data(big);
   auto br = reader_skipping_type(b_frame, MsgType::kShuffleData);
   EXPECT_EQ(decode_shuffle_data(br).bytes, big.bytes);
@@ -650,6 +661,174 @@ TEST(ChecksummedFrames, Crc32KnownVectors) {
   EXPECT_EQ(crc32(""), 0u);
   // Incremental property sanity: different inputs, different sums.
   EXPECT_NE(crc32("a"), crc32("b"));
+}
+
+/// Byte-at-a-time CRC-32 (IEEE, reflected 0xEDB88320) over a 256-entry
+/// table: the loop crc32() ran before it was sliced, kept as the
+/// reference the sliced one must match.
+std::uint32_t bytewise_crc32(std::string_view data) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(ChecksummedFrames, SlicedCrc32MatchesBytewiseReference) {
+  // Every length through many 16-byte blocks plus every remainder, at
+  // every start offset within a 16-byte block.
+  const std::string buf =
+      pseudo_random_bytes(2048 + 16, 0x9e3779b97f4a7c15ull);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= 2048; ++len) {
+      const std::string_view piece(buf.data() + align, len);
+      ASSERT_EQ(crc32(piece), bytewise_crc32(piece))
+          << "align " << align << " len " << len;
+    }
+  }
+  // The incremental form composes at every split point.
+  const std::string_view data(buf.data(), 300);
+  const std::uint32_t whole = bytewise_crc32(data);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    EXPECT_EQ(crc32_extend(crc32(data.substr(0, cut)), data.substr(cut)),
+              whole)
+        << "cut at " << cut;
+  }
+  EXPECT_EQ(crc32_extend(crc32("12345"), "6789"), 0xcbf43926u);
+}
+
+/// A kShuffleData frame as the shuffle server sends it: the fixed header
+/// piece, then the partition bytes.
+struct ShuffleDataPieces {
+  std::string head = encode_shuffle_data(ShuffleDataMsg{7, ""});
+  std::string tail = pseudo_random_bytes(100000, 0x243f6a8885a308d3ull);
+  std::string whole() const { return head + tail; }
+};
+
+TEST(ChecksummedFrames, ShuffleDataHeaderIsFixedSize) {
+  EXPECT_EQ(encode_shuffle_data(ShuffleDataMsg{}).size(),
+            kShuffleDataHeaderBytes);
+  EXPECT_EQ(encode_shuffle_data(ShuffleDataMsg{~0ull, ""}).size(),
+            kShuffleDataHeaderBytes);
+}
+
+TEST(ChecksummedFrames, TwoPieceSendIsTheOnePieceFrame) {
+  const ShuffleDataPieces frame;
+  const std::string expected_wire = checksummed_wire(frame.whole());
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  // The sender runs on its own thread: three 100 KB frames outgrow the
+  // socket buffer, so they only complete while the receiver drains.
+  // (A jthread, so a failed assertion below still joins it.)
+  std::jthread sender([&] {
+    EXPECT_TRUE(send_frame(sv[0], frame.head, frame.tail, 2000));
+    EXPECT_TRUE(send_frame(sv[0], frame.head, frame.tail, 2000));
+    EXPECT_TRUE(send_frame(sv[0], frame.head, frame.tail, 2000));
+    EXPECT_TRUE(send_frame(sv[0], "ab", "c", 2000));
+    ::close(sv[0]);
+  });
+  // Byte-identical to the single-piece frame, so FrameDecoder reads it.
+  std::string wire(expected_wire.size(), '\0');
+  std::size_t got = 0;
+  while (got < wire.size()) {
+    const ssize_t n = ::recv(sv[1], wire.data() + got, wire.size() - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(wire, expected_wire);
+  FrameDecoder decoder;
+  decoder.feed(wire.data(), wire.size());
+  const auto decoded = decoder.next();
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, frame.whole());
+
+  // recv_frame reads it whole; recv_frame_pieces splits it where asked.
+  const auto one = recv_frame(sv[1], 2000);
+  ASSERT_TRUE(one.has_value());
+  EXPECT_EQ(*one, frame.whole());
+  const auto pieces = recv_frame_pieces(sv[1], kShuffleDataHeaderBytes, 2000);
+  ASSERT_TRUE(pieces.has_value());
+  EXPECT_EQ(pieces->head, frame.head);
+  EXPECT_EQ(pieces->tail, frame.tail);
+  // A frame shorter than the head request lands wholly in the head.
+  const auto shorter = recv_frame_pieces(sv[1], kShuffleDataHeaderBytes, 2000);
+  ASSERT_TRUE(shorter.has_value());
+  EXPECT_EQ(shorter->head, "abc");
+  EXPECT_TRUE(shorter->tail.empty());
+  EXPECT_FALSE(recv_frame_pieces(sv[1], kShuffleDataHeaderBytes, 2000));
+  sender.join();
+  ::close(sv[1]);
+}
+
+TEST(ChecksummedFrames, SendFaultsOnTwoPieceShuffleFrameAreCaught) {
+  const ShuffleDataPieces frame;
+  const auto run = [&](const char* spec, auto&& check) {
+    SCOPED_TRACE(spec);
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::optional<bool> sent;
+    std::jthread sender([&] {
+      failpoint::ScopedFailpoints guard(spec);
+      try {
+        sent = send_frame(sv[0], frame.head, frame.tail, 2000);
+      } catch (const failpoint::InjectedFault&) {
+      }
+      ::close(sv[0]);
+    });
+    check(sv[1], sent, sender);
+    ::close(sv[1]);
+  };
+  // corrupt: the frame arrives whole and the checksum rejects it.
+  run("net.send:nth=1:action=corrupt",
+      [&](int fd, std::optional<bool>& sent, std::jthread& sender) {
+        EXPECT_THROW(recv_frame_pieces(fd, kShuffleDataHeaderBytes, 2000),
+                     IoError);
+        sender.join();
+        EXPECT_EQ(sent, true);
+      });
+  // shortwrite: the sender reports the peer gone; the receiver sees the
+  // torn frame once the connection drops.
+  run("net.send:nth=1:action=shortwrite",
+      [&](int fd, std::optional<bool>& sent, std::jthread& sender) {
+        try {
+          recv_frame_pieces(fd, kShuffleDataHeaderBytes, 2000);
+          ADD_FAILURE() << "torn frame delivered";
+        } catch (const IoError& e) {
+          EXPECT_NE(std::string(e.what()).find("mid-frame"),
+                    std::string::npos)
+              << e.what();
+        }
+        sender.join();
+        EXPECT_EQ(sent, false);
+      });
+  // throw: nothing reaches the wire.
+  run("net.send:nth=1",
+      [&](int fd, std::optional<bool>& sent, std::jthread& sender) {
+        sender.join();
+        EXPECT_FALSE(sent.has_value());
+        EXPECT_FALSE(recv_frame_pieces(fd, kShuffleDataHeaderBytes, 2000));
+      });
+  // delay: the frame is late but intact.
+  run("net.send:nth=1:action=delay:delay_ms=20",
+      [&](int fd, std::optional<bool>& sent, std::jthread& sender) {
+        const auto got = recv_frame_pieces(fd, kShuffleDataHeaderBytes, 2000);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->head, frame.head);
+        EXPECT_EQ(got->tail, frame.tail);
+        sender.join();
+        EXPECT_EQ(sent, true);
+      });
 }
 
 TEST(ChecksummedFrames, SendRecvRoundTrip) {

@@ -333,6 +333,31 @@ TEST(ShuffleService, EveryAttemptInjectedToFailureReturnsNullopt) {
   EXPECT_EQ(server.requests_served(), 0u);
 }
 
+TEST(ShuffleService, StopReturnsPromptlyWhenIdle) {
+  // Every worker stops its server at shutdown, and the coordinator waits
+  // for all of them: an accept thread that only notices stop() on a
+  // poll timeout adds that timeout to every cluster job.
+  ShuffleRig rig;
+  ShuffleServer server(rig.server_options());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+}
+
+TEST(ShuffleService, StopRightAfterConstructionIsIdempotent) {
+  // The stop may land before the accept thread's first poll; it must
+  // still wake it, and a second stop (the destructor's) is a no-op.
+  ShuffleRig rig;
+  ShuffleServer server(rig.server_options());
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+}
+
 TEST(ShuffleService, InvalidSourceEndpointFailsFast) {
   ShuffleRig rig;
   ShuffleClient client;
