@@ -19,7 +19,7 @@
 // multi-process execution: every app x setting runs on the ClusterEngine
 // (forked workers, heartbeats, speculative execution) at bench scale,
 // next to a LocalEngine run of the identical spec, so the abstraction
-// cost of process isolation + file shuffle is measured rather than
+// cost of process isolation + a TCP shuffle is measured rather than
 // modeled. Absolute seconds are bench-scale; ratios are the signal.
 
 #include <cstdio>
@@ -77,9 +77,10 @@ int run_real_cluster(std::uint32_t workers) {
   }
   std::printf(
       "\nThe cluster column prices the multi-process abstraction: fork,\n"
-      "socketpair control traffic, heartbeats and a file-system shuffle\n"
-      "instead of shared memory. Output bytes are engine-independent\n"
-      "(enforced by the cross-engine differential battery).\n");
+      "loopback TCP control traffic, heartbeats and a shuffle pulled from\n"
+      "per-worker shuffle servers instead of shared memory. Output bytes\n"
+      "are engine-independent (enforced by the cross-engine differential\n"
+      "battery).\n");
   return 0;
 }
 

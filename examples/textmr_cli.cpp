@@ -8,32 +8,37 @@
 //   textmr_cli gen log VISITS.log RANKINGS.txt [--visits N] [--urls U]
 //   textmr_cli gen graph OUT.txt [--pages N]
 //   textmr_cli run APP INPUT... --out DIR [--reducers R] [--freq] [--matcher]
-//              [--topk K] [--sample S] [--buffer MB] [--report]
+//              [--topk K] [--sample S] [--buffer MB] [--split-mb MB] [--report]
 //              [--hash-combine] [--hash-shards N]   (not with --freq)
 //              [--skew-partitioner] [--skew-split-threshold X]
 //              [--trace FILE] [--metrics-json FILE]
 //              [--failpoints SPEC] [--max-task-attempts N]
-//              [--cluster-workers N] [--no-speculation]
-//              [--transport socketpair|tcp] [--listen HOST:PORT]
+//              [--cluster-workers N] [--no-speculation] [--listen HOST:PORT]
 //              [--external-workers N] [--io-timeout-ms MS]
 //              [--liveness-timeout-ms MS]
 //   textmr_cli worker APP INPUT... --out DIR --connect HOST:PORT
+//              [--idle-timeout-ms MS] [--io-timeout-ms MS]
 //              [same job flags as run]
 //   APP = any name in apps::kNamedApps (src/apps/app_suite.hpp); running
 //         textmr_cli with no arguments lists them
+// An option the command does not read is an error (usage, exit 2).
 //
 // Multi-node quickstart (two terminals, DESIGN.md §14): terminal 1 runs
-// the coordinator with --transport tcp --listen 127.0.0.1:7070
-// --external-workers 1; terminal 2 starts the worker with the SAME app,
-// inputs and --out, plus --connect 127.0.0.1:7070.
+// the coordinator with --cluster-workers 2 --external-workers 1
+// --listen 127.0.0.1:7070; terminal 2 starts the worker with the SAME
+// app, inputs and --out, plus --connect 127.0.0.1:7070.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
-#include <set>
 #include <optional>
+#include <set>
+#include <span>
+#include <string_view>
 
 #include "cluster/worker.hpp"
 #include "common/failpoint.hpp"
@@ -84,6 +89,20 @@ struct Args {
   bool flag(const std::string& name) const { return flags.count(name) > 0; }
 };
 
+// The options each command reads. Anything else is rejected up front,
+// so a typo or a retired option fails loudly instead of being ignored.
+constexpr std::string_view kGenOptions[] = {
+    "words", "vocab", "alpha", "seed", "visits", "urls", "pages"};
+constexpr std::string_view kJobOptions[] = {
+    "out", "split-mb", "reducers", "buffer", "matcher", "hash-combine",
+    "hash-shards", "freq", "topk", "sample", "skew-partitioner",
+    "skew-split-threshold", "failpoints", "max-task-attempts", "trace"};
+constexpr std::string_view kRunOptions[] = {
+    "metrics-json", "report", "cluster-workers", "no-speculation", "listen",
+    "external-workers", "io-timeout-ms", "liveness-timeout-ms"};
+constexpr std::string_view kWorkerOptions[] = {
+    "connect", "idle-timeout-ms", "io-timeout-ms"};
+
 int usage() {
   std::string app_line = "  APP:";
   std::size_t width = app_line.size();
@@ -106,16 +125,16 @@ int usage() {
                "             [--freq] [--matcher] [--topk K] [--sample S]\n"
                "             [--hash-combine] [--hash-shards N] "
                "(not with --freq)\n"
-               "             [--buffer MB] [--report]\n"
+               "             [--buffer MB] [--split-mb MB] [--report]\n"
                "             [--skew-partitioner] [--skew-split-threshold X]\n"
                "             [--trace FILE] [--metrics-json FILE]\n"
                "             [--failpoints SPEC] [--max-task-attempts N]\n"
                "             [--cluster-workers N] [--no-speculation]\n"
-               "             [--transport socketpair|tcp] [--listen H:P]\n"
-               "             [--external-workers N] [--io-timeout-ms MS]\n"
-               "             [--liveness-timeout-ms MS]\n"
+               "             [--listen H:P] [--external-workers N]\n"
+               "             [--io-timeout-ms MS] [--liveness-timeout-ms MS]\n"
                "  textmr_cli worker APP INPUT... --out DIR --connect H:P\n"
-               "             [--idle-timeout-ms MS] [same job flags as run]\n"
+               "             [--idle-timeout-ms MS] [--io-timeout-ms MS]\n"
+               "             [same job flags as run]\n"
                "%s\n",
                app_line.c_str());
   return 2;
@@ -138,7 +157,29 @@ std::optional<cluster::Endpoint> parse_endpoint(const std::string& text,
   return ep;
 }
 
+// Reports the first option or flag none of `known` names; the caller
+// then prints usage.
+bool rejects_unknown(
+    const Args& args,
+    std::initializer_list<std::span<const std::string_view>> known) {
+  const auto unknown = [&](const std::string& name) {
+    const bool found =
+        std::any_of(known.begin(), known.end(), [&](auto names) {
+          return std::find(names.begin(), names.end(), name) != names.end();
+        });
+    if (!found) {
+      std::fprintf(stderr, "error: unknown option --%s\n", name.c_str());
+    }
+    return !found;
+  };
+  for (const auto& [name, value] : args.options) {
+    if (unknown(name)) return true;
+  }
+  return std::any_of(args.flags.begin(), args.flags.end(), unknown);
+}
+
 int cmd_gen(const Args& args) {
+  if (rejects_unknown(args, {kGenOptions})) return usage();
   const std::string& kind = args.positional[1];
   if (kind == "corpus" && args.positional.size() >= 3) {
     textgen::CorpusSpec spec;
@@ -257,6 +298,7 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
+  if (rejects_unknown(args, {kJobOptions, kRunOptions})) return usage();
   auto spec_opt = build_job_spec(args);
   if (!spec_opt.has_value()) return usage();
   mr::JobSpec& spec = *spec_opt;
@@ -270,46 +312,36 @@ int cmd_run(const Args& args) {
   // --cluster-workers N runs the job on the multi-process ClusterEngine
   // (N forked workers, heartbeats, speculative execution) instead of the
   // in-process thread pool; output bytes are identical either way.
-  // --transport tcp switches the control channels to checksummed TCP
-  // frames and pulls shuffle data over per-worker shuffle servers;
-  // --external-workers N reserves N of the slots for processes started
-  // separately with `textmr_cli worker --connect` (DESIGN.md §14).
+  // Workers talk to the coordinator in checksummed frames over loopback
+  // TCP and pull shuffle data from each other's shuffle servers;
+  // --listen fixes the listener address and --external-workers N
+  // reserves N of the slots for processes started separately with
+  // `textmr_cli worker --connect` (DESIGN.md §14).
   mr::JobResult result;
   if (const std::uint64_t workers = args.u64("cluster-workers", 0);
       workers > 0) {
     cluster::ClusterConfig config;
     config.num_workers = static_cast<std::uint32_t>(workers);
     config.speculation = !args.flag("no-speculation");
-    if (const auto t = args.options.find("transport");
-        t != args.options.end()) {
-      config.transport = cluster::parse_transport_kind(t->second);
-    }
     if (const auto l = args.options.find("listen"); l != args.options.end()) {
       const auto ep = parse_endpoint(l->second, /*allow_port_zero=*/true);
       if (!ep.has_value()) return usage();
       config.listen = *ep;
-      config.transport = cluster::TransportKind::kTcp;  // --listen implies tcp
     }
     config.external_workers =
         static_cast<std::uint32_t>(args.u64("external-workers", 0));
-    if (config.external_workers > 0) {
-      config.transport = cluster::TransportKind::kTcp;
-    }
-    if (args.options.count("io-timeout-ms") > 0) {
-      config.io_timeout_ms =
-          static_cast<std::int32_t>(args.u64("io-timeout-ms", 0));
-    } else if (config.transport == cluster::TransportKind::kTcp) {
-      config.io_timeout_ms = 30000;  // a dead TCP peer must not hang the job
-    }
+    // A dead TCP peer must not hang the job.
+    config.io_timeout_ms =
+        static_cast<std::int32_t>(args.u64("io-timeout-ms", 30000));
     config.liveness_timeout_ms =
         static_cast<std::uint32_t>(args.u64("liveness-timeout-ms", 0));
     cluster::ClusterEngine engine(config);
     if (config.external_workers > 0) {
-      const cluster::Endpoint* ep = engine.listen_endpoint();
+      const std::string ep = engine.listen_endpoint().to_string();
       std::printf("coordinator listening on %s; waiting for %u external "
                   "worker(s):\n  textmr_cli worker %s ... --connect %s\n",
-                  ep->to_string().c_str(), config.external_workers,
-                  args.positional[1].c_str(), ep->to_string().c_str());
+                  ep.c_str(), config.external_workers,
+                  args.positional[1].c_str(), ep.c_str());
       std::fflush(stdout);
     }
     result = engine.run(spec);
@@ -343,6 +375,7 @@ int cmd_run(const Args& args) {
 // exactly: the JobSpec (including the user-code factories it carries)
 // is rebuilt locally from them, only task assignments travel the wire.
 int cmd_worker(const Args& args) {
+  if (rejects_unknown(args, {kJobOptions, kWorkerOptions})) return usage();
   auto spec_opt = build_job_spec(args);
   if (!spec_opt.has_value()) return usage();
   const auto connect_it = args.options.find("connect");

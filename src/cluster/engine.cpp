@@ -1,9 +1,7 @@
 #include "cluster/engine.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -37,7 +35,7 @@ struct WorkerHandle {
   bool reaped = false;
   FrameDecoder decoder;
   /// Shuffle-server endpoint advertised via kHello; invalid (port 0)
-  /// until the hello arrives or when the worker serves no shuffle.
+  /// until the hello arrives.
   Endpoint shuffle;
   // Current dispatch (coordinator's view; confirmed by heartbeats).
   bool busy = false;
@@ -67,21 +65,12 @@ constexpr int kPollMs = 5;
 class Coordinator {
  public:
   Coordinator(const mr::JobSpec& spec, const ClusterConfig& config,
-              TcpTransport* tcp)
+              TcpTransport& tcp)
       : spec_(spec),
         config_(config),
         detector_(config.straggler),
         tcp_(tcp),
-        network_shuffle_(config.network_shuffle.value_or(
-            config.transport == TransportKind::kTcp)),
-        liveness_(config.liveness_timeout_ms, config.clock) {
-    if (config.transport == TransportKind::kTcp) {
-      transport_ = tcp_;
-    } else {
-      socketpair_ = make_socketpair_transport(config.io_timeout_ms);
-      transport_ = socketpair_.get();
-    }
-  }
+        liveness_(config.liveness_timeout_ms, config.clock) {}
 
   mr::JobResult run();
 
@@ -117,13 +106,8 @@ class Coordinator {
   const ClusterConfig& config_;
   StragglerDetector detector_;
 
-  // Transport machinery (DESIGN.md §14). tcp_ outlives the coordinator
-  // (owned by ClusterEngine so tests can read the listener endpoint
-  // before run()); the socketpair transport is per-run.
-  TcpTransport* tcp_ = nullptr;
-  std::unique_ptr<Transport> socketpair_;
-  Transport* transport_ = nullptr;
-  const bool network_shuffle_;
+  // Owned by ClusterEngine (DESIGN.md §14), so it outlives the run.
+  TcpTransport& tcp_;
   LivenessTracker liveness_;
 
   // Skew plan (DESIGN.md §12): computed once on the coordinator and
@@ -152,8 +136,8 @@ class Coordinator {
   std::vector<mr::ReduceTaskResult> reduce_results_;
   std::vector<io::SpillRunInfo> map_outputs_;
   // Which worker's shuffle server owns each map task's winning run,
-  // parallel to map_outputs_. Invalid endpoint = read via shared FS
-  // (owner died, or network shuffle disabled).
+  // parallel to map_outputs_. Invalid endpoint = the owner is gone; the
+  // reducer reads the run through the shared filesystem.
   std::vector<Endpoint> map_output_sources_;
 
   // Accounting.
@@ -170,10 +154,10 @@ void Coordinator::spawn_workers() {
   workers_.reserve(config_.num_workers);
   const std::uint32_t forked = config_.num_workers - config_.external_workers;
   for (std::uint32_t w = 0; w < forked; ++w) {
-    // Both channel ends exist before fork (TCP pairs connect+accept
-    // against the coordinator's own listener), so the child inherits an
-    // established, already-identified connection — no handshake needed.
-    Transport::WorkerChannel channel = transport_->make_worker_channel();
+    // Both channel ends exist before fork (connect+accept against the
+    // coordinator's own listener), so the child inherits an established,
+    // already-identified connection — no handshake needed.
+    TcpTransport::WorkerChannel channel = tcp_.make_worker_channel();
     // Flush stdio so the child doesn't replay buffered output.
     std::fflush(stdout);
     std::fflush(stderr);
@@ -187,16 +171,15 @@ void Coordinator::spawn_workers() {
       // Child: become worker `w`. Drop the coordinator ends — including
       // the channels of previously forked siblings, otherwise this
       // process would hold them open and mask a sibling's death (EOF) —
-      // and any transport bookkeeping fds (the TCP listener).
+      // and the coordinator's listener.
       channel.coordinator.close();
       for (WorkerHandle& sibling : workers_) sibling.conn.close();
-      transport_->on_child_fork(channel.child_fd);
+      tcp_.close_listener();
       if (config_.worker_init) config_.worker_init(w);
       WorkerContext ctx;
       ctx.fd = channel.child_fd;
       ctx.worker_id = w;
       ctx.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-      ctx.shuffle_enabled = network_shuffle_;
       ctx.io_timeout_ms = config_.io_timeout_ms;
       ctx.idle_timeout_ms = config_.worker_idle_timeout_ms;
       const int code = worker_main(ctx, spec_);
@@ -228,7 +211,7 @@ void Coordinator::accept_external_workers() {
     handle.external = true;
     handle.pid = -1;
     try {
-      handle.conn = tcp_->accept_worker(config_.accept_timeout_ms);
+      handle.conn = tcp_.accept_worker(config_.accept_timeout_ms);
     } catch (const IoError& e) {
       kill_and_reap_all();
       throw IoError("external worker " + std::to_string(w) +
@@ -388,10 +371,10 @@ bool Coordinator::dispatch_to(WorkerHandle& worker, TaskKind kind,
     msg.partition = task;
     msg.attempt = attempt;
     msg.map_outputs = map_outputs_;
-    // Network shuffle: tell the reducer which worker's shuffle server
-    // owns each run. An invalid endpoint (owner died before or after
-    // committing) falls back to the shared-filesystem read.
-    if (network_shuffle_) msg.sources = map_output_sources_;
+    // Tell the reducer which worker's shuffle server owns each run. An
+    // invalid endpoint (owner died before or after committing) falls
+    // back to the shared-filesystem read.
+    msg.sources = map_output_sources_;
     frame = encode_run_reduce(msg);
   }
   if (!send_to(worker, frame)) {
@@ -505,8 +488,7 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       detector_.note_completed(TaskKind::kMap, duration);
       map_results_[task] = std::move(result);
       // The winner's shuffle server owns this run; reducers pull it
-      // from there (invalid endpoint when shuffle is off — reducers
-      // then read the run through the shared filesystem).
+      // from there.
       map_output_sources_[task] = worker.shuffle;
       kill_loser_attempts(TaskKind::kMap, task);
       return;
@@ -737,9 +719,10 @@ mr::JobResult Coordinator::run() {
   if (config_.external_workers > config_.num_workers) {
     throw ConfigError("external_workers exceeds num_workers");
   }
-  if (config_.external_workers > 0 &&
-      config_.transport != TransportKind::kTcp) {
-    throw ConfigError("external workers require the tcp transport");
+  if (!config_.network_shuffle) {
+    throw ConfigError(
+        "network_shuffle = false is not supported: reducers always pull map "
+        "output from the owning worker's shuffle server");
   }
   std::filesystem::create_directories(spec_.scratch_dir);
   std::filesystem::create_directories(spec_.output_dir);
@@ -870,22 +853,10 @@ mr::JobResult Coordinator::run() {
 }  // namespace
 
 ClusterEngine::ClusterEngine(ClusterConfig config)
-    : config_(std::move(config)) {
-  // The TCP listener is engine-scoped (not per-run) so callers can read
-  // the resolved port — and point external workers at it — before run().
-  if (config_.transport == TransportKind::kTcp) {
-    tcp_ = make_tcp_transport(config_.listen, config_.io_timeout_ms);
-  }
-}
-
-ClusterEngine::~ClusterEngine() = default;
-
-const Endpoint* ClusterEngine::listen_endpoint() const {
-  return tcp_ != nullptr ? &tcp_->listen_endpoint() : nullptr;
-}
+    : config_(std::move(config)), tcp_(config_.listen, config_.io_timeout_ms) {}
 
 mr::JobResult ClusterEngine::run(const mr::JobSpec& spec) {
-  Coordinator coordinator(spec, config_, tcp_.get());
+  Coordinator coordinator(spec, config_, tcp_);
   return coordinator.run();
 }
 

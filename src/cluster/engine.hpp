@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 
 #include "cluster/straggler.hpp"
 #include "cluster/transport.hpp"
@@ -11,6 +9,9 @@
 #include "mr/job.hpp"
 
 namespace textmr::cluster {
+
+/// Only kTcp; goes with ClusterConfig::transport (ROADMAP item 4).
+enum class TransportKind : std::uint8_t { kTcp };
 
 /// Cluster-execution knobs, orthogonal to the JobSpec (which describes
 /// the computation; this describes the machinery running it).
@@ -20,43 +21,39 @@ struct ClusterConfig {
   /// ignored by this engine (parallelism = workers).
   std::uint32_t num_workers = 2;
 
-  /// How coordinator and workers talk (DESIGN.md §14): kSocketpair is
-  /// the original fork+socketpair shape; kTcp runs checksummed frames
-  /// over real sockets and enables external workers + network shuffle.
-  TransportKind transport = TransportKind::kSocketpair;
+  /// Unread; the benchmark still assigns it. ROADMAP item 4 deletes it.
+  TransportKind transport = TransportKind::kTcp;
 
-  /// TCP listener for worker channels (kTcp only). Port 0 = kernel
+  /// TCP listener for worker channels (DESIGN.md §14). Port 0 = kernel
   /// assigned; give a fixed port when external workers must find it.
   Endpoint listen;
 
   /// Of num_workers, how many join externally (`textmr_cli worker
-  /// --connect`) instead of being forked. kTcp only.
+  /// --connect`) instead of being forked.
   std::uint32_t external_workers = 0;
 
   /// How long spawn waits for each external worker to dial in.
   std::int32_t accept_timeout_ms = 30000;
 
   /// Per-frame send/recv budget on coordinator↔worker channels;
-  /// -1 = no limit (the socketpair default — local peers either respond
-  /// or EOF promptly).
+  /// -1 = no limit (fine for forked workers: a local peer either
+  /// responds or its sockets close when it dies).
   std::int32_t io_timeout_ms = -1;
 
   /// Coordinator-side liveness: a worker silent longer than this (no
   /// frames, heartbeats included) is declared dead. 0 disables — right
-  /// for socketpair (EOF detection is reliable) and required by the
-  /// heartbeat-stall failpoint tests; TCP multi-host setups should arm
-  /// it (a powered-off peer never EOFs).
+  /// for forked workers (the kernel closes a dead process's sockets, so
+  /// EOF detection is reliable) and required by the heartbeat-stall
+  /// failpoint tests; multi-host setups should arm it (a powered-off
+  /// peer never EOFs).
   std::uint32_t liveness_timeout_ms = 0;
 
   /// Worker-side mirror of the same: exit when the coordinator sends
   /// nothing for this long while the worker is idle. 0 = wait forever.
   std::uint32_t worker_idle_timeout_ms = 0;
 
-  /// Pull map output from per-worker shuffle servers instead of reading
-  /// spill runs through the shared filesystem. Defaults to on for kTcp,
-  /// off for kSocketpair; set explicitly to override (tests exercise
-  /// both shapes on both transports).
-  std::optional<bool> network_shuffle;
+  /// Must stay true, or run() throws ConfigError. ROADMAP item 4 deletes it.
+  bool network_shuffle = true;
 
   /// Clock injected into the liveness tracker (ManualClock in tests).
   const common::Clock* clock = nullptr;
@@ -87,32 +84,33 @@ struct ClusterConfig {
 
 /// Multi-process shared-nothing MapReduce engine (DESIGN.md §10, §14):
 /// runs `num_workers` workers — forked clones of the current process
-/// and/or externally-started processes that dial in over TCP —
-/// dispatches map/reduce tasks over per-worker framed control channels,
-/// shuffles either through spill-run files on the shared filesystem or
-/// by pulling partitions from per-worker shuffle servers, and recovers
-/// from worker death and stragglers (heartbeats + speculative
-/// execution). Produces byte-identical output to LocalEngine for
-/// deterministic applications — the cross-engine differential battery
-/// enforces exactly that, across both transports.
+/// and/or externally-started processes that dial in — over per-worker
+/// checksummed TCP control channels, shuffles by pulling partitions
+/// from per-worker shuffle servers (reading a run through the shared
+/// filesystem only when its owner is gone), and recovers from worker
+/// death and stragglers (heartbeats + speculative execution). Produces
+/// byte-identical output to LocalEngine for deterministic applications
+/// — the cross-engine differential battery enforces exactly that.
 class ClusterEngine {
  public:
   explicit ClusterEngine(ClusterConfig config = {});
-  ~ClusterEngine();
 
   /// Validates `spec`, runs the job across worker processes, returns
   /// outputs + metrics (+ the merged multi-process trace when enabled).
-  /// Throws ConfigError for invalid specs and TaskFailedError when a
-  /// task exhausts max_task_attempts or every worker dies.
+  /// Throws ConfigError for invalid specs or configs (before any
+  /// fork) and TaskFailedError when a task exhausts max_task_attempts
+  /// or every worker dies.
   mr::JobResult run(const mr::JobSpec& spec);
 
-  /// kTcp only: the resolved listener address external workers connect
-  /// to (valid as soon as the engine is constructed). Null otherwise.
-  const Endpoint* listen_endpoint() const;
+  /// The resolved listener address external workers connect to (valid
+  /// as soon as the engine is constructed).
+  const Endpoint& listen_endpoint() const { return tcp_.listen_endpoint(); }
 
  private:
   ClusterConfig config_;
-  std::unique_ptr<TcpTransport> tcp_;
+  // Engine-scoped, not per-run, so callers can read the resolved port —
+  // and point external workers at it — before run().
+  TcpTransport tcp_;
 };
 
 }  // namespace textmr::cluster

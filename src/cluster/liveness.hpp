@@ -2,10 +2,10 @@
 
 /// Coordinator-side worker liveness tracking (DESIGN.md §14).
 ///
-/// Over a socketpair a dead worker is unmissable: the kernel delivers
-/// EOF/SIGCHLD immediately. Over TCP a peer that loses power (or sits
-/// behind a dropped route) just goes silent — the coordinator's poll
-/// loop would wait forever. The LivenessTracker turns silence into
+/// A dead forked worker is unmissable: the kernel closes its sockets and
+/// the coordinator reads EOF immediately. A remote peer that loses power
+/// (or sits behind a dropped route) just goes silent — the coordinator's
+/// poll loop would wait forever. The LivenessTracker turns silence into
 /// worker death: every frame (heartbeats included) refreshes the
 /// worker's deadline; `expired()` reports workers whose deadline passed.
 ///
@@ -22,8 +22,8 @@ namespace textmr::cluster {
 
 class LivenessTracker {
  public:
-  /// `timeout_ms == 0` disables tracking entirely (the socketpair
-  /// default — EOF detection is already reliable there, and the
+  /// `timeout_ms == 0` disables tracking entirely (the default — EOF
+  /// detection is already reliable for forked workers, and the
   /// heartbeat-stall failpoint tests depend on silence not being fatal).
   explicit LivenessTracker(std::uint32_t timeout_ms,
                            const common::Clock* clock = nullptr)

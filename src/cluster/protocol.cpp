@@ -360,8 +360,7 @@ void fields(A& a, Ref<A, RunReduceMsg> msg) {
   wire(a, msg.partition, msg.attempt);
   seq(a, msg.map_outputs, [&](auto& run) { fields(a, run); });
   seq(a, msg.sources, [&](auto& source) { fields(a, source); });
-  require(a,
-          msg.sources.empty() || msg.sources.size() == msg.map_outputs.size(),
+  require(a, msg.sources.size() == msg.map_outputs.size(),
           "run_reduce sources count != runs count");
 }
 

@@ -15,17 +15,15 @@
 namespace textmr::cluster {
 
 /// Control protocol between the cluster coordinator and its worker
-/// processes (DESIGN.md §10, §14). Transport: one stream channel per
-/// worker — an AF_UNIX socketpair or a TCP connection, behind the
-/// Transport/Connection interface in transport.hpp — carrying
-/// little-endian u32 length-prefixed frames that also carry a CRC32 of
-/// the payload; the first payload byte is the message type. Input splits
-/// and final part
+/// processes (DESIGN.md §10, §14). Transport: one TCP connection per
+/// worker (a `Connection`, transport.hpp) carrying little-endian u32
+/// length-prefixed frames that also carry a CRC32 of the payload; the
+/// first payload byte is the message type. Input splits and final part
 /// files still move through the shared filesystem, but map-output
 /// partitions are pulled over the network from per-worker shuffle
-/// servers (kShuffleFetch/kShuffleData) when the TCP transport is in
-/// force, so control frames stay small: telemetry ships as bounded
-/// trace chunks at task boundaries instead of one monolithic upload.
+/// servers (kShuffleFetch/kShuffleData), so control frames stay small:
+/// telemetry ships as bounded trace chunks at task boundaries instead
+/// of one monolithic upload.
 
 enum class MsgType : std::uint8_t {
   // coordinator -> worker
@@ -61,8 +59,8 @@ struct RunTaskMsg {
 };
 
 /// A network address: a worker's shuffle server or the coordinator's
-/// TCP listener. port 0 means "none" (e.g. a socketpair worker that
-/// serves no shuffle partitions).
+/// TCP listener. port 0 means "none" (e.g. a map output whose owning
+/// worker is gone).
 struct Endpoint {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
@@ -75,10 +73,10 @@ struct Endpoint {
 
 /// Reduce dispatch also names the map-output runs to shuffle from,
 /// ordered by map task id — the ordering every engine must use for
-/// byte-identical merges. `sources` (empty or exactly parallel to
-/// `map_outputs`) names the shuffle server holding each run; an invalid
-/// endpoint — or no sources at all — means the reducer reads that run
-/// from the shared filesystem instead (socketpair mode).
+/// byte-identical merges. `sources` (exactly parallel to `map_outputs`)
+/// names the shuffle server holding each run; an invalid endpoint means
+/// only "owner gone": the reducer reads that run from the shared
+/// filesystem instead.
 struct RunReduceMsg {
   std::uint32_t partition = 0;
   std::uint32_t attempt = 0;
@@ -94,9 +92,9 @@ struct WelcomeMsg {
   std::uint32_t heartbeat_interval_ms = 25;
 };
 
-/// Worker -> coordinator, sent once at startup when the worker runs a
-/// shuffle server: advertises the endpoint reducers should pull this
-/// worker's map-output partitions from.
+/// Worker -> coordinator, sent once at startup by every worker:
+/// advertises the endpoint reducers should pull this worker's
+/// map-output partitions from.
 struct HelloMsg {
   std::uint32_t worker_id = 0;
   Endpoint shuffle;
@@ -167,9 +165,8 @@ struct ClockSyncMsg {
 /// symmetric channel its clock reads t_worker when the coordinator's
 /// reads (t_send + t_recv) / 2. Returns worker_clock - coordinator_clock;
 /// the estimate error is bounded by half the round-trip time. Forked
-/// workers share CLOCK_MONOTONIC so the offset is ~0 today, but the
-/// handshake keeps merged traces correct for any future transport where
-/// workers live on other machines (ROADMAP item 2's resident service).
+/// workers share CLOCK_MONOTONIC so their offset is ~0; the handshake
+/// keeps merged traces correct for external workers on other machines.
 inline std::int64_t estimate_clock_offset(std::uint64_t t_send,
                                           std::uint64_t t_recv,
                                           std::uint64_t t_worker) {
@@ -319,7 +316,7 @@ TraceChunkMsg decode_trace_chunk(WireReader& r);
 constexpr std::uint32_t kMaxFramePayload = 256u * 1024 * 1024;
 
 /// On-the-wire frame layout (DESIGN.md §14), the same on every channel
-/// (socketpair, TCP control, shuffle): [u32 len][u32 crc32][payload]. A
+/// (control, shuffle): [u32 len][u32 crc32][payload]. A
 /// checksum mismatch on receive raises IoError; the peer is treated as
 /// gone (control channel) or the fetch is retried (shuffle client).
 

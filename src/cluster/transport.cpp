@@ -18,21 +18,6 @@
 
 namespace textmr::cluster {
 
-const char* transport_kind_name(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kSocketpair: return "socketpair";
-    case TransportKind::kTcp: return "tcp";
-  }
-  return "unknown";
-}
-
-TransportKind parse_transport_kind(const std::string& name) {
-  if (name == "socketpair") return TransportKind::kSocketpair;
-  if (name == "tcp") return TransportKind::kTcp;
-  throw ConfigError("unknown transport '" + name +
-                    "' (expected socketpair or tcp)");
-}
-
 // ---- Connection -----------------------------------------------------------
 
 Connection& Connection::operator=(Connection&& other) noexcept {
@@ -51,8 +36,6 @@ void Connection::close() {
   }
 }
 
-int Connection::release_fd() { return std::exchange(fd_, -1); }
-
 bool Connection::drain(FrameDecoder& decoder) const {
   char buf[65536];
   while (true) {
@@ -69,7 +52,7 @@ bool Connection::drain(FrameDecoder& decoder) const {
   }
 }
 
-// ---- socketpair transport -------------------------------------------------
+// ---- TCP helpers ----------------------------------------------------------
 
 namespace {
 
@@ -87,42 +70,6 @@ void set_blocking(int fd) {
                   std::string(strerror(errno)));
   }
 }
-
-class SocketpairTransport final : public Transport {
- public:
-  explicit SocketpairTransport(std::int32_t io_timeout_ms)
-      : io_timeout_ms_(io_timeout_ms) {}
-
-  TransportKind kind() const override { return TransportKind::kSocketpair; }
-
-  WorkerChannel make_worker_channel() override {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      throw IoError("socketpair failed: " + std::string(strerror(errno)));
-    }
-    set_nonblocking(sv[0]);
-    WorkerChannel channel;
-    channel.coordinator = Connection(sv[0], io_timeout_ms_);
-    channel.child_fd = sv[1];
-    return channel;
-  }
-
-  void on_child_fork(int /*keep_fd*/) override {}
-
- private:
-  std::int32_t io_timeout_ms_;
-};
-
-}  // namespace
-
-std::unique_ptr<Transport> make_socketpair_transport(
-    std::int32_t io_timeout_ms) {
-  return std::make_unique<SocketpairTransport>(io_timeout_ms);
-}
-
-// ---- TCP helpers ----------------------------------------------------------
-
-namespace {
 
 sockaddr_in make_addr(const Endpoint& endpoint) {
   sockaddr_in addr{};
@@ -288,7 +235,7 @@ TcpTransport::~TcpTransport() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-Transport::WorkerChannel TcpTransport::make_worker_channel() {
+TcpTransport::WorkerChannel TcpTransport::make_worker_channel() {
   // Deterministic pre-fork pairing: dial our own listener, then accept
   // the matching connection. Both ends exist before fork(), so no
   // identification handshake is needed to know which worker owns which
@@ -302,11 +249,10 @@ Transport::WorkerChannel TcpTransport::make_worker_channel() {
   return channel;
 }
 
-void TcpTransport::on_child_fork(int keep_fd) {
-  // The child must not hold the coordinator's listener open: a later
-  // coordinator restart would find the port busy, and accept() races
-  // would be possible.
-  if (listen_fd_ >= 0 && listen_fd_ != keep_fd) {
+void TcpTransport::close_listener() {
+  // A later coordinator restart would find the port busy, and accept()
+  // races would be possible.
+  if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -316,11 +262,6 @@ Connection TcpTransport::accept_worker(std::int32_t timeout_ms) {
   const int fd = tcp_accept(listen_fd_, timeout_ms);
   set_nonblocking(fd);
   return Connection(fd, io_timeout_ms_);
-}
-
-std::unique_ptr<TcpTransport> make_tcp_transport(const Endpoint& listen,
-                                                 std::int32_t io_timeout_ms) {
-  return std::make_unique<TcpTransport>(listen, io_timeout_ms);
 }
 
 }  // namespace textmr::cluster

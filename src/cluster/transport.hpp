@@ -1,40 +1,28 @@
 #pragma once
 
-/// Worker transport abstraction (DESIGN.md §14).
+/// Coordinator-worker channels (DESIGN.md §14).
 ///
-/// The coordinator talks to each worker over a `Connection` — a framed,
-/// bidirectional byte channel. How that channel is created is the
-/// `Transport`'s business:
+/// The coordinator talks to each worker over a `Connection`: a framed,
+/// bidirectional TCP byte channel. `TcpTransport` owns the coordinator's
+/// loopback/LAN listener and makes every channel:
 ///
-///   - SocketpairTransport: the original one-host shape. A
-///     socketpair(AF_UNIX) is created before fork(); the child inherits
-///     one end.
-///   - TcpTransport: real sockets on a loopback/LAN listener. The
-///     coordinator pairs each forked worker deterministically by
-///     connecting to its own listener immediately before the fork, so
-///     the child inherits an established, identified TCP connection.
-///     External workers (started with `textmr_cli worker --connect`)
+///   - Forked workers are paired deterministically: the coordinator
+///     connects to its own listener immediately before the fork, so the
+///     child inherits an established, identified TCP connection.
+///   - External workers (started with `textmr_cli worker --connect`)
 ///     dial in and are adopted via accept_worker().
 ///
-/// Both carry the same checksummed frames ([len][crc32][payload]), so a
-/// flipped byte is caught on either. Connections never own protocol
-/// state beyond a default I/O timeout; message semantics stay in
-/// protocol.hpp and the engine/worker loops.
+/// Every channel carries the same checksummed frames
+/// ([len][crc32][payload]), so a flipped byte is caught. Connections
+/// never own protocol state beyond a default I/O timeout; message
+/// semantics stay in protocol.hpp and the engine/worker loops.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "cluster/protocol.hpp"
 
 namespace textmr::cluster {
-
-enum class TransportKind : std::uint8_t { kSocketpair, kTcp };
-
-const char* transport_kind_name(TransportKind kind);
-
-/// Parses "socketpair" / "tcp"; throws ConfigError on anything else.
-TransportKind parse_transport_kind(const std::string& name);
 
 /// One framed channel between coordinator and worker. Thin RAII wrapper
 /// over an fd + default timeout; all I/O goes through the
@@ -80,41 +68,11 @@ class Connection {
   bool drain(FrameDecoder& decoder) const;
 
   void close();
-  /// Relinquishes ownership of the fd without closing it (used when a
-  /// forked child inherits the descriptor).
-  int release_fd();
 
  private:
   int fd_ = -1;
   std::int32_t io_timeout_ms_ = -1;
 };
-
-/// Factory for worker channels. `make_worker_channel` is called by the
-/// coordinator immediately BEFORE fork(); it returns the coordinator end
-/// and the fd the child should adopt after fork.
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  virtual TransportKind kind() const = 0;
-  const char* name() const { return transport_kind_name(kind()); }
-
-  struct WorkerChannel {
-    Connection coordinator;  // coordinator-side end
-    int child_fd = -1;       // fd the forked child keeps (already open)
-  };
-
-  /// Creates a paired channel for a worker about to be forked.
-  virtual WorkerChannel make_worker_channel() = 0;
-
-  /// Called in the forked child: closes listener/bookkeeping fds that
-  /// must not leak into the worker process. `keep_fd` is the child's
-  /// channel fd and is left open.
-  virtual void on_child_fork(int keep_fd) = 0;
-};
-
-std::unique_ptr<Transport> make_socketpair_transport(
-    std::int32_t io_timeout_ms = -1);
 
 // ---- TCP helpers (also used by the shuffle server/client) -----------------
 
@@ -133,18 +91,30 @@ int tcp_accept(int listen_fd, std::int32_t timeout_ms = -1);
 /// The locally-bound address of a socket (resolves port 0 after bind).
 Endpoint local_endpoint(int fd);
 
-class TcpTransport final : public Transport {
+/// The coordinator's listener and the factory for its worker channels.
+class TcpTransport {
  public:
   /// Listens on `listen` immediately (so listen_endpoint() is valid
   /// before any worker exists).
   explicit TcpTransport(const Endpoint& listen,
                         std::int32_t io_timeout_ms = -1);
-  ~TcpTransport() override;
+  ~TcpTransport();
 
-  TransportKind kind() const override { return TransportKind::kTcp; }
+  TcpTransport(const TcpTransport&) = delete;
+  TcpTransport& operator=(const TcpTransport&) = delete;
 
-  WorkerChannel make_worker_channel() override;
-  void on_child_fork(int keep_fd) override;
+  struct WorkerChannel {
+    Connection coordinator;  // coordinator-side end
+    int child_fd = -1;       // fd the forked child keeps (already open)
+  };
+
+  /// Called by the coordinator immediately BEFORE fork(): returns the
+  /// coordinator end and the fd the child adopts after the fork.
+  WorkerChannel make_worker_channel();
+
+  /// Called in the forked child: a worker must not hold the
+  /// coordinator's listener open.
+  void close_listener();
 
   /// Where external workers should dial in.
   const Endpoint& listen_endpoint() const { return endpoint_; }
@@ -158,9 +128,5 @@ class TcpTransport final : public Transport {
   int listen_fd_ = -1;
   std::int32_t io_timeout_ms_ = -1;
 };
-
-std::unique_ptr<TcpTransport> make_tcp_transport(const Endpoint& listen,
-                                                 std::int32_t io_timeout_ms =
-                                                     -1);
 
 }  // namespace textmr::cluster

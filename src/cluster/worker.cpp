@@ -149,22 +149,19 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
   try {
     Channel channel(ctx.fd, ctx.io_timeout_ms);
 
-    // Network shuffle: serve this worker's committed map runs and tell
-    // the coordinator where (kHello). Reducers on other workers pull
-    // their partitions from here instead of the shared filesystem.
-    std::unique_ptr<ShuffleServer> shuffle;
-    if (ctx.shuffle_enabled) {
-      ShuffleServer::Options opts;
-      opts.listen.host = ctx.shuffle_host;  // port 0: kernel-assigned
-      opts.root = spec.scratch_dir.string();
-      opts.spill_format = spec.spill_format;
-      if (ctx.io_timeout_ms > 0) opts.io_timeout_ms = ctx.io_timeout_ms;
-      shuffle = std::make_unique<ShuffleServer>(std::move(opts));
-      HelloMsg hello;
-      hello.worker_id = ctx.worker_id;
-      hello.shuffle = shuffle->endpoint();
-      if (!channel.send(encode_hello(hello))) return 1;
-    }
+    // Serve this worker's committed map runs and tell the coordinator
+    // where (kHello). Reducers on other workers pull their partitions
+    // from here.
+    ShuffleServer::Options shuffle_opts;
+    shuffle_opts.listen.host = ctx.shuffle_host;  // port 0: kernel-assigned
+    shuffle_opts.root = spec.scratch_dir.string();
+    shuffle_opts.spill_format = spec.spill_format;
+    if (ctx.io_timeout_ms > 0) shuffle_opts.io_timeout_ms = ctx.io_timeout_ms;
+    ShuffleServer shuffle(std::move(shuffle_opts));
+    HelloMsg hello;
+    hello.worker_id = ctx.worker_id;
+    hello.shuffle = shuffle.endpoint();
+    if (!channel.send(encode_hello(hello))) return 1;
 
     // Worker-local trace collector; drained and shipped to the
     // coordinator as bounded chunks at every task completion and at
@@ -343,40 +340,34 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
             if (failpoint::enabled()) {
               failpoint::check("cluster.dispatch");
             }
-            // Network-first shuffle when the coordinator told us who
-            // owns each run: pull from the owning worker's shuffle
-            // server; fall back to the shared-filesystem read when the
-            // owner is gone (speculation SIGKILLs winners' losers, and
-            // a loser may own committed map output — DESIGN.md §14).
-            mr::ShuffleFetcher fetcher;
-            if (!msg.sources.empty()) {
-              std::vector<Endpoint> sources = std::move(msg.sources);
-              const io::SpillFormat format = spec.spill_format;
-              ShuffleClient client;
-              fetcher = [client = std::move(client),
-                         sources = std::move(sources), format](
-                            std::uint32_t run_index,
-                            const io::SpillRunInfo& run,
-                            std::uint32_t partition) {
-                mr::ShuffleFetchResult out;
-                if (run_index < sources.size() &&
-                    sources[run_index].valid()) {
-                  if (auto bytes =
-                          client.fetch(sources[run_index], run, partition)) {
-                    out.bytes = std::move(*bytes);
-                    out.over_wire = true;
-                    return out;
+            // Pull each run from its owning worker's shuffle server;
+            // fall back to the shared-filesystem read when the owner is
+            // gone or its fetches are exhausted (speculation SIGKILLs
+            // winners' losers, and a loser may own committed map output
+            // — DESIGN.md §14). `sources` is parallel to `map_outputs`
+            // (the wire check guarantees it).
+            mr::ShuffleFetcher fetcher =
+                [client = ShuffleClient(), sources = std::move(msg.sources),
+                 format = spec.spill_format](std::uint32_t run_index,
+                                             const io::SpillRunInfo& run,
+                                             std::uint32_t partition) {
+                  mr::ShuffleFetchResult out;
+                  const Endpoint& source = sources[run_index];
+                  if (source.valid()) {
+                    if (auto bytes = client.fetch(source, run, partition)) {
+                      out.bytes = std::move(*bytes);
+                      out.over_wire = true;
+                      return out;
+                    }
+                    TEXTMR_LOG(kWarn)
+                        << "shuffle fetch of " << run.path << "#" << partition
+                        << " from " << source.to_string()
+                        << " exhausted retries; falling back to local read";
                   }
-                  TEXTMR_LOG(kWarn)
-                      << "shuffle fetch of " << run.path << "#" << partition
-                      << " from " << sources[run_index].to_string()
-                      << " exhausted retries; falling back to local read";
-                }
-                out.bytes = io::SpillRunReader(run.path, format)
-                                .read_partition(partition);
-                return out;
-              };
-            }
+                  out.bytes = io::SpillRunReader(run.path, format)
+                                  .read_partition(partition);
+                  return out;
+                };
             const mr::ReduceTaskConfig config = mr::make_reduce_task_config(
                 spec, msg.partition, msg.attempt, std::move(msg.map_outputs),
                 collector.get(), skew_plan.has_value() ? &*skew_plan : nullptr,
@@ -456,7 +447,6 @@ int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
     ctx.fd = fd;
     ctx.worker_id = welcome.worker_id;
     ctx.heartbeat_interval_ms = welcome.heartbeat_interval_ms;
-    ctx.shuffle_enabled = true;
     ctx.shuffle_host = options.shuffle_host;
     ctx.io_timeout_ms = options.io_timeout_ms;
     ctx.idle_timeout_ms = options.idle_timeout_ms;

@@ -8,8 +8,8 @@
 
 namespace textmr::cluster {
 
-/// One worker process's view of the cluster: the control-channel fd to
-/// the coordinator and its stable worker (node) id. The JobSpec is
+/// One worker process's view of the cluster: the TCP control-channel fd
+/// to the coordinator and its stable worker (node) id. The JobSpec is
 /// inherited through fork — the engine runs workers as forked clones of
 /// the coordinator process, which is what lets JobSpec carry arbitrary
 /// std::function factories without a serialization story (DESIGN.md §10).
@@ -19,13 +19,12 @@ struct WorkerContext {
   int fd = -1;
   std::uint32_t worker_id = 0;
   std::uint32_t heartbeat_interval_ms = 25;
-  /// When true the worker starts a ShuffleServer over its scratch dir
-  /// and advertises the endpoint with kHello; reducers then pull map
-  /// output over the network (DESIGN.md §14).
-  bool shuffle_enabled = false;
+  /// Where the worker's ShuffleServer listens. Every worker serves its
+  /// scratch dir and advertises the endpoint with kHello; reducers pull
+  /// map output from it (DESIGN.md §14).
   std::string shuffle_host = "127.0.0.1";
   /// Per-frame send/recv budget on the control channel; -1 = no limit
-  /// (the socketpair default — the peer is a local process).
+  /// (the forked-worker default — the peer is a local process).
   std::int32_t io_timeout_ms = -1;
   /// Max silence between coordinator frames while idle before the
   /// worker concludes the coordinator is dead and exits; 0 = wait
@@ -51,9 +50,9 @@ struct RemoteWorkerOptions {
 };
 
 /// Dials the coordinator, performs the kWelcome handshake (which
-/// assigns the worker id), then runs worker_main over the TCP channel
-/// with the shuffle server enabled. Returns worker_main's exit code;
-/// throws IoError/FormatError if the handshake itself fails.
+/// assigns the worker id), then runs worker_main over the TCP channel.
+/// Returns worker_main's exit code; throws IoError/FormatError if the
+/// handshake itself fails.
 int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
                       const RemoteWorkerOptions& options = {});
 

@@ -110,6 +110,7 @@ TEST(ProtocolCodec, RunReduceRoundTripCarriesMapOutputs) {
       run.partitions.push_back(extent);
     }
     msg.map_outputs.push_back(run);
+    msg.sources.push_back(Endpoint{});  // owner gone: read the run locally
   }
   const std::string frame = encode_run_reduce(msg);
   auto r = reader_skipping_type(frame, MsgType::kRunReduce);
@@ -550,14 +551,14 @@ TEST(ProtocolCodec, RunReduceRoundTripCarriesShuffleSources) {
   EXPECT_EQ(out.sources[1].host, "10.0.0.2");
   EXPECT_EQ(out.sources[1].port, 9001);
 
-  // No sources at all (socketpair shuffle-through-filesystem) is legal.
+  // Sources must be exactly parallel to the runs: none at all is as much
+  // a protocol violation as a count that disagrees (an unowned run is an
+  // invalid endpoint, never a missing one).
   msg.sources.clear();
   auto r2_frame = encode_run_reduce(msg);
   auto r2 = reader_skipping_type(r2_frame, MsgType::kRunReduce);
-  EXPECT_TRUE(decode_run_reduce(r2).sources.empty());
+  EXPECT_THROW(decode_run_reduce(r2), FormatError);
 
-  // A sources count that disagrees with the runs count is a protocol
-  // violation, not a silently misaligned shuffle.
   msg.sources.push_back(Endpoint{});
   auto r3_frame = encode_run_reduce(msg);
   auto r3 = reader_skipping_type(r3_frame, MsgType::kRunReduce);

@@ -528,22 +528,17 @@ struct ClusterDiffParams {
   bool freqbuf;
   bool matcher;
   bool skew = false;  // skew-aware partitioner on BOTH engines
-  // Transport axis (DESIGN.md §14): kTcp runs the same forked workers
-  // over checksummed loopback TCP with the network shuffle on, and must
-  // still reproduce the LocalEngine bytes.
-  cluster::TransportKind transport = cluster::TransportKind::kSocketpair;
   // Fault axis: armed for the cluster run only (inherited by every
   // forked worker); recovery must be byte-invisible too.
   std::string fail_spec;
   // Combine axis: applied to BOTH engines, so byte-identity proves the
-  // hash-combine path is engine- and transport-invariant too.
+  // hash-combine path is engine-invariant too.
   int combine = 0;
 };
 
 void PrintTo(const ClusterDiffParams& p, std::ostream* os) {
   *os << p.app << " workers=" << p.workers << " freq=" << p.freqbuf
-      << " matcher=" << p.matcher << " skew=" << p.skew << " transport="
-      << cluster::transport_kind_name(p.transport)
+      << " matcher=" << p.matcher << " skew=" << p.skew
       << " combine=" << combine_name(p.combine);
   if (!p.fail_spec.empty()) *os << " fail=" << p.fail_spec;
 }
@@ -608,19 +603,12 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
   failpoint::ScopedFailpoints failpoints(p.fail_spec);
   cluster::ClusterConfig config;
   config.num_workers = p.workers;
-  config.transport = p.transport;
-  if (p.transport == cluster::TransportKind::kTcp) {
-    config.io_timeout_ms = 10000;
-  }
+  config.io_timeout_ms = 10000;
   cluster::ClusterEngine cluster_engine(config);
   const auto result = run_app(cluster_engine, "cluster");
-  if (p.transport == cluster::TransportKind::kTcp) {
-    // The TCP cells genuinely shuffle over the network — without this,
-    // a silently-disabled shuffle service would pass the byte check.
-    EXPECT_GT(result.metrics.work.shuffled_wire_bytes, 0u);
-  } else {
-    EXPECT_EQ(result.metrics.work.shuffled_wire_bytes, 0u);
-  }
+  // Every cell genuinely shuffles over loopback TCP — without this, a
+  // silently-disabled shuffle service would pass the byte check.
+  EXPECT_GT(result.metrics.work.shuffled_wire_bytes, 0u);
 
   ASSERT_EQ(result.outputs.size(), oracle.outputs.size());
   if (p.app == "AccessLogJoin") {
@@ -652,25 +640,17 @@ std::vector<ClusterDiffParams> cluster_differential_matrix() {
       for (const bool skew : {false, true}) {
         // freq / matcher cycle by position so each appears in both skew
         // modes across the grid without squaring its size.
-        add(ClusterDiffParams{app, workers, i % 2 == 0, i % 3 == 0, skew,
-                              cluster::TransportKind::kSocketpair, "",
+        add(ClusterDiffParams{app, workers, i % 2 == 0, i % 3 == 0, skew, "",
                               // Combine cycles across the grid so each app
                               // runs hash and forced-watermark hash cells
                               // under the cluster engine too.
                               static_cast<int>(i % 3)});
       }
     }
-    // Transport axis: every app also runs over loopback TCP with the
-    // network shuffle, in both skew modes, plus one fault cell per app
-    // (alternating a worker-side spill fault with a shuffle-fetch fault
-    // so both recovery paths appear across the grid).
-    for (const bool skew : {false, true}) {
-      add(ClusterDiffParams{app, 2, i % 2 == 0, i % 3 == 0, skew,
-                            cluster::TransportKind::kTcp, "",
-                            static_cast<int>(i % 3)});
-    }
+    // One fault cell per app, alternating a worker-side spill fault with
+    // a shuffle-fetch fault so both recovery paths appear across the grid.
     add(ClusterDiffParams{
-        app, 2, i % 2 == 0, i % 3 == 0, false, cluster::TransportKind::kTcp,
+        app, 2, i % 2 == 0, i % 3 == 0, false,
         i % 2 == 0 ? "spill.write:nth=1" : "shuffle.fetch:nth=1",
         static_cast<int>(i % 3)});
   }

@@ -33,15 +33,6 @@
 namespace textmr::cluster {
 namespace {
 
-TEST(TransportKindTest, ParseAndNameRoundTrip) {
-  EXPECT_EQ(parse_transport_kind("socketpair"), TransportKind::kSocketpair);
-  EXPECT_EQ(parse_transport_kind("tcp"), TransportKind::kTcp);
-  EXPECT_STREQ(transport_kind_name(TransportKind::kSocketpair), "socketpair");
-  EXPECT_STREQ(transport_kind_name(TransportKind::kTcp), "tcp");
-  EXPECT_THROW(parse_transport_kind("carrier-pigeon"), ConfigError);
-  EXPECT_THROW(parse_transport_kind(""), ConfigError);
-}
-
 TEST(TcpPlumbing, ListenConnectAcceptRoundTrip) {
   Endpoint listen;  // 127.0.0.1, port 0 = kernel-assigned
   const int listen_fd = tcp_listen(listen);
@@ -108,23 +99,14 @@ TEST(TcpPlumbing, ConnectionRecvTimesOutOnSilentPeer) {
 
 // ---- net.* failpoints ------------------------------------------------------
 
-/// A connected client/server Connection pair over either transport. For
-/// a socketpair the client is the worker end and the server the
-/// coordinator end, exactly as make_worker_channel() hands them out.
+/// A connected client/server Connection pair over loopback TCP.
 struct ConnectedPair {
   int listen_fd = -1;
   Connection client;
   Connection server;
 
-  explicit ConnectedPair(TransportKind kind = TransportKind::kTcp,
-                         std::int32_t timeout_ms = 2000) {
-    if (kind == TransportKind::kSocketpair) {
-      Transport::WorkerChannel channel =
-          make_socketpair_transport(timeout_ms)->make_worker_channel();
-      client = Connection(channel.child_fd, timeout_ms);
-      server = std::move(channel.coordinator);
-      return;
-    }
+  ConnectedPair() {
+    constexpr std::int32_t timeout_ms = 2000;
     listen_fd = tcp_listen(Endpoint{});
     const Endpoint bound = local_endpoint(listen_fd);
     client = Connection(tcp_connect(bound, timeout_ms), timeout_ms);
@@ -154,19 +136,14 @@ TEST(NetFailpoints, SendThrowInjectsFault) {
 }
 
 TEST(NetFailpoints, SendCorruptIsCaughtByReceiverChecksum) {
-  // Every channel carries the same checksummed frames: the flipped
-  // payload byte must fail the CRC on the receiving side of either
-  // transport.
-  for (const TransportKind kind :
-       {TransportKind::kTcp, TransportKind::kSocketpair}) {
-    SCOPED_TRACE(transport_kind_name(kind));
-    ConnectedPair pair(kind);
-    {
-      failpoint::ScopedFailpoints guard("net.send:nth=1:action=corrupt");
-      ASSERT_TRUE(pair.client.send("a corruptible payload"));
-    }
-    EXPECT_THROW(pair.server.recv(), IoError);
+  // Every channel carries checksummed frames: the flipped payload byte
+  // must fail the CRC on the receiving side.
+  ConnectedPair pair;
+  {
+    failpoint::ScopedFailpoints guard("net.send:nth=1:action=corrupt");
+    ASSERT_TRUE(pair.client.send("a corruptible payload"));
   }
+  EXPECT_THROW(pair.server.recv(), IoError);
 }
 
 TEST(NetFailpoints, SendShortWriteTearsTheFrame) {
@@ -455,7 +432,6 @@ class TcpClusterInProcess : public ::testing::Test {
     ClusterConfig config;
     config.num_workers = 2;
     config.external_workers = 2;  // nothing forked: TSan-safe
-    config.transport = TransportKind::kTcp;
     config.io_timeout_ms = 10000;
     // No duplicate attempts: keeps every counter exact (a killed loser's
     // partial fetches would perturb shuffled_wire_bytes).
@@ -464,12 +440,8 @@ class TcpClusterInProcess : public ::testing::Test {
     // its sockets first, then the workers are joined.
     std::vector<std::jthread> workers;
     ClusterEngine engine(config);
-    const Endpoint* listen = engine.listen_endpoint();
-    if (listen == nullptr || listen->port == 0) {
-      throw IoError("in-process cluster has no TCP listener");
-    }
     for (std::uint32_t w = 0; w < 2; ++w) {
-      workers.emplace_back([coordinator = *listen, &spec] {
+      workers.emplace_back([coordinator = engine.listen_endpoint(), &spec] {
         RemoteWorkerOptions options;
         options.connect_timeout_ms = 10000;
         run_remote_worker(coordinator, spec, options);
@@ -535,8 +507,8 @@ TEST_F(TcpClusterInProcess, HashCombineCountersMatchLocalEngine) {
 }
 
 TEST_F(TcpClusterInProcess, MixedExternalValidation) {
-  // external_workers > num_workers and external workers without TCP are
-  // config errors, caught before anything binds or forks.
+  // external_workers > num_workers is a config error, caught before
+  // anything forks.
   TempDir dir;
   textgen::CorpusSpec corpus_spec;
   corpus_spec.total_words = 500;
@@ -545,21 +517,11 @@ TEST_F(TcpClusterInProcess, MixedExternalValidation) {
   auto spec = test::make_job(apps::wordcount_app(),
                              io::make_splits(corpus.string(), 1 << 20),
                              dir.file("s"), dir.file("o"));
-  {
-    ClusterConfig config;
-    config.num_workers = 1;
-    config.external_workers = 2;
-    config.transport = TransportKind::kTcp;
-    ClusterEngine engine(config);
-    EXPECT_THROW(engine.run(spec), ConfigError);
-  }
-  {
-    ClusterConfig config;
-    config.num_workers = 2;
-    config.external_workers = 1;  // socketpair transport: no listener
-    ClusterEngine engine(config);
-    EXPECT_THROW(engine.run(spec), ConfigError);
-  }
+  ClusterConfig config;
+  config.num_workers = 1;
+  config.external_workers = 2;
+  ClusterEngine engine(config);
+  EXPECT_THROW(engine.run(spec), ConfigError);
 }
 
 TEST_F(TcpClusterInProcess, MissingExternalWorkerTimesOutCleanly) {
@@ -576,7 +538,6 @@ TEST_F(TcpClusterInProcess, MissingExternalWorkerTimesOutCleanly) {
   ClusterConfig config;
   config.num_workers = 1;
   config.external_workers = 1;
-  config.transport = TransportKind::kTcp;
   config.accept_timeout_ms = 100;
   ClusterEngine engine(config);
   EXPECT_THROW(engine.run(spec), IoError);
