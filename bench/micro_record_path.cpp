@@ -4,10 +4,13 @@
 // paper's Fig. 2 identifies as dominated by serialization/buffering
 // abstraction costs.
 //
+// A second hash-mode case runs over a 500k-word vocabulary whose combine
+// table outgrows L2, the regime of perfbench's wordcount-hash.
+//
 // Emits BENCH_micro_record_path.json with ns/record notes; the CI build
-// job fails if the artifact is missing (see .github/workflows/ci.yml).
-// Compare the map_side_ns_per_record note across builds to quantify
-// record-path changes.
+// job fails if the artifact is missing or a gated note regresses (see
+// .github/workflows/ci.yml). Compare the map_side_ns_per_record note
+// across builds to quantify record-path changes.
 
 #include <cstdio>
 #include <string>
@@ -33,14 +36,14 @@ struct MapSideRun {
 /// both structs measures the two modes with one formula.
 MapSideRun run_map_side(const std::filesystem::path& corpus,
                         const TempDir& scratch, mr::CombineMode mode,
-                        int round) {
+                        std::size_t buffer_bytes, int round) {
   auto splits = io::make_splits(corpus.string(), 64u << 20);
   mr::MapTaskConfig config;
   config.split = splits.front();
   config.num_partitions = 4;
   config.mapper = [] { return std::make_unique<apps::WordCountMapper>(); };
   config.combiner = [] { return std::make_unique<apps::WordCountCombiner>(); };
-  config.spill_buffer_bytes = 1u << 20;  // many spills + a deep final merge
+  config.spill_buffer_bytes = buffer_bytes;
   config.combine_mode = mode;
   config.scratch_dir =
       scratch.file((mode == mr::CombineMode::kHash ? "hmap-" : "map-") +
@@ -81,12 +84,18 @@ int main() {
   // ---- map-side pipeline: sort-spill baseline vs hash-combine ----------
   // Steady-state: 1 warmup run, min of 3 measured (see run_until_steady).
   const auto cost = [](const MapSideRun& r) { return r.framework_ns; };
-  const auto measure = [&](mr::CombineMode mode) {
-    int round = 0;
+  int round = 0;
+  const auto measure = [&](const std::filesystem::path& input,
+                           mr::CombineMode mode, std::size_t buffer_bytes) {
     return bench::run_until_steady(
-        [&] { return run_map_side(corpus, dir, mode, round++); }, cost);
+        [&] {
+          return run_map_side(input, dir, mode, buffer_bytes, round++);
+        },
+        cost);
   };
-  const MapSideRun best = measure(mr::CombineMode::kSort);
+  // A 1 MB buffer: many spills and a deep final merge.
+  constexpr std::size_t kSmallBuffer = 1u << 20;
+  const MapSideRun best = measure(corpus, mr::CombineMode::kSort, kSmallBuffer);
   const double fw_ns = ns_per(best.framework_ns, best.records);
   const double wall_ns = ns_per(best.wall_ns, best.records);
   std::printf("map-side record path: %llu records\n",
@@ -100,7 +109,7 @@ int main() {
   report.add_note("map_side_ns_per_record", fw_ns);
   report.add_note("map_side_wall_ns_per_record", wall_ns);
 
-  const MapSideRun hash = measure(mr::CombineMode::kHash);
+  const MapSideRun hash = measure(corpus, mr::CombineMode::kHash, kSmallBuffer);
   const double hash_fw_ns = ns_per(hash.framework_ns, hash.records);
   const double hash_wall_ns = ns_per(hash.wall_ns, hash.records);
   std::printf("  hash  framework %8.1f ns/record "
@@ -110,6 +119,23 @@ int main() {
               hash_wall_ns);
   report.add_note("hash_map_side_ns_per_record", hash_fw_ns);
   report.add_note("hash_map_side_wall_ns_per_record", hash_wall_ns);
+
+  // ---- hash mode over a keyspace that outgrows L2 ------------------------
+  // 1M words over a 500k vocabulary under perfbench's 16 MB budget: the
+  // table holds a few hundred thousand keys, several MB of slots and
+  // entries, so a combine hit pays for its cache misses.
+  textgen::CorpusSpec large_spec = corpus_spec;
+  large_spec.total_words = 1'000'000;
+  large_spec.vocabulary = 500'000;
+  const auto large_corpus = dir.file("corpus-large-vocab.txt");
+  textgen::generate_corpus(large_spec, large_corpus.string());
+  const MapSideRun large =
+      measure(large_corpus, mr::CombineMode::kHash, 16u << 20);
+  const double large_fw_ns = ns_per(large.framework_ns, large.records);
+  std::printf("  hash  framework %8.1f ns/record over a 500k vocabulary "
+              "(%llu records)\n",
+              large_fw_ns, static_cast<unsigned long long>(large.records));
+  report.add_note("hash_map_side_large_vocab_ns_per_record", large_fw_ns);
 
   // ---- packed-record primitives in isolation ---------------------------
   {

@@ -44,18 +44,35 @@ inline std::string_view block_value(const std::vector<char>& heap,
   return {heap.data() + offset + kBlockHeader, size};
 }
 
-/// ValueStream over an entry's chain, then `incoming` when given. Chain
-/// values are copied into a reused scratch before being handed out: a
-/// combiner may emit() between next() calls, and the emit path can grow
-/// or overwrite the very heap these blocks live in — an offset survives
-/// that, a view into the heap does not.
+/// The key's first 8 bytes, zero-padded: the entry's key_head.
+inline std::uint64_t load_key_head(std::string_view key) {
+  std::uint64_t head = 0;
+  if (!key.empty()) {
+    std::memcpy(&head, key.data(), std::min<std::size_t>(key.size(), 8));
+  }
+  return head;
+}
+
+/// ValueStream over an entry's values — the one held inside the entry, or
+/// its block chain — then `incoming` when given. Held values are copied
+/// into a reused scratch before being handed out: a combiner may emit()
+/// between next() calls, and the emit path can grow or overwrite the very
+/// entry or heap these values live in — an offset survives that, a view
+/// does not.
 class ChainValueStream final : public ValueStream {
  public:
-  ChainValueStream(const std::vector<char>& heap, std::uint32_t head,
+  ChainValueStream(const std::vector<char>& heap,
+                   std::optional<std::string_view> held, std::uint32_t head,
                    const std::string_view* incoming, std::uint32_t nil)
-      : heap_(heap), cursor_(head), incoming_(incoming), nil_(nil) {}
+      : heap_(heap), held_(held), cursor_(head), incoming_(incoming),
+        nil_(nil) {}
 
   std::optional<std::string_view> next() override {
+    if (held_.has_value()) {
+      scratch_.assign(*held_);
+      held_.reset();
+      return std::string_view(scratch_);
+    }
     if (cursor_ != nil_) {
       scratch_.assign(block_value(heap_, cursor_));
       cursor_ = load_u32(heap_, cursor_);
@@ -71,6 +88,7 @@ class ChainValueStream final : public ValueStream {
 
  private:
   const std::vector<char>& heap_;
+  std::optional<std::string_view> held_;
   std::uint32_t cursor_;
   const std::string_view* incoming_;
   std::uint32_t nil_;
@@ -140,10 +158,7 @@ HashCombineShards::HashCombineShards(
       run_target_(std::make_unique<RunTarget>(*this)),
       target_(*run_target_),
       shards_(config.num_shards) {
-  for (Shard& shard : shards_) {
-    shard.keys = RecordArena(config_.format);
-    shard.spill = RecordArena(config_.format);
-  }
+  for (Shard& shard : shards_) shard.spill = RecordArena(config_.format);
 }
 
 HashCombineShards::HashCombineShards(const HashCombineConfig& config,
@@ -160,7 +175,6 @@ HashCombineShards::HashCombineShards(const HashCombineConfig& config,
   // No run path to demote to: a pressured shard keeps flushing into the
   // target instead.
   config_.demote_after_flushes = std::numeric_limits<std::uint32_t>::max();
-  for (Shard& shard : shards_) shard.keys = RecordArena(config_.format);
 }
 
 HashCombineShards::~HashCombineShards() = default;
@@ -198,9 +212,9 @@ bool HashCombineShards::admitted(std::uint64_t hash,
 }
 
 std::size_t HashCombineShards::shard_bytes(const Shard& shard) const {
-  return shard.keys.payload_bytes() + shard.values.size() +
+  return shard.keys.size() + shard.values.size() +
          shard.entries.capacity() * sizeof(Entry) +
-         shard.slots.size() * sizeof(std::uint32_t);
+         shard.slots.size() * sizeof(Slot);
 }
 
 std::size_t HashCombineShards::resident_bytes() const {
@@ -229,41 +243,80 @@ std::uint32_t HashCombineShards::alloc_block(Shard& shard,
   return static_cast<std::uint32_t>(offset);
 }
 
-void HashCombineShards::append_value(Shard& shard, Entry& entry,
-                                     std::uint32_t block) {
-  if (entry.value_head == kNil) {
-    entry.value_head = block;
+std::string_view HashCombineShards::key_of(const Shard& shard,
+                                           const Entry& entry) {
+  if (entry.key_size <= kInlineBytes) return {entry.key_head, entry.key_size};
+  TEXTMR_CHECK(std::size_t{entry.key_offset} + entry.key_size <=
+                   shard.keys.size(),
+               "hash-combine key offset out of bounds");
+  return {shard.keys.data() + entry.key_offset, entry.key_size};
+}
+
+void HashCombineShards::set_value(Shard& shard, Entry& entry,
+                                  std::string_view value, bool slack) {
+  if (value.size() <= kInlineBytes) {
+    entry.value_size = static_cast<std::uint32_t>(value.size());
+    if (!value.empty()) {
+      std::memcpy(entry.value.bytes, value.data(), value.size());
+    }
     return;
   }
-  store_u32(shard.values,
-            entry.value_tail == kNil ? entry.value_head : entry.value_tail,
-            block);
-  entry.value_tail = block;
+  entry.value_size = kHeapValue;
+  entry.value.heap = HeapValue{alloc_block(shard, value, slack), kNil};
+}
+
+void HashCombineShards::append_value(Shard& shard, Entry& entry,
+                                     std::string_view value) {
+  if (entry.value_size == kNil) {
+    set_value(shard, entry, value, false);
+    return;
+  }
+  if (entry.value_size != kHeapValue) {
+    // A chain starts in the heap: the held value moves to the first block.
+    const std::uint32_t head = alloc_block(
+        shard, std::string_view(entry.value.bytes, entry.value_size), false);
+    entry.value_size = kHeapValue;
+    entry.value.heap = HeapValue{head, kNil};
+  }
+  const std::uint32_t block = alloc_block(shard, value, false);
+  HeapValue& heap = entry.value.heap;
+  store_u32(shard.values, heap.tail == kNil ? heap.head : heap.tail, block);
+  heap.tail = block;
 }
 
 void HashCombineShards::grow_slots(Shard& shard) {
   const std::size_t size =
       shard.slots.empty() ? 64 : shard.slots.size() * 2;
-  shard.slots.assign(size, 0);
+  // A probe starts at the tag's low bits, so the tags alone rehash.
+  std::vector<Slot> slots(size, Slot{0, 0});
   const std::uint64_t mask = size - 1;
-  for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-    std::uint64_t j = shard.entries[e].hash & mask;
-    while (shard.slots[j] != 0) j = (j + 1) & mask;
-    shard.slots[j] = static_cast<std::uint32_t>(e + 1);
+  for (const Slot& slot : shard.slots) {
+    if (slot.entry == 0) continue;
+    std::uint64_t j = slot.tag & mask;
+    while (slots[j].entry != 0) j = (j + 1) & mask;
+    slots[j] = slot;
   }
+  shard.slots = std::move(slots);
 }
 
 void HashCombineShards::combine(Shard& shard, Entry& entry,
                                 const std::string_view* incoming) {
-  ChainValueStream values(shard.values, entry.value_head, incoming, kNil);
+  std::optional<std::string_view> held;
+  std::uint32_t head = kNil;
+  if (entry.value_size == kHeapValue) {
+    head = entry.value.heap.head;
+  } else {
+    held.emplace(entry.value.bytes, entry.value_size);
+  }
+  ChainValueStream values(shard.values, held, head, incoming, kNil);
 
   // Sink replacing the entry's values with whatever the combiner emits:
-  // the first value overwrites the head block when it fits, anything else
-  // goes to fresh blocks and leaves the entry chained. Every emitted
-  // value is staged through combine_scratch_ first: the combiner may hand
-  // us a view into the chain it just read, and both the in-place
-  // overwrite and a heap-growing block allocation would clobber or move
-  // those bytes mid-copy.
+  // the first value overwrites the entry's own bytes or its head block
+  // when it fits, anything else goes to fresh blocks and leaves the entry
+  // chained. Every emitted value is staged through combine_scratch_
+  // first: the combiner may hand us a view into the chain it just read,
+  // and both the in-place overwrite and a heap-growing block allocation
+  // would clobber or move those bytes mid-copy.
   class ResultSink final : public EmitSink {
    public:
     ResultSink(HashCombineShards& table, Shard& shard, Entry& entry,
@@ -277,26 +330,33 @@ void HashCombineShards::combine(Shard& shard, Entry& entry,
       std::string& scratch = table_.combine_scratch_;
       scratch.assign(value.data(), value.size());
       if (!first_) {
-        table_.append_value(shard_, entry_,
-                            table_.alloc_block(shard_, scratch, false));
+        table_.append_value(shard_, entry_, scratch);
         return;
       }
       first_ = false;
-      const std::uint32_t head = entry_.value_head;
-      if (head != kNil &&
-          load_u32(shard_.values, head + 8) >= scratch.size()) {
-        // Overwrite in place; the rest of an old chain becomes heap
-        // garbage until the next flush reclaims the shard.
+      // Overwrite in place — inside the entry, or in a head block with
+      // room; the rest of an old chain becomes heap garbage until the
+      // next flush reclaims the shard.
+      if (scratch.size() <= kInlineBytes) {
+        table_.set_value(shard_, entry_, scratch, false);
+        return;
+      }
+      if (entry_.value_size == kHeapValue &&
+          load_u32(shard_.values, entry_.value.heap.head + 8) >=
+              scratch.size()) {
+        const std::uint32_t head = entry_.value.heap.head;
         store_u32(shard_.values, head, kNil);
         store_u32(shard_.values, head + 4,
                   static_cast<std::uint32_t>(scratch.size()));
         std::memcpy(shard_.values.data() + head + kBlockHeader,
                     scratch.data(), scratch.size());
-        entry_.value_tail = kNil;
+        entry_.value.heap.tail = kNil;
       } else {
         // Outgrown: later values chain behind this one until the flush.
-        entry_.value_head = entry_.value_tail =
+        const std::uint32_t block =
             table_.alloc_block(shard_, scratch, false);
+        entry_.value_size = kHeapValue;
+        entry_.value.heap = HeapValue{block, block};
       }
     }
 
@@ -310,15 +370,16 @@ void HashCombineShards::combine(Shard& shard, Entry& entry,
     bool first_ = true;
   };
 
-  // The key's view outlives the combine: only the value heap grows here.
-  const std::string_view key = shard.keys.frames().key(entry.key_ref);
+  // The key's view outlives the combine: only the value heap and the
+  // entry's value bytes change here, never the entry table or key store.
+  const std::string_view key = key_of(shard, entry);
   ResultSink sink(*this, shard, entry, key);
   combiner_->reduce(key, values, sink);
   if (!sink.emitted()) {
     // A combiner may legitimately emit nothing for a key; the entry then
     // holds no values and the flush skips it (exactly what the sort path
     // does when a combined group produces no records).
-    entry.value_head = entry.value_tail = kNil;
+    entry.value_size = kNil;
   }
 }
 
@@ -332,41 +393,56 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
   // The slot hash remixes the key hash with the partition: entries are
   // keyed by (partition, key) — the skew partitioner round-robins one
   // split key across partitions, and those streams must combine apart.
-  const std::uint64_t slot_hash =
-      mix64(key_hash + partition * 0x9e3779b97f4a7c15ULL);
-  const std::uint64_t prefix = key_prefix8(key);
+  // Its high half is the tag; the probe starts at the tag's low bits.
+  const auto tag = static_cast<std::uint32_t>(
+      mix64(key_hash + partition * 0x9e3779b97f4a7c15ULL) >> 32);
+  const std::uint64_t head = load_key_head(key);
   const std::uint64_t mask = shard.slots.size() - 1;
-  std::uint64_t j = slot_hash & mask;
-  while (true) {
-    const std::uint32_t idx = shard.slots[j];
-    if (idx == 0) break;
-    Entry& entry = shard.entries[idx - 1];
-    // Cheap rejects first (hash, partition, 8-byte prefix); the full-key
-    // compare confirms — equal prefixes with differing tails are a
-    // first-class case (tests/test_hash_combine.cpp).
-    if (entry.hash == slot_hash && entry.key_ref.partition == partition &&
-        entry.key_ref.key_prefix == prefix &&
-        shard.keys.frames().key(entry.key_ref) == key) {
-      ++stats_.hits;
-      if (combiner_ != nullptr && entry.value_head != kNil &&
-          entry.value_tail == kNil) {
-        combine(shard, entry, &value);
-      } else {
-        append_value(shard, entry, alloc_block(shard, value, false));
-      }
-      return;
+  std::uint64_t j = tag & mask;
+  for (;; j = (j + 1) & mask) {
+    const Slot slot = shard.slots[j];
+    if (slot.entry == 0) break;
+    if (slot.tag != tag) continue;
+    Entry& entry = shard.entries[slot.entry - 1];
+    // The entry decides a key of up to 8 bytes alone; a longer one needs
+    // its tail compared too — equal heads with differing tails, and a
+    // zero pad against a real NUL, are first-class cases
+    // (tests/test_hash_combine.cpp).
+    std::uint64_t entry_head = 0;
+    std::memcpy(&entry_head, entry.key_head, sizeof(entry_head));
+    if (entry_head != head || entry.key_size != key.size() ||
+        entry.partition != partition ||
+        (key.size() > kInlineBytes &&
+         std::memcmp(shard.keys.data() + entry.key_offset + kInlineBytes,
+                     key.data() + kInlineBytes,
+                     key.size() - kInlineBytes) != 0)) {
+      continue;
     }
-    j = (j + 1) & mask;
+    ++stats_.hits;
+    if (combiner_ != nullptr && entry.value_size != kNil &&
+        (entry.value_size != kHeapValue || entry.value.heap.tail == kNil)) {
+      combine(shard, entry, &value);
+    } else {
+      append_value(shard, entry, value);
+    }
+    return;
   }
-  // New key: the frame lives in the shard's key arena. The entry keeps
-  // its offset, never a view — the next append() may reallocate the arena
-  // (the lifetime bug the static analyzer hunts, DESIGN.md §15).
-  Entry entry;
-  entry.key_ref = shard.keys.append(partition, key, std::string_view(""));
-  entry.hash = slot_hash;
-  entry.value_head = alloc_block(shard, value, combiner_ != nullptr);
+  // New key. A long key goes whole to the shard's key store; the entry
+  // keeps its offset, never a view — the next insert may reallocate the
+  // store (the lifetime bug the static analyzer hunts, DESIGN.md §15).
+  Entry entry{};
+  std::memcpy(entry.key_head, &head, sizeof(head));
+  entry.key_size = static_cast<std::uint32_t>(key.size());
+  entry.partition = partition;
+  if (key.size() > kInlineBytes) {
+    TEXTMR_CHECK(shard.keys.size() + key.size() < kNil,
+                 "hash-combine shard key store overflow");
+    entry.key_offset = static_cast<std::uint32_t>(shard.keys.size());
+    shard.keys.insert(shard.keys.end(), key.begin(), key.end());
+  }
+  set_value(shard, entry, value, combiner_ != nullptr);
   shard.entries.push_back(entry);
-  shard.slots[j] = static_cast<std::uint32_t>(shard.entries.size());
+  shard.slots[j] = Slot{tag, static_cast<std::uint32_t>(shard.entries.size())};
 }
 
 void HashCombineShards::demoted_insert(Shard& shard, std::uint32_t partition,
@@ -429,20 +505,22 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
     for (std::size_t e = 0; e < shard.entries.size(); ++e) {
       Entry& entry = shard.entries[e];
       // The one combine a chain gets.
-      if (combiner_ != nullptr && entry.value_tail != kNil) {
+      if (combiner_ != nullptr && entry.value_size == kHeapValue &&
+          entry.value.heap.tail != kNil) {
         combine(shard, entry, nullptr);
       }
-      if (entry.value_head == kNil) continue;
-      flush_refs_.push_back(
-          RecordRef{entry.key_ref.key_prefix,
-                    static_cast<std::uint32_t>(e * width + (s - first)),
-                    entry.key_ref.partition});
+      if (entry.value_size == kNil) continue;
+      // The zero pad makes the head's prefix the key's own key_prefix8.
+      flush_refs_.push_back(RecordRef{
+          key_prefix8(std::string_view(entry.key_head, kInlineBytes)),
+          static_cast<std::uint32_t>(e * width + (s - first)),
+          entry.partition});
     }
   }
   const std::uint64_t combined_ns = monotonic_ns();
   sort_records(flush_refs_, [&](const RecordRef& ref) {
     const auto [shard, entry] = entry_of(ref);
-    return shard.keys.frames().key(entry.key_ref);
+    return key_of(shard, entry);
   });
   const std::uint64_t sorted_ns = monotonic_ns();
   metrics_.op_ns(Op::kCombine) += combined_ns - t0;
@@ -452,8 +530,14 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
   std::uint64_t records = 0;
   for (const RecordRef& ref : flush_refs_) {
     const auto [shard, entry] = entry_of(ref);
-    const std::string_view key = shard.keys.frames().key(entry.key_ref);
-    for (std::uint32_t cursor = entry.value_head; cursor != kNil;
+    const std::string_view key = key_of(shard, entry);
+    if (entry.value_size != kHeapValue) {
+      target_.put(ref.partition, key,
+                  std::string_view(entry.value.bytes, entry.value_size));
+      ++records;
+      continue;
+    }
+    for (std::uint32_t cursor = entry.value.heap.head; cursor != kNil;
          cursor = load_u32(shard.values, cursor)) {
       target_.put(ref.partition, key, block_value(shard.values, cursor));
       ++records;
@@ -461,7 +545,7 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
   }
   span.arg("records", static_cast<double>(records));
 
-  // Reset the shards but keep every allocation (key arena, entry and
+  // Reset the shards but keep every allocation (key store, entry and
   // slot capacity, the value heap) — refills are allocation-free — unless
   // the entry and slot capacity alone outgrew half the watermark: kept,
   // they would leave the shard flushing on almost every insert.
@@ -472,9 +556,9 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
     shard.values.clear();
     if (shard_bytes(shard) > watermark_ / 2) {
       shard.entries = std::vector<Entry>();
-      shard.slots = std::vector<std::uint32_t>();
+      shard.slots = std::vector<Slot>();
     } else {
-      std::fill(shard.slots.begin(), shard.slots.end(), 0);
+      std::fill(shard.slots.begin(), shard.slots.end(), Slot{0, 0});
     }
   }
   target_.seal();

@@ -2,16 +2,21 @@
 
 // The map side's one combine table (DESIGN.md §5, §15), modelled on
 // Metis' per-core kvstore. Each map task owns P shard hash tables; a
-// record is routed to a shard by key hash (open addressing, 8-byte
-// big-endian key-prefix confirm, then full key). Which keys the table
-// takes is data: by default every key (hash mode); FreqOpt restricts it
-// to the frozen frequent set (paper §III-A) and the rest go to the ring.
+// record is routed to a shard by key hash (open addressing over 8-byte
+// slots holding a 32-bit hash tag and an entry index; a tag match loads
+// the entry, which holds the key's first 8 bytes, its size and its
+// partition, so a key of 8 bytes or less needs no other compare). Which
+// keys the table takes is data: by default every key (hash mode);
+// FreqOpt restricts it to the frozen frequent set (paper §III-A) and the
+// rest go to the ring.
 //
 // Combine rule: a hit combines in place while the result fits the
-// entry's value block, so counters never leave that path. Once a
-// combined value outgrows its block, the entry chains later values
-// instead and the shard combines them once, when it flushes — each value
-// is read a bounded number of times however hot its key is.
+// entry's value block — a value of 8 bytes or less lives inside the
+// entry, a larger one in a block with slack — so counters never leave
+// that path. Once a combined value outgrows its block, the entry chains
+// later values instead and the shard combines them once, when it
+// flushes — each value is read a bounded number of times however hot
+// its key is.
 //
 // Flushes sort the entries with sort_records, the ring spill's own sort,
 // and hand them to a flush target: by default one sorted run file per
@@ -122,22 +127,52 @@ class HashCombineShards {
  private:
   class RunTarget;
 
-  /// Value state: no values (value_head == kNil); one block at the head
-  /// that hits combine in place (value_tail == kNil); or a chain
-  /// head..tail that waits for the flush-time combine.
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Longest key and value an entry holds itself.
+  static constexpr std::uint32_t kInlineBytes = 8;
+  /// Entry::value_size when the value lives in value heap blocks.
+  static constexpr std::uint32_t kHeapValue = 0xfffffffeu;
+
+  struct HeapValue {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  /// One (partition, key). A key of up to 8 bytes lives in key_head
+  /// alone; a longer one also lives whole in the shard's key store at
+  /// key_offset. A key view read from key_head points into the entry
+  /// table and dangles once the table grows.
+  ///
+  /// Value state, by value_size: kNil, no values; 0..8, one value inside
+  /// the entry (value.bytes, capacity 8) that hits combine in place;
+  /// kHeapValue, value heap blocks — one block at value.heap.head that
+  /// hits combine in place (tail == kNil), or a chain head..tail that
+  /// waits for the flush-time combine.
   struct Entry {
-    RecordRef key_ref;  // frame (empty value) in the shard's key arena
-    std::uint64_t hash = 0;
-    std::uint32_t value_head = kNil;
-    std::uint32_t value_tail = kNil;
+    char key_head[kInlineBytes];  // the key's first 8 bytes, zero-padded
+    std::uint32_t key_size;
+    std::uint32_t partition;
+    std::uint32_t key_offset;  // keys over 8 bytes: where Shard::keys has it
+    std::uint32_t value_size;
+    union {
+      char bytes[kInlineBytes];
+      HeapValue heap;
+    } value;
   };
   static_assert(sizeof(Entry) == 32);
 
+  /// Probes compare tags here and load an entry only on a match.
+  struct Slot {
+    std::uint32_t tag;    // high 32 bits of the slot hash
+    std::uint32_t entry;  // entry index + 1; 0 = empty
+  };
+  static_assert(sizeof(Slot) == 8);
+
   struct Shard {
-    std::vector<std::uint32_t> slots;  // entry index + 1; 0 = empty
+    std::vector<Slot> slots;
     std::vector<Entry> entries;
-    RecordArena keys;            // framed keys (offset-addressed)
-    std::vector<char> values;    // value blocks (offset-addressed)
+    std::vector<char> keys;    // keys over 8 bytes, back to back
+    std::vector<char> values;  // value blocks (offset-addressed)
     std::uint64_t flush_count = 0;
     bool demoted = false;
     RecordArena spill;  // demoted mode: framed records for sort_and_spill
@@ -150,8 +185,6 @@ class HashCombineShards {
     std::vector<std::uint32_t> slots;  // key index + 1; 0 = empty
   };
 
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
   bool admitted(std::uint64_t hash, std::string_view key) const;
   void hash_insert(Shard& shard, std::uint64_t key_hash,
                    std::uint32_t partition, std::string_view key,
@@ -162,7 +195,14 @@ class HashCombineShards {
   /// given) and stores the result by the in-place-or-chain rule.
   void combine(Shard& shard, Entry& entry,
                const std::string_view* incoming);
-  void append_value(Shard& shard, Entry& entry, std::uint32_t block);
+  /// Makes `value` the entry's only value: inside the entry when it fits,
+  /// else in a fresh block (with growth slack when `slack`).
+  void set_value(Shard& shard, Entry& entry, std::string_view value,
+                 bool slack);
+  /// Chains `value` behind the entry's values, first moving an inline
+  /// value into a block of its own.
+  void append_value(Shard& shard, Entry& entry, std::string_view value);
+  static std::string_view key_of(const Shard& shard, const Entry& entry);
 
   std::uint32_t alloc_block(Shard& shard, std::string_view value,
                             bool slack);

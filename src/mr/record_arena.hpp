@@ -84,7 +84,7 @@ void sort_records(
 /// referenced through RecordRefs, so sorting, combining and writing never
 /// copy key/value bytes again. The refs are offsets and survive growth;
 /// a view read through frames() (a key, a value) does not — append() may
-/// reallocate the buffer. Used by the hash-combine shards (keys, demoted
+/// reallocate the buffer. Used by the hash-combine shards (demoted
 /// spills), the test spill builders and the record-path benchmarks; the
 /// map-side ring (SpillBuffer) uses the same frame layout with bounded
 /// circular storage instead.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/tempdir.hpp"
 #include "io/spill_file.hpp"
@@ -288,6 +289,222 @@ TEST(HashCombine, HotKeyCombineReadsEachValueBoundedTimes) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].value, expected);
   EXPECT_LE(bytes_read, 4 * kInserts * kValueSize);
+}
+
+// ---- entry layout: inline keys and values -------------------------------
+//
+// A key of up to 8 bytes lives only in the entry's zero-padded 8-byte
+// head, so the key's size is all that tells a short key from its
+// NUL-extended twins; a value of up to 8 bytes lives in the entry and
+// moves to a heap block when it outgrows the entry or a chain starts.
+
+/// Collects what the table flushes, in flush order.
+class CollectingTarget final : public HashCombineShards::FlushTarget {
+ public:
+  void put(std::uint32_t partition, std::string_view key,
+           std::string_view value) override {
+    records.push_back(
+        FlatRecord{partition, std::string(key), std::string(value)});
+  }
+  void seal() override {}
+
+  std::vector<FlatRecord> records;
+};
+
+/// The table's slot tag: the high half of the key hash remixed with the
+/// partition. Only keys whose tags match reach the entry compare.
+std::uint32_t slot_tag(std::string_view key, std::uint32_t partition) {
+  return static_cast<std::uint32_t>(
+      mix64(hash_key(key) + partition * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+/// Inserts `keys` round after round (value "1") into `partition` of one
+/// shard and checks the flush against the per-key counts. `partition` is
+/// one where the first two keys share a slot tag (found by search), so
+/// the entry compare, not the tag, must tell them apart.
+void expect_keys_counted_apart(const std::vector<std::string>& keys,
+                               std::uint32_t partition) {
+  ASSERT_EQ(slot_tag(keys[0], partition), slot_tag(keys[1], partition))
+      << "the slot hash changed: search a new colliding partition";
+  HashCombineConfig config;
+  config.num_shards = 1;
+  TaskMetrics metrics;
+  CollectingTarget target;
+  const auto combiner = make_summing_combiner();
+  HashCombineShards table(config, combiner.get(), target, metrics, nullptr);
+  std::map<std::string, std::uint64_t> oracle;
+  for (std::size_t round = 0; round < 5; ++round) {
+    for (std::size_t k = 0; k <= round && k < keys.size(); ++k) {
+      table.insert(partition, keys[k], "1");
+      oracle[keys[k]] += 1;
+    }
+  }
+  (void)table.finish();
+  ASSERT_EQ(target.records.size(), oracle.size())
+      << "keys sharing a head merged";
+  std::size_t i = 0;
+  for (const auto& [key, total] : oracle) {
+    EXPECT_EQ(target.records[i],
+              (FlatRecord{partition, key, std::to_string(total)}))
+        << "at " << i;
+    ++i;
+  }
+}
+
+TEST(HashCombineLayout, KeysOfZeroSevenEightNineBytesShareAHead) {
+  // Zero-padded, all four NUL keys read the same 8-byte head; only the
+  // key size tells them apart.
+  const std::string nul0, nul7(7, '\0'), nul8(8, '\0'), nul9(9, '\0');
+  expect_keys_counted_apart({nul0, nul7, nul8, nul9}, 1796680839u);
+  expect_keys_counted_apart({nul7, nul8, nul0, nul9}, 3103014128u);
+  // A long key inserted before the short key that shares its head.
+  expect_keys_counted_apart({nul9, nul8, nul7, nul0}, 1061177027u);
+}
+
+TEST(HashCombineLayout, ZeroPadMeetsARealNul) {
+  expect_keys_counted_apart({"ab", std::string("ab\0", 3),
+                             std::string("ab\0\0", 4), "a"},
+                            3519836519u);
+}
+
+TEST(HashCombineLayout, GrowingValueCrossesTheInlineLimit) {
+  // Summed counts cross from 8 digits to 9, and a concatenation grows
+  // from 3 bytes past 8 into a chain: each value leaves the entry for a
+  // block exactly once, and every total must match the oracle.
+  HashCombineConfig config;
+  config.num_shards = 1;
+  TableHarness sums(config);
+  sums.table->insert(0, "big", "99999998");
+  sums.table->insert(0, "big", "1");  // 99999999: still 8 bytes
+  sums.table->insert(0, "big", "1");  // 100000000: 9 bytes
+  sums.table->insert(0, "big", "5");
+  sums.table->insert(0, "small", "7");
+  auto runs = sums.table->finish();
+  ASSERT_EQ(runs.size(), 1u);
+  auto records = read_run(runs[0], sums.format);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], (FlatRecord{0, "big", "100000005"}));
+  EXPECT_EQ(records[1], (FlatRecord{0, "small", "7"}));
+
+  TableHarness joins(config, std::make_unique<LambdaReducer>(
+                                 [](std::string_view key, ValueStream& values,
+                                    EmitSink& out) {
+                                   std::string joined;
+                                   while (auto v = values.next()) {
+                                     joined.append(*v);
+                                   }
+                                   out.emit(key, joined);
+                                 }));
+  std::string expected;
+  for (int i = 0; i < 6; ++i) {
+    const std::string value = "ab" + std::to_string(i);
+    joins.table->insert(0, "k", value);
+    expected += value;
+  }
+  runs = joins.table->finish();
+  ASSERT_EQ(runs.size(), 1u);
+  records = read_run(runs[0], joins.format);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], (FlatRecord{0, "k", expected}));
+}
+
+TEST(HashCombineLayout, InlineEntryWhoseCombinerEmitsNothing) {
+  // A signed sum that drops zero totals: "+3" then "-3" empties the
+  // entry; later values refill it and grow past the entry.
+  HashCombineConfig config;
+  config.num_shards = 1;
+  TableHarness h(config, std::make_unique<LambdaReducer>(
+                             [](std::string_view key, ValueStream& values,
+                                EmitSink& out) {
+                               long long total = 0;
+                               while (auto v = values.next()) {
+                                 total += std::strtoll(std::string(*v).c_str(),
+                                                       nullptr, 10);
+                               }
+                               if (total != 0) {
+                                 out.emit(key, std::to_string(total));
+                               }
+                             }));
+  h.table->insert(0, "gone", "+3");
+  h.table->insert(0, "gone", "-3");
+  h.table->insert(0, "back", "4");
+  h.table->insert(0, "back", "-4");
+  h.table->insert(0, "back", "99999999");
+  h.table->insert(0, "back", "1");  // 100000000 leaves the entry
+  h.table->insert(0, "back", "5");
+  const auto runs = h.table->finish();
+  ASSERT_EQ(runs.size(), 1u);
+  const auto records = read_run(runs[0], h.format);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], (FlatRecord{0, "back", "100000005"}));
+}
+
+TEST(HashCombineLayout, InlineEntryWhoseCombinerEmitsTwo) {
+  // A distinct-set combiner emits its sorted distinct values: the first
+  // stays in the entry only until the second arrives, when it moves to
+  // the head of a chain.
+  HashCombineConfig config;
+  config.num_shards = 1;
+  TableHarness h(config, std::make_unique<LambdaReducer>(
+                             [](std::string_view key, ValueStream& values,
+                                EmitSink& out) {
+                               std::map<std::string, bool> distinct;
+                               while (auto v = values.next()) {
+                                 distinct[std::string(*v)] = true;
+                               }
+                               for (const auto& [value, unused] : distinct) {
+                                 out.emit(key, value);
+                               }
+                             }));
+  std::map<std::string, std::map<std::string, bool>> oracle;
+  const std::vector<std::pair<std::string, std::string>> inserts = {
+      {"d", "b"},  {"d", "a"}, {"d", "b"}, {"d", "c"},
+      {"e", "xx"}, {"e", "xx"}, {"f", "longer-than-8"}, {"f", "q"},
+  };
+  for (const auto& [key, value] : inserts) {
+    h.table->insert(0, key, value);
+    oracle[key][value] = true;
+  }
+  const auto runs = h.table->finish();
+  ASSERT_EQ(runs.size(), 1u);
+  std::vector<FlatRecord> expected;
+  for (const auto& [key, values] : oracle) {
+    for (const auto& [value, unused] : values) {
+      expected.push_back(FlatRecord{0, key, value});
+    }
+  }
+  EXPECT_EQ(read_run(runs[0], h.format), expected);
+}
+
+TEST(HashCombineLayout, ResidentBytesCountWhatTheShardsHold) {
+  // A mixed load with no flush: short and long keys, inline and heap
+  // values, over 2 partitions. The shards must hold at least a 32-byte
+  // entry and an 8-byte slot per (partition, key), every long key's
+  // bytes and every heap value's bytes (a 12-byte block header each);
+  // resident_bytes() must count at least that much.
+  HashCombineConfig config;
+  config.num_shards = 4;
+  config.num_partitions = 2;
+  config.memory_budget_bytes = 256u << 20;
+  TableHarness h(config, /*with_combiner=*/false);
+  std::size_t entries = 0;
+  std::size_t long_key_bytes = 0;
+  std::size_t heap_value_bytes = 0;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const std::string key =
+        i % 3 == 0 ? std::string(150, static_cast<char>('a' + i % 26)) +
+                         std::to_string(i)
+                   : "k" + std::to_string(i);
+    const std::string value = i % 2 == 0 ? "v" : std::string(40, 'v');
+    const std::uint32_t partition = static_cast<std::uint32_t>(i % 2);
+    h.table->insert(partition, key, value);
+    ++entries;
+    if (key.size() > 8) long_key_bytes += key.size();
+    if (value.size() > 8) heap_value_bytes += 12 + value.size();
+  }
+  EXPECT_EQ(h.table->stats().flushes, 0u);
+  EXPECT_GE(h.table->resident_bytes(),
+            entries * (32 + 8) + long_key_bytes + heap_value_bytes);
 }
 
 // ---- whole-map-task byte-identity ----------------------------------------

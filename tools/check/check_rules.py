@@ -156,6 +156,7 @@ def _view_escape_fn(fm: FileModel, fn: FunctionModel,
                     f"view '{body[i + 1].text}' bound to a temporary "
                     "std::string that dies at the end of the statement"))
     out.extend(_refs_across_arena_growth(fm, fn))
+    out.extend(_views_across_table_growth(fm, fn))
     # return-dangle: function returns a view built from owned locals.
     if "string_view" in fn.return_type:
         for i, t in enumerate(body):
@@ -186,12 +187,11 @@ def _refs_across_arena_growth(fm: FileModel,
     a view read through `owner.frames()` — the FrameStore itself, or a
     key / value / frame view decoded from it — points into the old
     buffer. Binding such a view and touching it after another append()
-    on the same arena dangles; the hash-combine shard table keeps the
-    RecordRef and re-reads the key for exactly this reason. A reference
-    bound to `owner.append(...)` is tracked the same way: an arena that
-    returns a reference into its ref table invalidates it on the next
-    append(). By-value RecordRef copies (`RecordRef r = arena.append(..)`)
-    are clean."""
+    on the same arena dangles; keep the RecordRef and re-read the key
+    instead. A reference bound to `owner.append(...)` is tracked the same
+    way: an arena that returns a reference into its ref table
+    invalidates it on the next append(). By-value RecordRef copies
+    (`RecordRef r = arena.append(..)`) are clean."""
     body = fn.body
     texts = [t.text for t in body]
     n = len(body)
@@ -251,6 +251,95 @@ def _refs_across_arena_growth(fm: FileModel,
                     f"{body[grown_at].line}; {fix}"))
                 break
         i += 1
+    return out
+
+
+_TABLE_GROWTH = ("push_back", "emplace_back")
+
+
+def _owner_before(body: list[Token], end: int, start: int) -> list[str]:
+    """The owner expression `a . b -> c` in body[start:end], or [] when
+    the span holds anything else."""
+    span = body[start:end]
+    if not span or len(span) % 2 == 0:
+        return []
+    for k, u in enumerate(span):
+        if (u.kind != IDENT) if k % 2 == 0 else (u.text not in (".", "->")):
+            return []
+    return [u.text for u in span]
+
+
+def _views_across_table_growth(fm: FileModel,
+                               fn: FunctionModel) -> list[Finding]:
+    """Views into a vector's elements held across its growth (DESIGN.md
+    §15).
+
+    The hash-combine entry holds a short key's bytes itself, so a key
+    view read from an entry points into the entry table, and the next
+    push_back()/emplace_back() on that table may reallocate it. A
+    string_view whose initializer reads `owner[i]`, directly or through a
+    reference bound to it, is derived from `owner`; touching the view
+    after `owner` grew dangles. Re-read the entry (by index) after the
+    growth."""
+    body = fn.body
+    texts = [t.text for t in body]
+    n = len(body)
+    # Element references: `T & name = owner [ ... ] ;`.
+    elements: dict[str, list[str]] = {}
+    for i, t in enumerate(body):
+        if not (t.text == "=" and i >= 2 and body[i - 1].kind == IDENT
+                and texts[i - 2] == "&"):
+            continue
+        bracket = i + 1
+        while bracket < n and texts[bracket] not in ("[", ";", "("):
+            bracket += 1
+        if bracket < n and texts[bracket] == "[":
+            owner = _owner_before(body, bracket, i + 1)
+            if owner:
+                elements[body[i - 1].text] = owner
+    out: list[Finding] = []
+    for i, t in enumerate(body):
+        if not (t.text == "string_view" and i + 2 < n
+                and body[i + 1].kind == IDENT
+                and texts[i + 2] in ("(", "{", "=")):
+            continue
+        name = body[i + 1].text
+        end = _find_stmt_end(body, i)
+        owner: list[str] = []
+        for k in range(i + 3, end):
+            if texts[k] in elements:
+                owner = elements[texts[k]]
+                break
+            if texts[k] == "[":
+                start = k - 1
+                while start - 2 >= i + 3 and texts[start - 1] in (".", "->"):
+                    start -= 2
+                owner = _owner_before(body, k, start)
+                if owner:
+                    break
+        if not owner:
+            continue
+        grown_at = -1
+        for k in range(end, n - len(owner) - 1):
+            if (texts[k:k + len(owner)] == owner
+                    and texts[k + len(owner)] == "."
+                    and texts[k + len(owner) + 1] in _TABLE_GROWTH):
+                grown_at = k
+                break
+        if grown_at < 0:
+            continue
+        for k in range(grown_at, n):
+            u = body[k]
+            if (u.kind == IDENT and u.text == name
+                    and not (k + 1 < n and texts[k + 1] == "=")
+                    and not (k >= 1 and texts[k - 1] in (".", "->"))):
+                out.append(Finding(
+                    "view-escape", fm.path, u.line,
+                    f"view '{name}' reads an element of "
+                    f"{' '.join(owner)}, which grew on line "
+                    f"{body[grown_at].line}; the growth may reallocate "
+                    "the elements — re-read the element after it"))
+                break
     return out
 
 

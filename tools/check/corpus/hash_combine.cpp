@@ -5,8 +5,10 @@
 // itself) read through frames() dangles after the next append()
 // (view-escape). Case 2: a reference into an arena's ref table held
 // across growth (view-escape). Case 3: an unguarded load_* read over the
-// shard's offset-addressed vector<char> value heap (decoder-bounds). The
-// real src/mr/hash_combine.cpp keeps RecordRefs (offsets), re-reads keys
+// shard's offset-addressed vector<char> value heap (decoder-bounds).
+// Case 4: a key view read from an entry's inline key bytes held across
+// the entry table's growth (view-escape). The real
+// src/mr/hash_combine.cpp keeps offsets and entry indices, re-reads keys
 // after growth and TEXTMR_CHECKs every heap offset; these snippets are
 // the shapes it must avoid.
 #include <cstdint>
@@ -50,8 +52,7 @@ void bad_frames_across_growth(RecordArena& arena) {
 }
 
 // Control: the RecordRef is an offset and survives any number of later
-// appends; the key is re-read after growth (the shard table's Entry
-// stores key_ref this way).
+// appends; the key is re-read after growth.
 void good_ref_across_growth(RecordArena& arena) {
   const RecordRef first = arena.append(0, "alpha", "1");
   arena.append(0, "beta", "1");
@@ -97,4 +98,40 @@ std::uint32_t load_chain_next_guarded(const std::vector<char>& heap,
   std::uint32_t next;
   std::memcpy(&next, heap.data() + offset, sizeof(next));
   return next;
+}
+
+// Case 4: a key of up to 8 bytes lives in its entry, so a view of it
+// points into the entry table — which the next push_back() may
+// reallocate.
+struct Entry {
+  char key_head[8];
+  std::uint32_t key_size;
+};
+
+struct EntryTable {
+  std::vector<Entry> entries;
+};
+
+void bad_inline_key_across_growth(EntryTable& table, const Entry& fresh) {
+  const Entry& entry = table.entries[0];
+  const std::string_view key(entry.key_head, entry.key_size);
+  table.entries.push_back(fresh);
+  sink(key.size());  // check:expect(view-escape)
+}
+
+void bad_subscript_key_across_growth(EntryTable& table) {
+  const std::string_view key = std::string_view(
+      table.entries[1].key_head, table.entries[1].key_size);
+  table.entries.emplace_back();
+  sink(key.size());  // check:expect(view-escape)
+}
+
+// Control: the view is read again from the entry after the table grew
+// (an index survives growth, a view does not).
+void good_inline_key_reread_after_growth(EntryTable& table,
+                                         const Entry& fresh) {
+  table.entries.push_back(fresh);
+  const Entry& entry = table.entries[0];
+  const std::string_view key(entry.key_head, entry.key_size);
+  sink(key.size());
 }
