@@ -1,7 +1,5 @@
-// Ablation harness for the design choices DESIGN.md calls out (§5/§7):
+// Ablation harness for the design choices DESIGN.md calls out (§5):
 //
-//  A. spill-run serialization format — compact varint framing vs fixed32
-//     (the paper's §VII "more efficient on-disk data representations");
 //  C. frequent-key table budget — sensitivity of FreqOpt to the fraction
 //     of the spill buffer devoted to the table (the paper fixes 30%);
 //  D. sampling fraction s — fixed paper values vs the §III-C auto-tuner.
@@ -28,21 +26,7 @@ int main() {
   const auto app = apps::wordcount_app();
 
   {
-    std::printf("A. spill format: varint vs fixed32 framing\n");
-    for (const auto format :
-         {io::SpillFormat::kCompactVarint, io::SpillFormat::kFixed32}) {
-      TempDir dir("textmr-ablation");
-      auto spec = bench::make_bench_job(app, bench::kBaseline, dir.path());
-      spec.spill_format = format;
-      std::printf("   %-16s %s\n",
-                  format == io::SpillFormat::kCompactVarint ? "varint"
-                                                            : "fixed32",
-                  bench::secs(run_seconds(std::move(spec))).c_str());
-    }
-  }
-
-  {
-    std::printf("\nC. frequent-key table budget (fraction of spill buffer)\n");
+    std::printf("C. frequent-key table budget (fraction of spill buffer)\n");
     for (const double fraction : {0.1, 0.3, 0.5, 0.7}) {
       TempDir dir("textmr-ablation");
       auto spec = bench::make_bench_job(app, bench::kFreqOpt, dir.path());

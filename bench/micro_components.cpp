@@ -220,7 +220,7 @@ void BM_ShuffleFetchLoopback(benchmark::State& state) {
   // server over loopback TCP: disk read, frame send, receive, checksums.
   TempDir dir;
   const std::string run_path = dir.file("map0_a0_final").string();
-  io::SpillRunWriter writer(run_path, 1, io::SpillFormat::kCompactVarint);
+  io::SpillRunWriter writer(run_path, 1);
   const std::string value = pseudo_random_bytes(100);
   std::uint64_t written = 0;
   for (std::uint64_t i = 0; written < (4u << 20); ++i) {

@@ -98,7 +98,7 @@ void ShuffleServer::serve(int fd) {
       send_frame(fd, encode_shuffle_error(error), options_.io_timeout_ms);
       return;
     }
-    io::SpillRunReader reader(fetch.run_path, options_.spill_format);
+    io::SpillRunReader reader(fetch.run_path);
     if (fetch.partition >= reader.num_partitions()) {
       error.retryable = false;
       error.message = "partition " + std::to_string(fetch.partition) +

@@ -39,6 +39,7 @@ class ShuffleServer {
   struct Options {
     Endpoint listen;               // port 0 = kernel-assigned
     std::string root;              // only run files under here are served
+    /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
     io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
     std::int32_t io_timeout_ms = 5000;  // per-request recv/send budget
   };

@@ -155,7 +155,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
     ShuffleServer::Options shuffle_opts;
     shuffle_opts.listen.host = ctx.shuffle_host;  // port 0: kernel-assigned
     shuffle_opts.root = spec.scratch_dir.string();
-    shuffle_opts.spill_format = spec.spill_format;
     if (ctx.io_timeout_ms > 0) shuffle_opts.io_timeout_ms = ctx.io_timeout_ms;
     ShuffleServer shuffle(std::move(shuffle_opts));
     HelloMsg hello;
@@ -347,10 +346,9 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
             // — DESIGN.md §14). `sources` is parallel to `map_outputs`
             // (the wire check guarantees it).
             mr::ShuffleFetcher fetcher =
-                [client = ShuffleClient(), sources = std::move(msg.sources),
-                 format = spec.spill_format](std::uint32_t run_index,
-                                             const io::SpillRunInfo& run,
-                                             std::uint32_t partition) {
+                [client = ShuffleClient(), sources = std::move(msg.sources)](
+                    std::uint32_t run_index, const io::SpillRunInfo& run,
+                    std::uint32_t partition) {
                   mr::ShuffleFetchResult out;
                   const Endpoint& source = sources[run_index];
                   if (source.valid()) {
@@ -364,8 +362,8 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
                         << " from " << source.to_string()
                         << " exhausted retries; falling back to local read";
                   }
-                  out.bytes = io::SpillRunReader(run.path, format)
-                                  .read_partition(partition);
+                  out.bytes =
+                      io::SpillRunReader(run.path).read_partition(partition);
                   return out;
                 };
             const mr::ReduceTaskConfig config = mr::make_reduce_task_config(

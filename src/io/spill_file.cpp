@@ -25,56 +25,33 @@ std::size_t varint_size(std::uint64_t v) {
 }  // namespace
 
 void encode_record(std::string& out, std::string_view key,
-                   std::string_view value, SpillFormat format) {
-  if (format == SpillFormat::kCompactVarint) {
-    textmr::put_varint(out, key.size());
-    textmr::put_varint(out, value.size());
-  } else {
-    textmr::put_fixed32(out, static_cast<std::uint32_t>(key.size()));
-    textmr::put_fixed32(out, static_cast<std::uint32_t>(value.size()));
-  }
+                   std::string_view value) {
+  textmr::put_varint(out, key.size());
+  textmr::put_varint(out, value.size());
   out.append(key.data(), key.size());
   out.append(value.data(), value.size());
 }
 
-std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size,
-                                SpillFormat format) {
-  const std::size_t header = (format == SpillFormat::kCompactVarint)
-                                 ? varint_size(key_size) + varint_size(value_size)
-                                 : 8;
-  return header + key_size + value_size;
+std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size) {
+  return varint_size(key_size) + varint_size(value_size) + key_size +
+         value_size;
 }
 
 std::size_t encode_frame_header(char* dest, std::size_t key_size,
-                                std::size_t value_size, SpillFormat format) {
-  if (format == SpillFormat::kCompactVarint) {
-    char* p = dest;
-    std::uint64_t v = key_size;
+                                std::size_t value_size) {
+  char* p = dest;
+  for (std::uint64_t v : {std::uint64_t{key_size}, std::uint64_t{value_size}}) {
     while (v >= 0x80) {
       *p++ = static_cast<char>(v | 0x80);
       v >>= 7;
     }
     *p++ = static_cast<char>(v);
-    v = value_size;
-    while (v >= 0x80) {
-      *p++ = static_cast<char>(v | 0x80);
-      v >>= 7;
-    }
-    *p++ = static_cast<char>(v);
-    return static_cast<std::size_t>(p - dest);
   }
-  const auto k = static_cast<std::uint32_t>(key_size);
-  const auto v = static_cast<std::uint32_t>(value_size);
-  for (int i = 0; i < 4; ++i) {
-    dest[i] = static_cast<char>((k >> (8 * i)) & 0xff);
-    dest[4 + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  return 8;
+  return static_cast<std::size_t>(p - dest);
 }
 
-SpillRunWriter::SpillRunWriter(std::string path, std::uint32_t num_partitions,
-                               SpillFormat format)
-    : path_(std::move(path)), format_(format) {
+SpillRunWriter::SpillRunWriter(std::string path, std::uint32_t num_partitions)
+    : path_(std::move(path)) {
   TEXTMR_CHECK(num_partitions > 0, "run file needs >= 1 partition");
   file_ = std::fopen(path_.c_str(), "wb");
   if (file_ == nullptr) throw IoError("cannot create run file " + path_);
@@ -127,7 +104,7 @@ void SpillRunWriter::append(std::uint32_t partition, std::string_view key,
     partitions_[partition].offset = bytes_;
   }
   const std::size_t before = buffer_.size();
-  encode_record(buffer_, key, value, format_);
+  encode_record(buffer_, key, value);
   const std::uint64_t record_bytes = buffer_.size() - before;
   bytes_ += record_bytes;
   records_ += 1;
@@ -180,8 +157,7 @@ SpillRunInfo SpillRunWriter::finish() {
   return SpillRunInfo{path_, bytes_, records_, partitions_};
 }
 
-SpillRunReader::SpillRunReader(std::string path, SpillFormat format)
-    : path_(std::move(path)), format_(format) {
+SpillRunReader::SpillRunReader(std::string path) : path_(std::move(path)) {
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   if (f == nullptr) throw IoError("cannot open run file " + path_);
   if (std::fseek(f, -8, SEEK_END) != 0) {
@@ -206,18 +182,28 @@ SpillRunReader::SpillRunReader(std::string path, SpillFormat format)
     std::fclose(f);
     throw FormatError("run footer exceeds file size: " + path_);
   }
+  // The footer starts where the record stream ends.
+  const long stream_end = std::ftell(f);
   std::string footer(static_cast<std::size_t>(footer_bytes) - 8, '\0');
-  if (std::fread(footer.data(), 1, footer.size(), f) != footer.size()) {
+  if (stream_end < 0 ||
+      std::fread(footer.data(), 1, footer.size(), f) != footer.size()) {
     std::fclose(f);
     throw FormatError("short footer read: " + path_);
   }
   std::fclose(f);
+  const auto stream_bytes = static_cast<std::uint64_t>(stream_end);
   partitions_.resize(num_partitions);
   pos = 0;
   for (auto& extent : partitions_) {
     extent.offset = textmr::get_fixed64(footer, pos);
     extent.bytes = textmr::get_fixed64(footer, pos);
     extent.records = textmr::get_fixed64(footer, pos);
+    // offset + bytes <= stream_bytes, without the sum (which could wrap).
+    if (extent.offset > stream_bytes ||
+        extent.bytes > stream_bytes - extent.offset) {
+      throw FormatError("run footer extent exceeds the record stream: " +
+                        path_);
+    }
   }
 }
 
@@ -227,7 +213,7 @@ const PartitionExtent& SpillRunReader::extent(std::uint32_t partition) const {
 }
 
 RunCursor SpillRunReader::open(std::uint32_t partition) const {
-  return RunCursor(path_, extent(partition), format_);
+  return RunCursor(path_, extent(partition));
 }
 
 std::string SpillRunReader::read_partition(std::uint32_t partition) const {
@@ -260,10 +246,8 @@ std::string SpillRunReader::read_partition(std::uint32_t partition) const {
   return data;
 }
 
-RunCursor::RunCursor(const std::string& path, const PartitionExtent& extent,
-                     SpillFormat format)
-    : format_(format),
-      remaining_bytes_(extent.bytes),
+RunCursor::RunCursor(const std::string& path, const PartitionExtent& extent)
+    : remaining_bytes_(extent.bytes),
       remaining_records_(extent.records) {
   if (extent.records == 0) return;  // never opens the file
   file_ = std::fopen(path.c_str(), "rb");
@@ -281,7 +265,6 @@ RunCursor::~RunCursor() {
 
 RunCursor::RunCursor(RunCursor&& other) noexcept
     : file_(other.file_),
-      format_(other.format_),
       buffer_(std::move(other.buffer_)),
       pos_(other.pos_),
       remaining_bytes_(other.remaining_bytes_),
@@ -326,30 +309,20 @@ bool RunCursor::ensure(std::size_t needed) {
 
 std::optional<RecordView> RunCursor::next() {
   if (remaining_records_ == 0) return std::nullopt;
-  std::uint64_t klen;
-  std::uint64_t vlen;
-  if (format_ == SpillFormat::kCompactVarint) {
-    // Varint headers are at most 10+10 bytes; make sure enough is buffered
-    // to decode them, then the payload.
-    ensure(20);
-    std::size_t p = pos_;
-    const std::string_view view(buffer_);
-    klen = textmr::get_varint(view, p);
-    vlen = textmr::get_varint(view, p);
-    const std::size_t header = p - pos_;
-    if (!ensure(header + klen + vlen)) throw FormatError("truncated record");
-    pos_ += header;
-    bytes_consumed_ += header;
-  } else {
-    if (!ensure(8)) throw FormatError("truncated record header");
-    std::size_t p = pos_;
-    const std::string_view view(buffer_);
-    klen = textmr::get_fixed32(view, p);
-    vlen = textmr::get_fixed32(view, p);
-    if (!ensure(8 + klen + vlen)) throw FormatError("truncated record");
-    pos_ += 8;
-    bytes_consumed_ += 8;
+  // A header is at most kMaxFrameHeaderBytes; buffer that much (or what
+  // the partition has left), then check the frame against every byte the
+  // partition has left before buffering the payload.
+  ensure(kMaxFrameHeaderBytes);
+  const std::string_view view = std::string_view(buffer_).substr(pos_);
+  const FrameHeader h =
+      decode_frame_header(view, view.size() + remaining_bytes_);
+  const std::uint64_t klen = h.key_size;
+  const std::uint64_t vlen = h.value_size;
+  if (!ensure(h.header_size + klen + vlen)) {
+    throw FormatError("truncated record");
   }
+  pos_ += h.header_size;
+  bytes_consumed_ += h.header_size;
   RecordView record{
       std::string_view(buffer_).substr(pos_, klen),
       std::string_view(buffer_).substr(pos_ + klen, vlen),

@@ -23,10 +23,11 @@ namespace textmr::io {
 ///   footer:         per partition [fixed64 offset][fixed64 bytes][fixed64 count]
 ///                   [fixed32 num_partitions][fixed32 magic]
 ///
-/// The varint framing is deliberately the compact choice; the
-/// `SpillFormat::kFixed32` ablation (DESIGN.md §7) swaps it for fixed-width
-/// framing to expose serialization-cost sensitivity.
-enum class SpillFormat : std::uint8_t { kCompactVarint, kFixed32 };
+/// There is one record framing, the compact varint one (DESIGN.md §8).
+/// The enum keeps that one value as the type of the `spill_format` and
+/// `format` shims:
+/// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
+enum class SpillFormat : std::uint8_t { kCompactVarint };
 
 struct PartitionExtent {
   std::uint64_t offset = 0;  // byte offset of first record
@@ -58,25 +59,23 @@ struct FrameHeader {
 /// record stream layout above, so frames built in memory can be written
 /// to a run file verbatim (SpillRunWriter::append_frame).
 std::size_t encode_frame_header(char* dest, std::size_t key_size,
-                                std::size_t value_size, SpillFormat format);
+                                std::size_t value_size);
 
 /// Decodes the frame header at the start of `data`, validating that the
-/// whole framed record fits inside `data`. Throws FormatError otherwise.
+/// whole framed record fits inside the first `available` bytes from
+/// data's start (`available` >= data.size(); more when the rest of the
+/// frame is not buffered yet). Throws FormatError otherwise. The one
+/// header decoder: the spill ring, index_frames and RunCursor all use it.
 /// Inline: the in-memory record path decodes a header per record read.
 inline FrameHeader decode_frame_header(std::string_view data,
-                                       SpillFormat format) {
+                                       std::uint64_t available) {
   std::size_t pos = 0;
-  std::uint64_t klen;
-  std::uint64_t vlen;
-  if (format == SpillFormat::kCompactVarint) {
-    klen = textmr::get_varint(data, pos);
-    vlen = textmr::get_varint(data, pos);
-  } else {
-    klen = textmr::get_fixed32(data, pos);
-    vlen = textmr::get_fixed32(data, pos);
-  }
-  // Two comparisons, not klen + vlen (which a corrupt varint could wrap).
-  if (klen > data.size() - pos || vlen > data.size() - pos - klen) {
+  const std::uint64_t klen = textmr::get_varint(data, pos);
+  const std::uint64_t vlen = textmr::get_varint(data, pos);
+  // Two comparisons, not klen + vlen (which a corrupt varint could wrap);
+  // and both sizes must fit FrameHeader's u32 fields.
+  if (klen > available - pos || vlen > available - pos - klen ||
+      ((klen | vlen) >> 32) != 0) {
     throw FormatError("record frame exceeds available bytes");
   }
   return FrameHeader{static_cast<std::uint32_t>(klen),
@@ -84,13 +83,17 @@ inline FrameHeader decode_frame_header(std::string_view data,
                      static_cast<std::uint16_t>(pos)};
 }
 
+/// decode_frame_header over a fully buffered byte range.
+inline FrameHeader decode_frame_header(std::string_view data) {
+  return decode_frame_header(data, data.size());
+}
+
 /// Sequential writer. `append` must be called with nondecreasing partition
 /// ids; key order within a partition is the caller's responsibility (the
 /// spill sorter guarantees it).
 class SpillRunWriter {
  public:
-  SpillRunWriter(std::string path, std::uint32_t num_partitions,
-                 SpillFormat format = SpillFormat::kCompactVarint);
+  SpillRunWriter(std::string path, std::uint32_t num_partitions);
   ~SpillRunWriter();
 
   SpillRunWriter(const SpillRunWriter&) = delete;
@@ -99,12 +102,10 @@ class SpillRunWriter {
   void append(std::uint32_t partition, std::string_view key,
               std::string_view value);
 
-  /// Appends one record that is already framed in this writer's format
-  /// (a blit — no re-encoding). The spill path uses this to write ring
+  /// Appends one record that is already framed (a blit — no
+  /// re-encoding). The spill path uses this to write ring
   /// records byte-for-byte as they already sit in memory.
   void append_frame(std::uint32_t partition, std::string_view frame);
-
-  SpillFormat format() const { return format_; }
 
   /// Writes the footer and closes the file. Must be called exactly once.
   SpillRunInfo finish();
@@ -114,7 +115,6 @@ class SpillRunWriter {
 
   std::string path_;
   std::FILE* file_;
-  SpillFormat format_;
   std::string buffer_;
   std::uint64_t bytes_ = 0;
   std::uint64_t records_ = 0;
@@ -128,8 +128,7 @@ class SpillRunWriter {
 /// can be open on the same run.
 class RunCursor {
  public:
-  RunCursor(const std::string& path, const PartitionExtent& extent,
-            SpillFormat format);
+  RunCursor(const std::string& path, const PartitionExtent& extent);
   ~RunCursor();
 
   RunCursor(const RunCursor&) = delete;
@@ -146,7 +145,6 @@ class RunCursor {
   bool ensure(std::size_t needed);
 
   std::FILE* file_ = nullptr;
-  SpillFormat format_;
   std::string buffer_;
   std::size_t pos_ = 0;
   std::uint64_t remaining_bytes_ = 0;   // record-stream bytes not yet buffered
@@ -154,41 +152,37 @@ class RunCursor {
   std::uint64_t bytes_consumed_ = 0;
 };
 
-/// Opens a run file's footer.
+/// Opens a run file's footer. Throws FormatError unless every partition
+/// extent lies inside the record stream, so no later read trusts a
+/// corrupt footer's sizes.
 class SpillRunReader {
  public:
-  explicit SpillRunReader(std::string path,
-                          SpillFormat format = SpillFormat::kCompactVarint);
+  explicit SpillRunReader(std::string path);
 
   std::uint32_t num_partitions() const {
     return static_cast<std::uint32_t>(partitions_.size());
   }
   const PartitionExtent& extent(std::uint32_t partition) const
       TEXTMR_LIFETIME_BOUND;
-  SpillFormat format() const { return format_; }
-
   /// Cursor over one partition.
   RunCursor open(std::uint32_t partition) const;
 
   /// Reads one partition's whole record stream in a single bulk read.
-  /// The returned bytes are frames in this run's format; decode them in
+  /// The returned bytes are frames; decode them in
   /// place with mr::index_frames for a copy-free record index (the
   /// reduce-side shuffle path).
   std::string read_partition(std::uint32_t partition) const;
 
  private:
   std::string path_;
-  SpillFormat format_;
   std::vector<PartitionExtent> partitions_;
 };
 
-/// Serialize one record into `out` using `format`; shared by writer and
-/// the in-memory spill sorter (for exact size accounting).
+/// Serialize one framed record into `out`.
 void encode_record(std::string& out, std::string_view key,
-                   std::string_view value, SpillFormat format);
+                   std::string_view value);
 
 /// Size in bytes `encode_record` would produce.
-std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size,
-                                SpillFormat format);
+std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size);
 
 }  // namespace textmr::io

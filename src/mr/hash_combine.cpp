@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/stopwatch.hpp"
-#include "mr/spill_buffer.hpp"
-#include "mr/spill_sorter.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -109,7 +106,7 @@ class HashCombineShards::RunTarget final : public FlushTarget {
       start_ns_ = monotonic_ns();
       writer_ = std::make_unique<io::SpillRunWriter>(
           table_.next_run_path_(table_.run_sequence_++),
-          table_.config_.num_partitions, table_.config_.format);
+          table_.config_.num_partitions);
     }
     writer_->append(partition, key, value);
   }
@@ -157,9 +154,7 @@ HashCombineShards::HashCombineShards(
       trace_(trace),
       run_target_(std::make_unique<RunTarget>(*this)),
       target_(*run_target_),
-      shards_(config.num_shards) {
-  for (Shard& shard : shards_) shard.spill = RecordArena(config_.format);
-}
+      shards_(config.num_shards) {}
 
 HashCombineShards::HashCombineShards(const HashCombineConfig& config,
                                      Reducer* combiner, FlushTarget& target,
@@ -171,11 +166,7 @@ HashCombineShards::HashCombineShards(const HashCombineConfig& config,
       metrics_(metrics),
       trace_(trace),
       target_(target),
-      shards_(config.num_shards) {
-  // No run path to demote to: a pressured shard keeps flushing into the
-  // target instead.
-  config_.demote_after_flushes = std::numeric_limits<std::uint32_t>::max();
-}
+      shards_(config.num_shards) {}
 
 HashCombineShards::~HashCombineShards() = default;
 
@@ -445,15 +436,6 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
   shard.slots[j] = Slot{tag, static_cast<std::uint32_t>(shard.entries.size())};
 }
 
-void HashCombineShards::demoted_insert(Shard& shard, std::uint32_t partition,
-                                       std::string_view key,
-                                       std::string_view value) {
-  shard.spill.append(partition, key, value);
-  if (shard.spill.payload_bytes() >= watermark_) {
-    flush_demoted(shard, /*final=*/false);
-  }
-}
-
 bool HashCombineShards::insert(std::uint32_t partition, std::string_view key,
                                std::string_view value) {
   const std::uint64_t h = hash_key(key);
@@ -465,24 +447,13 @@ bool HashCombineShards::insert(std::uint32_t partition, std::string_view key,
   const std::uint32_t shard_index =
       static_cast<std::uint32_t>((h >> 32) % config_.num_shards);
   Shard& shard = shards_[shard_index];
-  if (shard.demoted) {
-    demoted_insert(shard, partition, key, value);
-    return true;
-  }
   hash_insert(shard, h, partition, key, value);
-  if (shard_bytes(shard) <= watermark_) return true;
-
-  flush(shard_index, shard_index + 1);
-  ++stats_.flushes;
-  if (++shard.flush_count >= config_.demote_after_flushes) {
-    // Persistent pressure: this keyspace does not fit the watermark, so
-    // hashing only adds probe cost on top of the same spill volume. Fall
-    // back to the proven sort-spill path for the rest of the task.
-    shard.demoted = true;
-    ++stats_.demotions;
-    obs::record_instant(trace_, "spill", "hash_demote", "shard",
-                        static_cast<double>(shard_index), "flushes",
-                        static_cast<double>(shard.flush_count));
+  if (shard_bytes(shard) > watermark_) {
+    flush(shard_index, shard_index + 1);
+    ++stats_.flushes;
+    // So the table holds at most num_shards x watermark between inserts.
+    TEXTMR_CHECK(shard_bytes(shard) <= watermark_,
+                 "a flushed shard still exceeds its watermark");
   }
   return true;
 }
@@ -564,31 +535,9 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
   target_.seal();
 }
 
-void HashCombineShards::flush_demoted(Shard& shard, bool final) {
-  if (shard.spill.size() == 0) return;
-  // The demoted path *is* the existing sort path: build a Spill over the
-  // arena's refs and reuse sort_and_spill (same sort, same combiner
-  // grouping, same frame blits) so pressured shards write byte-identical
-  // runs to what the ring pipeline would have produced.
-  Spill spill;
-  spill.records = shard.spill.records();
-  spill.frames = shard.spill.frames();
-  spill.data_bytes = shard.spill.payload_bytes();
-  spill.sequence = run_sequence_;
-  spill.is_final = final;
-  io::SpillRunInfo info =
-      sort_and_spill(spill, combiner_, next_run_path_(run_sequence_++),
-                     config_.num_partitions, config_.format, metrics_, trace_);
-  runs_.push_back(std::move(info));
-  shard.spill.clear();
-}
-
 std::vector<io::SpillRunInfo> HashCombineShards::finish() {
   TEXTMR_CHECK(!finished_, "hash-combine table finished twice");
   finished_ = true;
-  for (Shard& shard : shards_) {
-    if (shard.demoted) flush_demoted(shard, /*final=*/true);
-  }
   // Residue: every shard's entries globally sorted into ONE flush. In the
   // common no-pressure case this is the task's only run, so the final
   // merge degenerates to a rename.

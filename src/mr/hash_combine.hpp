@@ -22,10 +22,7 @@
 // and hand them to a flush target: by default one sorted run file per
 // flush, indistinguishable from a sort-spill run; FreqOpt's target is the
 // spill ring. Every shard has a byte watermark; breaching it flushes
-// the shard. A run-writing shard that keeps breaching
-// (demote_after_flushes) is *demoted* to the sort-spill path
-// (RecordArena + sort_and_spill), so behavior under pressure is the
-// proven baseline path, not a new one.
+// the shard — the one path under pressure, however often it breaches.
 
 #include <cstdint>
 #include <functional>
@@ -51,19 +48,18 @@ struct HashCombineConfig {
   /// table sets it to its share of freq_table_budget_bytes, unfloored.
   /// resident_bytes() is at most num_shards x watermark between inserts.
   std::size_t watermark_bytes = 0;
-  /// A shard that breaches its watermark this many times is demoted to
-  /// the sort-spill path for the rest of the task.
-  std::uint32_t demote_after_flushes = 4;
   std::size_t memory_budget_bytes = 16u << 20;
   std::uint32_t num_partitions = 1;
+  /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
+  std::uint32_t demote_after_flushes = 4;
+  /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
   io::SpillFormat format = io::SpillFormat::kCompactVarint;
 };
 
 struct HashCombineStats {
-  std::uint64_t records = 0;    // inserts admitted
-  std::uint64_t hits = 0;       // probe hits (combined or chained in place)
-  std::uint64_t flushes = 0;    // watermark flushes (hash shards)
-  std::uint64_t demotions = 0;  // shards demoted to the sort-spill path
+  std::uint64_t records = 0;  // inserts admitted
+  std::uint64_t hits = 0;     // probe hits (combined or chained in place)
+  std::uint64_t flushes = 0;  // watermark flushes (hash shards)
 };
 
 /// The per-task shard set. Single-threaded: lives on the map thread and
@@ -91,9 +87,7 @@ class HashCombineShards {
                     std::function<std::string(std::uint64_t sequence)>
                         next_run_path,
                     TaskMetrics& metrics, obs::TraceBuffer* trace);
-  /// Flushes go to `target` (not owned) and write no runs of their own,
-  /// so no shard is ever demoted: the target is the way out under
-  /// pressure.
+  /// Flushes go to `target` (not owned) and write no runs of their own.
   HashCombineShards(const HashCombineConfig& config, Reducer* combiner,
                     FlushTarget& target, TaskMetrics& metrics,
                     obs::TraceBuffer* trace);
@@ -106,9 +100,9 @@ class HashCombineShards {
   /// call every key is admitted.
   void admit_only(std::vector<std::string> keys);
 
-  /// Routes one map-output record: into its shard's table, or arena
-  /// append when the shard is demoted. May flush. Returns false, and
-  /// keeps nothing, when the key is not admitted.
+  /// Routes one map-output record into its shard's table. Flushes the
+  /// shard when it breaches the watermark. Returns false, and keeps
+  /// nothing, when the key is not admitted.
   bool insert(std::uint32_t partition, std::string_view key,
               std::string_view value);
 
@@ -173,9 +167,6 @@ class HashCombineShards {
     std::vector<Entry> entries;
     std::vector<char> keys;    // keys over 8 bytes, back to back
     std::vector<char> values;  // value blocks (offset-addressed)
-    std::uint64_t flush_count = 0;
-    bool demoted = false;
-    RecordArena spill;  // demoted mode: framed records for sort_and_spill
   };
 
   /// The admitted keys: open addressing on hash_key, full-key confirm.
@@ -189,8 +180,6 @@ class HashCombineShards {
   void hash_insert(Shard& shard, std::uint64_t key_hash,
                    std::uint32_t partition, std::string_view key,
                    std::string_view value);
-  void demoted_insert(Shard& shard, std::uint32_t partition,
-                      std::string_view key, std::string_view value);
   /// Runs the combiner over the entry's values (then `incoming`, when
   /// given) and stores the result by the in-place-or-chain rule.
   void combine(Shard& shard, Entry& entry,
@@ -212,7 +201,6 @@ class HashCombineShards {
   /// Combines, sorts and hands shards [first, last) to the target, then
   /// resets them.
   void flush(std::size_t first, std::size_t last);
-  void flush_demoted(Shard& shard, bool final);
 
   HashCombineConfig config_;
   std::size_t watermark_;

@@ -59,12 +59,13 @@ struct JobSpec {
   /// spill_buffer_bytes / hash_combine_shards (the tables inherit the
   /// ring's memory budget).
   std::size_t hash_combine_watermark_bytes = 0;
-  /// Watermark breaches before a shard is demoted to the sort-spill path.
+  /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
   std::uint32_t hash_combine_demote_flushes = 4;
 
   /// Frequency-buffering configuration (paper §III).
   freqbuf::FreqBufConfig freqbuf;
 
+  /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
   /// Skew-aware partitioning (DESIGN.md §12): a driver-side sampling

@@ -267,7 +267,7 @@ class MapTask {
             ? config_.spill_policy()
             : std::make_unique<spillmatch::FixedSpillPolicy>();
     SpillBuffer buffer(config_.spill_buffer_bytes, policy->initial_threshold(),
-                       /*max_outstanding=*/1, config_.spill_format,
+                       /*max_outstanding=*/1, io::SpillFormat::kCompactVarint,
                        buffer_trace);
 
     // The support thread writes result_.support_thread and, through its
@@ -302,7 +302,7 @@ class MapTask {
           auto info = sort_and_spill(
               *spill, support_combiner.get(),
               scratch_path("spill" + std::to_string(spill->sequence) + ".run"),
-              config_.num_partitions, config_.spill_format,
+              config_.num_partitions, io::SpillFormat::kCompactVarint,
               result_.support_thread, support_trace);
           const std::uint64_t consume_ns = monotonic_ns() - consume_start;
           buffer.release(*spill, consume_ns);
@@ -374,7 +374,6 @@ class MapTask {
     table.watermark_bytes = std::max<std::size_t>(
         1, config_.freq_table_budget_bytes / table.num_shards);
     table.num_partitions = config_.num_partitions;
-    table.format = config_.spill_format;
     return table;
   }
 
@@ -387,10 +386,8 @@ class MapTask {
     HashCombineConfig hash_config;
     hash_config.num_shards = config_.hash_combine_shards;
     hash_config.watermark_bytes = config_.hash_combine_watermark_bytes;
-    hash_config.demote_after_flushes = config_.hash_combine_demote_flushes;
     hash_config.memory_budget_bytes = config_.spill_buffer_bytes;
     hash_config.num_partitions = config_.num_partitions;
-    hash_config.format = config_.spill_format;
     HashCombineShards table(
         hash_config, map_combiner_.get(),
         [this](std::uint64_t sequence) {
@@ -402,7 +399,6 @@ class MapTask {
     TaskMetrics& metrics = result_.map_thread;
     metrics.hash_combine_hits += table.stats().hits;
     metrics.hash_combine_flushes += table.stats().flushes;
-    metrics.hash_combine_demotions += table.stats().demotions;
     result_.spills = runs.size();
     return runs;
   }
@@ -414,8 +410,7 @@ class MapTask {
     const std::string out_path = scratch_path("output.run");
     if (runs.empty()) {
       // No output at all: write an empty run so downstream cursors work.
-      io::SpillRunWriter writer(out_path, config_.num_partitions,
-                                config_.spill_format);
+      io::SpillRunWriter writer(out_path, config_.num_partitions);
       result_.output = writer.finish();
     } else if (runs.size() == 1) {
       // Single run: it is already sorted and combined; adopt it (Hadoop
@@ -431,7 +426,7 @@ class MapTask {
       merge_span.arg("runs", static_cast<double>(runs.size()));
       result_.output =
           merge_runs(runs, map_combiner_.get(), out_path,
-                     config_.num_partitions, config_.spill_format,
+                     config_.num_partitions, io::SpillFormat::kCompactVarint,
                      result_.map_thread);
       merge_span.arg("records", static_cast<double>(result_.output.records));
       if (!config_.keep_spill_runs) {

@@ -39,7 +39,6 @@ struct MapTaskConfig {
   ReducerFactory combiner;  // may be null
 
   std::size_t spill_buffer_bytes = 16u << 20;
-  io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
   /// Map-side combine strategy (DESIGN.md §15). kSort runs the classic
   /// ring/sort/spill pipeline below; kHash combines on insert into
@@ -52,8 +51,6 @@ struct MapTaskConfig {
   /// Per-shard resident-byte watermark; 0 derives it from the memory
   /// budget (spill_buffer_bytes, which the hash tables inherit).
   std::size_t hash_combine_watermark_bytes = 0;
-  /// Watermark breaches before a shard is demoted to the sort-spill path.
-  std::uint32_t hash_combine_demote_flushes = 4;
   std::filesystem::path scratch_dir;
 
   /// Spill threshold policy; if null, Hadoop's fixed 0.8 is used.

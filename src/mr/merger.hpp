@@ -165,6 +165,8 @@ class KeyGroups {
 /// Map-side final merge: merges `runs` partition by partition, applying
 /// the combiner once per key group, into a single output run file.
 /// Timing: structural work to Op::kMerge, user combine to Op::kCombine.
+/// `format` is a shim:
+/// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
 io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
                             Reducer* combiner, std::string_view out_path,
                             std::uint32_t num_partitions,

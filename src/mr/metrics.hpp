@@ -57,7 +57,9 @@ struct TaskMetrics {
   std::uint64_t freq_flushes = 0;         // records re-emitted by table flushes
   std::uint64_t hash_combine_hits = 0;     // probe hits in the hash-combine path
   std::uint64_t hash_combine_flushes = 0;  // watermark flushes of hash shards
-  std::uint64_t hash_combine_demotions = 0;  // shards demoted to sort-spill
+  /// Always 0.
+  /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
+  std::uint64_t hash_combine_demotions = 0;
   std::uint64_t spill_input_records = 0;  // records entering the spill buffer
   std::uint64_t spill_input_bytes = 0;    // bytes entering the spill buffer
   std::uint64_t spilled_records = 0;      // records written to spill runs

@@ -98,13 +98,13 @@ RecordRef RecordArena::append(std::uint32_t partition, std::string_view key,
                               std::string_view value) {
   const std::size_t offset = bytes_.size();
   const std::size_t frame_bytes =
-      io::encoded_record_size(key.size(), value.size(), format_);
+      io::encoded_record_size(key.size(), value.size());
   TEXTMR_CHECK(offset + frame_bytes <= kMaxOffset,
                "record arena outgrew u32 offsets");
   bytes_.resize(offset + frame_bytes);
   char* frame = bytes_.data() + offset;
   const std::size_t header =
-      io::encode_frame_header(frame, key.size(), value.size(), format_);
+      io::encode_frame_header(frame, key.size(), value.size());
   std::memcpy(frame + header, key.data(), key.size());
   std::memcpy(frame + header + key.size(), value.data(), value.size());
   const RecordRef ref{key_prefix8(key), static_cast<std::uint32_t>(offset),
@@ -121,15 +121,13 @@ void RecordArena::clear() {
 }
 
 std::vector<RecordRef> index_frames(std::string_view data,
-                                    std::uint32_t partition,
-                                    io::SpillFormat format) {
+                                    std::uint32_t partition) {
   TEXTMR_CHECK(data.size() <= kMaxOffset,
                "fetched partition outgrew u32 offsets");
   std::vector<RecordRef> refs;
   std::size_t pos = 0;
   while (pos < data.size()) {
-    const io::FrameHeader header =
-        io::decode_frame_header(data.substr(pos), format);
+    const io::FrameHeader header = io::decode_frame_header(data.substr(pos));
     refs.push_back(RecordRef{
         key_prefix8(data.substr(pos + header.header_size, header.key_size)),
         static_cast<std::uint32_t>(pos), partition});

@@ -27,11 +27,11 @@ inline std::uint64_t key_prefix8(std::string_view key) {
   return prefix;
 }
 
-/// The 16-byte index entry of one *framed* record — [header][key][value]
-/// in a spill format — living in a store owned by someone else: the spill
-/// ring, a RecordArena, or a fetched shuffle partition. `offset` locates
-/// the frame in that store; the key and value sizes are read from the
-/// frame header (FrameStore). The 8-byte key prefix is denormalized so
+/// The 16-byte index entry of one *framed* record — [header][key][value],
+/// the spill-file framing — living in a store owned by someone else: the
+/// spill ring, a RecordArena, or a fetched shuffle partition. `offset`
+/// locates the frame in that store; the key and value sizes are read from
+/// the frame header (FrameStore). The 8-byte key prefix is denormalized so
 /// the sort decides almost every pair without touching the frames
 /// (DESIGN.md §8).
 struct RecordRef {
@@ -48,17 +48,16 @@ struct Frame {
   std::string_view bytes;  // the whole frame, verbatim
 };
 
-/// The bytes a set of RecordRefs indexes, and their frame format. A view:
-/// valid as long as the owning store's storage.
+/// The framed bytes a set of RecordRefs indexes. A view: valid as long as
+/// the owning store's storage.
 struct FrameStore {
   std::string_view bytes;
-  io::SpillFormat format = io::SpillFormat::kCompactVarint;
 
   /// Decodes the frame `ref` names. Throws FormatError (or out_of_range)
   /// if it does not lie inside the store.
   Frame frame(const RecordRef& ref) const {
     const std::string_view rest = bytes.substr(ref.offset);
-    const io::FrameHeader h = io::decode_frame_header(rest, format);
+    const io::FrameHeader h = io::decode_frame_header(rest);
     const char* key = rest.data() + h.header_size;
     return {{key, h.key_size},
             {key + h.key_size, h.value_size},
@@ -84,16 +83,11 @@ void sort_records(
 /// referenced through RecordRefs, so sorting, combining and writing never
 /// copy key/value bytes again. The refs are offsets and survive growth;
 /// a view read through frames() (a key, a value) does not — append() may
-/// reallocate the buffer. Used by the hash-combine shards (demoted
-/// spills), the test spill builders and the record-path benchmarks; the
-/// map-side ring (SpillBuffer) uses the same frame layout with bounded
-/// circular storage instead.
+/// reallocate the buffer. The frame builder of the test spill builders
+/// and the record-path benchmarks; the map-side ring (SpillBuffer) uses
+/// the same frame layout with bounded circular storage instead.
 class RecordArena {
  public:
-  explicit RecordArena(
-      io::SpillFormat format = io::SpillFormat::kCompactVarint)
-      : format_(format) {}
-
   RecordRef append(std::uint32_t partition, std::string_view key,
                    std::string_view value);
 
@@ -102,7 +96,7 @@ class RecordArena {
   }
   /// The store the refs index; invalidated by the next append().
   FrameStore frames() const TEXTMR_LIFETIME_BOUND {
-    return {{bytes_.data(), bytes_.size()}, format_};
+    return {{bytes_.data(), bytes_.size()}};
   }
   std::size_t size() const { return records_.size(); }
   std::uint64_t payload_bytes() const { return payload_bytes_; }
@@ -112,7 +106,6 @@ class RecordArena {
   void clear();
 
  private:
-  io::SpillFormat format_;
   std::vector<char> bytes_;
   std::vector<RecordRef> records_;
   std::uint64_t payload_bytes_ = 0;
@@ -121,11 +114,10 @@ class RecordArena {
 /// Indexes a partition's record-stream bytes (as returned by
 /// SpillRunReader::read_partition): one RecordRef per frame, its offset
 /// into `data` — the zero-copy half of the shuffle. Read the frames back
-/// through FrameStore{data, format}; `data` must stay alive and unmoved
+/// through FrameStore{data}; `data` must stay alive and unmoved
 /// while they are used. Throws FormatError on a malformed stream.
 std::vector<RecordRef> index_frames(std::string_view data
                                         TEXTMR_LIFETIME_BOUND,
-                                    std::uint32_t partition,
-                                    io::SpillFormat format);
+                                    std::uint32_t partition);
 
 }  // namespace textmr::mr

@@ -275,11 +275,10 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
         fetch_span.arg("bytes", static_cast<double>(fetch.bytes.size()));
         fetch_span.arg("over_wire", pulled.over_wire ? 1.0 : 0.0);
       } else {
-        io::SpillRunReader reader(run.path, config.spill_format);
+        io::SpillRunReader reader(run.path);
         fetch.bytes = reader.read_partition(config.partition);
       }
-      fetch.refs =
-          index_frames(fetch.bytes, config.partition, config.spill_format);
+      fetch.refs = index_frames(fetch.bytes, config.partition);
       metrics.shuffled_bytes += fetch.bytes.size();
       metrics.reduce_input_records += fetch.refs.size();
       ++run_index;
@@ -316,7 +315,7 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   cursors.reserve(fetched.size());
   for (const auto& fetch : fetched) {
     cursors.push_back(std::make_unique<MemoryRunCursor>(
-        FrameStore{fetch.bytes, config.spill_format}, &fetch.refs));
+        FrameStore{fetch.bytes}, &fetch.refs));
   }
   // The loop's wall is read once at each end. Sink flushes time
   // themselves exactly. The rest is split across grouping (kReduceMerge),

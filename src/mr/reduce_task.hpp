@@ -51,7 +51,6 @@ struct ReduceTaskConfig {
   /// Optional shuffle source override (see ShuffleFetcher above).
   ShuffleFetcher fetch;
   ReducerFactory reducer;
-  io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
   /// Part file in kPartFile mode, segment file otherwise.
   std::filesystem::path output_path;
   ReduceOutputKind output_kind = ReduceOutputKind::kPartFile;

@@ -136,10 +136,9 @@ std::string format_job_report(const JobResult& result,
             static_cast<unsigned long long>(work.freq_flushes));
   }
   if (work.hash_combine_hits > 0 || work.hash_combine_flushes > 0) {
-    appendf(out, "  hash-combine hits %9llu records (%llu flushes, %llu demotions)\n",
+    appendf(out, "  hash-combine hits %9llu records (%llu flushes)\n",
             static_cast<unsigned long long>(work.hash_combine_hits),
-            static_cast<unsigned long long>(work.hash_combine_flushes),
-            static_cast<unsigned long long>(work.hash_combine_demotions));
+            static_cast<unsigned long long>(work.hash_combine_flushes));
   }
   appendf(out, "  spilled          %10llu records %12.1f KB in %llu spills\n",
           static_cast<unsigned long long>(work.spilled_records),

@@ -47,7 +47,7 @@ struct SkewConfig {
   double place_threshold = 0.5;
 
   /// Split a key across reducers when its share is
-  /// >= split_threshold / num_reducers (demoted to placement when the
+  /// >= split_threshold / num_reducers (reduced to placement when the
   /// job has no combiner to merge the shares).
   double split_threshold = 1.1;
 

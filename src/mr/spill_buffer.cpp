@@ -17,18 +17,17 @@ constexpr double kMaxThreshold = 0.99;
 }  // namespace
 
 SpillBuffer::SpillBuffer(std::size_t capacity_bytes, double initial_threshold,
-                         std::uint32_t max_outstanding, io::SpillFormat format,
-                         obs::TraceBuffer* trace, const common::Clock* clock)
+                         std::uint32_t max_outstanding,
+                         io::SpillFormat /*format*/, obs::TraceBuffer* trace,
+                         const common::Clock* clock)
     : capacity_(capacity_bytes),
-      format_(format),
       ring_(capacity_bytes),
-      max_outstanding_(max_outstanding),
       trace_(trace),
       clock_(clock != nullptr ? clock : &common::system_clock()) {
   TEXTMR_CHECK(capacity_bytes >= 1024, "spill buffer must be >= 1 KiB");
   TEXTMR_CHECK(capacity_bytes <= std::numeric_limits<std::uint32_t>::max(),
                "spill buffer must stay addressable by u32 offsets");
-  TEXTMR_CHECK(max_outstanding >= 1, "need >= 1 outstanding spill slot");
+  TEXTMR_CHECK(max_outstanding == 1, "the spill buffer has one seal slot");
   threshold_ = std::clamp(initial_threshold, kMinThreshold, kMaxThreshold);
 }
 
@@ -45,21 +44,25 @@ double SpillBuffer::threshold() const {
 
 void SpillBuffer::seal_locked() {
   if (current_records_.empty()) return;
+  TEXTMR_CHECK(!outstanding_, "seal while a spill is outstanding");
   Spill spill;
   spill.records = std::move(current_records_);
-  spill.frames = FrameStore{{ring_.data(), ring_.size()}, format_};
+  spill.frames = FrameStore{{ring_.data(), ring_.size()}};
   spill.ring_bytes = current_ring_bytes_;
   spill.data_bytes = current_data_bytes_;
-  spill.produce_ns = clock_->now_ns() - current_started_ns_ - current_wait_ns_;
+  // After close() the region stopped growing when the producer closed.
+  const std::uint64_t end_ns = closed_ ? closed_ns_ : clock_->now_ns();
+  spill.produce_ns = end_ns - current_started_ns_ - current_wait_ns_;
   spill.sequence = sequence_++;
+  spill.is_final = closed_;
   current_records_ = {};
   current_ring_bytes_ = 0;
   current_data_bytes_ = 0;
   current_wait_ns_ = 0;
-  sealed_.push_back(std::move(spill));
-  ++outstanding_;
+  sealed_ = std::move(spill);
+  outstanding_ = true;
   if (trace_ != nullptr) {
-    const Spill& sealed = sealed_.back();
+    const Spill& sealed = *sealed_;
     obs::record_instant(
         trace_, "spill", "spill_seal", "sequence",
         static_cast<double>(sealed.sequence), "data_bytes",
@@ -77,7 +80,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
   // One frame = the record's single in-memory copy; everything downstream
   // points into it.
   const std::uint64_t need =
-      io::encoded_record_size(key.size(), value.size(), format_);
+      io::encoded_record_size(key.size(), value.size());
   if (need > capacity_) {
     throw ConfigError("record of " + std::to_string(need) +
                       " framed bytes exceeds spill buffer capacity " +
@@ -102,7 +105,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
     // Hadoop behaviour: a full buffer forces a spill of the current region
     // regardless of the threshold (otherwise producer and consumer would
     // deadlock waiting on each other).
-    if (outstanding_ < max_outstanding_) seal_locked();
+    if (!outstanding_) seal_locked();
     const std::uint64_t wait_start = clock_->now_ns();
     producer_waiting_ = true;
     space_available_.wait(mu_);
@@ -120,7 +123,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
   }
   char* dest = ring_.data() + tail_;
   const std::size_t header =
-      io::encode_frame_header(dest, key.size(), value.size(), format_);
+      io::encode_frame_header(dest, key.size(), value.size());
   std::memcpy(dest + header, key.data(), key.size());
   std::memcpy(dest + header + key.size(), value.data(), value.size());
   current_records_.push_back(RecordRef{
@@ -135,7 +138,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
   // when the support thread is free: while it is busy the region keeps
   // growing (that is what makes m_i = max{xM, min{(p/c)·m_{i-1},
   // M − m_{i-1}}}).
-  if (outstanding_ < max_outstanding_ &&
+  if (!outstanding_ &&
       current_ring_bytes_ >= threshold_ * static_cast<double>(capacity_)) {
     seal_locked();
   }
@@ -144,11 +147,10 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
 void SpillBuffer::close() {
   MutexLock lock(mu_);
   TEXTMR_CHECK(!closed_, "close called twice");
-  if (!current_records_.empty()) {
-    seal_locked();
-    sealed_.back().is_final = true;
-  }
   closed_ = true;
+  closed_ns_ = clock_->now_ns();
+  // While a spill is outstanding, release() seals the final region.
+  if (!outstanding_) seal_locked();
   spill_available_.notify_all();
 }
 
@@ -161,29 +163,31 @@ void SpillBuffer::abort() {
 
 std::optional<Spill> SpillBuffer::take() {
   MutexLock lock(mu_);
-  while (sealed_.empty() && !closed_ && !aborted_) {
+  TEXTMR_CHECK(sealed_.has_value() || !outstanding_,
+               "take before releasing the previous spill");
+  while (!sealed_.has_value() && !aborted_ &&
+         !(closed_ && current_records_.empty())) {
     const std::uint64_t wait_start = clock_->now_ns();
     consumer_waiting_ = true;
     spill_available_.wait(mu_);
     consumer_waiting_ = false;
     consumer_wait_ns_ += clock_->now_ns() - wait_start;
   }
-  if (aborted_ || sealed_.empty()) return std::nullopt;
-  Spill spill = std::move(sealed_.front());
-  sealed_.pop_front();
+  if (aborted_ || !sealed_.has_value()) return std::nullopt;
+  std::optional<Spill> spill = std::move(sealed_);
+  sealed_.reset();
   return spill;
 }
 
 void SpillBuffer::release(const Spill& spill, std::uint64_t consume_ns) {
   MutexLock lock(mu_);
-  TEXTMR_CHECK(outstanding_ > 0, "release without outstanding spill");
-  // Sequences 0..sequence_-1 were sealed and all but the last
-  // `outstanding_` released, in order; so the oldest outstanding one is
-  // sequence_ - outstanding_.
-  TEXTMR_CHECK(spill.sequence == sequence_ - outstanding_,
-               "spills must be released in seal order");
+  TEXTMR_CHECK(outstanding_ && !sealed_.has_value(),
+               "release without a taken spill");
+  // The outstanding spill is the last one sealed.
+  TEXTMR_CHECK(spill.sequence + 1 == sequence_,
+               "release must name the outstanding spill");
   TEXTMR_CHECK(used_ >= spill.ring_bytes, "release exceeds ring usage");
-  --outstanding_;
+  outstanding_ = false;
   head_ = (head_ + spill.ring_bytes) % capacity_;
   used_ -= spill.ring_bytes;
   last_timing_ = SpillTiming{spill.sequence, spill.produce_ns, consume_ns,
@@ -192,11 +196,10 @@ void SpillBuffer::release(const Spill& spill, std::uint64_t consume_ns) {
                       static_cast<double>(used_) /
                           static_cast<double>(capacity_));
   // The consumer just became free; if the producer's region already
-  // passed the threshold, seal it now so the consumer does not idle until
-  // the next put().
-  if (!closed_ && outstanding_ < max_outstanding_ &&
-      current_ring_bytes_ >= threshold_ * static_cast<double>(capacity_) &&
-      !current_records_.empty()) {
+  // passed the threshold, or the producer has closed, seal it now so the
+  // consumer does not idle until the next put().
+  if (closed_ ||
+      current_ring_bytes_ >= threshold_ * static_cast<double>(capacity_)) {
     seal_locked();
   }
   space_available_.notify_one();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -60,11 +59,11 @@ struct SpillTiming {
 ///
 /// Thread contract: exactly one producer thread and one consumer
 /// ("support") thread cycling take() -> release() — the paper's
-/// 1-map/1-support pipeline (§IV-A). Spills come back in seal order, so
-/// ring space is reclaimed strictly FIFO. A region is sealed only while
-/// fewer than `max_outstanding` spills are sealed or taken but not yet
-/// released; with the default of 1 the next region keeps growing until
-/// the consumer releases the previous spill (§IV-C).
+/// 1-map/1-support pipeline (§IV-A). There is one seal slot: a region is
+/// sealed only while no spill is sealed or taken but not yet released, so
+/// the next region keeps growing until the consumer releases the previous
+/// spill (§IV-C). The same holds at close(): the final region seals at
+/// once if the slot is free, else when the consumer releases.
 class SpillBuffer {
  public:
   /// `trace`, when non-null, receives seal instants and fill-level /
@@ -74,6 +73,8 @@ class SpillBuffer {
   /// `clock`, when non-null, replaces the monotonic clock for the
   /// produce/wait timing that feeds the spill policy — tests drive it
   /// with a common::ManualClock to pin eq. (1) inputs exactly.
+  /// `max_outstanding` must be 1; it and `format` are shims:
+  /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
   explicit SpillBuffer(std::size_t capacity_bytes,
                        double initial_threshold = 0.8,
                        std::uint32_t max_outstanding = 1,
@@ -95,7 +96,8 @@ class SpillBuffer {
   double threshold() const;
 
   /// Seals whatever remains as a final spill (may be empty, in which case
-  /// no spill is queued) and wakes the consumer, which will see
+  /// no spill is queued) — now if no spill is outstanding, else when the
+  /// consumer releases it — and wakes the consumer, which will see
   /// end-of-stream after draining. Producer must call exactly once.
   void close();
 
@@ -108,11 +110,11 @@ class SpillBuffer {
 
   /// Blocks until a sealed spill is available (wait added to
   /// `consumer_wait_ns`) or the buffer is closed and drained (returns
-  /// nullopt).
+  /// nullopt). The previous spill taken must have been released.
   std::optional<Spill> take() TEXTMR_LIFETIME_BOUND;
 
-  /// Frees the ring space of the oldest outstanding spill, which `spill`
-  /// must be (InternalError otherwise). `consume_ns` is the wall time the
+  /// Frees the ring space of the outstanding spill, which `spill` must be
+  /// (InternalError otherwise). `consume_ns` is the wall time the
   /// support thread spent processing it; the pair (produce_ns,
   /// consume_ns) becomes the SpillTiming the policy sees.
   void release(const Spill& spill, std::uint64_t consume_ns);
@@ -137,11 +139,11 @@ class SpillBuffer {
   std::uint64_t free_bytes_locked() const TEXTMR_REQUIRES(mu_) {
     return capacity_ - used_;
   }
-  // Moves the current region to the sealed queue.
+  // Moves the current region, if any, into the seal slot, which must be
+  // free.
   void seal_locked() TEXTMR_REQUIRES(mu_);
 
   const std::size_t capacity_;
-  const io::SpillFormat format_;
   // Ring *payload* (framed records). Not guarded: the producer writes a
   // record's bytes under mu_, and once the region is sealed its bytes are
   // immutable until release(), so consumers read them lock-free through
@@ -166,13 +168,13 @@ class SpillBuffer {
   std::uint64_t current_started_ns_ TEXTMR_GUARDED_BY(mu_) = 0;
   std::uint64_t current_wait_ns_ TEXTMR_GUARDED_BY(mu_) = 0;
 
-  std::deque<Spill> sealed_ TEXTMR_GUARDED_BY(mu_);
-  // Sealed or taken-but-unreleased spills.
-  std::uint64_t outstanding_ TEXTMR_GUARDED_BY(mu_) = 0;
-  // check:allow(lock-coverage): set once in the constructor, read-only after
-  std::uint32_t max_outstanding_ = 1;
+  // The seal slot: a spill sealed and not yet taken, and whether one is
+  // sealed or taken but not yet released.
+  std::optional<Spill> sealed_ TEXTMR_GUARDED_BY(mu_);
+  bool outstanding_ TEXTMR_GUARDED_BY(mu_) = false;
   double threshold_ TEXTMR_GUARDED_BY(mu_);
   bool closed_ TEXTMR_GUARDED_BY(mu_) = false;
+  std::uint64_t closed_ns_ TEXTMR_GUARDED_BY(mu_) = 0;  // end of production
   bool aborted_ TEXTMR_GUARDED_BY(mu_) = false;
   std::uint64_t sequence_ TEXTMR_GUARDED_BY(mu_) = 0;
 

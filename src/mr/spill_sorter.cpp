@@ -53,7 +53,8 @@ class CombineToRunSink final : public EmitSink {
 io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
                                 std::string_view run_path,
                                 std::uint32_t num_partitions,
-                                io::SpillFormat format, TaskMetrics& metrics,
+                                io::SpillFormat /*format*/,
+                                TaskMetrics& metrics,
                                 obs::TraceBuffer* trace) {
   TEXTMR_FAILPOINT("support.sort");
   const FrameStore& frames = spill.frames;
@@ -67,10 +68,9 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
 
   obs::SpanTimer write_span(trace, "spill", "spill_write");
 
-  io::SpillRunWriter writer(std::string(run_path), num_partitions, format);
-  // Records are framed in the ring; when the run file speaks the same
-  // format, uncombined records are written as verbatim frame blits.
-  const bool blit = frames.format == format;
+  // Records are framed in the ring exactly as in the run file, so
+  // uncombined records are written as verbatim frame blits.
+  io::SpillRunWriter writer(std::string(run_path), num_partitions);
   const std::uint64_t pass_start = monotonic_ns();
   std::uint64_t combine_ns = 0;
 
@@ -93,10 +93,8 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
       CombineToRunSink sink(writer, data[i].partition, first.key);
       combiner->reduce(first.key, values, sink);
       combine_ns += monotonic_ns() - c0;
-    } else if (blit) {
-      writer.append_frame(data[i].partition, first.bytes);
     } else {
-      writer.append(data[i].partition, first.key, first.value);
+      writer.append_frame(data[i].partition, first.bytes);
     }
     i = j;
   }

@@ -17,13 +17,15 @@ namespace textmr::mr {
 /// Records stay in the ring throughout: sort_records permutes the
 /// spill's 16-byte RecordRefs (a radix over partition and key prefix,
 /// full keys read once only where prefixes tie), each key group's frames
-/// are read back through `spill.frames`, and uncombined records whose
-/// ring framing matches `format` are written as verbatim frame blits — no
-/// per-record serialization (DESIGN.md §8).
+/// are read back through `spill.frames`, and every uncombined record is
+/// written as a verbatim frame blit — no per-record serialization
+/// (DESIGN.md §8).
 ///
-/// `combiner` may be null. Returns the run info from the writer's
-/// `finish()`. Sort time goes to Op::kSort, user combine time to
-/// Op::kCombine, and writing (including framing) to Op::kSpillWrite.
+/// `combiner` may be null. `format` is a shim:
+/// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
+/// Returns the run info from the writer's `finish()`. Sort time goes to
+/// Op::kSort, user combine time to Op::kCombine, and writing (including
+/// framing) to Op::kSpillWrite.
 /// `trace`, when non-null, receives spill_sort / spill_write spans (the
 /// write span carries the embedded combine time as an argument).
 io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,

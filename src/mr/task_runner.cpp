@@ -33,10 +33,6 @@ void validate_job(const JobSpec& spec) {
   if (spec.hash_combine_shards == 0 || spec.hash_combine_shards > 64) {
     throw ConfigError("hash_combine_shards must be in [1, 64]");
   }
-  if (spec.combine_mode == CombineMode::kHash &&
-      spec.hash_combine_demote_flushes == 0) {
-    throw ConfigError("hash_combine_demote_flushes must be >= 1");
-  }
   if (spec.freqbuf.enabled) {
     if (spec.combine_mode == CombineMode::kHash) {
       throw ConfigError(kFreqWithHashError);
@@ -114,11 +110,9 @@ MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
   config.mapper = spec.mapper;
   config.combiner = spec.combiner;
   config.spill_buffer_bytes = mem.spill_buffer_bytes;
-  config.spill_format = spec.spill_format;
   config.combine_mode = spec.combine_mode;
   config.hash_combine_shards = spec.hash_combine_shards;
   config.hash_combine_watermark_bytes = spec.hash_combine_watermark_bytes;
-  config.hash_combine_demote_flushes = spec.hash_combine_demote_flushes;
   config.scratch_dir = spec.scratch_dir;
   if (spec.use_spill_matcher) {
     config.spill_policy = [] {
@@ -149,7 +143,6 @@ ReduceTaskConfig make_reduce_task_config(
   config.map_outputs = std::move(map_outputs);
   config.fetch = std::move(fetch);
   config.reducer = spec.reducer;
-  config.spill_format = spec.spill_format;
   config.output_path = reduce_task_output_path(spec, skew_plan, partition);
   config.trace = trace;
   if (skew_plan != nullptr) {

@@ -13,7 +13,7 @@ namespace textmr::mr {
 /// Hadoop shape: frame into the spill ring, sort, combine per key group,
 /// spill. kHash combines on insert into per-task shard hash tables and
 /// defers sorting to flush time (a radix pass on the 8-byte key prefix);
-/// a memory watermark demotes a pressured shard back to the sort path,
+/// a memory watermark flushes a pressured shard as one more sorted run,
 /// so the two modes are byte-identical by construction and by the
 /// differential grid.
 enum class CombineMode : std::uint8_t { kSort, kHash };

@@ -27,7 +27,6 @@ const char* const kKnownEventNames[] = {
     "freq_freeze",
     "freq_hit_rate",
     "freq_profile_begin",
-    "hash_demote",
     "hash_flush",
     "map_dispatch",
     "map_exec",

@@ -57,6 +57,18 @@ struct ClusterCorpus {
     return spec;
   }
 
+  /// Raw bytes of each part file, in part order.
+  static std::vector<std::string> raw_parts(const mr::JobResult& result) {
+    std::vector<std::string> raw;
+    for (const auto& part : result.outputs) {
+      std::ifstream in(part, std::ios::binary);
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      raw.push_back(std::move(buf).str());
+    }
+    return raw;
+  }
+
   void check(const mr::JobResult& result) const {
     const auto actual = test::read_outputs(result.outputs);
     ASSERT_EQ(actual.size(), expected.size());
@@ -648,6 +660,9 @@ TEST(ClusterSoak, RandomWorkerKillsNeverCorruptOutput) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(soak_seconds);
   constexpr std::uint32_t kWorkers = 3;
+  // The sort-mode bytes every hash-combine iteration must reproduce.
+  mr::LocalEngine local;
+  const auto sorted = ClusterCorpus::raw_parts(local.run(corpus.job("sort")));
 
   for (std::uint64_t iteration = 0;; ++iteration) {
     if (iteration > 0 && std::chrono::steady_clock::now() >= deadline) break;
@@ -716,17 +731,21 @@ TEST(ClusterSoak, RandomWorkerKillsNeverCorruptOutput) {
       spec.skew.max_split_shares = 3;
     }
     // Even iterations soak the sharded hash-combine path (DESIGN.md §15)
-    // with a tiny watermark, so SIGKILLs also land mid hash-flush and
-    // mid-demotion; the restarted task must rebuild identical output.
-    if (iteration % 2 == 0) {
+    // with a tiny watermark, so SIGKILLs also land mid hash-flush; the
+    // restarted task must rebuild the sort path's bytes.
+    const bool hashed = iteration % 2 == 0;
+    if (hashed) {
       spec.combine_mode = mr::CombineMode::kHash;
       spec.hash_combine_shards = 4;
       spec.hash_combine_watermark_bytes = 4096;
-      spec.hash_combine_demote_flushes = 2;
     }
     const auto result = engine.run(spec);
     killer.join();
     corpus.check(result);
+    if (hashed) {
+      EXPECT_GT(result.metrics.work.hash_combine_flushes, 0u);
+      EXPECT_EQ(ClusterCorpus::raw_parts(result), sorted);
+    }
     if (soak_seconds <= 0) break;  // default suite: single sanity iteration
   }
 }

@@ -3,11 +3,12 @@
 // Unit battery for the map side's one combine table (DESIGN.md §15):
 // combine-equivalence against an exact oracle, adversarial prefix-
 // collision keys (equal 8-byte prefixes, short keys that prefix longer
-// ones, embedded NULs), watermark flushes and mid-stream demotion — all
-// checked for exact (partition, key) run order and byte-identical map-task
-// output against the sort-spill baseline — plus the in-place-or-chain
-// combine rule (FreqOpt's admission set is covered in test_freq_table).
+// ones, embedded NULs) and watermark flushes under pressure — all checked
+// for exact (partition, key) run order and byte-identical output against
+// the sort-spill baseline — plus the in-place-or-chain combine rule
+// (FreqOpt's admission set is covered in test_freq_table).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,10 @@
 #include "io/spill_file.hpp"
 #include "mr/hash_combine.hpp"
 #include "mr/map_task.hpp"
+#include "mr/merger.hpp"
+#include "mr/partitioner.hpp"
 #include "mr/record_arena.hpp"
+#include "mr/spill_sorter.hpp"
 #include "mr/types.hpp"
 
 namespace textmr::mr {
@@ -52,10 +56,9 @@ struct FlatRecord {
 };
 
 /// Reads every record of a run, partition by partition, in file order.
-std::vector<FlatRecord> read_run(const io::SpillRunInfo& info,
-                                 io::SpillFormat format) {
+std::vector<FlatRecord> read_run(const io::SpillRunInfo& info) {
   std::vector<FlatRecord> records;
-  io::SpillRunReader reader(info.path, format);
+  io::SpillRunReader reader(info.path);
   for (std::uint32_t p = 0; p < reader.num_partitions(); ++p) {
     io::RunCursor cursor = reader.open(p);
     while (auto record = cursor.next()) {
@@ -84,7 +87,6 @@ struct TableHarness {
   TaskMetrics metrics;
   std::unique_ptr<Reducer> combiner;
   std::unique_ptr<HashCombineShards> table;
-  io::SpillFormat format = io::SpillFormat::kCompactVarint;
 
   explicit TableHarness(HashCombineConfig config, bool with_combiner = true)
       : TableHarness(config,
@@ -92,7 +94,6 @@ struct TableHarness {
 
   TableHarness(HashCombineConfig config, std::unique_ptr<Reducer> reducer)
       : combiner(std::move(reducer)) {
-    config.format = format;
     table = std::make_unique<HashCombineShards>(
         config, combiner.get(),
         [this](std::uint64_t sequence) {
@@ -124,7 +125,7 @@ TEST(HashCombine, CombineEquivalenceVsExactOracle) {
 
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u) << "no-pressure case must emit exactly one run";
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   expect_run_sorted(records);
   ASSERT_EQ(records.size(), oracle.size());
   std::size_t i = 0;
@@ -136,7 +137,7 @@ TEST(HashCombine, CombineEquivalenceVsExactOracle) {
   }
   EXPECT_GT(h.table->stats().hits, 0u);
   EXPECT_EQ(h.table->stats().records, 20000u);
-  EXPECT_EQ(h.table->stats().demotions, 0u);
+  EXPECT_EQ(h.table->stats().flushes, 0u);
   EXPECT_EQ(h.metrics.spilled_records, records.size());
 }
 
@@ -172,7 +173,7 @@ TEST(HashCombine, PrefixCollisionAdversarialKeys) {
   }
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), oracle.size())
       << "prefix-colliding keys must not merge";
   std::size_t i = 0;
@@ -196,7 +197,7 @@ TEST(HashCombine, NoCombinerChainsAllValues) {
   }
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), 10u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(records[static_cast<std::size_t>(i)].key, "alpha");
@@ -208,42 +209,53 @@ TEST(HashCombine, NoCombinerChainsAllValues) {
   }
 }
 
-TEST(HashCombine, WatermarkFlushesAndDemotes) {
-  // A tiny watermark forces mid-stream flushes; demote_after_flushes=1
-  // demotes every pressured shard to the sort-spill path. The records
-  // must all survive across hash runs + demoted runs, with correct
-  // per-key totals after re-aggregation.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(HashCombine, WatermarkFlushes) {
+  // A tiny watermark forces a flush every few dozen inserts, every one a
+  // run of its own. Merged, the runs must equal byte for byte what the
+  // sort path writes for the same stream (one spill, combined per key),
+  // and the table must stay under its bound after every insert.
   HashCombineConfig config;
   config.num_shards = 2;
   config.num_partitions = 2;
   config.watermark_bytes = 4096;
-  config.demote_after_flushes = 1;
   TableHarness h(config);
+  const std::size_t bound = config.num_shards * config.watermark_bytes;
 
-  std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> oracle;
-  Xoshiro256 rng(0x64656d6fULL);  // "demo"
+  RecordArena arena;
+  Spill spill;
+  Xoshiro256 rng(0x64656d6fULL);
   for (std::size_t i = 0; i < 30000; ++i) {
     const std::string word = "key" + std::to_string(rng.next_below(4000));
     const std::uint32_t partition =
         static_cast<std::uint32_t>(rng.next_below(2));
     h.table->insert(partition, word, "1");
-    oracle[{partition, word}] += 1;
+    ASSERT_LE(h.table->resident_bytes(), bound) << "after insert " << i;
+    spill.records.push_back(arena.append(partition, word, "1"));
   }
   const auto runs = h.table->finish();
   ASSERT_GT(runs.size(), 1u) << "pressure must produce several runs";
   EXPECT_GT(h.table->stats().flushes, 0u);
-  EXPECT_GT(h.table->stats().demotions, 0u);
+  for (const auto& run : runs) expect_run_sorted(read_run(run));
 
-  std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> totals;
-  for (const auto& run : runs) {
-    const auto records = read_run(run, h.format);
-    expect_run_sorted(records);
-    for (const auto& r : records) {
-      totals[{r.partition, r.key}] +=
-          std::strtoull(r.value.c_str(), nullptr, 10);
-    }
-  }
-  EXPECT_EQ(totals, oracle);
+  TaskMetrics metrics;
+  const auto merged =
+      merge_runs(runs, h.combiner.get(), h.dir.file("merged.run").string(),
+                 config.num_partitions, io::SpillFormat::kCompactVarint,
+                 metrics);
+  spill.frames = arena.frames();
+  const auto sorted =
+      sort_and_spill(spill, h.combiner.get(), h.dir.file("sorted.run").string(),
+                     config.num_partitions, io::SpillFormat::kCompactVarint,
+                     metrics);
+  ASSERT_GT(sorted.records, 0u);
+  EXPECT_EQ(read_file(merged.path), read_file(sorted.path))
+      << "flushed runs differ from the sort path";
 }
 
 TEST(HashCombine, FinishedTwiceThrows) {
@@ -285,7 +297,7 @@ TEST(HashCombine, HotKeyCombineReadsEachValueBoundedTimes) {
   }
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].value, expected);
   EXPECT_LE(bytes_read, 4 * kInserts * kValueSize);
@@ -381,7 +393,7 @@ TEST(HashCombineLayout, GrowingValueCrossesTheInlineLimit) {
   sums.table->insert(0, "small", "7");
   auto runs = sums.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  auto records = read_run(runs[0], sums.format);
+  auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], (FlatRecord{0, "big", "100000005"}));
   EXPECT_EQ(records[1], (FlatRecord{0, "small", "7"}));
@@ -403,7 +415,7 @@ TEST(HashCombineLayout, GrowingValueCrossesTheInlineLimit) {
   }
   runs = joins.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  records = read_run(runs[0], joins.format);
+  records = read_run(runs[0]);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], (FlatRecord{0, "k", expected}));
 }
@@ -434,7 +446,7 @@ TEST(HashCombineLayout, InlineEntryWhoseCombinerEmitsNothing) {
   h.table->insert(0, "back", "5");
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], (FlatRecord{0, "back", "100000005"}));
 }
@@ -473,7 +485,7 @@ TEST(HashCombineLayout, InlineEntryWhoseCombinerEmitsTwo) {
       expected.push_back(FlatRecord{0, key, value});
     }
   }
-  EXPECT_EQ(read_run(runs[0], h.format), expected);
+  EXPECT_EQ(read_run(runs[0]), expected);
 }
 
 TEST(HashCombineLayout, ResidentBytesCountWhatTheShardsHold) {
@@ -517,8 +529,7 @@ struct MapOutput {
 /// Runs one map task over `input` in the given combine mode.
 MapOutput run_map_output(const std::filesystem::path& input,
                          const std::filesystem::path& scratch,
-                         CombineMode mode, std::size_t watermark_bytes,
-                         std::uint32_t demote_flushes) {
+                         CombineMode mode, std::size_t watermark_bytes) {
   MapTaskConfig config;
   config.task_id = 0;
   config.split = io::InputSplit{input.string(), 0,
@@ -546,12 +557,35 @@ MapOutput run_map_output(const std::filesystem::path& input,
   config.combine_mode = mode;
   config.hash_combine_shards = 4;
   config.hash_combine_watermark_bytes = watermark_bytes;
-  config.hash_combine_demote_flushes = demote_flushes;
   const MapTaskResult result = run_map_task(config);
-  std::ifstream in(result.output.path, std::ios::binary);
-  return MapOutput{std::string(std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()),
-                   result.map_thread};
+  return MapOutput{read_file(result.output.path), result.map_thread};
+}
+
+/// Replays run_map_output's emit stream through a table of the hash
+/// task's shape; returns the largest resident_bytes() seen after an
+/// insert and the flush count.
+std::pair<std::size_t, std::uint64_t> replay_peak_resident(
+    const std::filesystem::path& input, const HashCombineConfig& config) {
+  TableHarness h(config);
+  const HashPartitioner partitioner(config.num_partitions);
+  std::size_t peak = 0;
+  std::ifstream in(input);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::size_t start = 0;
+    while (start < line.size()) {
+      std::size_t end = line.find(' ', start);
+      if (end == std::string::npos) end = line.size();
+      const std::string_view word(line.data() + start, end - start);
+      if (!word.empty()) {
+        h.table->insert(partitioner(word), word, "1");
+        peak = std::max(peak, h.table->resident_bytes());
+      }
+      start = end + 1;
+    }
+  }
+  (void)h.table->finish();
+  return {peak, h.table->stats().flushes};
 }
 
 TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
@@ -566,28 +600,37 @@ TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
       }
     }
   }
-  const MapOutput sorted = run_map_output(
-      input, dir.path() / "s", CombineMode::kSort, 0, 4);
-  const MapOutput hashed = run_map_output(
-      input, dir.path() / "h", CombineMode::kHash, 0, 4);
-  // Forced pressure: a 2 KiB watermark + demote-after-one-flush pushes
-  // every shard through flush AND demotion mid-stream.
-  const MapOutput demoted = run_map_output(
-      input, dir.path() / "d", CombineMode::kHash, 2048, 1);
+  const MapOutput sorted =
+      run_map_output(input, dir.path() / "s", CombineMode::kSort, 0);
+  const MapOutput hashed =
+      run_map_output(input, dir.path() / "h", CombineMode::kHash, 0);
+  // Forced pressure: a 2 KiB watermark flushes every shard mid-stream,
+  // many times over.
+  constexpr std::size_t kWatermark = 2048;
+  const MapOutput pressured =
+      run_map_output(input, dir.path() / "p", CombineMode::kHash, kWatermark);
   ASSERT_FALSE(sorted.bytes.empty());
   EXPECT_EQ(sorted.bytes, hashed.bytes)
       << "hash-combine output differs from sort path";
-  EXPECT_EQ(sorted.bytes, demoted.bytes)
-      << "watermark/demotion path output differs from sort path";
+  EXPECT_EQ(sorted.bytes, pressured.bytes)
+      << "watermark-flush output differs from sort path";
 
   // The table's counters reach the task's metrics.
   EXPECT_GT(hashed.map_thread.hash_combine_hits, 0u);
   EXPECT_EQ(hashed.map_thread.hash_combine_flushes, 0u);
-  EXPECT_EQ(hashed.map_thread.hash_combine_demotions, 0u);
-  EXPECT_GT(demoted.map_thread.hash_combine_hits, 0u);
-  EXPECT_GT(demoted.map_thread.hash_combine_flushes, 0u);
-  EXPECT_EQ(demoted.map_thread.hash_combine_demotions, 4u);  // every shard
+  EXPECT_GT(pressured.map_thread.hash_combine_hits, 0u);
+  EXPECT_GT(pressured.map_thread.hash_combine_flushes, 4u);
   EXPECT_EQ(sorted.map_thread.hash_combine_hits, 0u);
+
+  // The pressured task's stream, replayed through a table of its shape,
+  // stays within shards x watermark after every insert.
+  HashCombineConfig shape;
+  shape.num_shards = 4;
+  shape.num_partitions = 4;
+  shape.watermark_bytes = kWatermark;
+  const auto [peak, flushes] = replay_peak_resident(input, shape);
+  EXPECT_EQ(flushes, pressured.map_thread.hash_combine_flushes);
+  EXPECT_LE(peak, shape.num_shards * kWatermark);
 }
 
 }  // namespace

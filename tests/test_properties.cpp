@@ -22,15 +22,13 @@ struct EngineParams {
   std::size_t spill_buffer_kb;
   bool freqbuf;
   bool matcher;
-  io::SpillFormat format;
   std::string fail_spec;  // empty = no fault injection
 };
 
 void PrintTo(const EngineParams& p, std::ostream* os) {
   *os << "seed=" << p.corpus_seed << " alpha=" << p.alpha
       << " reducers=" << p.num_reducers << " buf=" << p.spill_buffer_kb
-      << "KiB freq=" << p.freqbuf << " matcher=" << p.matcher << " fmt="
-      << (p.format == io::SpillFormat::kCompactVarint ? "varint" : "fixed32")
+      << "KiB freq=" << p.freqbuf << " matcher=" << p.matcher
       << " fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec);
 }
 
@@ -52,7 +50,6 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
                              dir.file("s"), dir.file("o"), p.num_reducers);
   spec.spill_buffer_bytes = p.spill_buffer_kb * 1024;
   spec.use_spill_matcher = p.matcher;
-  spec.spill_format = p.format;
   if (p.freqbuf) {
     spec.freqbuf.enabled = true;
     spec.freqbuf.top_k = 40;
@@ -108,8 +105,6 @@ std::vector<EngineParams> equivalence_matrix() {
         params.push_back(EngineParams{
             ++seed, alpha, static_cast<std::uint32_t>(1 + seed % 4),
             static_cast<std::size_t>(seed % 2 == 0 ? 32 : 96), freq, matcher,
-            seed % 2 == 0 ? io::SpillFormat::kCompactVarint
-                          : io::SpillFormat::kFixed32,
             fail_specs[params.size() % std::size(fail_specs)]});
       }
     }
@@ -233,16 +228,17 @@ struct DiffParams {
   double alpha;  // corpus skew; ignored by the access-log datasets
   bool freqbuf;
   bool matcher;
-  io::SpillFormat format;
   std::size_t spill_buffer_kb;
   std::string fail_spec;  // empty = no fault injection
   bool skew = false;      // skew-aware partitioner on the optimized run
   // Map-side combine axis (DESIGN.md §15): 0 = sort-spill baseline,
   // 1 = sharded hash-combine, 2 = hash-combine with a tiny forced
-  // watermark + demote-after-one-flush (every shard flushes AND demotes
-  // mid-stream). All three must be byte-identical.
+  // watermark (every shard flushes mid-stream, many times). All three
+  // must be byte-identical.
   int combine = 0;
 };
+
+constexpr std::size_t kForcedWatermark = 2048;
 
 const char* combine_name(int combine) {
   return combine == 0 ? "sort" : combine == 1 ? "hash" : "hash-forced";
@@ -254,16 +250,21 @@ void apply_combine_mode(mr::JobSpec& spec, int combine) {
   if (combine == 0) return;
   spec.combine_mode = mr::CombineMode::kHash;
   spec.hash_combine_shards = 4;
-  if (combine == 2) {
-    spec.hash_combine_watermark_bytes = 2048;
-    spec.hash_combine_demote_flushes = 1;
-  }
+  if (combine == 2) spec.hash_combine_watermark_bytes = kForcedWatermark;
+}
+
+/// The forced-watermark cell's pressure contract: its shards flushed
+/// mid-stream. (Output identity is each grid's own check, and the table
+/// itself refuses to exceed num_shards x watermark after any insert.)
+void expect_forced_flushes(const mr::JobResult& result, int combine) {
+  if (combine != 2) return;
+  EXPECT_GT(result.metrics.work.hash_combine_flushes, 0u)
+      << "the forced watermark never flushed";
 }
 
 void PrintTo(const DiffParams& p, std::ostream* os) {
   *os << p.app << " seed=" << p.seed << " alpha=" << p.alpha
-      << " freq=" << p.freqbuf << " matcher=" << p.matcher << " fmt="
-      << (p.format == io::SpillFormat::kCompactVarint ? "varint" : "fixed32")
+      << " freq=" << p.freqbuf << " matcher=" << p.matcher
       << " buf=" << p.spill_buffer_kb
       << "KiB fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec)
       << " skew=" << p.skew << " combine=" << combine_name(p.combine);
@@ -371,7 +372,6 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   const auto configure_optimized = [&](mr::JobSpec& spec) {
     spec.spill_buffer_bytes = p.spill_buffer_kb * 1024;
     spec.use_spill_matcher = p.matcher;
-    spec.spill_format = p.format;
     if (p.freqbuf) {
       spec.freqbuf.enabled = true;
       spec.freqbuf.top_k = 60;
@@ -424,6 +424,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   if (!p.fail_spec.empty()) {
     EXPECT_GE(tasks_retried, 1u);
   }
+  expect_forced_flushes(result, p.combine);
 
   if (p.app == "AccessLogJoin") {
     // Join rows repeat per key and their order within a reduce group
@@ -500,8 +501,6 @@ std::vector<DiffParams> differential_matrix() {
           if (skew && fail == "dfs.open:nth=1") fail = "spill.read:nth=1";
           params.push_back(DiffParams{
               app, seed, alphas[seed % std::size(alphas)], freq, matcher,
-              seed % 2 == 0 ? io::SpillFormat::kCompactVarint
-                            : io::SpillFormat::kFixed32,
               static_cast<std::size_t>(seed % 3 == 0 ? 24 : 64),
               std::move(fail), skew, combine});
         }
@@ -609,6 +608,7 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
   // Every cell genuinely shuffles over loopback TCP — without this, a
   // silently-disabled shuffle service would pass the byte check.
   EXPECT_GT(result.metrics.work.shuffled_wire_bytes, 0u);
+  expect_forced_flushes(result, p.combine);
 
   ASSERT_EQ(result.outputs.size(), oracle.outputs.size());
   if (p.app == "AccessLogJoin") {

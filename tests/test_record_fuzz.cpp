@@ -112,35 +112,30 @@ using RecordTuple = std::tuple<std::uint32_t, std::string, std::string>;
 TEST(RecordFuzz, FrameHeaderRoundTripAndTruncationSafety) {
   const std::size_t sizes[] = {0,     1,     7,      8,     9,     127,
                                128,   16383, 16384,  65535, 65536, 70001};
-  for (const auto format :
-       {io::SpillFormat::kCompactVarint, io::SpillFormat::kFixed32}) {
-    for (const std::size_t klen : sizes) {
-      for (const std::size_t vlen : sizes) {
-        char header[io::kMaxFrameHeaderBytes];
-        const std::size_t header_size =
-            io::encode_frame_header(header, klen, vlen, format);
-        ASSERT_LE(header_size, io::kMaxFrameHeaderBytes);
+  for (const std::size_t klen : sizes) {
+    for (const std::size_t vlen : sizes) {
+      char header[io::kMaxFrameHeaderBytes];
+      const std::size_t header_size =
+          io::encode_frame_header(header, klen, vlen);
+      ASSERT_LE(header_size, io::kMaxFrameHeaderBytes);
 
-        std::string frame(header, header_size);
-        frame.append(klen, 'k');
-        frame.append(vlen, 'v');
-        const io::FrameHeader decoded = io::decode_frame_header(frame, format);
-        EXPECT_EQ(decoded.key_size, klen);
-        EXPECT_EQ(decoded.value_size, vlen);
-        EXPECT_EQ(decoded.header_size, header_size);
+      std::string frame(header, header_size);
+      frame.append(klen, 'k');
+      frame.append(vlen, 'v');
+      const io::FrameHeader decoded = io::decode_frame_header(frame);
+      EXPECT_EQ(decoded.key_size, klen);
+      EXPECT_EQ(decoded.value_size, vlen);
+      EXPECT_EQ(decoded.header_size, header_size);
 
-        // Every strict prefix must be rejected: either the header varint
-        // is cut short or the declared payload overruns the buffer.
-        for (const std::size_t cut :
-             {std::size_t{0}, header_size / 2, header_size,
-              frame.size() - 1}) {
-          if (cut >= frame.size()) continue;
-          EXPECT_THROW(io::decode_frame_header(
-                           std::string_view(frame.data(), cut), format),
-                       FormatError)
-              << "format=" << static_cast<int>(format) << " klen=" << klen
-              << " vlen=" << vlen << " cut=" << cut;
-        }
+      // Every strict prefix must be rejected: either the header varint
+      // is cut short or the declared payload overruns the buffer.
+      for (const std::size_t cut :
+           {std::size_t{0}, header_size / 2, header_size, frame.size() - 1}) {
+        if (cut >= frame.size()) continue;
+        EXPECT_THROW(
+            io::decode_frame_header(std::string_view(frame.data(), cut)),
+            FormatError)
+            << "klen=" << klen << " vlen=" << vlen << " cut=" << cut;
       }
     }
   }
@@ -150,9 +145,7 @@ TEST(RecordFuzz, ArenaRoundTripAdversarialRecords) {
   for (std::size_t iter = 0; iter < 4 * fuzz_scale(); ++iter) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + iter);
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
-    RecordArena arena(format);
+    RecordArena arena;
     std::vector<RecordTuple> expected;
     for (int i = 0; i < 400; ++i) {
       const auto partition = static_cast<std::uint32_t>(rng.next_below(4));
@@ -197,13 +190,11 @@ TEST(RecordFuzz, SortRecordsMatchesAStableReferenceSort) {
   for (std::size_t iter = 0; iter < 8 * fuzz_scale(); ++iter) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 50 + iter);
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
     const std::uint32_t partitions = iter % 4 < 2 ? 1 : 64;
     // Every fourth iteration is one hot key spanning the whole spill.
     const bool hot = iter % 4 == 3;
     const std::string hot_key = fuzz_key(rng);
-    RecordArena arena(format);
+    RecordArena arena;
     std::vector<RecordTuple> expected;
     for (int i = 0; i < 3000; ++i) {
       const auto partition =
@@ -242,9 +233,7 @@ TEST(RecordFuzz, SpillBufferRingWrapRoundTrip) {
   for (std::size_t iter = 0; iter < 2 * fuzz_scale(); ++iter) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 100 + iter);
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
-    SpillBuffer buffer(1 << 14, 0.5, /*max_outstanding=*/1, format);
+    SpillBuffer buffer(1 << 14, 0.5);
     std::vector<RecordTuple> collected;
     std::thread consumer([&] {
       while (auto spill = buffer.take()) {
@@ -276,17 +265,10 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 200 + iter);
     TempDir dir("textmr-record-fuzz");
-    // Arena/ring format and run-file format drawn independently: equal
-    // formats exercise the verbatim frame blit, unequal the re-encode.
-    const auto arena_format = rng.next_below(2) == 0
-                                  ? io::SpillFormat::kCompactVarint
-                                  : io::SpillFormat::kFixed32;
-    const auto run_format = rng.next_below(2) == 0
-                                ? io::SpillFormat::kCompactVarint
-                                : io::SpillFormat::kFixed32;
+    // Every uncombined record reaches the run as a verbatim frame blit.
     const auto partitions = static_cast<std::uint32_t>(1 + rng.next_below(3));
 
-    RecordArena arena(arena_format);
+    RecordArena arena;
     Spill spill;
     std::multiset<RecordTuple> expected;
     for (int i = 0; i < 250; ++i) {
@@ -305,11 +287,11 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
     TaskMetrics metrics;
     const auto info =
         sort_and_spill(spill, nullptr, dir.file("run").string(), partitions,
-                       run_format, metrics);
+                       io::SpillFormat::kCompactVarint, metrics);
     ASSERT_EQ(info.records, expected.size());
 
     // Pass 1: the streaming cursor (the merge input path).
-    io::SpillRunReader reader(info.path, run_format);
+    io::SpillRunReader reader(info.path);
     std::multiset<RecordTuple> streamed;
     for (std::uint32_t p = 0; p < partitions; ++p) {
       auto cursor = reader.open(p);
@@ -332,20 +314,19 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
     for (std::uint32_t p = 0; p < partitions; ++p) {
       const std::string bytes = reader.read_partition(p);
       ASSERT_EQ(bytes.size(), reader.extent(p).bytes);
-      const auto refs = index_frames(bytes, p, run_format);
+      const auto refs = index_frames(bytes, p);
       ASSERT_EQ(refs.size(), reader.extent(p).records);
       for (const RecordRef& ref : refs) {
-        const Frame frame = FrameStore{bytes, run_format}.frame(ref);
+        const Frame frame = FrameStore{bytes}.frame(ref);
         indexed.emplace(p, std::string(frame.key), std::string(frame.value));
         ASSERT_EQ(ref.key_prefix, key_prefix8(frame.key));
       }
       // A stream cut inside the final frame must be rejected, never
       // silently decoded.
       if (!bytes.empty()) {
-        EXPECT_THROW(index_frames(std::string_view(bytes.data(),
-                                                   bytes.size() - 1),
-                                  p, run_format),
-                     FormatError);
+        EXPECT_THROW(
+            index_frames(std::string_view(bytes.data(), bytes.size() - 1), p),
+            FormatError);
       }
     }
     ASSERT_EQ(indexed, expected);
@@ -357,13 +338,12 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 300 + iter);
     TempDir dir("textmr-merge-fuzz");
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
+    const auto format = io::SpillFormat::kCompactVarint;
     const std::uint32_t partitions = 2;
 
     std::vector<io::SpillRunInfo> runs;
     std::multiset<RecordTuple> expected;
-    RecordArena arena(format);
+    RecordArena arena;
     for (int run = 0; run < 4; ++run) {
       arena.clear();
       Spill spill;
@@ -389,7 +369,7 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
                                    partitions, format, merge_metrics);
     ASSERT_EQ(merged.records, expected.size());
 
-    io::SpillRunReader reader(merged.path, format);
+    io::SpillRunReader reader(merged.path);
     std::multiset<RecordTuple> actual;
     for (std::uint32_t p = 0; p < partitions; ++p) {
       auto cursor = reader.open(p);

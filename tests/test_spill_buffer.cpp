@@ -287,9 +287,9 @@ TEST(SpillBuffer, StressRandomSizesAllDelivered) {
 }
 
 TEST(SpillBuffer, SingleSlotSealsOnlyOneWithoutRelease) {
-  // With max_outstanding = 1 (Hadoop's structure), the second region
-  // cannot seal until the first spill releases.
-  SpillBuffer buffer(16 * 1024, 0.2, /*max_outstanding=*/1);
+  // One seal slot (Hadoop's structure): the second region cannot seal
+  // until the first spill releases.
+  SpillBuffer buffer(16 * 1024, 0.2);
   const std::string value(1000, 'v');
   for (int i = 0; i < 8; ++i) buffer.put(0, "a", value);
   EXPECT_EQ(buffer.spills_sealed(), 1u);
@@ -300,23 +300,51 @@ TEST(SpillBuffer, SingleSlotSealsOnlyOneWithoutRelease) {
   buffer.close();
 }
 
-TEST(SpillBuffer, OutOfSealOrderReleaseIsAnInternalError) {
-  // Two queued slots let two spills seal back-to-back; the single
-  // consumer must hand them back in seal order, so releasing the second
-  // first is a bug in the caller, not something to park and reorder.
-  SpillBuffer buffer(16 * 1024, 0.2, /*max_outstanding=*/2);
+TEST(SpillBuffer, FinalRegionSealsWhenTheOutstandingSpillReleases) {
+  // close() while a spill is taken but unreleased: the final region waits
+  // for the slot, then seals on release, flagged final.
+  SpillBuffer buffer(16 * 1024, 0.2);
   const std::string value(1000, 'v');
-  for (int i = 0; i < 8; ++i) buffer.put(0, "a", value);
-  ASSERT_EQ(buffer.spills_sealed(), 2u);
+  for (int i = 0; i < 4; ++i) buffer.put(0, "a", value);  // seals on the 4th
+  ASSERT_EQ(buffer.spills_sealed(), 1u);
   auto first = buffer.take();
-  auto second = buffer.take();
   ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_THROW(buffer.release(*second, 10), InternalError);
-  // The in-order release still works and frees the ring.
-  buffer.release(*first, 10);
-  buffer.release(*second, 10);
+  EXPECT_FALSE(first->is_final);
+  buffer.put(0, "b", value);
   buffer.close();
+  EXPECT_EQ(buffer.spills_sealed(), 1u);  // the slot is still taken
+  buffer.release(*first, 10);
+  EXPECT_EQ(buffer.spills_sealed(), 2u);
+  auto last = buffer.take();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(last->is_final);
+  EXPECT_EQ(last->records.size(), 1u);
+  buffer.release(*last, 10);
+  EXPECT_FALSE(buffer.take().has_value());
+}
+
+TEST(SpillBuffer, ReleaseMustNameTheOutstandingSpill) {
+  // The single consumer hands back the spill it took; anything else — a
+  // spill with another sequence, or a second release — is a bug in the
+  // caller, not something to park and reorder.
+  SpillBuffer buffer(16 * 1024, 0.2);
+  const std::string value(1000, 'v');
+  for (int i = 0; i < 5; ++i) buffer.put(0, "a", value);
+  auto taken = buffer.take();
+  ASSERT_TRUE(taken.has_value());
+  Spill other = *taken;
+  other.sequence += 1;
+  EXPECT_THROW(buffer.release(other, 10), InternalError);
+  buffer.release(*taken, 10);
+  EXPECT_THROW(buffer.release(*taken, 10), InternalError);
+  buffer.close();
+}
+
+TEST(SpillBuffer, ConstructorRejectsAnyOtherSlotCount) {
+  for (const std::uint32_t slots : {0u, 2u, 3u, 64u}) {
+    EXPECT_THROW(SpillBuffer(16 * 1024, 0.2, slots), InternalError) << slots;
+  }
+  EXPECT_NO_THROW(SpillBuffer(16 * 1024, 0.2, 1));
 }
 
 }  // namespace

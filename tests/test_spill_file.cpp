@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/tempdir.hpp"
+#include "common/varint.hpp"
 #include "io/spill_file.hpp"
 
 namespace textmr::io {
@@ -16,16 +17,14 @@ struct Rec {
   std::string value;
 };
 
-class SpillFileFormatTest : public ::testing::TestWithParam<SpillFormat> {};
-
-TEST_P(SpillFileFormatTest, RoundTripsMultiplePartitions) {
+TEST(SpillFile, RoundTripsMultiplePartitions) {
   TempDir dir;
   const auto path = dir.file("run").string();
   const std::vector<Rec> records = {
       {0, "apple", "1"}, {0, "banana", "22"}, {1, "car", ""},
       {2, "dog", "value with spaces"}, {2, "dog", "another"},
   };
-  SpillRunWriter writer(path, 3, GetParam());
+  SpillRunWriter writer(path, 3);
   for (const auto& r : records) writer.append(r.partition, r.key, r.value);
   const auto info = writer.finish();
   EXPECT_EQ(info.records, records.size());
@@ -34,7 +33,7 @@ TEST_P(SpillFileFormatTest, RoundTripsMultiplePartitions) {
   EXPECT_EQ(info.partitions[1].records, 1u);
   EXPECT_EQ(info.partitions[2].records, 2u);
 
-  SpillRunReader reader(path, GetParam());
+  SpillRunReader reader(path);
   ASSERT_EQ(reader.num_partitions(), 3u);
   for (std::uint32_t p = 0; p < 3; ++p) {
     auto cursor = reader.open(p);
@@ -49,14 +48,14 @@ TEST_P(SpillFileFormatTest, RoundTripsMultiplePartitions) {
   }
 }
 
-TEST_P(SpillFileFormatTest, EmptyPartitionsAreReadable) {
+TEST(SpillFile, EmptyPartitionsAreReadable) {
   TempDir dir;
   const auto path = dir.file("run").string();
-  SpillRunWriter writer(path, 4, GetParam());
+  SpillRunWriter writer(path, 4);
   writer.append(2, "only", "record");
   writer.finish();
 
-  SpillRunReader reader(path, GetParam());
+  SpillRunReader reader(path);
   for (const std::uint32_t p : {0u, 1u, 3u}) {
     auto cursor = reader.open(p);
     EXPECT_FALSE(cursor.next().has_value()) << p;
@@ -65,18 +64,18 @@ TEST_P(SpillFileFormatTest, EmptyPartitionsAreReadable) {
   EXPECT_TRUE(cursor.next().has_value());
 }
 
-TEST_P(SpillFileFormatTest, CompletelyEmptyRun) {
+TEST(SpillFile, CompletelyEmptyRun) {
   TempDir dir;
   const auto path = dir.file("run").string();
-  SpillRunWriter writer(path, 2, GetParam());
+  SpillRunWriter writer(path, 2);
   const auto info = writer.finish();
   EXPECT_EQ(info.records, 0u);
-  SpillRunReader reader(path, GetParam());
+  SpillRunReader reader(path);
   EXPECT_FALSE(reader.open(0).next().has_value());
   EXPECT_FALSE(reader.open(1).next().has_value());
 }
 
-TEST_P(SpillFileFormatTest, LargeValuesCrossReadChunks) {
+TEST(SpillFile, LargeValuesCrossReadChunks) {
   TempDir dir;
   const auto path = dir.file("run").string();
   Xoshiro256 rng(3);
@@ -85,11 +84,11 @@ TEST_P(SpillFileFormatTest, LargeValuesCrossReadChunks) {
     std::string value(1 << 15, static_cast<char>('a' + (i % 26)));
     records.push_back({0, "key" + std::to_string(i), std::move(value)});
   }
-  SpillRunWriter writer(path, 1, GetParam());
+  SpillRunWriter writer(path, 1);
   for (const auto& r : records) writer.append(r.partition, r.key, r.value);
   writer.finish();
 
-  SpillRunReader reader(path, GetParam());
+  SpillRunReader reader(path);
   auto cursor = reader.open(0);
   for (const auto& r : records) {
     auto got = cursor.next();
@@ -100,25 +99,21 @@ TEST_P(SpillFileFormatTest, LargeValuesCrossReadChunks) {
   EXPECT_FALSE(cursor.next().has_value());
 }
 
-TEST_P(SpillFileFormatTest, BinaryKeysAndValuesSurvive) {
+TEST(SpillFile, BinaryKeysAndValuesSurvive) {
   TempDir dir;
   const auto path = dir.file("run").string();
   const std::string key("k\0ey\xff", 5);
   const std::string value("\x00\x80\xff", 3);
-  SpillRunWriter writer(path, 1, GetParam());
+  SpillRunWriter writer(path, 1);
   writer.append(0, key, value);
   writer.finish();
-  SpillRunReader reader(path, GetParam());
+  SpillRunReader reader(path);
   auto cursor = reader.open(0);
   auto got = cursor.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->key, key);
   EXPECT_EQ(got->value, value);
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, SpillFileFormatTest,
-                         ::testing::Values(SpillFormat::kCompactVarint,
-                                           SpillFormat::kFixed32));
 
 TEST(SpillFile, RejectsDecreasingPartitionOrder) {
   TempDir dir;
@@ -170,6 +165,80 @@ TEST(SpillFile, ReaderRejectsTinyFile) {
   EXPECT_THROW(SpillRunReader reader(path), FormatError);
 }
 
+/// Writes `stream` followed by a run footer naming `extents`.
+void write_run(const std::string& path, std::string_view stream,
+               const std::vector<PartitionExtent>& extents) {
+  std::string bytes(stream);
+  for (const PartitionExtent& e : extents) {
+    put_fixed64(bytes, e.offset);
+    put_fixed64(bytes, e.bytes);
+    put_fixed64(bytes, e.records);
+  }
+  put_fixed32(bytes, static_cast<std::uint32_t>(extents.size()));
+  put_fixed32(bytes, 0x54585252);  // "TXRR"
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(SpillFile, ReaderRejectsFooterExtentPastTheStream) {
+  TempDir dir;
+  const auto path = dir.file("run").string();
+  SpillRunWriter writer(path, 2);
+  writer.append(0, "apple", "1");
+  writer.append(1, "banana", "22");
+  const SpillRunInfo info = writer.finish();
+  ASSERT_NO_THROW(SpillRunReader reader(path));
+
+  // One flipped high byte in partition 0's `bytes` field: the extent now
+  // claims ~2^56 bytes, which a bulk read would try to allocate.
+  std::vector<PartitionExtent> extents = info.partitions;
+  std::string stream(info.bytes, '\0');
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(stream.data(), 1, stream.size(), f), stream.size());
+    std::fclose(f);
+  }
+  extents[0].bytes ^= std::uint64_t{0x5a} << 56;
+  write_run(path, stream, extents);
+  EXPECT_THROW(SpillRunReader reader(path), FormatError);
+
+  // An extent one byte past the end, and one whose offset + bytes wraps.
+  extents = info.partitions;
+  extents[1].bytes += 1;
+  write_run(path, stream, extents);
+  EXPECT_THROW(SpillRunReader reader(path), FormatError);
+  extents = info.partitions;
+  extents[1].offset = ~std::uint64_t{0};
+  extents[1].bytes = 2;
+  write_run(path, stream, extents);
+  EXPECT_THROW(SpillRunReader reader(path), FormatError);
+
+  // The untouched footer still opens and reads.
+  write_run(path, stream, info.partitions);
+  EXPECT_EQ(SpillRunReader(path).read_partition(1).size(),
+            info.partitions[1].bytes);
+}
+
+TEST(SpillFile, CursorRejectsAFrameLengthThatWraps) {
+  // klen = 2^64 - 3 as a 10-byte varint, vlen = 8: header + klen + vlen
+  // wraps to 16 bytes, which a sum-based bound would accept.
+  std::string stream;
+  put_varint(stream, ~std::uint64_t{0} - 2);
+  put_varint(stream, 8);
+  ASSERT_EQ(stream.size(), 11u);
+  stream += "0123456789abc";
+  EXPECT_THROW(decode_frame_header(stream), FormatError);
+
+  TempDir dir;
+  const auto path = dir.file("run").string();
+  write_run(path, stream, {PartitionExtent{0, stream.size(), 1}});
+  RunCursor cursor = SpillRunReader(path).open(0);
+  EXPECT_THROW(cursor.next(), FormatError);
+}
+
 TEST(EncodedRecordSize, MatchesActualEncoding) {
   Xoshiro256 rng(9);
   for (int i = 0; i < 200; ++i) {
@@ -177,12 +246,9 @@ TEST(EncodedRecordSize, MatchesActualEncoding) {
     const std::size_t vlen = rng.next_below(5000);
     const std::string key(klen, 'k');
     const std::string value(vlen, 'v');
-    for (const auto format :
-         {SpillFormat::kCompactVarint, SpillFormat::kFixed32}) {
-      std::string out;
-      encode_record(out, key, value, format);
-      EXPECT_EQ(out.size(), encoded_record_size(klen, vlen, format));
-    }
+    std::string out;
+    encode_record(out, key, value);
+    EXPECT_EQ(out.size(), encoded_record_size(klen, vlen));
   }
 }
 
@@ -196,8 +262,7 @@ TEST(SpillFile, InfoByteCountsAreConsistent) {
     const std::string key = "key" + std::to_string(i);
     const std::string value(static_cast<std::size_t>(i % 50), 'x');
     writer.append(p, key, value);
-    expected_bytes += encoded_record_size(key.size(), value.size(),
-                                          SpillFormat::kCompactVarint);
+    expected_bytes += encoded_record_size(key.size(), value.size());
   }
   const auto info = writer.finish();
   EXPECT_EQ(info.bytes, expected_bytes);

@@ -174,8 +174,7 @@ struct ShuffleRig {
 
   explicit ShuffleRig(std::uint32_t partitions = 3) {
     run_path = dir.file("map0_a0_final").string();
-    io::SpillRunWriter writer(run_path, partitions,
-                              io::SpillFormat::kCompactVarint);
+    io::SpillRunWriter writer(run_path, partitions);
     writer.append(0, "apple", "1");
     writer.append(0, "avocado", "2");
     writer.append(1, "banana", "3");
@@ -198,7 +197,7 @@ TEST(ShuffleService, FetchesEveryPartitionBitExact) {
   ASSERT_NE(server.endpoint().port, 0);
 
   ShuffleClient client;
-  io::SpillRunReader reader(rig.run_path, io::SpillFormat::kCompactVarint);
+  io::SpillRunReader reader(rig.run_path);
   std::uint64_t expected_bytes = 0;
   for (std::uint32_t p = 0; p < 3; ++p) {
     const auto fetched = client.fetch(server.endpoint(), rig.info, p);
@@ -226,7 +225,7 @@ TEST(ShuffleService, PathOutsideRootIsRejectedWithoutRetry) {
   TempDir other;
   const auto outside = other.file("evil_final").string();
   {
-    io::SpillRunWriter writer(outside, 1, io::SpillFormat::kCompactVarint);
+    io::SpillRunWriter writer(outside, 1);
     writer.append(0, "secret", "1");
     writer.finish();
   }
@@ -279,7 +278,7 @@ TEST(ShuffleService, ServeFailpointDropsConnectionClientRetries) {
   failpoint::ScopedFailpoints guard("shuffle.serve:nth=1");
   const auto fetched = client.fetch(server.endpoint(), rig.info, 0);
   ASSERT_TRUE(fetched.has_value());
-  io::SpillRunReader reader(rig.run_path, io::SpillFormat::kCompactVarint);
+  io::SpillRunReader reader(rig.run_path);
   EXPECT_EQ(*fetched, reader.read_partition(0));
 }
 
