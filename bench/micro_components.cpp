@@ -66,11 +66,11 @@ void BM_LruOffer(benchmark::State& state) {
 }
 BENCHMARK(BM_LruOffer)->Arg(1000)->Arg(10000);
 
-void BM_AdmissionTableHit(benchmark::State& state) {
+void BM_FreqTableHit(benchmark::State& state) {
   // FreqOpt's path after the freeze: the controller offers each record to
-  // the combine table, which admits the frozen top-3000 set and combines
-  // WordCount's counters in place. Timed like the map thread drives it:
-  // one offer in kTimingSamplePeriod reads the clock.
+  // the combine table, which holds the frozen top-3000 set pinned and
+  // combines WordCount's counters in place. Timed like the map thread
+  // drives it: one offer in kTimingSamplePeriod reads the clock.
   class NullTarget final : public mr::HashCombineShards::FlushTarget {
     void put(std::uint32_t, std::string_view, std::string_view) override {}
     void seal() override {}
@@ -87,8 +87,9 @@ void BM_AdmissionTableHit(benchmark::State& state) {
   std::vector<std::string> hot;
   for (int i = 1; i <= 3000; ++i) hot.push_back(textgen::word_for_rank(i));
   cache.put(hot);  // frozen set: the controller starts in kOptimize
-  freqbuf::FreqBufferController controller(freq_config, table, metrics, &cache,
-                                           nullptr, &sampler);
+  const mr::SkewAwarePartitioner partitioner(1, nullptr, 0);
+  freqbuf::FreqBufferController controller(freq_config, table, partitioner,
+                                           metrics, &cache, nullptr, &sampler);
   const auto keys = zipf_keys(1 << 16, 1.0);
   std::string value;
   put_varint(value, 1);
@@ -100,7 +101,7 @@ void BM_AdmissionTableHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AdmissionTableHit);
+BENCHMARK(BM_FreqTableHit);
 
 void BM_SpillBufferPipeline(benchmark::State& state) {
   // Producer/consumer throughput of the circular buffer at a given spill

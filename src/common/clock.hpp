@@ -44,7 +44,6 @@ class ManualClock final : public Clock {
     now_ns_.fetch_add(delta_ns, std::memory_order_acq_rel);
   }
   void advance_ms(std::uint64_t delta_ms) { advance_ns(delta_ms * 1000000); }
-  void set_ns(std::uint64_t ns) { now_ns_.store(ns, std::memory_order_release); }
 
  private:
   std::atomic<std::uint64_t> now_ns_;

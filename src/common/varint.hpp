@@ -34,26 +34,7 @@ inline std::uint64_t get_varint(std::string_view in, std::size_t& pos) {
   }
 }
 
-/// ZigZag for signed values (PageRank deltas etc.).
-constexpr std::uint64_t zigzag_encode(std::int64_t v) noexcept {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-constexpr std::int64_t zigzag_decode(std::uint64_t v) noexcept {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-inline void put_varint_signed(std::string& out, std::int64_t value) {
-  put_varint(out, zigzag_encode(value));
-}
-
-inline std::int64_t get_varint_signed(std::string_view in, std::size_t& pos) {
-  return zigzag_decode(get_varint(in, pos));
-}
-
-/// Fixed-width little-endian u32/u64 and IEEE double, for formats where
+/// Fixed-width little-endian u32/u64, for formats where
 /// random access matters more than size.
 inline void put_fixed32(std::string& out, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(value >> (8 * i)));
@@ -82,20 +63,6 @@ inline std::uint64_t get_fixed64(std::string_view in, std::size_t& pos) {
              << (8 * i);
   }
   pos += 8;
-  return value;
-}
-
-inline void put_double(std::string& out, double value) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  __builtin_memcpy(&bits, &value, sizeof(bits));
-  put_fixed64(out, bits);
-}
-
-inline double get_double(std::string_view in, std::size_t& pos) {
-  const std::uint64_t bits = get_fixed64(in, pos);
-  double value;
-  __builtin_memcpy(&value, &bits, sizeof(value));
   return value;
 }
 

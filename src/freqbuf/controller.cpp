@@ -55,7 +55,8 @@ std::optional<std::vector<std::string>> NodeKeyCache::decode_keys(
   }
   bytes.remove_prefix(sizeof(kKeyCacheMagic));
   std::uint32_t count = 0;
-  if (!read_u32(bytes, count)) return std::nullopt;
+  // Each key takes at least its 4-byte length; never reserve more keys.
+  if (!read_u32(bytes, count) || count > bytes.size() / 4) return std::nullopt;
   std::vector<std::string> keys;
   keys.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -100,14 +101,13 @@ void NodeKeyCache::attach_file(std::filesystem::path path) {
   }
 }
 
-FreqBufferController::FreqBufferController(const FreqBufConfig& config,
-                                           mr::HashCombineShards& table,
-                                           mr::TaskMetrics& metrics,
-                                           NodeKeyCache* node_cache,
-                                           obs::TraceBuffer* trace,
-                                           mr::OpSampler* sampler)
+FreqBufferController::FreqBufferController(
+    const FreqBufConfig& config, mr::HashCombineShards& table,
+    const mr::SkewAwarePartitioner& partitioner, mr::TaskMetrics& metrics,
+    NodeKeyCache* node_cache, obs::TraceBuffer* trace, mr::OpSampler* sampler)
     : config_(config),
       table_(table),
+      partitioner_(partitioner),
       metrics_(metrics),
       node_cache_(node_cache),
       trace_(trace),
@@ -204,11 +204,18 @@ void FreqBufferController::freeze_keys() {
 void FreqBufferController::start_optimize(std::vector<std::string> keys) {
   if (!table_.has_combiner()) {
     // Without a combiner the table could only delay data, not shrink it
-    // (pure overhead); keep the profiling cost honest but absorb nothing,
+    // (pure overhead); keep the profiling cost honest but pin nothing,
     // matching the paper's ~100% runtime for AccessLogJoin (Table III).
     keys.clear();
   }
-  table_.admit_only(std::move(keys));
+  // In rank order, once per partition the key can be routed to.
+  std::vector<std::pair<std::uint32_t, std::string>> pins;
+  std::vector<std::uint32_t> partitions;
+  for (const std::string& key : keys) {
+    partitioner_.partitions(key, partitions);
+    for (const std::uint32_t p : partitions) pins.emplace_back(p, key);
+  }
+  table_.pin(pins);
   stage_ = Stage::kOptimize;
 }
 

@@ -23,8 +23,6 @@ struct RecordView {
   std::string_view key;
   std::string_view value;
 
-  Record to_record() const { return Record{std::string(key), std::string(value)}; }
-
   friend bool operator==(const RecordView&, const RecordView&) = default;
 };
 

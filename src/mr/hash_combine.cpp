@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -48,6 +49,16 @@ inline std::uint64_t load_key_head(std::string_view key) {
     std::memcpy(&head, key.data(), std::min<std::size_t>(key.size(), 8));
   }
   return head;
+}
+
+/// The slot hash remixes the key hash with the partition: entries are
+/// keyed by (partition, key) — the skew partitioner round-robins one split
+/// key across partitions, and those streams must combine apart. Its high
+/// half is the tag; a probe starts at the tag's low bits.
+inline std::uint32_t slot_tag(std::uint64_t key_hash,
+                              std::uint32_t partition) {
+  return static_cast<std::uint32_t>(
+      mix64(key_hash + partition * 0x9e3779b97f4a7c15ULL) >> 32);
 }
 
 /// ValueStream over an entry's values — the one held inside the entry, or
@@ -170,36 +181,31 @@ HashCombineShards::HashCombineShards(const HashCombineConfig& config,
 
 HashCombineShards::~HashCombineShards() = default;
 
-void HashCombineShards::admit_only(std::vector<std::string> keys) {
-  Admission admission;
-  admission.keys = std::move(keys);
-  const std::size_t count = admission.keys.size();
-  std::size_t size = 1;
-  while (size < count * 2) size <<= 1;
-  admission.slots.assign(size, 0);
-  admission.hashes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t hash = hash_key(admission.keys[i]);
-    admission.hashes.push_back(hash);
-    std::uint64_t j = hash & (size - 1);
-    while (admission.slots[j] != 0) j = (j + 1) & (size - 1);
-    admission.slots[j] = static_cast<std::uint32_t>(i + 1);
-  }
-  admission_ = std::move(admission);
+std::uint32_t HashCombineShards::shard_of(std::uint64_t key_hash) const {
+  // Shard from the high bits, slot index from a remix of the low: using
+  // the same bits for both would leave every shard's table clustered in
+  // 1/P of its slots.
+  return static_cast<std::uint32_t>((key_hash >> 32) % config_.num_shards);
 }
 
-bool HashCombineShards::admitted(std::uint64_t hash,
-                                 std::string_view key) const {
-  if (!admission_.has_value()) return true;
-  const Admission& admission = *admission_;
-  const std::uint64_t mask = admission.slots.size() - 1;
-  for (std::uint64_t j = hash & mask;; j = (j + 1) & mask) {
-    const std::uint32_t idx = admission.slots[j];
-    if (idx == 0) return false;
-    if (admission.hashes[idx - 1] == hash && admission.keys[idx - 1] == key) {
-      return true;
-    }
+void HashCombineShards::pin(
+    const std::vector<std::pair<std::uint32_t, std::string>>& keys) {
+  TEXTMR_CHECK(!pinned_ && stats_.records == 0,
+               "a hash-combine table is pinned once, before any insert");
+  pinned_ = true;
+  for (const auto& [partition, key] : keys) {
+    const std::uint64_t h = hash_key(key);
+    Shard& shard = shards_[shard_of(h)];
+    const std::size_t slots = slots_needed(shard);
+    const std::size_t floor =
+        (shard.entries.size() + 1) * sizeof(Entry) + shard.keys.size() +
+        (key.size() > kInlineBytes ? key.size() : 0) + slots * sizeof(Slot);
+    if (floor > watermark_) continue;  // its records go to the ring
+    if (slots != shard.slots.size()) grow_slots(shard, slots);
+    lookup(shard, h, partition, key, /*add=*/true);
   }
+  // The floor counts entry capacity: drop what push_back over-reserved.
+  for (Shard& shard : shards_) shard.entries.shrink_to_fit();
 }
 
 std::size_t HashCombineShards::shard_bytes(const Shard& shard) const {
@@ -258,10 +264,6 @@ void HashCombineShards::set_value(Shard& shard, Entry& entry,
 
 void HashCombineShards::append_value(Shard& shard, Entry& entry,
                                      std::string_view value) {
-  if (entry.value_size == kNil) {
-    set_value(shard, entry, value, false);
-    return;
-  }
   if (entry.value_size != kHeapValue) {
     // A chain starts in the heap: the held value moves to the first block.
     const std::uint32_t head = alloc_block(
@@ -275,9 +277,13 @@ void HashCombineShards::append_value(Shard& shard, Entry& entry,
   heap.tail = block;
 }
 
-void HashCombineShards::grow_slots(Shard& shard) {
-  const std::size_t size =
-      shard.slots.empty() ? 64 : shard.slots.size() * 2;
+std::size_t HashCombineShards::slots_needed(const Shard& shard) {
+  const std::size_t size = shard.slots.size();
+  if (shard.entries.size() + 1 <= size * 7 / 10) return size;
+  return size == 0 ? 8 : size * 2;  // small: a FreqOpt shard pins a few
+}
+
+void HashCombineShards::grow_slots(Shard& shard, std::size_t size) {
   // A probe starts at the tag's low bits, so the tags alone rehash.
   std::vector<Slot> slots(size, Slot{0, 0});
   const std::uint64_t mask = size - 1;
@@ -374,19 +380,13 @@ void HashCombineShards::combine(Shard& shard, Entry& entry,
   }
 }
 
-void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
-                                    std::uint32_t partition,
-                                    std::string_view key,
-                                    std::string_view value) {
-  if (shard.entries.size() + 1 > shard.slots.size() * 7 / 10) {
-    grow_slots(shard);
-  }
-  // The slot hash remixes the key hash with the partition: entries are
-  // keyed by (partition, key) — the skew partitioner round-robins one
-  // split key across partitions, and those streams must combine apart.
-  // Its high half is the tag; the probe starts at the tag's low bits.
-  const auto tag = static_cast<std::uint32_t>(
-      mix64(key_hash + partition * 0x9e3779b97f4a7c15ULL) >> 32);
+HashCombineShards::Entry* HashCombineShards::lookup(Shard& shard,
+                                                   std::uint64_t key_hash,
+                                                   std::uint32_t partition,
+                                                   std::string_view key,
+                                                   bool add) {
+  if (shard.slots.empty()) return nullptr;  // a pinned shard with no pins
+  const std::uint32_t tag = slot_tag(key_hash, partition);
   const std::uint64_t head = load_key_head(key);
   const std::uint64_t mask = shard.slots.size() - 1;
   std::uint64_t j = tag & mask;
@@ -401,23 +401,16 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
     // (tests/test_hash_combine.cpp).
     std::uint64_t entry_head = 0;
     std::memcpy(&entry_head, entry.key_head, sizeof(entry_head));
-    if (entry_head != head || entry.key_size != key.size() ||
-        entry.partition != partition ||
-        (key.size() > kInlineBytes &&
+    if (entry_head == head && entry.key_size == key.size() &&
+        entry.partition == partition &&
+        (key.size() <= kInlineBytes ||
          std::memcmp(shard.keys.data() + entry.key_offset + kInlineBytes,
                      key.data() + kInlineBytes,
-                     key.size() - kInlineBytes) != 0)) {
-      continue;
+                     key.size() - kInlineBytes) == 0)) {
+      return &entry;
     }
-    ++stats_.hits;
-    if (combiner_ != nullptr && entry.value_size != kNil &&
-        (entry.value_size != kHeapValue || entry.value.heap.tail == kNil)) {
-      combine(shard, entry, &value);
-    } else {
-      append_value(shard, entry, value);
-    }
-    return;
   }
+  if (!add) return nullptr;
   // New key. A long key goes whole to the shard's key store; the entry
   // keeps its offset, never a view — the next insert may reallocate the
   // store (the lifetime bug the static analyzer hunts, DESIGN.md §15).
@@ -425,29 +418,41 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
   std::memcpy(entry.key_head, &head, sizeof(head));
   entry.key_size = static_cast<std::uint32_t>(key.size());
   entry.partition = partition;
+  entry.value_size = kNil;
   if (key.size() > kInlineBytes) {
     TEXTMR_CHECK(shard.keys.size() + key.size() < kNil,
                  "hash-combine shard key store overflow");
     entry.key_offset = static_cast<std::uint32_t>(shard.keys.size());
     shard.keys.insert(shard.keys.end(), key.begin(), key.end());
   }
-  set_value(shard, entry, value, combiner_ != nullptr);
   shard.entries.push_back(entry);
   shard.slots[j] = Slot{tag, static_cast<std::uint32_t>(shard.entries.size())};
+  return &shard.entries.back();
 }
 
 bool HashCombineShards::insert(std::uint32_t partition, std::string_view key,
                                std::string_view value) {
   const std::uint64_t h = hash_key(key);
-  if (!admitted(h, key)) return false;
-  ++stats_.records;
-  // Shard from the high bits, slot index (inside hash_insert) from a
-  // remix of the low: using the same bits for both would leave every
-  // shard's table clustered in 1/P of its slots.
-  const std::uint32_t shard_index =
-      static_cast<std::uint32_t>((h >> 32) % config_.num_shards);
+  const std::uint32_t shard_index = shard_of(h);
   Shard& shard = shards_[shard_index];
-  hash_insert(shard, h, partition, key, value);
+  if (!pinned_ && slots_needed(shard) != shard.slots.size()) {
+    grow_slots(shard, slots_needed(shard));
+  }
+  Entry* entry = lookup(shard, h, partition, key, !pinned_);
+  if (entry == nullptr) return false;
+  ++stats_.records;
+  if (entry->value_size == kNil) {
+    // A new key's first value, or a pinned key's first since the flush.
+    set_value(shard, *entry, value, combiner_ != nullptr);
+  } else {
+    ++stats_.hits;
+    if (combiner_ != nullptr && (entry->value_size != kHeapValue ||
+                                 entry->value.heap.tail == kNil)) {
+      combine(shard, *entry, &value);
+    } else {
+      append_value(shard, *entry, value);
+    }
+  }
   if (shard_bytes(shard) > watermark_) {
     flush(shard_index, shard_index + 1);
     ++stats_.flushes;
@@ -516,15 +521,20 @@ void HashCombineShards::flush(std::size_t first, std::size_t last) {
   }
   span.arg("records", static_cast<double>(records));
 
-  // Reset the shards but keep every allocation (key store, entry and
-  // slot capacity, the value heap) — refills are allocation-free — unless
-  // the entry and slot capacity alone outgrew half the watermark: kept,
-  // they would leave the shard flushing on almost every insert.
+  // A pinned shard keeps its floor (entries, key store, slots) and loses
+  // its values. Any other is reset but keeps every allocation — refills
+  // are allocation-free — unless the entry and slot capacity alone
+  // outgrew half the watermark: kept, they would leave the shard
+  // flushing on almost every insert.
   for (std::size_t s = first; s < last; ++s) {
     Shard& shard = shards_[s];
+    shard.values.clear();
+    if (pinned_) {
+      for (Entry& entry : shard.entries) entry.value_size = kNil;
+      continue;
+    }
     shard.entries.clear();
     shard.keys.clear();
-    shard.values.clear();
     if (shard_bytes(shard) > watermark_ / 2) {
       shard.entries = std::vector<Entry>();
       shard.slots = std::vector<Slot>();

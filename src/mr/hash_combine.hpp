@@ -7,8 +7,8 @@
 // the entry, which holds the key's first 8 bytes, its size and its
 // partition, so a key of 8 bytes or less needs no other compare). Which
 // keys the table takes is data: by default every key (hash mode);
-// FreqOpt restricts it to the frozen frequent set (paper §III-A) and the
-// rest go to the ring.
+// FreqOpt pins the frozen frequent set (paper §III-B) as entries with no
+// value, the table takes only those, and the rest go to the ring.
 //
 // Combine rule: a hit combines in place while the result fits the
 // entry's value block — a value of 8 bytes or less lives inside the
@@ -27,9 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "io/spill_file.hpp"
@@ -57,7 +57,7 @@ struct HashCombineConfig {
 };
 
 struct HashCombineStats {
-  std::uint64_t records = 0;  // inserts admitted
+  std::uint64_t records = 0;  // inserts taken
   std::uint64_t hits = 0;     // probe hits (combined or chained in place)
   std::uint64_t flushes = 0;  // watermark flushes (hash shards)
 };
@@ -96,13 +96,17 @@ class HashCombineShards {
   HashCombineShards(const HashCombineShards&) = delete;
   HashCombineShards& operator=(const HashCombineShards&) = delete;
 
-  /// Admits only `keys` from now on (FreqOpt's frozen set); without a
-  /// call every key is admitted.
-  void admit_only(std::vector<std::string> keys);
+  /// Makes `keys` ((partition, key) in rank order: FreqOpt's frozen set)
+  /// the only entries the table takes, pinned with no value, while each
+  /// shard's floor (entries, long keys and slots, as this pin grows them)
+  /// stays within its watermark; a pin that does not fit is left out. A
+  /// pinned table never grows. Call once, before any insert; without a
+  /// call every key is taken.
+  void pin(const std::vector<std::pair<std::uint32_t, std::string>>& keys);
 
   /// Routes one map-output record into its shard's table. Flushes the
   /// shard when it breaches the watermark. Returns false, and keeps
-  /// nothing, when the key is not admitted.
+  /// nothing, when the table is pinned and (partition, key) is not.
   bool insert(std::uint32_t partition, std::string_view key,
               std::string_view value);
 
@@ -169,17 +173,11 @@ class HashCombineShards {
     std::vector<char> values;  // value blocks (offset-addressed)
   };
 
-  /// The admitted keys: open addressing on hash_key, full-key confirm.
-  struct Admission {
-    std::vector<std::string> keys;
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::uint32_t> slots;  // key index + 1; 0 = empty
-  };
-
-  bool admitted(std::uint64_t hash, std::string_view key) const;
-  void hash_insert(Shard& shard, std::uint64_t key_hash,
-                   std::uint32_t partition, std::string_view key,
-                   std::string_view value);
+  std::uint32_t shard_of(std::uint64_t key_hash) const;
+  /// The entry of (partition, key); when absent, a new one with no value
+  /// if `add` (the slot array must have room), else null.
+  Entry* lookup(Shard& shard, std::uint64_t key_hash, std::uint32_t partition,
+                std::string_view key, bool add);
   /// Runs the combiner over the entry's values (then `incoming`, when
   /// given) and stores the result by the in-place-or-chain rule.
   void combine(Shard& shard, Entry& entry,
@@ -196,10 +194,12 @@ class HashCombineShards {
   std::uint32_t alloc_block(Shard& shard, std::string_view value,
                             bool slack);
   std::size_t shard_bytes(const Shard& shard) const;
-  void grow_slots(Shard& shard);
+  /// The slot count one more entry in `shard` needs: its own, or more.
+  static std::size_t slots_needed(const Shard& shard);
+  void grow_slots(Shard& shard, std::size_t size);
 
   /// Combines, sorts and hands shards [first, last) to the target, then
-  /// resets them.
+  /// resets them (a pinned table's to its floor).
   void flush(std::size_t first, std::size_t last);
 
   HashCombineConfig config_;
@@ -210,7 +210,7 @@ class HashCombineShards {
   obs::TraceBuffer* trace_;
   std::unique_ptr<RunTarget> run_target_;  // null with an injected target
   FlushTarget& target_;
-  std::optional<Admission> admission_;  // nullopt = every key
+  bool pinned_ = false;  // false = every key
 
   std::vector<Shard> shards_;
   std::vector<io::SpillRunInfo> runs_;

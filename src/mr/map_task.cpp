@@ -42,8 +42,8 @@ class RingTarget final : public HashCombineShards::FlushTarget {
 
 /// The sink handed to user map() code, and the map side's one record
 /// path: partition, then the table, then the ring. Hash mode's table
-/// admits every key and there is no ring; in sort mode FreqOpt's table
-/// (when enabled) absorbs the admitted keys and the rest enter the ring.
+/// takes every key and there is no ring; in sort mode FreqOpt's table
+/// (when enabled) absorbs its pinned keys and the rest enter the ring.
 /// The partitioner runs exactly once per record, before either store: a
 /// skew plan's split-key round-robin cursor must advance identically in
 /// every mode for byte-identical output. It counts output volume and, on
@@ -162,8 +162,8 @@ class MapTask {
   void map_split(HashCombineShards* table, SpillBuffer* ring) {
     TaskMetrics& metrics = result_.map_thread;
     OpSampler sampler;
-    // FreqOpt: profile, then admit the frozen set to a combine table of
-    // its own budget whose flushes re-enter the ring.
+    // FreqOpt: profile, then pin the frozen set in a combine table of its
+    // own budget whose flushes re-enter the ring.
     std::optional<RingTarget> ring_target;
     std::optional<HashCombineShards> freq_table;
     std::unique_ptr<freqbuf::FreqBufferController> freq;
@@ -172,8 +172,8 @@ class MapTask {
       freq_table.emplace(freq_table_config(), map_combiner_.get(),
                          *ring_target, metrics, map_trace_);
       freq = std::make_unique<freqbuf::FreqBufferController>(
-          config_.freqbuf, *freq_table, metrics, config_.node_cache, map_trace_,
-          &sampler);
+          config_.freqbuf, *freq_table, partitioner_, metrics,
+          config_.node_cache, map_trace_, &sampler);
     }
     MapSink sink(partitioner_, table, freq.get(), ring, metrics, sampler);
     // Exactly timed nanoseconds so far: what the rare events added to the
@@ -379,7 +379,7 @@ class MapTask {
 
   /// Hash mode (DESIGN.md §15): no ring, no support thread — the map
   /// thread combines every emitted record straight into the shard tables,
-  /// which admit every key and inherit the ring's budget. Sorting happens
+  /// which take every key and inherit the ring's budget. Sorting happens
   /// at flush time (radix over the key prefix), so the task's serialized
   /// work drops the per-record comparison sort.
   std::vector<io::SpillRunInfo> run_hash() {

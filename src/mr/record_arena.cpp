@@ -110,14 +110,12 @@ RecordRef RecordArena::append(std::uint32_t partition, std::string_view key,
   const RecordRef ref{key_prefix8(key), static_cast<std::uint32_t>(offset),
                       partition};
   records_.push_back(ref);
-  payload_bytes_ += key.size() + value.size();
   return ref;
 }
 
 void RecordArena::clear() {
   bytes_.clear();
   records_.clear();
-  payload_bytes_ = 0;
 }
 
 std::vector<RecordRef> index_frames(std::string_view data,

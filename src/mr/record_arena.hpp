@@ -99,7 +99,6 @@ class RecordArena {
     return {{bytes_.data(), bytes_.size()}};
   }
   std::size_t size() const { return records_.size(); }
-  std::uint64_t payload_bytes() const { return payload_bytes_; }
 
   /// Forgets all records but keeps the storage for reuse, so a cleared
   /// arena refills without heap allocations.
@@ -108,7 +107,6 @@ class RecordArena {
  private:
   std::vector<char> bytes_;
   std::vector<RecordRef> records_;
-  std::uint64_t payload_bytes_ = 0;
 };
 
 /// Indexes a partition's record-stream bytes (as returned by

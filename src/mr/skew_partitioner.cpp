@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -263,19 +264,22 @@ SkewAwarePartitioner::SkewAwarePartitioner(std::uint32_t num_canonical,
 }
 
 std::uint32_t SkewAwarePartitioner::operator()(std::string_view key) {
-  if (plan_ == nullptr) return hash_(key);
-  const auto& entries = plan_->entries;
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const SkewPlan::Entry& entry, std::string_view k) {
-        return entry.key < k;
-      });
-  if (it == entries.end() || it->key != key) return hash_(key);
-  if (it->mode == SkewPlan::Mode::kPlace) return it->first_physical;
-  const std::size_t index = static_cast<std::size_t>(it - entries.begin());
+  const SkewPlan::Entry* entry = plan_ != nullptr ? plan_->find(key) : nullptr;
+  if (entry == nullptr) return hash_(key);
+  if (entry->mode == SkewPlan::Mode::kPlace) return entry->first_physical;
+  const auto index = static_cast<std::size_t>(entry - plan_->entries.data());
   const std::uint32_t share = next_share_[index];
-  next_share_[index] = share + 1 == it->num_shares ? 0 : share + 1;
-  return it->first_physical + share;
+  next_share_[index] = share + 1 == entry->num_shares ? 0 : share + 1;
+  return entry->first_physical + share;
+}
+
+void SkewAwarePartitioner::partitions(std::string_view key,
+                                      std::vector<std::uint32_t>& out) const {
+  const SkewPlan::Entry* entry = plan_ != nullptr ? plan_->find(key) : nullptr;
+  // A placed entry has one share; a plain key's one partition is its hash.
+  out.resize(entry != nullptr ? entry->num_shares : 1);
+  std::iota(out.begin(), out.end(),
+            entry != nullptr ? entry->first_physical : hash_(key));
 }
 
 std::filesystem::path skew_segment_path(const JobSpec& spec,

@@ -119,6 +119,11 @@ class SkewAwarePartitioner {
 
   std::uint32_t operator()(std::string_view key);
 
+  /// Sets `out` to every partition operator() routes `key` to, advancing
+  /// no cursor: the hash partition of a plain key, the dedicated one of a
+  /// placed key, one per share of a split key.
+  void partitions(std::string_view key, std::vector<std::uint32_t>& out) const;
+
   std::uint32_t num_partitions() const {
     return plan_ != nullptr ? plan_->num_physical() : hash_.num_partitions();
   }

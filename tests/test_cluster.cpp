@@ -499,24 +499,37 @@ TEST(ClusterNodeCache, KeyCacheFilePersistedOncePerWorkerAndReused) {
 }
 
 TEST(ClusterNodeCache, CorruptCacheFileIsIgnored) {
-  TempDir dir;
-  const auto path = dir.file("node-0.keycache");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "BOGUS-not-a-cache-file";
+  const std::string valid =
+      freqbuf::NodeKeyCache::encode_keys({"alpha", "beta"});
+  const std::string corrupt[] = {
+      "BOGUS-not-a-cache-file",
+      // The magic and a key count of 0x7fffffff with no keys behind it:
+      // a count no file this size can hold must not be reserved.
+      std::string("TMRK\xff\xff\xff\x7f", 8),
+      // A valid file whose last key is cut short.
+      valid.substr(0, valid.size() - 1),
+  };
+  for (const std::string& bytes : corrupt) {
+    SCOPED_TRACE(bytes.size());
+    TempDir dir;
+    const auto path = dir.file("node-0.keycache");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
+    freqbuf::NodeKeyCache cache;
+    cache.attach_file(path);
+    EXPECT_FALSE(cache.get().has_value());
+    // And put() still persists over it.
+    cache.put({"alpha", "beta"});
+    ASSERT_TRUE(cache.get().has_value());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const auto keys = freqbuf::NodeKeyCache::decode_keys(buf.str());
+    ASSERT_TRUE(keys.has_value());
+    EXPECT_EQ(*keys, (std::vector<std::string>{"alpha", "beta"}));
   }
-  freqbuf::NodeKeyCache cache;
-  cache.attach_file(path);
-  EXPECT_FALSE(cache.get().has_value());
-  // And put() still persists over it.
-  cache.put({"alpha", "beta"});
-  ASSERT_TRUE(cache.get().has_value());
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto keys = freqbuf::NodeKeyCache::decode_keys(buf.str());
-  ASSERT_TRUE(keys.has_value());
-  EXPECT_EQ(*keys, (std::vector<std::string>{"alpha", "beta"}));
 }
 
 // ---- trace merging --------------------------------------------------------

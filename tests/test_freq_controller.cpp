@@ -23,8 +23,8 @@ class RecordingTarget final : public mr::HashCombineShards::FlushTarget {
   std::vector<std::pair<std::string, std::string>> records;
 };
 
-/// The table a controller admits its frozen set to, flushing into a
-/// RecordingTarget.
+/// The table a controller pins its frozen set in, flushing into a
+/// RecordingTarget; one partition, so every key pins once.
 struct Table {
   explicit Table(mr::Reducer* combiner)
       : table(config(), combiner, target, metrics, nullptr) {}
@@ -38,6 +38,7 @@ struct Table {
   RecordingTarget target;
   mr::TaskMetrics metrics;
   mr::HashCombineShards table;
+  mr::SkewAwarePartitioner partitioner{1, nullptr, 0};
 };
 
 std::string varint_value(std::uint64_t v) {
@@ -87,7 +88,8 @@ StreamResult stream_keys(FreqBufferController& controller, int n,
 TEST(FreqBufferController, TransitionsThroughStages) {
   apps::WordCountCombiner combiner;
   Table t(&combiner);
-  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  FreqBufferController controller(basic_config(), t.table, t.partitioner,
+                                  t.metrics);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kProfile);
 
   controller.set_progress(0.05);
@@ -99,7 +101,8 @@ TEST(FreqBufferController, TransitionsThroughStages) {
 
 TEST(FreqBufferController, FixedSamplingSkipsPreProfile) {
   Table t(nullptr);
-  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  FreqBufferController controller(basic_config(), t.table, t.partitioner,
+                                  t.metrics);
   EXPECT_EQ(controller.effective_sampling_fraction(), 0.1);
   EXPECT_FALSE(controller.zipf_fit().has_value());
 }
@@ -107,7 +110,8 @@ TEST(FreqBufferController, FixedSamplingSkipsPreProfile) {
 TEST(FreqBufferController, AbsorbsFrequentKeysAfterProfiling) {
   apps::WordCountCombiner combiner;
   Table t(&combiner);
-  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  FreqBufferController controller(basic_config(), t.table, t.partitioner,
+                                  t.metrics);
   const auto result = stream_keys(controller, 50000, 1.2, 99);
   // With alpha=1.2 the top-10 keys carry a large share of the stream; a
   // large portion of post-profiling records must be absorbed.
@@ -124,7 +128,8 @@ TEST(FreqBufferController, ConservationThroughFlush) {
   // through during profiling/misses, or in a flushed aggregate.
   apps::WordCountCombiner combiner;
   Table t(&combiner);
-  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  FreqBufferController controller(basic_config(), t.table, t.partitioner,
+                                  t.metrics);
 
   std::map<std::string, std::uint64_t> expected;
   Xoshiro256 rng(7);
@@ -154,7 +159,7 @@ TEST(FreqBufferController, AutoTunerFitsAlphaAndPicksSamplingFraction) {
   config.enabled = true;
   config.top_k = 20;
   config.sampling_fraction = 0.0;  // auto-tune
-  FreqBufferController controller(config, t.table, t.metrics);
+  FreqBufferController controller(config, t.table, t.partitioner, t.metrics);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kPreProfile);
 
   stream_keys(controller, 100000, 1.0, 42, /*vocab=*/2000);
@@ -170,7 +175,8 @@ TEST(FreqBufferController, NodeCacheSharesKeySetAcrossTasks) {
   const auto config = basic_config();
 
   Table t1(&combiner);
-  FreqBufferController first(config, t1.table, t1.metrics, &cache);
+  FreqBufferController first(config, t1.table, t1.partitioner, t1.metrics,
+                             &cache);
   EXPECT_EQ(first.stage(), FreqBufferController::Stage::kProfile);
   stream_keys(first, 20000, 1.2, 1);
   first.finish();
@@ -179,7 +185,8 @@ TEST(FreqBufferController, NodeCacheSharesKeySetAcrossTasks) {
 
   // Second task on the same node starts directly in kOptimize.
   Table t2(&combiner);
-  FreqBufferController second(config, t2.table, t2.metrics, &cache);
+  FreqBufferController second(config, t2.table, t2.partitioner, t2.metrics,
+                              &cache);
   EXPECT_EQ(second.stage(), FreqBufferController::Stage::kOptimize);
   EXPECT_TRUE(second.offer(0, cache.get()->front(), varint_value(1)));
 }
@@ -200,7 +207,8 @@ TEST(FreqBufferController, TinyInputEndingDuringPreProfileStillFreezes) {
   config.enabled = true;
   config.top_k = 5;
   config.sampling_fraction = 0.0;
-  FreqBufferController controller(config, t.table, t.metrics, &cache);
+  FreqBufferController controller(config, t.table, t.partitioner, t.metrics,
+                                  &cache);
   controller.offer(0, "a", varint_value(1));
   controller.offer(0, "a", varint_value(1));
   controller.offer(0, "b", varint_value(1));
@@ -211,7 +219,8 @@ TEST(FreqBufferController, TinyInputEndingDuringPreProfileStillFreezes) {
 
 TEST(FreqBufferController, WithoutCombinerAdmitsNothing) {
   Table t(nullptr);
-  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  FreqBufferController controller(basic_config(), t.table, t.partitioner,
+                                  t.metrics);
   const auto result = stream_keys(controller, 20000, 1.2, 5);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kOptimize);
   EXPECT_EQ(result.absorbed, 0u);
@@ -221,7 +230,8 @@ TEST(FreqBufferController, WithoutCombinerAdmitsNothing) {
 
 TEST(FreqBufferController, ProfileTimeIsAccounted) {
   Table t(nullptr);
-  FreqBufferController controller(basic_config(), t.table, t.metrics);
+  FreqBufferController controller(basic_config(), t.table, t.partitioner,
+                                  t.metrics);
   stream_keys(controller, 20000, 1.0, 3);
   EXPECT_GT(t.metrics.op_ns(mr::Op::kProfile), 0u);
   EXPECT_GT(t.metrics.op_ns(mr::Op::kFreqTable), 0u);

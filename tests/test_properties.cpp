@@ -140,6 +140,41 @@ TEST(EngineProperties, TinySpillBufferDoesNotChangeResults) {
             test::read_outputs(engine.run(large).outputs));
 }
 
+/// FreqOpt's table holds its pinned keys whatever the ring: WordCount
+/// absorbs the same records at a 24 KiB ring (a 921-byte table shard) as
+/// at 96 KiB, and pushes the same records back, because a counter never
+/// makes a pinned shard flush before the end of input.
+TEST(EngineProperties, FreqOptAbsorbsTheSameAtASmallRing) {
+  TempDir dir;
+  textgen::CorpusSpec corpus_spec;
+  corpus_spec.total_words = 15000;
+  corpus_spec.vocabulary = 500;
+  corpus_spec.alpha = 1.1;
+  const auto corpus = dir.file("c.txt");
+  textgen::generate_corpus(corpus_spec, corpus.string());
+  const auto splits = io::make_splits(corpus.string(), 48 * 1024);
+
+  std::vector<mr::JobResult> results;
+  for (const std::size_t ring_kb : {24, 96}) {
+    const std::string tag = std::to_string(ring_kb);
+    auto spec = test::make_job(apps::wordcount_app(), splits,
+                               dir.file("s" + tag), dir.file("o" + tag));
+    spec.spill_buffer_bytes = ring_kb * 1024;
+    spec.freqbuf.enabled = true;
+    spec.freqbuf.top_k = 60;
+    spec.freqbuf.sampling_fraction = 0.05;
+    mr::LocalEngine engine;
+    results.push_back(engine.run(spec));
+  }
+  const mr::TaskMetrics& small = results[0].metrics.work;
+  const mr::TaskMetrics& large = results[1].metrics.work;
+  EXPECT_GT(small.freq_hits, 0u);
+  EXPECT_EQ(small.freq_hits, large.freq_hits);
+  EXPECT_EQ(small.freq_flushes, large.freq_flushes);
+  EXPECT_EQ(test::read_outputs(results[0].outputs),
+            test::read_outputs(results[1].outputs));
+}
+
 /// Partitioning property: the union of all reducers' outputs has exactly
 /// one entry per distinct key, for any reducer count.
 TEST(EngineProperties, ReducerCountNeverDuplicatesOrDropsKeys) {
@@ -262,6 +297,20 @@ void expect_forced_flushes(const mr::JobResult& result, int combine) {
       << "the forced watermark never flushed";
 }
 
+/// A fault-free FreqOpt cell's absorption contract: a job with a combiner
+/// pinned its frozen keys and absorbed records (a pin rule that silently
+/// pins nothing would still pass the byte checks); a job without one pins
+/// nothing and absorbs nothing.
+void expect_freq_absorbs(bool freqbuf, const std::string& fail_spec,
+                         bool has_combiner, std::uint64_t freq_hits) {
+  if (!freqbuf || !fail_spec.empty()) return;
+  if (has_combiner) {
+    EXPECT_GT(freq_hits, 0u) << "FreqOpt absorbed nothing";
+  } else {
+    EXPECT_EQ(freq_hits, 0u);
+  }
+}
+
 void PrintTo(const DiffParams& p, std::ostream* os) {
   *os << p.app << " seed=" << p.seed << " alpha=" << p.alpha
       << " freq=" << p.freqbuf << " matcher=" << p.matcher
@@ -382,9 +431,11 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   };
 
   // Runs the app (or, for TfIdfPipeline, job 1 feeding job 2) and
-  // accumulates retry counts across the chained jobs — a pipeline's
-  // injected fault may land in either stage.
+  // accumulates retry counts and FreqOpt hits across the chained jobs — a
+  // pipeline's injected fault may land in either stage, and only job 1
+  // has a combiner.
   std::uint64_t tasks_retried = 0;
+  std::uint64_t freq_hits = 0;
   const auto run_app = [&](const std::string& tag, bool optimized) {
     if (!pipeline) {
       auto spec = test::make_job(app, splits, dir.file(tag + "s"),
@@ -393,6 +444,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
       spec.retry_backoff_base_ms = 0;
       auto result = engine.run(spec);
       tasks_retried += result.metrics.tasks_retried;
+      freq_hits += result.metrics.work.freq_hits;
       return result;
     }
     auto job1 = test::make_job(apps::tfidf_job1_app(), splits,
@@ -401,6 +453,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
     job1.retry_backoff_base_ms = 0;
     const auto mid = engine.run(job1);
     tasks_retried += mid.metrics.tasks_retried;
+    freq_hits += mid.metrics.work.freq_hits;
     std::vector<io::InputSplit> mid_splits;
     for (const auto& part : mid.outputs) {
       const auto extra = io::make_splits(part.string(), 48 * 1024);
@@ -412,6 +465,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
     job2.retry_backoff_base_ms = 0;
     auto result = engine.run(job2);
     tasks_retried += result.metrics.tasks_retried;
+    freq_hits += result.metrics.work.freq_hits;
     return result;
   };
 
@@ -419,12 +473,15 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   const auto oracle = run_app("o", /*optimized=*/false);
 
   tasks_retried = 0;
+  freq_hits = 0;
   failpoint::ScopedFailpoints failpoints(p.fail_spec);
   const auto result = run_app("c", /*optimized=*/true);
   if (!p.fail_spec.empty()) {
     EXPECT_GE(tasks_retried, 1u);
   }
   expect_forced_flushes(result, p.combine);
+  expect_freq_absorbs(p.freqbuf, p.fail_spec, static_cast<bool>(app.combiner),
+                      freq_hits);
 
   if (p.app == "AccessLogJoin") {
     // Join rows repeat per key and their order within a reduce group
@@ -574,17 +631,24 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
     apply_combine_mode(spec, p.combine);
     spec.retry_backoff_base_ms = 0;
   };
+  // FreqOpt hits accumulate across a pipeline's jobs (as in the local
+  // grid: only job 1 has a combiner).
+  std::uint64_t freq_hits = 0;
   const auto run_app = [&](auto& engine, const std::string& tag) {
+    freq_hits = 0;
     if (!pipeline) {
       auto spec = test::make_job(app, splits, dir.file("s-" + tag),
                                  dir.file("o-" + tag));
       configure(spec);
-      return engine.run(spec);
+      auto result = engine.run(spec);
+      freq_hits += result.metrics.work.freq_hits;
+      return result;
     }
     auto job1 = test::make_job(apps::tfidf_job1_app(), splits,
                                dir.file("s1-" + tag), dir.file("o1-" + tag));
     configure(job1);
     const auto mid = engine.run(job1);
+    freq_hits += mid.metrics.work.freq_hits;
     std::vector<io::InputSplit> mid_splits;
     for (const auto& part : mid.outputs) {
       const auto extra = io::make_splits(part.string(), 48 * 1024);
@@ -593,7 +657,9 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
     auto job2 = test::make_job(apps::tfidf_job2_app(), mid_splits,
                                dir.file("s2-" + tag), dir.file("o2-" + tag));
     configure(job2);
-    return engine.run(job2);
+    auto result = engine.run(job2);
+    freq_hits += result.metrics.work.freq_hits;
+    return result;
   };
 
   mr::LocalEngine local;
@@ -609,6 +675,8 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
   // silently-disabled shuffle service would pass the byte check.
   EXPECT_GT(result.metrics.work.shuffled_wire_bytes, 0u);
   expect_forced_flushes(result, p.combine);
+  expect_freq_absorbs(p.freqbuf, p.fail_spec, static_cast<bool>(app.combiner),
+                      freq_hits);
 
   ASSERT_EQ(result.outputs.size(), oracle.outputs.size());
   if (p.app == "AccessLogJoin") {

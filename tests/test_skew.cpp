@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -180,6 +181,28 @@ TEST(SkewPlanCodec, TrailingBytesThrow) {
 
 // ---- SkewAwarePartitioner routing -----------------------------------------
 
+/// partitions(key) lists exactly the partitions repeated routing of `key`
+/// reaches, once each, and asking moves no split cursor: a partitioner
+/// that was asked routes like one that was not.
+void expect_partitions_are_the_routes(std::uint32_t num_canonical,
+                                      const mr::SkewPlan* plan,
+                                      std::uint32_t task,
+                                      const std::string& key) {
+  SCOPED_TRACE(key);
+  mr::SkewAwarePartitioner asked(num_canonical, plan, task);
+  mr::SkewAwarePartitioner unasked(num_canonical, plan, task);
+  std::vector<std::uint32_t> listed;
+  asked.partitions(key, listed);
+  std::set<std::uint32_t> reached;
+  for (int i = 0; i < 12; ++i) {
+    const std::uint32_t partition = asked(key);
+    EXPECT_EQ(partition, unasked(key)) << i;
+    reached.insert(partition);
+  }
+  EXPECT_EQ(std::set<std::uint32_t>(listed.begin(), listed.end()), reached);
+  EXPECT_EQ(listed.size(), reached.size());
+}
+
 TEST(SkewPartitioner, NullAndEmptyPlansAreExactlyHashPartitioning) {
   const std::string keys[] = {"", std::string("\x00\x01", 2), "the",
                               "prefix08", std::string(70000, 'K'), "zzz"};
@@ -195,6 +218,8 @@ TEST(SkewPartitioner, NullAndEmptyPlansAreExactlyHashPartitioning) {
     const std::uint32_t expected = hash(key);
     EXPECT_EQ(null_plan(key), expected) << key.size();
     EXPECT_EQ(empty_plan(key), expected) << key.size();
+    expect_partitions_are_the_routes(5, nullptr, 3, key);
+    expect_partitions_are_the_routes(5, &empty, 3, key);
   }
 }
 
@@ -215,6 +240,7 @@ TEST(SkewPartitioner, PlacedKeysRouteToTheirDedicatedPartition) {
     // Placement ignores the task id — one dedicated partition, always.
     EXPECT_EQ(part("apple"), 4u) << task;
     EXPECT_EQ(part("apple"), 4u) << task;
+    expect_partitions_are_the_routes(4, &plan, task, "apple");
   }
 }
 
@@ -234,6 +260,19 @@ TEST(SkewPartitioner, SplitKeysRoundRobinSeededByTaskId) {
     EXPECT_EQ(part("zebra"), 7u);
     EXPECT_EQ(part("zebra"), 5u);
   }
+  for (const std::uint32_t task : {0u, 1u, 2u}) {
+    // Every share, whichever share the task starts on.
+    expect_partitions_are_the_routes(4, &plan, task, "zebra");
+  }
+  {
+    // Asking between routings keeps the cursor where it was.
+    mr::SkewAwarePartitioner part(4, &plan, /*task_id=*/0);
+    std::vector<std::uint32_t> listed;
+    EXPECT_EQ(part("zebra"), 5u);
+    part.partitions("zebra", listed);
+    EXPECT_EQ(listed, (std::vector<std::uint32_t>{5, 6, 7}));
+    EXPECT_EQ(part("zebra"), 6u);
+  }
 }
 
 TEST(SkewPartitioner, NonHeavyKeysFallBackToHash) {
@@ -243,6 +282,7 @@ TEST(SkewPartitioner, NonHeavyKeysFallBackToHash) {
   for (const std::string key : {"banana", "zeb", "zebras", "appl", ""}) {
     EXPECT_EQ(part(key), hash(key)) << key;
     EXPECT_LT(part(key), 4u) << key;
+    expect_partitions_are_the_routes(4, &plan, 2, key);
   }
 }
 

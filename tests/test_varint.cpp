@@ -76,27 +76,6 @@ TEST(Varint, ThrowsOnOverlongEncoding) {
   EXPECT_THROW(get_varint(bad, pos), FormatError);
 }
 
-TEST(ZigZag, RoundTripsSignedValues) {
-  const std::int64_t cases[] = {0, -1, 1, -2, 2, 1000000, -1000000,
-                                std::numeric_limits<std::int64_t>::min(),
-                                std::numeric_limits<std::int64_t>::max()};
-  for (const std::int64_t v : cases) {
-    std::string out;
-    put_varint_signed(out, v);
-    std::size_t pos = 0;
-    EXPECT_EQ(get_varint_signed(out, pos), v);
-  }
-}
-
-TEST(ZigZag, SmallMagnitudesStaySmall) {
-  // |v| <= 63 must fit in one byte — the point of zigzag.
-  for (std::int64_t v = -63; v <= 63; ++v) {
-    std::string out;
-    put_varint_signed(out, v);
-    EXPECT_EQ(out.size(), 1u) << v;
-  }
-}
-
 TEST(Fixed, RoundTrips32And64) {
   std::string out;
   put_fixed32(out, 0xdeadbeefu);
@@ -122,18 +101,6 @@ TEST(Fixed, ThrowsOnTruncation) {
   EXPECT_THROW(get_fixed64(out.substr(0, 7), pos), FormatError);
   pos = 0;
   EXPECT_THROW(get_fixed32(out.substr(0, 3), pos), FormatError);
-}
-
-TEST(DoubleCodec, RoundTripsExactly) {
-  const double cases[] = {0.0, -0.0, 1.0, -1.5, 3.14159265358979,
-                          1e-300, 1e300,
-                          std::numeric_limits<double>::infinity()};
-  for (const double v : cases) {
-    std::string out;
-    put_double(out, v);
-    std::size_t pos = 0;
-    EXPECT_EQ(get_double(out, pos), v);
-  }
 }
 
 TEST(LengthPrefixed, RoundTripsIncludingEmbeddedNulsAndEmpty) {
