@@ -5,7 +5,8 @@
 // abstraction costs.
 //
 // A second hash-mode case runs over a 500k-word vocabulary whose combine
-// table outgrows L2, the regime of perfbench's wordcount-hash.
+// table outgrows L2, the regime of perfbench's wordcount-hash. A third
+// case times sort_records alone over the URL keys of the access-log join.
 //
 // Emits BENCH_micro_record_path.json with ns/record notes; the CI build
 // job fails if the artifact is missing or a gated note regresses (see
@@ -136,6 +137,37 @@ int main() {
               "(%llu records)\n",
               large_fw_ns, static_cast<unsigned long long>(large.records));
   report.add_note("hash_map_side_large_vocab_ns_per_record", large_fw_ns);
+
+  // ---- sort_records over URL keys ---------------------------------------
+  // The join's map output: textgen::url_for_rank keys under Zipf(0.8)
+  // ranks share their first 15 bytes, so the (partition, prefix) radix
+  // decides only the partition and the tie pass orders the rest. 100k
+  // records is about one 8 MB split of UserVisits, one spill.
+  {
+    constexpr int kN = 100'000;
+    const ZipfDistribution zipf(100'000, 0.8);
+    Xoshiro256 rng(7);
+    const mr::HashPartitioner partition(4);
+    mr::RecordArena arena;
+    for (int i = 0; i < kN; ++i) {
+      const std::string url = textgen::url_for_rank(zipf(rng));
+      arena.append(partition(url), url, "V10.0.0.1|\x05");
+    }
+    const mr::FrameStore frames = arena.frames();
+    const std::uint64_t sort_ns = bench::run_until_steady(
+        [&] {
+          std::vector<mr::RecordRef> refs = arena.records();
+          const std::uint64_t t0 = monotonic_ns();
+          mr::sort_records(refs, [&frames](const mr::RecordRef& ref) {
+            return frames.key(ref);
+          });
+          return monotonic_ns() - t0;
+        },
+        [](std::uint64_t ns) { return ns; }, 1, 5);
+    std::printf("url sort: %.1f ns/record (%d URL keys, Zipf 0.8)\n",
+                ns_per(sort_ns, kN), kN);
+    report.add_note("url_sort_ns_per_record", ns_per(sort_ns, kN));
+  }
 
   // ---- packed-record primitives in isolation ---------------------------
   {

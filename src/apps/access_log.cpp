@@ -1,8 +1,9 @@
 #include "apps/access_log.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <limits>
 
+#include "common/error.hpp"
 #include "common/varint.hpp"
 #include "apps/tokenizer.hpp"
 
@@ -54,17 +55,25 @@ void split_fields(std::string_view line, std::vector<std::string_view>& out) {
   });
 }
 
-std::string format_dollars(std::uint64_t cents) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%02llu",
-                static_cast<unsigned long long>(cents / 100),
-                static_cast<unsigned long long>(cents % 100));
-  return buf;
-}
-
 thread_local std::vector<std::string_view> t_fields;
 
 }  // namespace
+
+void append_dollars(std::string& out, std::uint64_t cents) {
+  char text[24];  // UINT64_MAX cents is 21 characters
+  char* const end = text + sizeof(text);
+  char* p = end;
+  const std::uint64_t fraction = cents % 100;
+  *--p = static_cast<char>('0' + fraction % 10);
+  *--p = static_cast<char>('0' + fraction / 10);
+  *--p = '.';
+  std::uint64_t whole = cents / 100;
+  do {
+    *--p = static_cast<char>('0' + whole % 10);
+    whole /= 10;
+  } while (whole != 0);
+  out.append(p, end);
+}
 
 std::optional<UserVisit> parse_user_visit(std::string_view line) {
   split_fields(line, t_fields);
@@ -114,7 +123,9 @@ void AccessLogSumReducer::reduce(std::string_view key, mr::ValueStream& values,
     std::size_t pos = 0;
     total += get_varint(*value, pos);
   }
-  out.emit(key, format_dollars(total));
+  text_.clear();
+  append_dollars(text_, total);
+  out.emit(key, text_);
 }
 
 void AccessLogJoinMapper::map(std::uint64_t /*offset*/, std::string_view line,
@@ -154,7 +165,7 @@ void AccessLogJoinReducer::reduce(std::string_view key,
     std::size_t pos = sep + 1;
     const std::uint64_t cents = get_varint(visit_payload, pos);
     text_.clear();
-    text_ += format_dollars(cents);
+    append_dollars(text_, cents);
     text_.push_back(kSep);
     text_ += std::to_string(*page_rank);
     out.emit(visit_payload.substr(0, sep), text_);
@@ -189,10 +200,11 @@ void AccessLogJoinSortedReducer::reduce(std::string_view key,
                                         mr::EmitSink& out) {
   (void)key;
   std::optional<std::uint64_t> page_rank;
+  visits_.clear();
   rows_.clear();
-  std::size_t orphans = 0;
 
-  // First pass: remember the dimension row's rank, stash visit payloads.
+  // First pass: remember the dimension row's rank, stash each visit's
+  // payload — sourceIP | varint(cents) — in the group buffer.
   while (auto value = values.next()) {
     if (value->empty()) continue;
     if ((*value)[0] == 'R') {
@@ -201,32 +213,49 @@ void AccessLogJoinSortedReducer::reduce(std::string_view key,
         page_rank = get_varint(*value, pos);
       }
     } else if ((*value)[0] == 'V') {
-      // visit payload: sourceIP | varint(cents)
       const std::string_view payload = value->substr(1);
       const std::size_t sep = payload.find(kSep);
       if (sep == std::string_view::npos) continue;
-      rows_.emplace_back(std::string(payload.substr(0, sep)),
-                         std::string(payload.substr(sep)));
+      TEXTMR_CHECK(payload.size() <= std::numeric_limits<std::uint32_t>::max(),
+                   "visit payload outgrew u32 row lengths");
+      rows_.push_back(Row{visits_.size(), static_cast<std::uint32_t>(sep),
+                          static_cast<std::uint32_t>(payload.size())});
+      visits_.append(payload);
     }
   }
-
+  if (rows_.empty()) return;
   if (!page_rank.has_value()) {
-    orphans = rows_.size();
-    rows_.clear();
+    if (counters_ != nullptr) {
+      counters_->increment(log_counters::kOrphanVisits, rows_.size());
+    }
+    return;
   }
-  std::sort(rows_.begin(), rows_.end());
-  for (const auto& [ip, payload] : rows_) {
+
+  // Order by (sourceIP, kSep + varint) bytes; rows that tie are equal.
+  const std::string_view visits = visits_;
+  const auto ip = [visits](const Row& row) {
+    return visits.substr(row.offset, row.ip_size);
+  };
+  const auto revenue = [visits](const Row& row) {
+    return visits.substr(row.offset + row.ip_size, row.size - row.ip_size);
+  };
+  std::sort(rows_.begin(), rows_.end(), [&](const Row& a, const Row& b) {
+    const int c = ip(a).compare(ip(b));
+    return c != 0 ? c < 0 : revenue(a) < revenue(b);
+  });
+  rank_text_.clear();
+  rank_text_.push_back(kSep);
+  rank_text_ += std::to_string(*page_rank);
+  for (const Row& row : rows_) {
     std::size_t pos = 1;  // skip the leading kSep
-    const std::uint64_t cents = get_varint(payload, pos);
+    const std::uint64_t cents = get_varint(revenue(row), pos);
     text_.clear();
-    text_ += format_dollars(cents);
-    text_.push_back(kSep);
-    text_ += std::to_string(*page_rank);
-    out.emit(ip, text_);
-    if (counters_ != nullptr) counters_->increment(log_counters::kJoinedRows);
+    append_dollars(text_, cents);
+    text_ += rank_text_;
+    out.emit(ip(row), text_);
   }
-  if (counters_ != nullptr && orphans > 0) {
-    counters_->increment(log_counters::kOrphanVisits, orphans);
+  if (counters_ != nullptr) {
+    counters_->increment(log_counters::kJoinedRows, rows_.size());
   }
 }
 

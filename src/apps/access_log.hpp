@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "mr/types.hpp"
@@ -31,6 +30,11 @@ std::optional<UserVisit> parse_user_visit(std::string_view line);
 
 /// Parses a Rankings line (3 '|'-separated fields).
 std::optional<Ranking> parse_ranking(std::string_view line);
+
+/// Appends `cents` as dollars and two-digit cents ("%llu.%02llu" of
+/// cents / 100 and cents % 100): the revenue text of the access-log
+/// reducers.
+void append_dollars(std::string& out, std::uint64_t cents);
 
 /// AccessLogSum (paper §II-B):
 ///   SELECT destURL, sum(adRevenue) FROM UserVisits GROUP BY destURL
@@ -70,6 +74,9 @@ class AccessLogSumReducer final : public mr::Reducer {
  public:
   void reduce(std::string_view key, mr::ValueStream& values,
               mr::EmitSink& out) override;
+
+ private:
+  std::string text_;
 };
 
 /// AccessLogJoin (paper §II-B):
@@ -116,7 +123,10 @@ class AccessLogJoinReducer final : public mr::Reducer {
 /// *set*, so the differential battery can run this app under partitioner
 /// modes and engines whose merge interleavings need not match. Joins
 /// against the first ranking row of the group (well-formed inputs have
-/// exactly one per URL).
+/// exactly one per URL). A group's visits are stashed in one reused
+/// buffer and sorted through a row index, so a group allocates nothing
+/// once the buffers have grown; the joined and orphan counters are bumped
+/// once per group.
 class AccessLogJoinSortedReducer final : public mr::Reducer {
  public:
   void begin_task(const mr::TaskInfo& info) override {
@@ -126,8 +136,17 @@ class AccessLogJoinSortedReducer final : public mr::Reducer {
               mr::EmitSink& out) override;
 
  private:
+  /// One visit's payload, sourceIP | varint(cents), in visits_.
+  struct Row {
+    std::size_t offset;
+    std::uint32_t ip_size;  // the payload's bytes before its '|'
+    std::uint32_t size;
+  };
+
   mr::Counters* counters_ = nullptr;
-  std::vector<std::pair<std::string, std::string>> rows_;
+  std::string visits_;
+  std::vector<Row> rows_;
+  std::string rank_text_;  // '|' + the group's page rank
   std::string text_;
 };
 

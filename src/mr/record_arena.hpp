@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -67,13 +68,24 @@ struct FrameStore {
   std::string_view key(const RecordRef& ref) const { return frame(ref).key; }
 };
 
+/// Tie (sub-)spans of at most this many records are ordered by key
+/// comparison rather than by another radix level (see sort_records).
+inline constexpr std::size_t kTieCompareCutoff = 32;
+
 /// Sorts `refs` by (partition, key), stably: a least-significant-digit
-/// radix over the partition and the 8-byte key prefix, then, for each
-/// span of equal (partition, prefix), a full-key order that reads each
-/// record's key through `key_of` exactly once. A span whose keys are all
-/// equal — a hot key — is left as it is. Allocates a 16-byte scratch
-/// entry per record while it runs. The one (partition, key) ordering of
-/// the map side: ring spills (sort_and_spill) and hash-combine flushes.
+/// radix over the partition and the 8-byte key prefix, then a tie pass
+/// over each span of equal (partition, prefix) that reads each record's
+/// key through `key_of` exactly once. A span whose keys are all equal — a
+/// hot key — is left as it is. Any other span is ordered most significant
+/// digits first: the same stable radix over the 8 key bytes after the
+/// span's common prefix (zero-padded, with the key's length past the
+/// prefix as a last digit), then 8 bytes deeper within each sub-span that
+/// still ties and is not all one key, down to sub-spans of at most
+/// kTieCompareCutoff records, which are ordered by (key, position).
+/// Allocates a 16-byte scratch entry per record for the first radix, then
+/// 16 bytes per member of the widest span and 32 more per member of the
+/// widest span that is not all one key. The one (partition, key) ordering
+/// of the map side: ring spills (sort_and_spill) and hash-combine flushes.
 void sort_records(
     std::vector<RecordRef>& refs,
     const std::function<std::string_view(const RecordRef&)>& key_of);

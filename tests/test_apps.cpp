@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/varint.hpp"
 #include "apps/access_log.hpp"
 #include "apps/inverted_index.hpp"
@@ -199,6 +204,175 @@ TEST(AccessLogJoin, VisitsWithoutRankingAreDropped) {
   AccessLogJoinReducer reducer;
   reducer.reduce("http://orphan.com", stream, sink);
   EXPECT_TRUE(sink.records.empty());
+}
+
+TEST(AccessLog, AppendDollarsMatchesPrintf) {
+  const auto printf_dollars = [](std::uint64_t cents) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%llu.%02llu",
+                  static_cast<unsigned long long>(cents / 100),
+                  static_cast<unsigned long long>(cents % 100));
+    return std::string(buf);
+  };
+  std::vector<std::uint64_t> cents = {0,    1,    9,    10,   99,
+                                      100,  101,  109,  110,  999,
+                                      1000, 9999, 10000};
+  for (std::uint64_t p = 10; p < std::numeric_limits<std::uint64_t>::max() / 10;
+       p *= 10) {
+    cents.insert(cents.end(), {p - 1, p, p + 1});
+  }
+  cents.push_back(std::numeric_limits<std::uint64_t>::max());
+  cents.push_back(std::numeric_limits<std::uint64_t>::max() - 1);
+  Xoshiro256 rng(2014);
+  for (int i = 0; i < 10000; ++i) {
+    cents.push_back(rng() >> rng.next_below(64));
+  }
+  std::string out = "prefix";
+  for (const std::uint64_t c : cents) {
+    out.resize(6);
+    append_dollars(out, c);
+    ASSERT_EQ(out, "prefix" + printf_dollars(c)) << c;
+  }
+}
+
+/// The sorted join's reducer as it was first written, one pair<string,
+/// string> per visit and one counter bump per row: the oracle for
+/// AccessLogJoinSortedReducer's allocation-free rewrite.
+class PairSortedJoinReducer final : public mr::Reducer {
+ public:
+  void begin_task(const mr::TaskInfo& info) override {
+    counters_ = info.counters;
+  }
+  void reduce(std::string_view /*key*/, mr::ValueStream& values,
+              mr::EmitSink& out) override {
+    std::optional<std::uint64_t> page_rank;
+    std::vector<std::pair<std::string, std::string>> rows;
+    while (auto value = values.next()) {
+      if (value->empty()) continue;
+      if ((*value)[0] == 'R') {
+        if (!page_rank.has_value()) {
+          std::size_t pos = 1;
+          page_rank = get_varint(*value, pos);
+        }
+      } else if ((*value)[0] == 'V') {
+        const std::string_view payload = value->substr(1);
+        const std::size_t sep = payload.find('|');
+        if (sep == std::string_view::npos) continue;
+        rows.emplace_back(std::string(payload.substr(0, sep)),
+                          std::string(payload.substr(sep)));
+      }
+    }
+    std::size_t orphans = 0;
+    if (!page_rank.has_value()) {
+      orphans = rows.size();
+      rows.clear();
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [ip, payload] : rows) {
+      std::size_t pos = 1;
+      const std::uint64_t cents = get_varint(payload, pos);
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "%llu.%02llu",
+                    static_cast<unsigned long long>(cents / 100),
+                    static_cast<unsigned long long>(cents % 100));
+      out.emit(ip, std::string(buf) + "|" + std::to_string(*page_rank));
+      if (counters_ != nullptr) {
+        counters_->increment(log_counters::kJoinedRows);
+      }
+    }
+    if (counters_ != nullptr && orphans > 0) {
+      counters_->increment(log_counters::kOrphanVisits, orphans);
+    }
+  }
+
+ private:
+  mr::Counters* counters_ = nullptr;
+};
+
+std::string visit_value(std::string_view ip, std::uint64_t cents) {
+  std::string value = "V";
+  value += ip;
+  value.push_back('|');
+  put_varint(value, cents);
+  return value;
+}
+
+std::string rank_value(std::uint64_t rank) {
+  std::string value = "R";
+  put_varint(value, rank);
+  return value;
+}
+
+TEST(AccessLogJoin, SortedReducerMatchesReference) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::vector<std::string>> groups = {
+      // Nothing to join or drop, before any counter exists: a bump by 0
+      // would create a counter the reference never creates.
+      {"", "Vno-separator", rank_value(1)},
+      {},
+      // Varint bytes do not sort like the numbers: 256 (80 02) sorts
+      // before 255 (ff 01), 128 (80 01) after 127 (7f).
+      {rank_value(5), visit_value("1.1.1.1", 128), visit_value("1.1.1.1", 127),
+       visit_value("1.1.1.1", 256), visit_value("1.1.1.1", 255)},
+      // Duplicate rows, and IPs where one is a prefix of another.
+      {visit_value("9.9.9.9", 7), rank_value(3), visit_value("9.9.9.9", 7),
+       visit_value("9.9.9.90", 7), visit_value("9.9.9.9", 7),
+       visit_value("9.9.9.", 1)},
+      // R after V; two R rows (the first wins).
+      {visit_value("2.2.2.2", 50), visit_value("1.2.2.2", 60), rank_value(11),
+       rank_value(99), visit_value("3.2.2.2", 70)},
+      // No R: orphans.
+      {visit_value("4.4.4.4", 1), visit_value("4.4.4.5", 2)},
+      // A V without '|', empty values, an empty IP, unknown tags.
+      {"", "V", "Vno-separator", rank_value(8), "", visit_value("", 42),
+       "X1.1.1.1|\x05", visit_value("5.5.5.5", 3)},
+      // Cents at the edges.
+      {rank_value(77), visit_value("6.6.6.6", 0), visit_value("6.6.6.6", 1),
+       visit_value("6.6.6.6", 99), visit_value("6.6.6.6", 100),
+       visit_value("6.6.6.6", kMax)},
+      // Ranks at the edges.
+      {rank_value(0), visit_value("7.7.7.7", 12345)},
+      {visit_value("8.8.8.8", 12345), rank_value(kMax)},
+  };
+  Xoshiro256 rng(23);
+  for (int g = 0; g < 300; ++g) {
+    std::vector<std::string> values;
+    const std::size_t visits = rng.next_below(40);
+    for (std::size_t v = 0; v < visits; ++v) {
+      const std::string ip = std::to_string(rng.next_below(4)) + "." +
+                             std::to_string(rng.next_below(300));
+      values.push_back(visit_value(ip, rng.next_below(3) == 0
+                                           ? rng.next_below(300)
+                                           : rng() >> rng.next_below(64)));
+    }
+    for (std::size_t r = rng.next_below(3); r > 0; --r) {
+      values.insert(values.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.next_below(values.size() + 1)),
+                    rank_value(rng() >> rng.next_below(64)));
+    }
+    if (rng.next_below(4) == 0) values.emplace_back();
+    groups.push_back(std::move(values));
+  }
+
+  mr::Counters expected_counters;
+  mr::Counters counters;
+  PairSortedJoinReducer oracle;
+  AccessLogJoinSortedReducer reducer;
+  oracle.begin_task(mr::TaskInfo{0, &expected_counters});
+  reducer.begin_task(mr::TaskInfo{0, &counters});
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    mr::VectorValueStream<std::vector<std::string>> expected_values(groups[g]);
+    mr::VectorValueStream<std::vector<std::string>> values(groups[g]);
+    RecordingSink expected;
+    RecordingSink joined;
+    oracle.reduce("http://www.site1.example.com/", expected_values, expected);
+    reducer.reduce("http://www.site1.example.com/", values, joined);
+    ASSERT_EQ(joined.records, expected.records);
+    ASSERT_EQ(counters.all(), expected_counters.all());
+  }
+  EXPECT_GT(counters.value(log_counters::kJoinedRows), 0u);
+  EXPECT_GT(counters.value(log_counters::kOrphanVisits), 0u);
 }
 
 TEST(PageRank, MapperSplitsRankAcrossLinks) {

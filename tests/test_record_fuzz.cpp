@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
@@ -224,6 +225,147 @@ TEST(RecordFuzz, SortRecordsMatchesAStableReferenceSort) {
                           std::string(frame.value));
     }
     ASSERT_EQ(sorted, expected);
+  }
+}
+
+/// Emits `keys` in the given order, spread over `partitions` at random,
+/// sorts them with sort_records and checks the result against a stable
+/// sort of (partition, key) — the value is the emit position, so equality
+/// also checks stability.
+void expect_matches_stable_sort(const std::vector<std::string>& keys,
+                                std::uint32_t partitions, Xoshiro256& rng) {
+  RecordArena arena;
+  std::vector<RecordTuple> expected;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto partition =
+        static_cast<std::uint32_t>(rng.next_below(partitions));
+    arena.append(partition, keys[i], std::to_string(i));
+    expected.emplace_back(partition, keys[i], std::to_string(i));
+  }
+  std::vector<RecordRef> refs = arena.records();
+  const FrameStore frames = arena.frames();
+  sort_records(refs,
+               [&frames](const RecordRef& ref) { return frames.key(ref); });
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const RecordTuple& a, const RecordTuple& b) {
+                     return std::tie(std::get<0>(a), std::get<1>(a)) <
+                            std::tie(std::get<0>(b), std::get<1>(b));
+                   });
+  std::vector<RecordTuple> sorted;
+  for (const RecordRef& ref : refs) {
+    const Frame frame = frames.frame(ref);
+    sorted.emplace_back(ref.partition, std::string(frame.key),
+                        std::string(frame.value));
+  }
+  ASSERT_EQ(sorted, expected);
+}
+
+/// Fisher-Yates with the battery's generator, so emit order is seeded.
+void shuffle(std::vector<std::string>& keys, Xoshiro256& rng) {
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.next_below(i)]);
+  }
+}
+
+/// A tail over a small alphabet with NULs, so tails collide and tie.
+std::string tie_tail(Xoshiro256& rng, std::size_t max_length) {
+  static constexpr char kAlphabet[] = {'\0', '\x01', 'a', 'b', '\xff'};
+  std::string tail(rng.next_below(max_length + 1), '\0');
+  for (char& c : tail) c = kAlphabet[rng.next_below(std::size(kAlphabet))];
+  return tail;
+}
+
+// sort_records' tie pass descends 8 bytes at a time past each span's
+// common prefix: spans whose keys share long prefixes, keys that differ
+// from their neighbours only in trailing NULs (the zero pad must not
+// equal a NUL), keys that are proper prefixes of longer ones, a hot key
+// inside a shared-prefix span, and sub-spans on either side of the
+// comparison cutoff.
+TEST(RecordFuzz, SortRecordsOrdersLongSharedPrefixes) {
+  for (std::size_t iter = 0; iter < 2 * fuzz_scale(); ++iter) {
+    for (const std::uint32_t partitions : {1u, 64u}) {
+      SCOPED_TRACE("iter=" + std::to_string(iter) +
+                   " partitions=" + std::to_string(partitions));
+      Xoshiro256 rng(kBaseSeed + 300 + iter);
+
+      for (const std::size_t shared : {8, 15, 16, 24, 64}) {
+        SCOPED_TRACE("shared prefix " + std::to_string(shared));
+        std::string prefix(shared, '\0');
+        for (char& c : prefix) c = static_cast<char>('a' + rng.next_below(26));
+        std::vector<std::string> keys;
+        for (int i = 0; i < 1500; ++i) {
+          // Some keys stop inside the prefix: proper prefixes of the rest.
+          const std::size_t cut = rng.next_below(8) == 0
+                                      ? rng.next_below(shared + 1)
+                                      : shared;
+          keys.push_back(prefix.substr(0, cut) + tie_tail(rng, 20));
+        }
+        shuffle(keys, rng);
+        expect_matches_stable_sort(keys, partitions, rng);
+      }
+
+      {
+        SCOPED_TRACE("trailing NULs past byte 8");
+        std::vector<std::string> keys;
+        for (int i = 0; i < 1500; ++i) {
+          std::string key = "nul-tails" + std::to_string(rng.next_below(3));
+          key.append(rng.next_below(11), '\0');
+          if (rng.next_below(4) == 0) key.push_back('\x01');
+          keys.push_back(std::move(key));
+        }
+        shuffle(keys, rng);
+        expect_matches_stable_sort(keys, partitions, rng);
+      }
+
+      {
+        SCOPED_TRACE("proper prefixes of one long key");
+        std::string whole(120, '\0');
+        for (char& c : whole) c = static_cast<char>(rng.next_below(256));
+        std::vector<std::string> keys;
+        for (int i = 0; i < 1500; ++i) {
+          keys.push_back(whole.substr(0, rng.next_below(whole.size() + 1)));
+        }
+        shuffle(keys, rng);
+        expect_matches_stable_sort(keys, partitions, rng);
+      }
+
+      {
+        SCOPED_TRACE("hot key in a shared-prefix span");
+        std::vector<std::string> keys;
+        for (int i = 0; i < 3000; ++i) {
+          keys.push_back(rng.next_below(3) != 0
+                             ? "http://www.site7.example.com/page7.html"
+                             : "http://www.site" +
+                                   std::to_string(rng.next_below(400)) +
+                                   ".example.com/page" +
+                                   std::to_string(rng.next_below(97)) +
+                                   ".html");
+        }
+        expect_matches_stable_sort(keys, partitions, rng);
+      }
+
+      for (const std::size_t size :
+           {kTieCompareCutoff - 1, kTieCompareCutoff, kTieCompareCutoff + 1}) {
+        SCOPED_TRACE("runs of " + std::to_string(size) + " records");
+        // One span of `size` keys on its own, then groups of `size` keys
+        // that tie on the 8 bytes after the span's 16-byte common prefix
+        // and differ only further on. One partition, so the runs keep
+        // their sizes.
+        for (const int groups : {1, 5}) {
+          std::vector<std::string> keys;
+          for (int g = 0; g < groups; ++g) {
+            const char group = static_cast<char>('A' + g);
+            const std::string head =
+                "cutoff-shared-16" + std::string(1, group) + "-group-";
+            for (std::size_t i = 0; i < size; ++i) {
+              keys.push_back(head + "." + tie_tail(rng, 12));
+            }
+          }
+          shuffle(keys, rng);
+          expect_matches_stable_sort(keys, 1, rng);
+        }
+      }
+    }
   }
 }
 
