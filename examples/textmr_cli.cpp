@@ -21,7 +21,9 @@
 //              [same job flags as run]
 //   APP = any name in apps::kNamedApps (src/apps/app_suite.hpp); running
 //         textmr_cli with no arguments lists them
-// An option the command does not read is an error (usage, exit 2).
+// An option the command does not read, or a numeric option whose value
+// is not a whole number of the right kind that fits, is an error (usage,
+// exit 2).
 //
 // Multi-node quickstart (two terminals, DESIGN.md §14): terminal 1 runs
 // the coordinator with --cluster-workers 2 --external-workers 1
@@ -29,11 +31,15 @@
 // app, inputs and --out, plus --connect 127.0.0.1:7070.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -48,6 +54,26 @@
 using namespace textmr;
 
 namespace {
+
+// The whole token as a decimal integer: no sign, no trailing bytes.
+std::optional<std::uint64_t> parse_integer(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+// The whole token as a finite decimal number.
+std::optional<double> parse_real(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -76,15 +102,15 @@ struct Args {
     return args;
   }
 
+  // Numeric options are checked by rejects_bad_number before any of
+  // these runs, so a present value always parses.
   std::uint64_t u64(const std::string& name, std::uint64_t fallback) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    return it == options.end() ? fallback : *parse_integer(it->second);
   }
   double f64(const std::string& name, double fallback) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    return it == options.end() ? fallback : *parse_real(it->second);
   }
   bool flag(const std::string& name) const { return flags.count(name) > 0; }
 };
@@ -102,6 +128,70 @@ constexpr std::string_view kRunOptions[] = {
     "external-workers", "io-timeout-ms", "liveness-timeout-ms"};
 constexpr std::string_view kWorkerOptions[] = {
     "connect", "idle-timeout-ms", "io-timeout-ms"};
+
+// Every numeric option, with the largest value its destination holds
+// (split-mb and buffer are scaled by 2^20 before use).
+struct IntegerOption {
+  std::string_view name;
+  std::uint64_t max;
+};
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr IntegerOption kIntegerOptions[] = {
+    {"words", UINT64_MAX},
+    {"vocab", UINT64_MAX},
+    {"seed", UINT64_MAX},
+    {"visits", UINT64_MAX},
+    {"urls", UINT64_MAX},
+    {"pages", UINT64_MAX},
+    {"split-mb", UINT64_MAX >> 20},
+    {"reducers", kU32Max},
+    {"buffer", SIZE_MAX >> 20},
+    {"hash-shards", kU32Max},
+    {"topk", SIZE_MAX},
+    {"max-task-attempts", kU32Max},
+    {"cluster-workers", kU32Max},
+    {"external-workers", kU32Max},
+    {"io-timeout-ms", std::numeric_limits<std::int32_t>::max()},
+    {"liveness-timeout-ms", kU32Max},
+    {"idle-timeout-ms", kU32Max}};
+constexpr std::string_view kRealOptions[] = {"alpha", "sample",
+                                             "skew-split-threshold"};
+
+// Reports the first numeric option whose value is missing, is not a
+// whole token of the right kind, or does not fit its destination; the
+// caller then prints usage. Runs before any file is opened.
+bool rejects_bad_number(const Args& args) {
+  // A bare `--NAME` (no value) is a flag, so it is looked for there too.
+  const auto reject = [&](const std::string& name,
+                          const std::string& expects) {
+    const auto it = args.options.find(name);
+    const std::string got =
+        it == args.options.end() ? "no value" : "'" + it->second + "'";
+    std::fprintf(stderr, "error: --%s expects %s, got %s\n", name.c_str(),
+                 expects.c_str(), got.c_str());
+    return true;
+  };
+  for (const IntegerOption& option : kIntegerOptions) {
+    const std::string name(option.name);
+    const auto it = args.options.find(name);
+    if (it == args.options.end() && !args.flag(name)) continue;
+    const auto value = it == args.options.end() ? std::nullopt
+                                                : parse_integer(it->second);
+    if (!value.has_value() || *value > option.max) {
+      return reject(name,
+                    "an integer in [0, " + std::to_string(option.max) + "]");
+    }
+  }
+  for (const std::string_view option : kRealOptions) {
+    const std::string name(option);
+    const auto it = args.options.find(name);
+    if (it == args.options.end() && !args.flag(name)) continue;
+    if (it == args.options.end() || !parse_real(it->second).has_value()) {
+      return reject(name, "a finite number");
+    }
+  }
+  return false;
+}
 
 int usage() {
   std::string app_line = "  APP:";
@@ -179,7 +269,9 @@ bool rejects_unknown(
 }
 
 int cmd_gen(const Args& args) {
-  if (rejects_unknown(args, {kGenOptions})) return usage();
+  if (rejects_unknown(args, {kGenOptions}) || rejects_bad_number(args)) {
+    return usage();
+  }
   const std::string& kind = args.positional[1];
   if (kind == "corpus" && args.positional.size() >= 3) {
     textgen::CorpusSpec spec;
@@ -298,7 +390,9 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
-  if (rejects_unknown(args, {kJobOptions, kRunOptions})) return usage();
+  if (rejects_unknown(args, {kJobOptions, kRunOptions}) || rejects_bad_number(args)) {
+    return usage();
+  }
   auto spec_opt = build_job_spec(args);
   if (!spec_opt.has_value()) return usage();
   mr::JobSpec& spec = *spec_opt;
@@ -375,7 +469,9 @@ int cmd_run(const Args& args) {
 // exactly: the JobSpec (including the user-code factories it carries)
 // is rebuilt locally from them, only task assignments travel the wire.
 int cmd_worker(const Args& args) {
-  if (rejects_unknown(args, {kJobOptions, kWorkerOptions})) return usage();
+  if (rejects_unknown(args, {kJobOptions, kWorkerOptions}) || rejects_bad_number(args)) {
+    return usage();
+  }
   auto spec_opt = build_job_spec(args);
   if (!spec_opt.has_value()) return usage();
   const auto connect_it = args.options.find("connect");

@@ -11,7 +11,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x54585252;  // "TXRR"
 constexpr std::size_t kWriteBufferBytes = 1 << 18;
-constexpr std::size_t kReadChunkBytes = 1 << 16;
 
 std::size_t varint_size(std::uint64_t v) {
   std::size_t n = 1;
@@ -212,10 +211,6 @@ const PartitionExtent& SpillRunReader::extent(std::uint32_t partition) const {
   return partitions_[partition];
 }
 
-RunCursor SpillRunReader::open(std::uint32_t partition) const {
-  return RunCursor(path_, extent(partition));
-}
-
 std::string SpillRunReader::read_partition(std::uint32_t partition) const {
   const PartitionExtent& ext = extent(partition);
   std::string data(static_cast<std::size_t>(ext.bytes), '\0');
@@ -230,9 +225,9 @@ std::string SpillRunReader::read_partition(std::uint32_t partition) const {
   std::fclose(f);
   if (got != data.size()) throw FormatError("unexpected EOF in run file");
   if (failpoint::enabled()) {
-    // Same "spill.read" site as the streaming cursor, consumed once per
-    // bulk read: kCorrupt flips a mid-buffer byte, other kinds throw or
-    // delay.
+    // "spill.read", consumed once per bulk read: kCorrupt flips a
+    // mid-buffer byte (surfacing later as a FormatError or a garbled
+    // record), kDelay sleeps, other kinds throw.
     if (const auto fault = failpoint::consume("spill.read")) {
       if (fault->kind == failpoint::ActionKind::kCorrupt) {
         data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x5a);
@@ -244,93 +239,6 @@ std::string SpillRunReader::read_partition(std::uint32_t partition) const {
     }
   }
   return data;
-}
-
-RunCursor::RunCursor(const std::string& path, const PartitionExtent& extent)
-    : remaining_bytes_(extent.bytes),
-      remaining_records_(extent.records) {
-  if (extent.records == 0) return;  // never opens the file
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) throw IoError("cannot open run file " + path);
-  if (std::fseek(file_, static_cast<long>(extent.offset), SEEK_SET) != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw IoError("cannot seek in run file " + path);
-  }
-}
-
-RunCursor::~RunCursor() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-RunCursor::RunCursor(RunCursor&& other) noexcept
-    : file_(other.file_),
-      buffer_(std::move(other.buffer_)),
-      pos_(other.pos_),
-      remaining_bytes_(other.remaining_bytes_),
-      remaining_records_(other.remaining_records_),
-      bytes_consumed_(other.bytes_consumed_) {
-  other.file_ = nullptr;
-  other.remaining_records_ = 0;
-}
-
-bool RunCursor::ensure(std::size_t needed) {
-  if (buffer_.size() - pos_ >= needed) return true;
-  // Compact consumed prefix, then top up from the file.
-  buffer_.erase(0, pos_);
-  pos_ = 0;
-  while (buffer_.size() < needed && remaining_bytes_ > 0) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kReadChunkBytes, remaining_bytes_));
-    const std::size_t old = buffer_.size();
-    buffer_.resize(old + want);
-    const std::size_t got = std::fread(buffer_.data() + old, 1, want, file_);
-    buffer_.resize(old + got);
-    remaining_bytes_ -= got;
-    if (got == 0) throw FormatError("unexpected EOF in run file");
-    if (failpoint::enabled()) {
-      // "spill.read": kCorrupt flips a byte of the freshly read chunk
-      // (surfacing later as a FormatError or garbled record); other
-      // fault kinds throw here.
-      if (const auto fault = failpoint::consume("spill.read")) {
-        if (fault->kind == failpoint::ActionKind::kCorrupt) {
-          buffer_[old + got / 2] =
-              static_cast<char>(buffer_[old + got / 2] ^ 0x5a);
-        } else if (fault->kind == failpoint::ActionKind::kDelay) {
-          failpoint::maybe_delay(*fault);
-        } else {
-          throw failpoint::InjectedFault("spill.read");
-        }
-      }
-    }
-  }
-  return buffer_.size() - pos_ >= needed;
-}
-
-std::optional<RecordView> RunCursor::next() {
-  if (remaining_records_ == 0) return std::nullopt;
-  // A header is at most kMaxFrameHeaderBytes; buffer that much (or what
-  // the partition has left), then check the frame against every byte the
-  // partition has left before buffering the payload.
-  ensure(kMaxFrameHeaderBytes);
-  const std::string_view view = std::string_view(buffer_).substr(pos_);
-  const FrameHeader h =
-      decode_frame_header(view, view.size() + remaining_bytes_);
-  const std::uint64_t klen = h.key_size;
-  const std::uint64_t vlen = h.value_size;
-  if (!ensure(h.header_size + klen + vlen)) {
-    throw FormatError("truncated record");
-  }
-  pos_ += h.header_size;
-  bytes_consumed_ += h.header_size;
-  RecordView record{
-      std::string_view(buffer_).substr(pos_, klen),
-      std::string_view(buffer_).substr(pos_ + klen, vlen),
-  };
-  pos_ += klen + vlen;
-  bytes_consumed_ += klen + vlen;
-  remaining_records_ -= 1;
-  return record;
 }
 
 }  // namespace textmr::io

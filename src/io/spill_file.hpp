@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,30 +61,23 @@ std::size_t encode_frame_header(char* dest, std::size_t key_size,
                                 std::size_t value_size);
 
 /// Decodes the frame header at the start of `data`, validating that the
-/// whole framed record fits inside the first `available` bytes from
-/// data's start (`available` >= data.size(); more when the rest of the
-/// frame is not buffered yet). Throws FormatError otherwise. The one
-/// header decoder: the spill ring, index_frames and RunCursor all use it.
-/// Inline: the in-memory record path decodes a header per record read.
-inline FrameHeader decode_frame_header(std::string_view data,
-                                       std::uint64_t available) {
+/// whole framed record fits inside `data`. Throws FormatError otherwise.
+/// The one header decoder: FrameStore (the spill ring, fetched and loaded
+/// partitions) and index_frames both use it. Inline: the in-memory record
+/// path decodes a header per record read.
+inline FrameHeader decode_frame_header(std::string_view data) {
   std::size_t pos = 0;
   const std::uint64_t klen = textmr::get_varint(data, pos);
   const std::uint64_t vlen = textmr::get_varint(data, pos);
   // Two comparisons, not klen + vlen (which a corrupt varint could wrap);
   // and both sizes must fit FrameHeader's u32 fields.
-  if (klen > available - pos || vlen > available - pos - klen ||
+  if (klen > data.size() - pos || vlen > data.size() - pos - klen ||
       ((klen | vlen) >> 32) != 0) {
     throw FormatError("record frame exceeds available bytes");
   }
   return FrameHeader{static_cast<std::uint32_t>(klen),
                      static_cast<std::uint32_t>(vlen),
                      static_cast<std::uint16_t>(pos)};
-}
-
-/// decode_frame_header over a fully buffered byte range.
-inline FrameHeader decode_frame_header(std::string_view data) {
-  return decode_frame_header(data, data.size());
 }
 
 /// Sequential writer. `append` must be called with nondecreasing partition
@@ -123,35 +115,6 @@ class SpillRunWriter {
   bool finished_ = false;
 };
 
-/// Streaming cursor over one partition's records in a run file. Each cursor
-/// owns an independent file handle, so many cursors (k-way merge inputs)
-/// can be open on the same run.
-class RunCursor {
- public:
-  RunCursor(const std::string& path, const PartitionExtent& extent);
-  ~RunCursor();
-
-  RunCursor(const RunCursor&) = delete;
-  RunCursor& operator=(const RunCursor&) = delete;
-  RunCursor(RunCursor&&) noexcept;
-
-  /// Next record, or nullopt at the end of the partition. The view is
-  /// valid until the next call.
-  std::optional<RecordView> next() TEXTMR_LIFETIME_BOUND;
-
-  std::uint64_t bytes_read() const { return bytes_consumed_; }
-
- private:
-  bool ensure(std::size_t needed);
-
-  std::FILE* file_ = nullptr;
-  std::string buffer_;
-  std::size_t pos_ = 0;
-  std::uint64_t remaining_bytes_ = 0;   // record-stream bytes not yet buffered
-  std::uint64_t remaining_records_ = 0;
-  std::uint64_t bytes_consumed_ = 0;
-};
-
 /// Opens a run file's footer. Throws FormatError unless every partition
 /// extent lies inside the record stream, so no later read trusts a
 /// corrupt footer's sizes.
@@ -164,13 +127,10 @@ class SpillRunReader {
   }
   const PartitionExtent& extent(std::uint32_t partition) const
       TEXTMR_LIFETIME_BOUND;
-  /// Cursor over one partition.
-  RunCursor open(std::uint32_t partition) const;
-
-  /// Reads one partition's whole record stream in a single bulk read.
-  /// The returned bytes are frames; decode them in
-  /// place with mr::index_frames for a copy-free record index (the
-  /// reduce-side shuffle path).
+  /// Reads one partition's whole record stream in a single bulk read —
+  /// the one way a run file is read (map-side merge, reduce task, shuffle
+  /// server). The returned bytes are frames; decode them in place with
+  /// mr::index_frames for a copy-free record index.
   std::string read_partition(std::uint32_t partition) const;
 
  private:

@@ -2,11 +2,30 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "common/stopwatch.hpp"
 #include "mr/task_runner.hpp"
 
 namespace textmr::mr {
+namespace {
+
+/// Runs `body(worker_id)` for each of `workers` workers and returns once
+/// all are done: inline on the calling thread when there is one worker,
+/// else on that many threads.
+template <typename Body>
+void run_workers(std::uint32_t workers, const Body& body) {
+  if (workers == 1) {
+    body(0);
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::uint32_t w = 0; w < workers; ++w) threads.emplace_back(body, w);
+  for (auto& t : threads) t.join();
+}
+
+}  // namespace
 
 JobResult LocalEngine::run(const JobSpec& spec) {
   validate_job(spec);
@@ -94,16 +113,7 @@ JobResult LocalEngine::run(const JobSpec& spec) {
       }
     };
 
-    if (workers == 1) {
-      worker_body(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (std::uint32_t w = 0; w < workers; ++w) {
-        threads.emplace_back(worker_body, w);
-      }
-      for (auto& t : threads) t.join();
-    }
+    run_workers(workers, worker_body);
     retry.rethrow_if_failed();
   }
   map_phase_span.done();
@@ -150,16 +160,7 @@ JobResult LocalEngine::run(const JobSpec& spec) {
 
     const std::uint32_t workers = std::min<std::uint32_t>(
         spec.reduce_parallelism, num_physical_reducers);
-    if (workers == 1) {
-      worker_body(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (std::uint32_t w = 0; w < workers; ++w) {
-        threads.emplace_back(worker_body, w);
-      }
-      for (auto& t : threads) t.join();
-    }
+    run_workers(workers, worker_body);
     retry.rethrow_if_failed();
   }
   reduce_phase_span.done();

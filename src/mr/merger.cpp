@@ -2,16 +2,19 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "mr/spill_sorter.hpp"
 
 namespace textmr::mr {
 
-MergeStream::MergeStream(std::vector<std::unique_ptr<RecordCursor>> cursors)
-    : cursors_(std::move(cursors)) {
-  heap_.reserve(cursors_.size());
-  for (std::size_t i = 0; i < cursors_.size(); ++i) {
-    if (!cursors_[i]->stable_views()) stable_views_ = false;
-    if (auto record = cursors_[i]->next(); record.has_value()) {
-      heap_.push_back(Head{*record, i});
+MergeStream::MergeStream(std::span<const FetchedRun> runs) {
+  inputs_.reserve(runs.size());
+  heap_.reserve(runs.size());
+  for (const FetchedRun& run : runs) {
+    Input& input = inputs_.emplace_back(Input{
+        FrameStore{run.bytes}, run.refs.data(),
+        run.refs.data() + run.refs.size()});
+    if (auto record = input.take(); record.has_value()) {
+      heap_.push_back(Head{*record, inputs_.size() - 1});
       sift_up(heap_.size() - 1);
     }
   }
@@ -20,7 +23,7 @@ MergeStream::MergeStream(std::vector<std::unique_ptr<RecordCursor>> cursors)
 bool MergeStream::less(const Head& a, const Head& b) const {
   const int cmp = a.record.key.compare(b.record.key);
   if (cmp != 0) return cmp < 0;
-  return a.cursor < b.cursor;
+  return a.input < b.input;
 }
 
 void MergeStream::sift_up(std::size_t i) {
@@ -47,104 +50,53 @@ void MergeStream::sift_down(std::size_t i) {
 }
 
 std::optional<io::RecordView> MergeStream::next() {
-  if (pending_advance_.has_value()) {
-    const std::size_t cursor = *pending_advance_;
-    pending_advance_.reset();
-    if (auto record = cursors_[cursor]->next(); record.has_value()) {
-      heap_[0] = Head{*record, cursor};
-      sift_down(0);
-    } else {
-      heap_[0] = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) sift_down(0);
-    }
-  }
   if (heap_.empty()) return std::nullopt;
-  // Hand out the heap top; refill that cursor lazily on the next call so
-  // the returned views stay valid in the meantime.
-  pending_advance_ = heap_[0].cursor;
-  return heap_[0].record;
+  // The top's view stays valid across the refill: it points into a run.
+  const io::RecordView top = heap_[0].record;
+  if (auto record = inputs_[heap_[0].input].take(); record.has_value()) {
+    heap_[0].record = *record;
+  } else {
+    heap_[0] = heap_.back();
+    heap_.pop_back();
+  }
+  if (!heap_.empty()) sift_down(0);
+  return top;
 }
 
 std::optional<std::string_view> KeyGroups::next_group() {
   // Drain values the caller did not consume.
   while (!group_exhausted_) value_stream_.next();
 
-  if (!lookahead_.has_value()) {
-    if (stream_done_) return std::nullopt;
-    lookahead_ = stream_.next();
-    if (!lookahead_.has_value()) {
-      stream_done_ = true;
-      return std::nullopt;
-    }
-  }
-  if (stable_) {
-    // Stream views outlive the group: pass them through untouched.
-    current_key_ = lookahead_->key;
-    pending_value_ = lookahead_->value;
-  } else {
-    key_stash_.assign(lookahead_->key);
-    value_stash_.assign(lookahead_->value);
-    current_key_ = key_stash_;
-    pending_value_ = value_stash_;
-  }
-  pending_value_ready_ = true;
+  if (!lookahead_.has_value()) lookahead_ = stream_.next();
+  if (!lookahead_.has_value()) return std::nullopt;
+  current_key_ = lookahead_->key;
+  first_value_ = lookahead_->value;
   lookahead_.reset();
   group_exhausted_ = false;
   return current_key_;
 }
 
-std::optional<std::string_view>
-KeyGroups::GroupValueStream::next() {
+std::optional<std::string_view> KeyGroups::GroupValueStream::next() {
   KeyGroups& g = owner_;
-  if (g.pending_value_ready_) {
-    g.pending_value_ready_ = false;
-    return g.pending_value_;
+  if (g.first_value_.has_value()) {
+    const std::string_view value = *g.first_value_;
+    g.first_value_.reset();
+    return value;
   }
   if (g.group_exhausted_) return std::nullopt;
   auto record = g.stream_.next();
-  if (!record.has_value()) {
-    g.stream_done_ = true;
+  if (!record.has_value() || record->key != g.current_key_) {
+    g.lookahead_ = record;  // first record of the next group, if any
     g.group_exhausted_ = true;
     return std::nullopt;
   }
-  if (record->key != g.current_key_) {
-    g.lookahead_ = record;  // first record of the next group
-    g.group_exhausted_ = true;
-    return std::nullopt;
-  }
-  if (g.stable_) return record->value;
-  // Stash the value: the view from the merge stream is only valid until
-  // the stream's next() call, and callers may hold it across one step.
-  // assign() reuses the stash's capacity — no steady-state allocation.
-  g.value_stash_.assign(record->value);
-  g.pending_value_ = g.value_stash_;
-  return g.pending_value_;
+  return record->value;
 }
 
 namespace {
 
-class CombineToRunSink final : public EmitSink {
- public:
-  CombineToRunSink(io::SpillRunWriter& writer, std::uint32_t partition,
-                   std::string_view expected_key)
-      : writer_(writer), partition_(partition), expected_key_(expected_key) {}
-
-  void emit(std::string_view key, std::string_view value) override {
-    TEXTMR_CHECK(key == expected_key_,
-                 "combiner must be key-preserving (merge path)");
-    writer_.append(partition_, key, value);
-  }
-
- private:
-  io::SpillRunWriter& writer_;
-  std::uint32_t partition_;
-  std::string_view expected_key_;
-};
-
-/// Counts values while forwarding, so single-value groups skip the
-/// combiner without materializing anything. `first` must stay valid for
-/// the stream's lifetime (the caller owns the backing scratch buffer).
+/// Hands out `first`, then the rest of `rest`: gives the combiner back
+/// the values merge_runs pulled to tell a single-value group apart.
 class SingleLookaheadStream final : public ValueStream {
  public:
   SingleLookaheadStream(std::string_view first, ValueStream& rest)
@@ -174,30 +126,26 @@ io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
   const std::uint64_t merge_start = monotonic_ns();
   std::uint64_t combine_ns = 0;
 
+  std::vector<io::SpillRunReader> readers;
+  readers.reserve(runs.size());
+  for (const auto& run : runs) readers.emplace_back(run.path);
   io::SpillRunWriter writer(std::string(out_path), num_partitions);
-  // Scratch for the one-step lookahead below; hoisted so steady state
-  // reuses capacity instead of allocating per key group.
-  std::string first_scratch;
-  std::string second_scratch;
   for (std::uint32_t partition = 0; partition < num_partitions; ++partition) {
-    std::vector<std::unique_ptr<RecordCursor>> cursors;
-    cursors.reserve(runs.size());
-    for (const auto& run : runs) {
-      io::SpillRunReader reader(run.path);
-      cursors.push_back(
-          std::make_unique<FileRunCursor>(reader.open(partition)));
+    // The stream reads these bytes in place: `loaded` is left untouched
+    // until the partition's merge ends.
+    std::vector<FetchedRun> loaded(readers.size());
+    for (std::size_t i = 0; i < readers.size(); ++i) {
+      loaded[i].bytes = readers[i].read_partition(partition);
+      loaded[i].refs = index_frames(loaded[i].bytes, partition);
     }
-    MergeStream stream(std::move(cursors));
+    MergeStream stream(loaded);
     KeyGroups groups(stream);
     while (auto key = groups.next_group()) {
       auto first = groups.values().next();
       TEXTMR_CHECK(first.has_value(), "empty key group in merge");
-      // Stash before pulling the second value: group value views are only
-      // valid until the next call.
-      first_scratch.assign(*first);
       auto second = groups.values().next();
       if (!second.has_value() || combiner == nullptr) {
-        writer.append(partition, *key, first_scratch);
+        writer.append(partition, *key, *first);
         if (second.has_value()) writer.append(partition, *key, *second);
         while (auto value = groups.values().next()) {
           writer.append(partition, *key, *value);
@@ -206,9 +154,8 @@ io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
       }
       // >= 2 values and a combiner: stream them through combine().
       const std::uint64_t c0 = monotonic_ns();
-      second_scratch.assign(*second);
-      SingleLookaheadStream tail(second_scratch, groups.values());
-      SingleLookaheadStream values(first_scratch, tail);
+      SingleLookaheadStream tail(*second, groups.values());
+      SingleLookaheadStream values(*first, tail);
       CombineToRunSink sink(writer, partition, *key);
       combiner->reduce(*key, values, sink);
       combine_ns += monotonic_ns() - c0;

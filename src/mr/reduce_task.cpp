@@ -215,14 +215,6 @@ void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
   timing.output_records += metrics.output_records - output_before;
 }
 
-/// One map output's contribution to this reduce partition: the raw framed
-/// bytes from a single bulk read, plus RecordRefs indexing them by
-/// offset. The records are never copied out of `bytes` (DESIGN.md §8).
-struct FetchedRun {
-  std::string bytes;
-  std::vector<RecordRef> refs;
-};
-
 }  // namespace
 
 std::filesystem::path reduce_attempt_tmp_path(
@@ -253,7 +245,7 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   // local read whose byte volume the simulator later prices as network
   // transfer. Each map output contributes one bulk read, decoded in place
   // into RecordRefs — no per-record copies. Records arrive sorted per map
-  // output. The cursors read FetchedRun::bytes in place, so runs are built
+  // output. The merge reads FetchedRun::bytes in place, so runs are built
   // in place (a string move could relocate a small buffer via SSO).
   std::vector<FetchedRun> fetched;
   fetched.reserve(config.map_outputs.size());
@@ -311,12 +303,6 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   OutputSink& out = *sink;
 
   obs::SpanTimer apply_span(trace, "task", "reduce_apply");
-  std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.reserve(fetched.size());
-  for (const auto& fetch : fetched) {
-    cursors.push_back(std::make_unique<MemoryRunCursor>(
-        FrameStore{fetch.bytes}, &fetch.refs));
-  }
   // The loop's wall is read once at each end. Sink flushes time
   // themselves exactly. The rest is split across grouping (kReduceMerge),
   // reduce() and per-record sink work in the shares of the timed groups,
@@ -324,7 +310,7 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   // are Zipf-skewed, so a count of groups would misweigh them.
   const std::uint64_t loop_start = monotonic_ns();
   const std::uint64_t flush_before = metrics.op_ns(Op::kOutputWrite);
-  MergeStream stream(std::move(cursors));
+  MergeStream stream(fetched);
   KeyGroups groups(stream);
   while (true) {
     const bool timed = timing.sampler.next();

@@ -28,26 +28,6 @@ class RefValueStream final : public ValueStream {
   const RecordRef* end_;
 };
 
-/// Sink appending combiner output to the run writer under a fixed
-/// (partition, key); enforces the key-preserving combiner contract.
-class CombineToRunSink final : public EmitSink {
- public:
-  CombineToRunSink(io::SpillRunWriter& writer, std::uint32_t partition,
-                   std::string_view expected_key)
-      : writer_(writer), partition_(partition), expected_key_(expected_key) {}
-
-  void emit(std::string_view key, std::string_view value) override {
-    TEXTMR_CHECK(key == expected_key_,
-                 "combiner must be key-preserving (spill path)");
-    writer_.append(partition_, key, value);
-  }
-
- private:
-  io::SpillRunWriter& writer_;
-  std::uint32_t partition_;
-  std::string_view expected_key_;
-};
-
 }  // namespace
 
 io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,

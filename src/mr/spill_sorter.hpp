@@ -2,12 +2,33 @@
 
 #include <string_view>
 
+#include "common/error.hpp"
 #include "io/spill_file.hpp"
 #include "mr/metrics.hpp"
 #include "mr/spill_buffer.hpp"
 #include "mr/types.hpp"
 
 namespace textmr::mr {
+
+/// Sink appending combiner output to a run writer under a fixed
+/// (partition, key); enforces the key-preserving combiner contract. The
+/// combine-to-run sink of both sort_and_spill and merge_runs.
+class CombineToRunSink final : public EmitSink {
+ public:
+  CombineToRunSink(io::SpillRunWriter& writer, std::uint32_t partition,
+                   std::string_view expected_key)
+      : writer_(writer), partition_(partition), expected_key_(expected_key) {}
+
+  void emit(std::string_view key, std::string_view value) override {
+    TEXTMR_CHECK(key == expected_key_, "combiner must be key-preserving");
+    writer_.append(partition_, key, value);
+  }
+
+ private:
+  io::SpillRunWriter& writer_;
+  std::uint32_t partition_;
+  std::string_view expected_key_;
+};
 
 /// Sorts one sealed spill by (partition, key), applies the combiner to
 /// each key group, and writes the resulting sorted run. This is the

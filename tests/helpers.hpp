@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "run_helpers.hpp"
 #include "textmr.hpp"
 
 namespace textmr::test {

@@ -23,6 +23,7 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/tempdir.hpp"
+#include "run_helpers.hpp"
 #include "io/spill_file.hpp"
 #include "mr/hash_combine.hpp"
 #include "mr/map_task.hpp"
@@ -58,12 +59,11 @@ struct FlatRecord {
 /// Reads every record of a run, partition by partition, in file order.
 std::vector<FlatRecord> read_run(const io::SpillRunInfo& info) {
   std::vector<FlatRecord> records;
-  io::SpillRunReader reader(info.path);
+  const io::SpillRunReader reader(info.path);
   for (std::uint32_t p = 0; p < reader.num_partitions(); ++p) {
-    io::RunCursor cursor = reader.open(p);
-    while (auto record = cursor.next()) {
+    for (auto& record : test::read_run(info.path, p)) {
       records.push_back(
-          FlatRecord{p, std::string(record->key), std::string(record->value)});
+          FlatRecord{p, std::move(record.key), std::move(record.value)});
     }
   }
   return records;

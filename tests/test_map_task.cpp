@@ -8,6 +8,7 @@
 #include "common/varint.hpp"
 #include "apps/wordcount.hpp"
 #include "common/error.hpp"
+#include "run_helpers.hpp"
 #include "mr/map_task.hpp"
 #include "mr/partitioner.hpp"
 #include "mr/skew_partitioner.hpp"
@@ -51,11 +52,9 @@ MapTaskConfig base_config(const TempDir& dir, io::InputSplit split) {
 std::map<std::string, std::uint64_t> read_output_counts(
     const io::SpillRunInfo& output, std::uint32_t partitions) {
   std::map<std::string, std::uint64_t> counts;
-  io::SpillRunReader reader(output.path);
   for (std::uint32_t p = 0; p < partitions; ++p) {
-    auto cursor = reader.open(p);
-    while (auto record = cursor.next()) {
-      counts[std::string(record->key)] += varint_of(record->value);
+    for (const auto& record : test::read_run(output.path, p)) {
+      counts[record.key] += varint_of(record.value);
     }
   }
   return counts;
@@ -84,14 +83,12 @@ TEST(MapTask, OutputKeysAreSortedWithinPartitions) {
   TempDir dir;
   auto config = base_config(dir, write_corpus(dir, "in.txt", 2000));
   const auto result = run_map_task(config);
-  io::SpillRunReader reader(result.output.path);
   for (std::uint32_t p = 0; p < 2; ++p) {
-    auto cursor = reader.open(p);
     std::string previous;
     bool first = true;
-    while (auto record = cursor.next()) {
-      if (!first) { EXPECT_LT(previous, record->key); }  // sorted and combined
-      previous.assign(record->key);
+    for (const auto& record : test::read_run(result.output.path, p)) {
+      if (!first) { EXPECT_LT(previous, record.key); }  // sorted and combined
+      previous = record.key;
       first = false;
     }
   }
@@ -102,11 +99,9 @@ TEST(MapTask, PartitionAssignmentMatchesPartitioner) {
   auto config = base_config(dir, write_corpus(dir, "in.txt", 200));
   const auto result = run_map_task(config);
   HashPartitioner partitioner(2);
-  io::SpillRunReader reader(result.output.path);
   for (std::uint32_t p = 0; p < 2; ++p) {
-    auto cursor = reader.open(p);
-    while (auto record = cursor.next()) {
-      EXPECT_EQ(partitioner(record->key), p) << record->key;
+    for (const auto& record : test::read_run(result.output.path, p)) {
+      EXPECT_EQ(partitioner(record.key), p) << record.key;
     }
   }
 }
@@ -217,8 +212,7 @@ TEST(MapTask, EmptyInputYieldsEmptyOutputRun) {
   auto config = base_config(dir, io::InputSplit{path.string(), 0, 0});
   const auto result = run_map_task(config);
   EXPECT_EQ(result.output.records, 0u);
-  io::SpillRunReader reader(result.output.path);
-  EXPECT_FALSE(reader.open(0).next().has_value());
+  EXPECT_TRUE(test::read_run(result.output.path, 0).empty());
 }
 
 TEST(MapTask, MapperErrorPropagates) {

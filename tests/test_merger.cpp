@@ -7,6 +7,7 @@
 #include "common/varint.hpp"
 #include "apps/wordcount.hpp"
 #include "mr/merger.hpp"
+#include "run_helpers.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -33,20 +34,18 @@ io::SpillRunInfo write_run(const std::filesystem::path& path,
 }
 
 TEST(MergeStream, MergesSortedVectorsGlobally) {
-  std::vector<io::Record> a = {{"apple", "1"}, {"mango", "2"}};
-  std::vector<io::Record> b = {{"banana", "3"}, {"zebra", "4"}};
-  std::vector<io::Record> c = {{"apple", "5"}};
-  std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.push_back(std::make_unique<VectorRunCursor>(&a));
-  cursors.push_back(std::make_unique<VectorRunCursor>(&b));
-  cursors.push_back(std::make_unique<VectorRunCursor>(&c));
-  MergeStream stream(std::move(cursors));
+  const std::vector<FetchedRun> runs = {
+      test::framed_run({{"apple", "1"}, {"mango", "2"}}),
+      test::framed_run({{"banana", "3"}, {"zebra", "4"}}),
+      test::framed_run({{"apple", "5"}}),
+  };
+  MergeStream stream(runs);
 
   std::vector<std::pair<std::string, std::string>> out;
   while (auto record = stream.next()) {
     out.emplace_back(std::string(record->key), std::string(record->value));
   }
-  // Equal keys ordered by cursor index (stable across runs).
+  // Equal keys ordered by run index (stable across runs).
   const std::vector<std::pair<std::string, std::string>> expected = {
       {"apple", "1"}, {"apple", "5"}, {"banana", "3"},
       {"mango", "2"}, {"zebra", "4"},
@@ -55,10 +54,8 @@ TEST(MergeStream, MergesSortedVectorsGlobally) {
 }
 
 TEST(MergeStream, EmptyCursorsAreFine) {
-  std::vector<io::Record> empty;
-  std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.push_back(std::make_unique<VectorRunCursor>(&empty));
-  MergeStream stream(std::move(cursors));
+  const std::vector<FetchedRun> runs = {test::framed_run({})};
+  MergeStream stream(runs);
   EXPECT_FALSE(stream.next().has_value());
 }
 
@@ -68,12 +65,11 @@ TEST(MergeStream, NoCursorsAtAll) {
 }
 
 TEST(KeyGroups, GroupsConsecutiveEqualKeys) {
-  std::vector<io::Record> a = {{"a", "1"}, {"a", "2"}, {"b", "3"}};
-  std::vector<io::Record> b = {{"a", "4"}, {"c", "5"}};
-  std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.push_back(std::make_unique<VectorRunCursor>(&a));
-  cursors.push_back(std::make_unique<VectorRunCursor>(&b));
-  MergeStream stream(std::move(cursors));
+  const std::vector<FetchedRun> runs = {
+      test::framed_run({{"a", "1"}, {"a", "2"}, {"b", "3"}}),
+      test::framed_run({{"a", "4"}, {"c", "5"}}),
+  };
+  MergeStream stream(runs);
   KeyGroups groups(stream);
 
   std::map<std::string, std::vector<std::string>> seen;
@@ -90,10 +86,9 @@ TEST(KeyGroups, GroupsConsecutiveEqualKeys) {
 }
 
 TEST(KeyGroups, UnconsumedValuesAreDrained) {
-  std::vector<io::Record> a = {{"a", "1"}, {"a", "2"}, {"b", "3"}};
-  std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.push_back(std::make_unique<VectorRunCursor>(&a));
-  MergeStream stream(std::move(cursors));
+  const std::vector<FetchedRun> runs = {
+      test::framed_run({{"a", "1"}, {"a", "2"}, {"b", "3"}})};
+  MergeStream stream(runs);
   KeyGroups groups(stream);
 
   auto first = groups.next_group();
@@ -122,16 +117,15 @@ TEST(MergeRuns, CombinesAcrossRuns) {
                                  io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(merged.records, 3u);
 
-  io::SpillRunReader reader(merged.path);
-  auto c0 = reader.open(0);
-  auto apple = c0.next();
-  EXPECT_EQ(apple->key, "apple");
-  EXPECT_EQ(varint_of(apple->value), 5u);
-  auto cherry = c0.next();
-  EXPECT_EQ(cherry->key, "cherry");
-  EXPECT_EQ(varint_of(cherry->value), 4u);
-  auto c1 = reader.open(1);
-  EXPECT_EQ(c1.next()->key, "pear");
+  const auto p0 = test::read_run(merged.path, 0);
+  ASSERT_EQ(p0.size(), 2u);
+  EXPECT_EQ(p0[0].key, "apple");
+  EXPECT_EQ(varint_of(p0[0].value), 5u);
+  EXPECT_EQ(p0[1].key, "cherry");
+  EXPECT_EQ(varint_of(p0[1].value), 4u);
+  const auto p1 = test::read_run(merged.path, 1);
+  ASSERT_EQ(p1.size(), 1u);
+  EXPECT_EQ(p1[0].key, "pear");
   EXPECT_GT(metrics.op_ns(Op::kMerge), 0u);
   EXPECT_EQ(metrics.merged_records, 3u);
 }
@@ -145,10 +139,10 @@ TEST(MergeRuns, WithoutCombinerKeepsAllRecords) {
   const auto merged = merge_runs(runs, nullptr, dir.file("out").string(), 1,
                                  io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(merged.records, 3u);
-  io::SpillRunReader reader(merged.path);
-  auto cursor = reader.open(0);
   std::vector<std::string> values;
-  while (auto record = cursor.next()) values.emplace_back(record->value);
+  for (const auto& record : test::read_run(merged.path, 0)) {
+    values.push_back(record.value);
+  }
   EXPECT_EQ(values, (std::vector<std::string>{"a", "b", "c"}));
 }
 
@@ -183,16 +177,14 @@ TEST(MergeRuns, RandomizedManyRunsMatchReference) {
                  io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(merged.records, expected.size());
 
-  io::SpillRunReader reader(merged.path);
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> actual;
   for (std::uint32_t p = 0; p < kPartitions; ++p) {
-    auto cursor = reader.open(p);
     std::string previous;
     bool first = true;
-    while (auto record = cursor.next()) {
-      actual[{p, std::string(record->key)}] = varint_of(record->value);
-      if (!first) { EXPECT_LT(previous, record->key); }  // unique + sorted
-      previous.assign(record->key);
+    for (const auto& record : test::read_run(merged.path, p)) {
+      actual[{p, record.key}] = varint_of(record.value);
+      if (!first) { EXPECT_LT(previous, record.key); }  // unique + sorted
+      previous = record.key;
       first = false;
     }
   }

@@ -3,9 +3,9 @@
 // Seeded fuzz battery for the packed record codec and the zero-copy
 // record path (ISSUE 4): adversarial keys/values — empty, embedded NULs,
 // shared 8-byte prefixes (sort_records' tie path), >64 KiB
-// payloads that straddle the RunCursor read-chunk boundary, ring-wrap
-// straddling records — through frame/unframe, the spill ring, sort +
-// spill write, bulk read + index, and the k-way merge. Every iteration
+// payloads, ring-wrap straddling records — through frame/unframe,
+// the spill ring, sort + spill write, bulk read + index, and the k-way
+// merge. Every iteration
 // derives from a fixed base seed, so failures replay deterministically;
 // the failing seed is printed via SCOPED_TRACE. TEXTMR_FUZZ_ITERS
 // multiplies the iteration counts (the `pressure` ctest label sets 10).
@@ -28,6 +28,7 @@
 #include "mr/record_arena.hpp"
 #include "mr/spill_buffer.hpp"
 #include "mr/spill_sorter.hpp"
+#include "run_helpers.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -79,9 +80,9 @@ std::string fuzz_key(Xoshiro256& rng) {
   }
 }
 
-/// Adversarial value: empty, NUL-laden binary, or — occasionally — larger
-/// than the 64 KiB RunCursor read chunk, so one framed record straddles
-/// several buffered reads.
+/// Adversarial value: empty, NUL-laden binary, within a few bytes of
+/// 64 KiB, or — occasionally — larger than 64 KiB, past any 16-bit size
+/// and any small fixed read buffer.
 std::string fuzz_value(Xoshiro256& rng, bool allow_huge) {
   const std::uint64_t kind = rng.next_below(allow_huge ? 5 : 4);
   std::size_t size = 0;
@@ -95,10 +96,10 @@ std::string fuzz_value(Xoshiro256& rng, bool allow_huge) {
       size = 1 + rng.next_below(512);
       break;
     case 3:
-      size = (1u << 16) - 4 + rng.next_below(8);  // hugs the chunk boundary
+      size = (1u << 16) - 4 + rng.next_below(8);  // straddles 2^16
       break;
     default:
-      size = (1u << 16) + 1 + rng.next_below(1u << 14);  // > one read chunk
+      size = (1u << 16) + 1 + rng.next_below(1u << 14);  // > 64 KiB
       break;
   }
   std::string value(size, '\0');
@@ -417,8 +418,7 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
       const auto partition =
           static_cast<std::uint32_t>(rng.next_below(partitions));
       const std::string key = fuzz_key(rng);
-      // Every iteration gets a few >64 KiB values so framed records span
-      // multiple RunCursor read chunks.
+      // Every iteration gets a few >64 KiB values.
       const std::string value = fuzz_value(rng, /*allow_huge=*/i % 50 == 0);
       spill.records.push_back(arena.append(partition, key, value));
       spill.data_bytes += key.size() + value.size();
@@ -432,21 +432,19 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
                        io::SpillFormat::kCompactVarint, metrics);
     ASSERT_EQ(info.records, expected.size());
 
-    // Pass 1: the streaming cursor (the merge input path).
+    // Pass 1: the records in file order (the merge input path).
     io::SpillRunReader reader(info.path);
     std::multiset<RecordTuple> streamed;
     for (std::uint32_t p = 0; p < partitions; ++p) {
-      auto cursor = reader.open(p);
       std::string previous;
       bool first = true;
-      while (auto record = cursor.next()) {
-        streamed.emplace(p, std::string(record->key),
-                         std::string(record->value));
+      for (auto& record : test::read_run(info.path, p)) {
         if (!first) {
-          ASSERT_LE(previous, record->key);
+          ASSERT_LE(previous, record.key);
         }
-        previous.assign(record->key);
+        previous = record.key;
         first = false;
+        streamed.emplace(p, std::move(record.key), std::move(record.value));
       }
     }
     ASSERT_EQ(streamed, expected);
@@ -511,19 +509,17 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
                                    partitions, format, merge_metrics);
     ASSERT_EQ(merged.records, expected.size());
 
-    io::SpillRunReader reader(merged.path);
     std::multiset<RecordTuple> actual;
     for (std::uint32_t p = 0; p < partitions; ++p) {
-      auto cursor = reader.open(p);
       std::string previous;
       bool first = true;
-      while (auto record = cursor.next()) {
-        actual.emplace(p, std::string(record->key), std::string(record->value));
+      for (auto& record : test::read_run(merged.path, p)) {
         if (!first) {
-          ASSERT_LE(previous, record->key);
+          ASSERT_LE(previous, record.key);
         }
-        previous.assign(record->key);
+        previous = record.key;
         first = false;
+        actual.emplace(p, std::move(record.key), std::move(record.value));
       }
     }
     ASSERT_EQ(actual, expected);

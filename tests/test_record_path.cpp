@@ -6,7 +6,7 @@
 // malloc/free wrappers that bump a counter, and the hot loops are
 // measured directly: a warmed RecordArena refills with zero allocations,
 // SpillBuffer::put allocates only on RecordRef-vector growth (logarithmic
-// in the record count), and the stable-view merge/group path hands out
+// in the record count), and the in-memory merge/group path hands out
 // views with zero allocations per record.
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "mr/record_arena.hpp"
 #include "mr/spill_buffer.hpp"
 #include "mr/types.hpp"
+#include "run_helpers.hpp"
 
 #include <charconv>
 
@@ -189,23 +190,22 @@ TEST(RecordPathAllocations, HashCombineInsertAllocatesAmortizedConstant) {
 TEST(RecordPathAllocations, StableViewMergeIteratesWithZeroAllocations) {
   constexpr std::size_t kN = 20000;
   const Corpus corpus = make_corpus(kN);
-  RecordArena arena;
-  std::vector<RecordRef> first_run;
-  std::vector<RecordRef> second_run;
+  std::vector<io::Record> first_run;
+  std::vector<io::Record> second_run;
   for (std::size_t i = 0; i < kN; ++i) {
     (i % 2 == 0 ? first_run : second_run)
-        .push_back(arena.append(0, corpus.keys[i], corpus.values[i]));
+        .push_back({corpus.keys[i], corpus.values[i]});
   }
-  const FrameStore frames = arena.frames();
-  auto key_of = [&frames](const RecordRef& ref) { return frames.key(ref); };
-  sort_records(first_run, key_of);
-  sort_records(second_run, key_of);
-
-  std::vector<std::unique_ptr<RecordCursor>> cursors;
-  cursors.push_back(std::make_unique<MemoryRunCursor>(frames, &first_run));
-  cursors.push_back(std::make_unique<MemoryRunCursor>(frames, &second_run));
-  MergeStream stream(std::move(cursors));
-  ASSERT_TRUE(stream.stable_views());
+  const auto by_key = [](const io::Record& a, const io::Record& b) {
+    return a.key < b.key;
+  };
+  // std::sort, not stable_sort: stable_sort's buffer comes from the
+  // nothrow operator new, which this file does not replace.
+  std::sort(first_run.begin(), first_run.end(), by_key);
+  std::sort(second_run.begin(), second_run.end(), by_key);
+  const FetchedRun runs[] = {test::framed_run(first_run),
+                            test::framed_run(second_run)};
+  MergeStream stream(runs);
   KeyGroups groups(stream);
 
   const std::uint64_t before = allocations();

@@ -7,6 +7,7 @@
 #include "common/tempdir.hpp"
 #include "common/varint.hpp"
 #include "apps/wordcount.hpp"
+#include "run_helpers.hpp"
 #include "mr/spill_sorter.hpp"
 
 namespace textmr::mr {
@@ -57,14 +58,14 @@ TEST(SpillSorter, SortsByPartitionThenKey) {
                      io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(info.records, 4u);
 
-  io::SpillRunReader reader(info.path);
-  auto c0 = reader.open(0);
-  EXPECT_EQ(c0.next()->key, "apple");
-  EXPECT_EQ(c0.next()->key, "banana");
-  EXPECT_FALSE(c0.next().has_value());
-  auto c1 = reader.open(1);
-  EXPECT_EQ(c1.next()->key, "apple");
-  EXPECT_EQ(c1.next()->key, "zebra");
+  const auto p0 = test::read_run(info.path, 0);
+  ASSERT_EQ(p0.size(), 2u);
+  EXPECT_EQ(p0[0].key, "apple");
+  EXPECT_EQ(p0[1].key, "banana");
+  const auto p1 = test::read_run(info.path, 1);
+  ASSERT_EQ(p1.size(), 2u);
+  EXPECT_EQ(p1[0].key, "apple");
+  EXPECT_EQ(p1[1].key, "zebra");
 }
 
 TEST(SpillSorter, CombinerCollapsesDuplicates) {
@@ -79,14 +80,12 @@ TEST(SpillSorter, CombinerCollapsesDuplicates) {
                      io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(info.records, 2u);
 
-  io::SpillRunReader reader(info.path);
-  auto cursor = reader.open(0);
-  auto first = cursor.next();
-  EXPECT_EQ(first->key, "dup");
-  EXPECT_EQ(varint_of(first->value), 10u);
-  auto second = cursor.next();
-  EXPECT_EQ(second->key, "single");
-  EXPECT_EQ(varint_of(second->value), 7u);
+  const auto records = test::read_run(info.path, 0);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].key, "dup");
+  EXPECT_EQ(varint_of(records[0].value), 10u);
+  EXPECT_EQ(records[1].key, "single");
+  EXPECT_EQ(varint_of(records[1].value), 7u);
 }
 
 TEST(SpillSorter, SingleValueGroupsSkipCombiner) {
@@ -130,9 +129,8 @@ TEST(SpillSorter, EqualKeysInDifferentPartitionsStayApart) {
       sort_and_spill(builder.spill(), &combiner, dir.file("run").string(), 2,
                      io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(info.records, 2u);  // not combined across partitions
-  io::SpillRunReader reader(info.path);
-  EXPECT_EQ(varint_of(reader.open(0).next()->value), 1u);
-  EXPECT_EQ(varint_of(reader.open(1).next()->value), 2u);
+  EXPECT_EQ(varint_of(test::read_run(info.path, 0).at(0).value), 1u);
+  EXPECT_EQ(varint_of(test::read_run(info.path, 1).at(0).value), 2u);
 }
 
 TEST(SpillSorter, MetricsAreAccumulated) {
@@ -173,16 +171,14 @@ TEST(SpillSorter, RandomizedAgainstReferenceGroupBy) {
                      io::SpillFormat::kCompactVarint, metrics);
   EXPECT_EQ(info.records, expected.size());
 
-  io::SpillRunReader reader(info.path);
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> actual;
   for (std::uint32_t p = 0; p < 3; ++p) {
-    auto cursor = reader.open(p);
     std::string previous;
     bool first = true;
-    while (auto record = cursor.next()) {
-      actual[{p, std::string(record->key)}] += varint_of(record->value);
-      if (!first) { EXPECT_LE(previous, record->key); }
-      previous.assign(record->key);
+    for (const auto& record : test::read_run(info.path, p)) {
+      actual[{p, record.key}] += varint_of(record.value);
+      if (!first) { EXPECT_LE(previous, record.key); }
+      previous = record.key;
       first = false;
     }
   }

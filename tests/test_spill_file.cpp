@@ -6,7 +6,9 @@
 #include "common/rng.hpp"
 #include "common/tempdir.hpp"
 #include "common/varint.hpp"
+#include "run_helpers.hpp"
 #include "io/spill_file.hpp"
+#include "mr/record_arena.hpp"
 
 namespace textmr::io {
 namespace {
@@ -36,15 +38,11 @@ TEST(SpillFile, RoundTripsMultiplePartitions) {
   SpillRunReader reader(path);
   ASSERT_EQ(reader.num_partitions(), 3u);
   for (std::uint32_t p = 0; p < 3; ++p) {
-    auto cursor = reader.open(p);
+    std::vector<Record> expected;
     for (const auto& r : records) {
-      if (r.partition != p) continue;
-      auto got = cursor.next();
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(got->key, r.key);
-      EXPECT_EQ(got->value, r.value);
+      if (r.partition == p) expected.push_back({r.key, r.value});
     }
-    EXPECT_FALSE(cursor.next().has_value());
+    EXPECT_EQ(test::read_run(path, p), expected) << p;
   }
 }
 
@@ -55,13 +53,11 @@ TEST(SpillFile, EmptyPartitionsAreReadable) {
   writer.append(2, "only", "record");
   writer.finish();
 
-  SpillRunReader reader(path);
   for (const std::uint32_t p : {0u, 1u, 3u}) {
-    auto cursor = reader.open(p);
-    EXPECT_FALSE(cursor.next().has_value()) << p;
+    EXPECT_TRUE(test::read_run(path, p).empty()) << p;
   }
-  auto cursor = reader.open(2);
-  EXPECT_TRUE(cursor.next().has_value());
+  EXPECT_EQ(test::read_run(path, 2),
+            (std::vector<Record>{{"only", "record"}}));
 }
 
 TEST(SpillFile, CompletelyEmptyRun) {
@@ -70,9 +66,8 @@ TEST(SpillFile, CompletelyEmptyRun) {
   SpillRunWriter writer(path, 2);
   const auto info = writer.finish();
   EXPECT_EQ(info.records, 0u);
-  SpillRunReader reader(path);
-  EXPECT_FALSE(reader.open(0).next().has_value());
-  EXPECT_FALSE(reader.open(1).next().has_value());
+  EXPECT_TRUE(test::read_run(path, 0).empty());
+  EXPECT_TRUE(test::read_run(path, 1).empty());
 }
 
 TEST(SpillFile, LargeValuesCrossReadChunks) {
@@ -88,15 +83,9 @@ TEST(SpillFile, LargeValuesCrossReadChunks) {
   for (const auto& r : records) writer.append(r.partition, r.key, r.value);
   writer.finish();
 
-  SpillRunReader reader(path);
-  auto cursor = reader.open(0);
-  for (const auto& r : records) {
-    auto got = cursor.next();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->key, r.key);
-    EXPECT_EQ(got->value, r.value);
-  }
-  EXPECT_FALSE(cursor.next().has_value());
+  std::vector<Record> expected;
+  for (const auto& r : records) expected.push_back({r.key, r.value});
+  EXPECT_EQ(test::read_run(path, 0), expected);
 }
 
 TEST(SpillFile, BinaryKeysAndValuesSurvive) {
@@ -107,12 +96,7 @@ TEST(SpillFile, BinaryKeysAndValuesSurvive) {
   SpillRunWriter writer(path, 1);
   writer.append(0, key, value);
   writer.finish();
-  SpillRunReader reader(path);
-  auto cursor = reader.open(0);
-  auto got = cursor.next();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->key, key);
-  EXPECT_EQ(got->value, value);
+  EXPECT_EQ(test::read_run(path, 0), (std::vector<Record>{{key, value}}));
 }
 
 TEST(SpillFile, RejectsDecreasingPartitionOrder) {
@@ -130,19 +114,16 @@ TEST(SpillFile, MultipleConcurrentCursorsOnOneRun) {
     writer.append(0, "k" + std::to_string(i), "v");
   }
   writer.finish();
+  // Two reads of one partition through one reader (as the map-side
+  // merge and a shuffle server both read it): each sees the full stream.
   SpillRunReader reader(path);
-  auto c1 = reader.open(0);
-  auto c2 = reader.open(0);
-  // Interleave: both cursors see the full stream independently.
+  const std::string first = reader.read_partition(0);
+  const std::string second = reader.read_partition(0);
+  EXPECT_EQ(first, second);
+  const std::vector<Record> records = test::read_run(path, 0);
+  ASSERT_EQ(records.size(), 100u);
   for (int i = 0; i < 100; ++i) {
-    auto r1 = c1.next();
-    ASSERT_TRUE(r1.has_value());
-    EXPECT_EQ(r1->key, "k" + std::to_string(i));
-    if (i % 2 == 0) {
-      auto r2 = c2.next();
-      ASSERT_TRUE(r2.has_value());
-      EXPECT_EQ(r2->key, "k" + std::to_string(i / 2));
-    }
+    EXPECT_EQ(records[i].key, "k" + std::to_string(i));
   }
 }
 
@@ -235,8 +216,10 @@ TEST(SpillFile, CursorRejectsAFrameLengthThatWraps) {
   TempDir dir;
   const auto path = dir.file("run").string();
   write_run(path, stream, {PartitionExtent{0, stream.size(), 1}});
-  RunCursor cursor = SpillRunReader(path).open(0);
-  EXPECT_THROW(cursor.next(), FormatError);
+  const std::string bytes = SpillRunReader(path).read_partition(0);
+  EXPECT_EQ(bytes, stream);
+  EXPECT_THROW(mr::index_frames(bytes, 0), FormatError);
+  EXPECT_THROW(test::read_run(path, 0), FormatError);
 }
 
 TEST(EncodedRecordSize, MatchesActualEncoding) {

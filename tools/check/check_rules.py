@@ -345,7 +345,7 @@ def _views_across_table_growth(fm: FileModel,
 
 # ---- rule: arena-lifetime ----------------------------------------------------
 
-_SOURCE_METHODS = {"records", "stable_views"}
+_SOURCE_METHODS = {"records"}
 _KILL_METHODS = {"clear", "reset"}
 
 
@@ -368,7 +368,7 @@ def _arena_lifetime_fn(fm: FileModel, fn: FunctionModel) -> list[Finding]:
     i = 0
     while i < n:
         t = body[i]
-        # var = owner.records() / owner.stable_views(...)
+        # var = owner.records()
         if (
             t.text == "=" and i >= 1 and body[i - 1].kind == IDENT
             and i + 3 < n and body[i + 1].kind == IDENT
@@ -619,9 +619,8 @@ RULES = {
     ),
     "arena-lifetime": (
         check_arena_lifetime,
-        "no use of RecordRefs / index_frames results / stable_views "
-        "cursors after the owning arena is cleared or the spill is "
-        "released back to its ring",
+        "no use of RecordRefs / index_frames results after the owning "
+        "arena is cleared or the spill is released back to its ring",
     ),
     "lock-coverage": (
         check_lock_coverage,

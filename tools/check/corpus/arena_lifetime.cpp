@@ -1,6 +1,6 @@
 // textmr-check self-test corpus: arena-lifetime.
 // Minimal stand-ins for RecordArena / SpillBuffer: the rule keys on the
-// records()/stable_views()/index_frames/take()/release()/clear()/reset()
+// records()/index_frames/take()/release()/clear()/reset()
 // protocol, not on the concrete types.
 #include <cstdint>
 #include <vector>
