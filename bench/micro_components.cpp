@@ -87,7 +87,7 @@ void BM_FreqTableHit(benchmark::State& state) {
   std::vector<std::string> hot;
   for (int i = 1; i <= 3000; ++i) hot.push_back(textgen::word_for_rank(i));
   cache.put(hot);  // frozen set: the controller starts in kOptimize
-  const mr::SkewAwarePartitioner partitioner(1, nullptr, 0);
+  const mr::HashPartitioner partitioner{1};
   freqbuf::FreqBufferController controller(freq_config, table, partitioner,
                                            metrics, &cache, nullptr, &sampler);
   const auto keys = zipf_keys(1 << 16, 1.0);

@@ -10,7 +10,6 @@
 //   textmr_cli run APP INPUT... --out DIR [--reducers R] [--freq] [--matcher]
 //              [--topk K] [--sample S] [--buffer MB] [--split-mb MB] [--report]
 //              [--hash-combine] [--hash-shards N]   (not with --freq)
-//              [--skew-partitioner] [--skew-split-threshold X]
 //              [--trace FILE] [--metrics-json FILE]
 //              [--failpoints SPEC] [--max-task-attempts N]
 //              [--cluster-workers N] [--no-speculation] [--listen HOST:PORT]
@@ -121,8 +120,8 @@ constexpr std::string_view kGenOptions[] = {
     "words", "vocab", "alpha", "seed", "visits", "urls", "pages"};
 constexpr std::string_view kJobOptions[] = {
     "out", "split-mb", "reducers", "buffer", "matcher", "hash-combine",
-    "hash-shards", "freq", "topk", "sample", "skew-partitioner",
-    "skew-split-threshold", "failpoints", "max-task-attempts", "trace"};
+    "hash-shards", "freq", "topk", "sample", "failpoints",
+    "max-task-attempts", "trace"};
 constexpr std::string_view kRunOptions[] = {
     "metrics-json", "report", "cluster-workers", "no-speculation", "listen",
     "external-workers", "io-timeout-ms", "liveness-timeout-ms"};
@@ -154,8 +153,7 @@ constexpr IntegerOption kIntegerOptions[] = {
     {"io-timeout-ms", std::numeric_limits<std::int32_t>::max()},
     {"liveness-timeout-ms", kU32Max},
     {"idle-timeout-ms", kU32Max}};
-constexpr std::string_view kRealOptions[] = {"alpha", "sample",
-                                             "skew-split-threshold"};
+constexpr std::string_view kRealOptions[] = {"alpha", "sample"};
 
 // Reports the first numeric option whose value is missing, is not a
 // whole token of the right kind, or does not fit its destination; the
@@ -216,7 +214,6 @@ int usage() {
                "             [--hash-combine] [--hash-shards N] "
                "(not with --freq)\n"
                "             [--buffer MB] [--split-mb MB] [--report]\n"
-               "             [--skew-partitioner] [--skew-split-threshold X]\n"
                "             [--trace FILE] [--metrics-json FILE]\n"
                "             [--failpoints SPEC] [--max-task-attempts N]\n"
                "             [--cluster-workers N] [--no-speculation]\n"
@@ -355,18 +352,6 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
     spec.freqbuf.top_k = args.u64("topk", bundle->freq_top_k);
     spec.freqbuf.sampling_fraction =
         args.f64("sample", bundle->freq_sampling_fraction);
-  }
-  // --skew-partitioner turns on skew-aware partitioning (DESIGN.md §12):
-  // a sampling pre-pass finds heavy reduce keys, places them on dedicated
-  // reducers and splits ultra-heavy ones, with a finalize merge keeping
-  // the output byte-identical to a plain hash-partitioner run.
-  // --skew-split-threshold sets the split bar in average-partition
-  // multiples (a key splits once it alone carries X partitions' share).
-  if (args.flag("skew-partitioner") ||
-      args.options.count("skew-split-threshold") > 0) {
-    spec.skew.enabled = true;
-    spec.skew.split_threshold =
-        args.f64("skew-split-threshold", spec.skew.split_threshold);
   }
   const std::filesystem::path out_dir = out_it->second;
   spec.output_dir = out_dir / "out";

@@ -16,11 +16,9 @@ namespace textmr::apps {
 ///           emit (sourceIP, "date|visits|seconds")
 ///
 /// The reducer needs a client's whole visit set to build the per-date
-/// rollup, so there is no combiner — under skew-aware partitioning a
-/// heavy client can be *placed* on a dedicated reducer but never split.
-/// Output order inside a group is the std::map's date order, independent
-/// of value arrival order, so runs are byte-identical across engines and
-/// partitioner modes.
+/// rollup, so there is no combiner. Output order inside a group is the
+/// std::map's date order, independent of value arrival order, so runs are
+/// byte-identical across engines.
 namespace session_counters {
 inline constexpr const char* kVisits = "sessionize.visits";
 inline constexpr const char* kMalformed = "sessionize.malformed_lines";

@@ -83,7 +83,6 @@ class Coordinator {
   /// when the worker is now dead.
   bool send_to(WorkerHandle& worker, std::string_view frame);
   void send_clock_probes();
-  void broadcast_skew_plan();
   void on_worker_dead(WorkerHandle& worker);
   void kill_worker(WorkerHandle& worker);
   void kill_loser_attempts(TaskKind kind, std::uint32_t task);
@@ -109,13 +108,6 @@ class Coordinator {
   // Owned by ClusterEngine (DESIGN.md §14), so it outlives the run.
   TcpTransport& tcp_;
   LivenessTracker liveness_;
-
-  // Skew plan (DESIGN.md §12): computed once on the coordinator and
-  // broadcast verbatim so every worker routes identically.
-  mr::SkewPlan skew_plan_;
-  const mr::SkewPlan* plan() const {
-    return skew_plan_.empty() ? nullptr : &skew_plan_;
-  }
 
   std::vector<WorkerHandle> workers_;
   std::unique_ptr<obs::TraceCollector> collector_;
@@ -263,17 +255,6 @@ void Coordinator::send_clock_probes() {
   }
 }
 
-/// Skew-plan broadcast, right after the clock handshake: every worker
-/// must hold the identical plan before the first map dispatch, or its
-/// partition routing would diverge from its siblings'. Only sent when
-/// the plan is non-empty — plan-less workers default to hash routing.
-void Coordinator::broadcast_skew_plan() {
-  const std::string frame = encode_skew_plan(skew_plan_);
-  for (auto& worker : workers_) {
-    send_to(worker, frame);
-  }
-}
-
 std::uint32_t Coordinator::live_workers() const {
   std::uint32_t n = 0;
   for (const auto& worker : workers_) n += worker.alive ? 1 : 0;
@@ -354,7 +335,7 @@ void Coordinator::kill_loser_attempts(TaskKind kind, std::uint32_t task) {
       mr::cleanup_map_attempt(spec_, task, attempt);
     } else {
       mr::cleanup_reduce_attempt(
-          mr::reduce_task_output_path(spec_, plan(), task), attempt);
+          mr::reduce_output_path(spec_, task), attempt);
     }
   }
 }
@@ -559,7 +540,6 @@ void Coordinator::handle_frame(WorkerHandle& worker,
     case MsgType::kRunReduce:
     case MsgType::kShutdown:
     case MsgType::kClockProbe:
-    case MsgType::kSkewPlan:
     case MsgType::kWelcome:
     case MsgType::kShuffleFetch:
     case MsgType::kShuffleData:
@@ -730,13 +710,6 @@ mr::JobResult Coordinator::run() {
   mr::JobResult result;
   const std::uint64_t job_start = monotonic_ns();
 
-  // Skew plan before fork: the sampling pre-pass runs once here, and the
-  // children inherit nothing — they receive the plan as a broadcast
-  // frame after the clock handshake.
-  skew_plan_ = mr::build_skew_plan(spec_);
-  const std::uint32_t num_physical_reducers =
-      plan() != nullptr ? skew_plan_.num_physical() : spec_.num_reducers;
-
   // Fork before any coordinator thread or collector exists: the children
   // must be single-threaded clones.
   spawn_workers();
@@ -749,18 +722,6 @@ mr::JobResult Coordinator::run() {
         collector_->make_buffer(obs::kDriverPid, 0, "coordinator", "driver");
   }
   send_clock_probes();
-  if (plan() != nullptr) {
-    std::uint64_t split_entries = 0;
-    for (const auto& entry : skew_plan_.entries) {
-      if (entry.mode == mr::SkewPlan::Mode::kSplit) ++split_entries;
-    }
-    obs::record_instant(driver_trace_, "skew", "skew_plan", "heavy_keys",
-                        static_cast<double>(skew_plan_.entries.size()),
-                        "split_keys", static_cast<double>(split_entries),
-                        "physical_partitions",
-                        static_cast<double>(num_physical_reducers));
-    broadcast_skew_plan();
-  }
 
   try {
     // ---- map phase ------------------------------------------------------
@@ -786,24 +747,20 @@ mr::JobResult Coordinator::run() {
     // ---- reduce phase ---------------------------------------------------
     obs::SpanTimer reduce_span(driver_trace_, "phase", "reduce_phase");
     const std::uint64_t reduce_start = monotonic_ns();
-    reduce_results_.assign(num_physical_reducers, mr::ReduceTaskResult{});
-    run_phase(TaskKind::kReduce, num_physical_reducers);
+    reduce_results_.assign(spec_.num_reducers, mr::ReduceTaskResult{});
+    run_phase(TaskKind::kReduce, spec_.num_reducers);
     reduce_span.done();
     result.metrics.reduce_phase_wall_ns = monotonic_ns() - reduce_start;
-    result.metrics.reduce_tasks = num_physical_reducers;
+    result.metrics.reduce_tasks = spec_.num_reducers;
   } catch (...) {
     kill_and_reap_all();
     throw;
   }
 
   for (auto& reduce_result : reduce_results_) {
-    mr::fold_reduce_result(reduce_result, result,
-                           /*include_output=*/plan() == nullptr);
+    mr::fold_reduce_result(reduce_result, result);
   }
   mr::note_partition_bytes(result, driver_trace_);
-  if (plan() != nullptr) {
-    mr::finalize_skew_outputs(spec_, skew_plan_, result, driver_trace_);
-  }
   result.metrics.task_attempts = task_attempts_;
   result.metrics.tasks_retried = tasks_retried_;
   result.counters.increment("cluster.speculative_attempts",

@@ -24,7 +24,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kRunReduce: return "run_reduce";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kClockProbe: return "clock_probe";
-    case MsgType::kSkewPlan: return "skew_plan";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kMapDone: return "map_done";
     case MsgType::kReduceDone: return "reduce_done";
@@ -144,9 +143,6 @@ using Ref = std::conditional_t<kReading<A>, T&, const T&>;
 constexpr TaskKind wire_max(TaskKind) { return TaskKind::kReduce; }
 constexpr obs::EventKind wire_max(obs::EventKind) {
   return obs::EventKind::kCounter;
-}
-constexpr mr::SkewPlan::Mode wire_max(mr::SkewPlan::Mode) {
-  return mr::SkewPlan::Mode::kSplit;
 }
 constexpr freqbuf::FreqBufferController::Stage wire_max(
     freqbuf::FreqBufferController::Stage) {
@@ -399,14 +395,6 @@ void fields(A& a, Ref<A, std::uint32_t> partition,
 }
 
 template <class A>
-void fields(A& a, Ref<A, mr::SkewPlan> plan) {
-  wire(a, plan.num_canonical);
-  seq(a, plan.entries, [&](auto& entry) {
-    wire(a, entry.key, entry.mode, entry.first_physical, entry.num_shares);
-  });
-}
-
-template <class A>
 void fields(A& a, Ref<A, ClockProbeMsg> msg) {
   wire(a, msg.t_send);
 }
@@ -535,13 +523,6 @@ std::string encode_reduce_done(std::uint32_t partition, std::uint32_t attempt,
 void decode_reduce_done(WireReader& r, std::uint32_t& partition,
                         std::uint32_t& attempt, mr::ReduceTaskResult& result) {
   decode_into(r, partition, attempt, result);
-}
-
-std::string encode_skew_plan(const mr::SkewPlan& plan) {
-  return encode(MsgType::kSkewPlan, plan);
-}
-mr::SkewPlan decode_skew_plan(WireReader& r) {
-  return decode<mr::SkewPlan>(r);
 }
 
 std::string encode_clock_probe(const ClockProbeMsg& msg) {

@@ -8,7 +8,6 @@
 
 #include "mr/map_task.hpp"
 #include "mr/reduce_task.hpp"
-#include "mr/skew_partitioner.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 
@@ -31,7 +30,6 @@ enum class MsgType : std::uint8_t {
   kRunReduce = 2,   // u32 partition, u32 attempt
   kShutdown = 3,    // no payload; worker ships final telemetry and exits
   kClockProbe = 4,  // u64 coordinator monotonic_ns at send (clock handshake)
-  kSkewPlan = 5,    // heavy-key routing plan broadcast before the map phase
   kWelcome = 6,     // assigns an externally joining worker its id
   // worker -> coordinator
   kHeartbeat = 10,   // worker liveness + progress + live counter snapshot
@@ -270,13 +268,6 @@ void decode_reduce_done(WireReader& r, std::uint32_t& partition,
 
 std::string encode_clock_probe(const ClockProbeMsg& msg);
 ClockProbeMsg decode_clock_probe(WireReader& r);
-
-/// Skew plan broadcast (DESIGN.md §12): the coordinator computes the
-/// plan once and every worker routes with the identical copy — the
-/// cross-engine byte-identity contract depends on it. Only sent when the
-/// plan is non-empty; workers without one run pure hash partitioning.
-std::string encode_skew_plan(const mr::SkewPlan& plan);
-mr::SkewPlan decode_skew_plan(WireReader& r);
 
 std::string encode_clock_sync(const ClockSyncMsg& msg);
 ClockSyncMsg decode_clock_sync(WireReader& r);

@@ -187,13 +187,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 
     const mr::MemorySplit mem = mr::split_memory(spec);
 
-    // Heavy-key routing plan, broadcast by the coordinator after the
-    // clock handshake when skew-aware partitioning produced a non-empty
-    // plan. Forked children inherit nothing from the driver's sampling
-    // pre-pass, so the frame is the only source of truth; absent it the
-    // worker runs pure hash partitioning.
-    std::optional<mr::SkewPlan> skew_plan;
-
     std::thread heartbeats(heartbeat_loop, std::ref(channel), ctx.worker_id,
                            ctx.heartbeat_interval_ms);
     // RAII joiner: an exception thrown anywhere in the dispatch loop
@@ -255,11 +248,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
         continue;
       }
 
-      if (type == MsgType::kSkewPlan) {
-        skew_plan = decode_skew_plan(r);
-        continue;
-      }
-
       if (type == MsgType::kRunMap) {
         const RunTaskMsg msg = decode_run_task(r);
         channel.set_task(TaskKind::kMap, msg.id, msg.attempt);
@@ -281,8 +269,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
               failpoint::check("cluster.dispatch");
             }
             mr::MapTaskConfig config = mr::make_map_task_config(
-                spec, mem, msg.id, msg.attempt, &node_cache, collector.get(),
-                skew_plan.has_value() ? &*skew_plan : nullptr);
+                spec, mem, msg.id, msg.attempt, &node_cache, collector.get());
             config.progress = &channel.progress;
             result = mr::run_map_task(config);
             ok = true;
@@ -368,8 +355,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
                 };
             const mr::ReduceTaskConfig config = mr::make_reduce_task_config(
                 spec, msg.partition, msg.attempt, std::move(msg.map_outputs),
-                collector.get(), skew_plan.has_value() ? &*skew_plan : nullptr,
-                std::move(fetcher));
+                collector.get(), std::move(fetcher));
             result = mr::run_reduce_task(config);
             ok = true;
           } catch (...) {
@@ -379,10 +365,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
             failure.retryable = mr::is_retryable_error();
             failure.message = mr::current_error_message();
             mr::cleanup_reduce_attempt(
-                mr::reduce_task_output_path(
-                    spec, skew_plan.has_value() ? &*skew_plan : nullptr,
-                    msg.partition),
-                msg.attempt);
+                mr::reduce_output_path(spec, msg.partition), msg.attempt);
           }
         }
         {

@@ -103,7 +103,7 @@ void NodeKeyCache::attach_file(std::filesystem::path path) {
 
 FreqBufferController::FreqBufferController(
     const FreqBufConfig& config, mr::HashCombineShards& table,
-    const mr::SkewAwarePartitioner& partitioner, mr::TaskMetrics& metrics,
+    const mr::HashPartitioner& partitioner, mr::TaskMetrics& metrics,
     NodeKeyCache* node_cache, obs::TraceBuffer* trace, mr::OpSampler* sampler)
     : config_(config),
       table_(table),
@@ -208,12 +208,12 @@ void FreqBufferController::start_optimize(std::vector<std::string> keys) {
     // matching the paper's ~100% runtime for AccessLogJoin (Table III).
     keys.clear();
   }
-  // In rank order, once per partition the key can be routed to.
+  // In rank order, each under the partition the map sink routes it to.
   std::vector<std::pair<std::uint32_t, std::string>> pins;
-  std::vector<std::uint32_t> partitions;
-  for (const std::string& key : keys) {
-    partitioner_.partitions(key, partitions);
-    for (const std::uint32_t p : partitions) pins.emplace_back(p, key);
+  pins.reserve(keys.size());
+  for (std::string& key : keys) {
+    const std::uint32_t partition = partitioner_(key);
+    pins.emplace_back(partition, std::move(key));
   }
   table_.pin(pins);
   stage_ = Stage::kOptimize;

@@ -11,7 +11,7 @@
 #include "common/mutex.hpp"
 #include "mr/hash_combine.hpp"
 #include "mr/metrics.hpp"
-#include "mr/skew_partitioner.hpp"
+#include "mr/partitioner.hpp"
 #include "mr/types.hpp"
 #include "obs/trace.hpp"
 #include "sketch/exact_counter.hpp"
@@ -92,7 +92,7 @@ class NodeKeyCache {
 /// During the first two stages every record continues down the standard
 /// spill path (offer() returns false) while being counted. At the freeze
 /// the controller pins the top-k keys (paper §III-B) in the task's combine
-/// table, once per partition each can be routed to, and in kOptimize
+/// table, each under its hash partition, and in kOptimize
 /// offers every record to that table, which absorbs the pinned ones. With
 /// a NodeKeyCache holding a frozen set (sibling tasks on this node,
 /// §III-B: "our system finds the top-k frequent-key set just once for all
@@ -104,14 +104,14 @@ class FreqBufferController {
 
   /// `table` (not owned) is the combine table the frozen set is pinned
   /// in; a table without a combiner pins nothing. `partitioner` (not
-  /// owned, the map task's) names the partitions each frozen key can be
-  /// routed to. `trace` (optional, owned by the map thread) receives stage
-  /// transitions and sampled occupancy / hit-rate counters. `sampler`
-  /// (optional, the map thread's) limits profile and table timing to its
-  /// timed lines; without one every offer is timed into `metrics`.
+  /// owned, the map task's) names each frozen key's partition. `trace`
+  /// (optional, owned by the map thread) receives stage transitions and
+  /// sampled occupancy / hit-rate counters. `sampler` (optional, the map
+  /// thread's) limits profile and table timing to its timed lines;
+  /// without one every offer is timed into `metrics`.
   FreqBufferController(const FreqBufConfig& config,
                        mr::HashCombineShards& table,
-                       const mr::SkewAwarePartitioner& partitioner,
+                       const mr::HashPartitioner& partitioner,
                        mr::TaskMetrics& metrics,
                        NodeKeyCache* node_cache = nullptr,
                        obs::TraceBuffer* trace = nullptr,
@@ -147,7 +147,7 @@ class FreqBufferController {
 
   FreqBufConfig config_;
   mr::HashCombineShards& table_;
-  const mr::SkewAwarePartitioner& partitioner_;
+  const mr::HashPartitioner& partitioner_;
   mr::TaskMetrics& metrics_;
   NodeKeyCache* node_cache_;
   obs::TraceBuffer* trace_;

@@ -51,24 +51,6 @@ JobResult LocalEngine::run(const JobSpec& spec) {
   // (total fixed, paper §V-B2).
   const MemorySplit mem = split_memory(spec);
 
-  // Skew plan (DESIGN.md §12): driver-side sampling pre-pass; empty plan
-  // (or disabled) means plain hash partitioning everywhere below.
-  const SkewPlan skew_plan = build_skew_plan(spec);
-  const SkewPlan* plan = skew_plan.empty() ? nullptr : &skew_plan;
-  const std::uint32_t num_physical_reducers =
-      plan != nullptr ? skew_plan.num_physical() : spec.num_reducers;
-  if (plan != nullptr) {
-    std::uint64_t split_entries = 0;
-    for (const auto& entry : skew_plan.entries) {
-      if (entry.mode == SkewPlan::Mode::kSplit) ++split_entries;
-    }
-    obs::record_instant(driver_trace, "skew", "skew_plan", "heavy_keys",
-                        static_cast<double>(skew_plan.entries.size()),
-                        "split_keys", static_cast<double>(split_entries),
-                        "physical_partitions",
-                        static_cast<double>(num_physical_reducers));
-  }
-
   // Task recovery (DESIGN.md §6): a failed attempt is cleaned up and the
   // task re-run under a fresh attempt id; the worker keeps draining the
   // task queue. Only a task that exhausts max_task_attempts dooms the
@@ -104,7 +86,7 @@ JobResult LocalEngine::run(const JobSpec& spec) {
               map_results[task] =
                   run_map_task(make_map_task_config(spec, mem, task, attempt,
                                                     &caches[worker_id],
-                                                    collector.get(), plan));
+                                                    collector.get()));
             },
             [&](std::uint32_t attempt) {
               cleanup_map_attempt(spec, task, attempt);
@@ -130,7 +112,7 @@ JobResult LocalEngine::run(const JobSpec& spec) {
   // ---- reduce phase --------------------------------------------------------
   obs::SpanTimer reduce_phase_span(driver_trace, "phase", "reduce_phase");
   const std::uint64_t reduce_phase_start = monotonic_ns();
-  std::vector<ReduceTaskResult> reduce_results(num_physical_reducers);
+  std::vector<ReduceTaskResult> reduce_results(spec.num_reducers);
   {
     std::atomic<std::uint32_t> next_partition{0};
 
@@ -138,9 +120,9 @@ JobResult LocalEngine::run(const JobSpec& spec) {
       obs::TraceBuffer* worker_trace = nullptr;  // created on first retry
       while (!retry.job_failed.load(std::memory_order_relaxed)) {
         const std::uint32_t partition = next_partition.fetch_add(1);
-        if (partition >= num_physical_reducers) return;
+        if (partition >= spec.num_reducers) return;
         const std::filesystem::path output_path =
-            reduce_task_output_path(spec, plan, partition);
+            reduce_output_path(spec, partition);
         const bool ok = run_with_retries(
             retry, "reduce", partition, collector.get(), &worker_trace,
             obs::kDriverPid, obs::kReduceWorkerTidBase + worker_id,
@@ -148,8 +130,7 @@ JobResult LocalEngine::run(const JobSpec& spec) {
             [&](std::uint32_t attempt) {
               reduce_results[partition] = run_reduce_task(
                   make_reduce_task_config(spec, partition, attempt,
-                                          map_outputs, collector.get(),
-                                          plan));
+                                          map_outputs, collector.get()));
             },
             [&](std::uint32_t attempt) {
               cleanup_reduce_attempt(output_path, attempt);
@@ -159,25 +140,22 @@ JobResult LocalEngine::run(const JobSpec& spec) {
     };
 
     const std::uint32_t workers = std::min<std::uint32_t>(
-        spec.reduce_parallelism, num_physical_reducers);
+        spec.reduce_parallelism, spec.num_reducers);
     run_workers(workers, worker_body);
     retry.rethrow_if_failed();
   }
   reduce_phase_span.done();
   result.metrics.reduce_phase_wall_ns = monotonic_ns() - reduce_phase_start;
-  result.metrics.reduce_tasks = num_physical_reducers;
+  result.metrics.reduce_tasks = spec.num_reducers;
   result.metrics.task_attempts =
       retry.task_attempts.load(std::memory_order_relaxed);
   result.metrics.tasks_retried =
       retry.tasks_retried.load(std::memory_order_relaxed);
 
   for (auto& reduce_result : reduce_results) {
-    fold_reduce_result(reduce_result, result, /*include_output=*/plan == nullptr);
+    fold_reduce_result(reduce_result, result);
   }
   note_partition_bytes(result, driver_trace);
-  if (plan != nullptr) {
-    finalize_skew_outputs(spec, skew_plan, result, driver_trace);
-  }
 
   if (!spec.keep_intermediates) {
     for (const auto& run : map_outputs) {

@@ -52,9 +52,9 @@ inline std::uint64_t load_key_head(std::string_view key) {
 }
 
 /// The slot hash remixes the key hash with the partition: entries are
-/// keyed by (partition, key) — the skew partitioner round-robins one split
-/// key across partitions, and those streams must combine apart. Its high
-/// half is the tag; a probe starts at the tag's low bits.
+/// keyed by (partition, key), because the table takes each record's
+/// partition from its caller and does not assume one partition per key.
+/// Its high half is the tag; a probe starts at the tag's low bits.
 inline std::uint32_t slot_tag(std::uint64_t key_hash,
                               std::uint32_t partition) {
   return static_cast<std::uint32_t>(

@@ -11,7 +11,6 @@
 #include "mr/map_task.hpp"
 #include "mr/metrics.hpp"
 #include "mr/reduce_task.hpp"
-#include "mr/skew_partitioner.hpp"
 #include "mr/types.hpp"
 #include "obs/trace.hpp"
 #include "spillmatch/spill_matcher.hpp"
@@ -68,13 +67,6 @@ struct JobSpec {
   /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
-  /// Skew-aware partitioning (DESIGN.md §12): a driver-side sampling
-  /// pre-pass finds heavy reduce keys, places them on dedicated
-  /// reducers, splits ultra-heavy keys across several, and a finalize
-  /// merge restores the canonical part-file layout — outputs stay
-  /// byte-identical to a plain hash-partitioner run.
-  SkewConfig skew;
-
   /// Concurrent map tasks / reduce tasks. Each concurrent map worker
   /// models one node's map slot and gets its own NodeKeyCache.
   std::uint32_t map_parallelism = 1;
@@ -125,8 +117,8 @@ struct JobResult {
   };
   std::vector<MapTaskSummary> map_tasks;
 
-  /// Per-physical-reduce-task details, in partition order (the skew
-  /// battery derives its slowest/median wall ratio from these).
+  /// Per-reduce-task details, in partition order (the partition-skew
+  /// ratio and textmr-analyze's straggler table read these).
   struct ReduceTaskSummary {
     std::uint32_t partition = 0;
     std::uint64_t wall_ns = 0;

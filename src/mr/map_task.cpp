@@ -11,7 +11,7 @@
 #include "common/stopwatch.hpp"
 #include "mr/hash_combine.hpp"
 #include "mr/merger.hpp"
-#include "mr/skew_partitioner.hpp"
+#include "mr/partitioner.hpp"
 #include "mr/spill_buffer.hpp"
 #include "mr/spill_sorter.hpp"
 
@@ -44,13 +44,11 @@ class RingTarget final : public HashCombineShards::FlushTarget {
 /// path: partition, then the table, then the ring. Hash mode's table
 /// takes every key and there is no ring; in sort mode FreqOpt's table
 /// (when enabled) absorbs its pinned keys and the rest enter the ring.
-/// The partitioner runs exactly once per record, before either store: a
-/// skew plan's split-key round-robin cursor must advance identically in
-/// every mode for byte-identical output. It counts output volume and, on
-/// a timed line, times itself.
+/// The partitioner runs once per record, before either store. It counts
+/// output volume and, on a timed line, times itself.
 class MapSink final : public EmitSink {
  public:
-  MapSink(SkewAwarePartitioner& partitioner, HashCombineShards* table,
+  MapSink(HashPartitioner partitioner, HashCombineShards* table,
           freqbuf::FreqBufferController* freq, SpillBuffer* ring,
           TaskMetrics& metrics, const OpSampler& sampler)
       : partitioner_(partitioner), table_(table), freq_(freq), ring_(ring),
@@ -84,9 +82,7 @@ class MapSink final : public EmitSink {
     }
   }
 
-  // Non-const: the split-key round-robin cursor advances per record.
-  // With a null plan this is exactly the old HashPartitioner path.
-  SkewAwarePartitioner& partitioner_;
+  const HashPartitioner partitioner_;
   HashCombineShards* table_;
   freqbuf::FreqBufferController* freq_;
   SpillBuffer* ring_;
@@ -103,12 +99,7 @@ class MapTask {
   explicit MapTask(const MapTaskConfig& config)
       : config_(config),
         task_start_(monotonic_ns()),
-        partitioner_(config.skew_plan != nullptr
-                         ? config.skew_plan->num_canonical
-                         : config.num_partitions,
-                     config.skew_plan, config.task_id) {
-    TEXTMR_CHECK(partitioner_.num_partitions() == config.num_partitions,
-                 "map task num_partitions disagrees with the skew plan");
+        partitioner_(config.num_partitions) {
     if (config.trace != nullptr) {
       map_trace_ = config.trace->make_buffer(
           trace_pid(), obs::kMapThreadTid, "map",
@@ -440,7 +431,7 @@ class MapTask {
 
   const MapTaskConfig& config_;
   const std::uint64_t task_start_;
-  SkewAwarePartitioner partitioner_;
+  const HashPartitioner partitioner_;
   obs::TraceBuffer* map_trace_ = nullptr;  // null when tracing is off
   Counters map_counters_;  // user counters of the mapper and map combiner
   std::unique_ptr<Reducer> map_combiner_;  // combine table + final merge

@@ -15,8 +15,6 @@
 
 namespace textmr::mr {
 
-struct SkewPlan;
-
 /// Everything a single map task needs. The engine builds one of these per
 /// input split.
 struct MapTaskConfig {
@@ -27,13 +25,8 @@ struct MapTaskConfig {
   /// attempt's runs.
   std::uint32_t attempt = 0;
   io::InputSplit split;
-  /// Physical partition count the task spills (plan->num_physical() in
-  /// skew mode, num_reducers otherwise).
+  /// Partition count the task spills (the job's num_reducers).
   std::uint32_t num_partitions = 1;
-  /// Heavy-key routing plan (may be null = pure hash partitioning). Not
-  /// owned; must outlive the task. When set, num_partitions must equal
-  /// skew_plan->num_physical().
-  const SkewPlan* skew_plan = nullptr;
 
   MapperFactory mapper;
   ReducerFactory combiner;  // may be null

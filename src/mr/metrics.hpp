@@ -181,14 +181,15 @@ struct JobMetrics {
   }
 
   // Reduce-side partition skew (DESIGN.md §12): shuffled bytes of the
-  // heaviest physical reduce partition vs the (upper) median one. Filled
+  // heaviest reduce partition vs the (upper) median one. Filled
   // by note_partition_bytes in both engines; zero for jobs that never
   // reduced.
   std::uint64_t partition_bytes_max = 0;
   std::uint64_t partition_bytes_median = 0;
 
-  /// Max/median shuffled-bytes ratio across reduce partitions — the skew
-  /// battery's headline number. 1.0 = perfectly even; 0 when unknown.
+  /// Max/median shuffled-bytes ratio across reduce partitions. Skew is
+  /// observed, not fixed (DESIGN.md §12). 1.0 = perfectly even; 0 when
+  /// unknown.
   double partition_skew_ratio() const {
     if (partition_bytes_median == 0) return 0.0;
     return static_cast<double>(partition_bytes_max) /

@@ -9,49 +9,19 @@
 #include "common/stopwatch.hpp"
 #include "mr/merger.hpp"
 #include "mr/record_arena.hpp"
-#include "mr/skew_partitioner.hpp"
 
 namespace textmr::mr {
 namespace {
 
-/// Where reduce output goes: a part file in the normal case, a segment
-/// file in skew mode. The group hooks bracket each reduce() call so the
-/// segment writer knows the group key and extent. Per-record work is
-/// timed only in the reduce task's timed groups (into `sampler`); buffer
-/// flushes and close() time themselves exactly into `metrics`.
-class OutputSink : public EmitSink {
- public:
-  OutputSink(TaskMetrics& metrics, OpSampler& sampler)
-      : metrics_(metrics), sampler_(sampler) {}
-  virtual void begin_group(std::string_view /*key*/) {}
-  virtual void end_group() {}
-  virtual void close() = 0;
-
- protected:
-  /// Runs `append` (buffering only, no I/O), timed when the group is.
-  template <typename Append>
-  void sampled(Append&& append) {
-    if (!sampler_.timing()) {
-      append();
-      return;
-    }
-    const std::uint64_t t0 = monotonic_ns();
-    append();
-    sampler_.add(Op::kOutputWrite, monotonic_ns() - t0);
-  }
-
-  TaskMetrics& metrics_;
-
- private:
-  OpSampler& sampler_;
-};
-
 /// Buffered text output writer for final results: `key \t value \n`.
-class PartFileWriter final : public OutputSink {
+/// Per-record appends are timed only in the reduce task's timed groups
+/// (into `sampler`); buffer flushes and close() time themselves exactly
+/// into `metrics`.
+class PartFileWriter final : public EmitSink {
  public:
   PartFileWriter(const std::filesystem::path& path, TaskMetrics& metrics,
                  OpSampler& sampler)
-      : OutputSink(metrics, sampler) {
+      : metrics_(metrics), sampler_(sampler) {
     file_ = std::fopen(path.string().c_str(), "wb");
     if (file_ == nullptr) {
       throw IoError("cannot create output file " + path.string());
@@ -63,13 +33,17 @@ class PartFileWriter final : public OutputSink {
     if (file_ != nullptr) std::fclose(file_);
   }
 
+  PartFileWriter(const PartFileWriter&) = delete;
+  PartFileWriter& operator=(const PartFileWriter&) = delete;
+
   void emit(std::string_view key, std::string_view value) override {
-    sampled([&] {
-      buffer_.append(key.data(), key.size());
-      buffer_.push_back('\t');
-      buffer_.append(value.data(), value.size());
-      buffer_.push_back('\n');
-    });
+    if (!sampler_.timing()) {
+      append(key, value);
+    } else {
+      const std::uint64_t t0 = monotonic_ns();
+      append(key, value);
+      sampler_.add(Op::kOutputWrite, monotonic_ns() - t0);
+    }
     metrics_.output_records += 1;
     metrics_.output_bytes += key.size() + value.size() + 2;
     if (buffer_.size() >= kFlushBytes) {
@@ -78,7 +52,7 @@ class PartFileWriter final : public OutputSink {
     }
   }
 
-  void close() override {
+  void close() {
     ScopedTimer timer(metrics_, Op::kOutputWrite);
     flush();
     if (std::fclose(file_) != 0) {
@@ -91,6 +65,14 @@ class PartFileWriter final : public OutputSink {
  private:
   static constexpr std::size_t kFlushBytes = 1 << 18;
 
+  /// Buffering only, no I/O.
+  void append(std::string_view key, std::string_view value) {
+    buffer_.append(key.data(), key.size());
+    buffer_.push_back('\t');
+    buffer_.append(value.data(), value.size());
+    buffer_.push_back('\n');
+  }
+
   void flush() {
     if (buffer_.empty()) return;
     if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
@@ -100,61 +82,10 @@ class PartFileWriter final : public OutputSink {
     buffer_.clear();
   }
 
+  TaskMetrics& metrics_;
+  OpSampler& sampler_;
   std::FILE* file_;
   std::string buffer_;
-};
-
-/// Segment-file writer for skew mode (DESIGN.md §12). Buffers one
-/// group's emissions — part-file text for kOutput, length-prefixed
-/// combiner partials for kPartial — and appends one segment entry per
-/// group that produced anything. Groups arrive in sorted order, so the
-/// segment is sorted too (the finalize merge depends on that).
-class SegmentSink final : public OutputSink {
- public:
-  SegmentSink(const std::filesystem::path& path, SegmentKind kind,
-              TaskMetrics& metrics, OpSampler& sampler)
-      : OutputSink(metrics, sampler), writer_(path.string()), kind_(kind) {}
-
-  void begin_group(std::string_view key) override {
-    group_key_.assign(key);
-    blob_.clear();
-  }
-
-  void emit(std::string_view key, std::string_view value) override {
-    if (kind_ == SegmentKind::kOutput) {
-      sampled([&] {
-        blob_.append(key.data(), key.size());
-        blob_.push_back('\t');
-        blob_.append(value.data(), value.size());
-        blob_.push_back('\n');
-      });
-      metrics_.output_bytes += key.size() + value.size() + 2;
-    } else {
-      sampled([&] { append_partial_value(blob_, value); });
-      metrics_.output_bytes += value.size();
-    }
-    metrics_.output_records += 1;
-  }
-
-  void end_group() override {
-    if (blob_.empty()) return;  // group emitted nothing: no entry at all
-    sampled([&] { writer_.add(kind_, group_key_, blob_); });
-    if (writer_.flush_due()) {
-      ScopedTimer timer(metrics_, Op::kOutputWrite);
-      writer_.flush();
-    }
-  }
-
-  void close() override {
-    ScopedTimer timer(metrics_, Op::kOutputWrite);
-    writer_.finish();
-  }
-
- private:
-  SegmentWriter writer_;
-  SegmentKind kind_;
-  std::string group_key_;
-  std::string blob_;
 };
 
 /// Counts the values a timed group's reduce() pulls, so its time can be
@@ -186,12 +117,10 @@ struct ReduceTiming {
 /// Calls reduce() for one group; a timed group also measures its user
 /// time (less its sink time) and its record counts.
 void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
-                 OutputSink& out, TaskMetrics& metrics, ReduceTiming& timing) {
+                 EmitSink& out, TaskMetrics& metrics, ReduceTiming& timing) {
   metrics.reduce_groups += 1;
   if (!timing.sampler.timing()) {
-    out.begin_group(key);
     reducer.reduce(key, values, out);
-    out.end_group();
     return;
   }
   // The group's wall holds its sink time, sampled and exact (flushes).
@@ -201,9 +130,7 @@ void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
   const std::uint64_t output_before = metrics.output_records;
   CountingValues counted(values);
   const std::uint64_t t0 = monotonic_ns();
-  out.begin_group(key);
   reducer.reduce(key, counted, out);
-  out.end_group();
   const std::uint64_t elapsed = monotonic_ns() - t0;
   const std::uint64_t sink_ns = timing.sampler.sampled_ns(Op::kOutputWrite) +
                                 metrics.op_ns(Op::kOutputWrite) - sink_before;
@@ -234,9 +161,7 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
           ? config.trace->make_buffer(
                 obs::reduce_task_pid(config.partition),
                 obs::kReduceThreadTid, "reduce",
-                config.trace_process_name.empty()
-                    ? "reduce_" + std::to_string(config.partition)
-                    : config.trace_process_name)
+                "reduce_" + std::to_string(config.partition))
           : nullptr;
   obs::SpanTimer task_span(trace, "task", "reduce_task");
 
@@ -288,19 +213,7 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   const std::filesystem::path tmp_path =
       reduce_attempt_tmp_path(config.output_path, config.attempt);
   ReduceTiming timing;
-  std::unique_ptr<OutputSink> sink;
-  if (config.output_kind == ReduceOutputKind::kPartFile) {
-    sink = std::make_unique<PartFileWriter>(tmp_path, metrics,
-                                            timing.sampler);
-  } else {
-    sink = std::make_unique<SegmentSink>(
-        tmp_path,
-        config.output_kind == ReduceOutputKind::kSegmentText
-            ? SegmentKind::kOutput
-            : SegmentKind::kPartial,
-        metrics, timing.sampler);
-  }
-  OutputSink& out = *sink;
+  PartFileWriter out(tmp_path, metrics, timing.sampler);
 
   obs::SpanTimer apply_span(trace, "task", "reduce_apply");
   // The loop's wall is read once at each end. Sink flushes time

@@ -13,19 +13,6 @@
 
 namespace textmr::mr {
 
-/// What a reduce task writes (DESIGN.md §12). kPartFile is the normal
-/// "key \t value \n" part file. The segment kinds exist for skew mode,
-/// where every physical reduce task writes a scratch segment file the
-/// finalize merge later folds back into canonical part files:
-/// kSegmentText runs the real reducer and stores each group's part-file
-/// text; kSegmentPartial (split shares) runs a combiner and stores its
-/// partial values.
-enum class ReduceOutputKind : std::uint8_t {
-  kPartFile,
-  kSegmentText,
-  kSegmentPartial,
-};
-
 /// One (run, partition) worth of shuffle input from a pluggable source.
 struct ShuffleFetchResult {
   std::string bytes;      // raw frames, same layout as read_partition()
@@ -51,17 +38,12 @@ struct ReduceTaskConfig {
   /// Optional shuffle source override (see ShuffleFetcher above).
   ShuffleFetcher fetch;
   ReducerFactory reducer;
-  /// Part file in kPartFile mode, segment file otherwise.
+  /// The "key \t value \n" part file the task commits to.
   std::filesystem::path output_path;
-  ReduceOutputKind output_kind = ReduceOutputKind::kPartFile;
 
   /// When non-null the task registers a trace ring and records its
   /// shuffle / merge / reduce phases.
   obs::TraceCollector* trace = nullptr;
-  /// Overrides the trace ring's process name (default "reduce_<p>").
-  /// Skew mode labels dedicated partitions "reduce_<p> key=<key>" so
-  /// the analyzer can attribute stragglers to heavy keys.
-  std::string trace_process_name;
 };
 
 struct ReduceTaskResult {

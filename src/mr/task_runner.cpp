@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <limits>
 #include <thread>
 
@@ -46,19 +47,6 @@ void validate_job(const JobSpec& spec) {
                            "shrink intermediate data";
     }
   }
-  if (spec.skew.enabled) {
-    if (spec.skew.place_threshold <= 0.0 || spec.skew.split_threshold <= 0.0) {
-      throw ConfigError("skew thresholds must be > 0");
-    }
-    if (spec.skew.split_threshold < spec.skew.place_threshold) {
-      throw ConfigError(
-          "skew split_threshold must be >= place_threshold (a split key is "
-          "a placed key first)");
-    }
-    if (spec.skew.max_split_shares < 2) {
-      throw ConfigError("skew max_split_shares must be >= 2");
-    }
-  }
 }
 
 std::string part_name(std::uint32_t partition) {
@@ -73,11 +61,8 @@ std::filesystem::path reduce_output_path(const JobSpec& spec,
 }
 
 std::filesystem::path reduce_task_output_path(const JobSpec& spec,
-                                              const SkewPlan* plan,
+                                              std::nullptr_t,
                                               std::uint32_t partition) {
-  if (plan != nullptr && !plan->empty()) {
-    return skew_segment_path(spec, partition);
-  }
   return reduce_output_path(spec, partition);
 }
 
@@ -97,16 +82,12 @@ MemorySplit split_memory(const JobSpec& spec) {
 MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
                                    std::uint32_t task, std::uint32_t attempt,
                                    freqbuf::NodeKeyCache* node_cache,
-                                   obs::TraceCollector* trace,
-                                   const SkewPlan* skew_plan) {
-  if (skew_plan != nullptr && skew_plan->empty()) skew_plan = nullptr;
+                                   obs::TraceCollector* trace) {
   MapTaskConfig config;
   config.task_id = task;
   config.attempt = attempt;
   config.split = spec.inputs[task];
-  config.num_partitions =
-      skew_plan != nullptr ? skew_plan->num_physical() : spec.num_reducers;
-  config.skew_plan = skew_plan;
+  config.num_partitions = spec.num_reducers;
   config.mapper = spec.mapper;
   config.combiner = spec.combiner;
   config.spill_buffer_bytes = mem.spill_buffer_bytes;
@@ -135,34 +116,15 @@ MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
 ReduceTaskConfig make_reduce_task_config(
     const JobSpec& spec, std::uint32_t partition, std::uint32_t attempt,
     std::vector<io::SpillRunInfo> map_outputs, obs::TraceCollector* trace,
-    const SkewPlan* skew_plan, ShuffleFetcher fetch) {
-  if (skew_plan != nullptr && skew_plan->empty()) skew_plan = nullptr;
+    ShuffleFetcher fetch) {
   ReduceTaskConfig config;
   config.partition = partition;
   config.attempt = attempt;
   config.map_outputs = std::move(map_outputs);
   config.fetch = std::move(fetch);
   config.reducer = spec.reducer;
-  config.output_path = reduce_task_output_path(spec, skew_plan, partition);
+  config.output_path = reduce_output_path(spec, partition);
   config.trace = trace;
-  if (skew_plan != nullptr) {
-    const SkewPlan::Entry* entry = skew_plan->entry_for_partition(partition);
-    if (entry != nullptr && entry->mode == SkewPlan::Mode::kSplit) {
-      // A split share sees one key's records; the (merge) combiner turns
-      // them into partials the finalize merge reduces across shares.
-      config.output_kind = ReduceOutputKind::kSegmentPartial;
-      config.reducer =
-          spec.skew.merge_combiner ? spec.skew.merge_combiner : spec.combiner;
-    } else {
-      config.output_kind = ReduceOutputKind::kSegmentText;
-    }
-    if (entry != nullptr) {
-      // Heavy-key label: textmr-analyze attributes reduce stragglers to
-      // the key, not just the partition id (ISSUE 7 satellite).
-      config.trace_process_name =
-          "reduce_" + std::to_string(partition) + " key=" + entry->key;
-    }
-  }
   return config;
 }
 
@@ -204,8 +166,8 @@ void fold_map_result(const MapTaskResult& task_result, JobResult& result) {
 }
 
 void fold_reduce_result(const ReduceTaskResult& reduce_result,
-                        JobResult& result, bool include_output) {
-  if (include_output) result.outputs.push_back(reduce_result.output_path);
+                        JobResult& result) {
+  result.outputs.push_back(reduce_result.output_path);
   result.metrics.work += reduce_result.metrics;
   result.metrics.reduce_work += reduce_result.metrics;
   result.counters += reduce_result.counters;

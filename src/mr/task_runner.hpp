@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
@@ -25,17 +26,15 @@ void validate_job(const JobSpec& spec);
 /// "part-r-00007"-style final output name for a partition.
 std::string part_name(std::uint32_t partition);
 
-/// Final output path of one reduce partition.
+/// Part file one reduce partition commits to. Shared by config
+/// construction and failed-attempt cleanup so they can never disagree.
 std::filesystem::path reduce_output_path(const JobSpec& spec,
                                          std::uint32_t partition);
 
-/// Path a physical reduce task commits to: the canonical part file in
-/// hash mode, the scratch segment file when a non-empty skew plan is in
-/// force (the finalize merge later restores the part files). Shared by
-/// config construction and failed-attempt cleanup so they can never
-/// disagree.
+/// Same as reduce_output_path; the middle argument must be null. Only
+/// perfbench calls it; ROADMAP item 4 deletes it.
 std::filesystem::path reduce_task_output_path(const JobSpec& spec,
-                                              const SkewPlan* plan,
+                                              std::nullptr_t,
                                               std::uint32_t partition);
 
 /// Map-side memory split between the spill buffer and the frequent-key
@@ -48,24 +47,18 @@ MemorySplit split_memory(const JobSpec& spec);
 
 /// Builds the config for one map-task attempt. `node_cache` is the
 /// executing node's shared frequent-key cache (may be null);
-/// `trace` is the executing process's collector (may be null);
-/// `skew_plan` routes heavy keys when non-null and non-empty (the map
-/// task then spills plan->num_physical() partitions).
+/// `trace` is the executing process's collector (may be null).
 MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
                                    std::uint32_t task, std::uint32_t attempt,
                                    freqbuf::NodeKeyCache* node_cache,
-                                   obs::TraceCollector* trace,
-                                   const SkewPlan* skew_plan = nullptr);
+                                   obs::TraceCollector* trace);
 
 /// Builds the config for one reduce-task attempt over the given map
 /// outputs (must be ordered by map-task id for deterministic merges).
-/// With a non-empty `skew_plan` the task writes a segment file instead
-/// of a part file; split-share partitions run the merge combiner and
-/// emit partials (DESIGN.md §12).
 ReduceTaskConfig make_reduce_task_config(
     const JobSpec& spec, std::uint32_t partition, std::uint32_t attempt,
     std::vector<io::SpillRunInfo> map_outputs, obs::TraceCollector* trace,
-    const SkewPlan* skew_plan = nullptr, ShuffleFetcher fetch = {});
+    ShuffleFetcher fetch = {});
 
 /// Removes the scratch files of one dead map attempt (best-effort).
 void cleanup_map_attempt(const JobSpec& spec, std::uint32_t task,
@@ -80,14 +73,13 @@ void cleanup_reduce_attempt(const std::filesystem::path& output_path,
 /// shuffling the run to reducers is the engine's business.
 void fold_map_result(const MapTaskResult& task_result, JobResult& result);
 
-/// Folds one finished reduce task into the job result, appending a
-/// ReduceTaskSummary (partition = fold order, so call in partition
-/// order). `include_output` is false in skew mode, where the task wrote
-/// a scratch segment and finalize_skew_outputs owns result.outputs.
+/// Folds one finished reduce task into the job result, appending its
+/// part file and a ReduceTaskSummary (partition = fold order, so call in
+/// partition order).
 void fold_reduce_result(const ReduceTaskResult& reduce_result,
-                        JobResult& result, bool include_output = true);
+                        JobResult& result);
 
-/// Records one "partition_bytes" trace instant per physical reduce task
+/// Records one "partition_bytes" trace instant per reduce task
 /// (from result.reduce_tasks) and fills JobMetrics::partition_bytes_max /
 /// partition_bytes_median — the skew-ratio inputs. Shared by both
 /// engines; call after every reduce result is folded.

@@ -42,8 +42,6 @@ const char* const kKnownEventNames[] = {
     "reduce_task",
     "shuffle",
     "shuffle_fetch",
-    "skew_finalize",
-    "skew_plan",
     "speculative_attempt",
     "spill_consume",
     "spill_seal",
@@ -222,11 +220,11 @@ TraceAnalysis analyze_trace(const TraceData& trace) {
       continue;
     }
     if (name == "map_task") {
-      map_tasks.push_back({e.pid - 1, e.ts_ns - t0, e.dur_ns, {}, 0});
+      map_tasks.push_back({e.pid - 1, e.ts_ns - t0, e.dur_ns, 0});
       continue;
     }
     if (name == "reduce_task") {
-      reduce_tasks.push_back({e.pid - 100001, e.ts_ns - t0, e.dur_ns, {}, 0});
+      reduce_tasks.push_back({e.pid - 100001, e.ts_ns - t0, e.dur_ns, 0});
       continue;
     }
     if (name == "map_exec" || name == "reduce_exec") {
@@ -319,28 +317,10 @@ TraceAnalysis analyze_trace(const TraceData& trace) {
             [](const auto& x, const auto& y) { return x.pid < y.pid; });
 
   // Straggler attribution. Before ranking, annotate reduce spans with
-  // the skew evidence the trace carries: a dedicated skew partition
-  // registers its ring as "reduce_<p> key=<k>", and the driver records
-  // one "partition_bytes" instant per physical partition — so a reduce
-  // straggler can be attributed to the heavy key it serves rather than
-  // left as an anonymous slow task.
-  std::unordered_map<std::uint32_t, std::string> heavy_keys;
-  for (const auto& [pid, proc_name] : trace.process_names) {
-    if (proc_name.rfind("reduce_", 0) != 0) continue;
-    const std::size_t sep = proc_name.find(" key=");
-    if (sep == std::string::npos) continue;
-    const std::string digits = proc_name.substr(7, sep - 7);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    heavy_keys[static_cast<std::uint32_t>(std::stoul(digits))] =
-        proc_name.substr(sep + 5);
-  }
+  // the partition skew the trace carries: the driver records one
+  // "partition_bytes" instant per reduce partition, so the straggler
+  // table can show a slow partition's shuffled volume.
   for (auto& task : reduce_tasks) {
-    if (const auto it = heavy_keys.find(task.id); it != heavy_keys.end()) {
-      task.heavy_key = it->second;
-    }
     if (const auto it = partition_bytes.find(task.id);
         it != partition_bytes.end()) {
       task.shuffled_bytes = it->second;
@@ -431,7 +411,7 @@ std::string format_analysis(const TraceAnalysis& a) {
             seconds(slowest.dur_ns));
     bool annotated = false;
     for (const auto& task : a.slowest_reduce_tasks) {
-      if (!task.heavy_key.empty() || task.shuffled_bytes > 0) annotated = true;
+      if (task.shuffled_bytes > 0) annotated = true;
     }
     if (annotated) {
       appendf(out, "reduce stragglers:\n");
@@ -440,9 +420,6 @@ std::string format_analysis(const TraceAnalysis& a) {
         if (task.shuffled_bytes > 0) {
           appendf(out, "  %10.1f KB shuffled",
                   static_cast<double>(task.shuffled_bytes) / 1024.0);
-        }
-        if (!task.heavy_key.empty()) {
-          appendf(out, "  heavy key \"%s\"", task.heavy_key.c_str());
         }
         appendf(out, "\n");
       }
@@ -528,7 +505,6 @@ std::string format_analysis_json(const TraceAnalysis& a) {
     w.field("id", task.id);
     w.field("start_ns", task.start_ns);
     w.field("dur_ns", task.dur_ns);
-    w.field("heavy_key", task.heavy_key);
     w.field("shuffled_bytes", task.shuffled_bytes);
     w.end_object();
   }

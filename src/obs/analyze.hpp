@@ -59,16 +59,13 @@ struct TraceAnalysis {
   std::vector<WorkerLane> workers;
 
   /// One task attempt's span, for straggler attribution. Reduce spans
-  /// additionally carry the skew annotations when the trace has them:
-  /// `heavy_key` comes from the "reduce_<p> key=<k>" process name a
-  /// dedicated skew partition registers, and `shuffled_bytes` from the
-  /// driver's per-partition "partition_bytes" instants — together they
-  /// let the straggler table say *why* a reduce partition ran long.
+  /// additionally carry `shuffled_bytes` from the driver's per-partition
+  /// "partition_bytes" instants, so the straggler table can show whether
+  /// a reduce partition ran long because it received more data.
   struct TaskSpan {
     std::uint32_t id = 0;        // map task id or reduce partition
     std::uint64_t start_ns = 0;  // relative to start_ns
     std::uint64_t dur_ns = 0;
-    std::string heavy_key;             // reduce only; empty when not skewed
     std::uint64_t shuffled_bytes = 0;  // reduce only; 0 when not recorded
   };
   std::vector<TaskSpan> slowest_map_tasks;  // descending by duration

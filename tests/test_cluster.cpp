@@ -657,9 +657,7 @@ TEST(ClusterTelemetry, SigkilledWorkerMarksTelemetryIncomplete) {
 
 // Repeated cluster jobs with randomly-timed SIGKILLs of up to workers-1
 // workers per job; every run must still match the LocalEngine-independent
-// wordcount oracle. Odd iterations run with the skew-aware partitioner
-// enabled (worker death during segment writes and the finalize merge).
-// One iteration runs in the default suite as a sanity pass; the pressure
+// wordcount oracle. One iteration runs in the default suite as a sanity pass; the pressure
 // tier sets TEXTMR_CLUSTER_SOAK_SECONDS=60 (see tests/CMakeLists.txt) to
 // loop until the deadline. Kill times and victim counts come from a
 // per-iteration seeded Xoshiro256, so a failing iteration is
@@ -732,17 +730,6 @@ TEST(ClusterSoak, RandomWorkerKillsNeverCorruptOutput) {
       }
     });
     auto spec = corpus.job("soak-" + std::to_string(iteration));
-    // Odd iterations cross the chaos with the skew-aware partitioner
-    // (DESIGN.md §12): worker kills and task re-execution must not
-    // corrupt the segment files or the split-merge finalize either.
-    // Thresholds sized for the 400-word vocabulary so the plan both
-    // places and splits keys at 3 reducers.
-    if (iteration % 2 == 1) {
-      spec.skew.enabled = true;
-      spec.skew.place_threshold = 0.2;
-      spec.skew.split_threshold = 0.4;
-      spec.skew.max_split_shares = 3;
-    }
     // Even iterations soak the sharded hash-combine path (DESIGN.md §15)
     // with a tiny watermark, so SIGKILLs also land mid hash-flush; the
     // restarted task must rebuild the sort path's bytes.

@@ -38,7 +38,7 @@ struct Table {
   RecordingTarget target;
   mr::TaskMetrics metrics;
   mr::HashCombineShards table;
-  mr::SkewAwarePartitioner partitioner{1, nullptr, 0};
+  mr::HashPartitioner partitioner{1};
 };
 
 std::string varint_value(std::uint64_t v) {

@@ -26,8 +26,7 @@ TEST(Fnv1a, IsConstexpr) {
 
 TEST(HashKey, MatchesPinnedGoldenVectors) {
   // hash_key decides partition assignment, so these values pin every
-  // golden fixture's part layout and the skew plan's dedicated-partition
-  // routing. A platform or compiler that changes any of them would shift
+  // golden fixture's part layout. A platform or compiler that changes any of them would shift
   // outputs silently everywhere else — fail loudly here instead. Never
   // update these constants; if this test breaks, the hash broke.
   EXPECT_EQ(hash_key(""), 0xc3817c016ba4ff30ull);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <iterator>
 #include <map>
 
 #include "common/tempdir.hpp"
@@ -11,7 +10,6 @@
 #include "run_helpers.hpp"
 #include "mr/map_task.hpp"
 #include "mr/partitioner.hpp"
-#include "mr/skew_partitioner.hpp"
 #include "mr/task_runner.hpp"
 
 namespace textmr::mr {
@@ -147,44 +145,6 @@ TEST(MapTask, FreqBufferingReducesSpilledRecords) {
   EXPECT_LT(freq.map_thread.spill_input_records,
             baseline.map_thread.spill_input_records / 2);
   EXPECT_GT(freq.map_thread.freq_hits, 0u);
-}
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-TEST(MapTask, FreqOptPinsASplitKeyOncePerShare) {
-  // The skew plan splits "alpha" (3 of every 8 records) over partitions
-  // 2..4, and top_k 1 freezes exactly {"alpha"}. FreqOpt must pin it on
-  // every share and absorb there, and the task's output must be the bytes
-  // of the same run without FreqOpt.
-  TempDir dir;
-  const auto split = write_corpus(dir, "in.txt", 4000);
-  SkewPlan plan;
-  plan.num_canonical = 2;
-  plan.entries.push_back({"alpha", SkewPlan::Mode::kSplit, 2, 3});
-
-  auto baseline_config = base_config(dir, split);
-  baseline_config.skew_plan = &plan;
-  baseline_config.num_partitions = plan.num_physical();
-  const auto baseline = run_map_task(baseline_config);
-
-  auto freq_config = baseline_config;
-  freq_config.scratch_dir = dir.file("scratch2");
-  freq_config.freqbuf.enabled = true;
-  freq_config.freqbuf.top_k = 1;
-  freq_config.freqbuf.sampling_fraction = 0.05;
-  freq_config.freq_table_budget_bytes = 16 * 1024;
-  const auto freq = run_map_task(freq_config);
-
-  EXPECT_EQ(file_bytes(freq.output.path), file_bytes(baseline.output.path));
-  EXPECT_GT(freq.map_thread.freq_hits, 0u);
-  // Counters combine in place, so only the end-of-input flush puts into
-  // the ring: one record per share that absorbed.
-  EXPECT_EQ(freq.map_thread.freq_flushes, 3u);
-  const auto counts = read_output_counts(freq.output, plan.num_physical());
-  EXPECT_EQ(counts.at("alpha"), 3u * 4000u);
 }
 
 TEST(MapTask, SpillMatcherKeepsAnswerIdentical) {

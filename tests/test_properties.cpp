@@ -265,7 +265,6 @@ struct DiffParams {
   bool matcher;
   std::size_t spill_buffer_kb;
   std::string fail_spec;  // empty = no fault injection
-  bool skew = false;      // skew-aware partitioner on the optimized run
   // Map-side combine axis (DESIGN.md §15): 0 = sort-spill baseline,
   // 1 = sharded hash-combine, 2 = hash-combine with a tiny forced
   // watermark (every shard flushes mid-stream, many times). All three
@@ -316,7 +315,7 @@ void PrintTo(const DiffParams& p, std::ostream* os) {
       << " freq=" << p.freqbuf << " matcher=" << p.matcher
       << " buf=" << p.spill_buffer_kb
       << "KiB fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec)
-      << " skew=" << p.skew << " combine=" << combine_name(p.combine);
+      << " combine=" << combine_name(p.combine);
 }
 
 /// "TfIdfPipeline" resolves to job 1's bundle for dataset selection; the
@@ -330,20 +329,6 @@ apps::AppBundle diff_bundle(const std::string& name) {
   if (name == "Sessionize") return apps::sessionize_app();
   if (name == "TfIdfPipeline") return apps::tfidf_job1_app();
   return apps::access_log_join_app();
-}
-
-/// Skew-partitioner settings that reliably produce a non-empty plan on
-/// the grid's skewed corpora (α=1.5's top word carries ~40% of the mass,
-/// weight ≈ 1.2 with 3 reducers) while the flat corpora stay below the
-/// placement bar — so the grid exercises empty plans, placement, and
-/// splitting without per-app tuning.
-void enable_skew(mr::JobSpec& spec) {
-  spec.skew.enabled = true;
-  spec.skew.top_k = 32;
-  spec.skew.sample_bytes = 1u << 20;
-  spec.skew.place_threshold = 0.3;
-  spec.skew.split_threshold = 0.8;
-  spec.skew.max_split_shares = 3;
 }
 
 std::vector<io::InputSplit> diff_dataset(const apps::AppBundle& app,
@@ -426,7 +411,6 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
       spec.freqbuf.top_k = 60;
       spec.freqbuf.sampling_fraction = 0.05;
     }
-    if (p.skew) enable_skew(spec);
     apply_combine_mode(spec, p.combine);
   };
 
@@ -545,21 +529,14 @@ std::vector<DiffParams> differential_matrix() {
           // Combine axis cycles so every app sees sort, hash and the
           // forced-watermark hash across its four cells.
           const int combine = static_cast<int>(cell % 3);
-          // Skew-aware partitioning alternates across the grid, so every
-          // app sees both partitioner modes over its four cells.
-          const bool skew = seed % 2 == 0;
-          std::string fail = fail_specs[cell % std::size(fail_specs)];
+          const std::string& fail = fail_specs[cell % std::size(fail_specs)];
           ++cell;
           // FreqOpt runs in sort mode only (hash mode admits every key).
           if (freq && combine != 0) continue;
-          // dfs.open:nth=1 would fire once inside the skew sampling
-          // pre-pass (which tolerates and consumes it), leaving no fault
-          // for a task to retry — swap in a task-side site instead.
-          if (skew && fail == "dfs.open:nth=1") fail = "spill.read:nth=1";
           params.push_back(DiffParams{
               app, seed, alphas[seed % std::size(alphas)], freq, matcher,
-              static_cast<std::size_t>(seed % 3 == 0 ? 24 : 64),
-              std::move(fail), skew, combine});
+              static_cast<std::size_t>(seed % 3 == 0 ? 24 : 64), fail,
+              combine});
         }
       }
     }
@@ -583,7 +560,6 @@ struct ClusterDiffParams {
   std::uint32_t workers;
   bool freqbuf;
   bool matcher;
-  bool skew = false;  // skew-aware partitioner on BOTH engines
   // Fault axis: armed for the cluster run only (inherited by every
   // forked worker); recovery must be byte-invisible too.
   std::string fail_spec;
@@ -594,8 +570,7 @@ struct ClusterDiffParams {
 
 void PrintTo(const ClusterDiffParams& p, std::ostream* os) {
   *os << p.app << " workers=" << p.workers << " freq=" << p.freqbuf
-      << " matcher=" << p.matcher << " skew=" << p.skew
-      << " combine=" << combine_name(p.combine);
+      << " matcher=" << p.matcher << " combine=" << combine_name(p.combine);
   if (!p.fail_spec.empty()) *os << " fail=" << p.fail_spec;
 }
 
@@ -608,18 +583,15 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
   const bool pipeline = p.app == "TfIdfPipeline";
   DiffParams dataset_params;
   dataset_params.app = p.app;
-  dataset_params.seed = 9000 + p.workers * 10 + (p.freqbuf ? 2 : 0) +
-                        (p.matcher ? 1 : 0) + (p.skew ? 4 : 0);
-  // Skewed corpora when either skew-sensitive optimization is on, so the
-  // partitioner actually builds a non-empty plan.
-  dataset_params.alpha = (p.freqbuf || p.skew) ? 1.5 : 1.1;
+  dataset_params.seed =
+      9000 + p.workers * 10 + (p.freqbuf ? 2 : 0) + (p.matcher ? 1 : 0);
+  // A skewed corpus when FreqOpt is on, so it has frequent keys to pin.
+  dataset_params.alpha = p.freqbuf ? 1.5 : 1.1;
   const apps::AppBundle app = diff_bundle(p.app);
   const auto splits = diff_dataset(app, dataset_params, dir);
   ASSERT_FALSE(splits.empty());
 
-  // Both engines run the *same* spec — with skew on, each computes the
-  // plan independently from the same inputs, so byte-identical outputs
-  // also prove the plan construction itself is deterministic.
+  // Both engines run the *same* spec.
   const auto configure = [&](mr::JobSpec& spec) {
     spec.use_spill_matcher = p.matcher;
     if (p.freqbuf) {
@@ -627,7 +599,6 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
       spec.freqbuf.top_k = 60;
       spec.freqbuf.sampling_fraction = 0.05;
     }
-    if (p.skew) enable_skew(spec);
     apply_combine_mode(spec, p.combine);
     spec.retry_backoff_base_ms = 0;
   };
@@ -705,10 +676,10 @@ std::vector<ClusterDiffParams> cluster_differential_matrix() {
         "AccessLogJoin", "AccessLogJoinSorted", "Sessionize",
         "TfIdfPipeline"}) {
     for (const std::uint32_t workers : {1u, 2u, 4u}) {
-      for (const bool skew : {false, true}) {
-        // freq / matcher cycle by position so each appears in both skew
-        // modes across the grid without squaring its size.
-        add(ClusterDiffParams{app, workers, i % 2 == 0, i % 3 == 0, skew, "",
+      // Two cells per worker count: freq / matcher cycle by position, so
+      // each worker count sees two settings without squaring the grid.
+      for (int cell = 0; cell < 2; ++cell) {
+        add(ClusterDiffParams{app, workers, i % 2 == 0, i % 3 == 0, "",
                               // Combine cycles across the grid so each app
                               // runs hash and forced-watermark hash cells
                               // under the cluster engine too.
@@ -718,7 +689,7 @@ std::vector<ClusterDiffParams> cluster_differential_matrix() {
     // One fault cell per app, alternating a worker-side spill fault with
     // a shuffle-fetch fault so both recovery paths appear across the grid.
     add(ClusterDiffParams{
-        app, 2, i % 2 == 0, i % 3 == 0, false,
+        app, 2, i % 2 == 0, i % 3 == 0,
         i % 2 == 0 ? "spill.write:nth=1" : "shuffle.fetch:nth=1",
         static_cast<int>(i % 3)});
   }

@@ -28,7 +28,7 @@ GUARD_MACROS = {
 }
 
 # Types that are non-owning views into someone else's storage.
-VIEW_TYPE_MARKERS = ("string_view", "RecordRef", "RecordView", "SegmentEntry")
+VIEW_TYPE_MARKERS = ("string_view", "RecordRef", "RecordView")
 
 # Mutex-like capability types (a member of one of these makes the class
 # subject to the lock-coverage rule; the members themselves are exempt).
