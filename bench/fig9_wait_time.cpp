@@ -39,8 +39,7 @@ ModelResult model(const mr::JobMetrics& m, bool matcher) {
   pipe.total_bytes = spill_in;
   pipe.buffer_bytes = 64.0 * 1024 * 1024;
   pipe.threshold = 0.8;
-  pipe.policy =
-      matcher ? sim::SimSpillPolicy::kMatcher : sim::SimSpillPolicy::kFixed;
+  pipe.use_spill_matcher = matcher;
   const auto sim_result = sim::simulate_map_pipeline(pipe);
   out.idle_map_s = sim_result.map_idle_s;
   out.idle_sup_s = sim_result.support_idle_s;

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
     for (const auto& setting : bench::kAllSettings) {
       auto config = job;
       config.use_spill_matcher = setting.matcher;
-      config.freq_table_fraction = setting.freq ? 0.3 : 0.0;
+      // A job without a combiner skips FreqOpt: its ring keeps the budget.
+      config.freq_table_fraction = setting.freq && app.combiner ? 0.3 : 0.0;
       const auto& profile = setting.freq ? freq_profile : base_profile;
       seconds[column++] = sim::simulate_job(profile, cluster, config).total_s;
     }

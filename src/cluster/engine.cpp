@@ -61,6 +61,9 @@ struct TaskState {
 };
 
 constexpr int kPollMs = 5;
+/// How long shutdown waits for a worker to drain and exit before
+/// SIGKILLing it (a straggling duplicate attempt may still be running).
+constexpr std::uint64_t kShutdownGraceMs = 10000;
 
 class Coordinator {
  public:
@@ -70,7 +73,7 @@ class Coordinator {
         config_(config),
         detector_(config.straggler),
         tcp_(tcp),
-        liveness_(config.liveness_timeout_ms, config.clock) {}
+        liveness_(config.liveness_timeout_ms) {}
 
   mr::JobResult run();
 
@@ -173,7 +176,6 @@ void Coordinator::spawn_workers() {
       ctx.worker_id = w;
       ctx.heartbeat_interval_ms = config_.heartbeat_interval_ms;
       ctx.io_timeout_ms = config_.io_timeout_ms;
-      ctx.idle_timeout_ms = config_.worker_idle_timeout_ms;
       const int code = worker_main(ctx, spec_);
       // _exit: a forked clone must not run the parent's atexit chain or
       // gtest teardown; its heap intentionally dies with it.
@@ -666,7 +668,7 @@ void Coordinator::shutdown_workers() {
   // stats on the way out) or the grace period expires — a still-running
   // loser attempt can hold a worker busy past the job's useful lifetime.
   const std::uint64_t deadline =
-      monotonic_ns() + config_.shutdown_grace_ms * 1000000ull;
+      monotonic_ns() + kShutdownGraceMs * 1000000ull;
   while (live_workers() > 0 && monotonic_ns() < deadline) {
     pump_events();
   }

@@ -5,7 +5,6 @@
 
 #include "cluster/straggler.hpp"
 #include "cluster/transport.hpp"
-#include "common/clock.hpp"
 #include "mr/job.hpp"
 
 namespace textmr::cluster {
@@ -48,15 +47,8 @@ struct ClusterConfig {
   /// peer never EOFs).
   std::uint32_t liveness_timeout_ms = 0;
 
-  /// Worker-side mirror of the same: exit when the coordinator sends
-  /// nothing for this long while the worker is idle. 0 = wait forever.
-  std::uint32_t worker_idle_timeout_ms = 0;
-
   /// Must stay true, or run() throws ConfigError. ROADMAP item 4 deletes it.
   bool network_shuffle = true;
-
-  /// Clock injected into the liveness tracker (ManualClock in tests).
-  const common::Clock* clock = nullptr;
 
   /// Launch speculative duplicate attempts for straggling tasks
   /// (paper §II-A backup tasks). First finished attempt wins; the
@@ -66,10 +58,6 @@ struct ClusterConfig {
 
   std::uint32_t heartbeat_interval_ms = 25;
   StragglerPolicy straggler;
-
-  /// How long shutdown waits for a worker to drain and exit before
-  /// SIGKILLing it (a straggling duplicate attempt may still be running).
-  std::uint64_t shutdown_grace_ms = 10000;
 
   /// Test seam: runs inside each child process right after fork, before
   /// any task executes — e.g. re-arm failpoints asymmetrically so only

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -106,6 +107,79 @@ bool ship_trace_chunks(Channel& channel, obs::TraceCollector* collector,
     }
   }
   return true;
+}
+
+/// What a finished attempt reports: its done frame, and what it adds to
+/// the worker's cumulative stats.
+struct TaskDone {
+  std::string frame;
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t spills = 0;
+  std::uint64_t wall_ns = 0;
+};
+
+/// Runs attempt `attempt` of a dispatched task (`id` is a map task id or
+/// a reduce partition) the same way for both kinds: the dispatch instant
+/// and the busy span on the worker lane, the `cluster.dispatch`
+/// failpoint, `run` (which returns the TaskDone), or on any throw the
+/// failure report and `cleanup`; then the stats fold, the done or failed
+/// frame, and the attempt's trace chunks. Returns false once the channel
+/// is broken.
+template <typename Run, typename Cleanup>
+bool run_attempt(Channel& channel, obs::TraceBuffer* worker_trace,
+                 obs::TraceCollector* collector, std::uint32_t worker_id,
+                 TaskKind kind, std::uint32_t id, std::uint32_t attempt,
+                 Run run, Cleanup cleanup) {
+  const bool map = kind == TaskKind::kMap;
+  const char* id_arg = map ? "task" : "partition";
+  channel.set_task(kind, id, attempt);
+  obs::record_instant(worker_trace, "cluster",
+                      map ? "map_dispatch" : "reduce_dispatch", id_arg,
+                      static_cast<double>(id), "attempt",
+                      static_cast<double>(attempt));
+  std::optional<TaskDone> done;
+  TaskFailedMsg failure;
+  {
+    // Worker-lane busy span: the analyzer derives per-worker utilization
+    // from these, so the span must close (destructor) on the failure
+    // path too.
+    obs::SpanTimer exec(worker_trace, "cluster",
+                        map ? "map_exec" : "reduce_exec");
+    exec.arg(id_arg, static_cast<double>(id));
+    exec.arg("attempt", static_cast<double>(attempt));
+    try {
+      if (failpoint::enabled()) {
+        failpoint::check("cluster.dispatch");
+      }
+      done = run();
+    } catch (...) {
+      failure.kind = kind;
+      failure.id = id;
+      failure.attempt = attempt;
+      failure.retryable = mr::is_retryable_error();
+      failure.message = mr::current_error_message();
+      cleanup();
+    }
+  }
+  {
+    textmr::MutexLock lock(channel.mu);
+    if (done.has_value()) {
+      channel.stats.records += done->records;
+      channel.stats.bytes += done->bytes;
+      channel.stats.spills += done->spills;
+      channel.stats.tasks_completed += 1;
+      channel.stats.task_latency_ns.record(done->wall_ns);
+    } else {
+      channel.stats.task_failures += 1;
+    }
+  }
+  channel.set_idle();
+  const std::string frame =
+      done.has_value() ? std::move(done->frame) : encode_task_failed(failure);
+  if (!channel.send(frame)) return false;
+  return ship_trace_chunks(channel, collector, worker_id,
+                           /*final_chunk=*/false);
 }
 
 /// Heartbeat loop: one beat per interval describing what the worker is
@@ -250,148 +324,72 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 
       if (type == MsgType::kRunMap) {
         const RunTaskMsg msg = decode_run_task(r);
-        channel.set_task(TaskKind::kMap, msg.id, msg.attempt);
-        obs::record_instant(worker_trace, "cluster", "map_dispatch", "task",
-                            static_cast<double>(msg.id), "attempt",
-                            static_cast<double>(msg.attempt));
-        TaskFailedMsg failure;
-        bool ok = false;
-        mr::MapTaskResult result;
-        {
-          // Worker-lane busy span: the analyzer derives per-worker
-          // utilization from these, so the span must close (destructor)
-          // on the failure path too.
-          obs::SpanTimer exec(worker_trace, "cluster", "map_exec");
-          exec.arg("task", static_cast<double>(msg.id));
-          exec.arg("attempt", static_cast<double>(msg.attempt));
-          try {
-            if (failpoint::enabled()) {
-              failpoint::check("cluster.dispatch");
-            }
-            mr::MapTaskConfig config = mr::make_map_task_config(
-                spec, mem, msg.id, msg.attempt, &node_cache, collector.get());
-            config.progress = &channel.progress;
-            result = mr::run_map_task(config);
-            ok = true;
-          } catch (...) {
-            failure.kind = TaskKind::kMap;
-            failure.id = msg.id;
-            failure.attempt = msg.attempt;
-            failure.retryable = mr::is_retryable_error();
-            failure.message = mr::current_error_message();
-            mr::cleanup_map_attempt(spec, msg.id, msg.attempt);
-          }
-        }
-        {
-          textmr::MutexLock lock(channel.mu);
-          if (ok) {
-            channel.stats.records += result.map_thread.input_records;
-            channel.stats.bytes += result.map_thread.input_bytes;
-            channel.stats.spills += result.spills;
-            channel.stats.tasks_completed += 1;
-            channel.stats.task_latency_ns.record(result.wall_ns);
-          } else {
-            channel.stats.task_failures += 1;
-          }
-        }
-        channel.set_idle();
-        if (ok) {
-          if (!channel.send(encode_map_done(msg.id, msg.attempt, result))) {
-            break;
-          }
-        } else {
-          if (!channel.send(encode_task_failed(failure))) break;
-        }
-        if (!ship_trace_chunks(channel, collector.get(), ctx.worker_id,
-                               /*final_chunk=*/false)) {
-          break;
-        }
+        const bool live = run_attempt(
+            channel, worker_trace, collector.get(), ctx.worker_id,
+            TaskKind::kMap, msg.id, msg.attempt,
+            [&] {
+              mr::MapTaskConfig config = mr::make_map_task_config(
+                  spec, mem, msg.id, msg.attempt, &node_cache,
+                  collector.get());
+              config.progress = &channel.progress;
+              const mr::MapTaskResult result = mr::run_map_task(config);
+              return TaskDone{encode_map_done(msg.id, msg.attempt, result),
+                              result.map_thread.input_records,
+                              result.map_thread.input_bytes, result.spills,
+                              result.wall_ns};
+            },
+            [&] { mr::cleanup_map_attempt(spec, msg.id, msg.attempt); });
+        if (!live) break;
         continue;
       }
 
       if (type == MsgType::kRunReduce) {
         RunReduceMsg msg = decode_run_reduce(r);
-        channel.set_task(TaskKind::kReduce, msg.partition, msg.attempt);
-        obs::record_instant(worker_trace, "cluster", "reduce_dispatch",
-                            "partition", static_cast<double>(msg.partition),
-                            "attempt", static_cast<double>(msg.attempt));
-        TaskFailedMsg failure;
-        bool ok = false;
-        mr::ReduceTaskResult result;
-        {
-          obs::SpanTimer exec(worker_trace, "cluster", "reduce_exec");
-          exec.arg("partition", static_cast<double>(msg.partition));
-          exec.arg("attempt", static_cast<double>(msg.attempt));
-          try {
-            if (failpoint::enabled()) {
-              failpoint::check("cluster.dispatch");
-            }
-            // Pull each run from its owning worker's shuffle server;
-            // fall back to the shared-filesystem read when the owner is
-            // gone or its fetches are exhausted (speculation SIGKILLs
-            // winners' losers, and a loser may own committed map output
-            // — DESIGN.md §14). `sources` is parallel to `map_outputs`
-            // (the wire check guarantees it).
-            mr::ShuffleFetcher fetcher =
-                [client = ShuffleClient(), sources = std::move(msg.sources)](
-                    std::uint32_t run_index, const io::SpillRunInfo& run,
-                    std::uint32_t partition) {
-                  mr::ShuffleFetchResult out;
-                  const Endpoint& source = sources[run_index];
-                  if (source.valid()) {
-                    if (auto bytes = client.fetch(source, run, partition)) {
-                      out.bytes = std::move(*bytes);
-                      out.over_wire = true;
-                      return out;
+        const bool live = run_attempt(
+            channel, worker_trace, collector.get(), ctx.worker_id,
+            TaskKind::kReduce, msg.partition, msg.attempt,
+            [&] {
+              // Pull each run from its owning worker's shuffle server;
+              // fall back to the shared-filesystem read when the owner is
+              // gone or its fetches are exhausted (speculation SIGKILLs
+              // winners' losers, and a loser may own committed map
+              // output — DESIGN.md §14). `sources` is parallel to
+              // `map_outputs` (the wire check guarantees it).
+              mr::ShuffleFetcher fetcher =
+                  [client = ShuffleClient(), sources = std::move(msg.sources)](
+                      std::uint32_t run_index, const io::SpillRunInfo& run,
+                      std::uint32_t partition) {
+                    mr::ShuffleFetchResult out;
+                    const Endpoint& source = sources[run_index];
+                    if (source.valid()) {
+                      if (auto bytes = client.fetch(source, run, partition)) {
+                        out.bytes = std::move(*bytes);
+                        out.over_wire = true;
+                        return out;
+                      }
+                      TEXTMR_LOG(kWarn)
+                          << "shuffle fetch of " << run.path << "#"
+                          << partition << " from " << source.to_string()
+                          << " exhausted retries; falling back to local read";
                     }
-                    TEXTMR_LOG(kWarn)
-                        << "shuffle fetch of " << run.path << "#" << partition
-                        << " from " << source.to_string()
-                        << " exhausted retries; falling back to local read";
-                  }
-                  out.bytes =
-                      io::SpillRunReader(run.path).read_partition(partition);
-                  return out;
-                };
-            const mr::ReduceTaskConfig config = mr::make_reduce_task_config(
-                spec, msg.partition, msg.attempt, std::move(msg.map_outputs),
-                collector.get(), std::move(fetcher));
-            result = mr::run_reduce_task(config);
-            ok = true;
-          } catch (...) {
-            failure.kind = TaskKind::kReduce;
-            failure.id = msg.partition;
-            failure.attempt = msg.attempt;
-            failure.retryable = mr::is_retryable_error();
-            failure.message = mr::current_error_message();
-            mr::cleanup_reduce_attempt(
-                mr::reduce_output_path(spec, msg.partition), msg.attempt);
-          }
-        }
-        {
-          textmr::MutexLock lock(channel.mu);
-          if (ok) {
-            channel.stats.records += result.metrics.reduce_input_records;
-            channel.stats.bytes += result.metrics.shuffled_bytes;
-            channel.stats.tasks_completed += 1;
-            channel.stats.task_latency_ns.record(result.wall_ns);
-          } else {
-            channel.stats.task_failures += 1;
-          }
-        }
-        channel.set_idle();
-        if (ok) {
-          if (!channel.send(
-                  encode_reduce_done(msg.partition, msg.attempt, result))) {
-            break;
-          }
-        } else {
-          if (!channel.send(encode_task_failed(failure))) break;
-        }
-        if (!ship_trace_chunks(channel, collector.get(), ctx.worker_id,
-                               /*final_chunk=*/false)) {
-          break;
-        }
+                    out.bytes =
+                        io::SpillRunReader(run.path).read_partition(partition);
+                    return out;
+                  };
+              const mr::ReduceTaskConfig config = mr::make_reduce_task_config(
+                  spec, msg.partition, msg.attempt, std::move(msg.map_outputs),
+                  collector.get(), std::move(fetcher));
+              const mr::ReduceTaskResult result = mr::run_reduce_task(config);
+              return TaskDone{
+                  encode_reduce_done(msg.partition, msg.attempt, result),
+                  result.metrics.reduce_input_records,
+                  result.metrics.shuffled_bytes, 0, result.wall_ns};
+            },
+            [&] {
+              mr::cleanup_reduce_attempt(
+                  mr::reduce_output_path(spec, msg.partition), msg.attempt);
+            });
+        if (!live) break;
         continue;
       }
 

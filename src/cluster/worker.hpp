@@ -28,7 +28,8 @@ struct WorkerContext {
   std::int32_t io_timeout_ms = -1;
   /// Max silence between coordinator frames while idle before the
   /// worker concludes the coordinator is dead and exits; 0 = wait
-  /// forever.
+  /// forever, as forked workers do (a dead coordinator's socket EOFs).
+  /// An external worker takes it from RemoteWorkerOptions.
   std::uint32_t idle_timeout_ms = 0;
 };
 

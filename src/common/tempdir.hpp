@@ -6,7 +6,7 @@
 namespace textmr {
 
 /// RAII temporary directory; removed (recursively) on destruction.
-/// Used by tests, examples and the SimDfs default scratch space.
+/// Used by tests and examples.
 class TempDir {
  public:
   /// Creates a fresh unique directory under the system temp path,

@@ -202,12 +202,6 @@ void FreqBufferController::freeze_keys() {
 }
 
 void FreqBufferController::start_optimize(std::vector<std::string> keys) {
-  if (!table_.has_combiner()) {
-    // Without a combiner the table could only delay data, not shrink it
-    // (pure overhead); keep the profiling cost honest but pin nothing,
-    // matching the paper's ~100% runtime for AccessLogJoin (Table III).
-    keys.clear();
-  }
   // In rank order, each under the partition the map sink routes it to.
   std::vector<std::pair<std::uint32_t, std::string>> pins;
   pins.reserve(keys.size());

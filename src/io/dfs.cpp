@@ -26,79 +26,4 @@ void atomic_write_file(const std::filesystem::path& path,
   }
 }
 
-SimDfs::SimDfs(std::filesystem::path root, Options options)
-    : root_(std::move(root)), options_(options) {
-  TEXTMR_CHECK(options_.num_nodes >= 1, "SimDfs needs >= 1 node");
-  TEXTMR_CHECK(options_.block_bytes >= 1, "SimDfs block size must be positive");
-  std::filesystem::create_directories(root_);
-}
-
-std::filesystem::path SimDfs::path_of(const std::string& name) const {
-  TEXTMR_CHECK(name.find("..") == std::string::npos, "path escapes namespace");
-  return root_ / name;
-}
-
-void SimDfs::commit(const std::string& name) {
-  if (!std::filesystem::exists(path_of(name))) {
-    throw IoError("commit of missing file " + name);
-  }
-  write_meta(name, next_node_);
-  next_node_ = (next_node_ + 1) % options_.num_nodes;
-}
-
-bool SimDfs::exists(const std::string& name) const {
-  return std::filesystem::exists(path_of(name)) &&
-         std::filesystem::exists(path_of(name + ".dfsmeta"));
-}
-
-std::uint64_t SimDfs::file_size(const std::string& name) const {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path_of(name), ec);
-  if (ec) throw IoError("cannot stat " + name + ": " + ec.message());
-  return size;
-}
-
-void SimDfs::write_meta(const std::string& name,
-                        std::uint32_t first_node) const {
-  std::ofstream meta(path_of(name + ".dfsmeta"));
-  if (!meta) throw IoError("cannot write dfs metadata for " + name);
-  meta << "first_node " << first_node << "\n"
-       << "block_bytes " << options_.block_bytes << "\n"
-       << "num_nodes " << options_.num_nodes << "\n";
-}
-
-std::uint32_t SimDfs::read_meta(const std::string& name) const {
-  std::ifstream meta(path_of(name + ".dfsmeta"));
-  if (!meta) throw IoError("file not committed to SimDfs: " + name);
-  std::string field;
-  std::uint32_t first_node = 0;
-  if (!(meta >> field >> first_node) || field != "first_node") {
-    throw FormatError("bad dfs metadata for " + name);
-  }
-  return first_node;
-}
-
-std::uint32_t SimDfs::node_of(const std::string& name,
-                              std::uint64_t offset) const {
-  const std::uint32_t first_node = read_meta(name);
-  const std::uint64_t block = offset / options_.block_bytes;
-  return static_cast<std::uint32_t>((first_node + block) % options_.num_nodes);
-}
-
-std::vector<DfsSplit> SimDfs::splits(const std::string& name,
-                                     std::uint64_t split_bytes) const {
-  const std::uint32_t first_node = read_meta(name);
-  if (split_bytes == 0) split_bytes = options_.block_bytes;
-  const auto base = make_splits(path_of(name).string(), split_bytes);
-  std::vector<DfsSplit> result;
-  result.reserve(base.size());
-  for (const auto& split : base) {
-    const std::uint64_t block = split.offset / options_.block_bytes;
-    result.push_back(DfsSplit{
-        split, static_cast<std::uint32_t>((first_node + block) %
-                                          options_.num_nodes)});
-  }
-  return result;
-}
-
 }  // namespace textmr::io

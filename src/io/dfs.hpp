@@ -1,81 +1,15 @@
 #pragma once
 
-#include <cstdint>
-#include <cstdio>
 #include <filesystem>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "io/line_reader.hpp"
 
 namespace textmr::io {
 
 /// Atomically replaces `path` with `contents`: writes `path` + ".tmp" and
-/// renames it into place, so readers never observe a partial file. This is
-/// the commit primitive shared by the reduce-output rename path, the
-/// cluster engine's first-writer-wins task commit, and the per-node
-/// frequent-key cache files (DESIGN.md §10). Throws IoError on failure.
+/// renames it into place, so readers never observe a partial file. Its
+/// one caller is NodeKeyCache::put, which persists a node's frozen
+/// frequent-key set (DESIGN.md §10). Throws IoError on failure.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view contents);
-
-/// A split plus its block-locality hint, the information a MapReduce
-/// scheduler uses to place map tasks near their data.
-struct DfsSplit {
-  InputSplit split;
-  std::uint32_t preferred_node = 0;
-
-  friend bool operator==(const DfsSplit&, const DfsSplit&) = default;
-};
-
-/// SimDfs: a minimal distributed-filesystem stand-in backed by a local
-/// directory. Files are stored as ordinary files (so generators and
-/// readers are plain file I/O), but SimDfs tracks a virtual block layout —
-/// fixed-size blocks assigned round-robin to `num_nodes` virtual nodes —
-/// and serves locality-annotated splits from it. The cluster simulator
-/// (src/sim) uses the node assignment to model local vs. remote reads;
-/// the real LocalEngine only uses the byte ranges.
-///
-/// Layout metadata is persisted in a `<name>.dfsmeta` sidecar so a SimDfs
-/// can be reopened over an existing directory.
-class SimDfs {
- public:
-  struct Options {
-    std::uint32_t num_nodes = 1;
-    std::uint64_t block_bytes = 64ull << 20;  // HDFS-style 64 MiB default
-  };
-
-  SimDfs(std::filesystem::path root, Options options);
-
-  const std::filesystem::path& root() const { return root_; }
-  std::uint32_t num_nodes() const { return options_.num_nodes; }
-  std::uint64_t block_bytes() const { return options_.block_bytes; }
-
-  /// Absolute path of a file in this DFS namespace.
-  std::filesystem::path path_of(const std::string& name) const;
-
-  /// Registers a file that was written directly into the namespace
-  /// (e.g. by a dataset generator) and assigns its blocks to nodes.
-  void commit(const std::string& name);
-
-  bool exists(const std::string& name) const;
-  std::uint64_t file_size(const std::string& name) const;
-
-  /// Locality-annotated splits. If `split_bytes` is 0 the block size is
-  /// used, yielding one split per block (the Hadoop default).
-  std::vector<DfsSplit> splits(const std::string& name,
-                               std::uint64_t split_bytes = 0) const;
-
-  /// Node that owns the block containing `offset` of a committed file.
-  std::uint32_t node_of(const std::string& name, std::uint64_t offset) const;
-
- private:
-  void write_meta(const std::string& name, std::uint32_t first_node) const;
-  std::uint32_t read_meta(const std::string& name) const;
-
-  std::filesystem::path root_;
-  Options options_;
-  std::uint32_t next_node_ = 0;  // round-robin start node for new files
-};
 
 }  // namespace textmr::io

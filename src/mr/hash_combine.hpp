@@ -120,7 +120,6 @@ class HashCombineShards {
   std::size_t resident_bytes() const;
 
   const HashCombineStats& stats() const { return stats_; }
-  bool has_combiner() const { return combiner_ != nullptr; }
 
  private:
   class RunTarget;

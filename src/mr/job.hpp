@@ -22,8 +22,8 @@ namespace textmr::mr {
 struct JobSpec {
   std::string name = "job";
 
-  /// Input splits (one map task each). Use io::make_splits / SimDfs to
-  /// build them.
+  /// Input splits (one map task each). Use io::make_splits to build
+  /// them.
   std::vector<io::InputSplit> inputs;
 
   MapperFactory mapper;
@@ -35,16 +35,18 @@ struct JobSpec {
   std::uint32_t num_reducers = 1;
 
   /// Total map-side memory budget per task. When frequency-buffering is
-  /// enabled, `freqbuf.table_budget_fraction` of this is carved out for
-  /// the frequent-key table and the spill buffer gets the rest, keeping
-  /// the total fixed (paper §V-B2).
+  /// enabled and the job has a combiner, `freqbuf.table_budget_fraction`
+  /// of this is carved out for the frequent-key table and the spill
+  /// buffer gets the rest, keeping the total fixed (paper §V-B2).
   std::size_t spill_buffer_bytes = 16u << 20;
 
-  /// Fixed spill threshold (Hadoop's io.sort.spill.percent default 0.8);
-  /// ignored when `use_spill_matcher` is true.
+  /// Spill threshold (Hadoop's io.sort.spill.percent, default 0.8). It
+  /// holds for the whole task, or, under the spill-matcher, until the
+  /// first spill is consumed.
   double spill_threshold = 0.8;
 
-  /// Enable the spill-matcher adaptive threshold (paper §IV).
+  /// Enable the spill-matcher: after each spill the threshold becomes
+  /// spillmatch::next_threshold of that spill's times (paper §IV).
   bool use_spill_matcher = false;
 
   /// Map-side combine strategy (DESIGN.md §15). kHash replaces the

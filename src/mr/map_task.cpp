@@ -14,6 +14,7 @@
 #include "mr/partitioner.hpp"
 #include "mr/spill_buffer.hpp"
 #include "mr/spill_sorter.hpp"
+#include "spillmatch/spill_matcher.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -154,11 +155,13 @@ class MapTask {
     TaskMetrics& metrics = result_.map_thread;
     OpSampler sampler;
     // FreqOpt: profile, then pin the frozen set in a combine table of its
-    // own budget whose flushes re-enter the ring.
+    // own budget whose flushes re-enter the ring. Without a combiner the
+    // table could only delay records, never shrink them, so the task
+    // runs as if FreqOpt were off.
     std::optional<RingTarget> ring_target;
     std::optional<HashCombineShards> freq_table;
     std::unique_ptr<freqbuf::FreqBufferController> freq;
-    if (config_.freqbuf.enabled) {
+    if (config_.freqbuf.enabled && map_combiner_ != nullptr) {
       ring_target.emplace(*ring, metrics);
       freq_table.emplace(freq_table_config(), map_combiner_.get(),
                          *ring_target, metrics, map_trace_);
@@ -252,12 +255,7 @@ class MapTask {
           trace_pid(), obs::kSupportThreadTidBase, "support-0");
     }
 
-    // Spill policy (fixed 0.8 unless the job installed the spill-matcher).
-    std::unique_ptr<spillmatch::SpillPolicy> policy =
-        config_.spill_policy
-            ? config_.spill_policy()
-            : std::make_unique<spillmatch::FixedSpillPolicy>();
-    SpillBuffer buffer(config_.spill_buffer_bytes, policy->initial_threshold(),
+    SpillBuffer buffer(config_.spill_buffer_bytes, config_.spill_threshold,
                        /*max_outstanding=*/1, io::SpillFormat::kCompactVarint,
                        buffer_trace);
 
@@ -265,9 +263,7 @@ class MapTask {
     // own combiner, result_.counters; the map thread reads neither until
     // after the join. Its runs (in spill order) and error go through
     // `shared`: the join makes the later reads safe too, but the analysis
-    // cannot see a join. kMapTask ranks below kSpillBuffer: the support
-    // thread consults the spill policy (and re-enters the buffer to apply
-    // its threshold) while holding `shared.mu`.
+    // cannot see a join.
     struct SupportShared {
       textmr::Mutex mu{textmr::LockRank::kMapTask, "mr.map_task.support"};
       std::vector<io::SpillRunInfo> runs TEXTMR_GUARDED_BY(mu);
@@ -297,20 +293,19 @@ class MapTask {
               result_.support_thread, support_trace);
           const std::uint64_t consume_ns = monotonic_ns() - consume_start;
           buffer.release(*spill, consume_ns);
-          textmr::MutexLock lock(shared.mu);
-          shared.runs.push_back(std::move(info));
-          if (auto timing = buffer.last_timing(); timing.has_value()) {
-            const double next = policy->next_threshold(spillmatch::Timing{
-                timing->produce_ns, timing->consume_ns, timing->data_bytes});
+          if (config_.use_spill_matcher) {
+            const double next =
+                spillmatch::next_threshold(spill->produce_ns, consume_ns);
             buffer.set_threshold(next);
             // The spill-matcher's decision, with the measured T_p / T_c
             // it was derived from (paper eq. (1)).
             obs::record_instant(
                 support_trace, "spill", "threshold_update", "tp_ms",
-                static_cast<double>(timing->produce_ns) * 1e-6, "tc_ms",
-                static_cast<double>(timing->consume_ns) * 1e-6, "threshold",
-                next);
+                static_cast<double>(spill->produce_ns) * 1e-6, "tc_ms",
+                static_cast<double>(consume_ns) * 1e-6, "threshold", next);
           }
+          textmr::MutexLock lock(shared.mu);
+          shared.runs.push_back(std::move(info));
         }
       } catch (...) {
         {

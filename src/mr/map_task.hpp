@@ -11,7 +11,6 @@
 #include "mr/metrics.hpp"
 #include "mr/types.hpp"
 #include "obs/trace.hpp"
-#include "spillmatch/spill_matcher.hpp"
 
 namespace textmr::mr {
 
@@ -46,11 +45,14 @@ struct MapTaskConfig {
   std::size_t hash_combine_watermark_bytes = 0;
   std::filesystem::path scratch_dir;
 
-  /// Spill threshold policy; if null, Hadoop's fixed 0.8 is used.
-  spillmatch::SpillPolicyFactory spill_policy;
+  /// Sort mode's spill threshold (JobSpec::spill_threshold): fixed, or
+  /// under the spill-matcher the first region's, after which each
+  /// consumed spill sets the next by spillmatch::next_threshold.
+  double spill_threshold = 0.8;
+  bool use_spill_matcher = false;
 
-  /// Frequency-buffering (sort mode only); `freqbuf.enabled` gates it.
-  /// When enabled, the engine has already carved `freq_table_budget_bytes`
+  /// Frequency-buffering (sort mode only); `freqbuf.enabled` gates it,
+  /// and a task without a combiner skips it. When it runs, the engine has already carved `freq_table_budget_bytes`
   /// out of the memory budget (spill_buffer_bytes excludes it).
   freqbuf::FreqBufConfig freqbuf;
   std::uint64_t freq_table_budget_bytes = 0;

@@ -88,19 +88,23 @@ class PartFileWriter final : public EmitSink {
   std::string buffer_;
 };
 
-/// Counts the values a timed group's reduce() pulls, so its time can be
-/// scaled by records (group sizes are Zipf-skewed).
+/// A timed group's values: counts the ones reduce() pulls, so its time
+/// can be scaled by records (group sizes are Zipf-skewed), and times each
+/// pull, which is the merge's work behind that value.
 class CountingValues final : public ValueStream {
  public:
   explicit CountingValues(ValueStream& values) : values_(values) {}
 
   std::optional<std::string_view> next() override {
+    const std::uint64_t t0 = monotonic_ns();
     auto value = values_.next();
+    pull_ns += monotonic_ns() - t0;
     if (value.has_value()) ++count;
     return value;
   }
 
   std::uint64_t count = 0;
+  std::uint64_t pull_ns = 0;
 
  private:
   ValueStream& values_;
@@ -115,7 +119,8 @@ struct ReduceTiming {
 };
 
 /// Calls reduce() for one group; a timed group also measures its user
-/// time (less its sink time) and its record counts.
+/// time (less its sink time and its value pulls, which are merge time)
+/// and its record counts.
 void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
                  EmitSink& out, TaskMetrics& metrics, ReduceTiming& timing) {
   metrics.reduce_groups += 1;
@@ -134,10 +139,13 @@ void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
   const std::uint64_t elapsed = monotonic_ns() - t0;
   const std::uint64_t sink_ns = timing.sampler.sampled_ns(Op::kOutputWrite) +
                                 metrics.op_ns(Op::kOutputWrite) - sink_before;
-  timing.sampler.add(Op::kReduceUser, elapsed - std::min(elapsed, sink_ns));
+  const std::uint64_t not_user_ns = sink_ns + counted.pull_ns;
+  timing.sampler.add(Op::kReduceUser,
+                     elapsed - std::min(elapsed, not_user_ns));
   // Values reduce() left unread still belong to the group.
   while (counted.next().has_value()) {
   }
+  timing.sampler.add(Op::kReduceMerge, counted.pull_ns);
   timing.input_records += counted.count;
   timing.output_records += metrics.output_records - output_before;
 }
@@ -217,10 +225,11 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
 
   obs::SpanTimer apply_span(trace, "task", "reduce_apply");
   // The loop's wall is read once at each end. Sink flushes time
-  // themselves exactly. The rest is split across grouping (kReduceMerge),
-  // reduce() and per-record sink work in the shares of the timed groups,
-  // each scaled by the exact record count it grows with — group sizes
-  // are Zipf-skewed, so a count of groups would misweigh them.
+  // themselves exactly. The rest is split across the merge (kReduceMerge:
+  // finding each group and pulling its values), reduce() and per-record
+  // sink work in the shares of the timed groups, each scaled by the
+  // exact record count it grows with — group sizes are Zipf-skewed, so a
+  // count of groups would misweigh them.
   const std::uint64_t loop_start = monotonic_ns();
   const std::uint64_t flush_before = metrics.op_ns(Op::kOutputWrite);
   MergeStream stream(fetched);

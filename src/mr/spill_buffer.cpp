@@ -29,6 +29,8 @@ SpillBuffer::SpillBuffer(std::size_t capacity_bytes, double initial_threshold,
                "spill buffer must stay addressable by u32 offsets");
   TEXTMR_CHECK(max_outstanding == 1, "the spill buffer has one seal slot");
   threshold_ = std::clamp(initial_threshold, kMinThreshold, kMaxThreshold);
+  // The threshold track starts at x0; set_threshold() extends it.
+  obs::record_counter(trace_, "spill", "spill_threshold", threshold_);
 }
 
 void SpillBuffer::set_threshold(double threshold) {
@@ -179,7 +181,7 @@ std::optional<Spill> SpillBuffer::take() {
   return spill;
 }
 
-void SpillBuffer::release(const Spill& spill, std::uint64_t consume_ns) {
+void SpillBuffer::release(const Spill& spill, std::uint64_t /*consume_ns*/) {
   MutexLock lock(mu_);
   TEXTMR_CHECK(outstanding_ && !sealed_.has_value(),
                "release without a taken spill");
@@ -190,8 +192,6 @@ void SpillBuffer::release(const Spill& spill, std::uint64_t consume_ns) {
   outstanding_ = false;
   head_ = (head_ + spill.ring_bytes) % capacity_;
   used_ -= spill.ring_bytes;
-  last_timing_ = SpillTiming{spill.sequence, spill.produce_ns, consume_ns,
-                             spill.data_bytes};
   obs::record_counter(trace_, "spill", "buffer_fill",
                       static_cast<double>(used_) /
                           static_cast<double>(capacity_));
@@ -228,11 +228,6 @@ std::uint64_t SpillBuffer::consumer_wait_ns() const {
 std::uint64_t SpillBuffer::spills_sealed() const {
   MutexLock lock(mu_);
   return sequence_;
-}
-
-std::optional<SpillTiming> SpillBuffer::last_timing() const {
-  MutexLock lock(mu_);
-  return last_timing_;
 }
 
 }  // namespace textmr::mr

@@ -27,14 +27,6 @@ struct Spill {
   bool is_final = false;          // the flush spill at end of input
 };
 
-/// Timing of one completed produce/consume pair, fed to the spill policy.
-struct SpillTiming {
-  std::uint64_t sequence = 0;
-  std::uint64_t produce_ns = 0;
-  std::uint64_t consume_ns = 0;
-  std::uint64_t data_bytes = 0;
-};
-
 /// Circular in-memory buffer between the map thread (producer) and the
 /// support thread (consumer), modeled on Hadoop's map-side kvbuffer
 /// (paper §IV-A, Fig. 4).
@@ -71,8 +63,8 @@ class SpillBuffer {
   /// which is safe because every record happens under `mu_` (the one
   /// sanctioned exception to TraceBuffer's single-writer rule).
   /// `clock`, when non-null, replaces the monotonic clock for the
-  /// produce/wait timing that feeds the spill policy — tests drive it
-  /// with a common::ManualClock to pin eq. (1) inputs exactly.
+  /// produce/wait timing (Spill::produce_ns, the spill-matcher's T_p) —
+  /// tests drive it with a common::ManualClock to pin it exactly.
   /// `max_outstanding` must be 1; it and `format` are shims:
   /// unread; perfbench assigns or passes it; ROADMAP item 4 deletes it.
   explicit SpillBuffer(std::size_t capacity_bytes,
@@ -91,7 +83,8 @@ class SpillBuffer {
            std::string_view value);
 
   /// Sets the spill threshold used for the *next* seal decision
-  /// (clamped to [0.01, 0.99]). Called by the spill policy.
+  /// (clamped to [0.01, 0.99]). The spill-matcher calls it after each
+  /// release.
   void set_threshold(double threshold);
   double threshold() const;
 
@@ -114,9 +107,10 @@ class SpillBuffer {
   std::optional<Spill> take() TEXTMR_LIFETIME_BOUND;
 
   /// Frees the ring space of the outstanding spill, which `spill` must be
-  /// (InternalError otherwise). `consume_ns` is the wall time the
-  /// support thread spent processing it; the pair (produce_ns,
-  /// consume_ns) becomes the SpillTiming the policy sees.
+  /// (InternalError otherwise). `consume_ns` is a shim: unread (the
+  /// support thread holds both of a spill's times and applies the
+  /// spill-matcher itself); perfbench passes it; ROADMAP item 4 deletes
+  /// it.
   void release(const Spill& spill, std::uint64_t consume_ns);
 
   // ---- instrumentation -------------------------------------------------
@@ -131,9 +125,6 @@ class SpillBuffer {
   /// measured wait, making the wait-accounting assertions deterministic.
   bool producer_waiting() const;
   bool consumer_waiting() const;
-
-  /// Timing of the most recently released spill, if any.
-  std::optional<SpillTiming> last_timing() const;
 
  private:
   std::uint64_t free_bytes_locked() const TEXTMR_REQUIRES(mu_) {
@@ -182,7 +173,6 @@ class SpillBuffer {
   std::uint64_t consumer_wait_ns_ TEXTMR_GUARDED_BY(mu_) = 0;
   bool producer_waiting_ TEXTMR_GUARDED_BY(mu_) = false;
   bool consumer_waiting_ TEXTMR_GUARDED_BY(mu_) = false;
-  std::optional<SpillTiming> last_timing_ TEXTMR_GUARDED_BY(mu_);
 
   obs::TraceBuffer* const trace_;  // pointee written only under mu_
   const common::Clock* const clock_;

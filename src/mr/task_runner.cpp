@@ -43,8 +43,8 @@ void validate_job(const JobSpec& spec) {
       throw ConfigError("freqbuf table_budget_fraction must be in (0, 1)");
     }
     if (!spec.combiner) {
-      TEXTMR_LOG(kWarn) << "frequency-buffering without a combiner cannot "
-                           "shrink intermediate data";
+      TEXTMR_LOG(kWarn) << "frequency-buffering skipped: without a combiner "
+                           "it cannot shrink intermediate data";
     }
   }
 }
@@ -69,7 +69,9 @@ std::filesystem::path reduce_task_output_path(const JobSpec& spec,
 MemorySplit split_memory(const JobSpec& spec) {
   MemorySplit mem;
   mem.spill_buffer_bytes = spec.spill_buffer_bytes;
-  if (spec.freqbuf.enabled) {
+  // FreqOpt runs only with a combiner (run_map_task skips it otherwise),
+  // so only then does its table take a share of the budget.
+  if (spec.freqbuf.enabled && spec.combiner) {
     mem.freq_table_budget_bytes = static_cast<std::uint64_t>(
         static_cast<double>(spec.spill_buffer_bytes) *
         spec.freqbuf.table_budget_fraction);
@@ -95,16 +97,8 @@ MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
   config.hash_combine_shards = spec.hash_combine_shards;
   config.hash_combine_watermark_bytes = spec.hash_combine_watermark_bytes;
   config.scratch_dir = spec.scratch_dir;
-  if (spec.use_spill_matcher) {
-    config.spill_policy = [] {
-      return std::make_unique<spillmatch::SpillMatcher>();
-    };
-  } else {
-    const double threshold = spec.spill_threshold;
-    config.spill_policy = [threshold] {
-      return std::make_unique<spillmatch::FixedSpillPolicy>(threshold);
-    };
-  }
+  config.spill_threshold = spec.spill_threshold;
+  config.use_spill_matcher = spec.use_spill_matcher;
   config.freqbuf = spec.freqbuf;
   config.freq_table_budget_bytes = mem.freq_table_budget_bytes;
   config.node_cache = node_cache;

@@ -63,8 +63,7 @@ SimJobResult simulate_job(const AppProfile& profile, const ClusterSpec& cluster,
     config.total_bytes = spill_input;
     config.buffer_bytes = buffer;
     config.threshold = job.spill_threshold;
-    config.policy = job.use_spill_matcher ? SimSpillPolicy::kMatcher
-                                          : SimSpillPolicy::kFixed;
+    config.use_spill_matcher = job.use_spill_matcher;
     pipeline = simulate_map_pipeline(config);
   }
   const double pipeline_s = std::max(pipeline.wall_s, produce_s);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "spillmatch/spill_matcher.hpp"
 
 namespace textmr::sim {
 
@@ -84,10 +85,7 @@ PipelineResult simulate_map_pipeline(const PipelineConfig& config) {
     t = seal_t;
     result.spills += 1;
 
-    if (config.policy == SimSpillPolicy::kMatcher) {
-      // Paper eq. (1) applied to the last spill's measured times.
-      x = std::clamp(std::max(t_p / (t_p + t_c), 0.5), 0.05, 0.95);
-    }
+    if (config.use_spill_matcher) x = spillmatch::next_threshold(t_p, t_c);
   }
 
   result.wall_s = sup_free;

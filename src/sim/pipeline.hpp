@@ -4,16 +4,13 @@
 
 namespace textmr::sim {
 
-/// Spill-threshold policy for the simulated pipeline.
-enum class SimSpillPolicy : std::uint8_t { kFixed, kMatcher };
-
 struct PipelineConfig {
   double produce_rate = 0.0;   // buffer bytes per second the map thread emits
   double consume_rate = 0.0;   // buffer bytes per second the support thread drains
   double total_bytes = 0.0;    // bytes that flow through the buffer
   double buffer_bytes = 0.0;   // M
-  double threshold = 0.8;      // x (initial value under kMatcher)
-  SimSpillPolicy policy = SimSpillPolicy::kFixed;
+  double threshold = 0.8;      // x (the first region's under the matcher)
+  bool use_spill_matcher = false;
 };
 
 struct PipelineResult {
@@ -30,8 +27,9 @@ struct PipelineResult {
 /// regions grow while the previous spill is in flight, reproducing
 ///   m_i = max{ xM, min{ (p/c)·m_{i-1}, M − m_{i-1} } } );
 /// a full buffer blocks the map thread and forces a seal on release.
-/// Under kMatcher the threshold is recomputed per spill from the last
-/// spill's (T_p, T_c) via eq. (1): x = max{T_p/(T_p+T_c), 1/2}.
+/// Under the matcher the threshold is recomputed per spill from the last
+/// spill's (T_p, T_c) by spillmatch::next_threshold, the rule the real
+/// map task applies: eq. (1), x = max{T_p/(T_p+T_c), 1/2}, capped.
 ///
 /// All quantities are continuous (fluid model): with per-record sizes
 /// orders of magnitude below M, the discrete effects are negligible, and

@@ -1,21 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
-#include <functional>
-#include <memory>
 
 namespace textmr::spillmatch {
-
-/// Timing of one completed spill: wall time the map thread took to produce
-/// it (excluding buffer-full waits) and the support thread took to consume
-/// it. Mirrors mr::SpillTiming but lives here so this module has no
-/// dependency on the runtime.
-struct Timing {
-  std::uint64_t produce_ns = 0;
-  std::uint64_t consume_ns = 0;
-  std::uint64_t data_bytes = 0;
-};
 
 /// The paper's closed form (§IV, eq. (1)): given produce rate p and
 /// consume rate c, the largest spill threshold x that keeps the *slower*
@@ -28,6 +15,9 @@ struct Timing {
 ///
 ///     x = max{ T_p/(T_p+T_c), 1/2 }.
 ///
+/// Only the ratio matters, so the two times may be in any one unit (the
+/// ring passes nanoseconds, the simulator seconds).
+///
 /// Derivation sketch (§IV-C): with buffer size M and recurrence
 /// m_i = max{xM, min{(p/c)·m_{i-1}, M − m_{i-1}}}:
 ///   * p < c (map slower): the map thread never blocks iff the consumer's
@@ -35,71 +25,32 @@ struct Timing {
 ///     m ≥ xM this forces x ≤ c/(p+c) (> 1/2 in this case);
 ///   * p > c (support slower): the support thread finds the next region
 ///     already at the threshold iff M − m ≥ xM, i.e. x ≤ 1/2.
-inline double matched_threshold(std::uint64_t produce_ns,
-                                std::uint64_t consume_ns) {
-  if (produce_ns + consume_ns == 0) return 0.5;
-  const double x = static_cast<double>(produce_ns) /
-                   static_cast<double>(produce_ns + consume_ns);
-  return std::max(x, 0.5);
+inline double matched_threshold(double produce_time, double consume_time) {
+  if (produce_time + consume_time <= 0.0) return 0.5;
+  return std::max(produce_time / (produce_time + consume_time), 0.5);
 }
 
-/// Strategy supplying the spill threshold before the first spill and after
-/// each completed one.
-class SpillPolicy {
- public:
-  virtual ~SpillPolicy() = default;
-  virtual double initial_threshold() const = 0;
-  virtual double next_threshold(const Timing& last) = 0;
-  virtual const char* name() const = 0;
-};
+/// Upper bound of the applied threshold: a spill whose consume time
+/// rounds to zero would otherwise ask for x ≈ 1, leaving the next region
+/// no room to grow while the previous spill is still in flight.
+inline constexpr double kMaxMatchedThreshold = 0.95;
 
-/// Hadoop's static default: io.sort.spill.percent, 0.8 unless configured.
-class FixedSpillPolicy final : public SpillPolicy {
- public:
-  explicit FixedSpillPolicy(double threshold = 0.8) : threshold_(threshold) {}
-  double initial_threshold() const override { return threshold_; }
-  double next_threshold(const Timing&) override { return threshold_; }
-  const char* name() const override { return "fixed"; }
-
- private:
-  double threshold_;
-};
-
-/// The spill-matcher: predicts the next spill's p and c from the last
-/// spill's measured rates (the paper's hypothesis that adjacent spills
-/// behave alike) and applies eq. (1). Clamped away from the extremes so
-/// one pathological measurement cannot wedge the pipeline.
+/// The spill-matcher (SpillOpt): the threshold for the next region, from
+/// the spill just consumed. The paper's hypothesis is that adjacent
+/// spills behave alike, so the last spill's T_p and T_c predict the next
+/// one's. The map task's support thread applies it after each release,
+/// and `sim::simulate_map_pipeline` after each simulated spill; both
+/// start from the job's spill_threshold.
 ///
-/// Observability: on a traced run (JobSpec::trace.enabled) every
-/// next_threshold() decision is recorded by the support thread as a
-/// "threshold_update" instant carrying the measured T_p/T_c and the
-/// chosen x, and the applied threshold appears as the "spill_threshold"
-/// counter track — extract it with obs::counter_series(trace,
-/// "spill_threshold") to plot the matcher's trajectory.
-class SpillMatcher final : public SpillPolicy {
- public:
-  struct Options {
-    double initial = 0.8;  // until the first measurement exists
-    double min_threshold = 0.05;
-    double max_threshold = 0.95;
-  };
-
-  SpillMatcher() = default;
-  explicit SpillMatcher(Options options) : options_(options) {}
-
-  double initial_threshold() const override { return options_.initial; }
-
-  double next_threshold(const Timing& last) override {
-    const double x = matched_threshold(last.produce_ns, last.consume_ns);
-    return std::clamp(x, options_.min_threshold, options_.max_threshold);
-  }
-
-  const char* name() const override { return "spill-matcher"; }
-
- private:
-  Options options_{};
-};
-
-using SpillPolicyFactory = std::function<std::unique_ptr<SpillPolicy>()>;
+/// Observability: on a traced run (JobSpec::trace.enabled) the support
+/// thread records each decision as a "threshold_update" instant carrying
+/// the measured T_p/T_c and the chosen x, and the applied threshold
+/// appears as the "spill_threshold" counter track — extract it with
+/// obs::counter_series(trace, "spill_threshold") to plot the matcher's
+/// trajectory.
+inline double next_threshold(double produce_time, double consume_time) {
+  return std::min(matched_threshold(produce_time, consume_time),
+                  kMaxMatchedThreshold);
+}
 
 }  // namespace textmr::spillmatch

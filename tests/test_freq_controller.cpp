@@ -217,15 +217,18 @@ TEST(FreqBufferController, TinyInputEndingDuringPreProfileStillFreezes) {
   EXPECT_FALSE(cache.get()->empty());
 }
 
-TEST(FreqBufferController, WithoutCombinerAdmitsNothing) {
+TEST(FreqBufferController, WithoutCombinerValuesPassThroughTheTable) {
+  // The controller pins whatever table it is given; the map task, not the
+  // controller, skips FreqOpt for a job without a combiner. A table with
+  // no combiner chains each absorbed value and flushes it as one record.
   Table t(nullptr);
   FreqBufferController controller(basic_config(), t.table, t.partitioner,
                                   t.metrics);
   const auto result = stream_keys(controller, 20000, 1.2, 5);
   EXPECT_EQ(controller.stage(), FreqBufferController::Stage::kOptimize);
-  EXPECT_EQ(result.absorbed, 0u);
+  EXPECT_GT(result.absorbed, 0u);
   controller.finish();
-  EXPECT_TRUE(t.target.records.empty());
+  EXPECT_EQ(t.target.records.size(), result.absorbed);
 }
 
 TEST(FreqBufferController, ProfileTimeIsAccounted) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-// Cross-module integration tests: SimDfs-driven jobs, the WordPOSTag
+// Cross-module integration tests: a job over many splits, the WordPOSTag
 // pipeline end-to-end, chained jobs (PageRank two iterations), and
 // engine metrics invariants under every optimization setting.
 
@@ -9,26 +9,22 @@
 namespace textmr {
 namespace {
 
-TEST(Integration, JobOverSimDfsSplits) {
+TEST(Integration, JobOverManySplits) {
   TempDir dir;
-  io::SimDfs dfs(dir.file("dfs"), {.num_nodes = 3, .block_bytes = 64 * 1024});
   textgen::CorpusSpec corpus_spec;
   corpus_spec.total_words = 80000;
   corpus_spec.vocabulary = 500;
-  textgen::generate_corpus(corpus_spec, dfs.path_of("corpus.txt").string());
-  dfs.commit("corpus.txt");
+  const auto corpus = dir.file("corpus.txt");
+  textgen::generate_corpus(corpus_spec, corpus.string());
 
-  const auto dfs_splits = dfs.splits("corpus.txt");
-  ASSERT_GT(dfs_splits.size(), 1u);
-  std::vector<io::InputSplit> splits;
-  for (const auto& s : dfs_splits) splits.push_back(s.split);
+  const auto splits = io::make_splits(corpus.string(), 64 * 1024);
+  ASSERT_GT(splits.size(), 1u);
 
   auto spec = test::make_job(apps::wordcount_app(), splits, dir.file("s"),
                              dir.file("o"));
   mr::LocalEngine engine;
   const auto result = engine.run(spec);
-  const auto expected =
-      test::reference_wordcount(dfs.path_of("corpus.txt").string());
+  const auto expected = test::reference_wordcount(corpus.string());
   const auto actual = test::read_outputs(result.outputs);
   ASSERT_EQ(actual.size(), expected.size());
   for (const auto& [word, count] : expected) {

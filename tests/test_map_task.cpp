@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <string>
 
 #include "common/tempdir.hpp"
 #include "common/varint.hpp"
@@ -71,6 +73,8 @@ TEST(MapTask, ProducesCombinedSortedOutput) {
   EXPECT_EQ(counts.at("line42"), 1u);
 
   EXPECT_GT(result.spills, 1u);
+  // Without the spill-matcher the threshold never moves.
+  EXPECT_DOUBLE_EQ(result.final_spill_threshold, config.spill_threshold);
   EXPECT_EQ(result.map_thread.input_records, 3000u);
   EXPECT_EQ(result.map_thread.map_output_records, 8u * 3000u);
   EXPECT_GT(result.map_thread.op_ns(Op::kMapUser), 0u);
@@ -155,14 +159,67 @@ TEST(MapTask, SpillMatcherKeepsAnswerIdentical) {
 
   auto adaptive_config = base_config(dir, split);
   adaptive_config.scratch_dir = dir.file("scratch3");
-  adaptive_config.spill_policy = [] {
-    return std::make_unique<spillmatch::SpillMatcher>();
-  };
+  adaptive_config.use_spill_matcher = true;
   const auto adaptive = run_map_task(adaptive_config);
   EXPECT_EQ(read_output_counts(fixed.output, 2),
             read_output_counts(adaptive.output, 2));
   // The matcher must actually have moved the threshold off the default.
   EXPECT_NE(adaptive.final_spill_threshold, 0.8);
+}
+
+TEST(MapTask, SpillMatcherSealsTheFirstRegionAtTheJobsThreshold) {
+  // Under the matcher the job's spill_threshold is x0: the first region
+  // seals at about 0.3·M, and eq. (1) takes over only once a spill has
+  // been consumed. The first buffer_fill sample is taken at that seal,
+  // when the sealed region is all the ring holds.
+  TempDir dir;
+  JobSpec spec;
+  spec.inputs = {write_corpus(dir, "in.txt", 3000)};
+  spec.mapper = [] { return std::make_unique<apps::WordCountMapper>(); };
+  spec.reducer = [] { return std::make_unique<apps::WordCountCombiner>(); };
+  spec.combiner = spec.reducer;
+  spec.num_reducers = 2;
+  spec.spill_buffer_bytes = 64 * 1024;
+  spec.scratch_dir = dir.file("scratch");
+  spec.spill_threshold = 0.3;
+  spec.use_spill_matcher = true;
+  obs::TraceConfig trace_config;
+  trace_config.enabled = true;
+  obs::TraceCollector collector(trace_config);
+  const auto result = run_map_task(make_map_task_config(
+      spec, split_memory(spec), 0, 0, nullptr, &collector));
+  EXPECT_GT(result.spills, 1u);
+  const auto fill = obs::counter_series(collector.finish(), "buffer_fill");
+  ASSERT_FALSE(fill.empty());
+  EXPECT_NEAR(fill.front().value, 0.3, 0.01);
+}
+
+TEST(MapTask, FreqOptWithoutCombinerIsTheBaseline) {
+  // With no combiner the table could only delay records, never shrink
+  // them, so the task builds neither the table nor its controller: no
+  // profile, no probes, and the same output bytes as without FreqOpt.
+  TempDir dir;
+  const auto split = write_corpus(dir, "in.txt", 3000);
+  auto baseline_config = base_config(dir, split);
+  baseline_config.combiner = nullptr;
+  const auto baseline = run_map_task(baseline_config);
+
+  auto freq_config = baseline_config;
+  freq_config.scratch_dir = dir.file("scratch2");
+  freq_config.freqbuf.enabled = true;
+  freq_config.freqbuf.top_k = 8;
+  freq_config.freqbuf.sampling_fraction = 0.05;
+  freq_config.freq_table_budget_bytes = 16 * 1024;
+  const auto freq = run_map_task(freq_config);
+
+  EXPECT_EQ(freq.map_thread.op_ns(Op::kProfile), 0u);
+  EXPECT_EQ(freq.map_thread.op_ns(Op::kFreqTable), 0u);
+  EXPECT_EQ(freq.map_thread.freq_hits, 0u);
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(slurp(freq.output.path), slurp(baseline.output.path));
 }
 
 TEST(MapTask, EmptyInputYieldsEmptyOutputRun) {

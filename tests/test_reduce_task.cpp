@@ -146,6 +146,40 @@ TEST(ReduceTask, SampledGroupTimingKeepsOpsWithinWall) {
   EXPECT_LE(result.metrics.total_ns(), result.wall_ns);
 }
 
+TEST(ReduceTask, ValuePullsAreBookedAsMerge) {
+  // Behind each value reduce() pulls is the merge's heap work. A reducer
+  // that only drains its values over a merge of many runs does almost
+  // nothing itself, so most of its loop is reduce_merge, not reduce_user.
+  TempDir dir;
+  const std::string prefix(40, 'p');  // long equal keys: costly compares
+  std::vector<io::SpillRunInfo> outputs;
+  for (int m = 0; m < 96; ++m) {
+    std::vector<std::tuple<std::uint32_t, std::string, std::uint64_t>> records;
+    for (int k = 0; k < 64; ++k) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "%05d", k);
+      for (int v = 0; v < 20; ++v) records.emplace_back(0, prefix + key, 1);
+    }
+    outputs.push_back(
+        write_map_output(dir.file("m" + std::to_string(m)), 1, records));
+  }
+  ReduceTaskConfig config = base_config(dir, outputs);
+  config.reducer = [] {
+    return std::make_unique<LambdaReducer>(
+        [](std::string_view, ValueStream& values, EmitSink&) {
+          while (values.next()) {
+          }
+        });
+  };
+  const auto result = run_reduce_task(config);
+  EXPECT_EQ(result.metrics.reduce_input_records, 96u * 64u * 20u);
+  const std::uint64_t merge_ns = result.metrics.op_ns(Op::kReduceMerge);
+  const std::uint64_t user_ns = result.metrics.op_ns(Op::kReduceUser);
+  EXPECT_GT(merge_ns, user_ns + result.metrics.op_ns(Op::kOutputWrite))
+      << "merge " << merge_ns << " user " << user_ns;
+  EXPECT_LE(result.metrics.total_ns(), result.wall_ns);
+}
+
 TEST(ReduceTask, ReducerSeesValuesFromAllMapOutputs) {
   TempDir dir;
   std::vector<io::SpillRunInfo> outputs;

@@ -4,20 +4,21 @@
 
 #include "common/error.hpp"
 #include "sim/pipeline.hpp"
+#include "spillmatch/spill_matcher.hpp"
 
 namespace textmr::sim {
 namespace {
 
 PipelineConfig base(double p, double c, double total = 1e9,
                     double buffer = 1e8, double x = 0.8,
-                    SimSpillPolicy policy = SimSpillPolicy::kFixed) {
+                    bool use_spill_matcher = false) {
   PipelineConfig config;
   config.produce_rate = p;
   config.consume_rate = c;
   config.total_bytes = total;
   config.buffer_bytes = buffer;
   config.threshold = x;
-  config.policy = policy;
+  config.use_spill_matcher = use_spill_matcher;
   return config;
 }
 
@@ -60,7 +61,7 @@ TEST(SimPipeline, MatcherNeverSlowerThanFixedDefault) {
     const double c = 1e7;
     const auto fixed = simulate_map_pipeline(base(p, c, 1e9, 1e8, 0.8));
     const auto matched = simulate_map_pipeline(
-        base(p, c, 1e9, 1e8, 0.8, SimSpillPolicy::kMatcher));
+        base(p, c, 1e9, 1e8, 0.8, /*use_spill_matcher=*/true));
     EXPECT_LE(matched.wall_s, fixed.wall_s * 1.001) << "ratio=" << ratio;
   }
 }
@@ -73,7 +74,7 @@ TEST(SimPipeline, MatcherRemovesSlowerThreadWaitTime) {
   const double c = 1e7;  // support is slower
   const auto fixed = simulate_map_pipeline(base(p, c, 2e9, 1e8, 0.8));
   const auto matched = simulate_map_pipeline(
-      base(p, c, 2e9, 1e8, 0.8, SimSpillPolicy::kMatcher));
+      base(p, c, 2e9, 1e8, 0.8, /*use_spill_matcher=*/true));
   EXPECT_GT(fixed.support_idle_s, 0.0);
   EXPECT_LT(matched.support_idle_s, fixed.support_idle_s * 0.25);
 }
@@ -82,14 +83,23 @@ TEST(SimPipeline, MatcherConvergesToEquationOneThreshold) {
   const double p = 1e7;
   const double c = 3e7;  // map slower: x* = c/(p+c) = 0.75
   const auto result = simulate_map_pipeline(
-      base(p, c, 5e9, 1e8, 0.8, SimSpillPolicy::kMatcher));
+      base(p, c, 5e9, 1e8, 0.8, /*use_spill_matcher=*/true));
   EXPECT_NEAR(result.final_threshold, 0.75, 0.02);
 
   const double p2 = 3e7;
   const double c2 = 1e7;  // support slower: x* = 1/2
   const auto result2 = simulate_map_pipeline(
-      base(p2, c2, 5e9, 1e8, 0.8, SimSpillPolicy::kMatcher));
+      base(p2, c2, 5e9, 1e8, 0.8, /*use_spill_matcher=*/true));
   EXPECT_NEAR(result2.final_threshold, 0.5, 0.02);
+}
+
+TEST(SimPipeline, MatcherAppliesTheMapTasksRule) {
+  // The simulator calls spillmatch::next_threshold, cap included: with a
+  // consumer 100x faster than the producer, eq. (1) asks for x ≈ 0.99.
+  const auto result = simulate_map_pipeline(
+      base(1e6, 1e8, 1e9, 1e8, 0.8, /*use_spill_matcher=*/true));
+  EXPECT_GT(result.spills, 1u);
+  EXPECT_DOUBLE_EQ(result.final_threshold, spillmatch::kMaxMatchedThreshold);
 }
 
 TEST(SimPipeline, BalancedRatesApproachPerfectOverlap) {
@@ -97,7 +107,7 @@ TEST(SimPipeline, BalancedRatesApproachPerfectOverlap) {
   // startup transient, i.e. near-perfect pipelining.
   const double rate = 1e7;
   const auto result = simulate_map_pipeline(
-      base(rate, rate, 5e9, 1e8, 0.8, SimSpillPolicy::kMatcher));
+      base(rate, rate, 5e9, 1e8, 0.8, /*use_spill_matcher=*/true));
   const double ideal = 5e9 / rate;
   EXPECT_LT(result.wall_s, ideal * 1.05);
 }

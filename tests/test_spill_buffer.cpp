@@ -207,20 +207,23 @@ TEST(SpillBuffer, ThresholdControlsSpillSize) {
   }
 }
 
-TEST(SpillBuffer, TimingIsReportedPerSpill) {
-  SpillBuffer buffer(1 << 16, 0.5);
-  std::thread consumer([&] {
-    while (auto spill = buffer.take()) {
-      buffer.release(*spill, /*consume_ns=*/12345);
-    }
-  });
-  for (int i = 0; i < 2000; ++i) buffer.put(0, "key", "value");
+TEST(SpillBuffer, ProduceTimeIsReportedPerSpill) {
+  // A spill's produce_ns (the spill-matcher's T_p) runs from its region's
+  // first put to its seal, here the close.
+  common::ManualClock clock;
+  SpillBuffer buffer(1 << 16, 0.5, /*max_outstanding=*/1,
+                     io::SpillFormat::kCompactVarint, /*trace=*/nullptr,
+                     &clock);
+  clock.advance_ns(1'000);  // before the region starts: not counted
+  buffer.put(0, "key", "value");
+  clock.advance_ns(12'345);
+  buffer.put(0, "key", "value");
   buffer.close();
-  consumer.join();
-  const auto timing = buffer.last_timing();
-  ASSERT_TRUE(timing.has_value());
-  EXPECT_EQ(timing->consume_ns, 12345u);
-  EXPECT_GT(timing->data_bytes, 0u);
+  const auto spill = buffer.take();
+  ASSERT_TRUE(spill.has_value());
+  EXPECT_EQ(spill->produce_ns, 12'345u);
+  EXPECT_EQ(spill->data_bytes, 16u);
+  buffer.release(*spill, 1);
 }
 
 TEST(SpillBuffer, SequenceNumbersAreConsecutive) {

@@ -54,35 +54,30 @@ TEST(MatchedThreshold, WaitFreeInvariantFromTheDerivation) {
   }
 }
 
-TEST(FixedSpillPolicy, NeverChanges) {
-  FixedSpillPolicy policy(0.8);
-  EXPECT_DOUBLE_EQ(policy.initial_threshold(), 0.8);
-  EXPECT_DOUBLE_EQ(policy.next_threshold({100, 900, 4096}), 0.8);
-  EXPECT_DOUBLE_EQ(policy.next_threshold({900, 100, 4096}), 0.8);
-  EXPECT_STREQ(policy.name(), "fixed");
+TEST(SpillMatcherRule, AppliesEquationOne) {
+  EXPECT_DOUBLE_EQ(next_threshold(1000, 1000), 0.5);
+  EXPECT_DOUBLE_EQ(next_threshold(9000, 1000), 0.9);
+  EXPECT_DOUBLE_EQ(next_threshold(1000, 9000), 0.5);
 }
 
-TEST(SpillMatcherPolicy, AppliesEquationOne) {
-  SpillMatcher matcher;
-  EXPECT_DOUBLE_EQ(matcher.initial_threshold(), 0.8);
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({1000, 1000, 0}), 0.5);
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({9000, 1000, 0}), 0.9);
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({1000, 9000, 0}), 0.5);
+TEST(SpillMatcherRule, CapsExtremeMeasurements) {
+  // T_p >> T_c would give ~1.0; the rule caps it.
+  EXPECT_DOUBLE_EQ(next_threshold(1000000000, 1), kMaxMatchedThreshold);
+  EXPECT_DOUBLE_EQ(next_threshold(1, 0), kMaxMatchedThreshold);
 }
 
-TEST(SpillMatcherPolicy, ClampsExtremeMeasurements) {
-  SpillMatcher matcher(SpillMatcher::Options{0.8, 0.2, 0.85});
-  // T_p >> T_c would give ~1.0; clamp to max.
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({1000000000, 1, 0}), 0.85);
-}
-
-TEST(SpillMatcherPolicy, TracksAlternatingWorkloads) {
-  // The policy is purely last-spill-driven (paper's adjacent-spill
+TEST(SpillMatcherRule, TracksAlternatingWorkloads) {
+  // The rule is purely last-spill-driven (paper's adjacent-spill
   // hypothesis); alternating inputs alternate outputs.
-  SpillMatcher matcher;
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({3000, 1000, 0}), 0.75);
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({1000, 3000, 0}), 0.5);
-  EXPECT_DOUBLE_EQ(matcher.next_threshold({3000, 1000, 0}), 0.75);
+  EXPECT_DOUBLE_EQ(next_threshold(3000, 1000), 0.75);
+  EXPECT_DOUBLE_EQ(next_threshold(1000, 3000), 0.5);
+  EXPECT_DOUBLE_EQ(next_threshold(3000, 1000), 0.75);
+}
+
+TEST(SpillMatcherRule, TakesTimesInAnyOneUnit) {
+  // The ring passes nanoseconds and the simulator seconds.
+  EXPECT_DOUBLE_EQ(next_threshold(3e9, 1e9), next_threshold(3.0, 1.0));
+  EXPECT_DOUBLE_EQ(next_threshold(0.25, 0.75), 0.5);
 }
 
 }  // namespace
