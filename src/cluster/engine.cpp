@@ -37,13 +37,13 @@ struct WorkerHandle {
   /// Shuffle-server endpoint advertised via kHello; invalid (port 0)
   /// until the hello arrives.
   Endpoint shuffle;
-  // Current dispatch (coordinator's view; confirmed by heartbeats).
+  // Current dispatch; a heartbeat refreshes this attempt's staleness.
   bool busy = false;
   TaskKind kind = TaskKind::kNone;
   std::uint32_t task_id = 0;
   std::uint32_t attempt = 0;
-  // Telemetry: clock handshake result and the latest cumulative stats
-  // snapshot (heartbeats and trace chunks both refresh it).
+  // Telemetry: clock handshake result and the counters handle_frame
+  // folds from this worker's done, failed and trace frames.
   std::int64_t clock_offset_ns = 0;
   bool clock_synced = false;
   bool got_final_telemetry = false;
@@ -59,6 +59,32 @@ struct TaskState {
   bool speculated = false;
   std::uint32_t running = 0;  // attempts currently dispatched
 };
+
+/// Throws FormatError unless a done or failed frame names the attempt
+/// the coordinator dispatched to `worker`, which runs one at a time. The
+/// ids come off the wire, and the scheduler indexes its task table with
+/// them.
+void expect_dispatched(const WorkerHandle& worker, TaskKind kind,
+                       std::uint32_t id, std::uint32_t attempt) {
+  if (worker.busy && worker.kind == kind && worker.task_id == id &&
+      worker.attempt == attempt) {
+    return;
+  }
+  throw FormatError("cluster worker " + std::to_string(worker.id) +
+                    " reported an attempt it was not running");
+}
+
+/// Folds one finished attempt, as its done frame reports it, into the
+/// telemetry of the worker that ran it.
+void count_done(mr::WorkerTelemetry& stats, std::uint64_t records,
+                std::uint64_t bytes, std::uint64_t spills,
+                std::uint64_t wall_ns) {
+  stats.records += records;
+  stats.bytes += bytes;
+  stats.spills += spills;
+  stats.tasks_completed += 1;
+  stats.task_wall_ns.push_back(wall_ns);
+}
 
 constexpr int kPollMs = 5;
 /// How long shutdown waits for a worker to drain and exit before
@@ -405,17 +431,18 @@ void Coordinator::handle_frame(WorkerHandle& worker,
   WireReader r(frame);
   const MsgType type = static_cast<MsgType>(r.u8());
   // Any frame is proof of life — heartbeats are the steady signal, but
-  // a worker busy shipping a huge trace chunk is just as alive.
+  // a worker busy shipping a huge trace chunk is just as alive. Done,
+  // failed and trace frames are counted into the worker's telemetry
+  // before any phase or duplicate check, so a late loser or a failed
+  // attempt counts for the worker that ran it.
   liveness_.note_activity(worker.id);
   switch (type) {
-    case MsgType::kHeartbeat: {
-      HeartbeatMsg msg = decode_heartbeat(r);
-      worker.stats = std::move(msg.stats);
-      if (msg.kind != TaskKind::kNone) {
-        detector_.on_beat(msg.kind, msg.id, msg.attempt, msg.progress);
+    case MsgType::kHeartbeat:
+      r.expect_done();
+      if (worker.busy) {
+        detector_.on_beat(worker.kind, worker.task_id, worker.attempt);
       }
       return;
-    }
     case MsgType::kHello: {
       const HelloMsg msg = decode_hello(r);
       worker.shuffle = msg.shuffle;
@@ -436,7 +463,9 @@ void Coordinator::handle_frame(WorkerHandle& worker,
     }
     case MsgType::kTraceChunk: {
       TraceChunkMsg msg = decode_trace_chunk(r);
-      worker.stats = std::move(msg.stats);
+      for (const auto& ring : msg.trace.ring_drops) {
+        worker.stats.trace_dropped += ring.dropped;
+      }
       if (msg.final_chunk) worker.got_final_telemetry = true;
       if (msg.trace.enabled && worker.id < worker_traces_.size()) {
         obs::merge_trace(worker_traces_[worker.id], std::move(msg.trace));
@@ -448,6 +477,9 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       std::uint32_t attempt = 0;
       mr::MapTaskResult result;
       decode_map_done(r, task, attempt, result);
+      expect_dispatched(worker, TaskKind::kMap, task, attempt);
+      count_done(worker.stats, result.map_thread.input_records,
+                 result.map_thread.input_bytes, result.spills, result.wall_ns);
       worker.busy = false;
       const std::uint64_t duration =
           detector_.on_finish(TaskKind::kMap, task, attempt);
@@ -481,6 +513,9 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       std::uint32_t attempt = 0;
       mr::ReduceTaskResult result;
       decode_reduce_done(r, partition, attempt, result);
+      expect_dispatched(worker, TaskKind::kReduce, partition, attempt);
+      count_done(worker.stats, result.metrics.reduce_input_records,
+                 result.metrics.shuffled_bytes, 0, result.wall_ns);
       worker.busy = false;
       const std::uint64_t duration =
           detector_.on_finish(TaskKind::kReduce, partition, attempt);
@@ -499,6 +534,8 @@ void Coordinator::handle_frame(WorkerHandle& worker,
     }
     case MsgType::kTaskFailed: {
       const TaskFailedMsg msg = decode_task_failed(r);
+      expect_dispatched(worker, msg.kind, msg.id, msg.attempt);
+      worker.stats.task_failures += 1;
       worker.busy = false;
       detector_.on_finish(msg.kind, msg.id, msg.attempt);
       if (phase_ != msg.kind) return;  // failure of a post-phase loser
@@ -557,19 +594,27 @@ void Coordinator::handle_frame(WorkerHandle& worker,
 
 void Coordinator::drain_worker(WorkerHandle& worker) {
   bool open = false;
+  const auto unusable = [&](const Error& e) {
+    TEXTMR_LOG(kWarn) << "cluster worker " << worker.id
+                      << " channel unusable: " << e.what();
+    open = false;
+  };
   try {
     open = worker.conn.drain(worker.decoder);
     // Flush complete frames — including, on EOF, any that raced the
     // death. A corrupted stream (bad checksum, oversized frame) throws
-    // out of next(): the channel is desynchronized beyond repair, which
-    // is indistinguishable from a dead worker.
+    // IoError out of next(), and a checksummed frame that fails to
+    // decode, or names an attempt the worker was not running, throws
+    // FormatError out of handle_frame (which checks the whole frame
+    // before it changes any state). Either way the channel is unusable,
+    // which is indistinguishable from a dead worker.
     while (auto frame = worker.decoder.next()) {
       handle_frame(worker, *frame);
     }
   } catch (const IoError& e) {
-    TEXTMR_LOG(kWarn) << "cluster worker " << worker.id
-                      << " channel unusable: " << e.what();
-    open = false;
+    unusable(e);
+  } catch (const FormatError& e) {
+    unusable(e);
   }
   if (!open) on_worker_dead(worker);
 }
@@ -656,16 +701,12 @@ void Coordinator::run_phase(TaskKind kind, std::uint32_t num_tasks) {
 
 void Coordinator::shutdown_workers() {
   shutting_down_ = true;
-  const std::string shutdown_frame = [] {
-    WireWriter w;
-    w.u8(static_cast<std::uint8_t>(MsgType::kShutdown));
-    return w.take();
-  }();
+  const std::string shutdown_frame = encode_bare(MsgType::kShutdown);
   for (auto& worker : workers_) {
     send_to(worker, shutdown_frame);
   }
-  // Drain until every worker EOFs (shipping its final trace chunks and
-  // stats on the way out) or the grace period expires — a still-running
+  // Drain until every worker EOFs (shipping its final trace chunk on the
+  // way out) or the grace period expires — a still-running
   // loser attempt can hold a worker busy past the job's useful lifetime.
   const std::uint64_t deadline =
       monotonic_ns() + kShutdownGraceMs * 1000000ull;
@@ -780,11 +821,11 @@ mr::JobResult Coordinator::run() {
   result.metrics.job_wall_ns = monotonic_ns() - job_start;
 
   // Fold each worker's telemetry into the job result. A worker that died
-  // before its final chunk (SIGKILL, crash) leaves whatever chunks it
-  // did ship plus a telemetry_incomplete flag — partial telemetry is
-  // reported, never a job failure.
-  for (const auto& worker : workers_) {
-    mr::WorkerTelemetry telemetry = worker.stats;
+  // before its final chunk (SIGKILL, crash) keeps the counts of the
+  // frames it did ship plus a telemetry_incomplete flag — partial
+  // telemetry is reported, never a job failure.
+  for (auto& worker : workers_) {
+    mr::WorkerTelemetry telemetry = std::move(worker.stats);
     telemetry.worker_id = worker.id;
     telemetry.telemetry_complete = worker.got_final_telemetry;
     if (!worker.got_final_telemetry) {

@@ -6,8 +6,10 @@
 /// the coordinator reads EOF immediately. A remote peer that loses power
 /// (or sits behind a dropped route) just goes silent — the coordinator's
 /// poll loop would wait forever. The LivenessTracker turns silence into
-/// worker death: every frame (heartbeats included) refreshes the
-/// worker's deadline; `expired()` reports workers whose deadline passed.
+/// worker death: every frame refreshes the worker's deadline, and the
+/// bare kHeartbeat frame a worker sends every interval exists for this
+/// and for the straggler detector's staleness path; `expired()` reports
+/// workers whose deadline passed.
 ///
 /// Single-threaded by design: only the coordinator poll loop touches it,
 /// so there is no lock. The Clock injection makes the timeout math

@@ -151,7 +151,7 @@ constexpr freqbuf::FreqBufferController::Stage wire_max(
 
 // One value in its wire form: bools and enums as u8, 16- and 32-bit
 // integers as u32, 64-bit ones as u64, doubles as f64, strings and paths
-// length-prefixed, latency histograms as their compact serialization.
+// length-prefixed.
 template <class T>
 void value(WireWriter& w, const T& v) {
   if constexpr (std::is_same_v<T, bool>) {
@@ -167,8 +167,6 @@ void value(WireWriter& w, const T& v) {
     w.f64(v);
   } else if constexpr (std::is_same_v<T, std::filesystem::path>) {
     w.str(v.string());
-  } else if constexpr (std::is_same_v<T, obs::LatencyHistogram>) {
-    w.str(v.serialize());
   } else {
     static_assert(std::is_same_v<T, std::string>);
     w.str(v);
@@ -203,8 +201,6 @@ void value(WireReader& r, T& v) {
     v = r.f64();
   } else if constexpr (std::is_same_v<T, std::filesystem::path>) {
     v = r.str();
-  } else if constexpr (std::is_same_v<T, obs::LatencyHistogram>) {
-    v = obs::LatencyHistogram::deserialize(r.str());
   } else {
     static_assert(std::is_same_v<T, std::string>);
     v = r.str();
@@ -258,12 +254,6 @@ void fields(A& a, Ref<A, io::SpillRunInfo> run) {
 template <class A>
 void fields(A& a, Ref<A, Endpoint> ep) {
   wire(a, ep.host, ep.port);
-}
-
-template <class A>
-void fields(A& a, Ref<A, mr::WorkerTelemetry> m) {
-  wire(a, m.records, m.bytes, m.spills, m.tasks_completed, m.task_failures,
-       m.trace_dropped, m.task_latency_ns);
 }
 
 template <class A>
@@ -332,8 +322,7 @@ void fields(A& a, Ref<A, obs::TraceEvent> e, StringInterner* intern) {
 /// Everything in a trace chunk except its events.
 template <class A>
 void chunk_header_fields(A& a, Ref<A, TraceChunkMsg> msg) {
-  wire(a, msg.worker_id, msg.final_chunk);
-  fields(a, msg.stats);
+  wire(a, msg.final_chunk);
   auto& trace = msg.trace;
   wire(a, trace.enabled, trace.job_name, trace.epoch_ns, trace.dropped_events);
   seq(a, trace.ring_drops,
@@ -358,12 +347,6 @@ void fields(A& a, Ref<A, RunReduceMsg> msg) {
   seq(a, msg.sources, [&](auto& source) { fields(a, source); });
   require(a, msg.sources.size() == msg.map_outputs.size(),
           "run_reduce sources count != runs count");
-}
-
-template <class A>
-void fields(A& a, Ref<A, HeartbeatMsg> msg) {
-  wire(a, msg.worker_id, msg.kind, msg.id, msg.attempt, msg.progress);
-  fields(a, msg.stats);
 }
 
 template <class A>
@@ -401,7 +384,7 @@ void fields(A& a, Ref<A, ClockProbeMsg> msg) {
 
 template <class A>
 void fields(A& a, Ref<A, ClockSyncMsg> msg) {
-  wire(a, msg.worker_id, msg.t_probe, msg.t_worker);
+  wire(a, msg.t_probe, msg.t_worker);
 }
 
 template <class A>
@@ -411,7 +394,6 @@ void fields(A& a, Ref<A, WelcomeMsg> msg) {
 
 template <class A>
 void fields(A& a, Ref<A, HelloMsg> msg) {
-  wire(a, msg.worker_id);
   fields(a, msg.shuffle);
 }
 
@@ -462,9 +444,7 @@ Msg decode(WireReader& r) {
 /// and the final flag only on the last.
 TraceChunkMsg chunk_header(const TraceChunkMsg& msg, bool first, bool last) {
   TraceChunkMsg header;
-  header.worker_id = msg.worker_id;
   header.final_chunk = last && msg.final_chunk;
-  header.stats = msg.stats;
   header.trace.enabled = msg.trace.enabled;
   header.trace.epoch_ns = msg.trace.epoch_ns;
   if (first) {
@@ -493,11 +473,10 @@ RunReduceMsg decode_run_reduce(WireReader& r) {
   return decode<RunReduceMsg>(r);
 }
 
-std::string encode_heartbeat(const HeartbeatMsg& msg) {
-  return encode(MsgType::kHeartbeat, msg);
-}
-HeartbeatMsg decode_heartbeat(WireReader& r) {
-  return decode<HeartbeatMsg>(r);
+std::string encode_bare(MsgType type) {
+  WireWriter w;
+  value(w, type);
+  return w.take();
 }
 
 std::string encode_task_failed(const TaskFailedMsg& msg) {

@@ -8,7 +8,6 @@
 
 #include "mr/map_task.hpp"
 #include "mr/reduce_task.hpp"
-#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 
 namespace textmr::cluster {
@@ -28,16 +27,16 @@ enum class MsgType : std::uint8_t {
   // coordinator -> worker
   kRunMap = 1,      // u32 task, u32 attempt
   kRunReduce = 2,   // u32 partition, u32 attempt
-  kShutdown = 3,    // no payload; worker ships final telemetry and exits
+  kShutdown = 3,    // no payload; worker ships its final trace chunk, exits
   kClockProbe = 4,  // u64 coordinator monotonic_ns at send (clock handshake)
   kWelcome = 6,     // assigns an externally joining worker its id
   // worker -> coordinator
-  kHeartbeat = 10,   // worker liveness + progress + live counter snapshot
+  kHeartbeat = 10,   // no payload; worker liveness
   kMapDone = 11,     // u32 task, u32 attempt, MapTaskResult
   kReduceDone = 12,  // u32 partition, u32 attempt, ReduceTaskResult
   kTaskFailed = 13,  // one attempt failed (the worker itself is healthy)
   kClockSync = 14,   // probe echo + worker monotonic_ns (clock handshake)
-  kTraceChunk = 15,  // one bounded slice of the worker's trace + stats
+  kTraceChunk = 15,  // one bounded slice of the worker's trace
   kHello = 16,       // worker's shuffle-server endpoint advertisement
   // reducer -> shuffle server (separate per-fetch TCP connections)
   kShuffleFetch = 20,  // str run_path, u32 partition
@@ -48,7 +47,7 @@ enum class MsgType : std::uint8_t {
 /// Wire name for logs and the analyzer; lint checks exhaustiveness.
 const char* msg_type_name(MsgType type);
 
-/// What kind of task an id refers to in heartbeat / failure messages.
+/// What kind of task an id refers to in failure messages.
 enum class TaskKind : std::uint8_t { kNone = 0, kMap = 1, kReduce = 2 };
 
 struct RunTaskMsg {
@@ -94,7 +93,6 @@ struct WelcomeMsg {
 /// advertises the endpoint reducers should pull this worker's
 /// map-output partitions from.
 struct HelloMsg {
-  std::uint32_t worker_id = 0;
   Endpoint shuffle;
 };
 
@@ -126,15 +124,6 @@ struct ShuffleErrorMsg {
   std::string message;
 };
 
-struct HeartbeatMsg {
-  std::uint32_t worker_id = 0;
-  TaskKind kind = TaskKind::kNone;  // kNone: idle worker
-  std::uint32_t id = 0;
-  std::uint32_t attempt = 0;
-  double progress = 0.0;  // input fraction consumed (map tasks)
-  mr::WorkerTelemetry stats;  // cumulative since worker start
-};
-
 struct TaskFailedMsg {
   TaskKind kind = TaskKind::kNone;
   std::uint32_t id = 0;
@@ -153,7 +142,6 @@ struct ClockProbeMsg {
 
 /// Worker's reply: echoes the probe and stamps its own clock.
 struct ClockSyncMsg {
-  std::uint32_t worker_id = 0;
   std::uint64_t t_probe = 0;   // echoed ClockProbeMsg::t_send
   std::uint64_t t_worker = 0;  // worker monotonic_ns at echo
 };
@@ -176,18 +164,17 @@ inline std::int64_t estimate_clock_offset(std::uint64_t t_send,
 
 // ---- trace chunks ---------------------------------------------------------
 
-/// One bounded slice of a worker's telemetry. Workers drain their
+/// One bounded slice of a worker's trace. Workers drain their
 /// TraceCollector at task completion and at shutdown, split the drained
 /// events into frames of at most kTraceChunkPayloadTarget bytes, and
 /// ship each as a self-contained chunk: the coordinator can merge them
-/// in arrival order (merge_trace sums drop deltas and dedupes names).
-/// `final_chunk` marks the worker's last telemetry before exit — a
+/// in arrival order (merge_trace sums drop deltas and dedupes names),
+/// and counts each chunk's ring drops into the worker's trace_dropped.
+/// `final_chunk` marks the worker's last frame before an orderly exit — a
 /// worker that dies without sending it leaves the job's telemetry
 /// flagged incomplete instead of failing the merge.
 struct TraceChunkMsg {
-  std::uint32_t worker_id = 0;
   bool final_chunk = false;
-  mr::WorkerTelemetry stats;  // cumulative snapshot at send time
   obs::TraceData trace;  // events since the previous chunk
 };
 
@@ -250,8 +237,9 @@ RunTaskMsg decode_run_task(WireReader& r);
 std::string encode_run_reduce(const RunReduceMsg& msg);
 RunReduceMsg decode_run_reduce(WireReader& r);
 
-std::string encode_heartbeat(const HeartbeatMsg& msg);
-HeartbeatMsg decode_heartbeat(WireReader& r);
+/// A frame that is its type byte alone: kShutdown and kHeartbeat. The
+/// receiver checks the reader is then done, as every decoder does.
+std::string encode_bare(MsgType type);
 
 std::string encode_task_failed(const TaskFailedMsg& msg);
 TaskFailedMsg decode_task_failed(WireReader& r);
@@ -288,9 +276,9 @@ std::string encode_shuffle_error(const ShuffleErrorMsg& msg);
 ShuffleErrorMsg decode_shuffle_error(WireReader& r);
 
 /// Splits `msg` into one or more kTraceChunk frame payloads, each at
-/// most ~max_payload bytes. Every frame is independently decodable and
-/// carries the stats snapshot; trace metadata (names, drop deltas) rides
-/// only on the first frame and the final_chunk flag only on the last.
+/// most ~max_payload bytes. Every frame is independently decodable; trace
+/// metadata (names, drop deltas) rides only on the first frame and the
+/// final_chunk flag only on the last.
 std::vector<std::string> encode_trace_chunks(
     const TraceChunkMsg& msg,
     std::size_t max_payload = kTraceChunkPayloadTarget);

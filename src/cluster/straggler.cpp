@@ -31,11 +31,10 @@ void StragglerDetector::on_dispatch(TaskKind kind, std::uint32_t id,
 }
 
 void StragglerDetector::on_beat(TaskKind kind, std::uint32_t id,
-                                std::uint32_t attempt, double progress) {
+                                std::uint32_t attempt) {
   auto it = running_.find(Key{static_cast<std::uint8_t>(kind), id, attempt});
   if (it == running_.end()) return;
   it->second.last_beat_ns = clock_->now_ns();
-  it->second.progress = progress;
 }
 
 std::uint64_t StragglerDetector::on_finish(TaskKind kind, std::uint32_t id,

@@ -42,9 +42,9 @@ class StragglerDetector {
   /// A new attempt started now.
   void on_dispatch(TaskKind kind, std::uint32_t id, std::uint32_t attempt);
 
-  /// Heartbeat covering the attempt (refreshes its staleness clock).
-  void on_beat(TaskKind kind, std::uint32_t id, std::uint32_t attempt,
-               double progress);
+  /// A heartbeat from the worker the coordinator dispatched the attempt
+  /// to (refreshes its staleness clock).
+  void on_beat(TaskKind kind, std::uint32_t id, std::uint32_t attempt);
 
   /// The attempt finished (any outcome); returns its runtime. A
   /// successful finish should also be fed to note_completed() so the
@@ -70,7 +70,6 @@ class StragglerDetector {
   struct Running {
     std::uint64_t started_ns = 0;
     std::uint64_t last_beat_ns = 0;
-    double progress = 0.0;
     bool flagged = false;
   };
   using Key = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>;

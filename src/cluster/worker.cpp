@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -25,8 +24,8 @@ namespace textmr::cluster {
 namespace {
 
 /// State shared between the worker's task loop and its heartbeat thread.
-/// One mutex serializes both the channel writes (frames from two threads
-/// must not interleave) and the current-task fields the beats report.
+/// One mutex serializes the channel writes: frames from two threads must
+/// not interleave.
 struct Channel {
   Channel(int fd, std::int32_t io_timeout_ms)
       : fd(fd), io_timeout_ms(io_timeout_ms) {}
@@ -37,14 +36,6 @@ struct Channel {
   textmr::CondVar wake;
   bool stop TEXTMR_GUARDED_BY(mu) = false;
   bool broken TEXTMR_GUARDED_BY(mu) = false;
-  TaskKind kind TEXTMR_GUARDED_BY(mu) = TaskKind::kNone;
-  std::uint32_t task_id TEXTMR_GUARDED_BY(mu) = 0;
-  std::uint32_t attempt TEXTMR_GUARDED_BY(mu) = 0;
-  // Cumulative since worker start; the task loop folds each finished
-  // task in, the heartbeat thread snapshots it into every beat.
-  mr::WorkerTelemetry stats TEXTMR_GUARDED_BY(mu);
-  // Written by the map thread mid-task, read by the heartbeat thread.
-  std::atomic<double> progress{0.0};
 
   /// Sends one frame under the channel lock; records a broken peer.
   bool send(std::string_view payload) {
@@ -68,142 +59,78 @@ struct Channel {
     }
     return true;
   }
-
-  void set_task(TaskKind k, std::uint32_t id, std::uint32_t a) {
-    progress.store(0.0, std::memory_order_relaxed);
-    textmr::MutexLock lock(mu);
-    kind = k;
-    task_id = id;
-    attempt = a;
-  }
-
-  void set_idle() { set_task(TaskKind::kNone, 0, 0); }
 };
 
 /// Drains the collector and ships the result as one or more kTraceChunk
-/// frames together with the current stats snapshot. With tracing off the
-/// final chunk still goes out carrying an empty trace, so the
-/// coordinator always gets a terminal stats snapshot and a clean
-/// "telemetry complete" signal for this worker.
+/// frames. With tracing off the final chunk still goes out carrying an
+/// empty trace, so the coordinator always gets a clean "telemetry
+/// complete" signal for this worker.
 bool ship_trace_chunks(Channel& channel, obs::TraceCollector* collector,
-                       std::uint32_t worker_id, bool final_chunk) {
-  // Mid-job chunks only matter when tracing: heartbeats already carry
-  // the stats, so an empty per-task chunk would be pure overhead.
+                       bool final_chunk) {
+  // Without tracing an empty mid-job chunk would be pure overhead.
   if (collector == nullptr && !final_chunk) return true;
   TraceChunkMsg msg;
-  msg.worker_id = worker_id;
   msg.final_chunk = final_chunk;
   if (collector != nullptr) {
     msg.trace = collector->drain();
   }
-  std::uint64_t drained_drops = 0;
-  for (const auto& ring : msg.trace.ring_drops) drained_drops += ring.dropped;
-  {
-    textmr::MutexLock lock(channel.mu);
-    channel.stats.trace_dropped += drained_drops;
-    msg.stats = channel.stats;
-    for (const std::string& payload : encode_trace_chunks(msg)) {
-      if (!channel.send_locked(payload)) return false;
-    }
+  textmr::MutexLock lock(channel.mu);
+  for (const std::string& payload : encode_trace_chunks(msg)) {
+    if (!channel.send_locked(payload)) return false;
   }
   return true;
 }
 
-/// What a finished attempt reports: its done frame, and what it adds to
-/// the worker's cumulative stats.
-struct TaskDone {
-  std::string frame;
-  std::uint64_t records = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t wall_ns = 0;
-};
-
 /// Runs attempt `attempt` of a dispatched task (`id` is a map task id or
-/// a reduce partition) the same way for both kinds: the dispatch instant
-/// and the busy span on the worker lane, the `cluster.dispatch`
-/// failpoint, `run` (which returns the TaskDone), or on any throw the
-/// failure report and `cleanup`; then the stats fold, the done or failed
-/// frame, and the attempt's trace chunks. Returns false once the channel
-/// is broken.
+/// a reduce partition) the same way for both kinds, inside the caller's
+/// busy span `exec` on the worker lane: the `cluster.dispatch` failpoint,
+/// `run` (which returns the done frame), or on any throw the failure
+/// report and `cleanup`. Then it closes the span — on the failure path
+/// too, since the analyzer derives per-worker utilization from these —
+/// and sends the done or failed frame and the attempt's trace chunks.
+/// Returns false once the channel is broken.
 template <typename Run, typename Cleanup>
-bool run_attempt(Channel& channel, obs::TraceBuffer* worker_trace,
-                 obs::TraceCollector* collector, std::uint32_t worker_id,
-                 TaskKind kind, std::uint32_t id, std::uint32_t attempt,
-                 Run run, Cleanup cleanup) {
-  const bool map = kind == TaskKind::kMap;
-  const char* id_arg = map ? "task" : "partition";
-  channel.set_task(kind, id, attempt);
-  obs::record_instant(worker_trace, "cluster",
-                      map ? "map_dispatch" : "reduce_dispatch", id_arg,
-                      static_cast<double>(id), "attempt",
-                      static_cast<double>(attempt));
-  std::optional<TaskDone> done;
-  TaskFailedMsg failure;
-  {
-    // Worker-lane busy span: the analyzer derives per-worker utilization
-    // from these, so the span must close (destructor) on the failure
-    // path too.
-    obs::SpanTimer exec(worker_trace, "cluster",
-                        map ? "map_exec" : "reduce_exec");
-    exec.arg(id_arg, static_cast<double>(id));
-    exec.arg("attempt", static_cast<double>(attempt));
-    try {
-      if (failpoint::enabled()) {
-        failpoint::check("cluster.dispatch");
-      }
-      done = run();
-    } catch (...) {
-      failure.kind = kind;
-      failure.id = id;
-      failure.attempt = attempt;
-      failure.retryable = mr::is_retryable_error();
-      failure.message = mr::current_error_message();
-      cleanup();
+bool run_attempt(Channel& channel, obs::SpanTimer& exec,
+                 obs::TraceCollector* collector, TaskKind kind,
+                 std::uint32_t id, std::uint32_t attempt, Run run,
+                 Cleanup cleanup) {
+  std::string frame;
+  try {
+    if (failpoint::enabled()) {
+      failpoint::check("cluster.dispatch");
     }
+    frame = run();
+  } catch (...) {
+    TaskFailedMsg failure;
+    failure.kind = kind;
+    failure.id = id;
+    failure.attempt = attempt;
+    failure.retryable = mr::is_retryable_error();
+    failure.message = mr::current_error_message();
+    cleanup();
+    frame = encode_task_failed(failure);
   }
-  {
-    textmr::MutexLock lock(channel.mu);
-    if (done.has_value()) {
-      channel.stats.records += done->records;
-      channel.stats.bytes += done->bytes;
-      channel.stats.spills += done->spills;
-      channel.stats.tasks_completed += 1;
-      channel.stats.task_latency_ns.record(done->wall_ns);
-    } else {
-      channel.stats.task_failures += 1;
-    }
-  }
-  channel.set_idle();
-  const std::string frame =
-      done.has_value() ? std::move(done->frame) : encode_task_failed(failure);
+  exec.done();
   if (!channel.send(frame)) return false;
-  return ship_trace_chunks(channel, collector, worker_id,
-                           /*final_chunk=*/false);
+  return ship_trace_chunks(channel, collector, /*final_chunk=*/false);
 }
 
-/// Heartbeat loop: one beat per interval describing what the worker is
-/// doing. The `worker.heartbeat` failpoint acts here — kDelay stalls the
-/// beats (making the coordinator see a straggler) and any throw-style
-/// action drops the beat; neither kills the thread, so the fault model
-/// is "heartbeats stop flowing", not "worker dies".
-void heartbeat_loop(Channel& channel, std::uint32_t worker_id,
-                    std::uint32_t interval_ms) {
+/// Heartbeat loop: one bare kHeartbeat frame per interval. The
+/// coordinator knows what this worker runs, so a beat carries nothing.
+/// The `worker.heartbeat` failpoint acts here — kDelay stalls the beats
+/// (making the coordinator see a straggler) and any throw-style action
+/// drops the beat; neither kills the thread, so the fault model is
+/// "heartbeats stop flowing", not "worker dies".
+void heartbeat_loop(Channel& channel, std::uint32_t interval_ms) {
+  const std::string beat = encode_bare(MsgType::kHeartbeat);
   while (true) {
-    HeartbeatMsg msg;
-    msg.worker_id = worker_id;
     {
       textmr::MutexLock lock(channel.mu);
       if (channel.stop || channel.broken) return;
       channel.wake.wait_for(channel.mu,
                             std::chrono::milliseconds(interval_ms));
       if (channel.stop || channel.broken) return;
-      msg.kind = channel.kind;
-      msg.id = channel.task_id;
-      msg.attempt = channel.attempt;
-      msg.stats = channel.stats;
     }
-    msg.progress = channel.progress.load(std::memory_order_relaxed);
     if (failpoint::enabled()) {
       if (auto action = failpoint::consume("worker.heartbeat")) {
         if (action->kind == failpoint::ActionKind::kDelay) {
@@ -213,7 +140,7 @@ void heartbeat_loop(Channel& channel, std::uint32_t worker_id,
         }
       }
     }
-    if (!channel.send(encode_heartbeat(msg))) return;
+    if (!channel.send(beat)) return;
   }
 }
 
@@ -232,7 +159,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
     if (ctx.io_timeout_ms > 0) shuffle_opts.io_timeout_ms = ctx.io_timeout_ms;
     ShuffleServer shuffle(std::move(shuffle_opts));
     HelloMsg hello;
-    hello.worker_id = ctx.worker_id;
     hello.shuffle = shuffle.endpoint();
     if (!channel.send(encode_hello(hello))) return 1;
 
@@ -261,7 +187,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 
     const mr::MemorySplit mem = mr::split_memory(spec);
 
-    std::thread heartbeats(heartbeat_loop, std::ref(channel), ctx.worker_id,
+    std::thread heartbeats(heartbeat_loop, std::ref(channel),
                            ctx.heartbeat_interval_ms);
     // RAII joiner: an exception thrown anywhere in the dispatch loop
     // (corrupt frame, channel IoError) must stop and join the heartbeat
@@ -303,11 +229,9 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
       if (type == MsgType::kShutdown) {
         // Trace rings of finished tasks have no live writers and the
         // heartbeat thread never records, so finishing here is safe.
-        // The final chunk goes out even with tracing disabled: it
-        // carries the terminal stats snapshot and marks this worker's
-        // telemetry complete.
-        ship_trace_chunks(channel, collector.get(), ctx.worker_id,
-                          /*final_chunk=*/true);
+        // The final chunk goes out even with tracing disabled: it marks
+        // this worker's telemetry complete.
+        ship_trace_chunks(channel, collector.get(), /*final_chunk=*/true);
         if (collector != nullptr) collector->finish();
         break;
       }
@@ -315,7 +239,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
       if (type == MsgType::kClockProbe) {
         const ClockProbeMsg probe = decode_clock_probe(r);
         ClockSyncMsg sync;
-        sync.worker_id = ctx.worker_id;
         sync.t_probe = probe.t_send;
         sync.t_worker = monotonic_ns();
         if (!channel.send(encode_clock_sync(sync))) break;
@@ -324,19 +247,22 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 
       if (type == MsgType::kRunMap) {
         const RunTaskMsg msg = decode_run_task(r);
+        const auto id = static_cast<double>(msg.id);
+        const auto attempt = static_cast<double>(msg.attempt);
+        obs::record_instant(worker_trace, "cluster", "map_dispatch", "task",
+                            id, "attempt", attempt);
+        obs::SpanTimer exec(worker_trace, "cluster", "map_exec");
+        exec.arg("task", id);
+        exec.arg("attempt", attempt);
         const bool live = run_attempt(
-            channel, worker_trace, collector.get(), ctx.worker_id,
-            TaskKind::kMap, msg.id, msg.attempt,
+            channel, exec, collector.get(), TaskKind::kMap, msg.id,
+            msg.attempt,
             [&] {
-              mr::MapTaskConfig config = mr::make_map_task_config(
+              const mr::MapTaskConfig config = mr::make_map_task_config(
                   spec, mem, msg.id, msg.attempt, &node_cache,
                   collector.get());
-              config.progress = &channel.progress;
-              const mr::MapTaskResult result = mr::run_map_task(config);
-              return TaskDone{encode_map_done(msg.id, msg.attempt, result),
-                              result.map_thread.input_records,
-                              result.map_thread.input_bytes, result.spills,
-                              result.wall_ns};
+              return encode_map_done(msg.id, msg.attempt,
+                                     mr::run_map_task(config));
             },
             [&] { mr::cleanup_map_attempt(spec, msg.id, msg.attempt); });
         if (!live) break;
@@ -345,9 +271,16 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 
       if (type == MsgType::kRunReduce) {
         RunReduceMsg msg = decode_run_reduce(r);
+        const auto id = static_cast<double>(msg.partition);
+        const auto attempt = static_cast<double>(msg.attempt);
+        obs::record_instant(worker_trace, "cluster", "reduce_dispatch",
+                            "partition", id, "attempt", attempt);
+        obs::SpanTimer exec(worker_trace, "cluster", "reduce_exec");
+        exec.arg("partition", id);
+        exec.arg("attempt", attempt);
         const bool live = run_attempt(
-            channel, worker_trace, collector.get(), ctx.worker_id,
-            TaskKind::kReduce, msg.partition, msg.attempt,
+            channel, exec, collector.get(), TaskKind::kReduce,
+            msg.partition, msg.attempt,
             [&] {
               // Pull each run from its owning worker's shuffle server;
               // fall back to the shared-filesystem read when the owner is
@@ -379,11 +312,8 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
               const mr::ReduceTaskConfig config = mr::make_reduce_task_config(
                   spec, msg.partition, msg.attempt, std::move(msg.map_outputs),
                   collector.get(), std::move(fetcher));
-              const mr::ReduceTaskResult result = mr::run_reduce_task(config);
-              return TaskDone{
-                  encode_reduce_done(msg.partition, msg.attempt, result),
-                  result.metrics.reduce_input_records,
-                  result.metrics.shuffled_bytes, 0, result.wall_ns};
+              return encode_reduce_done(msg.partition, msg.attempt,
+                                        mr::run_reduce_task(config));
             },
             [&] {
               mr::cleanup_reduce_attempt(

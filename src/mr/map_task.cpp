@@ -194,10 +194,6 @@ class MapTask {
       if (freq != nullptr) {
         freq->set_progress(reader.fraction_consumed());
       }
-      if (config_.progress != nullptr) {
-        config_.progress->store(reader.fraction_consumed(),
-                                std::memory_order_relaxed);
-      }
       TEXTMR_FAILPOINT("map.user_code");
       if (!timed) {
         mapper->map(offset, *line, sink);

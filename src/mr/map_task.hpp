@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -59,11 +58,6 @@ struct MapTaskConfig {
   freqbuf::NodeKeyCache* node_cache = nullptr;  // may be null
 
   bool keep_spill_runs = false;  // keep intermediate spill files on disk
-
-  /// When non-null, the map thread stores its input-consumption fraction
-  /// here as it runs (relaxed stores). The cluster worker points this at
-  /// the per-task progress cell its heartbeat thread reports from.
-  std::atomic<double>* progress = nullptr;
 
   /// When non-null the task registers per-thread trace rings (map thread,
   /// support thread, spill buffer) and records lifecycle events.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/stopwatch.hpp"
-#include "obs/histogram.hpp"
 
 namespace textmr::mr {
 
@@ -123,15 +122,14 @@ static_assert(sizeof(TaskMetrics) ==
                       std::size(kVolumeCounters) * sizeof(std::uint64_t),
               "kVolumeCounters must list every TaskMetrics volume counter");
 
-/// Per-worker counters. A cluster worker keeps one cumulative copy since
-/// its start and piggybacks it on every heartbeat and trace chunk —
-/// cumulative, not deltas, so "latest wins" and a dropped or reordered
-/// frame can never desynchronize the aggregate. The coordinator fills in
-/// `worker_id` and `telemetry_complete` (neither rides the wire) and
-/// reports one per worker in JobMetrics. `telemetry_complete` is false
-/// when the worker died (or was killed) before shipping its final trace
-/// chunk, so the numbers are a last-heartbeat lower bound rather than a
-/// final accounting.
+/// Per-worker counters, one per cluster worker in JobMetrics. The
+/// coordinator folds them from the frames it already decodes from that
+/// worker: every done frame (records, bytes, spills and one task wall),
+/// every failed frame, and every trace chunk's ring drops; nothing
+/// telemetry-specific rides the wire. Speculative losers and failed
+/// attempts count for the worker that ran them. `telemetry_complete` is
+/// false when the worker died (or was killed) before shipping its final
+/// trace chunk, the one orderly-exit signal.
 struct WorkerTelemetry {
   std::uint32_t worker_id = 0;
   std::uint64_t records = 0;  // input records consumed by finished tasks
@@ -140,7 +138,7 @@ struct WorkerTelemetry {
   std::uint64_t tasks_completed = 0;
   std::uint64_t task_failures = 0;
   std::uint64_t trace_dropped = 0;  // ring-overflow drops shipped so far
-  obs::LatencyHistogram task_latency_ns;  // wall time per finished task
+  std::vector<std::uint64_t> task_wall_ns;  // one per finished task
   bool telemetry_complete = true;
 };
 

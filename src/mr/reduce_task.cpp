@@ -89,25 +89,42 @@ class PartFileWriter final : public EmitSink {
 };
 
 /// A timed group's values: counts the ones reduce() pulls, so its time
-/// can be scaled by records (group sizes are Zipf-skewed), and times each
-/// pull, which is the merge's work behind that value.
+/// can be scaled by records (group sizes are Zipf-skewed), and times the
+/// pulls, which are the merge's work behind each value. Pulls follow the
+/// one sampling rule: every pull is counted, the first and then one in
+/// kTimingSamplePeriod read the clock.
 class CountingValues final : public ValueStream {
  public:
   explicit CountingValues(ValueStream& values) : values_(values) {}
 
   std::optional<std::string_view> next() override {
-    const std::uint64_t t0 = monotonic_ns();
-    auto value = values_.next();
-    pull_ns += monotonic_ns() - t0;
+    std::optional<std::string_view> value;
+    if (!sampler_.next()) {
+      value = values_.next();
+    } else {
+      const std::uint64_t t0 = monotonic_ns();
+      value = values_.next();
+      sampler_.add(Op::kReduceMerge, monotonic_ns() - t0);
+      ++timed_pulls_;
+    }
+    ++pulls_;
     if (value.has_value()) ++count;
     return value;
   }
 
-  std::uint64_t count = 0;
-  std::uint64_t pull_ns = 0;
+  /// The timed pulls' time, scaled to every pull so far.
+  std::uint64_t pull_ns() const {
+    return OpSampler::scale(sampler_.sampled_ns(Op::kReduceMerge),
+                            timed_pulls_, pulls_);
+  }
+
+  std::uint64_t count = 0;  // values pulled
 
  private:
   ValueStream& values_;
+  OpSampler sampler_;
+  std::uint64_t pulls_ = 0;
+  std::uint64_t timed_pulls_ = 0;
 };
 
 /// Sampled timing of the reduce task's group loop: the key groups the
@@ -139,13 +156,13 @@ void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
   const std::uint64_t elapsed = monotonic_ns() - t0;
   const std::uint64_t sink_ns = timing.sampler.sampled_ns(Op::kOutputWrite) +
                                 metrics.op_ns(Op::kOutputWrite) - sink_before;
-  const std::uint64_t not_user_ns = sink_ns + counted.pull_ns;
+  const std::uint64_t not_user_ns = sink_ns + counted.pull_ns();
   timing.sampler.add(Op::kReduceUser,
                      elapsed - std::min(elapsed, not_user_ns));
   // Values reduce() left unread still belong to the group.
   while (counted.next().has_value()) {
   }
-  timing.sampler.add(Op::kReduceMerge, counted.pull_ns);
+  timing.sampler.add(Op::kReduceMerge, counted.pull_ns());
   timing.input_records += counted.count;
   timing.output_records += metrics.output_records - output_before;
 }

@@ -40,6 +40,35 @@ void appendf(std::string& out, const char* format, ...) {
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
+/// Exact summary of one worker's task walls. A percentile is the
+/// ceil(pct * n / 100)-th smallest wall, in integer arithmetic.
+struct TaskWalls {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  std::uint64_t p50 = 0;
+  std::uint64_t p90 = 0;
+  std::uint64_t p99 = 0;
+  std::uint64_t max = 0;
+};
+
+TaskWalls summarize_walls(std::vector<std::uint64_t> walls) {
+  TaskWalls out;
+  out.count = walls.size();
+  if (walls.empty()) return out;
+  std::sort(walls.begin(), walls.end());
+  const auto percentile = [&](std::size_t pct) {
+    return walls[(pct * walls.size() + 99) / 100 - 1];
+  };
+  std::uint64_t sum = 0;
+  for (const std::uint64_t wall : walls) sum += wall;
+  out.mean = static_cast<double>(sum) / static_cast<double>(walls.size());
+  out.p50 = percentile(50);
+  out.p90 = percentile(90);
+  out.p99 = percentile(99);
+  out.max = walls.back();
+  return out;
+}
+
 double ratio(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? 0.0
                     : static_cast<double>(part) / static_cast<double>(whole);
@@ -164,6 +193,7 @@ std::string format_job_report(const JobResult& result,
             m.worker_records_skew(),
             m.telemetry_incomplete ? ", telemetry incomplete" : "");
     for (const auto& worker : m.workers) {
+      const TaskWalls walls = summarize_walls(worker.task_wall_ns);
       appendf(out,
               "  worker %-3u %8llu records %10.1f KB, %llu tasks "
               "(%llu failed), task p50 %.3fs p99 %.3fs%s\n",
@@ -172,8 +202,7 @@ std::string format_job_report(const JobResult& result,
               static_cast<double>(worker.bytes) / 1024.0,
               static_cast<unsigned long long>(worker.tasks_completed),
               static_cast<unsigned long long>(worker.task_failures),
-              seconds(worker.task_latency_ns.quantile(0.5)),
-              seconds(worker.task_latency_ns.quantile(0.99)),
+              seconds(walls.p50), seconds(walls.p99),
               worker.telemetry_complete ? "" : "  [partial]");
     }
   }
@@ -311,13 +340,14 @@ std::string format_job_metrics_json(const JobResult& result,
       w.field("task_failures", worker.task_failures);
       w.field("trace_dropped", worker.trace_dropped);
       w.field("telemetry_complete", worker.telemetry_complete);
+      const TaskWalls walls = summarize_walls(worker.task_wall_ns);
       w.key("task_latency_ns").begin_object();
-      w.field("count", worker.task_latency_ns.count());
-      w.field("mean", worker.task_latency_ns.mean());
-      w.field("p50", worker.task_latency_ns.quantile(0.5));
-      w.field("p90", worker.task_latency_ns.quantile(0.9));
-      w.field("p99", worker.task_latency_ns.quantile(0.99));
-      w.field("max", worker.task_latency_ns.max());
+      w.field("count", walls.count);
+      w.field("mean", walls.mean);
+      w.field("p50", walls.p50);
+      w.field("p90", walls.p90);
+      w.field("p99", walls.p99);
+      w.field("max", walls.max);
       w.end_object();
       w.end_object();
     }

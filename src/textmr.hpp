@@ -30,7 +30,6 @@
 #include "common/zipf.hpp"
 
 #include "obs/analyze.hpp"
-#include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 

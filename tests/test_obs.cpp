@@ -293,7 +293,7 @@ TEST(JobReport, ClusterSectionAppearsWhenWorkersPresent) {
   w0.worker_id = 0;
   w0.records = 300;
   w0.tasks_completed = 2;
-  w0.task_latency_ns.record(5'000'000);
+  w0.task_wall_ns = {5'000'000, 6'000'000};
   mr::WorkerTelemetry w1;
   w1.worker_id = 1;
   w1.records = 100;
@@ -326,91 +326,31 @@ TEST(JobReport, ClusterSectionAppearsWhenWorkersPresent) {
   EXPECT_FALSE(worker1.get("telemetry_complete")->bool_or(true));
 }
 
-// ---- latency histogram -----------------------------------------------------
+TEST(JobReport, TaskLatencyQuantilesAreExactWalls) {
+  mr::JobResult result;
+  result.metrics.job_wall_ns = 1'000'000;
+  mr::WorkerTelemetry worker;
+  worker.tasks_completed = 4;
+  // 7.3, 1.0, 40.1 and 2.5 ms, out of order: the report sorts them.
+  worker.task_wall_ns = {7'300'000, 1'000'000, 40'100'000, 2'500'000};
+  result.metrics.workers = {worker};
 
-TEST(LatencyHistogram, RecordsAndSummarizes) {
-  obs::LatencyHistogram h;
-  EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.quantile(0.5), 0u);
-  h.record(100);
-  h.record(200);
-  h.record(300);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 600u);
-  EXPECT_EQ(h.max(), 300u);
-  EXPECT_DOUBLE_EQ(h.mean(), 200.0);
-}
+  const std::string json = mr::format_job_metrics_json(result, "walls");
+  const auto doc = obs::JsonValue::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  const obs::JsonValue& latency =
+      *doc->get("cluster")->get("workers")->array()[0].get("task_latency_ns");
+  // A quantile is the ceil(q * n)-th smallest wall, n = 4.
+  EXPECT_EQ(latency.get("count")->number_or(0), 4.0);
+  EXPECT_EQ(latency.get("p50")->number_or(0), 2'500'000.0);   // 2nd
+  EXPECT_EQ(latency.get("p90")->number_or(0), 40'100'000.0);  // 4th
+  EXPECT_EQ(latency.get("p99")->number_or(0), 40'100'000.0);  // 4th
+  EXPECT_EQ(latency.get("max")->number_or(0), 40'100'000.0);
+  EXPECT_DOUBLE_EQ(latency.get("mean")->number_or(0), 12'725'000.0);
 
-TEST(LatencyHistogram, QuantileBoundsAreLogLinear) {
-  obs::LatencyHistogram h;
-  for (std::uint64_t v = 0; v < 1000; ++v) h.record(v);
-  // Log-linear buckets with 16 sub-buckets per octave: relative error
-  // is bounded by 1/16 for values past the first octave.
-  const std::uint64_t p50 = h.quantile(0.5);
-  EXPECT_GE(p50, 499u);
-  EXPECT_LE(p50, 499u + 499u / 16u + 1u);
-  const std::uint64_t p99 = h.quantile(0.99);
-  EXPECT_GE(p99, 989u);
-  EXPECT_LE(p99, 989u + 989u / 16u + 1u);
-  // q=1 returns a bound covering the true max.
-  EXPECT_GE(h.quantile(1.0), 999u);
-}
-
-TEST(LatencyHistogram, SmallValuesAreExact) {
-  obs::LatencyHistogram h;
-  for (std::uint64_t v = 0; v < 16; ++v) h.record(v);
-  // The first 16 buckets are unit-width: quantiles are exact.
-  EXPECT_EQ(h.quantile(0.0), 0u);
-  EXPECT_EQ(h.quantile(1.0), 15u);
-}
-
-TEST(LatencyHistogram, MergeAndClear) {
-  obs::LatencyHistogram a;
-  obs::LatencyHistogram b;
-  a.record(100);
-  b.record(1'000'000);
-  b.record(2'000'000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.max(), 2'000'000u);
-  EXPECT_EQ(a.sum(), 3'000'100u);
-  a.clear();
-  EXPECT_TRUE(a.empty());
-  EXPECT_EQ(a.max(), 0u);
-}
-
-TEST(LatencyHistogram, OverflowClampsToTopBucket) {
-  obs::LatencyHistogram h;
-  h.record(~0ull);  // beyond kMaxExponent: lands in the overflow bucket
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max(), ~0ull);
-  EXPECT_GT(h.quantile(0.5), 1ull << 40);
-}
-
-TEST(LatencyHistogram, SerializeRoundTripIsExact) {
-  obs::LatencyHistogram h;
-  h.record(0);
-  h.record(17);
-  h.record(4096);
-  h.record(123'456'789);
-  h.record(~0ull);
-  const obs::LatencyHistogram out =
-      obs::LatencyHistogram::deserialize(h.serialize());
-  EXPECT_EQ(out, h);
-
-  // Empty histograms round-trip too.
-  obs::LatencyHistogram empty;
-  EXPECT_EQ(obs::LatencyHistogram::deserialize(empty.serialize()), empty);
-}
-
-TEST(LatencyHistogram, DeserializeRejectsCorruptBytes) {
-  obs::LatencyHistogram h;
-  h.record(42);
-  std::string bytes = h.serialize();
-  EXPECT_THROW((void)obs::LatencyHistogram::deserialize(bytes.substr(0, 5)),
-               FormatError);
-  EXPECT_THROW((void)obs::LatencyHistogram::deserialize(bytes + "x"),
-               FormatError);
+  const std::string report = mr::format_job_report(result, "walls");
+  EXPECT_NE(report.find("p99 0.040s"), std::string::npos)
+      << report;
 }
 
 // ---- drain / chunked shipping ----------------------------------------------

@@ -449,6 +449,20 @@ class TcpClusterInProcess : public ::testing::Test {
     return engine.run(spec);
   }
 
+  /// Byte-identical, not merely equivalent: same part files, same bytes.
+  static void expect_same_parts(const mr::JobResult& expected,
+                                const mr::JobResult& actual) {
+    ASSERT_EQ(actual.outputs.size(), expected.outputs.size());
+    for (std::size_t i = 0; i < actual.outputs.size(); ++i) {
+      std::ifstream a(expected.outputs[i], std::ios::binary);
+      std::ifstream b(actual.outputs[i], std::ios::binary);
+      std::stringstream sa, sb;
+      sa << a.rdbuf();
+      sb << b.rdbuf();
+      EXPECT_EQ(sa.str(), sb.str()) << actual.outputs[i];
+    }
+  }
+
   TempDir dir_;
   std::vector<io::InputSplit> splits_;
 };
@@ -456,17 +470,7 @@ class TcpClusterInProcess : public ::testing::Test {
 TEST_F(TcpClusterInProcess, ExternalWorkersProduceByteIdenticalOutput) {
   const auto local = mr::LocalEngine().run(wordcount_job("local"));
   const auto result = run_cluster(wordcount_job("tcp"));
-
-  // Byte-identical, not merely equivalent: same part files, same bytes.
-  ASSERT_EQ(result.outputs.size(), local.outputs.size());
-  for (std::size_t i = 0; i < result.outputs.size(); ++i) {
-    std::ifstream a(local.outputs[i], std::ios::binary);
-    std::ifstream b(result.outputs[i], std::ios::binary);
-    std::stringstream sa, sb;
-    sa << a.rdbuf();
-    sb << b.rdbuf();
-    EXPECT_EQ(sa.str(), sb.str()) << result.outputs[i];
-  }
+  expect_same_parts(local, result);
   // The shuffle genuinely crossed the wire (not the filesystem
   // fallback): wire bytes equal total shuffled bytes on a fault-free run.
   EXPECT_GT(result.metrics.work.shuffled_wire_bytes, 0u);
@@ -502,6 +506,72 @@ TEST_F(TcpClusterInProcess, HashCombineCountersMatchLocalEngine) {
   for (const auto& [key, value] : local) {
     if (key == "shuffled_wire_bytes") continue;
     EXPECT_EQ(cluster.at(key), value) << key;
+  }
+}
+
+/// A fake external worker: takes its welcome, waits for its first task,
+/// answers it with `bad_frame` (checksummed, but it does not decode), then
+/// drains until the coordinator hangs up.
+void run_malformed_worker(const Endpoint& coordinator,
+                          const std::string& bad_frame) {
+  const int fd = tcp_connect(coordinator, 10000);
+  try {
+    while (const auto frame = recv_frame(fd, 10000)) {
+      const auto type = static_cast<MsgType>(frame->at(0));
+      if (type == MsgType::kRunMap || type == MsgType::kRunReduce) {
+        send_frame(fd, bad_frame, 10000);
+        break;
+      }
+    }
+    while (recv_frame(fd, 10000).has_value()) {
+    }
+  } catch (const IoError&) {
+    // The coordinator reset the channel: the same hang-up.
+  }
+  ::close(fd);
+}
+
+// A control frame that passes its checksum but fails to decode, or names
+// an attempt the worker was not running, is the worker's fault, not the
+// job's: the coordinator declares that worker dead, re-queues its task,
+// and the healthy worker finishes the job.
+TEST_F(TcpClusterInProcess, MalformedControlFrameKillsTheWorkerNotTheJob) {
+  const auto local = mr::LocalEngine().run(wordcount_job("local"));
+  std::string truncated_done = encode_map_done(0, 0, mr::MapTaskResult{});
+  truncated_done.resize(truncated_done.size() / 2);
+  TaskFailedMsg failed;
+  failed.kind = TaskKind::kReduce;
+  std::string bad_kind = encode_task_failed(failed);
+  bad_kind[1] = 3;  // one past TaskKind::kReduce
+  const std::string foreign_task =
+      encode_map_done(9999, 0, mr::MapTaskResult{});
+
+  int run = 0;
+  for (const std::string& bad_frame :
+       {truncated_done, bad_kind, foreign_task}) {
+    SCOPED_TRACE(msg_type_name(static_cast<MsgType>(bad_frame[0])));
+    const mr::JobSpec spec = wordcount_job("bad" + std::to_string(run++));
+    ClusterConfig config;
+    config.num_workers = 2;
+    config.external_workers = 2;
+    config.io_timeout_ms = 10000;
+    config.speculation = false;
+    std::vector<std::jthread> workers;
+    ClusterEngine engine(config);
+    workers.emplace_back([coordinator = engine.listen_endpoint(), &spec] {
+      RemoteWorkerOptions options;
+      options.connect_timeout_ms = 10000;
+      run_remote_worker(coordinator, spec, options);
+    });
+    workers.emplace_back(
+        [coordinator = engine.listen_endpoint(), &bad_frame] {
+          run_malformed_worker(coordinator, bad_frame);
+        });
+    mr::JobResult result;
+    ASSERT_NO_THROW(result = engine.run(spec));
+    expect_same_parts(local, result);
+    // The dead worker never shipped its final trace chunk.
+    EXPECT_TRUE(result.metrics.telemetry_incomplete);
   }
 }
 
