@@ -13,7 +13,6 @@
 #include <optional>
 #include <utility>
 
-#include "cluster/liveness.hpp"
 #include "cluster/protocol.hpp"
 #include "cluster/transport.hpp"
 #include "cluster/worker.hpp"
@@ -37,15 +36,18 @@ struct WorkerHandle {
   /// Shuffle-server endpoint advertised via kHello; invalid (port 0)
   /// until the hello arrives.
   Endpoint shuffle;
-  // Current dispatch; a heartbeat refreshes this attempt's staleness.
+  // Current dispatch: the one attempt this worker runs, and since when.
   bool busy = false;
   TaskKind kind = TaskKind::kNone;
   std::uint32_t task_id = 0;
   std::uint32_t attempt = 0;
+  std::uint64_t dispatched_ns = 0;
+  /// When the last frame of any type arrived (set at registration too):
+  /// the liveness and straggler rules measure silence from it.
+  std::uint64_t last_frame_ns = 0;
   // Telemetry: clock handshake result and the counters handle_frame
   // folds from this worker's done, failed and trace frames.
   std::int64_t clock_offset_ns = 0;
-  bool clock_synced = false;
   bool got_final_telemetry = false;
   mr::WorkerTelemetry stats;
 };
@@ -57,7 +59,6 @@ struct TaskState {
   std::uint32_t failures = 0;      // charged attempts (worker death is free)
   bool retried = false;
   bool speculated = false;
-  std::uint32_t running = 0;  // attempts currently dispatched
 };
 
 /// Throws FormatError unless a done or failed frame names the attempt
@@ -95,11 +96,7 @@ class Coordinator {
  public:
   Coordinator(const mr::JobSpec& spec, const ClusterConfig& config,
               TcpTransport& tcp)
-      : spec_(spec),
-        config_(config),
-        detector_(config.straggler),
-        tcp_(tcp),
-        liveness_(config.liveness_timeout_ms) {}
+      : spec_(spec), config_(config), tcp_(tcp) {}
 
   mr::JobResult run();
 
@@ -132,11 +129,9 @@ class Coordinator {
 
   const mr::JobSpec& spec_;
   const ClusterConfig& config_;
-  StragglerDetector detector_;
 
   // Owned by ClusterEngine (DESIGN.md §14), so it outlives the run.
   TcpTransport& tcp_;
-  LivenessTracker liveness_;
 
   std::vector<WorkerHandle> workers_;
   std::unique_ptr<obs::TraceCollector> collector_;
@@ -150,6 +145,7 @@ class Coordinator {
   std::vector<TaskState> tasks_;
   std::deque<std::uint32_t> queue_;  // task ids awaiting (re)dispatch
   std::uint32_t done_count_ = 0;
+  std::vector<std::uint64_t> completed_ns_;  // the phase's winning durations
   std::exception_ptr job_error_;
 
   // Results.
@@ -212,8 +208,8 @@ void Coordinator::spawn_workers() {
     handle.id = w;
     handle.conn = std::move(channel.coordinator);
     handle.pid = pid;
+    handle.last_frame_ns = monotonic_ns();
     workers_.push_back(std::move(handle));
-    liveness_.note_activity(w);
     if (config_.on_worker_spawn) config_.on_worker_spawn(w, pid);
   }
   accept_external_workers();
@@ -251,8 +247,8 @@ void Coordinator::accept_external_workers() {
       throw IoError("external worker " + std::to_string(w) +
                     " hung up during the welcome handshake");
     }
+    handle.last_frame_ns = monotonic_ns();
     workers_.push_back(std::move(handle));
-    liveness_.note_activity(w);
     if (config_.on_worker_spawn) config_.on_worker_spawn(w, -1);
   }
 }
@@ -297,7 +293,6 @@ void Coordinator::on_worker_dead(WorkerHandle& worker) {
   if (!worker.alive) return;
   worker.alive = false;
   worker.conn.close();
-  liveness_.forget(worker.id);
   if (shutting_down_) {
     TEXTMR_LOG(kDebug) << "cluster worker " << worker.id << " (pid "
                        << worker.pid << ") exited";
@@ -308,18 +303,15 @@ void Coordinator::on_worker_dead(WorkerHandle& worker) {
                         static_cast<double>(worker.id));
   }
   if (worker.busy) {
-    detector_.on_finish(worker.kind, worker.task_id, worker.attempt);
     // Same stale-attempt guard as handle_frame: a worker still busy with
     // a previous phase's task (a speculative loser) dying later must not
     // index the current phase's task table — its task id belongs to a
     // scheduler state that no longer exists.
     if (worker.kind == phase_) {
-      TaskState& task = tasks_[worker.task_id];
-      task.running -= 1;
       // Worker death is the machine's fault, not the task's: re-queue
       // without charging max_task_attempts (Hadoop reschedules the same
       // way). The fresh dispatch gets a fresh attempt id.
-      if (!task.done) queue_.push_back(worker.task_id);
+      if (!tasks_[worker.task_id].done) queue_.push_back(worker.task_id);
     }
     worker.busy = false;
   }
@@ -394,9 +386,8 @@ bool Coordinator::dispatch_to(WorkerHandle& worker, TaskKind kind,
   worker.kind = kind;
   worker.task_id = task;
   worker.attempt = attempt;
-  state.running += 1;
+  worker.dispatched_ns = monotonic_ns();
   task_attempts_ += 1;
-  detector_.on_dispatch(kind, task, attempt);
   return true;
 }
 
@@ -435,13 +426,10 @@ void Coordinator::handle_frame(WorkerHandle& worker,
   // failed and trace frames are counted into the worker's telemetry
   // before any phase or duplicate check, so a late loser or a failed
   // attempt counts for the worker that ran it.
-  liveness_.note_activity(worker.id);
+  worker.last_frame_ns = monotonic_ns();
   switch (type) {
     case MsgType::kHeartbeat:
       r.expect_done();
-      if (worker.busy) {
-        detector_.on_beat(worker.kind, worker.task_id, worker.attempt);
-      }
       return;
     case MsgType::kHello: {
       const HelloMsg msg = decode_hello(r);
@@ -455,7 +443,6 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       const ClockSyncMsg msg = decode_clock_sync(r);
       worker.clock_offset_ns =
           estimate_clock_offset(msg.t_probe, monotonic_ns(), msg.t_worker);
-      worker.clock_synced = true;
       obs::record_instant(driver_trace_, "cluster", "clock_sync", "worker",
                           static_cast<double>(worker.id), "offset_ns",
                           static_cast<double>(worker.clock_offset_ns));
@@ -481,8 +468,6 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       count_done(worker.stats, result.map_thread.input_records,
                  result.map_thread.input_bytes, result.spills, result.wall_ns);
       worker.busy = false;
-      const std::uint64_t duration =
-          detector_.on_finish(TaskKind::kMap, task, attempt);
       if (phase_ != TaskKind::kMap) {
         // A speculative loser still running when the map phase ended,
         // now finishing during the reduce phase or shutdown: the phase's
@@ -491,7 +476,6 @@ void Coordinator::handle_frame(WorkerHandle& worker,
         return;
       }
       TaskState& state = tasks_[task];
-      state.running -= 1;
       if (state.done) {
         // A speculative (or re-queued) duplicate lost the race: its run
         // file is redundant — drop the attempt's scratch files.
@@ -500,7 +484,7 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       }
       state.done = true;
       ++done_count_;
-      detector_.note_completed(TaskKind::kMap, duration);
+      completed_ns_.push_back(monotonic_ns() - worker.dispatched_ns);
       map_results_[task] = std::move(result);
       // The winner's shuffle server owns this run; reducers pull it
       // from there.
@@ -517,17 +501,14 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       count_done(worker.stats, result.metrics.reduce_input_records,
                  result.metrics.shuffled_bytes, 0, result.wall_ns);
       worker.busy = false;
-      const std::uint64_t duration =
-          detector_.on_finish(TaskKind::kReduce, partition, attempt);
       // A post-phase reduce loser already committed byte-identical output
       // through the atomic rename; nothing to clean up.
       if (phase_ != TaskKind::kReduce) return;
       TaskState& state = tasks_[partition];
-      state.running -= 1;
       if (state.done) return;  // duplicate committed identical bytes
       state.done = true;
       ++done_count_;
-      detector_.note_completed(TaskKind::kReduce, duration);
+      completed_ns_.push_back(monotonic_ns() - worker.dispatched_ns);
       reduce_results_[partition] = std::move(result);
       kill_loser_attempts(TaskKind::kReduce, partition);
       return;
@@ -537,10 +518,8 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       expect_dispatched(worker, msg.kind, msg.id, msg.attempt);
       worker.stats.task_failures += 1;
       worker.busy = false;
-      detector_.on_finish(msg.kind, msg.id, msg.attempt);
       if (phase_ != msg.kind) return;  // failure of a post-phase loser
       TaskState& state = tasks_[msg.id];
-      state.running -= 1;
       if (state.done) return;  // a sibling attempt already finished
       const char* kind_name = msg.kind == TaskKind::kMap ? "map" : "reduce";
       if (!msg.retryable) {
@@ -643,11 +622,14 @@ void Coordinator::pump_events() {
     }
   }
   // Liveness: a TCP peer that lost power never EOFs — silence is the
-  // only signal. Workers whose deadline passed are declared dead (and
+  // only signal. Workers silent past the timeout are declared dead (and
   // SIGKILLed when forked, in case the process is alive but wedged).
-  if (liveness_.enabled()) {
+  if (config_.liveness_timeout_ms != 0) {
+    const std::uint64_t now = monotonic_ns();
+    const std::uint64_t timeout_ns =
+        static_cast<std::uint64_t>(config_.liveness_timeout_ms) * 1000000ull;
     for (auto& worker : workers_) {
-      if (!worker.alive || !liveness_.expired(worker.id)) continue;
+      if (!worker.alive || now - worker.last_frame_ns <= timeout_ns) continue;
       TEXTMR_LOG(kWarn) << "cluster worker " << worker.id
                         << " silent past liveness timeout; declaring dead";
       kill_worker(worker);
@@ -655,23 +637,30 @@ void Coordinator::pump_events() {
   }
 }
 
+/// Flags the current phase's straggling attempts (DESIGN.md §10). The
+/// task's `speculated` latch gives each task at most one duplicate.
 void Coordinator::check_stragglers(TaskKind kind) {
   if (!config_.speculation) return;
-  for (const auto& straggler : detector_.take_stragglers()) {
-    if (straggler.kind != kind) continue;
-    TaskState& state = tasks_[straggler.id];
+  const std::uint64_t now = monotonic_ns();
+  for (const auto& worker : workers_) {
+    if (!worker.alive || !worker.busy || worker.kind != kind) continue;
+    TaskState& state = tasks_[worker.task_id];
     if (state.done || state.speculated) continue;
+    if (!is_straggler(config_.straggler, now, worker.dispatched_ns,
+                      worker.last_frame_ns, completed_ns_)) {
+      continue;
+    }
     state.speculated = true;
     speculative_attempts_ += 1;
     TEXTMR_LOG(kWarn) << "speculating "
                       << (kind == TaskKind::kMap ? "map" : "reduce")
-                      << " task " << straggler.id
-                      << " (straggling attempt " << straggler.attempt << ")";
+                      << " task " << worker.task_id
+                      << " (straggling attempt " << worker.attempt << ")";
     obs::record_instant(driver_trace_, "cluster", "speculative_attempt",
-                        "task", static_cast<double>(straggler.id),
+                        "task", static_cast<double>(worker.task_id),
                         "straggling_attempt",
-                        static_cast<double>(straggler.attempt));
-    queue_.push_back(straggler.id);
+                        static_cast<double>(worker.attempt));
+    queue_.push_back(worker.task_id);
   }
 }
 
@@ -681,6 +670,7 @@ void Coordinator::run_phase(TaskKind kind, std::uint32_t num_tasks) {
   queue_.clear();
   for (std::uint32_t t = 0; t < num_tasks; ++t) queue_.push_back(t);
   done_count_ = 0;
+  completed_ns_.clear();
 
   while (done_count_ < num_tasks && !job_error_) {
     if (live_workers() == 0) {
@@ -741,6 +731,9 @@ mr::JobResult Coordinator::run() {
   }
   if (config_.external_workers > config_.num_workers) {
     throw ConfigError("external_workers exceeds num_workers");
+  }
+  if (config_.io_timeout_ms == 0 || config_.io_timeout_ms < -1) {
+    throw ConfigError("io_timeout_ms must be -1 (no limit) or > 0");
   }
   if (!config_.network_shuffle) {
     throw ConfigError(

@@ -36,7 +36,7 @@ struct ClusterConfig {
 
   /// Per-frame send/recv budget on coordinator↔worker channels;
   /// -1 = no limit (fine for forked workers: a local peer either
-  /// responds or its sockets close when it dies).
+  /// responds or its sockets close when it dies). 0 is a ConfigError.
   std::int32_t io_timeout_ms = -1;
 
   /// Coordinator-side liveness: a worker silent longer than this (no

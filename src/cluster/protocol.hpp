@@ -31,7 +31,7 @@ enum class MsgType : std::uint8_t {
   kClockProbe = 4,  // u64 coordinator monotonic_ns at send (clock handshake)
   kWelcome = 6,     // assigns an externally joining worker its id
   // worker -> coordinator
-  kHeartbeat = 10,   // no payload; worker liveness
+  kHeartbeat = 10,   // no payload; any frame refreshes last_frame_ns
   kMapDone = 11,     // u32 task, u32 attempt, MapTaskResult
   kReduceDone = 12,  // u32 partition, u32 attempt, ReduceTaskResult
   kTaskFailed = 13,  // one attempt failed (the worker itself is healthy)

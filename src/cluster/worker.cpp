@@ -14,6 +14,7 @@
 #include "cluster/shuffle_client.hpp"
 #include "cluster/shuffle_server.hpp"
 #include "cluster/transport.hpp"
+#include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/logging.hpp"
 #include "common/mutex.hpp"
@@ -116,7 +117,9 @@ bool run_attempt(Channel& channel, obs::SpanTimer& exec,
 }
 
 /// Heartbeat loop: one bare kHeartbeat frame per interval. The
-/// coordinator knows what this worker runs, so a beat carries nothing.
+/// coordinator knows what this worker runs, so a beat carries nothing:
+/// it only moves the worker's last-frame time, which the coordinator's
+/// straggler and liveness rules read (DESIGN.md §10, §14).
 /// The `worker.heartbeat` failpoint acts here — kDelay stalls the beats
 /// (making the coordinator see a straggler) and any throw-style action
 /// drops the beat; neither kills the thread, so the fault model is
@@ -175,15 +178,10 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
           "worker-" + std::to_string(ctx.worker_id));
     }
 
-    // This worker models one node: its map tasks share a frozen
-    // frequent-key set, persisted so a replacement worker for the same
-    // node id reuses it (§III-B, DESIGN.md §10).
+    // This worker models one node: its map tasks share one frozen
+    // frequent-key set, found by the first of them to freeze (§III-B,
+    // DESIGN.md §10). It lives as long as this process and no longer.
     freqbuf::NodeKeyCache node_cache;
-    if (spec.freqbuf.enabled) {
-      node_cache.attach_file(
-          spec.scratch_dir /
-          ("node-" + std::to_string(ctx.worker_id) + ".keycache"));
-    }
 
     const mr::MemorySplit mem = mr::split_memory(spec);
 
@@ -339,6 +337,9 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 
 int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
                       const RemoteWorkerOptions& options) {
+  if (options.io_timeout_ms == 0 || options.io_timeout_ms < -1) {
+    throw ConfigError("io_timeout_ms must be -1 (no limit) or > 0");
+  }
   const int fd = tcp_connect(coordinator, options.connect_timeout_ms);
   WorkerContext ctx;
   try {

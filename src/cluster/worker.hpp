@@ -52,7 +52,8 @@ struct RemoteWorkerOptions {
 
 /// Dials the coordinator, performs the kWelcome handshake (which
 /// assigns the worker id), then runs worker_main over the TCP channel.
-/// Returns worker_main's exit code; throws IoError/FormatError if the
+/// Returns worker_main's exit code; throws ConfigError, before dialing,
+/// unless io_timeout_ms is -1 or > 0, and IoError/FormatError if the
 /// handshake itself fails.
 int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
                       const RemoteWorkerOptions& options = {});

@@ -9,8 +9,7 @@ namespace textmr::common {
 
 /// Injectable time source. Components whose behaviour depends on elapsed
 /// time (the spill buffer's produce/consume timing that feeds the
-/// spill-matcher's eq. (1), the cluster coordinator's heartbeat-timeout /
-/// straggler math) take a `const Clock*` instead of calling
+/// spill-matcher's eq. (1)) take a `const Clock*` instead of calling
 /// monotonic_ns() directly, so tests drive them with a ManualClock and
 /// assert exact thresholds instead of sleeping.
 class Clock {

@@ -1,105 +1,11 @@
 #include "freqbuf/controller.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/stopwatch.hpp"
-#include "io/dfs.hpp"
 
 namespace textmr::freqbuf {
-
-namespace {
-
-void append_u32(std::string& out, std::uint32_t value) {
-  char buf[4];
-  buf[0] = static_cast<char>(value & 0xff);
-  buf[1] = static_cast<char>((value >> 8) & 0xff);
-  buf[2] = static_cast<char>((value >> 16) & 0xff);
-  buf[3] = static_cast<char>((value >> 24) & 0xff);
-  out.append(buf, 4);
-}
-
-bool read_u32(std::string_view& in, std::uint32_t& value) {
-  if (in.size() < 4) return false;
-  value = static_cast<std::uint8_t>(in[0]) |
-          (static_cast<std::uint32_t>(static_cast<std::uint8_t>(in[1])) << 8) |
-          (static_cast<std::uint32_t>(static_cast<std::uint8_t>(in[2])) << 16) |
-          (static_cast<std::uint32_t>(static_cast<std::uint8_t>(in[3])) << 24);
-  in.remove_prefix(4);
-  return true;
-}
-
-constexpr char kKeyCacheMagic[4] = {'T', 'M', 'R', 'K'};
-
-}  // namespace
-
-std::string NodeKeyCache::encode_keys(const std::vector<std::string>& keys) {
-  std::string out(kKeyCacheMagic, sizeof(kKeyCacheMagic));
-  append_u32(out, static_cast<std::uint32_t>(keys.size()));
-  for (const std::string& key : keys) {
-    append_u32(out, static_cast<std::uint32_t>(key.size()));
-    out.append(key);
-  }
-  return out;
-}
-
-std::optional<std::vector<std::string>> NodeKeyCache::decode_keys(
-    std::string_view bytes) {
-  if (bytes.size() < sizeof(kKeyCacheMagic) ||
-      std::memcmp(bytes.data(), kKeyCacheMagic, sizeof(kKeyCacheMagic)) != 0) {
-    return std::nullopt;
-  }
-  bytes.remove_prefix(sizeof(kKeyCacheMagic));
-  std::uint32_t count = 0;
-  // Each key takes at least its 4-byte length; never reserve more keys.
-  if (!read_u32(bytes, count) || count > bytes.size() / 4) return std::nullopt;
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t len = 0;
-    if (!read_u32(bytes, len) || bytes.size() < len) return std::nullopt;
-    keys.emplace_back(bytes.substr(0, len));
-    bytes.remove_prefix(len);
-  }
-  if (!bytes.empty()) return std::nullopt;
-  return keys;
-}
-
-void NodeKeyCache::put(std::vector<std::string> keys) {
-  textmr::MutexLock lock(mu_);
-  if (keys_.has_value()) return;
-  keys_ = std::move(keys);
-  if (file_.empty()) return;
-  // Persist the winning set so a replacement worker process for this node
-  // skips profiling (DESIGN.md §10). tmp+rename means a concurrent reader
-  // sees either nothing or a complete file; a write failure only costs
-  // the optimization, so it is logged rather than propagated.
-  try {
-    io::atomic_write_file(file_, encode_keys(*keys_));
-  } catch (const IoError& err) {
-    TEXTMR_LOG(kWarn) << "node key cache write failed: " << err.what();
-  }
-}
-
-void NodeKeyCache::attach_file(std::filesystem::path path) {
-  textmr::MutexLock lock(mu_);
-  file_ = std::move(path);
-  if (keys_.has_value()) return;
-  std::ifstream in(file_, std::ios::binary);
-  if (!in) return;  // no prior worker persisted a set
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
-  if (auto keys = decode_keys(bytes); keys.has_value()) {
-    keys_ = std::move(*keys);
-  } else {
-    TEXTMR_LOG(kWarn) << "ignoring corrupt node key cache " << file_.string();
-  }
-}
 
 FreqBufferController::FreqBufferController(
     const FreqBufConfig& config, mr::HashCombineShards& table,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,12 +46,8 @@ inline constexpr double kPreProfileFraction = 0.01;
 /// Per-node cache of the frozen frequent-key set. Shared by every map
 /// task a worker ("node") runs, hence the lock: concurrent tasks race to
 /// publish their frozen set and the first writer wins (paper §III-B).
-///
-/// In cluster mode the cache is additionally backed by a node-local file
-/// (attach_file): the first frozen set is persisted via tmp+rename, and a
-/// replacement worker process for the same node reloads it, so the top-k
-/// set is still found only once per node across worker restarts
-/// (DESIGN.md §10).
+/// It lives in memory only: each cluster worker process, and each
+/// LocalEngine map slot, owns one for one job (DESIGN.md §10).
 class NodeKeyCache {
  public:
   std::optional<std::vector<std::string>> get() const {
@@ -60,27 +55,16 @@ class NodeKeyCache {
     return keys_;
   }
 
-  /// First writer wins; later tasks keep the established set. With an
-  /// attached file, the winning set is persisted exactly once.
-  void put(std::vector<std::string> keys);
-
-  /// Attaches the node-local cache file, loading a previously persisted
-  /// set if one exists (a corrupt or unreadable file is treated as
-  /// absent — the cache is an optimization, never a correctness
-  /// dependency). Call before the first task runs.
-  void attach_file(std::filesystem::path path);
-
-  /// Serialized form of a key set (the cache-file format): used by the
-  /// persistence path and by tests asserting file contents.
-  static std::string encode_keys(const std::vector<std::string>& keys);
-  static std::optional<std::vector<std::string>> decode_keys(
-      std::string_view bytes);
+  /// First writer wins; later tasks keep the established set.
+  void put(std::vector<std::string> keys) {
+    textmr::MutexLock lock(mu_);
+    if (!keys_.has_value()) keys_ = std::move(keys);
+  }
 
  private:
   mutable textmr::Mutex mu_{textmr::LockRank::kFreqBuf,
                             "freqbuf.node_key_cache"};
   std::optional<std::vector<std::string>> keys_ TEXTMR_GUARDED_BY(mu_);
-  std::filesystem::path file_ TEXTMR_GUARDED_BY(mu_);
 };
 
 /// Map-side frequency-buffering state machine. One instance per map task,

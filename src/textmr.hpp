@@ -33,7 +33,6 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
-#include "io/dfs.hpp"
 #include "io/line_reader.hpp"
 #include "io/record.hpp"
 #include "io/spill_file.hpp"

@@ -3,7 +3,7 @@
 // Process-level battery for the multi-process ClusterEngine (DESIGN.md
 // §10): correctness vs the LocalEngine oracle, straggler detection and
 // speculative execution, worker-death recovery (SIGKILL), duplicate
-// first-writer-wins commits, and the persisted per-node NodeKeyCache.
+// first-writer-wins commits, and the process-local per-node NodeKeyCache.
 //
 // These tests fork real worker processes. Failpoints armed in the parent
 // are inherited by every worker; per-worker asymmetry (one slow worker)
@@ -115,6 +115,26 @@ TEST(ClusterEngine, InvalidSpecFailsBeforeForking) {
   EXPECT_THROW(engine.run(spec), ConfigError);
 }
 
+TEST(ClusterEngine, ZeroIoTimeoutIsAConfigErrorBeforeForking) {
+  // 0 would be a zero-length connect deadline; -1 is "no limit".
+  ClusterCorpus corpus(1000);
+  cluster::ClusterConfig config;
+  config.io_timeout_ms = 0;
+  bool spawned = false;
+  config.on_worker_spawn = [&spawned](std::uint32_t, int) { spawned = true; };
+  cluster::ClusterEngine engine(config);
+  EXPECT_THROW(engine.run(corpus.job("io0")), ConfigError);
+  EXPECT_FALSE(spawned);
+
+  // An external worker refuses it before dialing (nothing listens on
+  // port 1, so a dial would fail with IoError instead).
+  cluster::RemoteWorkerOptions options;
+  options.io_timeout_ms = 0;
+  EXPECT_THROW(cluster::run_remote_worker(cluster::Endpoint{"127.0.0.1", 1},
+                                          corpus.job("io0-remote"), options),
+               ConfigError);
+}
+
 TEST(ClusterEngine, DisabledNetworkShuffleIsAConfigErrorBeforeForking) {
   // Reducers always pull map output from the owning worker's shuffle
   // server; a config asking for a filesystem-only shuffle is refused
@@ -151,6 +171,13 @@ cluster::ClusterConfig slow_worker_config(std::uint32_t workers,
   return config;
 }
 
+/// A task gets at most one speculative duplicate: its `speculated`
+/// latch is set when the first of its attempts is flagged.
+void expect_one_duplicate_per_task_at_most(const mr::JobResult& result) {
+  EXPECT_LE(result.counters.value("cluster.speculative_attempts"),
+            result.metrics.map_tasks + result.metrics.reduce_tasks);
+}
+
 TEST(ClusterSpeculation, SlowWorkerIsRescuedBySpeculativeAttempt) {
   ClusterCorpus corpus;
   auto config = slow_worker_config(3, 2500);
@@ -163,6 +190,7 @@ TEST(ClusterSpeculation, SlowWorkerIsRescuedBySpeculativeAttempt) {
 
   corpus.check(result);
   EXPECT_GE(result.counters.value("cluster.speculative_attempts"), 1u);
+  expect_one_duplicate_per_task_at_most(result);
   // The 2.5s-per-task worker must not gate the job: its flagged attempts
   // are duplicated onto fast workers and the losers are killed. Without
   // speculation the job would take >= 2.5s per task worker 0 received.
@@ -183,6 +211,7 @@ TEST(ClusterSpeculation, WithoutSpeculationSlowWorkerGatesTheJob) {
 
   corpus.check(result);
   EXPECT_EQ(result.counters.value("cluster.speculative_attempts"), 0u);
+  expect_one_duplicate_per_task_at_most(result);
   // Worker 0 received at least one task and held it for the full delay.
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(wall),
             std::chrono::milliseconds(1200));
@@ -211,8 +240,34 @@ TEST(ClusterSpeculation, HeartbeatStarvationTriggersSpeculation) {
 
   corpus.check(result);
   EXPECT_GE(result.counters.value("cluster.speculative_attempts"), 1u);
+  expect_one_duplicate_per_task_at_most(result);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(wall),
             std::chrono::milliseconds(2400));
+}
+
+TEST(ClusterSpeculation, ReduceAttemptsAreNotJudgedByMapDurations) {
+  // Two fast map tasks, then three reduce attempts that each sleep 600 ms
+  // before committing. The median path needs three completions of the
+  // same phase, and no reduce attempt ever runs while three reduces have
+  // completed, so nothing is speculated. Judged against the two
+  // millisecond map durations, every reduce attempt would be.
+  ClusterCorpus corpus(4000, 6 * 1024);
+  ASSERT_EQ(corpus.splits.size(), 2u);
+  cluster::ClusterConfig config;
+  config.num_workers = 2;
+  config.heartbeat_interval_ms = 10;
+  config.straggler.heartbeat_timeout_ms = 10000;  // median path only
+  config.straggler.slowness_factor = 4.0;
+  config.straggler.min_completed_for_median = 3;
+  config.worker_init = [](std::uint32_t) {
+    failpoint::arm_from_spec(
+        "reduce.output_rename:always:action=delay:delay_ms=600");
+  };
+  cluster::ClusterEngine engine(config);
+  const auto result = engine.run(corpus.job("phase-median", 3));
+  corpus.check(result);
+  EXPECT_EQ(result.counters.value("cluster.speculative_attempts"), 0u);
+  expect_one_duplicate_per_task_at_most(result);
 }
 
 // ---- TCP channels and the network shuffle (DESIGN.md §14) -----------------
@@ -450,86 +505,47 @@ TEST(ClusterCommit, DuplicateReduceCommitsLeaveExactlyOneOutput) {
   corpus.check(wrapped);
 }
 
-// ---- NodeKeyCache persistence ---------------------------------------------
+// ---- NodeKeyCache lifetime ------------------------------------------------
 
-TEST(ClusterNodeCache, KeyCacheFilePersistedOncePerWorkerAndReused) {
-  ClusterCorpus corpus(20000, 6 * 1024);  // many map tasks per worker
+TEST(ClusterNodeCache, StaleKeyCacheFileFromAnotherJobIsNotLoaded) {
+  // Another job over the same scratch dir left a node-<w>.keycache in the
+  // old TMRK format (magic, u32 LE key count, then u32 LE length + bytes
+  // per key) holding keys no word in this corpus has. The node cache is
+  // process-local, so this job profiles and freezes its own set; loading
+  // the file would pin keys that absorb nothing.
+  ClusterCorpus corpus(20000, 6 * 1024);
   cluster::ClusterConfig config;
   config.num_workers = 2;
   cluster::ClusterEngine engine(config);
 
-  auto spec = corpus.job("cache");
+  auto spec = corpus.job("stale-cache");
   spec.freqbuf.enabled = true;
   spec.freqbuf.top_k = 50;
   spec.freqbuf.sampling_fraction = 0.05;
-  corpus.check(engine.run(spec));
-
-  // Each worker persisted its node-local frozen key set exactly once.
-  std::vector<std::string> persisted;
-  for (std::uint32_t w = 0; w < config.num_workers; ++w) {
-    const auto path =
-        spec.scratch_dir / ("node-" + std::to_string(w) + ".keycache");
-    ASSERT_TRUE(std::filesystem::exists(path)) << path;
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    persisted.push_back(std::move(buf).str());
-    const auto keys = freqbuf::NodeKeyCache::decode_keys(persisted.back());
-    ASSERT_TRUE(keys.has_value()) << "corrupt cache file " << path;
-    EXPECT_FALSE(keys->empty());
-    EXPECT_LE(keys->size(), spec.freqbuf.top_k);
-  }
-
-  // A re-run over the same scratch dir (same node ids) reloads the
-  // persisted sets instead of re-profiling: first-writer-wins leaves the
-  // files byte-identical, and the job output is unchanged.
-  auto rerun = corpus.job("cache2");
-  rerun.scratch_dir = spec.scratch_dir;  // same node-local cache files
-  rerun.freqbuf = spec.freqbuf;
-  cluster::ClusterEngine engine2(config);
-  corpus.check(engine2.run(rerun));
-  for (std::uint32_t w = 0; w < config.num_workers; ++w) {
-    const auto path =
-        spec.scratch_dir / ("node-" + std::to_string(w) + ".keycache");
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), persisted[w]) << "cache file rewritten: " << path;
-  }
-}
-
-TEST(ClusterNodeCache, CorruptCacheFileIsIgnored) {
-  const std::string valid =
-      freqbuf::NodeKeyCache::encode_keys({"alpha", "beta"});
-  const std::string corrupt[] = {
-      "BOGUS-not-a-cache-file",
-      // The magic and a key count of 0x7fffffff with no keys behind it:
-      // a count no file this size can hold must not be reserved.
-      std::string("TMRK\xff\xff\xff\x7f", 8),
-      // A valid file whose last key is cut short.
-      valid.substr(0, valid.size() - 1),
-  };
-  for (const std::string& bytes : corrupt) {
-    SCOPED_TRACE(bytes.size());
-    TempDir dir;
-    const auto path = dir.file("node-0.keycache");
-    {
-      std::ofstream out(path, std::ios::binary);
-      out << bytes;
+  const auto append_u32 = [](std::string& out, std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<char>((v >> shift) & 0xff));
     }
-    freqbuf::NodeKeyCache cache;
-    cache.attach_file(path);
-    EXPECT_FALSE(cache.get().has_value());
-    // And put() still persists over it.
-    cache.put({"alpha", "beta"});
-    ASSERT_TRUE(cache.get().has_value());
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const auto keys = freqbuf::NodeKeyCache::decode_keys(buf.str());
-    ASSERT_TRUE(keys.has_value());
-    EXPECT_EQ(*keys, (std::vector<std::string>{"alpha", "beta"}));
+  };
+  const std::vector<std::string> foreign = {"GET /index.html", "10.0.0.1",
+                                            "200"};
+  std::string bytes = "TMRK";
+  append_u32(bytes, static_cast<std::uint32_t>(foreign.size()));
+  for (const std::string& key : foreign) {
+    append_u32(bytes, static_cast<std::uint32_t>(key.size()));
+    bytes += key;
   }
+  std::filesystem::create_directories(spec.scratch_dir);
+  for (std::uint32_t w = 0; w < config.num_workers; ++w) {
+    std::ofstream out(
+        spec.scratch_dir / ("node-" + std::to_string(w) + ".keycache"),
+        std::ios::binary);
+    out << bytes;
+  }
+
+  const auto result = engine.run(spec);
+  corpus.check(result);
+  EXPECT_GT(result.metrics.work.freq_hits, 0u);
 }
 
 // ---- trace merging --------------------------------------------------------

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 // Unit tests for the cluster control protocol (wire codecs, framing) and
-// the straggler detector's threshold arithmetic under a ManualClock. The
+// the straggler rule's threshold arithmetic over explicit instants. The
 // process-level battery lives in test_cluster.cpp; everything here is
 // in-process and deterministic.
 
@@ -11,8 +11,8 @@
 #include <array>
 #include <optional>
 #include <thread>
+#include <vector>
 
-#include "cluster/liveness.hpp"
 #include "common/failpoint.hpp"
 #include "textmr.hpp"
 
@@ -966,159 +966,92 @@ TEST(ShuffleCodecFuzz, MutatedFramesNeverCrash) {
   EXPECT_GT(rejected, 0);
 }
 
-// ---- LivenessTracker under a ManualClock ----------------------------------
-
-TEST(LivenessTrackerTest, SilenceBeyondTimeoutExpiresWorker) {
-  common::ManualClock clock(1000 * 1000000ull);
-  LivenessTracker tracker(100, &clock);
-  ASSERT_TRUE(tracker.enabled());
-
-  tracker.note_activity(0);
-  clock.advance_ms(99);
-  EXPECT_FALSE(tracker.expired(0));
-  clock.advance_ms(2);
-  EXPECT_TRUE(tracker.expired(0));
-
-  // Activity resets the deadline.
-  tracker.note_activity(0);
-  EXPECT_FALSE(tracker.expired(0));
-  clock.advance_ms(101);
-  EXPECT_TRUE(tracker.expired(0));
-}
-
-TEST(LivenessTrackerTest, NeverSeenAndForgottenWorkersAreNotExpired) {
-  common::ManualClock clock;
-  LivenessTracker tracker(100, &clock);
-  clock.advance_ms(10000);
-  EXPECT_FALSE(tracker.expired(7));  // never seen: spawn/beat order races
-
-  tracker.note_activity(7);
-  clock.advance_ms(10000);
-  EXPECT_TRUE(tracker.expired(7));
-  tracker.forget(7);
-  EXPECT_FALSE(tracker.expired(7));
-}
-
-TEST(LivenessTrackerTest, ZeroTimeoutDisablesTracking) {
-  common::ManualClock clock;
-  LivenessTracker tracker(0, &clock);
-  EXPECT_FALSE(tracker.enabled());
-  tracker.note_activity(1);
-  clock.advance_ms(1u << 30);
-  EXPECT_FALSE(tracker.expired(1));
-}
-
-// ---- StragglerDetector under a ManualClock --------------------------------
+// ---- the straggler rule ---------------------------------------------------
 
 constexpr std::uint64_t kMs = 1000000ull;
+const std::vector<std::uint64_t> kNoCompletions;
 
-TEST(StragglerDetectorTest, StaleHeartbeatFlagsAttemptOnceAndOnlyOnce) {
-  common::ManualClock clock(1000 * kMs);
+TEST(IsStragglerTest, StaleAfterTheTimeout) {
   StragglerPolicy policy;
   policy.heartbeat_timeout_ms = 100;
-  policy.slowness_factor = 1e9;  // isolate the heartbeat path
-  StragglerDetector detector(policy, &clock);
-
-  detector.on_dispatch(TaskKind::kMap, 0, 0);
-  clock.advance_ms(99);
-  EXPECT_TRUE(detector.take_stragglers().empty());  // not stale yet
-
-  clock.advance_ms(2);  // 101ms since the dispatch-time implicit beat
-  auto flagged = detector.take_stragglers();
-  ASSERT_EQ(flagged.size(), 1u);
-  EXPECT_EQ(flagged[0].kind, TaskKind::kMap);
-  EXPECT_EQ(flagged[0].id, 0u);
-  EXPECT_EQ(flagged[0].attempt, 0u);
-
-  // Latched: the same attempt is never reported twice.
-  clock.advance_ms(1000);
-  EXPECT_TRUE(detector.take_stragglers().empty());
+  policy.slowness_factor = 1e9;  // isolate the staleness path
+  const std::uint64_t dispatched = 1000 * kMs;
+  const std::uint64_t last_frame = dispatched;
+  EXPECT_FALSE(is_straggler(policy, dispatched + 99 * kMs, dispatched,
+                            last_frame, kNoCompletions));
+  EXPECT_FALSE(is_straggler(policy, dispatched + 100 * kMs, dispatched,
+                            last_frame, kNoCompletions));
+  EXPECT_TRUE(is_straggler(policy, dispatched + 101 * kMs, dispatched,
+                           last_frame, kNoCompletions));
 }
 
-TEST(StragglerDetectorTest, HeartbeatRefreshesStaleness) {
-  common::ManualClock clock;
+TEST(IsStragglerTest, AFreshFrameRefreshes) {
   StragglerPolicy policy;
   policy.heartbeat_timeout_ms = 100;
   policy.slowness_factor = 1e9;
-  StragglerDetector detector(policy, &clock);
-
-  detector.on_dispatch(TaskKind::kMap, 3, 1);
+  const std::uint64_t dispatched = 0;
+  std::uint64_t now = dispatched;
   for (int i = 0; i < 5; ++i) {
-    clock.advance_ms(80);
-    detector.on_beat(TaskKind::kMap, 3, 1);
-    EXPECT_TRUE(detector.take_stragglers().empty()) << i;
+    now += 80 * kMs;
+    const std::uint64_t last_frame = now;  // a beat just arrived
+    EXPECT_FALSE(
+        is_straggler(policy, now, dispatched, last_frame, kNoCompletions))
+        << i;
   }
-  clock.advance_ms(101);  // beats stop
-  EXPECT_EQ(detector.take_stragglers().size(), 1u);
+  const std::uint64_t last_frame = now;  // beats stop
+  EXPECT_TRUE(is_straggler(policy, now + 101 * kMs, dispatched, last_frame,
+                           kNoCompletions));
 }
 
-TEST(StragglerDetectorTest, SlownessNeedsMedianBaseline) {
-  common::ManualClock clock;
+TEST(IsStragglerTest, SilenceCountsFromTheDispatchAtTheEarliest) {
+  // The worker's last frame predates the dispatch by 10 s (an idle
+  // worker whose beats stalled): staleness still starts at the dispatch.
+  StragglerPolicy policy;
+  policy.heartbeat_timeout_ms = 100;
+  policy.slowness_factor = 1e9;
+  const std::uint64_t last_frame = 1000 * kMs;
+  const std::uint64_t dispatched = last_frame + 10000 * kMs;
+  EXPECT_FALSE(is_straggler(policy, dispatched, dispatched, last_frame,
+                            kNoCompletions));
+  EXPECT_FALSE(is_straggler(policy, dispatched + 100 * kMs, dispatched,
+                            last_frame, kNoCompletions));
+  EXPECT_TRUE(is_straggler(policy, dispatched + 101 * kMs, dispatched,
+                           last_frame, kNoCompletions));
+}
+
+TEST(IsStragglerTest, SlownessNeedsMinCompleted) {
   StragglerPolicy policy;
   policy.heartbeat_timeout_ms = 1u << 30;  // isolate the slowness path
   policy.slowness_factor = 4.0;
   policy.min_completed_for_median = 2;
-  StragglerDetector detector(policy, &clock);
-
-  detector.on_dispatch(TaskKind::kMap, 9, 0);
-  clock.advance_ms(500);
+  const std::uint64_t now = 500 * kMs;  // the attempt is 500 ms old
   // No completions yet: runtime alone never flags.
-  EXPECT_TRUE(detector.take_stragglers().empty());
-
-  detector.note_completed(TaskKind::kMap, 10 * kMs);
-  EXPECT_TRUE(detector.take_stragglers().empty());  // below min_completed
-
-  detector.note_completed(TaskKind::kMap, 20 * kMs);
-  // Median 20ms, factor 4 -> threshold 80ms; the attempt is 500ms old.
-  auto flagged = detector.take_stragglers();
-  ASSERT_EQ(flagged.size(), 1u);
-  EXPECT_EQ(flagged[0].id, 9u);
+  EXPECT_FALSE(is_straggler(policy, now, 0, now, kNoCompletions));
+  EXPECT_FALSE(is_straggler(policy, now, 0, now, {10 * kMs}));
+  // Median 20 ms, factor 4 -> threshold 80 ms.
+  EXPECT_TRUE(is_straggler(policy, now, 0, now, {10 * kMs, 20 * kMs}));
+  // A zero median never flags.
+  EXPECT_FALSE(is_straggler(policy, now, 0, now, {0, 0}));
 }
 
-TEST(StragglerDetectorTest, SlownessComparesAgainstOwnKindsMedian) {
-  common::ManualClock clock;
+TEST(IsStragglerTest, TheUpperMedianSetsTheThreshold) {
   StragglerPolicy policy;
   policy.heartbeat_timeout_ms = 1u << 30;
   policy.slowness_factor = 4.0;
   policy.min_completed_for_median = 2;
-  StragglerDetector detector(policy, &clock);
-
-  // Fast *map* completions must not flag a running *reduce* attempt.
-  detector.note_completed(TaskKind::kMap, 1 * kMs);
-  detector.note_completed(TaskKind::kMap, 1 * kMs);
-  detector.on_dispatch(TaskKind::kReduce, 0, 0);
-  clock.advance_ms(500);
-  // A fresh beat keeps the heartbeat path quiet.
-  detector.on_beat(TaskKind::kReduce, 0, 0);
-  EXPECT_TRUE(detector.take_stragglers().empty());
-
-  detector.note_completed(TaskKind::kReduce, 10 * kMs);
-  detector.note_completed(TaskKind::kReduce, 10 * kMs);
-  detector.on_beat(TaskKind::kReduce, 0, 0);
-  EXPECT_EQ(detector.take_stragglers().size(), 1u);
-}
-
-TEST(StragglerDetectorTest, OnFinishReturnsDurationAndStopsTracking) {
-  common::ManualClock clock;
-  StragglerDetector detector(StragglerPolicy{}, &clock);
-  detector.on_dispatch(TaskKind::kMap, 1, 0);
-  EXPECT_EQ(detector.running(), 1u);
-  clock.advance_ms(42);
-  EXPECT_EQ(detector.on_finish(TaskKind::kMap, 1, 0), 42 * kMs);
-  EXPECT_EQ(detector.running(), 0u);
-  // Finishing an unknown attempt is a no-op reporting zero duration.
-  EXPECT_EQ(detector.on_finish(TaskKind::kMap, 1, 0), 0u);
-}
-
-TEST(StragglerDetectorTest, MedianIsPerKind) {
-  common::ManualClock clock;
-  StragglerDetector detector(StragglerPolicy{}, &clock);
-  detector.note_completed(TaskKind::kMap, 10);
-  detector.note_completed(TaskKind::kMap, 30);
-  detector.note_completed(TaskKind::kMap, 20);
-  detector.note_completed(TaskKind::kReduce, 500);
-  EXPECT_EQ(detector.median_duration_ns(TaskKind::kMap), 20u);
-  EXPECT_EQ(detector.median_duration_ns(TaskKind::kReduce), 500u);
+  // Unsorted odd count: median 20 ms -> threshold 80 ms.
+  const std::vector<std::uint64_t> odd = {30 * kMs, 10 * kMs, 20 * kMs};
+  EXPECT_FALSE(is_straggler(policy, 80 * kMs, 0, 80 * kMs, odd));
+  EXPECT_TRUE(is_straggler(policy, 81 * kMs, 0, 81 * kMs, odd));
+  // Even count: the upper median, sorted[n/2] = 30 ms -> 120 ms.
+  const std::vector<std::uint64_t> even = {40 * kMs, 10 * kMs, 30 * kMs,
+                                           20 * kMs};
+  EXPECT_FALSE(is_straggler(policy, 120 * kMs, 0, 120 * kMs, even));
+  EXPECT_TRUE(is_straggler(policy, 121 * kMs, 0, 121 * kMs, even));
+  // Runtime counts from the dispatch, not from the last frame.
+  EXPECT_TRUE(is_straggler(policy, 1121 * kMs, 1000 * kMs, 1121 * kMs, even));
+  EXPECT_FALSE(
+      is_straggler(policy, 1120 * kMs, 1000 * kMs, 1120 * kMs, even));
 }
 
 }  // namespace
