@@ -465,7 +465,7 @@ int cmd_worker(const Args& args) {
       parse_endpoint(connect_it->second, /*allow_port_zero=*/false);
   if (!endpoint.has_value()) return usage();
 
-  cluster::RemoteWorkerOptions options;
+  cluster::WorkerOptions options;
   options.idle_timeout_ms =
       static_cast<std::uint32_t>(args.u64("idle-timeout-ms", 0));
   if (args.options.count("io-timeout-ms") > 0) {

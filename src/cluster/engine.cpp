@@ -28,8 +28,7 @@ namespace {
 struct WorkerHandle {
   std::uint32_t id = 0;
   Connection conn;
-  pid_t pid = -1;       // -1 for external (non-forked) workers
-  bool external = false;
+  pid_t pid = -1;  // -1 for external (non-forked) workers
   bool alive = true;
   bool reaped = false;
   FrameDecoder decoder;
@@ -45,8 +44,8 @@ struct WorkerHandle {
   /// When the last frame of any type arrived (set at registration too):
   /// the liveness and straggler rules measure silence from it.
   std::uint64_t last_frame_ns = 0;
-  // Telemetry: clock handshake result and the counters handle_frame
-  // folds from this worker's done, failed and trace frames.
+  // Telemetry: the clock offset its kHello measured and the counters
+  // handle_frame folds from this worker's done, failed and trace frames.
   std::int64_t clock_offset_ns = 0;
   bool got_final_telemetry = false;
   mr::WorkerTelemetry stats;
@@ -103,12 +102,11 @@ class Coordinator {
  private:
   // ---- process management ----
   void spawn_workers();
-  void accept_external_workers();
+  void register_worker(std::uint32_t id, Connection conn, pid_t pid);
   /// Sends one frame to a live worker, translating every failure mode
   /// (EPIPE, timeout, injected fault) into worker death. Returns false
   /// when the worker is now dead.
   bool send_to(WorkerHandle& worker, std::string_view frame);
-  void send_clock_probes();
   void on_worker_dead(WorkerHandle& worker);
   void kill_worker(WorkerHandle& worker);
   void kill_loser_attempts(TaskKind kind, std::uint32_t task);
@@ -172,8 +170,8 @@ void Coordinator::spawn_workers() {
   const std::uint32_t forked = config_.num_workers - config_.external_workers;
   for (std::uint32_t w = 0; w < forked; ++w) {
     // Both channel ends exist before fork (connect+accept against the
-    // coordinator's own listener), so the child inherits an established,
-    // already-identified connection — no handshake needed.
+    // coordinator's own listener), so the child inherits an established
+    // connection on which its welcome arrives.
     TcpTransport::WorkerChannel channel = tcp_.make_worker_channel();
     // Flush stdio so the child doesn't replay buffered output.
     std::fflush(stdout);
@@ -193,63 +191,66 @@ void Coordinator::spawn_workers() {
       for (WorkerHandle& sibling : workers_) sibling.conn.close();
       tcp_.close_listener();
       if (config_.worker_init) config_.worker_init(w);
-      WorkerContext ctx;
-      ctx.fd = channel.child_fd;
-      ctx.worker_id = w;
-      ctx.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-      ctx.io_timeout_ms = config_.io_timeout_ms;
-      const int code = worker_main(ctx, spec_);
+      WorkerOptions options;
+      options.connect_timeout_ms = config_.io_timeout_ms;
+      options.io_timeout_ms = config_.io_timeout_ms;
+      int code = 1;
+      try {
+        code = worker_main(channel.child_fd, spec_, options);
+      } catch (const Error& e) {
+        TEXTMR_LOG(kError) << "cluster worker " << w << ": " << e.what();
+      }
       // _exit: a forked clone must not run the parent's atexit chain or
       // gtest teardown; its heap intentionally dies with it.
       ::_exit(code);
     }
     ::close(channel.child_fd);
-    WorkerHandle handle;
-    handle.id = w;
-    handle.conn = std::move(channel.coordinator);
-    handle.pid = pid;
-    handle.last_frame_ns = monotonic_ns();
-    workers_.push_back(std::move(handle));
-    if (config_.on_worker_spawn) config_.on_worker_spawn(w, pid);
+    register_worker(w, std::move(channel.coordinator), pid);
   }
-  accept_external_workers();
-}
-
-/// Adopts externally-started workers: accept their TCP connections and
-/// assign worker ids via kWelcome. The worker replies with kHello
-/// (shuffle endpoint), handled by the normal event pump.
-void Coordinator::accept_external_workers() {
-  if (config_.external_workers == 0) return;
-  const std::uint32_t forked = config_.num_workers - config_.external_workers;
   for (std::uint32_t w = forked; w < config_.num_workers; ++w) {
-    WorkerHandle handle;
-    handle.id = w;
-    handle.external = true;
-    handle.pid = -1;
+    Connection conn;
     try {
-      handle.conn = tcp_.accept_worker(config_.accept_timeout_ms);
+      conn = tcp_.accept_worker(config_.accept_timeout_ms);
     } catch (const IoError& e) {
       kill_and_reap_all();
       throw IoError("external worker " + std::to_string(w) +
                     " never connected: " + e.what());
     }
-    WelcomeMsg welcome;
-    welcome.worker_id = w;
-    welcome.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-    bool sent = false;
-    try {
-      sent = handle.conn.send(encode_welcome(welcome));
-    } catch (const IoError&) {
-      sent = false;
+    register_worker(w, std::move(conn), -1);
+  }
+}
+
+/// Every worker, forked or external, joins the same way: the coordinator
+/// sends kWelcome (the worker's id, the heartbeat cadence and its own
+/// clock) and reads the worker's first frame, which must be kHello.
+/// Reading it here, not in the event pump, keeps the round trip that
+/// bounds the clock-offset error as short as the worker's start-up. A
+/// worker that hangs up, stays silent past accept_timeout_ms or answers
+/// anything else joins dead, as if it had died right after.
+void Coordinator::register_worker(std::uint32_t id, Connection conn,
+                                  pid_t pid) {
+  WorkerHandle& worker = workers_.emplace_back();
+  worker.id = id;
+  worker.conn = std::move(conn);
+  worker.pid = pid;
+  worker.last_frame_ns = monotonic_ns();
+  if (config_.on_worker_spawn) config_.on_worker_spawn(id, pid);
+  WelcomeMsg welcome;
+  welcome.worker_id = id;
+  welcome.heartbeat_interval_ms = config_.heartbeat_interval_ms;
+  welcome.t_send = monotonic_ns();
+  if (!send_to(worker, encode_welcome(welcome))) return;
+  try {
+    const auto hello = worker.conn.recv(config_.accept_timeout_ms);
+    if (!hello.has_value() || hello->empty() ||
+        static_cast<MsgType>(hello->front()) != MsgType::kHello) {
+      throw FormatError("no hello in answer to the welcome");
     }
-    if (!sent) {
-      kill_and_reap_all();
-      throw IoError("external worker " + std::to_string(w) +
-                    " hung up during the welcome handshake");
-    }
-    handle.last_frame_ns = monotonic_ns();
-    workers_.push_back(std::move(handle));
-    if (config_.on_worker_spawn) config_.on_worker_spawn(w, -1);
+    handle_frame(worker, *hello);
+  } catch (const Error& e) {
+    TEXTMR_LOG(kWarn) << "cluster worker " << id
+                      << " failed to join: " << e.what();
+    kill_worker(worker);
   }
 }
 
@@ -263,20 +264,6 @@ bool Coordinator::send_to(WorkerHandle& worker, std::string_view frame) {
   }
   if (!sent) on_worker_dead(worker);
   return sent;
-}
-
-/// Clock handshake, one probe per worker right after spawn. The worker
-/// echoes the probe with its own clock; handle_frame computes the offset
-/// used to rebase that worker's trace chunks onto the coordinator
-/// timeline before the merge. A worker that dies before replying simply
-/// keeps offset 0 — correct for forked workers sharing CLOCK_MONOTONIC.
-void Coordinator::send_clock_probes() {
-  for (auto& worker : workers_) {
-    if (!worker.alive) continue;
-    ClockProbeMsg probe;
-    probe.t_send = monotonic_ns();
-    send_to(worker, encode_clock_probe(probe));
-  }
 }
 
 std::uint32_t Coordinator::live_workers() const {
@@ -319,7 +306,7 @@ void Coordinator::on_worker_dead(WorkerHandle& worker) {
 
 void Coordinator::kill_worker(WorkerHandle& worker) {
   if (!worker.alive) return;
-  if (worker.external) {
+  if (worker.pid < 0) {
     // No pid to signal: closing the control channel is the kill. The
     // worker notices EOF (or the idle timeout) after its current task
     // and exits; a loser attempt's late result has nowhere to go.
@@ -432,20 +419,19 @@ void Coordinator::handle_frame(WorkerHandle& worker,
       r.expect_done();
       return;
     case MsgType::kHello: {
+      // The reply to kWelcome: its echoed stamp and the worker's clock
+      // give the offset that rebases this worker's trace before the
+      // merge.
       const HelloMsg msg = decode_hello(r);
       worker.shuffle = msg.shuffle;
-      TEXTMR_LOG(kDebug) << "worker " << worker.id
-                         << " serves shuffle at "
-                         << worker.shuffle.to_string();
-      return;
-    }
-    case MsgType::kClockSync: {
-      const ClockSyncMsg msg = decode_clock_sync(r);
-      worker.clock_offset_ns =
-          estimate_clock_offset(msg.t_probe, monotonic_ns(), msg.t_worker);
+      worker.clock_offset_ns = estimate_clock_offset(
+          msg.t_welcome, worker.last_frame_ns, msg.t_worker);
       obs::record_instant(driver_trace_, "cluster", "clock_sync", "worker",
                           static_cast<double>(worker.id), "offset_ns",
                           static_cast<double>(worker.clock_offset_ns));
+      TEXTMR_LOG(kDebug) << "worker " << worker.id
+                         << " serves shuffle at "
+                         << worker.shuffle.to_string();
       return;
     }
     case MsgType::kTraceChunk: {
@@ -557,7 +543,6 @@ void Coordinator::handle_frame(WorkerHandle& worker,
     case MsgType::kRunMap:
     case MsgType::kRunReduce:
     case MsgType::kShutdown:
-    case MsgType::kClockProbe:
     case MsgType::kWelcome:
     case MsgType::kShuffleFetch:
     case MsgType::kShuffleData:
@@ -711,12 +696,12 @@ void Coordinator::kill_and_reap_all() {
     if (worker.alive) {
       // External workers have no pid here; dropping the channel is the
       // strongest signal the coordinator can send them.
-      if (!worker.external) ::kill(worker.pid, SIGKILL);
+      if (worker.pid > 0) ::kill(worker.pid, SIGKILL);
       on_worker_dead(worker);
     }
   }
   for (auto& worker : workers_) {
-    if (worker.external || worker.reaped || worker.pid <= 0) continue;
+    if (worker.reaped || worker.pid <= 0) continue;
     int status = 0;
     while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
     }
@@ -735,6 +720,9 @@ mr::JobResult Coordinator::run() {
   if (config_.io_timeout_ms == 0 || config_.io_timeout_ms < -1) {
     throw ConfigError("io_timeout_ms must be -1 (no limit) or > 0");
   }
+  if (config_.heartbeat_interval_ms == 0) {
+    throw ConfigError("heartbeat_interval_ms must be > 0");
+  }
   if (!config_.network_shuffle) {
     throw ConfigError(
         "network_shuffle = false is not supported: reducers always pull map "
@@ -746,18 +734,18 @@ mr::JobResult Coordinator::run() {
   mr::JobResult result;
   const std::uint64_t job_start = monotonic_ns();
 
-  // Fork before any coordinator thread or collector exists: the children
-  // must be single-threaded clones.
-  spawn_workers();
-  worker_traces_.assign(config_.num_workers, obs::TraceData{});
-
+  // Registration records each worker's clock_sync, so the driver's
+  // trace buffer comes first. It is memory, not a thread: fork before
+  // any coordinator thread exists, so the children are single-threaded
+  // clones.
   if (spec_.trace.enabled) {
     collector_ = std::make_unique<obs::TraceCollector>(spec_.trace);
     collector_->set_job_name(spec_.name);
     driver_trace_ =
         collector_->make_buffer(obs::kDriverPid, 0, "coordinator", "driver");
   }
-  send_clock_probes();
+  worker_traces_.assign(config_.num_workers, obs::TraceData{});
+  spawn_workers();
 
   try {
     // ---- map phase ------------------------------------------------------

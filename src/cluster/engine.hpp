@@ -31,7 +31,8 @@ struct ClusterConfig {
   /// --connect`) instead of being forked.
   std::uint32_t external_workers = 0;
 
-  /// How long spawn waits for each external worker to dial in.
+  /// How long start-up waits for each external worker to dial in, and
+  /// for every worker's kHello in answer to its kWelcome.
   std::int32_t accept_timeout_ms = 30000;
 
   /// Per-frame send/recv budget on coordinator↔worker channels;
@@ -56,6 +57,8 @@ struct ClusterConfig {
   /// lost race never corrupts output.
   bool speculation = true;
 
+  /// Workers' heartbeat cadence, sent in each kWelcome. 0 is a
+  /// ConfigError (a zero wait would spin the heartbeat thread).
   std::uint32_t heartbeat_interval_ms = 25;
   StragglerPolicy straggler;
 

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <initializer_list>
 #include <type_traits>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -23,12 +22,10 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kRunMap: return "run_map";
     case MsgType::kRunReduce: return "run_reduce";
     case MsgType::kShutdown: return "shutdown";
-    case MsgType::kClockProbe: return "clock_probe";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kMapDone: return "map_done";
     case MsgType::kReduceDone: return "reduce_done";
     case MsgType::kTaskFailed: return "task_failed";
-    case MsgType::kClockSync: return "clock_sync";
     case MsgType::kTraceChunk: return "trace_chunk";
     case MsgType::kWelcome: return "welcome";
     case MsgType::kHello: return "hello";
@@ -280,35 +277,17 @@ void fields(A& a, Ref<A, mr::Counters> counters) {
   }
 }
 
-/// Decoded trace strings are copied into the trace's own pool, deduped:
-/// a worker's events repeat a handful of literal names, so the pool stays
-/// tiny even for large rings.
-class StringInterner {
- public:
-  explicit StringInterner(obs::TraceData& trace) : trace_(trace) {}
-
-  const char* operator()(std::string s) {
-    auto it = seen_.find(s);
-    if (it != seen_.end()) return it->second;
-    const char* p = trace_.intern(s);
-    seen_.emplace(std::move(s), p);
-    return p;
-  }
-
- private:
-  obs::TraceData& trace_;
-  std::unordered_map<std::string, const char*> seen_;
-};
-
-void text(WireWriter& w, const char* s, StringInterner*) {
+/// Decoded trace strings are copied into the trace's own pool, once
+/// each (obs::TraceInterner).
+void text(WireWriter& w, const char* s, obs::TraceInterner*) {
   w.str(s != nullptr ? s : "");
 }
-void text(WireReader& r, const char*& s, StringInterner* intern) {
+void text(WireReader& r, const char*& s, obs::TraceInterner* intern) {
   s = (*intern)(r.str());
 }
 
 template <class A>
-void fields(A& a, Ref<A, obs::TraceEvent> e, StringInterner* intern) {
+void fields(A& a, Ref<A, obs::TraceEvent> e, obs::TraceInterner* intern) {
   text(a, e.name, intern);
   text(a, e.category, intern);
   wire(a, e.ts_ns, e.dur_ns, e.pid, e.tid, e.kind, e.num_args);
@@ -378,23 +357,17 @@ void fields(A& a, Ref<A, std::uint32_t> partition,
 }
 
 template <class A>
-void fields(A& a, Ref<A, ClockProbeMsg> msg) {
-  wire(a, msg.t_send);
-}
-
-template <class A>
-void fields(A& a, Ref<A, ClockSyncMsg> msg) {
-  wire(a, msg.t_probe, msg.t_worker);
-}
-
-template <class A>
 void fields(A& a, Ref<A, WelcomeMsg> msg) {
-  wire(a, msg.worker_id, msg.heartbeat_interval_ms);
+  wire(a, msg.worker_id, msg.heartbeat_interval_ms, msg.t_send);
+  // A zero cadence would spin the worker's heartbeat thread.
+  require(a, msg.heartbeat_interval_ms > 0,
+          "welcome heartbeat interval must be > 0");
 }
 
 template <class A>
 void fields(A& a, Ref<A, HelloMsg> msg) {
   fields(a, msg.shuffle);
+  wire(a, msg.t_welcome, msg.t_worker);
 }
 
 template <class A>
@@ -504,20 +477,6 @@ void decode_reduce_done(WireReader& r, std::uint32_t& partition,
   decode_into(r, partition, attempt, result);
 }
 
-std::string encode_clock_probe(const ClockProbeMsg& msg) {
-  return encode(MsgType::kClockProbe, msg);
-}
-ClockProbeMsg decode_clock_probe(WireReader& r) {
-  return decode<ClockProbeMsg>(r);
-}
-
-std::string encode_clock_sync(const ClockSyncMsg& msg) {
-  return encode(MsgType::kClockSync, msg);
-}
-ClockSyncMsg decode_clock_sync(WireReader& r) {
-  return decode<ClockSyncMsg>(r);
-}
-
 std::string encode_welcome(const WelcomeMsg& msg) {
   return encode(MsgType::kWelcome, msg);
 }
@@ -593,7 +552,7 @@ std::vector<std::string> encode_trace_chunks(const TraceChunkMsg& msg,
 TraceChunkMsg decode_trace_chunk(WireReader& r) {
   TraceChunkMsg msg;
   chunk_header_fields(r, msg);
-  StringInterner intern(msg.trace);
+  obs::TraceInterner intern(msg.trace);
   seq(r, msg.trace.events,
       [&](obs::TraceEvent& event) { fields(r, event, &intern); });
   r.expect_done();

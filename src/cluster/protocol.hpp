@@ -28,16 +28,14 @@ enum class MsgType : std::uint8_t {
   kRunMap = 1,      // u32 task, u32 attempt
   kRunReduce = 2,   // u32 partition, u32 attempt
   kShutdown = 3,    // no payload; worker ships its final trace chunk, exits
-  kClockProbe = 4,  // u64 coordinator monotonic_ns at send (clock handshake)
-  kWelcome = 6,     // assigns an externally joining worker its id
+  kWelcome = 6,     // first frame to every worker: id, cadence, clock stamp
   // worker -> coordinator
   kHeartbeat = 10,   // no payload; any frame refreshes last_frame_ns
   kMapDone = 11,     // u32 task, u32 attempt, MapTaskResult
   kReduceDone = 12,  // u32 partition, u32 attempt, ReduceTaskResult
   kTaskFailed = 13,  // one attempt failed (the worker itself is healthy)
-  kClockSync = 14,   // probe echo + worker monotonic_ns (clock handshake)
   kTraceChunk = 15,  // one bounded slice of the worker's trace
-  kHello = 16,       // worker's shuffle-server endpoint advertisement
+  kHello = 16,       // the worker's first frame: shuffle endpoint, clocks
   // reducer -> shuffle server (separate per-fetch TCP connections)
   kShuffleFetch = 20,  // str run_path, u32 partition
   kShuffleData = 21,   // u64 records + the partition's raw frame bytes
@@ -81,19 +79,25 @@ struct RunReduceMsg {
   std::vector<Endpoint> sources;
 };
 
-/// Coordinator -> worker, first frame on an externally joined (TCP
-/// --connect) channel: assigns the worker its node id and the heartbeat
-/// cadence the coordinator expects.
+/// Coordinator -> worker, the first frame on every worker channel,
+/// forked or external, sent as soon as the worker is registered: assigns
+/// the worker its node id and the heartbeat cadence the coordinator
+/// expects (> 0; the decoder rejects 0), and stamps the coordinator's
+/// clock for the offset estimate.
 struct WelcomeMsg {
   std::uint32_t worker_id = 0;
   std::uint32_t heartbeat_interval_ms = 25;
+  std::uint64_t t_send = 0;  // coordinator monotonic_ns at send
 };
 
-/// Worker -> coordinator, sent once at startup by every worker:
-/// advertises the endpoint reducers should pull this worker's
-/// map-output partitions from.
+/// Worker -> coordinator, the reply to kWelcome and the worker's first
+/// frame: advertises the endpoint reducers should pull this worker's
+/// map-output partitions from, and echoes the welcome's stamp next to
+/// the worker's own clock, read as the hello goes out.
 struct HelloMsg {
   Endpoint shuffle;
+  std::uint64_t t_welcome = 0;  // echoed WelcomeMsg::t_send
+  std::uint64_t t_worker = 0;   // worker monotonic_ns at send
 };
 
 /// Reducer -> shuffle server: one partition of one map-output run. The
@@ -132,26 +136,13 @@ struct TaskFailedMsg {
   std::string message;
 };
 
-// ---- clock handshake ------------------------------------------------------
-
-/// Coordinator -> worker right after spawn: carries the coordinator's
-/// monotonic clock at send time.
-struct ClockProbeMsg {
-  std::uint64_t t_send = 0;
-};
-
-/// Worker's reply: echoes the probe and stamps its own clock.
-struct ClockSyncMsg {
-  std::uint64_t t_probe = 0;   // echoed ClockProbeMsg::t_send
-  std::uint64_t t_worker = 0;  // worker monotonic_ns at echo
-};
-
-/// NTP-style two-sample offset estimate: the worker stamped t_worker
-/// somewhere between the coordinator's t_send and t_recv, so assuming a
-/// symmetric channel its clock reads t_worker when the coordinator's
+/// NTP-style two-sample offset estimate over the welcome/hello
+/// exchange: the worker stamped t_worker somewhere between the
+/// coordinator's t_send (welcome out) and t_recv (hello in), so assuming
+/// a symmetric channel its clock reads t_worker when the coordinator's
 /// reads (t_send + t_recv) / 2. Returns worker_clock - coordinator_clock;
 /// the estimate error is bounded by half the round-trip time. Forked
-/// workers share CLOCK_MONOTONIC so their offset is ~0; the handshake
+/// workers share CLOCK_MONOTONIC so their offset is ~0; the exchange
 /// keeps merged traces correct for external workers on other machines.
 inline std::int64_t estimate_clock_offset(std::uint64_t t_send,
                                           std::uint64_t t_recv,
@@ -253,12 +244,6 @@ std::string encode_reduce_done(std::uint32_t partition, std::uint32_t attempt,
                                const mr::ReduceTaskResult& result);
 void decode_reduce_done(WireReader& r, std::uint32_t& partition,
                         std::uint32_t& attempt, mr::ReduceTaskResult& result);
-
-std::string encode_clock_probe(const ClockProbeMsg& msg);
-ClockProbeMsg decode_clock_probe(WireReader& r);
-
-std::string encode_clock_sync(const ClockSyncMsg& msg);
-ClockSyncMsg decode_clock_sync(WireReader& r);
 
 std::string encode_welcome(const WelcomeMsg& msg);
 WelcomeMsg decode_welcome(WireReader& r);

@@ -237,9 +237,8 @@ TcpTransport::~TcpTransport() {
 
 TcpTransport::WorkerChannel TcpTransport::make_worker_channel() {
   // Deterministic pre-fork pairing: dial our own listener, then accept
-  // the matching connection. Both ends exist before fork(), so no
-  // identification handshake is needed to know which worker owns which
-  // coordinator-side fd.
+  // the matching connection. Both ends exist before fork(), so the
+  // child's welcome can go out the moment it is forked.
   const int child_fd = tcp_connect(endpoint_, io_timeout_ms_);
   const int coord_fd = tcp_accept(listen_fd_, io_timeout_ms_);
   set_nonblocking(coord_fd);

@@ -8,9 +8,12 @@
 ///
 ///   - Forked workers are paired deterministically: the coordinator
 ///     connects to its own listener immediately before the fork, so the
-///     child inherits an established, identified TCP connection.
+///     child inherits an established TCP connection.
 ///   - External workers (started with `textmr_cli worker --connect`)
 ///     dial in and are adopted via accept_worker().
+///
+/// Either way the worker then joins by the same welcome/hello exchange
+/// (worker.hpp), which assigns its id.
 ///
 /// Every channel carries the same checksummed frames
 /// ([len][crc32][payload]), so a flipped byte is caught. Connections
@@ -120,7 +123,8 @@ class TcpTransport {
   const Endpoint& listen_endpoint() const { return endpoint_; }
 
   /// Adopts one externally-started worker: accepts a connection on the
-  /// listener. The caller then runs the welcome/hello handshake.
+  /// listener. The caller then runs the welcome/hello exchange, as for a
+  /// forked worker.
   Connection accept_worker(std::int32_t timeout_ms);
 
  private:

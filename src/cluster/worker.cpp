@@ -147,35 +147,58 @@ void heartbeat_loop(Channel& channel, std::uint32_t interval_ms) {
   }
 }
 
+/// Reads the coordinator's kWelcome, the first frame on every worker
+/// channel, waiting at most `timeout_ms`.
+WelcomeMsg read_welcome(int fd, std::int32_t timeout_ms) {
+  const auto frame = recv_frame(fd, timeout_ms);
+  if (!frame.has_value()) {
+    throw IoError("coordinator closed before sending welcome");
+  }
+  WireReader r(*frame);
+  const MsgType type = static_cast<MsgType>(r.u8());
+  if (type != MsgType::kWelcome) {
+    throw FormatError("expected welcome from coordinator, got " +
+                      std::string(msg_type_name(type)));
+  }
+  return decode_welcome(r);
+}
+
 }  // namespace
 
-int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
+int worker_main(int fd, const mr::JobSpec& spec,
+                const WorkerOptions& options) {
+  const WelcomeMsg welcome = read_welcome(fd, options.connect_timeout_ms);
+  const std::uint32_t worker_id = welcome.worker_id;
   try {
-    Channel channel(ctx.fd, ctx.io_timeout_ms);
+    Channel channel(fd, options.io_timeout_ms);
 
     // Serve this worker's committed map runs and tell the coordinator
     // where (kHello). Reducers on other workers pull their partitions
-    // from here.
+    // from here. The hello's stamps give the coordinator this worker's
+    // clock offset, which rebases the worker's trace before the merge.
     ShuffleServer::Options shuffle_opts;
-    shuffle_opts.listen.host = ctx.shuffle_host;  // port 0: kernel-assigned
+    shuffle_opts.listen.host = options.shuffle_host;  // port 0: kernel-assigned
     shuffle_opts.root = spec.scratch_dir.string();
-    if (ctx.io_timeout_ms > 0) shuffle_opts.io_timeout_ms = ctx.io_timeout_ms;
+    if (options.io_timeout_ms > 0) {
+      shuffle_opts.io_timeout_ms = options.io_timeout_ms;
+    }
     ShuffleServer shuffle(std::move(shuffle_opts));
     HelloMsg hello;
     hello.shuffle = shuffle.endpoint();
+    hello.t_welcome = welcome.t_send;
+    hello.t_worker = monotonic_ns();
     if (!channel.send(encode_hello(hello))) return 1;
 
     // Worker-local trace collector; drained and shipped to the
     // coordinator as bounded chunks at every task completion and at
-    // shutdown, then rebased onto the coordinator's clock via the
-    // kClockProbe/kClockSync handshake before the merge.
+    // shutdown.
     std::unique_ptr<obs::TraceCollector> collector;
     obs::TraceBuffer* worker_trace = nullptr;
     if (spec.trace.enabled) {
       collector = std::make_unique<obs::TraceCollector>(spec.trace);
       worker_trace = collector->make_buffer(
-          obs::worker_pid(ctx.worker_id), 0, "task-loop",
-          "worker-" + std::to_string(ctx.worker_id));
+          obs::worker_pid(worker_id), 0, "task-loop",
+          "worker-" + std::to_string(worker_id));
     }
 
     // This worker models one node: its map tasks share one frozen
@@ -186,7 +209,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
     const mr::MemorySplit mem = mr::split_memory(spec);
 
     std::thread heartbeats(heartbeat_loop, std::ref(channel),
-                           ctx.heartbeat_interval_ms);
+                           welcome.heartbeat_interval_ms);
     // RAII joiner: an exception thrown anywhere in the dispatch loop
     // (corrupt frame, channel IoError) must stop and join the heartbeat
     // thread before the std::thread destructor runs — a joinable
@@ -205,18 +228,18 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
     } heartbeat_joiner{channel, heartbeats};
 
     const std::int32_t idle_timeout_ms =
-        ctx.idle_timeout_ms == 0
+        options.idle_timeout_ms == 0
             ? std::int32_t{-1}
-            : static_cast<std::int32_t>(ctx.idle_timeout_ms);
+            : static_cast<std::int32_t>(options.idle_timeout_ms);
     while (true) {
       std::optional<std::string> frame;
       try {
-        frame = recv_frame(ctx.fd, idle_timeout_ms);
+        frame = recv_frame(fd, idle_timeout_ms);
       } catch (const IoError& e) {
         // Coordinator died mid-frame, stream corrupt, or (with an idle
         // timeout armed) a dead TCP peer went silent too long. Either
         // way this worker has no coordinator — exit.
-        TEXTMR_LOG(kWarn) << "worker " << ctx.worker_id
+        TEXTMR_LOG(kWarn) << "worker " << worker_id
                           << ": control channel lost: " << e.what();
         break;
       }
@@ -232,15 +255,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
         ship_trace_chunks(channel, collector.get(), /*final_chunk=*/true);
         if (collector != nullptr) collector->finish();
         break;
-      }
-
-      if (type == MsgType::kClockProbe) {
-        const ClockProbeMsg probe = decode_clock_probe(r);
-        ClockSyncMsg sync;
-        sync.t_probe = probe.t_send;
-        sync.t_worker = monotonic_ns();
-        if (!channel.send(encode_clock_sync(sync))) break;
-        continue;
       }
 
       if (type == MsgType::kRunMap) {
@@ -321,7 +335,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
         continue;
       }
 
-      TEXTMR_LOG(kWarn) << "worker " << ctx.worker_id
+      TEXTMR_LOG(kWarn) << "worker " << worker_id
                         << ": unknown message type "
                         << static_cast<int>(type);
     }
@@ -336,35 +350,18 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
 }
 
 int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
-                      const RemoteWorkerOptions& options) {
+                      const WorkerOptions& options) {
   if (options.io_timeout_ms == 0 || options.io_timeout_ms < -1) {
     throw ConfigError("io_timeout_ms must be -1 (no limit) or > 0");
   }
   const int fd = tcp_connect(coordinator, options.connect_timeout_ms);
-  WorkerContext ctx;
+  int code = 1;
   try {
-    const auto frame = recv_frame(fd, options.connect_timeout_ms);
-    if (!frame.has_value()) {
-      throw IoError("coordinator closed before sending welcome");
-    }
-    WireReader r(*frame);
-    const MsgType type = static_cast<MsgType>(r.u8());
-    if (type != MsgType::kWelcome) {
-      throw FormatError("expected welcome from coordinator, got " +
-                        std::string(msg_type_name(type)));
-    }
-    const WelcomeMsg welcome = decode_welcome(r);
-    ctx.fd = fd;
-    ctx.worker_id = welcome.worker_id;
-    ctx.heartbeat_interval_ms = welcome.heartbeat_interval_ms;
-    ctx.shuffle_host = options.shuffle_host;
-    ctx.io_timeout_ms = options.io_timeout_ms;
-    ctx.idle_timeout_ms = options.idle_timeout_ms;
+    code = worker_main(fd, spec, options);
   } catch (...) {
     ::close(fd);
     throw;
   }
-  const int code = worker_main(ctx, spec);
   ::close(fd);
   return code;
 }

@@ -1,44 +1,12 @@
 #include "mr/report.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 
+#include "common/format.hpp"
 #include "obs/json.hpp"
 
 namespace textmr::mr {
 namespace {
-
-void appendf(std::string& out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* format, ...) {
-  char buffer[512];
-  va_list args;
-  va_start(args, format);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  if (n < 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof(buffer)) {
-    out.append(buffer, static_cast<std::size_t>(n));
-  } else {
-    // Line longer than the stack buffer: render again into the output
-    // string itself instead of truncating (e.g. long counter names).
-    const std::size_t old_size = out.size();
-    out.resize(old_size + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old_size, static_cast<std::size_t>(n) + 1,
-                   format, args_copy);
-    out.resize(old_size + static_cast<std::size_t>(n));
-  }
-  va_end(args_copy);
-}
-
-double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
 /// Exact summary of one worker's task walls. A percentile is the
 /// ceil(pct * n / 100)-th smallest wall, in integer arithmetic.

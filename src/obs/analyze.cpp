@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <set>
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "obs/json.hpp"
 
 namespace textmr::obs {
@@ -88,35 +88,6 @@ std::uint64_t median_of(std::vector<std::uint64_t> values) {
   std::nth_element(values.begin(), values.begin() + mid, values.end());
   return values[mid];
 }
-
-void appendf(std::string& out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* format, ...) {
-  char buffer[512];
-  va_list args;
-  va_start(args, format);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  if (n < 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof(buffer)) {
-    out.append(buffer, static_cast<std::size_t>(n));
-  } else {
-    const std::size_t old_size = out.size();
-    out.resize(old_size + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old_size, static_cast<std::size_t>(n) + 1,
-                   format, args_copy);
-    out.resize(old_size + static_cast<std::size_t>(n));
-  }
-  va_end(args_copy);
-}
-
-double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
 /// Decomposes one phase into wait-before / critical-task / tail segments
 /// (Fig. 9's wait structure). The gating attempt is the one whose end is
@@ -545,21 +516,7 @@ std::string read_file(const std::filesystem::path& path) {
   return contents;
 }
 
-/// Shared interning across one load so repeated names cost one pool slot.
-struct Interner {
-  TraceData& trace;
-  std::unordered_map<std::string, const char*> seen;
-
-  const char* operator()(const std::string& s) {
-    auto it = seen.find(s);
-    if (it != seen.end()) return it->second;
-    const char* p = trace.intern(s);
-    seen.emplace(s, p);
-    return p;
-  }
-};
-
-void read_args(const JsonValue& obj, TraceEvent& e, Interner& intern) {
+void read_args(const JsonValue& obj, TraceEvent& e, TraceInterner& intern) {
   const JsonValue* args = obj.get("args");
   if (args == nullptr || !args->is_object()) return;
   for (const auto& [name, value] : args->members()) {
@@ -571,7 +528,7 @@ void read_args(const JsonValue& obj, TraceEvent& e, Interner& intern) {
 }
 
 void load_chrome_trace(const JsonValue& doc, TraceData& trace,
-                       Interner& intern) {
+                       TraceInterner& intern) {
   const JsonValue* events = doc.get("traceEvents");
   if (events == nullptr || !events->is_array()) {
     throw FormatError("trace file has no traceEvents array");
@@ -654,7 +611,7 @@ TraceData load_trace_file(const std::filesystem::path& path) {
   const std::string contents = read_file(path);
   TraceData trace;
   trace.enabled = true;
-  Interner intern{trace, {}};
+  TraceInterner intern(trace);
   const auto doc = JsonValue::parse(contents);
   if (!doc.has_value() || !doc->is_object()) {
     throw FormatError("trace file " + path.string() + " is not a JSON object");

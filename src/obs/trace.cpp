@@ -33,6 +33,14 @@ TraceBuffer::Drained TraceBuffer::drain() {
   return out;
 }
 
+const char* TraceInterner::operator()(const std::string& s) {
+  const auto it = seen_.find(s);
+  if (it != seen_.end()) return it->second;
+  const char* p = trace_.intern(s);
+  seen_.emplace(s, p);
+  return p;
+}
+
 TraceCollector::TraceCollector(TraceConfig config)
     : config_(config), epoch_ns_(monotonic_ns()) {
   if (config_.ring_capacity < 64) config_.ring_capacity = 64;

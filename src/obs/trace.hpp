@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -170,6 +171,20 @@ struct TraceData {
   }
 };
 
+/// Copies strings into a trace's pool once each (TraceData::intern does
+/// not deduplicate). A trace decoded from another process or read from a
+/// file repeats a handful of names, so the pool stays tiny.
+class TraceInterner {
+ public:
+  explicit TraceInterner(TraceData& trace) : trace_(trace) {}
+
+  const char* operator()(const std::string& s);
+
+ private:
+  TraceData& trace_;
+  std::unordered_map<std::string, const char*> seen_;
+};
+
 /// Merges `from` into `into` (cluster engine: per-worker trace uploads
 /// into the coordinator's timeline). Appends events, process/thread
 /// names, drop counts; adopts `from`'s string pool so event pointers
@@ -181,8 +196,8 @@ void merge_trace(TraceData& into, TraceData&& from);
 /// Shifts every event timestamp (and the epoch) by -offset_ns,
 /// saturating at zero. The cluster coordinator uses this to rebase a
 /// worker's trace onto its own clock: offset_ns is the worker-minus-
-/// coordinator clock offset measured by the startup handshake
-/// (cluster::estimate_clock_offset), so coordinator_ts = worker_ts -
+/// coordinator clock offset measured by the worker's welcome/hello
+/// exchange (cluster::estimate_clock_offset), so coordinator_ts = worker_ts -
 /// offset. Durations are clock-speed-invariant and stay untouched.
 void rebase_trace(TraceData& trace, std::int64_t offset_ns);
 

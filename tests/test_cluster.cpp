@@ -128,11 +128,23 @@ TEST(ClusterEngine, ZeroIoTimeoutIsAConfigErrorBeforeForking) {
 
   // An external worker refuses it before dialing (nothing listens on
   // port 1, so a dial would fail with IoError instead).
-  cluster::RemoteWorkerOptions options;
+  cluster::WorkerOptions options;
   options.io_timeout_ms = 0;
   EXPECT_THROW(cluster::run_remote_worker(cluster::Endpoint{"127.0.0.1", 1},
                                           corpus.job("io0-remote"), options),
                ConfigError);
+}
+
+TEST(ClusterEngine, ZeroHeartbeatIntervalIsAConfigErrorBeforeForking) {
+  // A 0 ms cadence would spin every worker's heartbeat thread.
+  ClusterCorpus corpus(1000);
+  cluster::ClusterConfig config;
+  config.heartbeat_interval_ms = 0;
+  bool spawned = false;
+  config.on_worker_spawn = [&spawned](std::uint32_t, int) { spawned = true; };
+  cluster::ClusterEngine engine(config);
+  EXPECT_THROW(engine.run(corpus.job("hb0")), ConfigError);
+  EXPECT_FALSE(spawned);
 }
 
 TEST(ClusterEngine, DisabledNetworkShuffleIsAConfigErrorBeforeForking) {

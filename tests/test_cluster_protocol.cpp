@@ -138,21 +138,6 @@ TEST(ProtocolCodec, HeartbeatRoundTrip) {
   EXPECT_THROW(padded_reader.expect_done(), FormatError);
 }
 
-TEST(ProtocolCodec, ClockProbeAndSyncRoundTrip) {
-  const std::string probe_frame = encode_clock_probe(ClockProbeMsg{987654321});
-  auto pr = reader_skipping_type(probe_frame, MsgType::kClockProbe);
-  EXPECT_EQ(decode_clock_probe(pr).t_send, 987654321u);
-
-  ClockSyncMsg sync;
-  sync.t_probe = 987654321;
-  sync.t_worker = 999999999;
-  const std::string sync_frame = encode_clock_sync(sync);
-  auto sr = reader_skipping_type(sync_frame, MsgType::kClockSync);
-  const ClockSyncMsg out = decode_clock_sync(sr);
-  EXPECT_EQ(out.t_probe, 987654321u);
-  EXPECT_EQ(out.t_worker, 999999999u);
-}
-
 TEST(ProtocolCodec, EstimateClockOffsetMidpointMath) {
   // Worker clock reads 1500 when the coordinator's midpoint is 1000.
   EXPECT_EQ(estimate_clock_offset(900, 1100, 1500), 500);
@@ -168,9 +153,8 @@ TEST(ProtocolCodec, EstimateClockOffsetMidpointMath) {
 TEST(ProtocolCodec, MsgTypeNamesAreExhaustive) {
   for (MsgType type :
        {MsgType::kRunMap, MsgType::kRunReduce, MsgType::kShutdown,
-        MsgType::kClockProbe, MsgType::kHeartbeat, MsgType::kMapDone,
-        MsgType::kReduceDone, MsgType::kTaskFailed, MsgType::kClockSync,
-        MsgType::kTraceChunk}) {
+        MsgType::kHeartbeat, MsgType::kMapDone, MsgType::kReduceDone,
+        MsgType::kTaskFailed, MsgType::kTraceChunk}) {
     EXPECT_STRNE(msg_type_name(type), "unknown")
         << static_cast<int>(type);
   }
@@ -514,20 +498,34 @@ TEST(ProtocolCodec, RunReduceRoundTripCarriesShuffleSources) {
 }
 
 TEST(ProtocolCodec, WelcomeAndHelloRoundTrip) {
-  const std::string welcome = encode_welcome(WelcomeMsg{7, 40});
+  const std::string welcome =
+      encode_welcome(WelcomeMsg{7, 40, 987654321});
   auto wr = reader_skipping_type(welcome, MsgType::kWelcome);
   const WelcomeMsg wout = decode_welcome(wr);
   EXPECT_EQ(wout.worker_id, 7u);
   EXPECT_EQ(wout.heartbeat_interval_ms, 40u);
+  EXPECT_EQ(wout.t_send, 987654321u);
 
   HelloMsg hello;
   hello.shuffle.host = "192.168.1.42";
   hello.shuffle.port = 31337;
+  hello.t_welcome = 987654321;
+  hello.t_worker = 999999999;
   const std::string frame = encode_hello(hello);
   auto hr = reader_skipping_type(frame, MsgType::kHello);
   const HelloMsg hout = decode_hello(hr);
   EXPECT_EQ(hout.shuffle.host, "192.168.1.42");
   EXPECT_EQ(hout.shuffle.port, 31337);
+  EXPECT_EQ(hout.t_welcome, 987654321u);
+  EXPECT_EQ(hout.t_worker, 999999999u);
+}
+
+TEST(ProtocolCodec, WelcomeRejectsAZeroHeartbeatInterval) {
+  // A zero cadence would spin the worker's heartbeat thread; it can come
+  // off the wire from any coordinator, so the decoder refuses it.
+  const std::string frame = encode_welcome(WelcomeMsg{1, 0});
+  auto r = reader_skipping_type(frame, MsgType::kWelcome);
+  EXPECT_THROW(decode_welcome(r), FormatError);
 }
 
 TEST(ProtocolCodec, ShuffleFetchRoundTrip) {
@@ -921,8 +919,8 @@ TEST(ShuffleCodecFuzz, MutatedFramesNeverCrash) {
       encode_shuffle_fetch(ShuffleFetchMsg{"/scratch/jobX/map0_a0_final", 3}),
       encode_shuffle_data(ShuffleDataMsg{12, std::string(100, 'z')}),
       encode_shuffle_error(ShuffleErrorMsg{true, "transient"}),
-      encode_welcome(WelcomeMsg{1, 25}),
-      encode_hello(HelloMsg{Endpoint{"127.0.0.1", 4242}}),
+      encode_welcome(WelcomeMsg{1, 25, 123456789}),
+      encode_hello(HelloMsg{Endpoint{"127.0.0.1", 4242}, 123456789, 42}),
   };
   int decoded = 0;
   int rejected = 0;

@@ -352,7 +352,7 @@ TEST(RemoteWorker, HandshakeTimesOutOnSilentCoordinator) {
   std::atomic<bool> threw{false};
   std::thread worker([&] {
     mr::JobSpec spec;  // never used: the handshake fails first
-    RemoteWorkerOptions options;
+    WorkerOptions options;
     options.connect_timeout_ms = 200;
     try {
       run_remote_worker(bound, spec, options);
@@ -372,7 +372,7 @@ TEST(RemoteWorker, ConnectToNobodyThrows) {
   const Endpoint bound = local_endpoint(listen_fd);
   ::close(listen_fd);
   mr::JobSpec spec;
-  RemoteWorkerOptions options;
+  WorkerOptions options;
   options.connect_timeout_ms = 200;
   EXPECT_THROW(run_remote_worker(bound, spec, options), IoError);
 }
@@ -385,7 +385,7 @@ TEST(RemoteWorker, IdleTimeoutExitsWorkerWhenCoordinatorGoesSilent) {
   std::atomic<int> exit_code{-1};
   mr::JobSpec spec;
   std::thread worker([&] {
-    RemoteWorkerOptions options;
+    WorkerOptions options;
     options.connect_timeout_ms = 2000;
     options.idle_timeout_ms = 100;
     exit_code.store(run_remote_worker(bound, spec, options));
@@ -403,6 +403,72 @@ TEST(RemoteWorker, IdleTimeoutExitsWorkerWhenCoordinatorGoesSilent) {
   EXPECT_EQ(exit_code.load(), 0);
   ::close(fd);
   ::close(listen_fd);
+}
+
+TEST(RemoteWorker, HelloEchoesTheWelcomeStamp) {
+  // The worker's first frame answers the welcome: its shuffle endpoint,
+  // the welcome's stamp echoed, and the worker's clock, read between the
+  // welcome going out and the hello coming in (one process, one clock).
+  const int listen_fd = tcp_listen(Endpoint{});
+  const Endpoint bound = local_endpoint(listen_fd);
+  std::atomic<int> exit_code{-1};
+  mr::JobSpec spec;
+  std::thread worker([&] {
+    WorkerOptions options;
+    options.connect_timeout_ms = 2000;
+    exit_code.store(run_remote_worker(bound, spec, options));
+  });
+  const int fd = tcp_accept(listen_fd, 2000);
+  const std::uint64_t t_send = monotonic_ns();
+  ASSERT_TRUE(send_frame(fd, encode_welcome(WelcomeMsg{3, 1000, t_send}),
+                         2000));
+  const auto frame = recv_frame(fd, 2000);
+  const std::uint64_t t_recv = monotonic_ns();
+  ::close(fd);  // EOF: the worker exits
+  worker.join();
+  ::close(listen_fd);
+  ASSERT_TRUE(frame.has_value());
+  auto r = WireReader(*frame);
+  ASSERT_EQ(static_cast<MsgType>(r.u8()), MsgType::kHello);
+  const HelloMsg hello = decode_hello(r);
+  EXPECT_TRUE(hello.shuffle.valid());
+  EXPECT_EQ(hello.t_welcome, t_send);
+  EXPECT_GE(hello.t_worker, t_send);
+  EXPECT_LE(hello.t_worker, t_recv);
+  EXPECT_EQ(exit_code.load(), 0);
+}
+
+TEST(RemoteWorker, ZeroHeartbeatWelcomeIsRefused) {
+  // A welcome asking for a 0 ms heartbeat is malformed: the worker must
+  // refuse it before it sends anything, not spin its heartbeat thread
+  // (the idle timeout only bounds how long a spinning worker would run).
+  const int listen_fd = tcp_listen(Endpoint{});
+  const Endpoint bound = local_endpoint(listen_fd);
+  std::atomic<bool> refused{false};
+  mr::JobSpec spec;
+  std::thread worker([&] {
+    WorkerOptions options;
+    options.connect_timeout_ms = 2000;
+    options.idle_timeout_ms = 300;
+    try {
+      run_remote_worker(bound, spec, options);
+    } catch (const FormatError&) {
+      refused.store(true);
+    }
+  });
+  const int fd = tcp_accept(listen_fd, 2000);
+  ASSERT_TRUE(send_frame(fd, encode_welcome(WelcomeMsg{0, 0}), 2000));
+  int frames = 0;
+  try {
+    while (recv_frame(fd, 2000).has_value()) ++frames;
+  } catch (const IoError&) {
+    // The worker reset the channel: the same hang-up.
+  }
+  worker.join();
+  ::close(fd);
+  ::close(listen_fd);
+  EXPECT_TRUE(refused.load());
+  EXPECT_EQ(frames, 0);
 }
 
 // Full TCP cluster with every worker joining externally, hosted on
@@ -441,7 +507,7 @@ class TcpClusterInProcess : public ::testing::Test {
     ClusterEngine engine(config);
     for (std::uint32_t w = 0; w < 2; ++w) {
       workers.emplace_back([coordinator = engine.listen_endpoint(), &spec] {
-        RemoteWorkerOptions options;
+        WorkerOptions options;
         options.connect_timeout_ms = 10000;
         run_remote_worker(coordinator, spec, options);
       });
@@ -509,18 +575,32 @@ TEST_F(TcpClusterInProcess, HashCombineCountersMatchLocalEngine) {
   }
 }
 
-/// A fake external worker: takes its welcome, waits for its first task,
-/// answers it with `bad_frame` (checksummed, but it does not decode), then
-/// drains until the coordinator hangs up.
+/// A fake external worker: sends `bad_frame` (checksummed, but not what
+/// the coordinator must get), then drains until the coordinator hangs
+/// up. With `say_hello` it answers its welcome with a hello and sends the
+/// bad frame in answer to its first task; without, the bad frame answers
+/// the welcome.
 void run_malformed_worker(const Endpoint& coordinator,
-                          const std::string& bad_frame) {
+                          const std::string& bad_frame, bool say_hello) {
   const int fd = tcp_connect(coordinator, 10000);
   try {
-    while (const auto frame = recv_frame(fd, 10000)) {
-      const auto type = static_cast<MsgType>(frame->at(0));
-      if (type == MsgType::kRunMap || type == MsgType::kRunReduce) {
-        send_frame(fd, bad_frame, 10000);
-        break;
+    const auto welcome = recv_frame(fd, 10000);
+    if (welcome.has_value() && !say_hello) {
+      send_frame(fd, bad_frame, 10000);
+    } else if (welcome.has_value()) {
+      WireReader r(*welcome);
+      r.u8();  // kWelcome
+      HelloMsg hello;
+      hello.shuffle = Endpoint{"127.0.0.1", 1};
+      hello.t_welcome = decode_welcome(r).t_send;
+      hello.t_worker = monotonic_ns();
+      send_frame(fd, encode_hello(hello), 10000);
+      while (const auto frame = recv_frame(fd, 10000)) {
+        const auto type = static_cast<MsgType>(frame->at(0));
+        if (type == MsgType::kRunMap || type == MsgType::kRunReduce) {
+          send_frame(fd, bad_frame, 10000);
+          break;
+        }
       }
     }
     while (recv_frame(fd, 10000).has_value()) {
@@ -534,7 +614,8 @@ void run_malformed_worker(const Endpoint& coordinator,
 // A control frame that passes its checksum but fails to decode, or names
 // an attempt the worker was not running, is the worker's fault, not the
 // job's: the coordinator declares that worker dead, re-queues its task,
-// and the healthy worker finishes the job.
+// and the healthy worker finishes the job. A worker whose answer to its
+// welcome is not a hello joins dead the same way.
 TEST_F(TcpClusterInProcess, MalformedControlFrameKillsTheWorkerNotTheJob) {
   const auto local = mr::LocalEngine().run(wordcount_job("local"));
   std::string truncated_done = encode_map_done(0, 0, mr::MapTaskResult{});
@@ -546,10 +627,15 @@ TEST_F(TcpClusterInProcess, MalformedControlFrameKillsTheWorkerNotTheJob) {
   const std::string foreign_task =
       encode_map_done(9999, 0, mr::MapTaskResult{});
 
+  struct Case {
+    std::string bad_frame;
+    bool say_hello;
+  };
   int run = 0;
-  for (const std::string& bad_frame :
-       {truncated_done, bad_kind, foreign_task}) {
-    SCOPED_TRACE(msg_type_name(static_cast<MsgType>(bad_frame[0])));
+  for (const Case& c : {Case{truncated_done, true}, Case{bad_kind, true},
+                        Case{foreign_task, true},
+                        Case{encode_bare(MsgType::kHeartbeat), false}}) {
+    SCOPED_TRACE(msg_type_name(static_cast<MsgType>(c.bad_frame[0])));
     const mr::JobSpec spec = wordcount_job("bad" + std::to_string(run++));
     ClusterConfig config;
     config.num_workers = 2;
@@ -559,14 +645,13 @@ TEST_F(TcpClusterInProcess, MalformedControlFrameKillsTheWorkerNotTheJob) {
     std::vector<std::jthread> workers;
     ClusterEngine engine(config);
     workers.emplace_back([coordinator = engine.listen_endpoint(), &spec] {
-      RemoteWorkerOptions options;
+      WorkerOptions options;
       options.connect_timeout_ms = 10000;
       run_remote_worker(coordinator, spec, options);
     });
-    workers.emplace_back(
-        [coordinator = engine.listen_endpoint(), &bad_frame] {
-          run_malformed_worker(coordinator, bad_frame);
-        });
+    workers.emplace_back([coordinator = engine.listen_endpoint(), &c] {
+      run_malformed_worker(coordinator, c.bad_frame, c.say_hello);
+    });
     mr::JobResult result;
     ASSERT_NO_THROW(result = engine.run(spec));
     expect_same_parts(local, result);

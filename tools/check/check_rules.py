@@ -525,10 +525,9 @@ _ENUM_SNAPSHOT: dict[str, list[str]] = {
         "kSupportIdle", "kNumOps",
     ],
     "MsgType": [
-        "kRunMap", "kRunReduce", "kShutdown", "kClockProbe", "kWelcome",
-        "kHeartbeat", "kMapDone", "kReduceDone", "kTaskFailed", "kClockSync",
-        "kTraceChunk", "kHello", "kShuffleFetch", "kShuffleData",
-        "kShuffleError",
+        "kRunMap", "kRunReduce", "kShutdown", "kWelcome", "kHeartbeat",
+        "kMapDone", "kReduceDone", "kTaskFailed", "kTraceChunk", "kHello",
+        "kShuffleFetch", "kShuffleData", "kShuffleError",
     ],
     "ActionKind": ["kThrow", "kShortWrite", "kCorrupt", "kDelay"],
 }
